@@ -142,15 +142,17 @@ def render_heatmap(
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="11">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
     ]
+    # Each column's x, each row's y and the cell size are formatted once.
+    col_heads = [f'<rect x="{_fmt(px(float(xs[j])) - cell_w / 2)}" ' for j in sx]
+    size = f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" '
     for i in sy:
-        for j in sx:
-            level = math.log10(max(float(values[i][j]), 1e-6))
+        row_head = f'y="{_fmt(py(float(ys[i])) - cell_h / 2)}" {size}'
+        row = values[i]
+        for head, j in zip(col_heads, sx):
+            level = math.log10(max(float(row[j]), 1e-6))
             shade = int(round(255 * min(1.0, max(0.0, (level + 6.0) / 6.0))))
             parts.append(
-                f'<rect x="{_fmt(px(float(xs[j])) - cell_w / 2)}" '
-                f'y="{_fmt(py(float(ys[i])) - cell_h / 2)}" '
-                f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" '
-                f'fill="rgb({shade},{shade},{shade})"/>'
+                f'{head}{row_head}fill="rgb({shade},{shade},{shade})"/>'
             )
     for ox, oy in overlays:
         parts.append(

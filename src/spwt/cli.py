@@ -88,6 +88,9 @@ def parse_config(path: str) -> dict:
 def _resolve_config(cfg: dict, seed_flag: int | None) -> dict:
     """Validate, fill defaults and settle the seed precedence
     (flag > config > SPWT_SEED > 0)."""
+    for key, value in cfg.items():
+        if key in _FLOAT_KEYS and not math.isfinite(value):
+            raise CliError(f"config: '{key}' must be finite, got {value!r}")
     for key in _REQUIRED_KEYS:
         if key not in cfg:
             raise CliError(f"config: missing required key '{key}'")
@@ -222,6 +225,19 @@ def _csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _pattern_csv(axis, values) -> str:
+    """The x_m,y_m,residual table of a square grid, x varying fastest.
+
+    Same bytes as :func:`_csv` over the rows; the axis labels are formatted
+    once, so only the residual is formatted per cell.
+    """
+    labels = [_fmt(v) + "," for v in axis]
+    lines = ["x_m,y_m,residual"]
+    for y_label, row in zip(labels, values.tolist()):
+        lines.extend([f"{x}{y_label}{v:.12g}" for x, v in zip(labels, row)])
+    return "\n".join(lines) + "\n"
+
+
 def cmd_place(args) -> int:
     resolved = _resolve_config(parse_config(args.config), args.seed)
     scenario = _scenario(resolved)
@@ -313,15 +329,10 @@ def cmd_pattern(args) -> int:
             overlays.append((s.position.x, s.position.y))
         except (InfeasibleGeometry, InvalidIndex, InvalidYaw):
             pass
-    rows = (
-        (float(x), float(y), float(values[i, j]))
-        for i, y in enumerate(axis)
-        for j, x in enumerate(axis)
-    )
     written = _write_outputs(
         args.out,
         {
-            "pattern.csv": _csv("x_m,y_m,residual", rows),
+            "pattern.csv": _pattern_csv(axis, values),
             "pattern.svg": render_heatmap(axis, axis, values, overlays),
             "manifest.json": _manifest("pattern", resolved),
         },

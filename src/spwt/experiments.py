@@ -8,7 +8,7 @@ isolate what placement alone buys.
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .errors import InfeasibleGeometry
 from .geometry import Position3D
 from .placement import NullIndex, PlacementSolution, solve_azimuth_scheme, solve_pitch_scheme
 from .scenario import ScenarioConfig
-from .signalmodel import PowerConfig, evaluate_link
+from .signalmodel import PowerConfig, link_correlation, link_metrics
 
 DEFAULT_SNR_GRID_DB = tuple(range(0, 21, 2))
 DEFAULT_ALPHA_GRID = tuple(i / 10.0 for i in range(11))
@@ -94,6 +94,24 @@ def _best_placement(scenario: ScenarioConfig, scheme: str) -> PlacementSolution:
     )[0]
 
 
+def _placements(
+    scenario: ScenarioConfig, scheme: str, n_random_baselines: int
+) -> tuple[PlacementSolution, list[Position3D], complex, list[complex]]:
+    """The solved placement, the seeded baselines, and the correlation at
+    each.  The correlation does not depend on power, so a sweep computes it
+    once per position and applies only the power budget per grid point."""
+    best = _best_placement(scenario, scheme)
+    baselines = random_baseline_positions(
+        n_random_baselines,
+        BASELINE_BOUNDS,
+        z=scenario.uav_height_m,
+        seed=scenario.seed,
+        exclude=(scenario.bob, scenario.eve),
+    )
+    rho_best = link_correlation(scenario, best.position)
+    return best, baselines, rho_best, [link_correlation(scenario, b) for b in baselines]
+
+
 def _run_id(scenario: ScenarioConfig, kind: str, scheme: str) -> str:
     text = f"{scenario!r}|{kind}|{scheme}"
     return hashlib.sha1(text.encode()).hexdigest()[:12]
@@ -136,13 +154,8 @@ def sweep_snr(
     grid = list(DEFAULT_SNR_GRID_DB if snr_db_grid is None else snr_db_grid)
     if not grid:
         raise ValueError("SNR grid is empty")
-    best = _best_placement(scenario, scheme)
-    baselines = random_baseline_positions(
-        n_random_baselines,
-        BASELINE_BOUNDS,
-        z=scenario.uav_height_m,
-        seed=scenario.seed,
-        exclude=(scenario.bob, scenario.eve),
+    best, baselines, rho_best, rho_rand = _placements(
+        scenario, scheme, n_random_baselines
     )
     p = scenario.power.total_power_w
     proposed, theory = [], []
@@ -150,11 +163,10 @@ def sweep_snr(
     for snr_db in grid:
         snr_lin = 10.0 ** (snr_db / 10.0)
         power = PowerConfig(p, 1.0, p / snr_lin, p / snr_lin)
-        point = replace(scenario, power=power)
-        proposed.append(evaluate_link(point, best.position).secrecy_rate_bps_hz)
+        proposed.append(link_metrics(rho_best, power).secrecy_rate_bps_hz)
         theory.append(math.log2(1.0 + snr_lin))
-        for series, pos in zip(rand, baselines):
-            series.append(evaluate_link(point, pos).secrecy_rate_bps_hz)
+        for series, rho in zip(rand, rho_rand):
+            series.append(link_metrics(rho, power).secrecy_rate_bps_hz)
     series = {"proposed": proposed, "theory": theory}
     for i, values in enumerate(rand, start=1):
         series[f"rand{i}"] = values
@@ -191,32 +203,22 @@ def sweep_alpha(
         raise ValueError("alpha grid is empty")
     if any(a < 0.0 or a > 1.0 for a in grid):
         raise ValueError("alpha grid must lie in [0, 1]")
-    best = _best_placement(scenario, scheme)
-    baselines = random_baseline_positions(
-        n_random_baselines,
-        BASELINE_BOUNDS,
-        z=scenario.uav_height_m,
-        seed=scenario.seed,
-        exclude=(scenario.bob, scenario.eve),
+    best, baselines, rho_best, rho_rand = _placements(
+        scenario, scheme, n_random_baselines
     )
     p = scenario.power.total_power_w
     snr_lin = 10.0 ** (snr_db / 10.0)
     sigma2 = p / snr_lin
     bound = math.log2(1.0 + snr_lin)
+    full_power = PowerConfig(p, 1.0, sigma2, sigma2)
     proposed, theory = [], []
     rand: list[list[float]] = [[] for _ in baselines]
     for alpha in grid:
-        full_power = PowerConfig(p, 1.0, sigma2, sigma2)
-        proposed.append(
-            evaluate_link(
-                replace(scenario, power=full_power), best.position
-            ).secrecy_rate_bps_hz
-        )
+        proposed.append(link_metrics(rho_best, full_power).secrecy_rate_bps_hz)
         theory.append(bound)
         split_power = PowerConfig(p, alpha, sigma2, sigma2)
-        point = replace(scenario, power=split_power)
-        for series, pos in zip(rand, baselines):
-            series.append(evaluate_link(point, pos).secrecy_rate_bps_hz)
+        for series, rho in zip(rand, rho_rand):
+            series.append(link_metrics(rho, split_power).secrecy_rate_bps_hz)
     series = {"proposed": proposed, "theory": theory}
     for i, values in enumerate(rand, start=1):
         series[f"rand{i}"] = values

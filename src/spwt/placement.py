@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import steering_vector
 from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
 from .geometry import Position3D, canonicalize_frame, look_angles
 from .scenario import ScenarioConfig
-from .signalmodel import evaluate_link
+from .signalmodel import link_correlation, link_metrics
 
 HALF_PI = math.pi / 2.0
 
@@ -45,6 +44,9 @@ _BISECT_HI = 1e6
 _BISECT_SCAN = 64
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
+
+# Grid points per chunk of correlation_map rows.
+_MAP_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -94,17 +96,12 @@ def _check_index(value: int, m_rows: int, n_cols: int) -> None:
 def _null_residual(scenario: ScenarioConfig, position: Position3D) -> float:
     """|h_e^H h_b| recomputed from scratch at ``position``.
 
-    Deliberately retraces the full pipeline (frame transform, look angles,
-    explicit steering vectors, inner product) so solver candidates are
-    certified independently of the closed-form algebra that produced them.
+    The quantity the solvers certify: :func:`link_correlation` retraces the
+    full pipeline (frame transform, look angles, explicit steering vectors,
+    inner product), independently of the closed-form algebra that produced
+    the candidate.
     """
-    tf = canonicalize_frame(scenario.bob, scenario.eve)
-    uav_c = tf.to_canonical(position)
-    ang_b = look_angles(uav_c, Position3D(0.0, 0.0, 0.0), scenario.yaw)
-    ang_e = look_angles(uav_c, tf.to_canonical(scenario.eve), scenario.yaw)
-    h_b = steering_vector(scenario.array, ang_b.azimuth_rel, ang_b.pitch)
-    h_e = steering_vector(scenario.array, ang_e.azimuth_rel, ang_e.pitch)
-    return float(abs(np.vdot(h_e, h_b)))
+    return abs(link_correlation(scenario, position))
 
 
 def verify_null(solution: PlacementSolution, scenario: ScenarioConfig) -> float:
@@ -181,7 +178,8 @@ def solve_azimuth_scheme(
         if any(abs(y - prev) < _DEDUP_M for prev in accepted_y):
             continue
         position = tf.from_canonical(Position3D(half, y, g))
-        residual = _null_residual(scenario, position)
+        rho = link_correlation(scenario, position)
+        residual = abs(rho)
         if residual > _NULL_TOL:
             warnings.warn(
                 f"bisector candidate y={y:.6f} failed verification "
@@ -190,7 +188,7 @@ def solve_azimuth_scheme(
             )
             continue
         accepted_y.append(y)
-        metrics = evaluate_link(scenario, position)
+        metrics = link_metrics(rho, scenario.power)
         solutions.append(
             PlacementSolution(
                 position=position,
@@ -288,7 +286,8 @@ def solve_pitch_scheme(
         t = _bisect_gap(x_e, g, target)
         x_a = -t if side == "left" else x_e + t
         position = tf.from_canonical(Position3D(x_a, 0.0, g))
-        residual = _null_residual(scenario, position)
+        rho = link_correlation(scenario, position)
+        residual = abs(rho)
         if residual > _NULL_TOL:
             warnings.warn(
                 f"extension candidate x={x_a:.6f} failed verification "
@@ -299,7 +298,7 @@ def solve_pitch_scheme(
             continue
         # Branch sign of +/- as it appears in the defining equation.
         branch = "+" if side_sign * target * trig > 0.0 else "-"
-        metrics = evaluate_link(scenario, position)
+        metrics = link_metrics(rho, scenario.power)
         return PlacementSolution(
             position=position,
             scheme="pitch",
@@ -351,32 +350,46 @@ def _bisect_gap(x_e: float, g: float, target: float) -> float:
     return best_t
 
 
+def _axis_sum_magnitude(count: int, step: np.ndarray) -> np.ndarray:
+    """|sum(exp(1j*i*step) for i in range(count))|, elementwise over ``step``.
+
+    Summed term by term (each term one rotation of the previous), so a step
+    at a multiple of 2*pi needs no limit handling.
+    """
+    rotor = np.exp(1j * step)
+    term = np.ones_like(rotor)
+    total = np.ones_like(rotor)
+    for _ in range(1, count):
+        term *= rotor
+        total += term
+    return np.abs(total)
+
+
 def correlation_map(
     scenario: ScenarioConfig, xs: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
     """|h_e^H h_b| over a canonical-frame position grid, shape (len(ys), len(xs)).
 
-    Evaluates the element-by-element double sum directly (no geometric
-    closed form), vectorized over positions; this is the brute-force oracle
-    behind :func:`grid_null_oracle` and the coverage-map command.
+    The element double sum factors into one geometric sum per array axis,
+    with the per-axis phase increments a and b of
+    :func:`~spwt.arrays.cross_correlation_closed_form`, so each point costs
+    |sum_m e^{i m a}| * |sum_n e^{i n b}| / (M*N): O(M + N) work instead of
+    O(M*N).  Both sums are evaluated explicitly, not by their ratio form,
+    which keeps this map independent of the null equations the solvers
+    use.  Grid rows are processed in chunks of at most ``_MAP_CHUNK``
+    points, which bounds every temporary array.
     """
     geom = scenario.array
     tf = canonicalize_frame(scenario.bob, scenario.eve)
     x_e = tf.to_canonical(scenario.eve).x
     g = scenario.uav_height_m
     coef = geom.phase_coef
-    m = np.arange(geom.m_rows, dtype=float).reshape(1, -1, 1)
-    n = np.arange(geom.n_cols, dtype=float).reshape(1, 1, -1)
-
-    gx, gy = np.meshgrid(np.asarray(xs, float), np.asarray(ys, float))
-    flat_x = gx.ravel()
-    flat_y = gy.ravel()
-    out = np.empty(flat_x.size)
-    chunk = max(1, 2_000_000 // geom.size)
-    for start in range(0, flat_x.size, chunk):
-        sl = slice(start, start + chunk)
-        x = flat_x[sl][:, None, None]
-        y = flat_y[sl][:, None, None]
+    x = np.asarray(xs, float).ravel()[None, :]
+    ys = np.asarray(ys, float).ravel()
+    out = np.empty((ys.size, x.size))
+    rows = max(1, _MAP_CHUNK // max(1, x.size))
+    for start in range(0, ys.size, rows):
+        y = ys[start : start + rows, None]
         az_b = np.arctan2(y, x) - scenario.yaw
         az_e = np.arctan2(y, x - x_e) - scenario.yaw
         # cos(pitch) = horizontal range / slant range; at a point directly
@@ -385,10 +398,14 @@ def correlation_map(
         cp_b = cp_b / np.hypot(cp_b, g)
         cp_e = np.hypot(x - x_e, y)
         cp_e = cp_e / np.hypot(cp_e, g)
-        psi_b = -coef * cp_b * (m * np.cos(az_b) + n * np.sin(az_b))
-        psi_e = -coef * cp_e * (m * np.cos(az_e) + n * np.sin(az_e))
-        out[sl] = np.abs(np.exp(1j * (psi_b - psi_e)).sum(axis=(1, 2))) / geom.size
-    return out.reshape(gy.shape)
+        a = coef * (cp_e * np.cos(az_e) - cp_b * np.cos(az_b))
+        b = coef * (cp_e * np.sin(az_e) - cp_b * np.sin(az_b))
+        out[start : start + rows] = (
+            _axis_sum_magnitude(geom.m_rows, a)
+            * _axis_sum_magnitude(geom.n_cols, b)
+            / geom.size
+        )
+    return out
 
 
 def grid_null_oracle(

@@ -132,13 +132,12 @@ def secrecy_rate(sinr_b: float, sinr_e: float) -> float:
     return max(0.0, math.log2(1.0 + sinr_b) - math.log2(1.0 + sinr_e))
 
 
-def evaluate_link(scenario: "ScenarioConfig", uav: Position3D) -> LinkMetrics:
-    """Link metrics for a transmitter at ``uav`` under ``scenario``.
+def link_correlation(scenario: "ScenarioConfig", uav: Position3D) -> complex:
+    """Correlation rho between the eavesdropper and receiver steering vectors
+    for a transmitter at ``uav``, computed from explicit vectors.
 
-    Composes geometry, steering vectors and the analytic SINRs.  The
-    receiver-side SINR uses the exact closed form alpha*P/sigma_b^2; the
-    eavesdropper SINR uses the correlation computed from explicit steering
-    vectors.
+    Depends only on geometry, never on the power budget, so a sweep over
+    power or noise needs it once per position.
     """
     tf = canonicalize_frame(scenario.bob, scenario.eve)
     uav_c = tf.to_canonical(uav)
@@ -146,9 +145,24 @@ def evaluate_link(scenario: "ScenarioConfig", uav: Position3D) -> LinkMetrics:
     ang_e = look_angles(uav_c, tf.to_canonical(scenario.eve), scenario.yaw)
     h_b = steering_vector(scenario.array, ang_b.azimuth_rel, ang_b.pitch)
     h_e = steering_vector(scenario.array, ang_e.azimuth_rel, ang_e.pitch)
-    rho = cross_correlation(h_e, h_b)
-    s_b = sinr_bob(scenario.power)
-    s_e = sinr_eve_analytic(rho, scenario.power)
+    return cross_correlation(h_e, h_b)
+
+
+def link_metrics(rho: complex, power: PowerConfig) -> LinkMetrics:
+    """Link metrics for correlation ``rho`` under ``power``: the receiver SINR
+    in its exact closed form alpha*P/sigma_b^2, the analytic eavesdropper
+    SINR, and the secrecy rate."""
+    s_b = sinr_bob(power)
+    s_e = sinr_eve_analytic(rho, power)
     return LinkMetrics(
         sinr_b=s_b, sinr_e=s_e, secrecy_rate_bps_hz=secrecy_rate(s_b, s_e)
     )
+
+
+def evaluate_link(scenario: "ScenarioConfig", uav: Position3D) -> LinkMetrics:
+    """Link metrics for a transmitter at ``uav`` under ``scenario``.
+
+    Composes :func:`link_correlation` (geometry, explicit steering vectors)
+    with :func:`link_metrics` at the scenario's power budget.
+    """
+    return link_metrics(link_correlation(scenario, uav), scenario.power)

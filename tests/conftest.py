@@ -1,8 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
-from spwt import ArrayGeometry, PowerConfig, Position3D, ScenarioConfig
+from spwt import (
+    ArrayGeometry,
+    PowerConfig,
+    Position3D,
+    ScenarioConfig,
+    canonicalize_frame,
+)
 
 # sigma^2 for a 15 dB SNR at 1 W total power
 SIGMA2_15DB = 10.0 ** -1.5
@@ -36,3 +43,40 @@ def reference_scenario() -> ScenarioConfig:
     """4x4 half-wavelength array at 3 GHz, nodes 500 m apart, 200 m altitude,
     45 degree yaw, 1 W at a 15 dB SNR."""
     return make_scenario()
+
+
+def element_sum_map(scenario: ScenarioConfig, xs, ys) -> np.ndarray:
+    """|h_e^H h_b| over a canonical-frame grid, shape (len(ys), len(xs)),
+    from the element-by-element double sum over all M*N array elements.
+
+    The oracle for the factored ``correlation_map``: it shares nothing with
+    the per-axis factorisation.  Positions are chunked so temporaries stay
+    near 2e6 elements.
+    """
+    geom = scenario.array
+    tf = canonicalize_frame(scenario.bob, scenario.eve)
+    x_e = tf.to_canonical(scenario.eve).x
+    g = scenario.uav_height_m
+    coef = geom.phase_coef
+    m = np.arange(geom.m_rows, dtype=float).reshape(1, -1, 1)
+    n = np.arange(geom.n_cols, dtype=float).reshape(1, 1, -1)
+
+    gx, gy = np.meshgrid(np.asarray(xs, float), np.asarray(ys, float))
+    flat_x = gx.ravel()
+    flat_y = gy.ravel()
+    out = np.empty(flat_x.size)
+    chunk = max(1, 2_000_000 // geom.size)
+    for start in range(0, flat_x.size, chunk):
+        sl = slice(start, start + chunk)
+        x = flat_x[sl][:, None, None]
+        y = flat_y[sl][:, None, None]
+        az_b = np.arctan2(y, x) - scenario.yaw
+        az_e = np.arctan2(y, x - x_e) - scenario.yaw
+        cp_b = np.hypot(x, y)
+        cp_b = cp_b / np.hypot(cp_b, g)
+        cp_e = np.hypot(x - x_e, y)
+        cp_e = cp_e / np.hypot(cp_e, g)
+        psi_b = -coef * cp_b * (m * np.cos(az_b) + n * np.sin(az_b))
+        psi_e = -coef * cp_e * (m * np.cos(az_e) + n * np.sin(az_e))
+        out[sl] = np.abs(np.exp(1j * (psi_b - psi_e)).sum(axis=(1, 2))) / geom.size
+    return out.reshape(gy.shape)

@@ -2,9 +2,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from spwt.cli import main
+from spwt.cli import _csv, _pattern_csv, main
 
 BASE = {
     "m": 4,
@@ -234,3 +235,28 @@ def test_config_value_parse_error(tmp_path, capsys):
 def test_missing_config_file(tmp_path, capsys):
     assert main(["place", "--config", str(tmp_path / "nope.cfg")]) == 1
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_pattern_csv_matches_per_cell_formatting():
+    axis = np.arange(-20.0, 20.0 + 2.5, 5.0)
+    values = np.random.default_rng(1).random((axis.size, axis.size)) ** 9
+    values[0, 0], values[1, 1] = 0.0, 1.0
+    rows = (
+        (float(x), float(y), float(values[i, j]))
+        for i, y in enumerate(axis)
+        for j, x in enumerate(axis)
+    )
+    assert _pattern_csv(axis, values) == _csv("x_m,y_m,residual", rows)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("g_m", "nan"), ("x_e_m", "inf"), ("theta_a_deg", "nan"), ("f_c_hz", "nan")],
+)
+def test_non_finite_config_value_rejected(tmp_path, capsys, key, value):
+    drop = ("theta_a_rad",) if key == "theta_a_deg" else ()
+    cfg = write_config(tmp_path / "a.cfg", drop=drop, **{key: value})
+    assert main(["place", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert key in captured.err and "finite" in captured.err
+    assert captured.out == ""

@@ -6,6 +6,8 @@ import pytest
 
 from spwt import (
     Position3D,
+    PowerConfig,
+    evaluate_link,
     random_baseline_positions,
     sweep_alpha,
     sweep_snr,
@@ -138,3 +140,30 @@ def test_sweep_alpha_metadata(reference_scenario):
     assert result.metadata["snr_db"] == 12.0
     assert result.metadata["m"] == 4
     assert result.metadata["x_e_m"] == pytest.approx(500.0)
+
+
+@pytest.mark.parametrize("scheme", ["azimuth", "pitch"])
+def test_sweeps_equal_per_point_link_evaluation(reference_scenario, scheme):
+    # one correlation per position gives the same floats as evaluating the
+    # whole link at every grid point
+    sc = reference_scenario
+    p = sc.power.total_power_w
+    snr = sweep_snr(sc, scheme=scheme)
+    alpha = sweep_alpha(sc, scheme=scheme)
+    positions = [snr.metadata["placement"]] + snr.metadata["baseline_positions"]
+    positions = [Position3D(*pos) for pos in positions]
+    for k, snr_db in enumerate(snr.x_axis):
+        sigma2 = p / 10.0 ** (snr_db / 10.0)
+        point = replace(sc, power=PowerConfig(p, 1.0, sigma2, sigma2))
+        got = [snr.series[name][k] for name in SERIES if name != "theory"]
+        want = [evaluate_link(point, pos).secrecy_rate_bps_hz for pos in positions]
+        assert got == want
+    sigma2 = p / 10.0 ** 1.5
+    for k, a in enumerate(alpha.x_axis):
+        full = replace(sc, power=PowerConfig(p, 1.0, sigma2, sigma2))
+        split = replace(sc, power=PowerConfig(p, a, sigma2, sigma2))
+        got = [alpha.series[name][k] for name in SERIES if name != "theory"]
+        want = [evaluate_link(full, positions[0]).secrecy_rate_bps_hz] + [
+            evaluate_link(split, pos).secrecy_rate_bps_hz for pos in positions[1:]
+        ]
+        assert got == want

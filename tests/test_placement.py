@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spwt import (
+    ArrayGeometry,
     InfeasibleGeometry,
     InvalidIndex,
     InvalidYaw,
@@ -19,7 +20,7 @@ from spwt import (
     verify_null,
 )
 from spwt.placement import _null_residual, _pitch_gap
-from conftest import make_scenario
+from conftest import element_sum_map, make_scenario
 
 Y_REF = 630.4760106459247
 PITCH_T_REF = 47.75273070615326  # outward distance of the extension-scheme root
@@ -256,6 +257,27 @@ def test_midline_residual_field_symmetric(reference_scenario):
     ys = np.arange(-700.0, 700.0 + 2.5, 5.0)
     col = correlation_map(reference_scenario, np.array([250.0]), ys)[:, 0]
     assert np.max(np.abs(col - col[::-1])) <= 1e-12
+
+
+# x = 0 and x = x_e (500 m) with y = 0 put grid points directly above each node.
+MAP_XS = np.arange(-600.0, 1100.0 + 1.0, 50.0)
+MAP_YS = np.arange(-700.0, 700.0 + 1.0, 50.0)
+
+
+@pytest.mark.parametrize(
+    "m,n,spacing_m",
+    [(1, 1, None), (1, 8, None), (8, 1, None), (5, 7, None), (16, 16, None),
+     (5, 7, 0.137)],
+)
+def test_correlation_map_matches_element_double_sum(m, n, spacing_m):
+    from dataclasses import replace
+
+    sc = make_scenario(yaw=0.6)
+    sc = replace(sc, array=ArrayGeometry(m, n, 3.0e9, spacing_m))
+    got = correlation_map(sc, MAP_XS, MAP_YS)
+    assert got.shape == (MAP_YS.size, MAP_XS.size)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - element_sum_map(sc, MAP_XS, MAP_YS))) <= 1e-12
 
 
 def test_grid_oracle_validates_inputs(reference_scenario):
