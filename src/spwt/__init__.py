@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .arrays import (
     ArrayGeometry,
     cross_correlation,
-    cross_correlation_closed_form,
     steering_vector,
 )
 from .errors import (
@@ -44,9 +43,9 @@ from .placement import (
     PlacementSolution,
     correlation_map,
     grid_null_oracle,
+    solve_all,
     solve_azimuth_scheme,
     solve_pitch_scheme,
-    verify_null,
 )
 from .scenario import ScenarioConfig
 from .signalmodel import (
@@ -85,7 +84,6 @@ __all__ = [
     "canonicalize_frame",
     "correlation_map",
     "cross_correlation",
-    "cross_correlation_closed_form",
     "evaluate_link",
     "grid_null_oracle",
     "look_angles",
@@ -95,10 +93,10 @@ __all__ = [
     "sinr_bob",
     "sinr_eve_analytic",
     "sinr_eve_monte_carlo",
+    "solve_all",
     "solve_azimuth_scheme",
     "solve_pitch_scheme",
     "steering_vector",
     "sweep_alpha",
     "sweep_snr",
-    "verify_null",
 ]

@@ -5,23 +5,19 @@ rows aligned to the platform heading.  The channel toward a ground node is
 the bare steering vector for that node's look angles: there is no path loss
 term, so range enters only through the angles.  The correlation between two
 steering vectors factors into a product of two geometric sums, one per array
-axis, which is what both placement schemes exploit.
+axis, which is what both placement schemes exploit; the package evaluates it
+in that factored form (:func:`spwt.signalmodel.correlation_magnitude`), and
+the explicit vectors here are the reference it is tested against.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import LookAngles
 
 SPEED_OF_LIGHT = 299_792_458.0
-
-# Phase increments closer than this to a multiple of 2*pi are treated as the
-# removable singularity of the geometric-sum ratio and take the limit value.
-_SINGULAR_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,47 +95,3 @@ def cross_correlation(h_e: np.ndarray, h_b: np.ndarray) -> complex:
             f"steering vectors differ in length: {h_e.shape} vs {h_b.shape}"
         )
     return complex(np.vdot(h_e, h_b))
-
-
-def _factor_sum(count: int, step: float) -> complex:
-    """Closed form of sum(exp(1j*i*step) for i in range(count)).
-
-    The ratio form has a removable singularity whenever step is a multiple of
-    2*pi; the limit there is exactly ``count``.
-    """
-    wrapped = (step + math.pi) % (2.0 * math.pi) - math.pi
-    if abs(wrapped) < _SINGULAR_EPS:
-        return complex(count)
-    return (cmath.exp(1j * count * step) - 1.0) / (cmath.exp(1j * step) - 1.0)
-
-
-def cross_correlation_closed_form(
-    geom: ArrayGeometry, angles_b: LookAngles, angles_e: LookAngles
-) -> complex:
-    """Correlation between the steering vectors of two directions, evaluated
-    without building the vectors.
-
-    The double sum over elements always separates into a product of two
-    geometric sums with per-axis phase increments
-
-        a = coef * (cos(az_e)*cos(pitch_e) - cos(az_b)*cos(pitch_b))
-        b = coef * (sin(az_e)*cos(pitch_e) - sin(az_b)*cos(pitch_b))
-
-    where az is the yaw-relative azimuth and coef is the array phase
-    coefficient.  Equal-pitch and equal-azimuth geometries are the special
-    cases the placement schemes drive to a null; no special-casing is needed
-    here.  Agrees with :func:`cross_correlation` on explicit vectors to
-    1e-10.
-    """
-    coef = geom.phase_coef
-    a = coef * (
-        math.cos(angles_e.azimuth_rel) * math.cos(angles_e.pitch)
-        - math.cos(angles_b.azimuth_rel) * math.cos(angles_b.pitch)
-    )
-    b = coef * (
-        math.sin(angles_e.azimuth_rel) * math.cos(angles_e.pitch)
-        - math.sin(angles_b.azimuth_rel) * math.cos(angles_b.pitch)
-    )
-    return (
-        _factor_sum(geom.m_rows, a) * _factor_sum(geom.n_cols, b) / geom.size
-    )

@@ -17,7 +17,7 @@ from .charts import render_heatmap, render_line_chart
 from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
 from .experiments import sweep_alpha, sweep_snr
 from .geometry import Position3D
-from .placement import correlation_map, solve_azimuth_scheme, solve_pitch_scheme
+from .placement import correlation_map, solve_all
 from .scenario import ScenarioConfig
 from .signalmodel import PowerConfig
 
@@ -242,18 +242,8 @@ def cmd_place(args) -> int:
     resolved = _resolve_config(parse_config(args.config), args.seed)
     scenario = _scenario(resolved)
     schemes = ("azimuth", "pitch") if args.scheme == "both" else (args.scheme,)
-    solutions = []
-    problems = []
-    for scheme in schemes:
-        try:
-            if scheme == "azimuth":
-                solutions.extend(solve_azimuth_scheme(scenario))
-            else:
-                for side in ("left", "right"):
-                    solutions.append(solve_pitch_scheme(scenario, side=side))
-        except (InfeasibleGeometry, InvalidIndex, InvalidYaw) as exc:
-            problems.append(f"{scheme}: {exc}")
-    for line in problems:
+    solutions, failures = solve_all(scenario, schemes)
+    for line in failures:
         print(f"infeasible: {line}", file=sys.stderr)
     if not solutions:
         return 2
@@ -275,15 +265,12 @@ def cmd_sweep(args) -> int:
     grid = _sweep_grid(args.grid, args.kind)
     if args.kind == "snr":
         result = sweep_snr(scenario, scheme=args.scheme, snr_db_grid=grid)
-        header = "snr_db,sr_proposed,sr_theory,sr_rand1,sr_rand2,sr_rand3"
-        x_label = "SNR (dB)"
+        x_name, x_label = "snr_db", "SNR (dB)"
     else:
         result = sweep_alpha(scenario, alpha_grid=grid, scheme=args.scheme)
-        header = "alpha,sr_proposed,sr_theory,sr_rand1,sr_rand2,sr_rand3"
-        x_label = "alpha"
-    columns = [result.x_axis] + [result.series[k] for k in
-                                 ("proposed", "theory", "rand1", "rand2", "rand3")]
-    csv_text = _csv(header, zip(*columns))
+        x_name, x_label = "alpha", "alpha"
+    header = ",".join([x_name] + [f"sr_{name}" for name in result.series])
+    csv_text = _csv(header, zip(result.x_axis, *result.series.values()))
     svg_text = render_line_chart(
         result.x_axis,
         result.series,
@@ -316,19 +303,11 @@ def cmd_pattern(args) -> int:
 
     axis = np.arange(lo, hi + step / 2.0, step)
     values = correlation_map(scenario, axis, axis)
-    overlays = []
     try:
-        overlays.extend(
-            (s.position.x, s.position.y) for s in solve_azimuth_scheme(scenario)
-        )
-    except (InfeasibleGeometry, InvalidIndex, InvalidYaw):
-        pass
-    for side in ("left", "right"):
-        try:
-            s = solve_pitch_scheme(scenario, side=side)
-            overlays.append((s.position.x, s.position.y))
-        except (InfeasibleGeometry, InvalidIndex, InvalidYaw):
-            pass
+        solutions, _ = solve_all(scenario)
+    except (InvalidIndex, InvalidYaw):
+        solutions = []  # the map is still defined; it just has no overlay
+    overlays = [(s.position.x, s.position.y) for s in solutions]
     written = _write_outputs(
         args.out,
         {
@@ -356,14 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, writes=True):
         p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the run seed (highest precedence)")
-        p.add_argument("--out", default=".", help="output directory")
+        if writes:
+            p.add_argument("--out", default=".", help="output directory")
 
     p_place = sub.add_parser("place", help="solve for nulling placements")
-    common(p_place)
+    common(p_place, writes=False)
     p_place.add_argument(
         "--scheme", choices=("azimuth", "pitch", "both"), default="both"
     )

@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import InfeasibleGeometry
 from .geometry import Position3D
-from .placement import NullIndex, PlacementSolution, solve_azimuth_scheme, solve_pitch_scheme
+from .placement import PlacementSolution, solve_all
 from .scenario import ScenarioConfig
-from .signalmodel import PowerConfig, link_correlation, link_metrics
+from .signalmodel import PowerConfig, correlation_at, link_metrics
 
 DEFAULT_SNR_GRID_DB = tuple(range(0, 21, 2))
 DEFAULT_ALPHA_GRID = tuple(i / 10.0 for i in range(11))
@@ -70,46 +70,13 @@ def random_baseline_positions(
 def _best_placement(scenario: ScenarioConfig, scheme: str) -> PlacementSolution:
     """Deterministic pick among a scheme's solutions: highest SR first, then
     smallest residual, then branch/factor order."""
-    if scheme == "azimuth":
-        solutions = solve_azimuth_scheme(scenario, NullIndex())
-    elif scheme == "pitch":
-        solutions = []
-        errors = []
-        for side in ("left", "right"):
-            try:
-                solutions.append(solve_pitch_scheme(scenario, NullIndex(), side))
-            except InfeasibleGeometry as exc:
-                errors.append(str(exc))
-        if not solutions:
-            raise InfeasibleGeometry("; ".join(errors))
-    else:
-        raise ValueError("scheme must be 'azimuth' or 'pitch'")
+    solutions, failures = solve_all(scenario, (scheme,))
     if not solutions:
-        raise InfeasibleGeometry(
-            "every candidate placement failed verification"
-        )
+        raise InfeasibleGeometry("; ".join(failures))
     return sorted(
         solutions,
         key=lambda s: (-s.sr_at_solution, s.null_residual, s.branch, s.factor_used),
     )[0]
-
-
-def _placements(
-    scenario: ScenarioConfig, scheme: str, n_random_baselines: int
-) -> tuple[PlacementSolution, list[Position3D], complex, list[complex]]:
-    """The solved placement, the seeded baselines, and the correlation at
-    each.  The correlation does not depend on power, so a sweep computes it
-    once per position and applies only the power budget per grid point."""
-    best = _best_placement(scenario, scheme)
-    baselines = random_baseline_positions(
-        n_random_baselines,
-        BASELINE_BOUNDS,
-        z=scenario.uav_height_m,
-        seed=scenario.seed,
-        exclude=(scenario.bob, scenario.eve),
-    )
-    rho_best = link_correlation(scenario, best.position)
-    return best, baselines, rho_best, [link_correlation(scenario, b) for b in baselines]
 
 
 def _run_id(scenario: ScenarioConfig, kind: str, scheme: str) -> str:
@@ -135,6 +102,63 @@ def _scenario_echo(scenario: ScenarioConfig) -> dict:
     }
 
 
+def _sweep(
+    scenario: ScenarioConfig,
+    kind: str,
+    scheme: str,
+    n_random_baselines: int,
+    points: list,
+    extra: dict,
+) -> SweepResult:
+    """The sweep core: ``points`` holds one (x, linear SNR, baseline alpha)
+    triple per grid point, ``extra`` the kind's own metadata.
+
+    The proposed placement transmits at alpha = 1 and the baselines at the
+    point's alpha, both at the noise floor P/SNR; the bound is
+    log2(1 + SNR).  The correlation does not depend on power, so it is
+    computed once per position: the placement's is its certified residual,
+    the baselines' come from one kernel call.
+    """
+    best = _best_placement(scenario, scheme)
+    baselines = random_baseline_positions(
+        n_random_baselines,
+        BASELINE_BOUNDS,
+        z=scenario.uav_height_m,
+        seed=scenario.seed,
+        exclude=(scenario.bob, scenario.eve),
+    )
+    rho_rand = correlation_at(scenario, baselines).tolist()
+    p = scenario.power.total_power_w
+    proposed, theory = [], []
+    rand: list[list[float]] = [[] for _ in baselines]
+    for _, snr_lin, alpha in points:
+        sigma2 = p / snr_lin
+        full_power = PowerConfig(p, 1.0, sigma2, sigma2)
+        proposed.append(
+            link_metrics(best.null_residual, full_power).secrecy_rate_bps_hz
+        )
+        theory.append(math.log2(1.0 + snr_lin))
+        split_power = PowerConfig(p, alpha, sigma2, sigma2)
+        for series, rho in zip(rand, rho_rand):
+            series.append(link_metrics(rho, split_power).secrecy_rate_bps_hz)
+    series = {"proposed": proposed, "theory": theory}
+    for i, values in enumerate(rand, start=1):
+        series[f"rand{i}"] = values
+    return SweepResult(
+        x_axis=[float(x) for x, _, _ in points],
+        series=series,
+        metadata={
+            "kind": kind,
+            "scheme": scheme,
+            **extra,
+            "run_id": _run_id(scenario, kind, scheme),
+            "placement": (best.position.x, best.position.y, best.position.z),
+            "baseline_positions": [(b.x, b.y, b.z) for b in baselines],
+            **_scenario_echo(scenario),
+        },
+    )
+
+
 def sweep_snr(
     scenario: ScenarioConfig,
     scheme: str = "azimuth",
@@ -154,34 +178,8 @@ def sweep_snr(
     grid = list(DEFAULT_SNR_GRID_DB if snr_db_grid is None else snr_db_grid)
     if not grid:
         raise ValueError("SNR grid is empty")
-    best, baselines, rho_best, rho_rand = _placements(
-        scenario, scheme, n_random_baselines
-    )
-    p = scenario.power.total_power_w
-    proposed, theory = [], []
-    rand: list[list[float]] = [[] for _ in baselines]
-    for snr_db in grid:
-        snr_lin = 10.0 ** (snr_db / 10.0)
-        power = PowerConfig(p, 1.0, p / snr_lin, p / snr_lin)
-        proposed.append(link_metrics(rho_best, power).secrecy_rate_bps_hz)
-        theory.append(math.log2(1.0 + snr_lin))
-        for series, rho in zip(rand, rho_rand):
-            series.append(link_metrics(rho, power).secrecy_rate_bps_hz)
-    series = {"proposed": proposed, "theory": theory}
-    for i, values in enumerate(rand, start=1):
-        series[f"rand{i}"] = values
-    return SweepResult(
-        x_axis=[float(v) for v in grid],
-        series=series,
-        metadata={
-            "kind": "snr",
-            "scheme": scheme,
-            "run_id": _run_id(scenario, "snr", scheme),
-            "placement": (best.position.x, best.position.y, best.position.z),
-            "baseline_positions": [(b.x, b.y, b.z) for b in baselines],
-            **_scenario_echo(scenario),
-        },
-    )
+    points = [(snr_db, 10.0 ** (snr_db / 10.0), 1.0) for snr_db in grid]
+    return _sweep(scenario, "snr", scheme, n_random_baselines, points, {})
 
 
 def sweep_alpha(
@@ -203,35 +201,8 @@ def sweep_alpha(
         raise ValueError("alpha grid is empty")
     if any(a < 0.0 or a > 1.0 for a in grid):
         raise ValueError("alpha grid must lie in [0, 1]")
-    best, baselines, rho_best, rho_rand = _placements(
-        scenario, scheme, n_random_baselines
-    )
-    p = scenario.power.total_power_w
     snr_lin = 10.0 ** (snr_db / 10.0)
-    sigma2 = p / snr_lin
-    bound = math.log2(1.0 + snr_lin)
-    full_power = PowerConfig(p, 1.0, sigma2, sigma2)
-    proposed, theory = [], []
-    rand: list[list[float]] = [[] for _ in baselines]
-    for alpha in grid:
-        proposed.append(link_metrics(rho_best, full_power).secrecy_rate_bps_hz)
-        theory.append(bound)
-        split_power = PowerConfig(p, alpha, sigma2, sigma2)
-        for series, rho in zip(rand, rho_rand):
-            series.append(link_metrics(rho, split_power).secrecy_rate_bps_hz)
-    series = {"proposed": proposed, "theory": theory}
-    for i, values in enumerate(rand, start=1):
-        series[f"rand{i}"] = values
-    return SweepResult(
-        x_axis=[float(a) for a in grid],
-        series=series,
-        metadata={
-            "kind": "alpha",
-            "scheme": scheme,
-            "snr_db": snr_db,
-            "run_id": _run_id(scenario, "alpha", scheme),
-            "placement": (best.position.x, best.position.y, best.position.z),
-            "baseline_positions": [(b.x, b.y, b.z) for b in baselines],
-            **_scenario_echo(scenario),
-        },
+    points = [(a, snr_lin, a) for a in grid]
+    return _sweep(
+        scenario, "alpha", scheme, n_random_baselines, points, {"snr_db": snr_db}
     )

@@ -126,7 +126,8 @@ def midpoint_symmetry_check(
     the perpendicular bisector of the ground segment.
 
     Expects the canonical frame: ``bob`` at the origin, ``eve`` on the +x
-    axis.  Used as a solver postcondition.
+    axis.  The solvers do not call it (they certify by the correlation
+    itself); it is an independent check of bisector placements.
     """
     ang_b = look_angles(uav, bob, 0.0)
     ang_e = look_angles(uav, eve, 0.0)

@@ -11,9 +11,10 @@ whose zeros are known:
   condition becomes a scalar equation in the pitch-cosine gap, solved by
   bisection on a strictly monotone function.
 
-Every candidate position is certified by recomputing the correlation from
-scratch; candidates that fail are discarded with a warning rather than
-returned.
+Every candidate position is certified by recomputing the correlation with
+:func:`~spwt.signalmodel.correlation_magnitude` at the returned position;
+candidates that fail are discarded with a warning rather than returned, and a
+solver with no certified candidate raises ``InfeasibleGeometry``.
 """
 
 import math
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
 from .geometry import Position3D, canonicalize_frame, look_angles
 from .scenario import ScenarioConfig
-from .signalmodel import link_correlation, link_metrics
+from .signalmodel import correlation_at, correlation_magnitude, link_metrics
 
 HALF_PI = math.pi / 2.0
 
@@ -93,22 +94,6 @@ def _check_index(value: int, m_rows: int, n_cols: int) -> None:
         )
 
 
-def _null_residual(scenario: ScenarioConfig, position: Position3D) -> float:
-    """|h_e^H h_b| recomputed from scratch at ``position``.
-
-    The quantity the solvers certify: :func:`link_correlation` retraces the
-    full pipeline (frame transform, look angles, explicit steering vectors,
-    inner product), independently of the closed-form algebra that produced
-    the candidate.
-    """
-    return abs(link_correlation(scenario, position))
-
-
-def verify_null(solution: PlacementSolution, scenario: ScenarioConfig) -> float:
-    """Recompute the correlation magnitude at a solution's position."""
-    return _null_residual(scenario, solution.position)
-
-
 def solve_azimuth_scheme(
     scenario: ScenarioConfig, index: NullIndex | None = None
 ) -> list[PlacementSolution]:
@@ -121,7 +106,7 @@ def solve_azimuth_scheme(
     the column factor when M*cos is replaced by N*sin.  Up to four
     candidates arise (two equations, two signs); duplicates within 1e-6 m
     are merged and every survivor is certified against the recomputed
-    correlation.
+    correlation, all candidates in one kernel call.
 
     Returns
     -------
@@ -132,7 +117,7 @@ def solve_azimuth_scheme(
     ------
     InfeasibleGeometry
         If both radicands are negative (lower the altitude or rotate the
-        yaw toward the ground axis).
+        yaw toward the ground axis), or no candidate passes certification.
     InvalidYaw, InvalidIndex
         For a quarter-turn yaw or an index with no matching zero.
     """
@@ -172,15 +157,16 @@ def solve_azimuth_scheme(
             f"yaw closer to the ground axis"
         )
 
+    positions = [tf.from_canonical(Position3D(half, y, g)) for _, _, y in candidates]
+    residuals = correlation_at(scenario, positions).tolist()
     solutions: list[PlacementSolution] = []
     accepted_y: list[float] = []
-    for factor, branch, y in candidates:
+    for (factor, branch, y), position, residual in zip(
+        candidates, positions, residuals
+    ):
         if any(abs(y - prev) < _DEDUP_M for prev in accepted_y):
             continue
-        position = tf.from_canonical(Position3D(half, y, g))
-        rho = link_correlation(scenario, position)
-        residual = abs(rho)
-        if residual > _NULL_TOL:
+        if not residual <= _NULL_TOL:
             warnings.warn(
                 f"bisector candidate y={y:.6f} failed verification "
                 f"(|rho| = {residual:.3e}); discarded",
@@ -188,7 +174,7 @@ def solve_azimuth_scheme(
             )
             continue
         accepted_y.append(y)
-        metrics = link_metrics(rho, scenario.power)
+        metrics = link_metrics(residual, scenario.power)
         solutions.append(
             PlacementSolution(
                 position=position,
@@ -199,6 +185,11 @@ def solve_azimuth_scheme(
                 null_residual=residual,
                 sr_at_solution=metrics.secrecy_rate_bps_hz,
             )
+        )
+    if not solutions:
+        raise InfeasibleGeometry(
+            "every bisector candidate failed verification; the closed form "
+            "needs finite inputs and both ground nodes at z = 0"
         )
     return solutions
 
@@ -286,9 +277,8 @@ def solve_pitch_scheme(
         t = _bisect_gap(x_e, g, target)
         x_a = -t if side == "left" else x_e + t
         position = tf.from_canonical(Position3D(x_a, 0.0, g))
-        rho = link_correlation(scenario, position)
-        residual = abs(rho)
-        if residual > _NULL_TOL:
+        residual = float(correlation_at(scenario, [position])[0])
+        if not residual <= _NULL_TOL:
             warnings.warn(
                 f"extension candidate x={x_a:.6f} failed verification "
                 f"(|rho| = {residual:.3e}); discarded",
@@ -298,7 +288,7 @@ def solve_pitch_scheme(
             continue
         # Branch sign of +/- as it appears in the defining equation.
         branch = "+" if side_sign * target * trig > 0.0 else "-"
-        metrics = link_metrics(rho, scenario.power)
+        metrics = link_metrics(residual, scenario.power)
         return PlacementSolution(
             position=position,
             scheme="pitch",
@@ -350,60 +340,59 @@ def _bisect_gap(x_e: float, g: float, target: float) -> float:
     return best_t
 
 
-def _axis_sum_magnitude(count: int, step: np.ndarray) -> np.ndarray:
-    """|sum(exp(1j*i*step) for i in range(count))|, elementwise over ``step``.
+def solve_all(
+    scenario: ScenarioConfig, schemes: tuple = ("azimuth", "pitch")
+) -> tuple[list[PlacementSolution], list[str]]:
+    """Every certified placement of ``schemes`` at the default null index,
+    and one message for each scheme or side that has none.
 
-    Summed term by term (each term one rotation of the previous), so a step
-    at a multiple of 2*pi needs no limit handling.
+    Solutions come in the order of ``schemes``: the bisector placements as
+    :func:`solve_azimuth_scheme` returns them, the extension placements left
+    before right.  An infeasible scheme or side is reported as
+    ``"azimuth: <reason>"`` or ``"pitch left: <reason>"`` instead of raised.
+
+    Raises
+    ------
+    InvalidYaw, InvalidIndex
+        For a quarter-turn yaw or an index with no matching zero; these rule
+        out every scheme, so they are raised rather than reported.
+    ValueError
+        For a scheme other than "azimuth" or "pitch".
     """
-    rotor = np.exp(1j * step)
-    term = np.ones_like(rotor)
-    total = np.ones_like(rotor)
-    for _ in range(1, count):
-        term *= rotor
-        total += term
-    return np.abs(total)
+    solutions: list[PlacementSolution] = []
+    failures: list[str] = []
+    for scheme in schemes:
+        if scheme not in ("azimuth", "pitch"):
+            raise ValueError("scheme must be 'azimuth' or 'pitch'")
+        for side in ("left", "right") if scheme == "pitch" else (None,):
+            try:
+                if side is None:
+                    solutions.extend(solve_azimuth_scheme(scenario))
+                else:
+                    solutions.append(solve_pitch_scheme(scenario, side=side))
+            except InfeasibleGeometry as exc:
+                label = scheme if side is None else f"{scheme} {side}"
+                failures.append(f"{label}: {exc}")
+    return solutions, failures
 
 
 def correlation_map(
     scenario: ScenarioConfig, xs: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
-    """|h_e^H h_b| over a canonical-frame position grid, shape (len(ys), len(xs)).
+    """|h_e^H h_b| over a canonical-frame position grid at the platform
+    altitude, shape (len(ys), len(xs)).
 
-    The element double sum factors into one geometric sum per array axis,
-    with the per-axis phase increments a and b of
-    :func:`~spwt.arrays.cross_correlation_closed_form`, so each point costs
-    |sum_m e^{i m a}| * |sum_n e^{i n b}| / (M*N): O(M + N) work instead of
-    O(M*N).  Both sums are evaluated explicitly, not by their ratio form,
-    which keeps this map independent of the null equations the solvers
-    use.  Grid rows are processed in chunks of at most ``_MAP_CHUNK``
-    points, which bounds every temporary array.
+    :func:`~spwt.signalmodel.correlation_magnitude` over the grid, rows in
+    chunks of at most ``_MAP_CHUNK`` points, which bounds every temporary
+    array.
     """
-    geom = scenario.array
-    tf = canonicalize_frame(scenario.bob, scenario.eve)
-    x_e = tf.to_canonical(scenario.eve).x
-    g = scenario.uav_height_m
-    coef = geom.phase_coef
     x = np.asarray(xs, float).ravel()[None, :]
     ys = np.asarray(ys, float).ravel()
     out = np.empty((ys.size, x.size))
     rows = max(1, _MAP_CHUNK // max(1, x.size))
     for start in range(0, ys.size, rows):
-        y = ys[start : start + rows, None]
-        az_b = np.arctan2(y, x) - scenario.yaw
-        az_e = np.arctan2(y, x - x_e) - scenario.yaw
-        # cos(pitch) = horizontal range / slant range; at a point directly
-        # over a node this evaluates to the continuous limit 0.
-        cp_b = np.hypot(x, y)
-        cp_b = cp_b / np.hypot(cp_b, g)
-        cp_e = np.hypot(x - x_e, y)
-        cp_e = cp_e / np.hypot(cp_e, g)
-        a = coef * (cp_e * np.cos(az_e) - cp_b * np.cos(az_b))
-        b = coef * (cp_e * np.sin(az_e) - cp_b * np.sin(az_b))
-        out[start : start + rows] = (
-            _axis_sum_magnitude(geom.m_rows, a)
-            * _axis_sum_magnitude(geom.n_cols, b)
-            / geom.size
+        out[start : start + rows] = correlation_magnitude(
+            scenario, x, ys[start : start + rows, None], scenario.uav_height_m
         )
     return out
 

@@ -6,6 +6,9 @@ that vector.  The receiver therefore sees no noise leakage and its SINR is
 alpha*P/sigma_b^2 at every transmitter position; the eavesdropper's SINR is
 governed entirely by the correlation rho between the two steering vectors.
 Secrecy rate is log2(1+SINR_b) - log2(1+SINR_e), clipped at zero.
+
+|rho| for transmitter positions comes from one vectorised kernel,
+:func:`correlation_magnitude`, which every caller in the package shares.
 """
 
 import math
@@ -14,9 +17,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .arrays import cross_correlation, steering_vector
-from .errors import InvalidCorrelation
-from .geometry import Position3D, canonicalize_frame, look_angles
+from .errors import DegenerateGeometry, InvalidCorrelation
+from .geometry import Position3D, canonicalize_frame
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
@@ -132,26 +134,92 @@ def secrecy_rate(sinr_b: float, sinr_e: float) -> float:
     return max(0.0, math.log2(1.0 + sinr_b) - math.log2(1.0 + sinr_e))
 
 
-def link_correlation(scenario: "ScenarioConfig", uav: Position3D) -> complex:
-    """Correlation rho between the eavesdropper and receiver steering vectors
-    for a transmitter at ``uav``, computed from explicit vectors.
+def _axis_sum_magnitude(count: int, step: np.ndarray) -> np.ndarray:
+    """|sum(exp(1j*i*step) for i in range(count))|, elementwise over ``step``.
+
+    Summed term by term (each term one rotation of the previous), so a step
+    at a multiple of 2*pi needs no limit handling.  The products are not
+    taken in place: numpy's in-place complex multiply can round a one-element
+    array differently from a longer one, and a point must give the same
+    value alone as in a batch.
+    """
+    rotor = np.exp(1j * step)
+    term = np.ones_like(rotor)
+    total = np.ones_like(rotor)
+    for _ in range(1, count):
+        term = term * rotor
+        total = total + term
+    return np.abs(total)
+
+
+def correlation_magnitude(scenario: "ScenarioConfig", x, y, z) -> np.ndarray:
+    """|h_e^H h_b| for transmitters at canonical-frame points (x, y, z).
+
+    The one evaluation of the correlation in the package: certification,
+    link metrics, the sweeps and the correlation map all call it.  The
+    canonical frame (:func:`~spwt.geometry.canonicalize_frame`) puts the
+    receiver over the origin and the eavesdropper over the +x axis; each
+    node keeps its own altitude, so the pitch toward it uses the height
+    difference z - node.z.  ``x``, ``y`` and ``z`` are scalars or arrays
+    that broadcast together; the result has their broadcast shape.
+
+    The element double sum factors into one geometric sum per array axis,
+    with phase increments
+
+        a = coef * (cos(pitch_e)*cos(az_e) - cos(pitch_b)*cos(az_b))
+        b = coef * (cos(pitch_e)*sin(az_e) - cos(pitch_b)*sin(az_b))
+
+    (az yaw-relative, coef the array phase coefficient), so each point costs
+    |sum_m e^{i m a}| * |sum_n e^{i n b}| / (M*N): O(M + N) work instead of
+    O(M*N).  Both sums are evaluated explicitly, not by their ratio form,
+    which keeps the result independent of the null equations the solvers
+    use.  Directly over a node cos(pitch) is 0 and the value is the
+    continuous limit.
+    """
+    geom = scenario.array
+    tf = canonicalize_frame(scenario.bob, scenario.eve)
+    x_e = tf.to_canonical(scenario.eve).x
+    coef = geom.phase_coef
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    z = np.asarray(z, float)
+    az_b = np.arctan2(y, x) - scenario.yaw
+    az_e = np.arctan2(y, x - x_e) - scenario.yaw
+    # cos(pitch) = horizontal range / slant range.
+    cp_b = np.hypot(x, y)
+    cp_b = cp_b / np.hypot(cp_b, z - scenario.bob.z)
+    cp_e = np.hypot(x - x_e, y)
+    cp_e = cp_e / np.hypot(cp_e, z - scenario.eve.z)
+    a = coef * (cp_e * np.cos(az_e) - cp_b * np.cos(az_b))
+    b = coef * (cp_e * np.sin(az_e) - cp_b * np.sin(az_b))
+    return (
+        _axis_sum_magnitude(geom.m_rows, a)
+        * _axis_sum_magnitude(geom.n_cols, b)
+        / geom.size
+    )
+
+
+def correlation_at(scenario: "ScenarioConfig", positions) -> np.ndarray:
+    """:func:`correlation_magnitude` at caller-frame ``positions``, mapped
+    into the canonical frame, in one kernel call.
 
     Depends only on geometry, never on the power budget, so a sweep over
     power or noise needs it once per position.
     """
     tf = canonicalize_frame(scenario.bob, scenario.eve)
-    uav_c = tf.to_canonical(uav)
-    ang_b = look_angles(uav_c, Position3D(0.0, 0.0, 0.0), scenario.yaw)
-    ang_e = look_angles(uav_c, tf.to_canonical(scenario.eve), scenario.yaw)
-    h_b = steering_vector(scenario.array, ang_b.azimuth_rel, ang_b.pitch)
-    h_e = steering_vector(scenario.array, ang_e.azimuth_rel, ang_e.pitch)
-    return cross_correlation(h_e, h_b)
+    points = [tf.to_canonical(p) for p in positions]
+    return correlation_magnitude(
+        scenario,
+        [p.x for p in points],
+        [p.y for p in points],
+        [p.z for p in points],
+    )
 
 
 def link_metrics(rho: complex, power: PowerConfig) -> LinkMetrics:
-    """Link metrics for correlation ``rho`` under ``power``: the receiver SINR
-    in its exact closed form alpha*P/sigma_b^2, the analytic eavesdropper
-    SINR, and the secrecy rate."""
+    """Link metrics for correlation ``rho`` (or its magnitude) under
+    ``power``: the receiver SINR in its exact closed form alpha*P/sigma_b^2,
+    the analytic eavesdropper SINR, and the secrecy rate."""
     s_b = sinr_bob(power)
     s_e = sinr_eve_analytic(rho, power)
     return LinkMetrics(
@@ -162,7 +230,15 @@ def link_metrics(rho: complex, power: PowerConfig) -> LinkMetrics:
 def evaluate_link(scenario: "ScenarioConfig", uav: Position3D) -> LinkMetrics:
     """Link metrics for a transmitter at ``uav`` under ``scenario``.
 
-    Composes :func:`link_correlation` (geometry, explicit steering vectors)
-    with :func:`link_metrics` at the scenario's power budget.
+    Composes :func:`correlation_at` (geometry) with :func:`link_metrics` at
+    the scenario's power budget.
+
+    Raises
+    ------
+    DegenerateGeometry
+        If ``uav`` sits on a ground node, where no direction toward that
+        node exists and the correlation is undefined.
     """
-    return link_metrics(link_correlation(scenario, uav), scenario.power)
+    if uav in (scenario.bob, scenario.eve):
+        raise DegenerateGeometry("transmitter sits on a ground node")
+    return link_metrics(float(correlation_at(scenario, [uav])[0]), scenario.power)

@@ -9,6 +9,9 @@ from spwt import (
     Position3D,
     ScenarioConfig,
     canonicalize_frame,
+    cross_correlation,
+    look_angles,
+    steering_vector,
 )
 
 # sigma^2 for a 15 dB SNR at 1 W total power
@@ -43,6 +46,22 @@ def reference_scenario() -> ScenarioConfig:
     """4x4 half-wavelength array at 3 GHz, nodes 500 m apart, 200 m altitude,
     45 degree yaw, 1 W at a 15 dB SNR."""
     return make_scenario()
+
+
+def explicit_correlation(scenario: ScenarioConfig, uav: Position3D) -> float:
+    """|h_e^H h_b| for a transmitter at caller-frame ``uav``, from explicit
+    steering vectors toward each node at its own altitude.
+
+    The reference for the package's factored correlation kernel: frame
+    transform, look angles, full M*N vectors and their inner product.
+    """
+    tf = canonicalize_frame(scenario.bob, scenario.eve)
+    uav_c = tf.to_canonical(uav)
+    ang_b = look_angles(uav_c, tf.to_canonical(scenario.bob), scenario.yaw)
+    ang_e = look_angles(uav_c, tf.to_canonical(scenario.eve), scenario.yaw)
+    h_b = steering_vector(scenario.array, ang_b.azimuth_rel, ang_b.pitch)
+    h_e = steering_vector(scenario.array, ang_e.azimuth_rel, ang_e.pitch)
+    return abs(cross_correlation(h_e, h_b))
 
 
 def element_sum_map(scenario: ScenarioConfig, xs, ys) -> np.ndarray:

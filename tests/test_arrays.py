@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,19 +7,15 @@ import pytest
 from spwt import (
     ArrayGeometry,
     DimensionMismatch,
-    LookAngles,
     Position3D,
     cross_correlation,
-    cross_correlation_closed_form,
     look_angles,
     steering_vector,
 )
+from spwt.signalmodel import correlation_magnitude
+from conftest import explicit_correlation, make_scenario
 
 C = 299_792_458.0
-
-
-def _angles(azimuth_rel: float, pitch: float) -> LookAngles:
-    return LookAngles(azimuth=azimuth_rel, pitch=pitch, azimuth_rel=azimuth_rel)
 
 
 def test_default_spacing_is_half_wavelength():
@@ -107,43 +104,48 @@ def test_null_at_solved_bisector_placement():
     assert 4.0 * a == pytest.approx(-2.0 * math.pi, abs=1e-9)
 
 
-def test_equal_angles_closed_form_is_one():
-    geom = ArrayGeometry(4, 4, 3.0e9)
-    ang = _angles(0.37, 0.21)
-    assert cross_correlation_closed_form(geom, ang, ang) == pytest.approx(
-        1.0 + 0.0j, abs=1e-12
+def test_equal_look_angles_correlate_fully():
+    # With the eavesdropper 30 m up, a transmitter on the line from the
+    # receiver through the eavesdropper is seen by both under the same
+    # azimuth and pitch, so the two steering vectors coincide.
+    sc = replace(make_scenario(yaw=0.37), eve=Position3D(500.0, 0.0, 30.0))
+    uav = Position3D(1000.0, 0.0, 60.0)
+    assert explicit_correlation(sc, uav) == pytest.approx(1.0, abs=1e-12)
+    assert correlation_magnitude(sc, uav.x, uav.y, uav.z) == pytest.approx(
+        1.0, abs=1e-12
     )
 
 
 def test_full_turn_increment_hits_removable_singularity():
-    # Opposite boresight directions at zero pitch on a 2x2 grid step both
-    # factor phases by a full turn, so each factor takes its limit value
-    # and the correlation is 1, not 0: a full-dimension step is never a
-    # null index.
+    # Opposite boresight directions at zero pitch on a 2x2 grid step the
+    # row phase by a full turn, so the factor sits at its maximum and the
+    # correlation is 1, not 0: a full-dimension step is never a null index.
     geom = ArrayGeometry(2, 2, 3.0e9)
-    ang_b = _angles(0.0, 0.0)
-    ang_e = _angles(math.pi, 0.0)
-    closed = cross_correlation_closed_form(geom, ang_b, ang_e)
-    h_b = steering_vector(geom, ang_b.azimuth_rel, ang_b.pitch)
-    h_e = steering_vector(geom, ang_e.azimuth_rel, ang_e.pitch)
-    direct = cross_correlation(h_e, h_b)
-    assert closed == pytest.approx(1.0 + 0.0j, abs=1e-12)
-    assert direct == pytest.approx(1.0 + 0.0j, abs=1e-12)
+    h_b = steering_vector(geom, 0.0, 0.0)
+    h_e = steering_vector(geom, math.pi, 0.0)
+    assert cross_correlation(h_e, h_b) == pytest.approx(1.0 + 0.0j, abs=1e-12)
+    # the same directions from a transmitter on the ground between the nodes
+    sc = make_scenario(m=2, n=2, yaw=0.0)
+    assert correlation_magnitude(sc, 250.0, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_closed_form_matches_direct_sum():
+def test_factored_kernel_matches_direct_sum():
+    # 100 random scenarios, 50 transmitters each at altitudes from 1 cm to
+    # 100 km, so both pitches span (0, pi/2); spacing random around lambda/2
     rng = np.random.default_rng(8)
     worst = 0.0
-    for _ in range(10_000):
-        geom = ArrayGeometry(int(rng.integers(1, 9)), int(rng.integers(1, 9)), 3.0e9)
-        ang_b = _angles(rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi / 2))
-        ang_e = _angles(rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi / 2))
-        closed = cross_correlation_closed_form(geom, ang_b, ang_e)
-        direct = cross_correlation(
-            steering_vector(geom, ang_e.azimuth_rel, ang_e.pitch),
-            steering_vector(geom, ang_b.azimuth_rel, ang_b.pitch),
+    for _ in range(100):
+        sc = replace(
+            make_scenario(x_e=float(rng.uniform(50.0, 1000.0)),
+                          yaw=float(rng.uniform(0.0, 2.0 * math.pi))),
+            array=ArrayGeometry(int(rng.integers(1, 9)), int(rng.integers(1, 9)),
+                                3.0e9, float(rng.uniform(0.02, 0.1))),
         )
-        worst = max(worst, abs(closed - direct))
+        xs, ys = rng.uniform(-2000.0, 2000.0, (2, 50))
+        zs = 10.0 ** rng.uniform(-2.0, 5.0, 50)
+        got = correlation_magnitude(sc, xs, ys, zs)
+        want = [explicit_correlation(sc, Position3D(*p)) for p in zip(xs, ys, zs)]
+        worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst <= 1e-10
 
 
@@ -163,6 +165,7 @@ def test_null_condition_soundness():
             if abs(target) > 1.0:
                 continue
             az_e = math.acos(target)
-            ang_b = _angles(az_b, pitch)
-            ang_e = _angles(az_e, pitch)
-            assert abs(cross_correlation_closed_form(geom, ang_b, ang_e)) <= 1e-10
+            rho = cross_correlation(
+                steering_vector(geom, az_e, pitch), steering_vector(geom, az_b, pitch)
+            )
+            assert abs(rho) <= 1e-10

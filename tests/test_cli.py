@@ -260,3 +260,32 @@ def test_non_finite_config_value_rejected(tmp_path, capsys, key, value):
     captured = capsys.readouterr()
     assert key in captured.err and "finite" in captured.err
     assert captured.out == ""
+
+
+def test_place_has_no_out_option(tmp_path, capsys):
+    cfg = write_config(tmp_path / "a.cfg")
+    assert main(["place", "--config", cfg, "--out", str(tmp_path / "d")]) == 1
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("kind,x_name", [("snr", "snr_db"), ("alpha", "alpha")])
+def test_sweep_csv_header_and_columns(tmp_path, kind, x_name):
+    cfg = write_config(tmp_path / "a.cfg")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--kind", kind, "--out", str(out)]) == 0
+    header, *rows = (out / f"sweep_{kind}.csv").read_bytes().split(b"\n")[:-1]
+    assert header == f"{x_name},sr_proposed,sr_theory,sr_rand1,sr_rand2,sr_rand3".encode()
+    assert len(rows) == 11 and all(row.count(b",") == 5 for row in rows)
+
+
+def test_pattern_without_placements_still_writes_map(tmp_path):
+    # a quarter-turn yaw rules out both schemes, and 10 km altitude leaves
+    # no feasible placement; the map is defined either way
+    for name, overrides in (("yaw", {"theta_a_rad": repr(math.pi / 2.0)}),
+                            ("high", {"g_m": 10_000})):
+        cfg = write_config(tmp_path / f"{name}.cfg", **overrides)
+        out = tmp_path / name
+        assert main(["pattern", "--config", cfg, "--grid=-20:20:10", "--out", str(out)]) == 0
+        assert len((out / "pattern.csv").read_text().splitlines()) == 1 + 5 * 5
+        assert "circle" not in (out / "pattern.svg").read_text()

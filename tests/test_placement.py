@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from spwt import (
     correlation_map,
     grid_null_oracle,
     midpoint_symmetry_check,
+    solve_all,
     solve_azimuth_scheme,
     solve_pitch_scheme,
-    verify_null,
 )
-from spwt.placement import _null_residual, _pitch_gap
-from conftest import element_sum_map, make_scenario
+from spwt.placement import _pitch_gap
+from spwt.signalmodel import correlation_at
+from conftest import element_sum_map, explicit_correlation, make_scenario
 
 Y_REF = 630.4760106459247
 PITCH_T_REF = 47.75273070615326  # outward distance of the extension-scheme root
@@ -39,7 +41,7 @@ def test_azimuth_reference_values(reference_scenario):
         assert s.position.z == 200.0
         assert s.scheme == "azimuth"
         assert s.null_residual <= 1e-10
-        assert verify_null(s, reference_scenario) <= 1e-10
+        assert explicit_correlation(reference_scenario, s.position) <= 1e-10
         assert midpoint_symmetry_check(
             s.position, reference_scenario.bob, reference_scenario.eve
         )
@@ -174,17 +176,66 @@ def test_pitch_gap_monotone_decreasing_outward():
 
 
 def test_verify_null_rejects_generic_points(reference_scenario):
-    assert _null_residual(reference_scenario, Position3D(100.0, 100.0, 200.0)) > 1e-3
+    assert correlation_at(reference_scenario, [Position3D(100.0, 100.0, 200.0)])[0] > 1e-3
 
 
 def test_null_is_locally_sharp(reference_scenario):
     sol = solve_azimuth_scheme(reference_scenario)[0]
-    at = _null_residual(reference_scenario, sol.position)
-    off = _null_residual(
-        reference_scenario,
-        Position3D(sol.position.x, sol.position.y + 5.0, sol.position.z),
-    )
+    shifted = Position3D(sol.position.x, sol.position.y + 5.0, sol.position.z)
+    at, off = correlation_at(reference_scenario, [sol.position, shifted])
+    assert at == sol.null_residual
     assert off >= 10.0 * max(at, 1e-15)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_scenario(g=math.nan),
+        lambda: make_scenario(x_e=math.inf),
+        lambda: make_scenario(yaw=math.nan),
+        # the bisector closed form assumes both nodes on the ground
+        lambda: replace(make_scenario(), eve=Position3D(500.0, 0.0, 30.0)),
+    ],
+    ids=["g-nan", "x_e-inf", "yaw-nan", "eve-30m-up"],
+)
+def test_no_certified_candidate_raises_infeasible(build):
+    with pytest.warns(UserWarning, match="failed verification"):
+        with pytest.raises(InfeasibleGeometry, match="every bisector candidate"):
+            solve_azimuth_scheme(build())
+
+
+def test_solve_all_order_and_failures():
+    sc = make_scenario()
+    solutions, failures = solve_all(sc)
+    assert failures == []
+    assert solutions == solve_azimuth_scheme(sc) + [
+        solve_pitch_scheme(sc, side="left"),
+        solve_pitch_scheme(sc, side="right"),
+    ]
+    assert [s.scheme for s in solutions] == ["azimuth", "azimuth", "pitch", "pitch"]
+    # the order follows the requested schemes
+    pitch_first, _ = solve_all(sc, ("pitch", "azimuth"))
+    assert [s.scheme for s in pitch_first] == ["pitch", "pitch", "azimuth", "azimuth"]
+
+    # 2x2 at 100 m: the bisector has placements, the extension has none
+    solutions, failures = solve_all(make_scenario(m=2, n=2, g=100.0))
+    assert [s.scheme for s in solutions] == ["azimuth", "azimuth"]
+    assert len(failures) == 2
+    assert failures[0].startswith("pitch left: extension scheme infeasible on the left")
+    assert failures[1].startswith("pitch right: extension scheme infeasible on the right")
+
+    solutions, failures = solve_all(make_scenario(g=10_000.0))
+    assert solutions == []
+    assert [f.split(":")[0] for f in failures] == ["azimuth", "pitch left", "pitch right"]
+    assert "no real lateral offset" in failures[0]
+
+    # invalid for every scheme: raised, not reported
+    with pytest.raises(InvalidYaw):
+        solve_all(make_scenario(yaw=math.pi / 2.0))
+    with pytest.raises(InvalidIndex):
+        solve_all(make_scenario(m=1))
+    with pytest.raises(ValueError):
+        solve_all(sc, ("spiral",))
 
 
 def test_solutions_lie_on_their_loci():
@@ -199,8 +250,6 @@ def test_solutions_lie_on_their_loci():
 
 def test_raw_frame_round_trip():
     # identical physics after translating and rotating the ground frame
-    from dataclasses import replace
-
     sc_canon = make_scenario()
     bob = Position3D(120.0, -40.0, 0.0)
     eve = Position3D(120.0 + 300.0, -40.0 + 400.0, 0.0)  # still 500 m apart
@@ -270,8 +319,6 @@ MAP_YS = np.arange(-700.0, 700.0 + 1.0, 50.0)
      (5, 7, 0.137)],
 )
 def test_correlation_map_matches_element_double_sum(m, n, spacing_m):
-    from dataclasses import replace
-
     sc = make_scenario(yaw=0.6)
     sc = replace(sc, array=ArrayGeometry(m, n, 3.0e9, spacing_m))
     got = correlation_map(sc, MAP_XS, MAP_YS)

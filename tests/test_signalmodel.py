@@ -5,10 +5,13 @@ import pytest
 
 from spwt import (
     ArrayGeometry,
+    DegenerateGeometry,
     InvalidCorrelation,
     Position3D,
     PowerConfig,
+    ScenarioConfig,
     build_beamformers,
+    canonicalize_frame,
     evaluate_link,
     secrecy_rate,
     sinr_bob,
@@ -16,7 +19,8 @@ from spwt import (
     sinr_eve_monte_carlo,
     steering_vector,
 )
-from conftest import SIGMA2_15DB, make_scenario
+from spwt.signalmodel import correlation_at, correlation_magnitude
+from conftest import SIGMA2_15DB, explicit_correlation, make_scenario
 
 REFERENCE_NULL = Position3D(250.0, 630.4760106459247, 200.0)
 SR_15DB = 5.0278076733505195
@@ -186,6 +190,15 @@ def test_evaluate_link_on_axis_midpoint_is_suboptimal(reference_scenario):
     assert metrics.secrecy_rate_bps_hz < SR_15DB
 
 
+def test_evaluate_link_at_a_node_is_degenerate(reference_scenario):
+    # on a node the correlation is 0/0; directly above one it is defined
+    for node in (reference_scenario.bob, reference_scenario.eve):
+        with pytest.raises(DegenerateGeometry):
+            evaluate_link(reference_scenario, node)
+        above = Position3D(node.x, node.y, 200.0)
+        assert math.isfinite(evaluate_link(reference_scenario, above).sinr_e)
+
+
 def test_receiver_sinr_is_placement_invariant(reference_scenario):
     rng = np.random.default_rng(17)
     for _ in range(50):
@@ -194,3 +207,53 @@ def test_receiver_sinr_is_placement_invariant(reference_scenario):
             continue
         metrics = evaluate_link(reference_scenario, uav)
         assert metrics.sinr_b == pytest.approx(10.0 ** 1.5, abs=1e-12 * 10 ** 1.5)
+
+
+def test_correlation_kernel_matches_explicit_vectors():
+    # Random arrays, spacings and yaws; the receiver off the origin, the
+    # ground axis rotated, and either node up to 60 m above the ground.
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for _ in range(300):
+        bob = Position3D(
+            rng.uniform(-300, 300), rng.uniform(-300, 300), rng.choice([0.0, 40.0])
+        )
+        bearing = rng.uniform(0.0, 2.0 * math.pi)
+        dist = rng.uniform(50.0, 1000.0)
+        eve = Position3D(
+            bob.x + dist * math.cos(bearing),
+            bob.y + dist * math.sin(bearing),
+            rng.choice([0.0, rng.uniform(0.0, 60.0)]),
+        )
+        sc = ScenarioConfig(
+            array=ArrayGeometry(
+                int(rng.integers(1, 17)),
+                int(rng.integers(1, 17)),
+                3.0e9,
+                rng.choice([None, rng.uniform(0.02, 0.2)]),
+            ),
+            bob=bob,
+            eve=eve,
+            uav_height_m=200.0,
+            yaw=rng.uniform(0.0, 2.0 * math.pi),
+            power=PowerConfig(1.0, 1.0, SIGMA2_15DB, SIGMA2_15DB),
+        )
+        uavs = [
+            Position3D(
+                bob.x + rng.uniform(-1500, 1500),
+                bob.y + rng.uniform(-1500, 1500),
+                rng.uniform(70.0, 400.0),
+            )
+            for _ in range(8)
+        ]
+        want = np.array([explicit_correlation(sc, u) for u in uavs])
+        got = correlation_at(sc, uavs)
+        assert got.shape == (8,)
+        worst = max(worst, float(np.max(np.abs(got - want))))
+        # a point alone gives the same float as in a batch
+        assert correlation_at(sc, uavs[:1])[0] == got[0]
+        p = canonicalize_frame(bob, eve).to_canonical(uavs[0])
+        one = correlation_magnitude(sc, p.x, p.y, p.z)
+        assert np.shape(one) == ()
+        assert abs(float(one) - want[0]) <= 1e-12
+    assert worst <= 1e-12
