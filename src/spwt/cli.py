@@ -167,9 +167,12 @@ def _parse_grid(text: str, what: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise CliError(f"--grid for {what} must have three ':'-separated numbers")
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise CliError(f"--grid: cannot parse {text!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise CliError(f"--grid: numbers must be finite, got {text!r}")
+    return values
 
 
 def _sweep_grid(text: str | None, kind: str) -> list | None:

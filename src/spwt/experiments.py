@@ -16,7 +16,7 @@ from .errors import InfeasibleGeometry
 from .geometry import Position3D
 from .placement import PlacementSolution, solve_all
 from .scenario import ScenarioConfig
-from .signalmodel import PowerConfig, correlation_at, link_metrics
+from .signalmodel import correlation_at, secrecy_rates
 
 DEFAULT_SNR_GRID_DB = tuple(range(0, 21, 2))
 DEFAULT_ALPHA_GRID = tuple(i / 10.0 for i in range(11))
@@ -117,7 +117,8 @@ def _sweep(
     point's alpha, both at the noise floor P/SNR; the bound is
     log2(1 + SNR).  The correlation does not depend on power, so it is
     computed once per position: the placement's is its certified residual,
-    the baselines' come from one kernel call.
+    the baselines' come from one kernel call.  The rates of every (grid
+    point, position) cell then come from one :func:`secrecy_rates` call.
     """
     best = _best_placement(scenario, scheme)
     baselines = random_baseline_positions(
@@ -127,20 +128,12 @@ def _sweep(
         seed=scenario.seed,
         exclude=(scenario.bob, scenario.eve),
     )
-    rho_rand = correlation_at(scenario, baselines).tolist()
+    rhos = [best.null_residual, *correlation_at(scenario, baselines).tolist()]
     p = scenario.power.total_power_w
-    proposed, theory = [], []
-    rand: list[list[float]] = [[] for _ in baselines]
-    for _, snr_lin, alpha in points:
-        sigma2 = p / snr_lin
-        full_power = PowerConfig(p, 1.0, sigma2, sigma2)
-        proposed.append(
-            link_metrics(best.null_residual, full_power).secrecy_rate_bps_hz
-        )
-        theory.append(math.log2(1.0 + snr_lin))
-        split_power = PowerConfig(p, alpha, sigma2, sigma2)
-        for series, rho in zip(rand, rho_rand):
-            series.append(link_metrics(rho, split_power).secrecy_rate_bps_hz)
+    noise = [p / snr_lin for _, snr_lin, _ in points]
+    alpha = [[1.0] + [a] * len(baselines) for _, _, a in points]
+    proposed, *rand = secrecy_rates(rhos, p, alpha, noise)
+    theory = [math.log2(1.0 + snr_lin) for _, snr_lin, _ in points]
     series = {"proposed": proposed, "theory": theory}
     for i, values in enumerate(rand, start=1):
         series[f"rand{i}"] = values
@@ -178,6 +171,8 @@ def sweep_snr(
     grid = list(DEFAULT_SNR_GRID_DB if snr_db_grid is None else snr_db_grid)
     if not grid:
         raise ValueError("SNR grid is empty")
+    if not all(math.isfinite(snr_db) for snr_db in grid):
+        raise ValueError("SNR grid must be finite")
     points = [(snr_db, 10.0 ** (snr_db / 10.0), 1.0) for snr_db in grid]
     return _sweep(scenario, "snr", scheme, n_random_baselines, points, {})
 
@@ -201,6 +196,8 @@ def sweep_alpha(
         raise ValueError("alpha grid is empty")
     if any(a < 0.0 or a > 1.0 for a in grid):
         raise ValueError("alpha grid must lie in [0, 1]")
+    if not math.isfinite(snr_db):
+        raise ValueError("snr_db must be finite")
     snr_lin = 10.0 ** (snr_db / 10.0)
     points = [(a, snr_lin, a) for a in grid]
     return _sweep(

@@ -43,6 +43,8 @@ _DEDUP_M = 1e-6
 _BISECT_LO = 1e-6
 _BISECT_HI = 1e6
 _BISECT_SCAN = 64
+# Outward distances of the bisection's logarithmic pre-scan.
+_SCAN_T = np.logspace(math.log10(_BISECT_LO), math.log10(_BISECT_HI), _BISECT_SCAN)
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
 
@@ -239,10 +241,61 @@ def solve_pitch_scheme(
         If the required gap exceeds the attainable range on this side for
         every allowed factor.
     """
+    (result,) = _solve_extension(scenario, index, (side,), factor)
+    if isinstance(result, InfeasibleGeometry):
+        raise result
+    return result
+
+
+def _solve_extension(
+    scenario: ScenarioConfig,
+    index: NullIndex | None,
+    sides: tuple,
+    factor: str | None,
+) -> list:
+    """The extension scheme on each of ``sides``: the certified placement,
+    or the InfeasibleGeometry that rules the side out, per side.
+
+    The first candidates of all sides are certified in one kernel call; a
+    side whose candidate fails falls back to its next factor on its own.
+    Results, warnings and their order are those of solving the sides one
+    after another.
+    """
     index = index if index is not None else NullIndex()
     geom = scenario.array
     _check_index(index.l, geom.m_rows, geom.n_cols)
     _check_yaw(scenario.yaw)
+    runs = [_extension_side(scenario, index, side, factor) for side in sides]
+    steps = [_resume(run, None) for run in runs]
+    first = [i for i, step in enumerate(steps) if isinstance(step, Position3D)]
+    if first:
+        residuals = correlation_at(scenario, [steps[i] for i in first]).tolist()
+        for i, residual in zip(first, residuals):
+            step = _resume(runs[i], residual)
+            while isinstance(step, Position3D):
+                step = _resume(runs[i], float(correlation_at(scenario, [step])[0]))
+            steps[i] = step
+    return steps
+
+
+def _resume(run, residual):
+    """Send ``residual`` into the side solver ``run``: its next candidate
+    position, its solution, or the InfeasibleGeometry it raised."""
+    try:
+        return run.send(residual)
+    except StopIteration as done:
+        return done.value
+    except InfeasibleGeometry as exc:
+        return exc
+
+
+def _extension_side(
+    scenario: ScenarioConfig, index: NullIndex, side: str, factor: str | None
+):
+    """The extension solver on one side, as a generator: it yields each
+    candidate position, is sent the |rho| recomputed there, and returns the
+    first certified placement or raises InfeasibleGeometry."""
+    geom = scenario.array
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     tf = canonicalize_frame(scenario.bob, scenario.eve)
@@ -277,12 +330,14 @@ def solve_pitch_scheme(
         t = _bisect_gap(x_e, g, target)
         x_a = -t if side == "left" else x_e + t
         position = tf.from_canonical(Position3D(x_a, 0.0, g))
-        residual = float(correlation_at(scenario, [position])[0])
+        residual = yield position
         if not residual <= _NULL_TOL:
+            # Attributed to the caller of solve_pitch_scheme or solve_all,
+            # four frames up through _resume and _solve_extension.
             warnings.warn(
                 f"extension candidate x={x_a:.6f} failed verification "
                 f"(|rho| = {residual:.3e}); discarded",
-                stacklevel=2,
+                stacklevel=5,
             )
             failure = f"{fac} factor candidate failed verification"
             continue
@@ -304,27 +359,38 @@ def solve_pitch_scheme(
     )
 
 
-def _bisect_gap(x_e: float, g: float, target: float) -> float:
-    """Root of _pitch_gap(x_e, g, t) = target by pre-scan plus bisection."""
-    grid = np.logspace(
-        math.log10(_BISECT_LO), math.log10(_BISECT_HI), _BISECT_SCAN
-    )
-    lo = hi = None
-    prev_t, prev_v = None, None
-    for t in grid:
-        v = _pitch_gap(x_e, g, float(t)) - target
-        if v == 0.0:
-            return float(t)
-        if prev_v is not None and prev_v > 0.0 > v:
-            lo, hi = prev_t, float(t)
-            break
-        prev_t, prev_v = float(t), v
-    if lo is None:
+def _scan_gap(x_e: float, g: float, target: float) -> tuple[float, float]:
+    """Pre-scan for the root of _pitch_gap(x_e, g, t) = target over the
+    ``_SCAN_T`` grid, all points in one vectorised pass.
+
+    Returns the first adjacent pair (lo, hi) where the equation changes sign
+    from + to -, or (t, t) for a grid point that solves it exactly,
+    whichever comes first on the grid.  numpy's hypot can differ from
+    math.hypot in the last bit, so a target within rounding of a grid
+    point's gap may get the neighbouring bracket; bisection finds the same
+    root in either.
+    """
+    far = x_e + _SCAN_T
+    v = far / np.hypot(far, g) - _SCAN_T / np.hypot(_SCAN_T, g) - target
+    hit = v == 0.0
+    hit[1:] |= (v[:-1] > 0.0) & (v[1:] < 0.0)
+    i = int(hit.argmax())
+    if not hit[i]:
         # The gap is monotone, so a missing sign change means the target is
         # outside the attainable range on the scan interval.
         raise InfeasibleGeometry(
             f"no bracketing interval for a pitch-cosine gap of {target:.6g}"
         )
+    if v[i] == 0.0:
+        return float(_SCAN_T[i]), float(_SCAN_T[i])
+    return float(_SCAN_T[i - 1]), float(_SCAN_T[i])
+
+
+def _bisect_gap(x_e: float, g: float, target: float) -> float:
+    """Root of _pitch_gap(x_e, g, t) = target by pre-scan plus bisection."""
+    lo, hi = _scan_gap(x_e, g, target)
+    if lo == hi:
+        return lo
     best_t, best_v = lo, abs(_pitch_gap(x_e, g, lo) - target)
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
@@ -364,15 +430,19 @@ def solve_all(
     for scheme in schemes:
         if scheme not in ("azimuth", "pitch"):
             raise ValueError("scheme must be 'azimuth' or 'pitch'")
-        for side in ("left", "right") if scheme == "pitch" else (None,):
+        if scheme == "azimuth":
             try:
-                if side is None:
-                    solutions.extend(solve_azimuth_scheme(scenario))
-                else:
-                    solutions.append(solve_pitch_scheme(scenario, side=side))
+                solutions.extend(solve_azimuth_scheme(scenario))
             except InfeasibleGeometry as exc:
-                label = scheme if side is None else f"{scheme} {side}"
-                failures.append(f"{label}: {exc}")
+                failures.append(f"azimuth: {exc}")
+        else:
+            sides = ("left", "right")
+            results = _solve_extension(scenario, None, sides, None)
+            for side, result in zip(sides, results):
+                if isinstance(result, InfeasibleGeometry):
+                    failures.append(f"pitch {side}: {result}")
+                else:
+                    solutions.append(result)
     return solutions, failures
 
 

@@ -24,6 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
 
 
+_NOT_FINITE = "power budget values must be finite"
+
+
 @dataclass(frozen=True)
 class PowerConfig:
     """Power budget: ``alpha`` of ``total_power_w`` goes to the confidential
@@ -35,6 +38,9 @@ class PowerConfig:
     noise_e_w: float
 
     def __post_init__(self) -> None:
+        values = (self.total_power_w, self.alpha, self.noise_b_w, self.noise_e_w)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(_NOT_FINITE)
         if self.total_power_w <= 0.0:
             raise ValueError("total power must be positive")
         if not 0.0 <= self.alpha <= 1.0:
@@ -83,14 +89,25 @@ def sinr_eve_analytic(rho: complex, power: PowerConfig) -> float:
 
         alpha*P*|rho|^2 / ((1-alpha)*P*(1-|rho|^2) + sigma_e^2).
     """
+    return _sinr_eve(
+        _correlation_power(rho), power.alpha, power.total_power_w, power.noise_e_w
+    )
+
+
+def _correlation_power(rho) -> float:
+    """|rho|^2, clipped to 1 after rounding; InvalidCorrelation beyond it."""
     mag2 = abs(rho) ** 2
     if mag2 > 1.0 + 2e-9:
         raise InvalidCorrelation(f"|rho| = {math.sqrt(mag2):.6g} exceeds 1")
-    mag2 = min(mag2, 1.0)
-    p = power.total_power_w
-    signal = power.alpha * p * mag2
-    interference = (1.0 - power.alpha) * p * (1.0 - mag2)
-    return signal / (interference + power.noise_e_w)
+    return min(mag2, 1.0)
+
+
+def _sinr_eve(mag2, alpha, p, noise_e):
+    """The analytic eavesdropper SINR from |rho|^2, for floats or arrays
+    alike (the same operations in the same order either way)."""
+    signal = alpha * p * mag2
+    interference = (1.0 - alpha) * p * (1.0 - mag2)
+    return signal / (interference + noise_e)
 
 
 def sinr_eve_monte_carlo(
@@ -143,10 +160,12 @@ def _axis_sum_magnitude(count: int, step: np.ndarray) -> np.ndarray:
     array differently from a longer one, and a point must give the same
     value alone as in a batch.
     """
+    if count == 1:
+        return np.ones(np.shape(step))
     rotor = np.exp(1j * step)
-    term = np.ones_like(rotor)
-    total = np.ones_like(rotor)
-    for _ in range(1, count):
+    term = rotor
+    total = rotor + 1.0
+    for _ in range(2, count):
         term = term * rotor
         total = total + term
     return np.abs(total)
@@ -176,8 +195,13 @@ def correlation_magnitude(scenario: "ScenarioConfig", x, y, z) -> np.ndarray:
     use.  Directly over a node cos(pitch) is 0 and the value is the
     continuous limit.
     """
+    return _magnitude(scenario, canonicalize_frame(scenario.bob, scenario.eve), x, y, z)
+
+
+def _magnitude(scenario: "ScenarioConfig", tf, x, y, z) -> np.ndarray:
+    """:func:`correlation_magnitude` in the canonical frame ``tf`` of
+    ``scenario``, computed once by the caller."""
     geom = scenario.array
-    tf = canonicalize_frame(scenario.bob, scenario.eve)
     x_e = tf.to_canonical(scenario.eve).x
     coef = geom.phase_coef
     x = np.asarray(x, float)
@@ -207,12 +231,18 @@ def correlation_at(scenario: "ScenarioConfig", positions) -> np.ndarray:
     power or noise needs it once per position.
     """
     tf = canonicalize_frame(scenario.bob, scenario.eve)
-    points = [tf.to_canonical(p) for p in positions]
-    return correlation_magnitude(
+    # The arithmetic of FrameTransform.to_canonical, without building a
+    # Position3D per point.
+    c = math.cos(tf.rotation)
+    s = math.sin(tf.rotation)
+    xt = [p.x + tf.shift_x for p in positions]
+    yt = [p.y + tf.shift_y for p in positions]
+    return _magnitude(
         scenario,
-        [p.x for p in points],
-        [p.y for p in points],
-        [p.z for p in points],
+        tf,
+        [x * c - y * s for x, y in zip(xt, yt)],
+        [x * s + y * c for x, y in zip(xt, yt)],
+        [p.z for p in positions],
     )
 
 
@@ -225,6 +255,41 @@ def link_metrics(rho: complex, power: PowerConfig) -> LinkMetrics:
     return LinkMetrics(
         sinr_b=s_b, sinr_e=s_e, secrecy_rate_bps_hz=secrecy_rate(s_b, s_e)
     )
+
+
+def secrecy_rates(rhos, total_power_w: float, alpha, noise_w) -> list[list[float]]:
+    """Secrecy rate of every (power budget, position) cell, one list per
+    position.
+
+    ``rhos`` holds one correlation per position, ``noise_w`` one noise floor
+    (shared by both nodes) per budget, and ``alpha`` the power split of
+    every cell, shape (budgets, positions).  ``total_power_w`` must already
+    be valid (it comes from a PowerConfig).
+
+    Each cell equals ``link_metrics(rho, PowerConfig(total_power_w, alpha,
+    noise, noise)).secrecy_rate_bps_hz`` to the bit: the SINRs are computed
+    over the grid with the same operations in the same order, |rho|^2 once
+    per position and the logarithms per cell with math.log2.  The checks
+    of PowerConfig and sinr_eve_analytic apply to every cell, noise floors
+    first, then splits, then correlations, with the same exceptions.
+    """
+    noise = np.asarray(noise_w, float)[:, None]
+    alpha = np.asarray(alpha, float)
+    if not np.isfinite(noise).all():
+        raise ValueError(_NOT_FINITE)
+    if not (noise > 0.0).all():
+        raise ValueError("noise powers must be positive")
+    if not np.isfinite(alpha).all():
+        raise ValueError(_NOT_FINITE)
+    if not ((alpha >= 0.0) & (alpha <= 1.0)).all():
+        raise ValueError("alpha must lie in [0, 1]")
+    mag2 = np.array([_correlation_power(rho) for rho in rhos])
+    s_b = alpha * total_power_w / noise
+    s_e = _sinr_eve(mag2, alpha, total_power_w, noise)
+    return [
+        [secrecy_rate(b, e) for b, e in zip(col_b, col_e)]
+        for col_b, col_e in zip(s_b.T.tolist(), s_e.T.tolist())
+    ]
 
 
 def evaluate_link(scenario: "ScenarioConfig", uav: Position3D) -> LinkMetrics:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spwt import (
     ArrayGeometry,
@@ -13,6 +14,15 @@ from spwt import (
     look_angles,
     steering_vector,
 )
+from spwt.placement import _pitch_gap
+
+# Property tests draw the same examples on every run (no flakes, no example
+# database), with no per-example deadline, since timings swing on small
+# shared machines, and few enough examples to keep the suite quick.
+settings.register_profile(
+    "spwt", derandomize=True, deadline=None, max_examples=40, database=None
+)
+settings.load_profile("spwt")
 
 # sigma^2 for a 15 dB SNR at 1 W total power
 SIGMA2_15DB = 10.0 ** -1.5
@@ -62,6 +72,24 @@ def explicit_correlation(scenario: ScenarioConfig, uav: Position3D) -> float:
     h_b = steering_vector(scenario.array, ang_b.azimuth_rel, ang_b.pitch)
     h_e = steering_vector(scenario.array, ang_e.azimuth_rel, ang_e.pitch)
     return abs(cross_correlation(h_e, h_b))
+
+
+def scalar_scan_bracket(x_e: float, g: float, target: float):
+    """The extension solver's pre-scan as a scalar loop, the reference for
+    its vectorised form: 64 log-spaced outward distances over [1e-6, 1e6] m,
+    each gap from ``_pitch_gap``.  Returns the first (lo, hi) where
+    gap - target changes sign from + to -, (t, t) at a grid point that
+    solves it exactly, or None when neither occurs.
+    """
+    prev_t = prev_v = None
+    for t in np.logspace(math.log10(1e-6), math.log10(1e6), 64).tolist():
+        v = _pitch_gap(x_e, g, t) - target
+        if v == 0.0:
+            return t, t
+        if prev_v is not None and prev_v > 0.0 > v:
+            return prev_t, t
+        prev_t, prev_v = t, v
+    return None
 
 
 def element_sum_map(scenario: ScenarioConfig, xs, ys) -> np.ndarray:

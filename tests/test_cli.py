@@ -289,3 +289,20 @@ def test_pattern_without_placements_still_writes_map(tmp_path):
         assert main(["pattern", "--config", cfg, "--grid=-20:20:10", "--out", str(out)]) == 0
         assert len((out / "pattern.csv").read_text().splitlines()) == 1 + 5 * 5
         assert "circle" not in (out / "pattern.svg").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--grid=nan:2:20"],
+        ["sweep", "--grid=0:2:inf"],
+        ["sweep", "--kind", "alpha", "--grid=0:nan:1"],
+        ["pattern", "--grid=nan:10:5"],
+        ["pattern", "--grid=-inf:10:5"],
+    ],
+)
+def test_non_finite_grid_rejected(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path / "a.cfg")
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "error: --grid: numbers must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spwt import (
+    InfeasibleGeometry,
     Position3D,
     PowerConfig,
     evaluate_link,
@@ -167,3 +169,72 @@ def test_sweeps_equal_per_point_link_evaluation(reference_scenario, scheme):
             evaluate_link(split, pos).secrecy_rate_bps_hz for pos in positions[1:]
         ]
         assert got == want
+
+
+@st.composite
+def finite_scenarios(draw):
+    """Random finite scenarios: arrays up to 16x16, yaw in any quadrant but
+    at least 0.05 rad from a quarter turn."""
+    quarter = draw(st.integers(0, 3))
+    offset = draw(st.floats(0.05, math.pi / 2.0 - 0.05))
+    return make_scenario(
+        m=draw(st.integers(2, 16)),
+        n=draw(st.integers(2, 16)),
+        x_e=draw(st.floats(50.0, 2000.0)),
+        g=draw(st.floats(10.0, 600.0)),
+        yaw=quarter * math.pi / 2.0 + offset,
+        p=draw(st.floats(0.01, 100.0)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@given(
+    sc=finite_scenarios(),
+    snr_grid=st.lists(st.floats(-30.0, 40.0), min_size=8, max_size=24),
+    alpha_grid=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=24),
+    snr_db=st.floats(-30.0, 40.0),
+)
+def test_random_sweeps_equal_per_point_link_evaluation(sc, snr_grid, alpha_grid, snr_db):
+    # the grid-wide rates equal evaluate_link at every (position, grid point)
+    # cell, on both schemes, wherever the scheme has a placement
+    p = sc.power.total_power_w
+    rates = [name for name in SERIES if name != "theory"]
+    for scheme in ("azimuth", "pitch"):
+        try:
+            snr = sweep_snr(sc, scheme=scheme, snr_db_grid=snr_grid)
+        except InfeasibleGeometry:
+            continue
+        alpha = sweep_alpha(sc, snr_db=snr_db, alpha_grid=alpha_grid, scheme=scheme)
+        positions = [snr.metadata["placement"]] + snr.metadata["baseline_positions"]
+        positions = [Position3D(*pos) for pos in positions]
+        for k, x in enumerate(snr_grid):
+            sigma2 = p / 10.0 ** (x / 10.0)
+            point = replace(sc, power=PowerConfig(p, 1.0, sigma2, sigma2))
+            want = [evaluate_link(point, pos).secrecy_rate_bps_hz for pos in positions]
+            assert [snr.series[name][k] for name in rates] == want
+        sigma2 = p / 10.0 ** (snr_db / 10.0)
+        full = replace(sc, power=PowerConfig(p, 1.0, sigma2, sigma2))
+        for k, a in enumerate(alpha_grid):
+            split = replace(sc, power=PowerConfig(p, a, sigma2, sigma2))
+            want = [evaluate_link(full, positions[0]).secrecy_rate_bps_hz] + [
+                evaluate_link(split, pos).secrecy_rate_bps_hz for pos in positions[1:]
+            ]
+            assert [alpha.series[name][k] for name in rates] == want
+
+
+@pytest.mark.parametrize("grid", [[math.nan], [0.0, math.inf], [-math.inf, 10.0]])
+def test_sweep_snr_rejects_non_finite_grid(reference_scenario, grid):
+    with pytest.raises(ValueError, match="SNR grid must be finite"):
+        sweep_snr(reference_scenario, snr_db_grid=grid)
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+def test_sweep_alpha_rejects_non_finite_snr(reference_scenario, snr_db):
+    with pytest.raises(ValueError, match="snr_db must be finite"):
+        sweep_alpha(reference_scenario, snr_db=snr_db)
+
+
+def test_sweep_alpha_rejects_nan_split(reference_scenario):
+    # NaN passes the grid's range comparison; the per-cell check catches it
+    with pytest.raises(ValueError, match="power budget values must be finite"):
+        sweep_alpha(reference_scenario, alpha_grid=[0.5, math.nan])

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spwt import (
     ArrayGeometry,
@@ -20,9 +21,14 @@ from spwt import (
     solve_azimuth_scheme,
     solve_pitch_scheme,
 )
-from spwt.placement import _pitch_gap
+from spwt.placement import _pitch_gap, _scan_gap
 from spwt.signalmodel import correlation_at
-from conftest import element_sum_map, explicit_correlation, make_scenario
+from conftest import (
+    element_sum_map,
+    explicit_correlation,
+    make_scenario,
+    scalar_scan_bracket,
+)
 
 Y_REF = 630.4760106459247
 PITCH_T_REF = 47.75273070615326  # outward distance of the extension-scheme root
@@ -340,3 +346,19 @@ def test_no_verification_warnings_in_normal_runs(reference_scenario):
         solve_azimuth_scheme(reference_scenario)
         solve_pitch_scheme(reference_scenario, side="left")
         solve_pitch_scheme(reference_scenario, side="right")
+
+
+@given(
+    x_e=st.floats(1.0, 5000.0),
+    g=st.floats(1.0, 5000.0),
+    frac=st.floats(1e-6, 1.2),
+)
+def test_vectorised_prescan_matches_scalar_scan(x_e, g, frac):
+    # targets up to 20% beyond the attainable gap, so some have no bracket
+    target = frac * x_e / math.hypot(x_e, g)
+    want = scalar_scan_bracket(x_e, g, target)
+    if want is None:
+        with pytest.raises(InfeasibleGeometry, match="no bracketing interval"):
+            _scan_gap(x_e, g, target)
+    else:
+        assert _scan_gap(x_e, g, target) == want

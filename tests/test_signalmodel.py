@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from spwt import (
     sinr_eve_monte_carlo,
     steering_vector,
 )
-from spwt.signalmodel import correlation_at, correlation_magnitude
+from spwt.signalmodel import (
+    correlation_at,
+    correlation_magnitude,
+    link_metrics,
+    secrecy_rates,
+)
 from conftest import SIGMA2_15DB, explicit_correlation, make_scenario
 
 REFERENCE_NULL = Position3D(250.0, 630.4760106459247, 200.0)
@@ -257,3 +263,52 @@ def test_correlation_kernel_matches_explicit_vectors():
         assert np.shape(one) == ()
         assert abs(float(one) - want[0]) <= 1e-12
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_power_config_rejects_non_finite(field, value):
+    # a NaN budget used to slip through every comparison and turn into a
+    # secrecy rate of 0.0
+    args = [1.0, 0.5, 0.01, 0.01]
+    args[field] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        PowerConfig(*args)
+
+
+@pytest.mark.parametrize(
+    "rho, alpha, noise",
+    [
+        (1.0 + 1e-6, 0.5, 0.1),
+        (0.3, 1.5, 0.1),
+        (0.3, -0.1, 0.1),
+        (0.3, math.nan, 0.1),
+        (0.3, 0.5, 0.0),
+        (0.3, 0.5, -1.0),
+        (0.3, 0.5, math.inf),
+        (0.3, 0.5, math.nan),
+    ],
+)
+def test_secrecy_rates_check_cells_like_per_point_objects(rho, alpha, noise):
+    with pytest.raises((ValueError, InvalidCorrelation)) as per_point:
+        link_metrics(rho, PowerConfig(1.0, alpha, noise, noise))
+    expected = type(per_point.value)
+    with pytest.raises(expected, match=re.escape(str(per_point.value))):
+        secrecy_rates([0.2, rho], 1.0, [[1.0, 1.0], [1.0, alpha]], [0.1, noise])
+
+
+def test_secrecy_rates_equal_link_metrics_bitwise():
+    # |rho|^2 through abs(r) ** 2 and the logarithms through math.log2: numpy's
+    # square and log2 round differently in about 0.1% of values
+    rng = np.random.default_rng(12)
+    rhos = rng.uniform(0.0, 1.0, 4000).tolist() + [0.0, 1e-12, 1.0, 1.0 + 1e-12]
+    budgets = [(0.0, 1e-3), (0.3, 0.03), (1.0, 0.5), (0.77, 7.0)]
+    alpha = [[a] * len(rhos) for a, _ in budgets]
+    noise = [sigma2 for _, sigma2 in budgets]
+    got = secrecy_rates(rhos, 2.0, alpha, noise)
+    for rho, row in zip(rhos, got):
+        want = [
+            link_metrics(rho, PowerConfig(2.0, a, sigma2, sigma2)).secrecy_rate_bps_hz
+            for a, sigma2 in budgets
+        ]
+        assert row == want
