@@ -36,34 +36,28 @@ from .geometry import (
     Position3D,
     canonicalize_frame,
     look_angles,
-    midpoint_symmetry_check,
 )
 from .placement import (
     NullIndex,
     PlacementSolution,
     correlation_map,
-    grid_null_oracle,
     solve_all,
     solve_azimuth_scheme,
     solve_pitch_scheme,
 )
 from .scenario import ScenarioConfig
 from .signalmodel import (
-    BeamformerPair,
     LinkMetrics,
     PowerConfig,
-    build_beamformers,
     evaluate_link,
     secrecy_rate,
     sinr_bob,
     sinr_eve_analytic,
-    sinr_eve_monte_carlo,
 )
 
 __all__ = [
     "__version__",
     "ArrayGeometry",
-    "BeamformerPair",
     "DegenerateGeometry",
     "DimensionMismatch",
     "FrameTransform",
@@ -80,19 +74,15 @@ __all__ = [
     "ScenarioConfig",
     "SpwtError",
     "SweepResult",
-    "build_beamformers",
     "canonicalize_frame",
     "correlation_map",
     "cross_correlation",
     "evaluate_link",
-    "grid_null_oracle",
     "look_angles",
-    "midpoint_symmetry_check",
     "random_baseline_positions",
     "secrecy_rate",
     "sinr_bob",
     "sinr_eve_analytic",
-    "sinr_eve_monte_carlo",
     "solve_all",
     "solve_azimuth_scheme",
     "solve_pitch_scheme",

@@ -35,6 +35,11 @@ _FLOAT_KEYS = {
 }
 _KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS
 _REQUIRED_KEYS = ("m", "n", "f_c_hz", "x_e_m", "g_m", "p_w", "sigma2_w")
+# Largest --grid accepted, checked before any grid is built: points of a
+# sweep, and points per axis of the square pattern box (the default box at a
+# 1 m step; 2001^2 map cells).
+_MAX_SWEEP_POINTS = 100_000
+_MAX_PATTERN_AXIS = 2001
 
 
 class CliError(Exception):
@@ -182,13 +187,30 @@ def _sweep_grid(text: str | None, kind: str) -> list | None:
     start, step, stop = _parse_grid(text, "sweep")
     if step <= 0 or stop < start:
         raise CliError("--grid: need step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if span >= _MAX_SWEEP_POINTS:
+        raise CliError(f"--grid: more than {_MAX_SWEEP_POINTS} sweep points")
+    count = int(math.floor(span)) + 1
     grid = [start + i * step for i in range(count)]
     if kind == "alpha":
         if any(v < -1e-12 or v > 1.0 + 1e-12 for v in grid):
             raise CliError("--grid: alpha values must lie in [0, 1]")
         grid = [min(max(v, 0.0), 1.0) for v in grid]
     return grid
+
+
+def _pattern_axis(text: str | None):
+    """The pattern box's axis, min:max:step inclusive of max (default
+    -1000:1000:5)."""
+    lo, hi, step = _parse_grid(text, "pattern") if text else (-1000.0, 1000.0, 5.0)
+    if step <= 0 or hi <= lo:
+        raise CliError("--grid: need max > min and step > 0")
+    # The point count np.arange computes, before it allocates.
+    if (hi + step / 2.0 - lo) / step > _MAX_PATTERN_AXIS:
+        raise CliError(f"--grid: more than {_MAX_PATTERN_AXIS} points per axis")
+    import numpy as np
+
+    return np.arange(lo, hi + step / 2.0, step)
 
 
 def _write_outputs(out_dir: str, files: dict) -> list[str]:
@@ -266,12 +288,15 @@ def cmd_sweep(args) -> int:
     resolved = _resolve_config(parse_config(args.config), args.seed)
     scenario = _scenario(resolved)
     grid = _sweep_grid(args.grid, args.kind)
-    if args.kind == "snr":
-        result = sweep_snr(scenario, scheme=args.scheme, snr_db_grid=grid)
-        x_name, x_label = "snr_db", "SNR (dB)"
-    else:
-        result = sweep_alpha(scenario, alpha_grid=grid, scheme=args.scheme)
-        x_name, x_label = "alpha", "alpha"
+    try:
+        if args.kind == "snr":
+            result = sweep_snr(scenario, scheme=args.scheme, snr_db_grid=grid)
+            x_name, x_label = "snr_db", "SNR (dB)"
+        else:
+            result = sweep_alpha(scenario, alpha_grid=grid, scheme=args.scheme)
+            x_name, x_label = "alpha", "alpha"
+    except ValueError as exc:  # the library decides the valid SNR range
+        raise CliError(str(exc)) from exc
     header = ",".join([x_name] + [f"sr_{name}" for name in result.series])
     csv_text = _csv(header, zip(result.x_axis, *result.series.values()))
     svg_text = render_line_chart(
@@ -297,14 +322,7 @@ def cmd_sweep(args) -> int:
 def cmd_pattern(args) -> int:
     resolved = _resolve_config(parse_config(args.config), args.seed)
     scenario = _scenario(resolved)
-    lo, hi, step = (
-        _parse_grid(args.grid, "pattern") if args.grid else (-1000.0, 1000.0, 5.0)
-    )
-    if step <= 0 or hi <= lo:
-        raise CliError("--grid: need max > min and step > 0")
-    import numpy as np
-
-    axis = np.arange(lo, hi + step / 2.0, step)
+    axis = _pattern_axis(args.grid)
     values = correlation_map(scenario, axis, axis)
     try:
         solutions, _ = solve_all(scenario)

@@ -79,6 +79,20 @@ def _best_placement(scenario: ScenarioConfig, scheme: str) -> PlacementSolution:
     )[0]
 
 
+def _linear_snr(snr_db: float, p: float) -> float:
+    """10^(snr_db/10), checked to give a finite, positive noise floor p/SNR."""
+    try:
+        snr_lin = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        snr_lin = math.inf
+    if not (0.0 < snr_lin < math.inf and 0.0 < p / snr_lin < math.inf):
+        raise ValueError(
+            f"SNR {snr_db:g} dB is out of range: the linear SNR and the noise "
+            "floor P/SNR must be finite and positive"
+        )
+    return snr_lin
+
+
 def _run_id(scenario: ScenarioConfig, kind: str, scheme: str) -> str:
     text = f"{scenario!r}|{kind}|{scheme}"
     return hashlib.sha1(text.encode()).hexdigest()[:12]
@@ -173,7 +187,8 @@ def sweep_snr(
         raise ValueError("SNR grid is empty")
     if not all(math.isfinite(snr_db) for snr_db in grid):
         raise ValueError("SNR grid must be finite")
-    points = [(snr_db, 10.0 ** (snr_db / 10.0), 1.0) for snr_db in grid]
+    p = scenario.power.total_power_w
+    points = [(snr_db, _linear_snr(snr_db, p), 1.0) for snr_db in grid]
     return _sweep(scenario, "snr", scheme, n_random_baselines, points, {})
 
 
@@ -198,7 +213,7 @@ def sweep_alpha(
         raise ValueError("alpha grid must lie in [0, 1]")
     if not math.isfinite(snr_db):
         raise ValueError("snr_db must be finite")
-    snr_lin = 10.0 ** (snr_db / 10.0)
+    snr_lin = _linear_snr(snr_db, scenario.power.total_power_w)
     points = [(a, snr_lin, a) for a in grid]
     return _sweep(
         scenario, "alpha", scheme, n_random_baselines, points, {"snr_db": snr_db}

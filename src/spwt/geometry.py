@@ -83,11 +83,6 @@ def wrap_angle(angle: float) -> float:
     return angle % TWO_PI
 
 
-def _wrap_pm_pi(angle: float) -> float:
-    # Signed wrap to (-pi, pi], used for angle comparisons.
-    return (angle + math.pi) % TWO_PI - math.pi
-
-
 def look_angles(uav: Position3D, target: Position3D, yaw: float) -> LookAngles:
     """Azimuth, pitch and yaw-relative azimuth of ``uav`` seen from ``target``.
 
@@ -113,26 +108,6 @@ def look_angles(uav: Position3D, target: Position3D, yaw: float) -> LookAngles:
         pitch=pitch,
         azimuth_rel=wrap_angle(azimuth - yaw),
     )
-
-
-def midpoint_symmetry_check(
-    uav: Position3D,
-    bob: Position3D,
-    eve: Position3D,
-    tol: float = 1e-10,
-) -> bool:
-    """True when both ground nodes are seen under equal pitch and mirrored
-    azimuth (azimuth_b = pi - azimuth_e), the signature of a transmitter on
-    the perpendicular bisector of the ground segment.
-
-    Expects the canonical frame: ``bob`` at the origin, ``eve`` on the +x
-    axis.  The solvers do not call it (they certify by the correlation
-    itself); it is an independent check of bisector placements.
-    """
-    ang_b = look_angles(uav, bob, 0.0)
-    ang_e = look_angles(uav, eve, 0.0)
-    mirror = _wrap_pm_pi(ang_b.azimuth - (math.pi - ang_e.azimuth))
-    return abs(ang_b.pitch - ang_e.pitch) <= tol and abs(mirror) <= tol
 
 
 def canonicalize_frame(bob_raw: Position3D, eve_raw: Position3D) -> FrameTransform:

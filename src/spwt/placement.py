@@ -466,98 +466,3 @@ def correlation_map(
         )
     return out
 
-
-def grid_null_oracle(
-    scenario: ScenarioConfig,
-    locus: str,
-    resolution: float,
-    bounds: tuple | None = None,
-) -> list[tuple[Position3D, float]]:
-    """Brute-force search for correlation minima over candidate positions.
-
-    Parameters
-    ----------
-    locus : {"midline", "axis", "box"}
-        "midline" scans the perpendicular bisector (x = x_e/2), "axis" the
-        ground-segment line (y = 0), "box" a full 2D rectangle.
-    resolution : float
-        Grid step in meters.
-    bounds : tuple, optional
-        (lo, hi) for the line loci, ((x_lo, x_hi), (y_lo, y_hi)) for "box".
-        Defaults: +/-2000 m for lines, 1000 m square for the box.
-
-    Returns
-    -------
-    list of (Position3D, float)
-        Grid-local minima with residual below 1e-2, best first, positions
-        mapped back to the caller's frame.
-    """
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
-    tf = canonicalize_frame(scenario.bob, scenario.eve)
-    x_e = tf.to_canonical(scenario.eve).x
-    g = scenario.uav_height_m
-
-    def _steps(lo: float, hi: float) -> np.ndarray:
-        return np.arange(lo, hi + resolution / 2.0, resolution)
-
-    if locus == "midline":
-        lo, hi = bounds if bounds is not None else (-2000.0, 2000.0)
-        ys = _steps(lo, hi)
-        res = correlation_map(scenario, np.array([x_e / 2.0]), ys)[:, 0]
-        keep = _local_minima_1d(res)
-        points = [(x_e / 2.0, float(ys[i]), float(res[i])) for i in keep]
-    elif locus == "axis":
-        lo, hi = bounds if bounds is not None else (-2000.0, 2000.0)
-        xs = _steps(lo, hi)
-        res = correlation_map(scenario, xs, np.array([0.0]))[0, :]
-        keep = _local_minima_1d(res)
-        points = [(float(xs[i]), 0.0, float(res[i])) for i in keep]
-    elif locus == "box":
-        if bounds is not None:
-            (x_lo, x_hi), (y_lo, y_hi) = bounds
-        else:
-            (x_lo, x_hi), (y_lo, y_hi) = (-1000.0, 1000.0), (-1000.0, 1000.0)
-        xs = _steps(x_lo, x_hi)
-        ys = _steps(y_lo, y_hi)
-        res = correlation_map(scenario, xs, ys)
-        points = [
-            (float(xs[j]), float(ys[i]), float(res[i, j]))
-            for i, j in _local_minima_2d(res)
-        ]
-    else:
-        raise ValueError("locus must be 'midline', 'axis' or 'box'")
-
-    points.sort(key=lambda p: p[2])
-    return [
-        (tf.from_canonical(Position3D(x, y, g)), r) for x, y, r in points
-    ]
-
-
-_MINIMUM_CUTOFF = 1e-2
-
-
-def _local_minima_1d(values: np.ndarray) -> list[int]:
-    if values.size < 3:
-        return []
-    interior = (
-        (values[1:-1] < values[:-2])
-        & (values[1:-1] < values[2:])
-        & (values[1:-1] < _MINIMUM_CUTOFF)
-    )
-    return [int(i) + 1 for i in np.flatnonzero(interior)]
-
-
-def _local_minima_2d(values: np.ndarray) -> list[tuple[int, int]]:
-    if values.shape[0] < 3 or values.shape[1] < 3:
-        return []
-    center = values[1:-1, 1:-1]
-    mask = center < _MINIMUM_CUTOFF
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            neighbor = values[1 + di : values.shape[0] - 1 + di,
-                              1 + dj : values.shape[1] - 1 + dj]
-            mask &= center < neighbor
-    return [(int(i) + 1, int(j) + 1) for i, j in np.argwhere(mask)]

@@ -14,8 +14,8 @@ class ScenarioConfig:
     ``bob`` is the intended receiver, ``eve`` the eavesdropper; both sit on
     the ground (z = 0).  ``yaw`` is the transmitter heading measured from the
     receiver-to-eavesdropper axis.  ``bandwidth_hz`` is carried for reporting
-    only; all rates are per hertz.  ``seed`` drives every randomized part of
-    a run (baseline draws, noise realizations).
+    only; all rates are per hertz.  ``seed`` drives the one randomized part
+    of a run, the baseline draws.
     """
 
     array: ArrayGeometry

@@ -50,30 +50,10 @@ class PowerConfig:
 
 
 @dataclass(frozen=True)
-class BeamformerPair:
-    """Confidential beam ``v`` plus the noise projector I - v v^H."""
-
-    v: np.ndarray
-    projector: np.ndarray
-
-
-@dataclass(frozen=True)
 class LinkMetrics:
     sinr_b: float
     sinr_e: float
     secrecy_rate_bps_hz: float
-
-
-def build_beamformers(h_b: np.ndarray) -> BeamformerPair:
-    """Beam toward the receiver and the projector annihilating it.
-
-    The projector is Hermitian and idempotent, and maps the receiver's
-    steering vector to zero, so projected noise never reaches the receiver.
-    """
-    eye = np.eye(h_b.size, dtype=complex)
-    return BeamformerPair(
-        v=h_b.copy(), projector=eye - np.outer(h_b, h_b.conj())
-    )
 
 
 def sinr_bob(power: PowerConfig) -> float:
@@ -108,42 +88,6 @@ def _sinr_eve(mag2, alpha, p, noise_e):
     signal = alpha * p * mag2
     interference = (1.0 - alpha) * p * (1.0 - mag2)
     return signal / (interference + noise_e)
-
-
-def sinr_eve_monte_carlo(
-    h_e: np.ndarray,
-    pair: BeamformerPair,
-    power: PowerConfig,
-    n_samples: int,
-    seed: int,
-) -> float:
-    """Ergodic eavesdropper SINR over random noise realizations.
-
-    Draws ``n_samples`` standard complex Gaussian vectors z (independent real
-    and imaginary parts scaled by 1/sqrt(2)), projects them, and forms the
-    ratio of the deterministic received signal power to the sample-mean
-    interference power plus noise floor.  Averaging the interference before
-    dividing estimates the ergodic SINR; the per-sample ratio has a heavy
-    upper tail and converges to a larger, biased value.
-
-    Deterministic for a fixed seed: same seed and n_samples give the same
-    float exactly.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    size = h_e.size
-    z = rng.standard_normal((n_samples, size)) + 1j * rng.standard_normal(
-        (n_samples, size)
-    )
-    z *= 1.0 / math.sqrt(2.0)
-    # h_e^H (P z) = (P h_e)^H z since the projector is Hermitian.
-    leak = pair.projector @ h_e
-    an_power = np.abs(z @ leak.conj()) ** 2
-    p = power.total_power_w
-    signal = power.alpha * p * abs(np.vdot(h_e, pair.v)) ** 2
-    interference = (1.0 - power.alpha) * p * float(an_power.mean())
-    return signal / (interference + power.noise_e_w)
 
 
 def secrecy_rate(sinr_b: float, sinr_e: float) -> float:

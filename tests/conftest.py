@@ -1,4 +1,11 @@
+"""Shared fixtures and the test-only references: independent
+recomputations (element sums, scalar scans, explicit steering vectors, a
+dense artificial-noise projector with Monte-Carlo draws, a grid scan for
+minima) that the package's own code paths are checked against.
+"""
+
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,10 +17,12 @@ from spwt import (
     Position3D,
     ScenarioConfig,
     canonicalize_frame,
+    correlation_map,
     cross_correlation,
     look_angles,
     steering_vector,
 )
+from spwt.geometry import TWO_PI
 from spwt.placement import _pitch_gap
 
 # Property tests draw the same examples on every run (no flakes, no example
@@ -127,3 +136,180 @@ def element_sum_map(scenario: ScenarioConfig, xs, ys) -> np.ndarray:
         psi_e = -coef * cp_e * (m * np.cos(az_e) + n * np.sin(az_e))
         out[sl] = np.abs(np.exp(1j * (psi_b - psi_e)).sum(axis=(1, 2))) / geom.size
     return out.reshape(gy.shape)
+
+
+def _wrap_pm_pi(angle: float) -> float:
+    # Signed wrap to (-pi, pi], used for angle comparisons.
+    return (angle + math.pi) % TWO_PI - math.pi
+
+
+def midpoint_symmetry_check(
+    uav: Position3D,
+    bob: Position3D,
+    eve: Position3D,
+    tol: float = 1e-10,
+) -> bool:
+    """True when both ground nodes are seen under equal pitch and mirrored
+    azimuth (azimuth_b = pi - azimuth_e), the signature of a transmitter on
+    the perpendicular bisector of the ground segment.
+
+    Expects the canonical frame: ``bob`` at the origin, ``eve`` on the +x
+    axis.  The solvers do not call it (they certify by the correlation
+    itself); it is an independent check of bisector placements.
+    """
+    ang_b = look_angles(uav, bob, 0.0)
+    ang_e = look_angles(uav, eve, 0.0)
+    mirror = _wrap_pm_pi(ang_b.azimuth - (math.pi - ang_e.azimuth))
+    return abs(ang_b.pitch - ang_e.pitch) <= tol and abs(mirror) <= tol
+
+
+@dataclass(frozen=True)
+class BeamformerPair:
+    """Confidential beam ``v`` plus the noise projector I - v v^H."""
+
+    v: np.ndarray
+    projector: np.ndarray
+
+
+def build_beamformers(h_b: np.ndarray) -> BeamformerPair:
+    """Beam toward the receiver and the projector annihilating it.
+
+    The projector is Hermitian and idempotent, and maps the receiver's
+    steering vector to zero, so projected noise never reaches the receiver.
+    """
+    eye = np.eye(h_b.size, dtype=complex)
+    return BeamformerPair(
+        v=h_b.copy(), projector=eye - np.outer(h_b, h_b.conj())
+    )
+
+
+def sinr_eve_monte_carlo(
+    h_e: np.ndarray,
+    pair: BeamformerPair,
+    power: PowerConfig,
+    n_samples: int,
+    seed: int,
+) -> float:
+    """Ergodic eavesdropper SINR over random noise realizations.
+
+    Draws ``n_samples`` standard complex Gaussian vectors z (independent real
+    and imaginary parts scaled by 1/sqrt(2)), projects them, and forms the
+    ratio of the deterministic received signal power to the sample-mean
+    interference power plus noise floor.  Averaging the interference before
+    dividing estimates the ergodic SINR; the per-sample ratio has a heavy
+    upper tail and converges to a larger, biased value.
+
+    Deterministic for a fixed seed: same seed and n_samples give the same
+    float exactly.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    rng = np.random.default_rng(seed)
+    size = h_e.size
+    z = rng.standard_normal((n_samples, size)) + 1j * rng.standard_normal(
+        (n_samples, size)
+    )
+    z *= 1.0 / math.sqrt(2.0)
+    # h_e^H (P z) = (P h_e)^H z since the projector is Hermitian.
+    leak = pair.projector @ h_e
+    an_power = np.abs(z @ leak.conj()) ** 2
+    p = power.total_power_w
+    signal = power.alpha * p * abs(np.vdot(h_e, pair.v)) ** 2
+    interference = (1.0 - power.alpha) * p * float(an_power.mean())
+    return signal / (interference + power.noise_e_w)
+
+
+def grid_null_oracle(
+    scenario: ScenarioConfig,
+    locus: str,
+    resolution: float,
+    bounds: tuple | None = None,
+) -> list[tuple[Position3D, float]]:
+    """Brute-force search for correlation minima over candidate positions.
+
+    Parameters
+    ----------
+    locus : {"midline", "axis", "box"}
+        "midline" scans the perpendicular bisector (x = x_e/2), "axis" the
+        ground-segment line (y = 0), "box" a full 2D rectangle.
+    resolution : float
+        Grid step in meters.
+    bounds : tuple, optional
+        (lo, hi) for the line loci, ((x_lo, x_hi), (y_lo, y_hi)) for "box".
+        Defaults: +/-2000 m for lines, 1000 m square for the box.
+
+    Returns
+    -------
+    list of (Position3D, float)
+        Grid-local minima with residual below 1e-2, best first, positions
+        mapped back to the caller's frame.
+    """
+    if resolution <= 0.0:
+        raise ValueError("resolution must be positive")
+    tf = canonicalize_frame(scenario.bob, scenario.eve)
+    x_e = tf.to_canonical(scenario.eve).x
+    g = scenario.uav_height_m
+
+    def _steps(lo: float, hi: float) -> np.ndarray:
+        return np.arange(lo, hi + resolution / 2.0, resolution)
+
+    if locus == "midline":
+        lo, hi = bounds if bounds is not None else (-2000.0, 2000.0)
+        ys = _steps(lo, hi)
+        res = correlation_map(scenario, np.array([x_e / 2.0]), ys)[:, 0]
+        keep = _local_minima_1d(res)
+        points = [(x_e / 2.0, float(ys[i]), float(res[i])) for i in keep]
+    elif locus == "axis":
+        lo, hi = bounds if bounds is not None else (-2000.0, 2000.0)
+        xs = _steps(lo, hi)
+        res = correlation_map(scenario, xs, np.array([0.0]))[0, :]
+        keep = _local_minima_1d(res)
+        points = [(float(xs[i]), 0.0, float(res[i])) for i in keep]
+    elif locus == "box":
+        if bounds is not None:
+            (x_lo, x_hi), (y_lo, y_hi) = bounds
+        else:
+            (x_lo, x_hi), (y_lo, y_hi) = (-1000.0, 1000.0), (-1000.0, 1000.0)
+        xs = _steps(x_lo, x_hi)
+        ys = _steps(y_lo, y_hi)
+        res = correlation_map(scenario, xs, ys)
+        points = [
+            (float(xs[j]), float(ys[i]), float(res[i, j]))
+            for i, j in _local_minima_2d(res)
+        ]
+    else:
+        raise ValueError("locus must be 'midline', 'axis' or 'box'")
+
+    points.sort(key=lambda p: p[2])
+    return [
+        (tf.from_canonical(Position3D(x, y, g)), r) for x, y, r in points
+    ]
+
+
+_MINIMUM_CUTOFF = 1e-2
+
+
+def _local_minima_1d(values: np.ndarray) -> list[int]:
+    if values.size < 3:
+        return []
+    interior = (
+        (values[1:-1] < values[:-2])
+        & (values[1:-1] < values[2:])
+        & (values[1:-1] < _MINIMUM_CUTOFF)
+    )
+    return [int(i) + 1 for i in np.flatnonzero(interior)]
+
+
+def _local_minima_2d(values: np.ndarray) -> list[tuple[int, int]]:
+    if values.shape[0] < 3 or values.shape[1] < 3:
+        return []
+    center = values[1:-1, 1:-1]
+    mask = center < _MINIMUM_CUTOFF
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            neighbor = values[1 + di : values.shape[0] - 1 + di,
+                              1 + dj : values.shape[1] - 1 + dj]
+            mask &= center < neighbor
+    return [(int(i) + 1, int(j) + 1) for i, j in np.argwhere(mask)]

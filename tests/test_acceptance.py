@@ -12,17 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import build_beamformers, make_scenario, sinr_eve_monte_carlo
 from spwt import (
     ArrayGeometry,
     InfeasibleGeometry,
     InvalidYaw,
     Position3D,
-    build_beamformers,
     cross_correlation,
     look_angles,
     sinr_eve_analytic,
-    sinr_eve_monte_carlo,
     solve_azimuth_scheme,
     solve_pitch_scheme,
     steering_vector,

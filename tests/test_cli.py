@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from spwt.cli import _csv, _pattern_csv, main
+from spwt.cli import CliError, _csv, _pattern_axis, _pattern_csv, _sweep_grid, main
 
 BASE = {
     "m": 4,
@@ -306,3 +306,42 @@ def test_non_finite_grid_rejected(tmp_path, capsys, argv):
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "error: --grid: numbers must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("grid", ["--grid=0:1000:4000", "--grid=-4000:1:-3999"])
+def test_sweep_out_of_range_snr_exits_1(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path / "a.cfg")
+    assert main(["sweep", grid, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SNR ") and "dB is out of range" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--kind", "alpha", "--grid=0:1e-300:1"],
+        ["sweep", "--grid=0:1e-9:1"],
+        ["sweep", "--grid=-1e308:1e-300:1e308"],
+        ["pattern", "--grid=-1000:1000:0.5"],
+        ["pattern", "--grid=0:1:1e-300"],
+        ["pattern", "--grid=-1e308:1e308:1"],
+    ],
+)
+def test_oversized_grid_rejected(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path / "a.cfg")
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --grid: more than ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_grid_caps_admit_their_limits():
+    assert len(_sweep_grid("0:1:99999", "snr")) == 100_000
+    assert len(_pattern_axis("-1000:1000:1")) == 2001
+    assert len(_pattern_axis("-1000:1000:2")) == 1001
+    with pytest.raises(CliError, match="more than 100000 sweep points"):
+        _sweep_grid("0:1:100000", "snr")
+    with pytest.raises(CliError, match="more than 2001 points per axis"):
+        _pattern_axis("-1000:1001:1")

@@ -238,3 +238,27 @@ def test_sweep_alpha_rejects_nan_split(reference_scenario):
     # NaN passes the grid's range comparison; the per-cell check catches it
     with pytest.raises(ValueError, match="power budget values must be finite"):
         sweep_alpha(reference_scenario, alpha_grid=[0.5, math.nan])
+
+
+@pytest.mark.parametrize("grid", [[4000.0], [0.0, 3084.0], [-3240.0], [-4000.0]])
+def test_sweep_snr_rejects_out_of_range_snr(reference_scenario, grid):
+    # 10^(SNR/10) overflows above ~3,083 dB and is 0.0 below ~-3,240 dB;
+    # at 1 W the noise floor 1/SNR already overflows below ~-3,083 dB.
+    with pytest.raises(ValueError, match="SNR .* dB is out of range"):
+        sweep_snr(reference_scenario, snr_db_grid=grid)
+
+
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+def test_sweep_alpha_rejects_out_of_range_snr(reference_scenario, snr_db):
+    with pytest.raises(ValueError, match="SNR .* dB is out of range"):
+        sweep_alpha(reference_scenario, snr_db=snr_db)
+
+
+@pytest.mark.parametrize("p, snr_db", [(1e300, -100.0), (1e-300, 300.0)])
+def test_sweeps_reject_noise_floor_out_of_range(p, snr_db):
+    # A finite linear SNR whose noise floor P/SNR overflows or underflows.
+    sc = make_scenario(p=p)
+    with pytest.raises(ValueError, match="out of range"):
+        sweep_snr(sc, snr_db_grid=[snr_db])
+    with pytest.raises(ValueError, match="out of range"):
+        sweep_alpha(sc, snr_db=snr_db)

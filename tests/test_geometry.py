@@ -8,8 +8,8 @@ from spwt import (
     Position3D,
     canonicalize_frame,
     look_angles,
-    midpoint_symmetry_check,
 )
+from conftest import midpoint_symmetry_check
 
 YAW = math.pi / 4.0
 

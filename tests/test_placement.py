@@ -15,8 +15,6 @@ from spwt import (
     Position3D,
     canonicalize_frame,
     correlation_map,
-    grid_null_oracle,
-    midpoint_symmetry_check,
     solve_all,
     solve_azimuth_scheme,
     solve_pitch_scheme,
@@ -26,7 +24,9 @@ from spwt.signalmodel import correlation_at
 from conftest import (
     element_sum_map,
     explicit_correlation,
+    grid_null_oracle,
     make_scenario,
+    midpoint_symmetry_check,
     scalar_scan_bracket,
 )
 

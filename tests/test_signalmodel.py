@@ -11,13 +11,11 @@ from spwt import (
     Position3D,
     PowerConfig,
     ScenarioConfig,
-    build_beamformers,
     canonicalize_frame,
     evaluate_link,
     secrecy_rate,
     sinr_bob,
     sinr_eve_analytic,
-    sinr_eve_monte_carlo,
     steering_vector,
 )
 from spwt.signalmodel import (
@@ -26,7 +24,13 @@ from spwt.signalmodel import (
     link_metrics,
     secrecy_rates,
 )
-from conftest import SIGMA2_15DB, explicit_correlation, make_scenario
+from conftest import (
+    SIGMA2_15DB,
+    build_beamformers,
+    explicit_correlation,
+    make_scenario,
+    sinr_eve_monte_carlo,
+)
 
 REFERENCE_NULL = Position3D(250.0, 630.4760106459247, 200.0)
 SR_15DB = 5.0278076733505195
