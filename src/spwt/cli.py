@@ -214,23 +214,34 @@ def _pattern_axis(text: str | None):
 
 
 def _write_outputs(out_dir: str, files: dict) -> list[str]:
-    """Write all files or none: on any failure, partial outputs are removed."""
+    """Write all files or none, leaving the previous outputs as they were on
+    failure.
+
+    Each value is the file's text or a callable that writes it to an open
+    text file.  Every file is written in full to ``<name>.tmp`` in
+    ``out_dir`` before any is moved over its name with :func:`os.replace`;
+    on any failure the temporary files are removed.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    paths = [os.path.join(out_dir, name) for name in files]
+    temps = [path + ".tmp" for path in paths]
     try:
-        for name, text in files.items():
-            path = os.path.join(out_dir, name)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            written.append(path)
-    except OSError:
-        for path in written:
+        for temp, content in zip(temps, files.values()):
+            with open(temp, "w", encoding="utf-8") as fh:
+                if callable(content):
+                    content(fh)
+                else:
+                    fh.write(content)
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
             try:
-                os.unlink(path)
-            except OSError:
+                os.unlink(temp)
+            except OSError:  # not created yet, or already moved into place
                 pass
         raise
-    return written
+    return paths
 
 
 def _manifest(command: str, resolved: dict) -> str:
@@ -250,17 +261,19 @@ def _csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pattern_csv(axis, values) -> str:
-    """The x_m,y_m,residual table of a square grid, x varying fastest.
+def _write_pattern_csv(fh, axis, values) -> None:
+    """Write the x_m,y_m,residual table of a square grid to ``fh``, x
+    varying fastest, one grid row at a time.
 
-    Same bytes as :func:`_csv` over the rows; the axis labels are formatted
-    once, so only the residual is formatted per cell.
+    Same bytes as :func:`_csv` over the rows.  The axis labels are formatted
+    once; each grid row is then one ``%`` template over its residuals, built
+    by joining the per-column pieces with the row's y label.
     """
     labels = [_fmt(v) + "," for v in axis]
-    lines = ["x_m,y_m,residual"]
-    for y_label, row in zip(labels, values.tolist()):
-        lines.extend([f"{x}{y_label}{v:.12g}" for x, v in zip(labels, row)])
-    return "\n".join(lines) + "\n"
+    pieces = [labels[0], *("%.12g\n" + x for x in labels[1:]), "%.12g\n"]
+    fh.write("x_m,y_m,residual\n")
+    for y_label, row in zip(labels, values):
+        fh.write(y_label.join(pieces) % tuple(row.tolist()))
 
 
 def cmd_place(args) -> int:
@@ -293,7 +306,13 @@ def cmd_sweep(args) -> int:
             result = sweep_snr(scenario, scheme=args.scheme, snr_db_grid=grid)
             x_name, x_label = "snr_db", "SNR (dB)"
         else:
-            result = sweep_alpha(scenario, alpha_grid=grid, scheme=args.scheme)
+            # The config's own SNR, P/sigma^2; a ratio that under- or
+            # overflows gives an infinite SNR, which the sweep rejects.
+            ratio = resolved["p_w"] / resolved["sigma2_w"]
+            snr_db = 10.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
+            result = sweep_alpha(
+                scenario, snr_db=snr_db, alpha_grid=grid, scheme=args.scheme
+            )
             x_name, x_label = "alpha", "alpha"
     except ValueError as exc:  # the library decides the valid SNR range
         raise CliError(str(exc)) from exc
@@ -332,7 +351,7 @@ def cmd_pattern(args) -> int:
     written = _write_outputs(
         args.out,
         {
-            "pattern.csv": _pattern_csv(axis, values),
+            "pattern.csv": lambda fh: _write_pattern_csv(fh, axis, values),
             "pattern.svg": render_heatmap(axis, axis, values, overlays),
             "manifest.json": _manifest("pattern", resolved),
         },

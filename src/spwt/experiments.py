@@ -59,11 +59,17 @@ def random_baseline_positions(
     rng = np.random.default_rng(seed)
     out: list[Position3D] = []
     while len(out) < n:
-        x = float(rng.uniform(x_lo, x_hi))
-        y = float(rng.uniform(y_lo, y_hi))
-        if any(math.hypot(x - p.x, y - p.y) < _EXCLUSION_M for p in exclude):
-            continue
-        out.append(Position3D(x, y, z))
+        # One call per round for the (x, y) pairs still missing, scaled as
+        # rng.uniform(lo, hi) scales its draw, lo + (hi - lo) * u: the same
+        # values, in the same order, as one scalar uniform per coordinate.
+        # (rng.uniform with per-column bounds draws the same values but
+        # costs more than the scalar calls for a few pairs.)
+        for u, v in rng.random((n - len(out), 2)).tolist():
+            x = x_lo + (x_hi - x_lo) * u
+            y = y_lo + (y_hi - y_lo) * v
+            if any(math.hypot(x - p.x, y - p.y) < _EXCLUSION_M for p in exclude):
+                continue
+            out.append(Position3D(x, y, z))
     return out
 
 

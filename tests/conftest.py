@@ -138,6 +138,30 @@ def element_sum_map(scenario: ScenarioConfig, xs, ys) -> np.ndarray:
     return out.reshape(gy.shape)
 
 
+def heatmap_shade(value: float) -> int:
+    """The heatmap's grey level of one cell, in scalar math: log10 of the
+    residual clamped to [1e-6, 1], scaled to 0..255, rounded half to even.
+    The reference for the vectorised shading in ``render_heatmap``."""
+    level = math.log10(max(float(value), 1e-6))
+    return int(round(255 * min(1.0, max(0.0, (level + 6.0) / 6.0))))
+
+
+def scalar_baseline_positions(n, bounds, z, seed, exclude) -> list[Position3D]:
+    """``random_baseline_positions`` as one scalar ``rng.uniform`` call per
+    coordinate, x before y, a draw within 1 m of an excluded node redrawn:
+    the reference for the vectorised draw."""
+    (x_lo, x_hi), (y_lo, y_hi) = bounds
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        x = float(rng.uniform(x_lo, x_hi))
+        y = float(rng.uniform(y_lo, y_hi))
+        if any(math.hypot(x - p.x, y - p.y) < 1.0 for p in exclude):
+            continue
+        out.append(Position3D(x, y, z))
+    return out
+
+
 def _wrap_pm_pi(angle: float) -> float:
     # Signed wrap to (-pi, pi], used for angle comparisons.
     return (angle + math.pi) % TWO_PI - math.pi

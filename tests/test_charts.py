@@ -1,0 +1,48 @@
+import re
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from spwt.charts import render_heatmap
+from conftest import heatmap_shade
+
+_FILL = re.compile(r'^<rect x="[^"]*" y="[^"]*" width="[^"]*" height="[^"]*" '
+                   r'fill="rgb\((\d+),\1,\1\)"/>$')
+# Doubles next to a shade boundary at which numpy's log10 (AVX-512 build)
+# and math.log10 round to different grey levels.
+_SPLIT_LEVEL = (
+    1.0846612314544057e-06, 3.981071705534973e-06, 1.3111339374215644e-05,
+    3.1197345819126156e-05, 0.00010274594854461795, 0.0005219718220435649,
+    0.003119734581912624, 0.01766277039966444, 0.14611872781107474,
+    0.38746751204561325,
+)
+# Values whose level sits half-way between two grey levels.
+_BOUNDARIES = tuple(10.0 ** (6.0 * (k + 0.5) / 255.0 - 6.0) for k in range(255))
+_SPECIAL = (0.0, 1e-7, 1e-6, 1.0, 1.5, *_SPLIT_LEVEL, *_BOUNDARIES)
+# Below 200 cells per axis every cell is drawn; above, every stride-th.
+_AXIS = st.one_of(st.integers(1, 12), st.integers(201, 450))
+
+
+@given(nx=_AXIS, ny=_AXIS, seed=st.integers(0, 2**32 - 1))
+def test_heatmap_shades_equal_per_cell_formula(nx, ny, seed):
+    rng = np.random.default_rng(seed)
+    values = 10.0 ** rng.uniform(-8.0, 0.2, (ny, nx))
+    special = rng.random((ny, nx)) < 0.5
+    values[special] = rng.choice(_SPECIAL, int(special.sum()))
+    xs = np.linspace(-100.0, 100.0, nx)
+    ys = np.linspace(-50.0, 150.0, ny)
+    svg = render_heatmap(xs, ys, values, overlays=[(0.0, 0.0)])
+
+    stride = max(1, -(-nx // 200), -(-ny // 200))
+    want = [heatmap_shade(v) for row in values[::stride, ::stride] for v in row]
+    cells = [line for line in svg.splitlines() if line.startswith("<rect x=")]
+    got = [int(_FILL.match(line).group(1)) for line in cells]
+    assert got == want
+
+
+def test_heatmap_shades_of_the_clamp_ends():
+    values = np.array([[0.0, 1e-6, 1.0, 2.0, np.inf, np.nan]])
+    svg = render_heatmap(np.arange(6.0), np.zeros(1), values)
+    fills = re.findall(r'fill="rgb\((\d+),', svg)
+    assert fills == ["0", "0", "255", "255", "255", "0"]
+    assert [heatmap_shade(v) for v in values[0]] == [0, 0, 255, 255, 255, 0]

@@ -1,11 +1,28 @@
+import io
 import json
 import math
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spwt.cli import CliError, _csv, _pattern_axis, _pattern_csv, _sweep_grid, main
+import spwt
+from spwt import cli
+from spwt.cli import (
+    CliError,
+    _csv,
+    _fmt,
+    _pattern_axis,
+    _sweep_grid,
+    _write_outputs,
+    _write_pattern_csv,
+    main,
+    parse_config,
+)
 
 BASE = {
     "m": 4,
@@ -246,7 +263,9 @@ def test_pattern_csv_matches_per_cell_formatting():
         for i, y in enumerate(axis)
         for j, x in enumerate(axis)
     )
-    assert _pattern_csv(axis, values) == _csv("x_m,y_m,residual", rows)
+    buf = io.StringIO()
+    _write_pattern_csv(buf, axis, values)
+    assert buf.getvalue() == _csv("x_m,y_m,residual", rows)
 
 
 @pytest.mark.parametrize(
@@ -345,3 +364,110 @@ def test_grid_caps_admit_their_limits():
         _sweep_grid("0:1:100000", "snr")
     with pytest.raises(CliError, match="more than 2001 points per axis"):
         _pattern_axis("-1000:1001:1")
+
+
+def _partial_then_fail(fh, *args):
+    fh.write("x_m,y_m,residual\n0,0,")
+    raise OSError(28, "No space left on device")
+
+
+def _listing(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_failed_pattern_write_keeps_previous_outputs(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "a.cfg")
+    assert main(["pattern", "--config", cfg, "--grid=-20:20:5", "--out", str(out)]) == 0
+    before = _listing(out)
+    assert sorted(before) == ["manifest.json", "pattern.csv", "pattern.svg"]
+
+    # A second run, on other inputs, whose CSV writer fails partway.
+    monkeypatch.setattr(cli, "_write_pattern_csv", _partial_then_fail)
+    cfg = write_config(tmp_path / "b.cfg", m=8)
+    capsys.readouterr()
+    assert main(["pattern", "--config", cfg, "--grid=-30:30:5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert _listing(out) == before  # byte-identical, and no *.tmp left
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_failed_write_keeps_every_previous_file(tmp_path, failing):
+    out = tmp_path / "out"
+    names = ("a.csv", "b.svg", "manifest.json")
+    _write_outputs(str(out), {name: f"old {name}\n" for name in names})
+    before = _listing(out)
+    files = {name: f"new {name}\n" for name in names}
+    files[names[failing]] = _partial_then_fail
+    with pytest.raises(OSError, match="No space left"):
+        _write_outputs(str(out), files)
+    assert _listing(out) == before
+
+
+def test_write_outputs_replaces_previous_files(tmp_path):
+    out = tmp_path / "out"
+    _write_outputs(str(out), {"a.csv": "old\n", "b.svg": "old\n"})
+    written = _write_outputs(
+        str(out), {"a.csv": "new\n", "b.svg": lambda fh: fh.write("streamed\n")}
+    )
+    assert written == [str(out / "a.csv"), str(out / "b.svg")]
+    assert _listing(out) == {"a.csv": b"new\n", "b.svg": b"streamed\n"}
+
+
+def test_alpha_sweep_runs_at_the_config_snr(tmp_path):
+    # wide16 is a 20 dB config: the bound is log2(1 + P/sigma^2), not the
+    # library's 15 dB default
+    cfg = str(Path(__file__).parent / "golden" / "wide16.cfg")
+    out = tmp_path / "out"
+    assert main(["sweep", "--kind", "alpha", "--config", cfg, "--out", str(out)]) == 0
+    values = parse_config(cfg)
+    want = _fmt(math.log2(1.0 + values["p_w"] / values["sigma2_w"]))
+    header, *rows = (out / "sweep_alpha.csv").read_text().splitlines()
+    col = header.split(",").index("sr_theory")
+    assert [row.split(",")[col] for row in rows] == [want] * 11
+    assert want == "6.65821148275"
+
+
+@pytest.mark.parametrize("p_w,sigma2_w", [("1e-200", "1e200"), ("1e200", "1e-200")])
+def test_alpha_sweep_rejects_an_snr_beyond_float_range(tmp_path, capsys, p_w, sigma2_w):
+    # P/sigma^2 under- or overflows: exit 1 with one error line, no traceback
+    cfg = write_config(tmp_path / "a.cfg", p_w=p_w, sigma2_w=sigma2_w)
+    out = tmp_path / "o"
+    assert main(["sweep", "--kind", "alpha", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: snr_db must be finite\n"
+    assert not out.exists()
+
+
+# Linux carries a process's high-water RSS across exec, so a command started
+# straight from the test process would report at least the test process's
+# own peak.  This small intermediate starts the command and reports its exit
+# code and peak RSS (kB) from os.wait4.
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_pattern_at_the_grid_cap_peak_rss(tmp_path):
+    # One fresh process at the 2001 x 2001 cap; the output is streamed, so
+    # its peak RSS is the interpreter, numpy and the float64 map (32 MB).
+    cfg = write_config(tmp_path / "a.cfg")
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(spwt.__file__).parents[1]))
+    argv = ["pattern", "--config", cfg, "--grid=-1000:1000:1", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "spwt.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    try:
+        code, peak_kb = map(int, proc.stdout.split())
+        assert code == 0
+        assert (out / "pattern.csv").stat().st_size > 2001 * 2001 * 10
+        assert peak_kb <= 150 * 1024
+    finally:
+        shutil.rmtree(out, ignore_errors=True)  # the CSV alone is 96 MB

@@ -14,7 +14,7 @@ from spwt import (
     sweep_alpha,
     sweep_snr,
 )
-from conftest import make_scenario
+from conftest import make_scenario, scalar_baseline_positions
 
 SERIES = ("proposed", "theory", "rand1", "rand2", "rand3")
 
@@ -54,6 +54,23 @@ def test_baseline_positions_validation():
         random_baseline_positions(0)
     with pytest.raises(ValueError):
         random_baseline_positions(2, ((5.0, 5.0), (-1.0, 1.0)))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    half=st.floats(1.5, 4.0),
+    nodes=st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=4
+    ),
+)
+def test_baseline_positions_equal_scalar_draws(seed, n, half, nodes):
+    # A box 3 to 8 m wide with excluded nodes inside it, so redraws are
+    # common: one node at the center rejects 5% (8 m) to 35% (3 m) of draws.
+    bounds = ((-half, half), (-half, half))
+    exclude = tuple(Position3D(x * half, y * half, 0.0) for x, y in nodes)
+    got = random_baseline_positions(n, bounds, z=50.0, seed=seed, exclude=exclude)
+    assert got == scalar_baseline_positions(n, bounds, 50.0, seed, exclude)
 
 
 def test_sweep_snr_shapes_and_tightness(reference_scenario):
