@@ -362,3 +362,81 @@ def test_vectorised_prescan_matches_scalar_scan(x_e, g, frac):
             _scan_gap(x_e, g, target)
     else:
         assert _scan_gap(x_e, g, target) == want
+
+
+_B = "bisector candidate y={} failed verification (|rho| = {}); discarded"
+_E = "extension candidate x={} failed verification (|rho| = {}); discarded"
+
+# Per case: the scenario, then the warning messages of solve_azimuth_scheme
+# and of solve_pitch_scheme on each side, in emission order.  Every warning
+# is a UserWarning.  "row-fails" has the eavesdropper 0.1 mm off the ground:
+# both extension sides discard their row candidate and certify the column
+# one, and the bisector keeps only its column placements.
+WARNING_CASES = {
+    "g-nan": (
+        lambda: make_scenario(g=math.nan),
+        [_B.format("0.000000", "nan")] * 2, [], [],
+    ),
+    "x_e-inf": (
+        lambda: make_scenario(x_e=math.inf),
+        [_B.format("0.000000", "nan")] * 2, [], [],
+    ),
+    "yaw-nan": (
+        lambda: make_scenario(yaw=math.nan),
+        [_B.format("0.000000", "nan")] * 2, [], [],
+    ),
+    "eve-30m-up": (
+        lambda: replace(make_scenario(), eve=Position3D(500.0, 0.0, 30.0)),
+        [_B.format("630.476011", "2.087e-04"), _B.format("-630.476011", "2.087e-04")] * 2,
+        [_E.format("-47.752731", "5.880e-04")] * 2,
+        [_E.format("547.752731", "3.896e-03")] * 2,
+    ),
+    "row-fails": (
+        lambda: replace(
+            make_scenario(m=8, n=4, yaw=0.6), eve=Position3D(500.0, 0.0, 1e-4)
+        ),
+        [_B.format("1619.325634", "1.070e-08"), _B.format("-1619.325634", "1.694e-08")],
+        [_E.format("-173.710298", "1.089e-07")],
+        [_E.format("673.710298", "5.244e-07")],
+    ),
+}
+
+
+def _recorded(call):
+    """The (category, message) pairs ``call`` warns, and what it returns or
+    the type and text of what it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = call()
+        except InfeasibleGeometry as exc:
+            outcome = ("InfeasibleGeometry", str(exc))
+    return [(w.category, str(w.message)) for w in caught], outcome
+
+
+@pytest.mark.parametrize("case", sorted(WARNING_CASES))
+def test_warning_sequences_are_pinned(case):
+    build, az, left, right = WARNING_CASES[case]
+    sc = build()
+    calls = {
+        "azimuth": lambda: solve_azimuth_scheme(sc),
+        "left": lambda: solve_pitch_scheme(sc, side="left"),
+        "right": lambda: solve_pitch_scheme(sc, side="right"),
+        "all": lambda: solve_all(sc),
+    }
+    expected = {"azimuth": az, "left": left, "right": right, "all": az + left + right}
+    first = {}
+    # twice over on the same scenario object: a repeated call warns again,
+    # in the same order, and gives the same result
+    for _ in range(2):
+        for name, call in calls.items():
+            caught, outcome = _recorded(call)
+            assert caught == [(UserWarning, m) for m in expected[name]], name
+            assert outcome == first.setdefault(name, outcome), name
+    if case == "row-fails":
+        assert [s.factor_used for s in first["azimuth"]] == ["column", "column"]
+        assert first["left"].factor_used == first["right"].factor_used == "column"
+        assert first["all"] == (first["azimuth"] + [first["left"], first["right"]], [])
+    else:
+        assert first["azimuth"][1].startswith("every bisector candidate")
+        assert first["left"][0] == first["right"][0] == "InfeasibleGeometry"
