@@ -11,6 +11,7 @@ the explicit vectors here are the reference it is tested against.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,16 +36,20 @@ class ArrayGeometry:
     spacing_m: float | None = None
 
     def __post_init__(self) -> None:
+        for count in (self.m_rows, self.n_cols):
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError("array dimensions must be integers")
         if self.m_rows < 1 or self.n_cols < 1:
             raise ValueError("array needs at least one element per axis")
-        if self.carrier_hz <= 0.0:
-            raise ValueError("carrier frequency must be positive")
+        if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0.0):
+            raise ValueError("carrier frequency must be finite and positive")
         if self.spacing_m is None:
             object.__setattr__(
                 self, "spacing_m", SPEED_OF_LIGHT / (2.0 * self.carrier_hz)
             )
-        elif self.spacing_m <= 0.0:
-            raise ValueError("element spacing must be positive")
+        # A default spacing overflows for a carrier below ~1e-300 Hz.
+        if not (math.isfinite(self.spacing_m) and self.spacing_m > 0.0):
+            raise ValueError("element spacing must be finite and positive")
 
     @property
     def size(self) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InfeasibleGeometry
 from .geometry import Position3D
-from .placement import PlacementSolution, solve_all
+from .placement import PlacementSolution, _outcomes, solve_all
 from .scenario import ScenarioConfig
 from .signalmodel import correlation_at, secrecy_rates
 
@@ -85,6 +85,23 @@ def _best_placement(scenario: ScenarioConfig, scheme: str) -> PlacementSolution:
     )[0]
 
 
+def _baselines(scenario: ScenarioConfig, n: int) -> tuple:
+    """The scenario's ``n`` baseline positions and their correlations, from
+    the one draw and kernel call kept with the scenario's placements."""
+    outcomes = _outcomes(scenario)
+    key = ("baselines", n, type(n))
+    if key not in outcomes:
+        positions = random_baseline_positions(
+            n,
+            BASELINE_BOUNDS,
+            z=scenario.uav_height_m,
+            seed=scenario.seed,
+            exclude=(scenario.bob, scenario.eve),
+        )
+        outcomes[key] = (positions, correlation_at(scenario, positions).tolist())
+    return outcomes[key]
+
+
 def _linear_snr(snr_db: float, p: float) -> float:
     """10^(snr_db/10), checked to give a finite, positive noise floor p/SNR."""
     try:
@@ -137,18 +154,13 @@ def _sweep(
     point's alpha, both at the noise floor P/SNR; the bound is
     log2(1 + SNR).  The correlation does not depend on power, so it is
     computed once per position: the placement's is its certified residual,
-    the baselines' come from one kernel call.  The rates of every (grid
-    point, position) cell then come from one :func:`secrecy_rates` call.
+    the baselines' come from one kernel call, shared by every sweep of the
+    scenario.  The rates of every (grid point, position) cell then come
+    from one :func:`secrecy_rates` call.
     """
     best = _best_placement(scenario, scheme)
-    baselines = random_baseline_positions(
-        n_random_baselines,
-        BASELINE_BOUNDS,
-        z=scenario.uav_height_m,
-        seed=scenario.seed,
-        exclude=(scenario.bob, scenario.eve),
-    )
-    rhos = [best.null_residual, *correlation_at(scenario, baselines).tolist()]
+    baselines, baseline_rhos = _baselines(scenario, n_random_baselines)
+    rhos = [best.null_residual, *baseline_rhos]
     p = scenario.power.total_power_w
     noise = [p / snr_lin for _, snr_lin, _ in points]
     alpha = [[1.0] + [a] * len(baselines) for _, _, a in points]

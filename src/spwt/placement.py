@@ -15,6 +15,10 @@ Every candidate position is certified by recomputing the correlation with
 :func:`~spwt.signalmodel.correlation_magnitude` at the returned position;
 candidates that fail are discarded with a warning rather than returned, and a
 solver with no certified candidate raises ``InfeasibleGeometry``.
+
+Each scenario is solved once: the outcomes of the last scenario object
+asked for (its placements or failure reasons, with the warnings their solve
+produced) are kept and replayed while the same object keeps being asked.
 """
 
 import math
@@ -124,10 +128,69 @@ def solve_azimuth_scheme(
     InvalidYaw, InvalidIndex
         For a quarter-turn yaw or an index with no matching zero.
     """
-    index = index if index is not None else NullIndex()
+    found, notes = _bisector_outcome(
+        scenario, index if index is not None else NullIndex()
+    )
+    _replay(notes)
+    if isinstance(found, str):
+        raise InfeasibleGeometry(found)
+    return list(found)
+
+
+# The last scenario object asked for, and its outcomes.  A study solves one
+# scenario and then sweeps it, so one slot serves every repeat; an equal
+# copy is another object and is solved afresh, and the previous scenario is
+# released as soon as another one is asked for.  The pair is read and
+# replaced as one object, so no thread files an outcome under a scenario
+# other than its own.
+_last: tuple = (None, {})
+
+
+def _outcomes(scenario: ScenarioConfig) -> dict:
+    """The outcomes kept for ``scenario``: filled by earlier calls if it is
+    the last scenario asked for, else a new empty set that replaces them.
+
+    Keys name what was solved: ("azimuth", index), ("pitch", index, side,
+    factor), and the sweeps' ("baselines", count), each number with its
+    type, so that inputs that only compare equal (1, 1.0, True) are solved
+    apart.  An outcome holds only values and messages, never an exception
+    or the scenario, so releasing the slot frees the scenario.
+    """
+    global _last
+    held, outcomes = _last
+    if held is not scenario:
+        outcomes = {}
+        _last = (scenario, outcomes)
+    return outcomes
+
+
+def _index_key(index: NullIndex) -> tuple:
+    return (index, type(index.k), type(index.l))
+
+
+def _replay(notes: tuple) -> None:
+    """Warn each recorded message, attributed to the caller of the public
+    solver that replays it."""
+    for note in notes:
+        warnings.warn(note, stacklevel=3)
+
+
+def _bisector_outcome(scenario: ScenarioConfig, index: NullIndex) -> tuple:
+    """The checks of the bisector scheme, then its kept or new outcome."""
     geom = scenario.array
     _check_index(index.k, geom.m_rows, geom.n_cols)
     _check_yaw(scenario.yaw)
+    outcomes = _outcomes(scenario)
+    key = ("azimuth", _index_key(index))
+    if key not in outcomes:
+        outcomes[key] = _solve_bisector(scenario, index)
+    return outcomes[key]
+
+
+def _solve_bisector(scenario: ScenarioConfig, index: NullIndex) -> tuple:
+    """The bisector scheme as an outcome: (the certified solutions, or the
+    reason there are none, and the warning messages in order)."""
+    geom = scenario.array
     k = float(index.k)
     tf = canonicalize_frame(scenario.bob, scenario.eve)
     x_e = tf.to_canonical(scenario.eve).x
@@ -154,15 +217,17 @@ def solve_azimuth_scheme(
             candidates.append((factor, "+", 0.0))
 
     if not candidates:
-        raise InfeasibleGeometry(
+        return (
             f"no real lateral offset on the bisector (largest radicand "
             f"{max(radicands):.6g} m^2); lower the altitude or rotate the "
-            f"yaw closer to the ground axis"
+            f"yaw closer to the ground axis",
+            (),
         )
 
     positions = [tf.from_canonical(Position3D(half, y, g)) for _, _, y in candidates]
     residuals = correlation_at(scenario, positions).tolist()
     solutions: list[PlacementSolution] = []
+    notes: list[str] = []
     accepted_y: list[float] = []
     for (factor, branch, y), position, residual in zip(
         candidates, positions, residuals
@@ -170,10 +235,9 @@ def solve_azimuth_scheme(
         if any(abs(y - prev) < _DEDUP_M for prev in accepted_y):
             continue
         if not residual <= _NULL_TOL:
-            warnings.warn(
+            notes.append(
                 f"bisector candidate y={y:.6f} failed verification "
-                f"(|rho| = {residual:.3e}); discarded",
-                stacklevel=2,
+                f"(|rho| = {residual:.3e}); discarded"
             )
             continue
         accepted_y.append(y)
@@ -190,11 +254,12 @@ def solve_azimuth_scheme(
             )
         )
     if not solutions:
-        raise InfeasibleGeometry(
+        return (
             "every bisector candidate failed verification; the closed form "
-            "needs finite inputs and both ground nodes at z = 0"
+            "needs finite inputs and both ground nodes at z = 0",
+            tuple(notes),
         )
-    return solutions
+    return tuple(solutions), tuple(notes)
 
 
 def _pitch_gap(x_e: float, g: float, t: float) -> float:
@@ -225,8 +290,8 @@ def solve_pitch_scheme(
     (column factor: N*sin instead of M*cos).  The sign of the left side is
     fixed by the chosen ``side``, so the branch is selected automatically;
     the magnitude equation is solved by bisection over the outward distance
-    in [1e-6, 1e6] m after a 64-point logarithmic pre-scan, terminating when
-    the equation residual drops to 1e-12 or after 200 iterations.
+    in [1e-6, 1e6] m after a 64-point logarithmic pre-scan, until the
+    equation residual drops to 1e-12, for at most 200 iterations.
 
     Parameters
     ----------
@@ -240,33 +305,56 @@ def solve_pitch_scheme(
     ------
     InfeasibleGeometry
         If the required gap exceeds the attainable range on this side for
-        every allowed factor.
+        every allowed factor, no candidate passes certification, or the
+        bisection does not converge.
     """
-    (result,) = _solve_extension(scenario, index, (side,), factor)
-    if isinstance(result, InfeasibleGeometry):
-        raise result
-    return result
+    ((found, notes),) = _extension_outcomes(
+        scenario, index if index is not None else NullIndex(), (side,), factor
+    )
+    _replay(notes)
+    if isinstance(found, str):
+        raise InfeasibleGeometry(found)
+    return found[0]
 
 
-def _solve_extension(
-    scenario: ScenarioConfig,
-    index: NullIndex | None,
-    sides: tuple,
-    factor: str | None,
+def _extension_outcomes(
+    scenario: ScenarioConfig, index: NullIndex, sides: tuple, factor: str | None
 ) -> list:
-    """The extension scheme on each of ``sides``: the certified placement,
-    or the InfeasibleGeometry that rules the side out, per side.
-
-    The first candidates of all sides are certified in one kernel call; a
-    side whose candidate fails falls back to its next factor on its own.
-    Results, warnings and their order are those of solving the sides one
-    after another.
-    """
-    index = index if index is not None else NullIndex()
+    """The checks of the extension scheme, then the kept or new outcome of
+    each of ``sides``; the missing sides are solved together."""
     geom = scenario.array
     _check_index(index.l, geom.m_rows, geom.n_cols)
     _check_yaw(scenario.yaw)
-    runs = [_extension_side(scenario, index, side, factor) for side in sides]
+    if not all(side in ("left", "right") for side in sides):
+        raise ValueError("side must be 'left' or 'right'")
+    if factor not in (None, "row", "column"):
+        raise ValueError("factor must be 'row' or 'column'")
+    outcomes = _outcomes(scenario)
+    keys = [("pitch", _index_key(index), side, factor) for side in sides]
+    missing = [i for i, key in enumerate(keys) if key not in outcomes]
+    if missing:
+        solved = _solve_extension(scenario, index, [sides[i] for i in missing], factor)
+        for i, outcome in zip(missing, solved):
+            outcomes[keys[i]] = outcome
+    return [outcomes[key] for key in keys]
+
+
+def _solve_extension(
+    scenario: ScenarioConfig, index: NullIndex, sides: list, factor: str | None
+) -> list:
+    """The extension scheme on each of ``sides`` as an outcome: ((the
+    certified placement,), or the reason there is none, and the warning
+    messages in order).
+
+    The first candidates of all sides are certified in one kernel call; a
+    side whose candidate fails falls back to its next factor on its own.
+    Results and messages are those of solving the sides one after another.
+    """
+    notes = [[] for _ in sides]
+    runs = [
+        _extension_side(scenario, index, side, factor, side_notes)
+        for side, side_notes in zip(sides, notes)
+    ]
     steps = [_resume(run, None) for run in runs]
     first = [i for i, step in enumerate(steps) if isinstance(step, Position3D)]
     if first:
@@ -276,7 +364,10 @@ def _solve_extension(
             while isinstance(step, Position3D):
                 step = _resume(runs[i], float(correlation_at(scenario, [step])[0]))
             steps[i] = step
-    return steps
+    return [
+        (str(step) if isinstance(step, InfeasibleGeometry) else (step,), tuple(n))
+        for step, n in zip(steps, notes)
+    ]
 
 
 def _resume(run, residual):
@@ -291,14 +382,17 @@ def _resume(run, residual):
 
 
 def _extension_side(
-    scenario: ScenarioConfig, index: NullIndex, side: str, factor: str | None
+    scenario: ScenarioConfig,
+    index: NullIndex,
+    side: str,
+    factor: str | None,
+    notes: list,
 ):
     """The extension solver on one side, as a generator: it yields each
-    candidate position, is sent the |rho| recomputed there, and returns the
+    candidate position, is sent the |rho| recomputed there, appends a
+    message to ``notes`` for each candidate it discards, and returns the
     first certified placement or raises InfeasibleGeometry."""
     geom = scenario.array
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     tf = canonicalize_frame(scenario.bob, scenario.eve)
     eve_c = tf.to_canonical(scenario.eve)
     x_e = eve_c.x
@@ -316,10 +410,8 @@ def _extension_side(
     for fac in factors:
         if fac == "row":
             count, trig = geom.m_rows, math.cos(ang_e.azimuth_rel)
-        elif fac == "column":
-            count, trig = geom.n_cols, math.sin(ang_e.azimuth_rel)
         else:
-            raise ValueError("factor must be 'row' or 'column'")
+            count, trig = geom.n_cols, math.sin(ang_e.azimuth_rel)
         target = 2.0 * index.l / (count * abs(trig))
         if not target < gap_max:
             failure = (
@@ -333,12 +425,9 @@ def _extension_side(
         position = tf.from_canonical(Position3D(x_a, 0.0, g))
         residual = yield position
         if not residual <= _NULL_TOL:
-            # Attributed to the caller of solve_pitch_scheme or solve_all,
-            # four frames up through _resume and _solve_extension.
-            warnings.warn(
+            notes.append(
                 f"extension candidate x={x_a:.6f} failed verification "
-                f"(|rho| = {residual:.3e}); discarded",
-                stacklevel=5,
+                f"(|rho| = {residual:.3e}); discarded"
             )
             failure = f"{fac} factor candidate failed verification"
             continue
@@ -388,23 +477,28 @@ def _scan_gap(x_e: float, g: float, target: float) -> tuple[float, float]:
 
 
 def _bisect_gap(x_e: float, g: float, target: float) -> float:
-    """Root of _pitch_gap(x_e, g, t) = target by pre-scan plus bisection."""
+    """Root of _pitch_gap(x_e, g, t) = target by pre-scan plus bisection.
+
+    Raises InfeasibleGeometry, naming the last equation residual, if the
+    residual is still above 1e-12 after 200 halvings.
+    """
     lo, hi = _scan_gap(x_e, g, target)
     if lo == hi:
         return lo
-    best_t, best_v = lo, abs(_pitch_gap(x_e, g, lo) - target)
+    v = math.nan
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         v = _pitch_gap(x_e, g, mid) - target
-        if abs(v) < best_v:
-            best_t, best_v = mid, abs(v)
         if abs(v) <= _BISECT_TOL:
             return mid
         if v > 0.0:
             lo = mid
         else:
             hi = mid
-    return best_t
+    raise InfeasibleGeometry(
+        f"bisection for a pitch-cosine gap of {target:.6g} did not converge in "
+        f"{_BISECT_MAX_ITER} iterations (equation residual {abs(v):.3e})"
+    )
 
 
 def solve_all(
@@ -426,24 +520,26 @@ def solve_all(
     ValueError
         For a scheme other than "azimuth" or "pitch".
     """
+    index = NullIndex()
     solutions: list[PlacementSolution] = []
     failures: list[str] = []
     for scheme in schemes:
-        if scheme not in ("azimuth", "pitch"):
-            raise ValueError("scheme must be 'azimuth' or 'pitch'")
         if scheme == "azimuth":
-            try:
-                solutions.extend(solve_azimuth_scheme(scenario))
-            except InfeasibleGeometry as exc:
-                failures.append(f"azimuth: {exc}")
-        else:
+            labelled = [("azimuth", _bisector_outcome(scenario, index))]
+        elif scheme == "pitch":
             sides = ("left", "right")
-            results = _solve_extension(scenario, None, sides, None)
-            for side, result in zip(sides, results):
-                if isinstance(result, InfeasibleGeometry):
-                    failures.append(f"pitch {side}: {result}")
-                else:
-                    solutions.append(result)
+            labelled = zip(
+                ("pitch left", "pitch right"),
+                _extension_outcomes(scenario, index, sides, None),
+            )
+        else:
+            raise ValueError("scheme must be 'azimuth' or 'pitch'")
+        for label, (found, notes) in labelled:
+            _replay(notes)
+            if isinstance(found, str):
+                failures.append(f"{label}: {found}")
+            else:
+                solutions.extend(found)
     return solutions, failures
 
 

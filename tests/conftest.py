@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from spwt import (
     ArrayGeometry,
@@ -65,6 +65,23 @@ def reference_scenario() -> ScenarioConfig:
     """4x4 half-wavelength array at 3 GHz, nodes 500 m apart, 200 m altitude,
     45 degree yaw, 1 W at a 15 dB SNR."""
     return make_scenario()
+
+
+@st.composite
+def finite_scenarios(draw):
+    """Random finite scenarios: arrays up to 16x16, yaw in any quadrant but
+    at least 0.05 rad from a quarter turn."""
+    quarter = draw(st.integers(0, 3))
+    offset = draw(st.floats(0.05, math.pi / 2.0 - 0.05))
+    return make_scenario(
+        m=draw(st.integers(2, 16)),
+        n=draw(st.integers(2, 16)),
+        x_e=draw(st.floats(50.0, 2000.0)),
+        g=draw(st.floats(10.0, 600.0)),
+        yaw=quarter * math.pi / 2.0 + offset,
+        p=draw(st.floats(0.01, 100.0)),
+        seed=draw(st.integers(0, 2**16)),
+    )
 
 
 def explicit_correlation(scenario: ScenarioConfig, uav: Position3D) -> float:

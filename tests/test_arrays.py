@@ -33,6 +33,33 @@ def test_geometry_validation():
         ArrayGeometry(4, 4, 3.0e9, spacing_m=0.0)
 
 
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        ((4, 4, math.nan), {}),
+        ((4, 4, math.inf), {}),
+        ((4, 4, -math.inf), {}),
+        ((4, 4, 1e-305), {}),  # the default spacing overflows
+        ((True, 4, 3e9), {}),
+        ((4, False, 3e9), {}),
+        ((4.5, 4, 3e9), {}),
+        ((4.0, 4, 3e9), {}),
+        ((4, "4", 3e9), {}),
+        ((4, 4, 3e9), {"spacing_m": math.nan}),
+        ((4, 4, 3e9), {"spacing_m": math.inf}),
+        ((4, 4, 3e9), {"spacing_m": -0.05}),
+    ],
+)
+def test_geometry_rejects_input_outside_the_model(args, kwargs):
+    with pytest.raises(ValueError):
+        ArrayGeometry(*args, **kwargs)
+
+
+def test_geometry_accepts_numpy_integers():
+    geom = ArrayGeometry(np.int64(4), np.int32(8), 3.0e9, spacing_m=0.05)
+    assert (geom.m_rows, geom.n_cols, geom.spacing_m) == (4, 8, 0.05)
+
+
 def test_single_element_vector():
     vec = steering_vector(ArrayGeometry(1, 1, 3.0e9), 1.234, 0.5)
     assert vec.shape == (1,)

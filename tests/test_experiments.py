@@ -14,7 +14,7 @@ from spwt import (
     sweep_alpha,
     sweep_snr,
 )
-from conftest import make_scenario, scalar_baseline_positions
+from conftest import finite_scenarios, make_scenario, scalar_baseline_positions
 
 SERIES = ("proposed", "theory", "rand1", "rand2", "rand3")
 
@@ -186,23 +186,6 @@ def test_sweeps_equal_per_point_link_evaluation(reference_scenario, scheme):
             evaluate_link(split, pos).secrecy_rate_bps_hz for pos in positions[1:]
         ]
         assert got == want
-
-
-@st.composite
-def finite_scenarios(draw):
-    """Random finite scenarios: arrays up to 16x16, yaw in any quadrant but
-    at least 0.05 rad from a quarter turn."""
-    quarter = draw(st.integers(0, 3))
-    offset = draw(st.floats(0.05, math.pi / 2.0 - 0.05))
-    return make_scenario(
-        m=draw(st.integers(2, 16)),
-        n=draw(st.integers(2, 16)),
-        x_e=draw(st.floats(50.0, 2000.0)),
-        g=draw(st.floats(10.0, 600.0)),
-        yaw=quarter * math.pi / 2.0 + offset,
-        p=draw(st.floats(0.01, 100.0)),
-        seed=draw(st.integers(0, 2**16)),
-    )
 
 
 @given(

@@ -19,7 +19,8 @@ from spwt import (
     solve_azimuth_scheme,
     solve_pitch_scheme,
 )
-from spwt.placement import _pitch_gap, _scan_gap
+from spwt import placement
+from spwt.placement import _bisect_gap, _pitch_gap, _scan_gap
 from spwt.signalmodel import correlation_at
 from conftest import (
     element_sum_map,
@@ -172,6 +173,25 @@ def test_pitch_infeasible_when_gap_unreachable():
     # small array, high flight: the needed pitch-cosine gap is unattainable
     with pytest.raises(InfeasibleGeometry):
         solve_pitch_scheme(make_scenario(m=2, n=2, g=2000.0), side="left")
+
+
+def test_bisection_without_convergence_raises(monkeypatch):
+    target = 2.0 / (4.0 * math.cos(math.pi / 4.0))  # the reference root's gap
+    assert _bisect_gap(500.0, 200.0, target) == pytest.approx(PITCH_T_REF, abs=1e-9)
+    monkeypatch.setattr(placement, "_BISECT_MAX_ITER", 3)
+    with pytest.raises(InfeasibleGeometry, match="did not converge in 3 iter") as info:
+        _bisect_gap(500.0, 200.0, target)
+    # the message names the residual of the last midpoint tried
+    lo, hi = _scan_gap(500.0, 200.0, target)
+    for _ in range(3):
+        mid = 0.5 * (lo + hi)
+        v = _pitch_gap(500.0, 200.0, mid) - target
+        lo, hi = (mid, hi) if v > 0.0 else (lo, mid)
+    assert abs(v) > 1e-12
+    assert f"(equation residual {abs(v):.3e})" in str(info.value)
+    # a solver reports it as the side's failure
+    with pytest.raises(InfeasibleGeometry, match="did not converge"):
+        solve_pitch_scheme(make_scenario(), side="left")
 
 
 def test_pitch_gap_monotone_decreasing_outward():
