@@ -101,42 +101,6 @@ def _check_index(value: int, m_rows: int, n_cols: int) -> None:
         )
 
 
-def solve_azimuth_scheme(
-    scenario: ScenarioConfig, index: NullIndex | None = None
-) -> list[PlacementSolution]:
-    """All bisector-scheme placements nulling the correlation.
-
-    On x = x_e/2 the pitch cosines agree, and the row factor vanishes when
-
-        y > 0 with  4*k^2*(y^2 + g^2) = (M^2*cos(yaw)^2 - k^2) * x_e^2,
-
-    the column factor when M*cos is replaced by N*sin.  Up to four
-    candidates arise (two equations, two signs); duplicates within 1e-6 m
-    are merged and every survivor is certified against the recomputed
-    correlation, all candidates in one kernel call.
-
-    Returns
-    -------
-    list of PlacementSolution
-        In deterministic order: row factor before column, + branch before -.
-
-    Raises
-    ------
-    InfeasibleGeometry
-        If both radicands are negative (lower the altitude or rotate the
-        yaw toward the ground axis), or no candidate passes certification.
-    InvalidYaw, InvalidIndex
-        For a quarter-turn yaw or an index with no matching zero.
-    """
-    found, notes = _bisector_outcome(
-        scenario, index if index is not None else NullIndex()
-    )
-    _replay(notes)
-    if isinstance(found, str):
-        raise InfeasibleGeometry(found)
-    return list(found)
-
-
 # The last scenario object asked for, and its outcomes.  A study solves one
 # scenario and then sweeps it, so one slot serves every repeat; an equal
 # copy is another object and is solved afresh, and the previous scenario is
@@ -173,6 +137,42 @@ def _replay(notes: tuple) -> None:
     solver that replays it."""
     for note in notes:
         warnings.warn(note, stacklevel=3)
+
+
+def solve_azimuth_scheme(
+    scenario: ScenarioConfig, index: NullIndex | None = None
+) -> list[PlacementSolution]:
+    """All bisector-scheme placements nulling the correlation.
+
+    On x = x_e/2 the pitch cosines agree, and the row factor vanishes when
+
+        y > 0 with  4*k^2*(y^2 + g^2) = (M^2*cos(yaw)^2 - k^2) * x_e^2,
+
+    the column factor when M*cos is replaced by N*sin.  Up to four
+    candidates arise (two equations, two signs); duplicates within 1e-6 m
+    are merged and every survivor is certified against the recomputed
+    correlation, all candidates in one kernel call.
+
+    Returns
+    -------
+    list of PlacementSolution
+        In deterministic order: row factor before column, + branch before -.
+
+    Raises
+    ------
+    InfeasibleGeometry
+        If both radicands are negative (lower the altitude or rotate the
+        yaw toward the ground axis), or no candidate passes certification.
+    InvalidYaw, InvalidIndex
+        For a quarter-turn yaw or an index with no matching zero.
+    """
+    found, notes = _bisector_outcome(
+        scenario, index if index is not None else NullIndex()
+    )
+    _replay(notes)
+    if isinstance(found, str):
+        raise InfeasibleGeometry(found)
+    return list(found)
 
 
 def _bisector_outcome(scenario: ScenarioConfig, index: NullIndex) -> tuple:

@@ -39,6 +39,8 @@ def test_geometry_validation():
         ((4, 4, math.nan), {}),
         ((4, 4, math.inf), {}),
         ((4, 4, -math.inf), {}),
+        ((4, 4, math.nan), {"spacing_m": 0.05}),
+        ((4, 4, math.inf), {"spacing_m": 0.05}),
         ((4, 4, 1e-305), {}),  # the default spacing overflows
         ((True, 4, 3e9), {}),
         ((4, False, 3e9), {}),

@@ -4,6 +4,8 @@ fresh equal copy gives, as fresh objects, and the kept scenario must be
 released once another one is solved."""
 
 import gc
+import sys
+import threading
 import warnings
 import weakref
 from dataclasses import replace
@@ -13,6 +15,7 @@ from hypothesis import given
 
 from spwt import (
     InfeasibleGeometry,
+    NullIndex,
     Position3D,
     solve_all,
     solve_azimuth_scheme,
@@ -67,6 +70,17 @@ def test_returned_lists_are_fresh(reference_scenario):
     again = sweep_snr(sc)
     assert again.series == want_series
     assert again.metadata["baseline_positions"] == want_baselines
+
+
+def test_equal_but_distinct_inputs_are_solved_apart(reference_scenario):
+    sc = reference_scenario
+    for index in (NullIndex(1, 1), NullIndex(True, 1), NullIndex(1.0, 1.0)):
+        solutions = solve_azimuth_scheme(sc, index) + [solve_pitch_scheme(sc, index)]
+        assert {repr(s.index_used) for s in solutions} == {repr(index)}
+    # a float count fails in the draw, also after an int count was drawn
+    sweep_snr(sc, n_random_baselines=1)
+    with pytest.raises(TypeError):
+        sweep_snr(sc, n_random_baselines=1.0)
 
 
 def test_each_call_raises_a_new_exception():
@@ -141,3 +155,32 @@ def test_replayed_warnings_point_at_the_caller():
             solve_all(sc)
     assert len(caught) == 2 * (2 + 1 + 4)
     assert {w.filename for w in caught} == {__file__}
+
+
+def test_threads_each_get_their_own_scenario_outcomes():
+    # more threads than cores, switching every microsecond, each with its own
+    # scenarios: an outcome filed under another thread's scenario would
+    # break the equality with the fresh computation
+    scenarios = [make_scenario(m=m, n=8, x_e=300.0 + 100.0 * m, seed=m) for m in (2, 3, 4, 5, 6, 7)]
+    want = [_study(replace(sc)) for sc in scenarios]
+    errors = []
+
+    def work(i):
+        try:
+            for _ in range(30):
+                assert _study(scenarios[i]) == want[i]
+        except Exception as exc:  # reported below, with the thread's index
+            errors.append((i, exc))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(scenarios))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
