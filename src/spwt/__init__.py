@@ -10,14 +10,9 @@ spending power on noise.
 
 __version__ = "0.1.0"
 
-from .arrays import (
-    ArrayGeometry,
-    cross_correlation,
-    steering_vector,
-)
+from .arrays import ArrayGeometry
 from .errors import (
     DegenerateGeometry,
-    DimensionMismatch,
     InfeasibleGeometry,
     InvalidCorrelation,
     InvalidIndex,
@@ -32,10 +27,8 @@ from .experiments import (
 )
 from .geometry import (
     FrameTransform,
-    LookAngles,
     Position3D,
     canonicalize_frame,
-    look_angles,
 )
 from .placement import (
     NullIndex,
@@ -59,14 +52,12 @@ __all__ = [
     "__version__",
     "ArrayGeometry",
     "DegenerateGeometry",
-    "DimensionMismatch",
     "FrameTransform",
     "InfeasibleGeometry",
     "InvalidCorrelation",
     "InvalidIndex",
     "InvalidYaw",
     "LinkMetrics",
-    "LookAngles",
     "NullIndex",
     "PlacementSolution",
     "Position3D",
@@ -76,9 +67,7 @@ __all__ = [
     "SweepResult",
     "canonicalize_frame",
     "correlation_map",
-    "cross_correlation",
     "evaluate_link",
-    "look_angles",
     "random_baseline_positions",
     "secrecy_rate",
     "sinr_bob",
@@ -86,7 +75,6 @@ __all__ = [
     "solve_all",
     "solve_azimuth_scheme",
     "solve_pitch_scheme",
-    "steering_vector",
     "sweep_alpha",
     "sweep_snr",
 ]

@@ -1,4 +1,4 @@
-"""Planar-array steering vectors and their pairwise correlation.
+"""Planar-array layout.
 
 The antenna array is an M x N rectangular grid in the horizontal plane with
 rows aligned to the platform heading.  The channel toward a ground node is
@@ -7,16 +7,12 @@ term, so range enters only through the angles.  The correlation between two
 steering vectors factors into a product of two geometric sums, one per array
 axis, which is what both placement schemes exploit; the package evaluates it
 in that factored form (:func:`spwt.signalmodel.correlation_magnitude`), and
-the explicit vectors here are the reference it is tested against.
+the tests check it against the explicit steering vectors.
 """
 
 import math
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
-
-from .errors import DimensionMismatch
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -60,43 +56,3 @@ class ArrayGeometry:
         """Phase advance in radians per element index per unit direction
         cosine: 2*pi*f*d/c (pi at half-wavelength spacing)."""
         return 2.0 * math.pi * self.carrier_hz * self.spacing_m / SPEED_OF_LIGHT
-
-
-def steering_vector(
-    geom: ArrayGeometry, azimuth_rel: float, pitch: float
-) -> np.ndarray:
-    """Array response toward a direction given in the array frame.
-
-    Parameters
-    ----------
-    geom : ArrayGeometry
-        Array layout and carrier.
-    azimuth_rel : float
-        Azimuth of the target relative to the array heading, radians.
-    pitch : float
-        Elevation of the path toward the target, radians in [0, pi/2].
-
-    Returns
-    -------
-    numpy.ndarray
-        Length M*N complex vector, row-major over (row, column) element
-        indices, each entry of modulus 1/sqrt(M*N); Euclidean norm 1.
-    """
-    m = np.arange(geom.m_rows, dtype=float)[:, None]
-    n = np.arange(geom.n_cols, dtype=float)[None, :]
-    proj = m * math.cos(azimuth_rel) + n * math.sin(azimuth_rel)
-    psi = -geom.phase_coef * math.cos(pitch) * proj
-    return (np.exp(1j * psi) / math.sqrt(geom.size)).ravel()
-
-
-def cross_correlation(h_e: np.ndarray, h_b: np.ndarray) -> complex:
-    """Inner product conj(h_e) . h_b between two steering vectors.
-
-    For unit vectors the magnitude never exceeds 1; it reaches 0 exactly when
-    the eavesdropper sits on a null of the beam toward the receiver.
-    """
-    if h_e.shape != h_b.shape:
-        raise DimensionMismatch(
-            f"steering vectors differ in length: {h_e.shape} vs {h_b.shape}"
-        )
-    return complex(np.vdot(h_e, h_b))

@@ -10,10 +10,6 @@ class DegenerateGeometry(SpwtError):
     directly above the node it is being aimed at."""
 
 
-class DimensionMismatch(SpwtError):
-    """Two vectors that must share an array geometry do not."""
-
-
 class InvalidCorrelation(SpwtError):
     """A correlation magnitude above 1, which unit vectors cannot produce."""
 

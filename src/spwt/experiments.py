@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InfeasibleGeometry
 from .geometry import Position3D
-from .placement import PlacementSolution, _outcomes, solve_all
+from .placement import PlacementSolution, _kept, solve_all
 from .scenario import ScenarioConfig
 from .signalmodel import correlation_at, secrecy_rates
 
@@ -86,20 +86,16 @@ def _best_placement(scenario: ScenarioConfig, scheme: str) -> PlacementSolution:
 
 
 def _baselines(scenario: ScenarioConfig, n: int) -> tuple:
-    """The scenario's ``n`` baseline positions and their correlations, from
-    the one draw and kernel call kept with the scenario's placements."""
-    outcomes = _outcomes(scenario)
-    key = ("baselines", n, type(n))
-    if key not in outcomes:
-        positions = random_baseline_positions(
-            n,
-            BASELINE_BOUNDS,
-            z=scenario.uav_height_m,
-            seed=scenario.seed,
-            exclude=(scenario.bob, scenario.eve),
-        )
-        outcomes[key] = (positions, correlation_at(scenario, positions).tolist())
-    return outcomes[key]
+    """The scenario's ``n`` baseline positions and their correlations, in
+    one draw and one kernel call."""
+    positions = random_baseline_positions(
+        n,
+        BASELINE_BOUNDS,
+        z=scenario.uav_height_m,
+        seed=scenario.seed,
+        exclude=(scenario.bob, scenario.eve),
+    )
+    return positions, correlation_at(scenario, positions).tolist()
 
 
 def _linear_snr(snr_db: float, p: float) -> float:
@@ -117,7 +113,8 @@ def _linear_snr(snr_db: float, p: float) -> float:
 
 
 def _run_id(scenario: ScenarioConfig, kind: str, scheme: str) -> str:
-    text = f"{scenario!r}|{kind}|{scheme}"
+    # The scenario's repr is most of the cost; the sweeps of a study share it.
+    text = f"{_kept(scenario, ('repr',), repr)}|{kind}|{scheme}"
     return hashlib.sha1(text.encode()).hexdigest()[:12]
 
 
@@ -159,7 +156,9 @@ def _sweep(
     from one :func:`secrecy_rates` call.
     """
     best = _best_placement(scenario, scheme)
-    baselines, baseline_rhos = _baselines(scenario, n_random_baselines)
+    n = n_random_baselines
+    key = ("baselines", n, type(n))
+    baselines, baseline_rhos = _kept(scenario, key, _baselines, n)
     rhos = [best.null_residual, *baseline_rhos]
     p = scenario.power.total_power_w
     noise = [p / snr_lin for _, snr_lin, _ in points]

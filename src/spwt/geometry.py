@@ -1,4 +1,4 @@
-"""Angle bookkeeping between ground nodes and an elevated transmitter.
+"""Positions and the canonical solving frame.
 
 Positions use a right-handed frame with z as altitude.  Solvers work in a
 canonical frame with the intended receiver at the origin and the eavesdropper
@@ -15,7 +15,7 @@ from .errors import DegenerateGeometry
 
 TWO_PI = 2.0 * math.pi
 
-# Below this horizontal separation in meters the azimuth is undefined.
+# Below this horizontal separation in meters the ground axis is undefined.
 _FLAT_EPS = 1e-9
 
 
@@ -26,28 +26,6 @@ class Position3D:
     x: float
     y: float
     z: float = 0.0
-
-
-@dataclass(frozen=True)
-class LookAngles:
-    """Direction of the transmitter as seen from a ground node.
-
-    Attributes
-    ----------
-    azimuth : float
-        Ground-plane angle of the node-to-transmitter displacement, measured
-        from the +x axis, wrapped to [0, 2*pi).
-    pitch : float
-        Elevation toward the transmitter, in [0, pi/2] while it flies above
-        the node.
-    azimuth_rel : float
-        Azimuth expressed in the array frame, i.e. azimuth minus the
-        transmitter yaw, wrapped to [0, 2*pi).
-    """
-
-    azimuth: float
-    pitch: float
-    azimuth_rel: float
 
 
 @dataclass(frozen=True)
@@ -76,38 +54,6 @@ class FrameTransform:
         xt = p.x * c + p.y * s
         yt = -p.x * s + p.y * c
         return Position3D(xt - self.shift_x, yt - self.shift_y, p.z)
-
-
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle to [0, 2*pi)."""
-    return angle % TWO_PI
-
-
-def look_angles(uav: Position3D, target: Position3D, yaw: float) -> LookAngles:
-    """Azimuth, pitch and yaw-relative azimuth of ``uav`` seen from ``target``.
-
-    The quadrant is resolved with atan2 on the horizontal displacement, so
-    the returned sin/cos pairs always match the coordinate ratios.
-
-    Raises
-    ------
-    DegenerateGeometry
-        If the transmitter sits within 1e-9 m of the vertical over ``target``.
-    """
-    dx = uav.x - target.x
-    dy = uav.y - target.y
-    horiz = math.hypot(dx, dy)
-    if horiz < _FLAT_EPS:
-        raise DegenerateGeometry(
-            "transmitter is directly above the node; azimuth undefined"
-        )
-    azimuth = wrap_angle(math.atan2(dy, dx))
-    pitch = math.atan2(uav.z - target.z, horiz)
-    return LookAngles(
-        azimuth=azimuth,
-        pitch=pitch,
-        azimuth_rel=wrap_angle(azimuth - yaw),
-    )
 
 
 def canonicalize_frame(bob_raw: Position3D, eve_raw: Position3D) -> FrameTransform:

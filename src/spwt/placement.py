@@ -16,9 +16,11 @@ Every candidate position is certified by recomputing the correlation with
 candidates that fail are discarded with a warning rather than returned, and a
 solver with no certified candidate raises ``InfeasibleGeometry``.
 
-Each scenario is solved once: the outcomes of the last scenario object
-asked for (its placements or failure reasons, with the warnings their solve
-produced) are kept and replayed while the same object keeps being asked.
+Each scheme computes every candidate up front (no candidate's position
+depends on another's certification) and certifies them all in one kernel
+call.  The candidates of the last scenario object asked for are kept while
+the same object keeps being asked; each call picks its placements from
+them and warns of the candidates it discards.
 """
 
 import math
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
-from .geometry import Position3D, canonicalize_frame, look_angles
+from .geometry import TWO_PI, Position3D, canonicalize_frame
 from .scenario import ScenarioConfig
 from .signalmodel import correlation_at, correlation_magnitude, link_metrics
 
@@ -92,7 +94,9 @@ def _check_yaw(yaw: float) -> None:
 
 
 def _check_index(value: int, m_rows: int, n_cols: int) -> None:
-    if value < 1:
+    # 1.0, True and numpy integers pass; 1.5, nan and inf would reach the
+    # null equations and fail there for a misleading reason.
+    if not (value >= 1 and value % 1 == 0):
         raise InvalidIndex("null index must be a positive integer")
     if value % m_rows == 0 or value % n_cols == 0:
         raise InvalidIndex(
@@ -101,7 +105,7 @@ def _check_index(value: int, m_rows: int, n_cols: int) -> None:
         )
 
 
-# The last scenario object asked for, and its outcomes.  A study solves one
+# The last scenario object asked for, and its kept outcomes.  A study solves one
 # scenario and then sweeps it, so one slot serves every repeat; an equal
 # copy is another object and is solved afresh, and the previous scenario is
 # released as soon as another one is asked for.  The pair is read and
@@ -110,33 +114,24 @@ def _check_index(value: int, m_rows: int, n_cols: int) -> None:
 _last: tuple = (None, {})
 
 
-def _outcomes(scenario: ScenarioConfig) -> dict:
-    """The outcomes kept for ``scenario``: filled by earlier calls if it is
-    the last scenario asked for, else a new empty set that replaces them.
+def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
+    """The outcome ``key`` kept for ``scenario``, ``build(scenario, *args)``
+    the first time it is asked for; any other scenario's are dropped first.
 
-    Keys name what was solved: ("azimuth", index), ("pitch", index, side,
-    factor), and the sweeps' ("baselines", count), each number with its
-    type, so that inputs that only compare equal (1, 1.0, True) are solved
-    apart.  An outcome holds only values and messages, never an exception
-    or the scenario, so releasing the slot frees the scenario.
+    Keys name what was computed: ("azimuth", k), ("pitch", l), the sweeps'
+    ("baselines", count) and ("repr",), each number with its type, so that
+    inputs that only compare equal (1, 1.0, True) are solved apart.  An
+    outcome holds only values and messages, never an exception or the
+    scenario, so releasing the slot frees the scenario.
     """
     global _last
     held, outcomes = _last
     if held is not scenario:
         outcomes = {}
         _last = (scenario, outcomes)
-    return outcomes
-
-
-def _index_key(index: NullIndex) -> tuple:
-    return (index, type(index.k), type(index.l))
-
-
-def _replay(notes: tuple) -> None:
-    """Warn each recorded message, attributed to the caller of the public
-    solver that replays it."""
-    for note in notes:
-        warnings.warn(note, stacklevel=3)
+    if key not in outcomes:
+        outcomes[key] = build(scenario, *args)
+    return outcomes[key]
 
 
 def solve_azimuth_scheme(
@@ -166,32 +161,59 @@ def solve_azimuth_scheme(
     InvalidYaw, InvalidIndex
         For a quarter-turn yaw or an index with no matching zero.
     """
-    found, notes = _bisector_outcome(
-        scenario, index if index is not None else NullIndex()
-    )
-    _replay(notes)
-    if isinstance(found, str):
-        raise InfeasibleGeometry(found)
-    return list(found)
+    return _bisector(scenario, index if index is not None else NullIndex())
 
 
-def _bisector_outcome(scenario: ScenarioConfig, index: NullIndex) -> tuple:
-    """The checks of the bisector scheme, then its kept or new outcome."""
+def _bisector(scenario: ScenarioConfig, index: NullIndex) -> list[PlacementSolution]:
+    """The checks of the bisector scheme, then its certified placements from
+    the kept candidates, warning of each one discarded (attributed to the
+    caller of the public function that called this one)."""
     geom = scenario.array
     _check_index(index.k, geom.m_rows, geom.n_cols)
     _check_yaw(scenario.yaw)
-    outcomes = _outcomes(scenario)
-    key = ("azimuth", _index_key(index))
-    if key not in outcomes:
-        outcomes[key] = _solve_bisector(scenario, index)
-    return outcomes[key]
+    key = ("azimuth", index.k, type(index.k))
+    candidates = _kept(scenario, key, _bisector_candidates, index.k)
+    if isinstance(candidates, str):
+        raise InfeasibleGeometry(candidates)
+    solutions: list[PlacementSolution] = []
+    accepted_y: list[float] = []
+    for (factor, branch, y), position, residual in candidates:
+        if any(abs(y - prev) < _DEDUP_M for prev in accepted_y):
+            continue
+        if not residual <= _NULL_TOL:
+            warnings.warn(
+                f"bisector candidate y={y:.6f} failed verification "
+                f"(|rho| = {residual:.3e}); discarded",
+                stacklevel=3,
+            )
+            continue
+        accepted_y.append(y)
+        metrics = link_metrics(residual, scenario.power)
+        solutions.append(
+            PlacementSolution(
+                position=position,
+                scheme="azimuth",
+                branch=branch,
+                index_used=index,
+                factor_used=factor,
+                null_residual=residual,
+                sr_at_solution=metrics.secrecy_rate_bps_hz,
+            )
+        )
+    if not solutions:
+        raise InfeasibleGeometry(
+            "every bisector candidate failed verification; the closed form "
+            "needs finite inputs and both ground nodes at z = 0"
+        )
+    return solutions
 
 
-def _solve_bisector(scenario: ScenarioConfig, index: NullIndex) -> tuple:
-    """The bisector scheme as an outcome: (the certified solutions, or the
-    reason there are none, and the warning messages in order)."""
+def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
+    """Every bisector candidate at row index ``k`` as ((factor, branch, y),
+    position, |rho|), all certified in one kernel call; or the reason there
+    is none."""
     geom = scenario.array
-    k = float(index.k)
+    k = float(k)
     tf = canonicalize_frame(scenario.bob, scenario.eve)
     x_e = tf.to_canonical(scenario.eve).x
     g = scenario.uav_height_m
@@ -220,46 +242,11 @@ def _solve_bisector(scenario: ScenarioConfig, index: NullIndex) -> tuple:
         return (
             f"no real lateral offset on the bisector (largest radicand "
             f"{max(radicands):.6g} m^2); lower the altitude or rotate the "
-            f"yaw closer to the ground axis",
-            (),
+            f"yaw closer to the ground axis"
         )
-
     positions = [tf.from_canonical(Position3D(half, y, g)) for _, _, y in candidates]
     residuals = correlation_at(scenario, positions).tolist()
-    solutions: list[PlacementSolution] = []
-    notes: list[str] = []
-    accepted_y: list[float] = []
-    for (factor, branch, y), position, residual in zip(
-        candidates, positions, residuals
-    ):
-        if any(abs(y - prev) < _DEDUP_M for prev in accepted_y):
-            continue
-        if not residual <= _NULL_TOL:
-            notes.append(
-                f"bisector candidate y={y:.6f} failed verification "
-                f"(|rho| = {residual:.3e}); discarded"
-            )
-            continue
-        accepted_y.append(y)
-        metrics = link_metrics(residual, scenario.power)
-        solutions.append(
-            PlacementSolution(
-                position=position,
-                scheme="azimuth",
-                branch=branch,
-                index_used=index,
-                factor_used=factor,
-                null_residual=residual,
-                sr_at_solution=metrics.secrecy_rate_bps_hz,
-            )
-        )
-    if not solutions:
-        return (
-            "every bisector candidate failed verification; the closed form "
-            "needs finite inputs and both ground nodes at z = 0",
-            tuple(notes),
-        )
-    return tuple(solutions), tuple(notes)
+    return tuple(zip(candidates, positions, residuals))
 
 
 def _pitch_gap(x_e: float, g: float, t: float) -> float:
@@ -308,131 +295,42 @@ def solve_pitch_scheme(
         every allowed factor, no candidate passes certification, or the
         bisection does not converge.
     """
-    ((found, notes),) = _extension_outcomes(
-        scenario, index if index is not None else NullIndex(), (side,), factor
+    return _extension(
+        scenario, index if index is not None else NullIndex(), side, factor
     )
-    _replay(notes)
-    if isinstance(found, str):
-        raise InfeasibleGeometry(found)
-    return found[0]
 
 
-def _extension_outcomes(
-    scenario: ScenarioConfig, index: NullIndex, sides: tuple, factor: str | None
-) -> list:
-    """The checks of the extension scheme, then the kept or new outcome of
-    each of ``sides``; the missing sides are solved together."""
+def _extension(
+    scenario: ScenarioConfig, index: NullIndex, side: str, factor: str | None
+) -> PlacementSolution:
+    """The checks of the extension scheme, then the first certified
+    placement on ``side`` from the kept steps, as :func:`_bisector` does; a
+    bisection that raised ends the side with its message."""
     geom = scenario.array
     _check_index(index.l, geom.m_rows, geom.n_cols)
     _check_yaw(scenario.yaw)
-    if not all(side in ("left", "right") for side in sides):
+    if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if factor not in (None, "row", "column"):
         raise ValueError("factor must be 'row' or 'column'")
-    outcomes = _outcomes(scenario)
-    keys = [("pitch", _index_key(index), side, factor) for side in sides]
-    missing = [i for i, key in enumerate(keys) if key not in outcomes]
-    if missing:
-        solved = _solve_extension(scenario, index, [sides[i] for i in missing], factor)
-        for i, outcome in zip(missing, solved):
-            outcomes[keys[i]] = outcome
-    return [outcomes[key] for key in keys]
-
-
-def _solve_extension(
-    scenario: ScenarioConfig, index: NullIndex, sides: list, factor: str | None
-) -> list:
-    """The extension scheme on each of ``sides`` as an outcome: ((the
-    certified placement,), or the reason there is none, and the warning
-    messages in order).
-
-    The first candidates of all sides are certified in one kernel call; a
-    side whose candidate fails falls back to its next factor on its own.
-    Results and messages are those of solving the sides one after another.
-    """
-    notes = [[] for _ in sides]
-    runs = [
-        _extension_side(scenario, index, side, factor, side_notes)
-        for side, side_notes in zip(sides, notes)
-    ]
-    steps = [_resume(run, None) for run in runs]
-    first = [i for i, step in enumerate(steps) if isinstance(step, Position3D)]
-    if first:
-        residuals = correlation_at(scenario, [steps[i] for i in first]).tolist()
-        for i, residual in zip(first, residuals):
-            step = _resume(runs[i], residual)
-            while isinstance(step, Position3D):
-                step = _resume(runs[i], float(correlation_at(scenario, [step])[0]))
-            steps[i] = step
-    return [
-        (str(step) if isinstance(step, InfeasibleGeometry) else (step,), tuple(n))
-        for step, n in zip(steps, notes)
-    ]
-
-
-def _resume(run, residual):
-    """Send ``residual`` into the side solver ``run``: its next candidate
-    position, its solution, or the InfeasibleGeometry it raised."""
-    try:
-        return run.send(residual)
-    except StopIteration as done:
-        return done.value
-    except InfeasibleGeometry as exc:
-        return exc
-
-
-def _extension_side(
-    scenario: ScenarioConfig,
-    index: NullIndex,
-    side: str,
-    factor: str | None,
-    notes: list,
-):
-    """The extension solver on one side, as a generator: it yields each
-    candidate position, is sent the |rho| recomputed there, appends a
-    message to ``notes`` for each candidate it discards, and returns the
-    first certified placement or raises InfeasibleGeometry."""
-    geom = scenario.array
-    tf = canonicalize_frame(scenario.bob, scenario.eve)
-    eve_c = tf.to_canonical(scenario.eve)
-    x_e = eve_c.x
-    g = scenario.uav_height_m
-
-    # The yaw-relative azimuth toward the eavesdropper is constant along
-    # each side; probe it 1 m beyond the segment end.
-    probe_x = -1.0 if side == "left" else x_e + 1.0
-    ang_e = look_angles(Position3D(probe_x, 0.0, g), eve_c, scenario.yaw)
-    side_sign = 1.0 if side == "left" else -1.0
-    gap_max = x_e / math.hypot(x_e, g)
-
-    factors = (factor,) if factor is not None else ("row", "column")
-    failure = "no factor attempted"
-    for fac in factors:
-        if fac == "row":
-            count, trig = geom.m_rows, math.cos(ang_e.azimuth_rel)
-        else:
-            count, trig = geom.n_cols, math.sin(ang_e.azimuth_rel)
-        target = 2.0 * index.l / (count * abs(trig))
-        if not target < gap_max:
-            failure = (
-                f"{fac} factor needs a pitch-cosine gap of {target:.6g}, above "
-                f"the attainable {gap_max:.6g} on the {side} side"
-            )
+    key = ("pitch", index.l, type(index.l))
+    steps = _kept(scenario, key, _extension_candidates, index.l)
+    for fac in (factor,) if factor is not None else ("row", "column"):
+        kind, *step = steps[side, fac]
+        if kind == "raised":
+            raise InfeasibleGeometry(step[0])
+        if kind == "gap":
+            failure = step[0]
             continue
-
-        t = _bisect_gap(x_e, g, target)
-        x_a = -t if side == "left" else x_e + t
-        position = tf.from_canonical(Position3D(x_a, 0.0, g))
-        residual = yield position
+        x_a, branch, position, residual = step
         if not residual <= _NULL_TOL:
-            notes.append(
+            warnings.warn(
                 f"extension candidate x={x_a:.6f} failed verification "
-                f"(|rho| = {residual:.3e}); discarded"
+                f"(|rho| = {residual:.3e}); discarded",
+                stacklevel=3,
             )
             failure = f"{fac} factor candidate failed verification"
             continue
-        # Branch sign of +/- as it appears in the defining equation.
-        branch = "+" if side_sign * target * trig > 0.0 else "-"
         metrics = link_metrics(residual, scenario.power)
         return PlacementSolution(
             position=position,
@@ -447,6 +345,55 @@ def _extension_side(
         f"extension scheme infeasible on the {side} side: {failure}; lower "
         f"the altitude, shrink the index, or use a larger array"
     )
+
+
+def _extension_candidates(scenario: ScenarioConfig, l) -> dict:
+    """Every extension step at column index ``l`` by (side, factor): ("gap",
+    why the gap is unattainable), ("raised", a bisection's message), or
+    ("candidate", canonical x, branch, position, |rho|), all candidates
+    certified in one kernel call."""
+    geom = scenario.array
+    tf = canonicalize_frame(scenario.bob, scenario.eve)
+    eve_c = tf.to_canonical(scenario.eve)
+    x_e = eve_c.x
+    g = scenario.uav_height_m
+    gap_max = x_e / math.hypot(x_e, g)
+
+    steps: dict = {}
+    found: list = []
+    for side, side_sign in (("left", 1.0), ("right", -1.0)):
+        # The eavesdropper's yaw-relative azimuth is constant along each side;
+        # take it 1 m beyond the segment end, wrapped twice as look angles are.
+        probe_x = -1.0 if side == "left" else x_e + 1.0
+        az = math.atan2(0.0 - eve_c.y, probe_x - x_e) % TWO_PI
+        az = (az - scenario.yaw) % TWO_PI
+        for fac, count, trig in (
+            ("row", geom.m_rows, math.cos(az)),
+            ("column", geom.n_cols, math.sin(az)),
+        ):
+            target = 2.0 * l / (count * abs(trig))
+            if not target < gap_max:
+                steps[side, fac] = (
+                    "gap",
+                    f"{fac} factor needs a pitch-cosine gap of {target:.6g}, "
+                    f"above the attainable {gap_max:.6g} on the {side} side",
+                )
+                continue
+            try:
+                t = _bisect_gap(x_e, g, target)
+            except InfeasibleGeometry as exc:
+                steps[side, fac] = ("raised", str(exc))
+                continue
+            x_a = -t if side == "left" else x_e + t
+            # Branch sign of +/- as it appears in the defining equation.
+            branch = "+" if side_sign * target * trig > 0.0 else "-"
+            position = tf.from_canonical(Position3D(x_a, 0.0, g))
+            found.append(((side, fac), x_a, branch, position))
+    if found:
+        residuals = correlation_at(scenario, [c[3] for c in found]).tolist()
+        for (key, *candidate), residual in zip(found, residuals):
+            steps[key] = ("candidate", *candidate, residual)
+    return steps
 
 
 def _scan_gap(x_e: float, g: float, target: float) -> tuple[float, float]:
@@ -523,23 +470,21 @@ def solve_all(
     index = NullIndex()
     solutions: list[PlacementSolution] = []
     failures: list[str] = []
+    # Plain loops: a comprehension's frame would move the warnings' attribution.
     for scheme in schemes:
         if scheme == "azimuth":
-            labelled = [("azimuth", _bisector_outcome(scenario, index))]
+            try:
+                solutions.extend(_bisector(scenario, index))
+            except InfeasibleGeometry as exc:
+                failures.append(f"azimuth: {exc}")
         elif scheme == "pitch":
-            sides = ("left", "right")
-            labelled = zip(
-                ("pitch left", "pitch right"),
-                _extension_outcomes(scenario, index, sides, None),
-            )
+            for side in ("left", "right"):
+                try:
+                    solutions.append(_extension(scenario, index, side, None))
+                except InfeasibleGeometry as exc:
+                    failures.append(f"pitch {side}: {exc}")
         else:
             raise ValueError("scheme must be 'azimuth' or 'pitch'")
-        for label, (found, notes) in labelled:
-            _replay(notes)
-            if isinstance(found, str):
-                failures.append(f"{label}: {found}")
-            else:
-                solutions.extend(found)
     return solutions, failures
 
 

@@ -13,16 +13,15 @@ from hypothesis import settings, strategies as st
 
 from spwt import (
     ArrayGeometry,
+    DegenerateGeometry,
     PowerConfig,
     Position3D,
     ScenarioConfig,
+    SpwtError,
     canonicalize_frame,
     correlation_map,
-    cross_correlation,
-    look_angles,
-    steering_vector,
 )
-from spwt.geometry import TWO_PI
+from spwt.geometry import _FLAT_EPS, TWO_PI
 from spwt.placement import _pitch_gap
 
 # Property tests draw the same examples on every run (no flakes, no example
@@ -82,6 +81,109 @@ def finite_scenarios(draw):
         p=draw(st.floats(0.01, 100.0)),
         seed=draw(st.integers(0, 2**16)),
     )
+
+
+# -- explicit steering vectors and look angles --------------------------
+# The element-by-element channel model that the package's factored kernel
+# (signalmodel.correlation_magnitude) is checked against.
+
+
+class DimensionMismatch(SpwtError):
+    """Two vectors that must share an array geometry do not."""
+
+
+@dataclass(frozen=True)
+class LookAngles:
+    """Direction of the transmitter as seen from a ground node.
+
+    Attributes
+    ----------
+    azimuth : float
+        Ground-plane angle of the node-to-transmitter displacement, measured
+        from the +x axis, wrapped to [0, 2*pi).
+    pitch : float
+        Elevation toward the transmitter, in [0, pi/2] while it flies above
+        the node.
+    azimuth_rel : float
+        Azimuth expressed in the array frame, i.e. azimuth minus the
+        transmitter yaw, wrapped to [0, 2*pi).
+    """
+
+    azimuth: float
+    pitch: float
+    azimuth_rel: float
+
+
+def wrap_angle(angle: float) -> float:
+    """Wrap an angle to [0, 2*pi)."""
+    return angle % TWO_PI
+
+
+def look_angles(uav: Position3D, target: Position3D, yaw: float) -> LookAngles:
+    """Azimuth, pitch and yaw-relative azimuth of ``uav`` seen from ``target``.
+
+    The quadrant is resolved with atan2 on the horizontal displacement, so
+    the returned sin/cos pairs always match the coordinate ratios.
+
+    Raises
+    ------
+    DegenerateGeometry
+        If the transmitter sits within 1e-9 m of the vertical over ``target``.
+    """
+    dx = uav.x - target.x
+    dy = uav.y - target.y
+    horiz = math.hypot(dx, dy)
+    if horiz < _FLAT_EPS:
+        raise DegenerateGeometry(
+            "transmitter is directly above the node; azimuth undefined"
+        )
+    azimuth = wrap_angle(math.atan2(dy, dx))
+    pitch = math.atan2(uav.z - target.z, horiz)
+    return LookAngles(
+        azimuth=azimuth,
+        pitch=pitch,
+        azimuth_rel=wrap_angle(azimuth - yaw),
+    )
+
+
+def steering_vector(
+    geom: ArrayGeometry, azimuth_rel: float, pitch: float
+) -> np.ndarray:
+    """Array response toward a direction given in the array frame.
+
+    Parameters
+    ----------
+    geom : ArrayGeometry
+        Array layout and carrier.
+    azimuth_rel : float
+        Azimuth of the target relative to the array heading, radians.
+    pitch : float
+        Elevation of the path toward the target, radians in [0, pi/2].
+
+    Returns
+    -------
+    numpy.ndarray
+        Length M*N complex vector, row-major over (row, column) element
+        indices, each entry of modulus 1/sqrt(M*N); Euclidean norm 1.
+    """
+    m = np.arange(geom.m_rows, dtype=float)[:, None]
+    n = np.arange(geom.n_cols, dtype=float)[None, :]
+    proj = m * math.cos(azimuth_rel) + n * math.sin(azimuth_rel)
+    psi = -geom.phase_coef * math.cos(pitch) * proj
+    return (np.exp(1j * psi) / math.sqrt(geom.size)).ravel()
+
+
+def cross_correlation(h_e: np.ndarray, h_b: np.ndarray) -> complex:
+    """Inner product conj(h_e) . h_b between two steering vectors.
+
+    For unit vectors the magnitude never exceeds 1; it reaches 0 exactly when
+    the eavesdropper sits on a null of the beam toward the receiver.
+    """
+    if h_e.shape != h_b.shape:
+        raise DimensionMismatch(
+            f"steering vectors differ in length: {h_e.shape} vs {h_b.shape}"
+        )
+    return complex(np.vdot(h_e, h_b))
 
 
 def explicit_correlation(scenario: ScenarioConfig, uav: Position3D) -> float:

@@ -12,18 +12,22 @@ import time
 import numpy as np
 import pytest
 
-from conftest import build_beamformers, make_scenario, sinr_eve_monte_carlo
+from conftest import (
+    build_beamformers,
+    cross_correlation,
+    look_angles,
+    make_scenario,
+    sinr_eve_monte_carlo,
+    steering_vector,
+)
 from spwt import (
     ArrayGeometry,
     InfeasibleGeometry,
     InvalidYaw,
     Position3D,
-    cross_correlation,
-    look_angles,
     sinr_eve_analytic,
     solve_azimuth_scheme,
     solve_pitch_scheme,
-    steering_vector,
     sweep_alpha,
     sweep_snr,
 )

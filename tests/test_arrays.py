@@ -4,16 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spwt import (
-    ArrayGeometry,
+from spwt import ArrayGeometry, Position3D
+from spwt.signalmodel import correlation_magnitude
+from conftest import (
     DimensionMismatch,
-    Position3D,
     cross_correlation,
+    explicit_correlation,
     look_angles,
+    make_scenario,
     steering_vector,
 )
-from spwt.signalmodel import correlation_magnitude
-from conftest import explicit_correlation, make_scenario
 
 C = 299_792_458.0
 

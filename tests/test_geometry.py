@@ -7,9 +7,8 @@ from spwt import (
     DegenerateGeometry,
     Position3D,
     canonicalize_frame,
-    look_angles,
 )
-from conftest import midpoint_symmetry_check
+from conftest import look_angles, midpoint_symmetry_check
 
 YAW = math.pi / 4.0
 

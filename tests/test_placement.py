@@ -25,6 +25,7 @@ from spwt.signalmodel import correlation_at
 from conftest import (
     element_sum_map,
     explicit_correlation,
+    finite_scenarios,
     grid_null_oracle,
     make_scenario,
     midpoint_symmetry_check,
@@ -131,6 +132,27 @@ def test_index_rejection():
     sc_rect = make_scenario(m=4, n=3)
     with pytest.raises(InvalidIndex):
         solve_azimuth_scheme(sc_rect, NullIndex(k=3))  # multiple of n
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sc: solve_azimuth_scheme(sc, NullIndex(k=1.5)),
+        lambda sc: solve_azimuth_scheme(sc, NullIndex(k=math.nan)),
+        lambda sc: solve_azimuth_scheme(sc, NullIndex(k=math.inf)),
+        lambda sc: solve_pitch_scheme(sc, NullIndex(l=1.5)),
+        lambda sc: solve_pitch_scheme(sc, NullIndex(l=math.nan), side="right"),
+    ],
+    ids=["k-1.5", "k-nan", "k-inf", "l-1.5", "l-nan"],
+)
+def test_non_whole_index_is_rejected_before_solving(reference_scenario, call):
+    # these used to reach the null equations and fail there, with candidates
+    # discarded as unverified or a gap reported as unattainable
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidIndex, match="positive integer"):
+            call(reference_scenario)
+    assert caught == []
 
 
 def test_higher_index_solutions_verify():
@@ -460,3 +482,50 @@ def test_warning_sequences_are_pinned(case):
     else:
         assert first["azimuth"][1].startswith("every bisector candidate")
         assert first["left"][0] == first["right"][0] == "InfeasibleGeometry"
+
+
+def _side_outcome(sc, side, factor):
+    """solve_pitch_scheme's placement, or the text of its InfeasibleGeometry."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return solve_pitch_scheme(sc, side=side, factor=factor)
+        except InfeasibleGeometry as exc:
+            return str(exc)
+
+
+@given(sc=finite_scenarios())
+def test_default_factor_is_the_first_that_certifies(sc):
+    for side in ("left", "right"):
+        row, column, default = (
+            _side_outcome(sc, side, factor) for factor in ("row", "column", None)
+        )
+        if not isinstance(row, str):
+            assert default == row
+        elif not isinstance(column, str) and "extension scheme" in row:
+            # the row gap was unattainable or its candidate failed; a row
+            # bisection that raised would end the side instead
+            assert default == column
+        else:
+            assert isinstance(default, str)
+
+
+@given(sc=finite_scenarios())
+def test_every_solution_is_finite_certified_and_on_its_locus(sc):
+    # finite_scenarios put the receiver at the origin and the eavesdropper
+    # on the +x axis, so the caller's frame is the canonical one
+    x_e, g = sc.eve.x, sc.uav_height_m
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        solutions, _ = solve_all(sc)
+    for s in solutions:
+        p = s.position
+        assert all(math.isfinite(v) for v in (p.x, p.y, p.z))
+        assert p.z == g
+        if s.scheme == "azimuth":
+            assert p.x == pytest.approx(x_e / 2.0, rel=1e-12)
+        else:
+            assert p.y == pytest.approx(0.0, abs=1e-9)
+            assert p.x < 0.0 or p.x > x_e
+        assert s.null_residual <= 1e-8
+        assert explicit_correlation(sc, p) <= 1e-8

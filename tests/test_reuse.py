@@ -1,7 +1,8 @@
-"""The solvers and sweeps keep the outcomes of the last scenario object they
-were asked about and replay them: a warm scenario must give exactly what a
-fresh equal copy gives, as fresh objects, and the kept scenario must be
-released once another one is solved."""
+"""The solvers and sweeps keep the candidates, baselines and run-id text of
+the last scenario object they were asked about: a warm scenario must give
+exactly what a fresh equal copy gives, as fresh objects, with the same
+warnings, and the kept scenario must be released once another one is
+solved."""
 
 import gc
 import sys
@@ -10,6 +11,7 @@ import warnings
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -74,7 +76,12 @@ def test_returned_lists_are_fresh(reference_scenario):
 
 def test_equal_but_distinct_inputs_are_solved_apart(reference_scenario):
     sc = reference_scenario
-    for index in (NullIndex(1, 1), NullIndex(True, 1), NullIndex(1.0, 1.0)):
+    for index in (
+        NullIndex(1, 1),
+        NullIndex(True, 1),
+        NullIndex(1.0, 1.0),
+        NullIndex(np.int64(1), np.int64(1)),
+    ):
         solutions = solve_azimuth_scheme(sc, index) + [solve_pitch_scheme(sc, index)]
         assert {repr(s.index_used) for s in solutions} == {repr(index)}
     # a float count fails in the draw, also after an int count was drawn
@@ -127,15 +134,16 @@ def kernel_calls(monkeypatch):
 
 
 def test_study_makes_one_kernel_call_per_distinct_piece(reference_scenario, kernel_calls):
-    # bisector, each extension side, the baselines: four calls, whatever the
-    # number of repeated solves and sweeps
+    # the bisector candidates, the extension candidates of both sides, the
+    # baselines: three calls, whatever the number of repeated solves and
+    # sweeps
     sc = reference_scenario
     for _ in range(2):
         solve_azimuth_scheme(sc)
         solve_pitch_scheme(sc, side="left")
         solve_pitch_scheme(sc, side="right")
         _study(sc)
-    assert len(kernel_calls) == 4
+    assert len(kernel_calls) == 3
 
 
 def test_solve_all_certifies_missing_sides_together(kernel_calls):
@@ -143,9 +151,26 @@ def test_solve_all_certifies_missing_sides_together(kernel_calls):
     assert len(kernel_calls) == 1
 
 
+def test_solve_all_makes_one_kernel_call_per_scheme(kernel_calls):
+    solutions, _ = solve_all(make_scenario())
+    assert len(solutions) == 4
+    assert len(kernel_calls) == 2
+
+
+def test_forced_factor_reuses_the_certified_candidates(kernel_calls):
+    # both factors of both sides were certified with the default call
+    sc = make_scenario()
+    default = solve_pitch_scheme(sc, side="left")
+    assert len(kernel_calls) == 1
+    column = solve_pitch_scheme(sc, side="left", factor="column")
+    solve_pitch_scheme(sc, side="right", factor="row")
+    assert len(kernel_calls) == 1
+    assert (default.factor_used, column.factor_used) == ("row", "column")
+
+
 def test_replayed_warnings_point_at_the_caller():
     # the "row-fails" case of test_placement: two bisector and one extension
-    # candidate per side are discarded
+    # candidate per side are discarded, and a repeated call warns again
     sc = replace(make_scenario(m=8, n=4, yaw=0.6), eve=Position3D(500.0, 0.0, 1e-4))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -16,7 +16,6 @@ from spwt import (
     secrecy_rate,
     sinr_bob,
     sinr_eve_analytic,
-    steering_vector,
 )
 from spwt.signalmodel import (
     correlation_at,
@@ -28,8 +27,10 @@ from conftest import (
     SIGMA2_15DB,
     build_beamformers,
     explicit_correlation,
+    look_angles,
     make_scenario,
     sinr_eve_monte_carlo,
+    steering_vector,
 )
 
 REFERENCE_NULL = Position3D(250.0, 630.4760106459247, 200.0)
@@ -140,8 +141,6 @@ def test_monte_carlo_colocated_eavesdropper():
 
 def test_monte_carlo_at_reference_null(reference_scenario):
     sc = reference_scenario
-    from spwt import canonicalize_frame, look_angles
-
     tf = canonicalize_frame(sc.bob, sc.eve)
     uav = tf.to_canonical(REFERENCE_NULL)
     ang_b = look_angles(uav, Position3D(0, 0, 0), sc.yaw)
