@@ -1,6 +1,7 @@
 """Command-line front end: placement reports, SR sweeps, correlation maps.
 
-Exit codes: 0 on success, 1 for usage/config/I-O problems, 2 when the
+Exit codes: 0 on success, 1 for usage/config/I-O problems (including values
+the library's constructors and sweeps reject, in their own words), 2 when the
 requested scenario admits no nulling placement.
 """
 
@@ -14,7 +15,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .arrays import ArrayGeometry
 from .charts import render_heatmap, render_line_chart
-from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
+from .errors import DegenerateGeometry, InfeasibleGeometry, InvalidIndex, InvalidYaw
 from .experiments import sweep_alpha, sweep_snr
 from .geometry import Position3D
 from .placement import correlation_map, solve_all
@@ -122,7 +123,12 @@ def _resolve_config(cfg: dict, seed_flag: int | None) -> dict:
     else:
         seed = 0
 
-    resolved = {
+    # No constructor owns the node geometry; the array and power
+    # constructors judge their own fields.
+    for key in ("x_e_m", "g_m"):
+        if cfg[key] <= 0:
+            raise CliError(f"config: '{key}' must be positive")
+    return {
         "m": cfg["m"],
         "n": cfg["n"],
         "f_c_hz": cfg["f_c_hz"],
@@ -135,14 +141,6 @@ def _resolve_config(cfg: dict, seed_flag: int | None) -> dict:
         "bandwidth_hz": cfg.get("bandwidth_hz", 5.0e6),
         "seed": seed,
     }
-    if resolved["m"] < 1 or resolved["n"] < 1:
-        raise CliError("config: m and n must be at least 1")
-    for key in ("f_c_hz", "x_e_m", "g_m", "p_w", "sigma2_w"):
-        if resolved[key] <= 0:
-            raise CliError(f"config: '{key}' must be positive")
-    if not 0.0 <= resolved["alpha"] <= 1.0:
-        raise CliError("config: 'alpha' must lie in [0, 1]")
-    return resolved
 
 
 def _scenario(resolved: dict) -> ScenarioConfig:
@@ -276,9 +274,7 @@ def _write_pattern_csv(fh, axis, values) -> None:
         fh.write(y_label.join(pieces) % tuple(row.tolist()))
 
 
-def cmd_place(args) -> int:
-    resolved = _resolve_config(parse_config(args.config), args.seed)
-    scenario = _scenario(resolved)
+def cmd_place(args, resolved: dict, scenario: ScenarioConfig) -> int:
     schemes = ("azimuth", "pitch") if args.scheme == "both" else (args.scheme,)
     solutions, failures = solve_all(scenario, schemes)
     for line in failures:
@@ -297,25 +293,20 @@ def cmd_place(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    resolved = _resolve_config(parse_config(args.config), args.seed)
-    scenario = _scenario(resolved)
+def cmd_sweep(args, resolved: dict, scenario: ScenarioConfig) -> int:
     grid = _sweep_grid(args.grid, args.kind)
-    try:
-        if args.kind == "snr":
-            result = sweep_snr(scenario, scheme=args.scheme, snr_db_grid=grid)
-            x_name, x_label = "snr_db", "SNR (dB)"
-        else:
-            # The config's own SNR, P/sigma^2; a ratio that under- or
-            # overflows gives an infinite SNR, which the sweep rejects.
-            ratio = resolved["p_w"] / resolved["sigma2_w"]
-            snr_db = 10.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
-            result = sweep_alpha(
-                scenario, snr_db=snr_db, alpha_grid=grid, scheme=args.scheme
-            )
-            x_name, x_label = "alpha", "alpha"
-    except ValueError as exc:  # the library decides the valid SNR range
-        raise CliError(str(exc)) from exc
+    if args.kind == "snr":
+        result = sweep_snr(scenario, scheme=args.scheme, snr_db_grid=grid)
+        x_name, x_label = "snr_db", "SNR (dB)"
+    else:
+        # The config's own SNR, P/sigma^2; a ratio that under- or overflows
+        # gives an infinite SNR, which the sweep rejects.
+        ratio = resolved["p_w"] / resolved["sigma2_w"]
+        snr_db = 10.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
+        result = sweep_alpha(
+            scenario, snr_db=snr_db, alpha_grid=grid, scheme=args.scheme
+        )
+        x_name, x_label = "alpha", "alpha"
     header = ",".join([x_name] + [f"sr_{name}" for name in result.series])
     csv_text = _csv(header, zip(result.x_axis, *result.series.values()))
     svg_text = render_line_chart(
@@ -338,9 +329,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_pattern(args) -> int:
-    resolved = _resolve_config(parse_config(args.config), args.seed)
-    scenario = _scenario(resolved)
+def cmd_pattern(args, resolved: dict, scenario: ScenarioConfig) -> int:
     axis = _pattern_axis(args.grid)
     values = correlation_map(scenario, axis, axis)
     try:
@@ -419,14 +408,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        resolved = _resolve_config(parse_config(args.config), args.seed)
+        return args.func(args, resolved, _scenario(resolved))
     except (InfeasibleGeometry, InvalidIndex, InvalidYaw) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (CliError, ValueError, DegenerateGeometry, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,9 +29,10 @@ _EXCLUSION_M = 1.0
 
 @dataclass
 class SweepResult:
-    """One sweep: shared x axis, named SR series, and run metadata
-    sufficient to reproduce the numbers (seed, baseline positions, scheme,
-    a content-derived run id)."""
+    """One sweep: shared x axis, named SR series, and what the scenario does
+    not hold: ``kind``, ``scheme``, ``snr_db`` (alpha sweeps), a
+    content-derived ``run_id``, the ``placement`` and the
+    ``baseline_positions``."""
 
     x_axis: list
     series: dict
@@ -118,24 +119,6 @@ def _run_id(scenario: ScenarioConfig, kind: str, scheme: str) -> str:
     return hashlib.sha1(text.encode()).hexdigest()[:12]
 
 
-def _scenario_echo(scenario: ScenarioConfig) -> dict:
-    return {
-        "m": scenario.array.m_rows,
-        "n": scenario.array.n_cols,
-        "f_c_hz": scenario.array.carrier_hz,
-        "spacing_m": scenario.array.spacing_m,
-        "x_e_m": math.hypot(
-            scenario.eve.x - scenario.bob.x, scenario.eve.y - scenario.bob.y
-        ),
-        "g_m": scenario.uav_height_m,
-        "theta_a_rad": scenario.yaw,
-        "p_w": scenario.power.total_power_w,
-        "alpha": scenario.power.alpha,
-        "bandwidth_hz": scenario.bandwidth_hz,
-        "seed": scenario.seed,
-    }
-
-
 def _sweep(
     scenario: ScenarioConfig,
     kind: str,
@@ -178,7 +161,6 @@ def _sweep(
             "run_id": _run_id(scenario, kind, scheme),
             "placement": (best.position.x, best.position.y, best.position.z),
             "baseline_positions": [(b.x, b.y, b.z) for b in baselines],
-            **_scenario_echo(scenario),
         },
     )
 

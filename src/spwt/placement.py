@@ -24,6 +24,7 @@ them and warns of the candidates it discards.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -95,8 +96,9 @@ def _check_yaw(yaw: float) -> None:
 
 def _check_index(value: int, m_rows: int, n_cols: int) -> None:
     # 1.0, True and numpy integers pass; 1.5, nan and inf would reach the
-    # null equations and fail there for a misleading reason.
-    if not (value >= 1 and value % 1 == 0):
+    # null equations and fail there for a misleading reason, and an integer
+    # beyond the float range would overflow converting to float there.
+    if not (1 <= value <= sys.float_info.max and value % 1 == 0):
         raise InvalidIndex("null index must be a positive integer")
     if value % m_rows == 0 or value % n_cols == 0:
         raise InvalidIndex(

@@ -438,6 +438,27 @@ def test_alpha_sweep_rejects_an_snr_beyond_float_range(tmp_path, capsys, p_w, si
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("m", 0), ("n", 0), ("f_c_hz", -1), ("p_w", 0), ("sigma2_w", -1),
+     ("alpha", 1.5), ("x_e_m", 0), ("g_m", -5), ("x_e_m", "1e-10")],
+)
+@pytest.mark.parametrize("command", ["place", "sweep", "pattern"])
+def test_out_of_range_config_value_exits_1(tmp_path, capsys, key, value, command):
+    # the CLI checks the node geometry, the constructors the rest; x_e_m =
+    # 1e-10 puts the nodes on one point, which has no axis to align
+    cfg = write_config(tmp_path / "a.cfg", **{key: value})
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg]
+    if command != "place":
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 # Linux carries a process's high-water RSS across exec, so a command started
 # straight from the test process would report at least the test process's
 # own peak.  This small intermediate starts the command and reports its exit

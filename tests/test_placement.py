@@ -142,12 +142,15 @@ def test_index_rejection():
         lambda sc: solve_azimuth_scheme(sc, NullIndex(k=math.inf)),
         lambda sc: solve_pitch_scheme(sc, NullIndex(l=1.5)),
         lambda sc: solve_pitch_scheme(sc, NullIndex(l=math.nan), side="right"),
+        lambda sc: solve_azimuth_scheme(sc, NullIndex(k=10**400 + 1)),
+        lambda sc: solve_pitch_scheme(sc, NullIndex(l=10**400 + 1)),
     ],
-    ids=["k-1.5", "k-nan", "k-inf", "l-1.5", "l-nan"],
+    ids=["k-1.5", "k-nan", "k-inf", "l-1.5", "l-nan", "k-huge", "l-huge"],
 )
 def test_non_whole_index_is_rejected_before_solving(reference_scenario, call):
     # these used to reach the null equations and fail there, with candidates
-    # discarded as unverified or a gap reported as unattainable
+    # discarded as unverified, a gap reported as unattainable, or an integer
+    # too large to convert to float
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(InvalidIndex, match="positive integer"):
