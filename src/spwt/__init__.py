@@ -39,14 +39,7 @@ from .placement import (
     solve_pitch_scheme,
 )
 from .scenario import ScenarioConfig
-from .signalmodel import (
-    LinkMetrics,
-    PowerConfig,
-    evaluate_link,
-    secrecy_rate,
-    sinr_bob,
-    sinr_eve_analytic,
-)
+from .signalmodel import PowerConfig, secrecy_rate
 
 __all__ = [
     "__version__",
@@ -57,7 +50,6 @@ __all__ = [
     "InvalidCorrelation",
     "InvalidIndex",
     "InvalidYaw",
-    "LinkMetrics",
     "NullIndex",
     "PlacementSolution",
     "Position3D",
@@ -67,11 +59,8 @@ __all__ = [
     "SweepResult",
     "canonicalize_frame",
     "correlation_map",
-    "evaluate_link",
     "random_baseline_positions",
     "secrecy_rate",
-    "sinr_bob",
-    "sinr_eve_analytic",
     "solve_all",
     "solve_azimuth_scheme",
     "solve_pitch_scheme",

@@ -146,7 +146,7 @@ def _sweep(
     p = scenario.power.total_power_w
     noise = [p / snr_lin for _, snr_lin, _ in points]
     alpha = [[1.0] + [a] * len(baselines) for _, _, a in points]
-    proposed, *rand = secrecy_rates(rhos, p, alpha, noise)
+    proposed, *rand = secrecy_rates(rhos, p, alpha, noise, noise)
     theory = [math.log2(1.0 + snr_lin) for _, snr_lin, _ in points]
     series = {"proposed": proposed, "theory": theory}
     for i, values in enumerate(rand, start=1):

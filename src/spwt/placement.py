@@ -33,7 +33,7 @@ import numpy as np
 from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
 from .geometry import TWO_PI, Position3D, canonicalize_frame
 from .scenario import ScenarioConfig
-from .signalmodel import correlation_at, correlation_magnitude, link_metrics
+from .signalmodel import correlation_at, correlation_magnitude, secrecy_rates
 
 HALF_PI = math.pi / 2.0
 
@@ -179,10 +179,10 @@ def _bisector(scenario: ScenarioConfig, index: NullIndex) -> list[PlacementSolut
         raise InfeasibleGeometry(candidates)
     solutions: list[PlacementSolution] = []
     accepted_y: list[float] = []
-    for (factor, branch, y), position, residual in candidates:
+    for (factor, branch, y), position, residual, rate in candidates:
         if any(abs(y - prev) < _DEDUP_M for prev in accepted_y):
             continue
-        if not residual <= _NULL_TOL:
+        if rate is None:
             warnings.warn(
                 f"bisector candidate y={y:.6f} failed verification "
                 f"(|rho| = {residual:.3e}); discarded",
@@ -190,7 +190,6 @@ def _bisector(scenario: ScenarioConfig, index: NullIndex) -> list[PlacementSolut
             )
             continue
         accepted_y.append(y)
-        metrics = link_metrics(residual, scenario.power)
         solutions.append(
             PlacementSolution(
                 position=position,
@@ -199,7 +198,7 @@ def _bisector(scenario: ScenarioConfig, index: NullIndex) -> list[PlacementSolut
                 index_used=index,
                 factor_used=factor,
                 null_residual=residual,
-                sr_at_solution=metrics.secrecy_rate_bps_hz,
+                sr_at_solution=rate,
             )
         )
     if not solutions:
@@ -212,8 +211,8 @@ def _bisector(scenario: ScenarioConfig, index: NullIndex) -> list[PlacementSolut
 
 def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
     """Every bisector candidate at row index ``k`` as ((factor, branch, y),
-    position, |rho|), all certified in one kernel call; or the reason there
-    is none."""
+    position, |rho|, secrecy rate or None), all certified in one kernel
+    call; or the reason there is none."""
     geom = scenario.array
     k = float(k)
     tf = canonicalize_frame(scenario.bob, scenario.eve)
@@ -227,9 +226,15 @@ def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
         ("row", geom.m_rows, math.cos(scenario.yaw)),
         ("column", geom.n_cols, math.sin(scenario.yaw)),
     ):
-        y_sq = ((count * trig * x_e) ** 2 - (k * x_e) ** 2 - (2.0 * k * g) ** 2) / (
-            4.0 * k * k
-        )
+        try:
+            y_sq = (
+                (count * trig * x_e) ** 2 - (k * x_e) ** 2 - (2.0 * k * g) ** 2
+            ) / (4.0 * k * k)
+        except OverflowError:
+            return (
+                f"the bisector closed form overflows the float range at a "
+                f"{x_e:.6g} m ground segment, {g:.6g} m altitude and index {k:.6g}"
+            )
         radicands.append(y_sq)
         if y_sq < 0.0:
             continue
@@ -248,7 +253,18 @@ def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
         )
     positions = [tf.from_canonical(Position3D(half, y, g)) for _, _, y in candidates]
     residuals = correlation_at(scenario, positions).tolist()
-    return tuple(zip(candidates, positions, residuals))
+    return tuple(zip(candidates, positions, residuals, _rates(scenario, residuals)))
+
+
+def _rates(scenario: ScenarioConfig, residuals: list) -> list:
+    """The secrecy rate at each residual that passes certification, None at
+    the others, from one :func:`~spwt.signalmodel.secrecy_rates` call at the
+    scenario's power budget."""
+    power = scenario.power
+    ok = [r for r in residuals if r <= _NULL_TOL]
+    budget = [[power.alpha] * len(ok)], [power.noise_b_w], [power.noise_e_w]
+    rates = iter(secrecy_rates(ok, power.total_power_w, *budget))
+    return [next(rates)[0] if r <= _NULL_TOL else None for r in residuals]
 
 
 def _pitch_gap(x_e: float, g: float, t: float) -> float:
@@ -324,8 +340,8 @@ def _extension(
         if kind == "gap":
             failure = step[0]
             continue
-        x_a, branch, position, residual = step
-        if not residual <= _NULL_TOL:
+        x_a, branch, position, residual, rate = step
+        if rate is None:
             warnings.warn(
                 f"extension candidate x={x_a:.6f} failed verification "
                 f"(|rho| = {residual:.3e}); discarded",
@@ -333,7 +349,6 @@ def _extension(
             )
             failure = f"{fac} factor candidate failed verification"
             continue
-        metrics = link_metrics(residual, scenario.power)
         return PlacementSolution(
             position=position,
             scheme="pitch",
@@ -341,7 +356,7 @@ def _extension(
             index_used=index,
             factor_used=fac,
             null_residual=residual,
-            sr_at_solution=metrics.secrecy_rate_bps_hz,
+            sr_at_solution=rate,
         )
     raise InfeasibleGeometry(
         f"extension scheme infeasible on the {side} side: {failure}; lower "
@@ -352,8 +367,8 @@ def _extension(
 def _extension_candidates(scenario: ScenarioConfig, l) -> dict:
     """Every extension step at column index ``l`` by (side, factor): ("gap",
     why the gap is unattainable), ("raised", a bisection's message), or
-    ("candidate", canonical x, branch, position, |rho|), all candidates
-    certified in one kernel call."""
+    ("candidate", canonical x, branch, position, |rho|, secrecy rate or
+    None), all candidates certified in one kernel call."""
     geom = scenario.array
     tf = canonicalize_frame(scenario.bob, scenario.eve)
     eve_c = tf.to_canonical(scenario.eve)
@@ -393,8 +408,9 @@ def _extension_candidates(scenario: ScenarioConfig, l) -> dict:
             found.append(((side, fac), x_a, branch, position))
     if found:
         residuals = correlation_at(scenario, [c[3] for c in found]).tolist()
-        for (key, *candidate), residual in zip(found, residuals):
-            steps[key] = ("candidate", *candidate, residual)
+        rates = _rates(scenario, residuals)
+        for (key, *candidate), residual, rate in zip(found, residuals, rates):
+            steps[key] = ("candidate", *candidate, residual, rate)
     return steps
 
 

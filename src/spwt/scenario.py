@@ -1,5 +1,6 @@
 """Scenario container shared by the solvers, the sweeps and the CLI."""
 
+import numbers
 from dataclasses import dataclass
 
 from .arrays import ArrayGeometry
@@ -26,3 +27,10 @@ class ScenarioConfig:
     power: PowerConfig
     bandwidth_hz: float = 5.0e6
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # numpy integers pass, as ArrayGeometry's counts do.
+        seed = self.seed
+        integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+        if not (integral and seed >= 0):
+            raise ValueError("seed must be a non-negative integer")

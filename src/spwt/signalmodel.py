@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateGeometry, InvalidCorrelation
-from .geometry import Position3D, canonicalize_frame
+from .errors import InvalidCorrelation
+from .geometry import canonicalize_frame
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
@@ -49,45 +49,12 @@ class PowerConfig:
             raise ValueError("noise powers must be positive")
 
 
-@dataclass(frozen=True)
-class LinkMetrics:
-    sinr_b: float
-    sinr_e: float
-    secrecy_rate_bps_hz: float
-
-
-def sinr_bob(power: PowerConfig) -> float:
-    """Receiver SINR: alpha*P/sigma_b^2, independent of placement."""
-    return power.alpha * power.total_power_w / power.noise_b_w
-
-
-def sinr_eve_analytic(rho: complex, power: PowerConfig) -> float:
-    """Eavesdropper SINR from the steering-vector correlation ``rho``.
-
-    The expected artificial-noise power reaching the eavesdropper is
-    1 - |rho|^2 (norm of its channel after projection), giving
-
-        alpha*P*|rho|^2 / ((1-alpha)*P*(1-|rho|^2) + sigma_e^2).
-    """
-    return _sinr_eve(
-        _correlation_power(rho), power.alpha, power.total_power_w, power.noise_e_w
-    )
-
-
 def _correlation_power(rho) -> float:
     """|rho|^2, clipped to 1 after rounding; InvalidCorrelation beyond it."""
     mag2 = abs(rho) ** 2
     if mag2 > 1.0 + 2e-9:
         raise InvalidCorrelation(f"|rho| = {math.sqrt(mag2):.6g} exceeds 1")
     return min(mag2, 1.0)
-
-
-def _sinr_eve(mag2, alpha, p, noise_e):
-    """The analytic eavesdropper SINR from |rho|^2, for floats or arrays
-    alike (the same operations in the same order either way)."""
-    signal = alpha * p * mag2
-    interference = (1.0 - alpha) * p * (1.0 - mag2)
-    return signal / (interference + noise_e)
 
 
 def secrecy_rate(sinr_b: float, sinr_e: float) -> float:
@@ -119,7 +86,7 @@ def correlation_magnitude(scenario: "ScenarioConfig", x, y, z) -> np.ndarray:
     """|h_e^H h_b| for transmitters at canonical-frame points (x, y, z).
 
     The one evaluation of the correlation in the package: certification,
-    link metrics, the sweeps and the correlation map all call it.  The
+    the sweeps' baselines and the correlation map all call it.  The
     canonical frame (:func:`~spwt.geometry.canonicalize_frame`) puts the
     receiver over the origin and the eavesdropper over the +x axis; each
     node keeps its own altitude, so the pitch toward it uses the height
@@ -190,64 +157,48 @@ def correlation_at(scenario: "ScenarioConfig", positions) -> np.ndarray:
     )
 
 
-def link_metrics(rho: complex, power: PowerConfig) -> LinkMetrics:
-    """Link metrics for correlation ``rho`` (or its magnitude) under
-    ``power``: the receiver SINR in its exact closed form alpha*P/sigma_b^2,
-    the analytic eavesdropper SINR, and the secrecy rate."""
-    s_b = sinr_bob(power)
-    s_e = sinr_eve_analytic(rho, power)
-    return LinkMetrics(
-        sinr_b=s_b, sinr_e=s_e, secrecy_rate_bps_hz=secrecy_rate(s_b, s_e)
-    )
 
 
-def secrecy_rates(rhos, total_power_w: float, alpha, noise_w) -> list[list[float]]:
+def secrecy_rates(
+    rhos, total_power_w: float, alpha, noise_b_w, noise_e_w
+) -> list[list[float]]:
     """Secrecy rate of every (power budget, position) cell, one list per
-    position.
+    position: the one computation of SINRs and rates in the package.
 
-    ``rhos`` holds one correlation per position, ``noise_w`` one noise floor
-    (shared by both nodes) per budget, and ``alpha`` the power split of
-    every cell, shape (budgets, positions).  ``total_power_w`` must already
-    be valid (it comes from a PowerConfig).
+    ``rhos`` holds one correlation (or its magnitude) per position,
+    ``noise_b_w`` and ``noise_e_w`` the receiver's and the eavesdropper's
+    noise floor per budget, and ``alpha`` the power split of every cell, one
+    row per budget.  ``total_power_w`` must already be valid (it comes from
+    a PowerConfig).  A cell's receiver SINR is alpha*P/sigma_b^2 wherever
+    the transmitter is; the eavesdropper keeps 1 - |rho|^2 of the
+    artificial noise, so its SINR is
 
-    Each cell equals ``link_metrics(rho, PowerConfig(total_power_w, alpha,
-    noise, noise)).secrecy_rate_bps_hz`` to the bit: the SINRs are computed
-    over the grid with the same operations in the same order, |rho|^2 once
-    per position and the logarithms per cell with math.log2.  The checks
-    of PowerConfig and sinr_eve_analytic apply to every cell, noise floors
-    first, then splits, then correlations, with the same exceptions.
+        alpha*P*|rho|^2 / ((1-alpha)*P*(1-|rho|^2) + sigma_e^2).
+
+    After the shapes, the checks of PowerConfig apply to every cell: noise
+    floors first, then splits, then correlations (InvalidCorrelation for
+    |rho| beyond 1).
     """
-    noise = np.asarray(noise_w, float)[:, None]
-    alpha = np.asarray(alpha, float)
-    if not np.isfinite(noise).all():
+    if not len(noise_b_w) == len(noise_e_w) == len(alpha) or any(
+        len(row) != len(rhos) for row in alpha
+    ):
+        raise ValueError("alpha needs one row per budget, one split per position")
+    floors = [*noise_b_w, *noise_e_w]
+    if not all(map(math.isfinite, floors)):
         raise ValueError(_NOT_FINITE)
-    if not (noise > 0.0).all():
+    if not all(noise > 0.0 for noise in floors):
         raise ValueError("noise powers must be positive")
-    if not np.isfinite(alpha).all():
+    splits = [a for row in alpha for a in row]
+    if not all(map(math.isfinite, splits)):
         raise ValueError(_NOT_FINITE)
-    if not ((alpha >= 0.0) & (alpha <= 1.0)).all():
+    if not all(0.0 <= a <= 1.0 for a in splits):
         raise ValueError("alpha must lie in [0, 1]")
-    mag2 = np.array([_correlation_power(rho) for rho in rhos])
-    s_b = alpha * total_power_w / noise
-    s_e = _sinr_eve(mag2, alpha, total_power_w, noise)
+    mags = [_correlation_power(rho) for rho in rhos]
+    p = total_power_w
     return [
-        [secrecy_rate(b, e) for b, e in zip(col_b, col_e)]
-        for col_b, col_e in zip(s_b.T.tolist(), s_e.T.tolist())
+        [
+            secrecy_rate(a * p / n_b, a * p * m / ((1.0 - a) * p * (1.0 - m) + n_e))
+            for a, n_b, n_e in zip(column, noise_b_w, noise_e_w)
+        ]
+        for m, column in zip(mags, zip(*alpha))
     ]
-
-
-def evaluate_link(scenario: "ScenarioConfig", uav: Position3D) -> LinkMetrics:
-    """Link metrics for a transmitter at ``uav`` under ``scenario``.
-
-    Composes :func:`correlation_at` (geometry) with :func:`link_metrics` at
-    the scenario's power budget.
-
-    Raises
-    ------
-    DegenerateGeometry
-        If ``uav`` sits on a ground node, where no direction toward that
-        node exists and the correlation is undefined.
-    """
-    if uav in (scenario.bob, scenario.eve):
-        raise DegenerateGeometry("transmitter sits on a ground node")
-    return link_metrics(float(correlation_at(scenario, [uav])[0]), scenario.power)

@@ -1,7 +1,8 @@
 """Shared fixtures and the test-only references: independent
-recomputations (element sums, scalar scans, explicit steering vectors, a
-dense artificial-noise projector with Monte-Carlo draws, a grid scan for
-minima) that the package's own code paths are checked against.
+recomputations (element sums, scalar scans, explicit steering vectors,
+per-point link metrics, a dense artificial-noise projector with Monte-Carlo
+draws, a grid scan for minima) that the package's own code paths are
+checked against.
 """
 
 import math
@@ -14,15 +15,18 @@ from hypothesis import settings, strategies as st
 from spwt import (
     ArrayGeometry,
     DegenerateGeometry,
+    InvalidCorrelation,
     PowerConfig,
     Position3D,
     ScenarioConfig,
     SpwtError,
     canonicalize_frame,
     correlation_map,
+    secrecy_rate,
 )
 from spwt.geometry import _FLAT_EPS, TWO_PI
 from spwt.placement import _pitch_gap
+from spwt.signalmodel import correlation_at
 
 # Property tests draw the same examples on every run (no flakes, no example
 # database), with no per-example deadline, since timings swing on small
@@ -200,6 +204,68 @@ def explicit_correlation(scenario: ScenarioConfig, uav: Position3D) -> float:
     h_b = steering_vector(scenario.array, ang_b.azimuth_rel, ang_b.pitch)
     h_e = steering_vector(scenario.array, ang_e.azimuth_rel, ang_e.pitch)
     return abs(cross_correlation(h_e, h_b))
+
+
+# -- per-point link metrics ----------------------------------------------
+# One transmitter position under one power budget, with its own |rho|^2
+# clip and SINR arithmetic: the reference that the package's grid-wide
+# signalmodel.secrecy_rates (the sweeps' cells and each solution's
+# sr_at_solution) is checked against, bit for bit.
+
+
+@dataclass(frozen=True)
+class LinkMetrics:
+    sinr_b: float
+    sinr_e: float
+    secrecy_rate_bps_hz: float
+
+
+def sinr_bob(power: PowerConfig) -> float:
+    """Receiver SINR: alpha*P/sigma_b^2, independent of placement."""
+    return power.alpha * power.total_power_w / power.noise_b_w
+
+
+def sinr_eve_analytic(rho: complex, power: PowerConfig) -> float:
+    """Eavesdropper SINR from the steering-vector correlation ``rho``.
+
+    The expected artificial-noise power reaching the eavesdropper is
+    1 - |rho|^2 (norm of its channel after projection), giving
+
+        alpha*P*|rho|^2 / ((1-alpha)*P*(1-|rho|^2) + sigma_e^2).
+
+    |rho|^2 is clipped to 1 after rounding; beyond it InvalidCorrelation.
+    """
+    mag2 = abs(rho) ** 2
+    if mag2 > 1.0 + 2e-9:
+        raise InvalidCorrelation(f"|rho| = {math.sqrt(mag2):.6g} exceeds 1")
+    mag2 = min(mag2, 1.0)
+    signal = power.alpha * power.total_power_w * mag2
+    interference = (1.0 - power.alpha) * power.total_power_w * (1.0 - mag2)
+    return signal / (interference + power.noise_e_w)
+
+
+def link_metrics(rho: complex, power: PowerConfig) -> LinkMetrics:
+    """Link metrics for correlation ``rho`` (or its magnitude) under
+    ``power``: the receiver SINR in its exact closed form alpha*P/sigma_b^2,
+    the analytic eavesdropper SINR, and the secrecy rate."""
+    s_b = sinr_bob(power)
+    s_e = sinr_eve_analytic(rho, power)
+    return LinkMetrics(
+        sinr_b=s_b, sinr_e=s_e, secrecy_rate_bps_hz=secrecy_rate(s_b, s_e)
+    )
+
+
+def evaluate_link(scenario: ScenarioConfig, uav: Position3D) -> LinkMetrics:
+    """Link metrics for a transmitter at ``uav`` under ``scenario``: the
+    package's correlation at that position, then :func:`link_metrics` at the
+    scenario's power budget.
+
+    Raises DegenerateGeometry if ``uav`` sits on a ground node, where no
+    direction toward that node exists and the correlation is undefined.
+    """
+    if uav in (scenario.bob, scenario.eve):
+        raise DegenerateGeometry("transmitter sits on a ground node")
+    return link_metrics(float(correlation_at(scenario, [uav])[0]), scenario.power)
 
 
 def scalar_scan_bracket(x_e: float, g: float, target: float):

@@ -17,6 +17,7 @@ from conftest import (
     cross_correlation,
     look_angles,
     make_scenario,
+    sinr_eve_analytic,
     sinr_eve_monte_carlo,
     steering_vector,
 )
@@ -25,7 +26,6 @@ from spwt import (
     InfeasibleGeometry,
     InvalidYaw,
     Position3D,
-    sinr_eve_analytic,
     solve_azimuth_scheme,
     solve_pitch_scheme,
     sweep_alpha,

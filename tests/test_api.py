@@ -11,7 +11,6 @@ PUBLIC = [
     "InvalidCorrelation",
     "InvalidIndex",
     "InvalidYaw",
-    "LinkMetrics",
     "NullIndex",
     "PlacementSolution",
     "Position3D",
@@ -22,11 +21,8 @@ PUBLIC = [
     "__version__",
     "canonicalize_frame",
     "correlation_map",
-    "evaluate_link",
     "random_baseline_positions",
     "secrecy_rate",
-    "sinr_bob",
-    "sinr_eve_analytic",
     "solve_all",
     "solve_azimuth_scheme",
     "solve_pitch_scheme",

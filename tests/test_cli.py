@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +458,35 @@ def test_out_of_range_config_value_exits_1(tmp_path, capsys, key, value, command
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["place", "sweep"])
+def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
+    # place used to accept it; sweep failed in numpy's words
+    cfg = write_config(tmp_path / "a.cfg", seed=-1)
+    argv = [command, "--config", cfg]
+    if command == "sweep":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer\n"
+
+
+@pytest.mark.parametrize("key,value", [("x_e_m", "1e200"), ("g_m", "1e300")])
+@pytest.mark.parametrize("command", ["place", "sweep"])
+def test_geometry_beyond_float_squares_is_a_named_outcome(
+    tmp_path, capsys, key, value, command
+):
+    # the bisector's squares used to end these in an OverflowError traceback
+    cfg = write_config(tmp_path / "a.cfg", **{key: value})
+    argv = [command, "--config", cfg]
+    if command == "sweep":
+        argv += ["--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        code = main(argv)
+    assert code in (0, 2)
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("infeasible: ") for line in err)
 
 
 # Linux carries a process's high-water RSS across exec, so a command started

@@ -9,14 +9,30 @@ from spwt import (
     InfeasibleGeometry,
     Position3D,
     PowerConfig,
-    evaluate_link,
     random_baseline_positions,
     sweep_alpha,
     sweep_snr,
 )
-from conftest import finite_scenarios, make_scenario, scalar_baseline_positions
+from conftest import (
+    evaluate_link,
+    finite_scenarios,
+    make_scenario,
+    scalar_baseline_positions,
+)
 
 SERIES = ("proposed", "theory", "rand1", "rand2", "rand3")
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, 2.5, "3", None])
+def test_scenario_rejects_a_seed_the_baseline_draw_cannot_take(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        make_scenario(seed=seed)
+
+
+def test_scenario_accepts_numpy_integer_seeds():
+    # as ArrayGeometry does; the draw is the same as from the Python integer
+    got = sweep_snr(make_scenario(seed=np.int64(7))).metadata["baseline_positions"]
+    assert got == sweep_snr(make_scenario(seed=7)).metadata["baseline_positions"]
 
 
 def test_baseline_positions_deterministic():

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from spwt import (
     ArrayGeometry,
@@ -13,6 +13,7 @@ from spwt import (
     InvalidYaw,
     NullIndex,
     Position3D,
+    PowerConfig,
     canonicalize_frame,
     correlation_map,
     solve_all,
@@ -27,6 +28,7 @@ from conftest import (
     explicit_correlation,
     finite_scenarios,
     grid_null_oracle,
+    link_metrics,
     make_scenario,
     midpoint_symmetry_check,
     scalar_scan_bracket,
@@ -81,6 +83,9 @@ def test_azimuth_four_distinct_solutions_off_diagonal_yaw():
 def test_azimuth_infeasible_when_too_high():
     with pytest.raises(InfeasibleGeometry):
         solve_azimuth_scheme(make_scenario(g=10_000.0))
+    # (k * x_e) ** 2 beyond the float range: named, not OverflowError
+    with pytest.raises(InfeasibleGeometry, match="overflows the float range"):
+        solve_azimuth_scheme(make_scenario(m=3, n=5), NullIndex(k=10**300 + 1))
 
 
 def test_azimuth_feasibility_threshold():
@@ -532,3 +537,23 @@ def test_every_solution_is_finite_certified_and_on_its_locus(sc):
             assert p.x < 0.0 or p.x > x_e
         assert s.null_residual <= 1e-8
         assert explicit_correlation(sc, p) <= 1e-8
+
+
+@given(
+    sc=finite_scenarios(),
+    alpha=st.floats(0.0, 1.0),
+    noise_b=st.floats(1e-6, 10.0),
+    noise_e=st.floats(1e-6, 10.0),
+)
+def test_solution_rate_equals_per_point_link_metrics(sc, alpha, noise_b, noise_e):
+    # each node at its own noise floor: sr_at_solution is the per-point rate
+    # at the certified residual, to the bit
+    assume(noise_b != noise_e)
+    power = PowerConfig(sc.power.total_power_w, alpha, noise_b, noise_e)
+    sc = replace(sc, power=power)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        solutions, _ = solve_all(sc)
+    for s in solutions:
+        want = link_metrics(s.null_residual, power).secrecy_rate_bps_hz
+        assert s.sr_at_solution == want

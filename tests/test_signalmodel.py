@@ -12,23 +12,19 @@ from spwt import (
     PowerConfig,
     ScenarioConfig,
     canonicalize_frame,
-    evaluate_link,
     secrecy_rate,
-    sinr_bob,
-    sinr_eve_analytic,
 )
-from spwt.signalmodel import (
-    correlation_at,
-    correlation_magnitude,
-    link_metrics,
-    secrecy_rates,
-)
+from spwt.signalmodel import correlation_at, correlation_magnitude, secrecy_rates
 from conftest import (
     SIGMA2_15DB,
     build_beamformers,
+    evaluate_link,
     explicit_correlation,
+    link_metrics,
     look_angles,
     make_scenario,
+    sinr_bob,
+    sinr_eve_analytic,
     sinr_eve_monte_carlo,
     steering_vector,
 )
@@ -290,14 +286,35 @@ def test_power_config_rejects_non_finite(field, value):
         (0.3, 0.5, -1.0),
         (0.3, 0.5, math.inf),
         (0.3, 0.5, math.nan),
+        # (receiver, eavesdropper) floors: only one of them is out of range
+        pytest.param(1.0 + 1e-6, 0.5, (0.2, 0.1), id="1.000001-0.5-b0.2-e0.1"),
+        pytest.param(0.3, 1.5, (0.1, 0.3), id="0.3-1.5-b0.1-e0.3"),
+        pytest.param(0.3, 0.5, (0.0, 0.1), id="0.3-0.5-b0.0-e0.1"),
+        pytest.param(0.3, 0.5, (0.1, -1.0), id="0.3-0.5-b0.1-e-1.0"),
+        pytest.param(0.3, 0.5, (math.inf, 0.1), id="0.3-0.5-binf-e0.1"),
+        pytest.param(0.3, 0.5, (0.1, math.nan), id="0.3-0.5-b0.1-enan"),
     ],
 )
 def test_secrecy_rates_check_cells_like_per_point_objects(rho, alpha, noise):
+    noise_b, noise_e = noise if isinstance(noise, tuple) else (noise, noise)
     with pytest.raises((ValueError, InvalidCorrelation)) as per_point:
-        link_metrics(rho, PowerConfig(1.0, alpha, noise, noise))
+        link_metrics(rho, PowerConfig(1.0, alpha, noise_b, noise_e))
     expected = type(per_point.value)
     with pytest.raises(expected, match=re.escape(str(per_point.value))):
-        secrecy_rates([0.2, rho], 1.0, [[1.0, 1.0], [1.0, alpha]], [0.1, noise])
+        secrecy_rates(
+            [0.2, rho], 1.0, [[1.0, 1.0], [1.0, alpha]], [0.1, noise_b], [0.1, noise_e]
+        )
+
+
+def test_secrecy_rates_reject_mismatched_shapes():
+    # too few splits for the positions, too many rows for the noise floors
+    for alpha, noise_b, noise_e in (
+        ([[1.0]], [0.1], [0.1]),
+        ([[1.0, 1.0], [0.5, 0.5]], [0.1], [0.1]),
+        ([[1.0, 1.0]], [0.1], [0.1, 0.2]),
+    ):
+        with pytest.raises(ValueError, match="one row per budget"):
+            secrecy_rates([0.1, 0.2], 1.0, alpha, noise_b, noise_e)
 
 
 def test_secrecy_rates_equal_link_metrics_bitwise():
@@ -305,13 +322,24 @@ def test_secrecy_rates_equal_link_metrics_bitwise():
     # square and log2 round differently in about 0.1% of values
     rng = np.random.default_rng(12)
     rhos = rng.uniform(0.0, 1.0, 4000).tolist() + [0.0, 1e-12, 1.0, 1.0 + 1e-12]
-    budgets = [(0.0, 1e-3), (0.3, 0.03), (1.0, 0.5), (0.77, 7.0)]
-    alpha = [[a] * len(rhos) for a, _ in budgets]
-    noise = [sigma2 for _, sigma2 in budgets]
-    got = secrecy_rates(rhos, 2.0, alpha, noise)
+    # (alpha, receiver floor, eavesdropper floor); the last three budgets
+    # give the nodes different floors
+    budgets = [
+        (0.0, 1e-3, 1e-3),
+        (0.3, 0.03, 0.03),
+        (1.0, 0.5, 0.5),
+        (0.77, 7.0, 7.0),
+        (0.3, 0.03, 2.0),
+        (0.77, 7.0, 1e-4),
+        (1.0, 1e-3, 0.5),
+    ]
+    alpha = [[a] * len(rhos) for a, _, _ in budgets]
+    noise_b = [sigma_b for _, sigma_b, _ in budgets]
+    noise_e = [sigma_e for _, _, sigma_e in budgets]
+    got = secrecy_rates(rhos, 2.0, alpha, noise_b, noise_e)
     for rho, row in zip(rhos, got):
         want = [
-            link_metrics(rho, PowerConfig(2.0, a, sigma2, sigma2)).secrecy_rate_bps_hz
-            for a, sigma2 in budgets
+            link_metrics(rho, PowerConfig(2.0, a, sigma_b, sigma_e)).secrecy_rate_bps_hz
+            for a, sigma_b, sigma_e in budgets
         ]
         assert row == want
