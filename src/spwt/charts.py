@@ -25,6 +25,36 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
+def _scales(x_lo: float, x_span: float, y_lo: float, y_span: float):
+    """The data-to-pixel maps (px, py) of the plot area for these axes."""
+
+    def px(v: float) -> float:
+        return _ML + (v - x_lo) / x_span * (_W - _ML - _MR)
+
+    def py(v: float) -> float:
+        return _H - _MB - (v - y_lo) / y_span * (_H - _MT - _MB)
+
+    return px, py
+
+
+def _frame(body: list, x_label: str, y_label: str, extra: list) -> str:
+    """The SVG page: a white background, ``body``, both axis labels, then
+    ``extra``."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        *body,
+        f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 10}" '
+        f'text-anchor="middle">{x_label}</text>',
+        f'<text x="14" y="{(_MT + _H - _MB) / 2:.0f}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.0f})">{y_label}</text>',
+        *extra,
+        "</svg>",
+    ]
+    return "\n".join(parts) + "\n"
+
+
 def render_line_chart(
     x_values, series: dict, x_label: str, y_label: str, title: str = ""
 ) -> str:
@@ -40,18 +70,9 @@ def render_line_chart(
     y_hi = max((max(v) for v in series.values() if v), default=1.0)
     y_hi = y_hi * 1.06 if y_hi > 0 else 1.0
     y_lo = 0.0
+    px, py = _scales(x_lo, x_hi - x_lo, y_lo, y_hi - y_lo)
 
-    def px(v: float) -> float:
-        return _ML + (v - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
-
-    def py(v: float) -> float:
-        return _H - _MB - (v - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-    ]
+    parts = []
     if title:
         parts.append(
             f'<text x="{_W / 2:.0f}" y="14" text-anchor="middle">{title}</text>'
@@ -83,32 +104,24 @@ def render_line_chart(
         f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" '
         f'stroke="#333333" stroke-width="1"/>'
     )
-    parts.append(
-        f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 10}" '
-        f'text-anchor="middle">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{(_MT + _H - _MB) / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.0f})">{y_label}</text>'
-    )
+    curves = []
     for idx, (name, values) in enumerate(series.items()):
         color = _PALETTE[idx % len(_PALETTE)]
         dash = ' stroke-dasharray="7 4"' if name == "theory" else ""
         points = " ".join(
             f"{_fmt(px(x))},{_fmt(py(float(y)))}" for x, y in zip(xs, values)
         )
-        parts.append(
+        curves.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.6"'
             f'{dash} points="{points}"/>'
         )
         ly = _MT + 14 + 15 * idx
-        parts.append(
+        curves.append(
             f'<line x1="{_W - _MR - 120}" y1="{ly}" x2="{_W - _MR - 96}" '
             f'y2="{ly}" stroke="{color}" stroke-width="1.6"{dash}/>'
         )
-        parts.append(f'<text x="{_W - _MR - 90}" y="{ly + 4}">{name}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        curves.append(f'<text x="{_W - _MR - 90}" y="{ly + 4}">{name}</text>')
+    return _frame(parts, x_label, y_label, curves)
 
 
 def render_heatmap(
@@ -129,21 +142,12 @@ def render_heatmap(
     y_lo, y_hi = float(ys[0]), float(ys[-1])
     span_x = x_hi - x_lo if x_hi > x_lo else 1.0
     span_y = y_hi - y_lo if y_hi > y_lo else 1.0
-
-    def px(v: float) -> float:
-        return _ML + (v - x_lo) / span_x * (_W - _ML - _MR)
-
-    def py(v: float) -> float:
-        return _H - _MB - (v - y_lo) / span_y * (_H - _MT - _MB)
+    px, py = _scales(x_lo, span_x, y_lo, span_y)
 
     cell_w = (_W - _ML - _MR) / max(1, len(sx)) + 0.5
     cell_h = (_H - _MT - _MB) / max(1, len(sy)) + 0.5
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-    ]
+    parts = []
     # One grey level per drawn cell: log10 of the residual clamped to
     # [1e-6, 1], scaled to 0..255 and rounded half to even.  The logarithm
     # is math.log10 per cell: numpy's log10 differs from it in the last bit
@@ -169,27 +173,14 @@ def render_heatmap(
     for value, anchor, x, y in (
         (x_lo, "start", _ML, _H - _MB + 16),
         (x_hi, "end", _W - _MR, _H - _MB + 16),
+        (y_lo, "end", _ML - 6, _H - _MB),
+        (y_hi, "end", _ML - 6, _MT + 8),
     ):
         parts.append(
             f'<text x="{x}" y="{y}" text-anchor="{anchor}">{value:.5g}</text>'
         )
-    for value, y in ((y_lo, _H - _MB), (y_hi, _MT + 8)):
-        parts.append(
-            f'<text x="{_ML - 6}" y="{y}" text-anchor="end">{value:.5g}</text>'
-        )
-    parts.append(
-        f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 10}" '
-        f'text-anchor="middle">{x_label}</text>'
+    note = (
+        f'<text x="{_W - _MR}" y="14" text-anchor="end">dark = |correlation| '
+        "near 0 (log scale 1e-6..1)</text>"
     )
-    parts.append(
-        f'<text x="14" y="{(_MT + _H - _MB) / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.0f})">{y_label}</text>'
-    )
-    parts.append(
-        '<text x="'
-        + str(_W - _MR)
-        + '" y="14" text-anchor="end">dark = |correlation| near 0 '
-        "(log scale 1e-6..1)</text>"
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _frame(parts, x_label, y_label, [note])

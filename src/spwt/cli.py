@@ -123,24 +123,13 @@ def _resolve_config(cfg: dict, seed_flag: int | None) -> dict:
     else:
         seed = 0
 
-    # No constructor owns the node geometry; the array and power
-    # constructors judge their own fields.
-    for key in ("x_e_m", "g_m"):
-        if cfg[key] <= 0:
-            raise CliError(f"config: '{key}' must be positive")
-    return {
-        "m": cfg["m"],
-        "n": cfg["n"],
-        "f_c_hz": cfg["f_c_hz"],
-        "x_e_m": cfg["x_e_m"],
-        "g_m": cfg["g_m"],
-        "theta_a_rad": theta,
-        "p_w": cfg["p_w"],
-        "sigma2_w": cfg["sigma2_w"],
-        "alpha": cfg.get("alpha", 1.0),
-        "bandwidth_hz": cfg.get("bandwidth_hz", 5.0e6),
-        "seed": seed,
-    }
+    # ScenarioConfig judges the height; no constructor owns the ground
+    # segment, and the array and power constructors judge their own fields.
+    if cfg["x_e_m"] <= 0:
+        raise CliError("config: 'x_e_m' must be positive")
+    resolved = {"alpha": 1.0, "bandwidth_hz": 5.0e6, **cfg}
+    resolved.pop("theta_a_deg", None)
+    return {**resolved, "theta_a_rad": theta, "seed": seed}
 
 
 def _scenario(resolved: dict) -> ScenarioConfig:

@@ -51,7 +51,9 @@ _BISECT_LO = 1e-6
 _BISECT_HI = 1e6
 _BISECT_SCAN = 64
 # Outward distances of the bisection's logarithmic pre-scan.
-_SCAN_T = np.logspace(math.log10(_BISECT_LO), math.log10(_BISECT_HI), _BISECT_SCAN)
+_SCAN_T = tuple(
+    np.logspace(math.log10(_BISECT_LO), math.log10(_BISECT_HI), _BISECT_SCAN).tolist()
+)
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
 
@@ -184,7 +186,7 @@ def _bisector(scenario: ScenarioConfig, index: NullIndex) -> list[PlacementSolut
             continue
         if rate is None:
             warnings.warn(
-                f"bisector candidate y={y:.6f} failed verification "
+                f"bisector candidate y={y:.6g} failed verification "
                 f"(|rho| = {residual:.3e}); discarded",
                 stacklevel=3,
             )
@@ -343,7 +345,7 @@ def _extension(
         x_a, branch, position, residual, rate = step
         if rate is None:
             warnings.warn(
-                f"extension candidate x={x_a:.6f} failed verification "
+                f"extension candidate x={x_a:.6g} failed verification "
                 f"(|rho| = {residual:.3e}); discarded",
                 stacklevel=3,
             )
@@ -416,29 +418,25 @@ def _extension_candidates(scenario: ScenarioConfig, l) -> dict:
 
 def _scan_gap(x_e: float, g: float, target: float) -> tuple[float, float]:
     """Pre-scan for the root of _pitch_gap(x_e, g, t) = target over the
-    ``_SCAN_T`` grid, all points in one vectorised pass.
+    ``_SCAN_T`` grid, nearest point first.
 
     Returns the first adjacent pair (lo, hi) where the equation changes sign
     from + to -, or (t, t) for a grid point that solves it exactly,
-    whichever comes first on the grid.  numpy's hypot can differ from
-    math.hypot in the last bit, so a target within rounding of a grid
-    point's gap may get the neighbouring bracket; bisection finds the same
-    root in either.
+    whichever comes first on the grid.
     """
-    far = x_e + _SCAN_T
-    v = far / np.hypot(far, g) - _SCAN_T / np.hypot(_SCAN_T, g) - target
-    hit = v == 0.0
-    hit[1:] |= (v[:-1] > 0.0) & (v[1:] < 0.0)
-    i = int(hit.argmax())
-    if not hit[i]:
-        # The gap is monotone, so a missing sign change means the target is
-        # outside the attainable range on the scan interval.
-        raise InfeasibleGeometry(
-            f"no bracketing interval for a pitch-cosine gap of {target:.6g}"
-        )
-    if v[i] == 0.0:
-        return float(_SCAN_T[i]), float(_SCAN_T[i])
-    return float(_SCAN_T[i - 1]), float(_SCAN_T[i])
+    lo = v_lo = math.nan
+    for t in _SCAN_T:
+        v = _pitch_gap(x_e, g, t) - target
+        if v == 0.0:
+            return t, t
+        if v_lo > 0.0 > v:
+            return lo, t
+        lo, v_lo = t, v
+    # The gap is monotone, so a missing sign change means the target is
+    # outside the attainable range on the scan interval.
+    raise InfeasibleGeometry(
+        f"no bracketing interval for a pitch-cosine gap of {target:.6g}"
+    )
 
 
 def _bisect_gap(x_e: float, g: float, target: float) -> float:

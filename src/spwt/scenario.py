@@ -1,5 +1,6 @@
 """Scenario container shared by the solvers, the sweeps and the CLI."""
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -29,6 +30,10 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.uav_height_m) and self.uav_height_m > 0.0):
+            raise ValueError("platform height must be finite and positive")
+        if not math.isfinite(self.yaw):
+            raise ValueError("yaw must be finite")
         # numpy integers pass, as ArrayGeometry's counts do.
         seed = self.seed
         integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)

@@ -106,13 +106,8 @@ def correlation_magnitude(scenario: "ScenarioConfig", x, y, z) -> np.ndarray:
     use.  Directly over a node cos(pitch) is 0 and the value is the
     continuous limit.
     """
-    return _magnitude(scenario, canonicalize_frame(scenario.bob, scenario.eve), x, y, z)
-
-
-def _magnitude(scenario: "ScenarioConfig", tf, x, y, z) -> np.ndarray:
-    """:func:`correlation_magnitude` in the canonical frame ``tf`` of
-    ``scenario``, computed once by the caller."""
     geom = scenario.array
+    tf = canonicalize_frame(scenario.bob, scenario.eve)
     x_e = tf.to_canonical(scenario.eve).x
     coef = geom.phase_coef
     x = np.asarray(x, float)
@@ -142,21 +137,10 @@ def correlation_at(scenario: "ScenarioConfig", positions) -> np.ndarray:
     power or noise needs it once per position.
     """
     tf = canonicalize_frame(scenario.bob, scenario.eve)
-    # The arithmetic of FrameTransform.to_canonical, without building a
-    # Position3D per point.
-    c = math.cos(tf.rotation)
-    s = math.sin(tf.rotation)
-    xt = [p.x + tf.shift_x for p in positions]
-    yt = [p.y + tf.shift_y for p in positions]
-    return _magnitude(
-        scenario,
-        tf,
-        [x * c - y * s for x, y in zip(xt, yt)],
-        [x * s + y * c for x, y in zip(xt, yt)],
-        [p.z for p in positions],
+    points = [tf.to_canonical(p) for p in positions]
+    return correlation_magnitude(
+        scenario, [p.x for p in points], [p.y for p in points], [p.z for p in points]
     )
-
-
 
 
 def secrecy_rates(

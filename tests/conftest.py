@@ -63,6 +63,16 @@ def make_scenario(
     )
 
 
+def unchecked_scenario(**fields) -> ScenarioConfig:
+    """``make_scenario()`` with ``fields`` set past ScenarioConfig's checks:
+    the out-of-model scenarios (a nan height or yaw) that reach the solvers'
+    certification-failure paths on purpose."""
+    scenario = make_scenario()
+    for name, value in fields.items():
+        object.__setattr__(scenario, name, value)
+    return scenario
+
+
 @pytest.fixture
 def reference_scenario() -> ScenarioConfig:
     """4x4 half-wavelength array at 3 GHz, nodes 500 m apart, 200 m altitude,
@@ -269,11 +279,11 @@ def evaluate_link(scenario: ScenarioConfig, uav: Position3D) -> LinkMetrics:
 
 
 def scalar_scan_bracket(x_e: float, g: float, target: float):
-    """The extension solver's pre-scan as a scalar loop, the reference for
-    its vectorised form: 64 log-spaced outward distances over [1e-6, 1e6] m,
-    each gap from ``_pitch_gap``.  Returns the first (lo, hi) where
-    gap - target changes sign from + to -, (t, t) at a grid point that
-    solves it exactly, or None when neither occurs.
+    """The extension solver's pre-scan (``placement._scan_gap``) restated
+    from its definition, on a grid built here: 64 log-spaced outward
+    distances over [1e-6, 1e6] m, each gap from ``_pitch_gap``.  Returns
+    the first (lo, hi) where gap - target changes sign from + to -, (t, t)
+    at a grid point that solves it exactly, or None when neither occurs.
     """
     prev_t = prev_v = None
     for t in np.logspace(math.log10(1e-6), math.log10(1e6), 64).tolist():

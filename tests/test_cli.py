@@ -442,11 +442,11 @@ def test_alpha_sweep_rejects_an_snr_beyond_float_range(tmp_path, capsys, p_w, si
 @pytest.mark.parametrize(
     "key,value",
     [("m", 0), ("n", 0), ("f_c_hz", -1), ("p_w", 0), ("sigma2_w", -1),
-     ("alpha", 1.5), ("x_e_m", 0), ("g_m", -5), ("x_e_m", "1e-10")],
+     ("alpha", 1.5), ("x_e_m", 0), ("g_m", -5), ("g_m", 0), ("x_e_m", "1e-10")],
 )
 @pytest.mark.parametrize("command", ["place", "sweep", "pattern"])
 def test_out_of_range_config_value_exits_1(tmp_path, capsys, key, value, command):
-    # the CLI checks the node geometry, the constructors the rest; x_e_m =
+    # the CLI checks the ground segment, the constructors the rest; x_e_m =
     # 1e-10 puts the nodes on one point, which has no axis to align
     cfg = write_config(tmp_path / "a.cfg", **{key: value})
     out = tmp_path / "out"
@@ -481,12 +481,20 @@ def test_geometry_beyond_float_squares_is_a_named_outcome(
     argv = [command, "--config", cfg]
     if command == "sweep":
         argv += ["--out", str(tmp_path / "out")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
         code = main(argv)
     assert code in (0, 2)
     err = capsys.readouterr().err.splitlines()
     assert err and all(line.startswith("infeasible: ") for line in err)
+    if (key, command) == ("x_e_m", "place"):
+        # the warning the command writes to stderr (once per right-side
+        # factor) gives the far candidate's coordinate in six significant
+        # digits, not all 201 of them
+        assert {str(w.message) for w in caught} == {
+            "extension candidate x=1e+200 failed verification "
+            "(|rho| = 7.233e-02); discarded"
+        }
 
 
 # Linux carries a process's high-water RSS across exec, so a command started

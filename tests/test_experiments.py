@@ -29,6 +29,25 @@ def test_scenario_rejects_a_seed_the_baseline_draw_cannot_take(seed):
         make_scenario(seed=seed)
 
 
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@given(
+    field_value=st.one_of(
+        st.tuples(st.just("uav_height_m"), st.floats(max_value=0.0) | _NON_FINITE),
+        st.tuples(st.just("yaw"), _NON_FINITE),
+    )
+)
+def test_scenario_rejects_an_out_of_model_height_or_yaw(field_value):
+    # a height <= 0 mirrors a placement below the ground, which the
+    # correlation (even in the height) cannot tell apart; nan or inf would
+    # surface later as a failed certification naming the wrong cause
+    field, value = field_value
+    match = "platform height must be" if field == "uav_height_m" else "yaw must be"
+    with pytest.raises(ValueError, match=match):
+        replace(make_scenario(), **{field: value})
+
+
 def test_scenario_accepts_numpy_integer_seeds():
     # as ArrayGeometry does; the draw is the same as from the Python integer
     got = sweep_snr(make_scenario(seed=np.int64(7))).metadata["baseline_positions"]

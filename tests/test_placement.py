@@ -32,6 +32,7 @@ from conftest import (
     make_scenario,
     midpoint_symmetry_check,
     scalar_scan_bracket,
+    unchecked_scenario,
 )
 
 Y_REF = 630.4760106459247
@@ -246,9 +247,9 @@ def test_null_is_locally_sharp(reference_scenario):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: make_scenario(g=math.nan),
+        lambda: unchecked_scenario(uav_height_m=math.nan),
         lambda: make_scenario(x_e=math.inf),
-        lambda: make_scenario(yaw=math.nan),
+        lambda: unchecked_scenario(yaw=math.nan),
         # the bisector closed form assumes both nodes on the ground
         lambda: replace(make_scenario(), eve=Position3D(500.0, 0.0, 30.0)),
     ],
@@ -424,30 +425,30 @@ _E = "extension candidate x={} failed verification (|rho| = {}); discarded"
 # one, and the bisector keeps only its column placements.
 WARNING_CASES = {
     "g-nan": (
-        lambda: make_scenario(g=math.nan),
-        [_B.format("0.000000", "nan")] * 2, [], [],
+        lambda: unchecked_scenario(uav_height_m=math.nan),
+        [_B.format("0", "nan")] * 2, [], [],
     ),
     "x_e-inf": (
         lambda: make_scenario(x_e=math.inf),
-        [_B.format("0.000000", "nan")] * 2, [], [],
+        [_B.format("0", "nan")] * 2, [], [],
     ),
     "yaw-nan": (
-        lambda: make_scenario(yaw=math.nan),
-        [_B.format("0.000000", "nan")] * 2, [], [],
+        lambda: unchecked_scenario(yaw=math.nan),
+        [_B.format("0", "nan")] * 2, [], [],
     ),
     "eve-30m-up": (
         lambda: replace(make_scenario(), eve=Position3D(500.0, 0.0, 30.0)),
-        [_B.format("630.476011", "2.087e-04"), _B.format("-630.476011", "2.087e-04")] * 2,
-        [_E.format("-47.752731", "5.880e-04")] * 2,
-        [_E.format("547.752731", "3.896e-03")] * 2,
+        [_B.format("630.476", "2.087e-04"), _B.format("-630.476", "2.087e-04")] * 2,
+        [_E.format("-47.7527", "5.880e-04")] * 2,
+        [_E.format("547.753", "3.896e-03")] * 2,
     ),
     "row-fails": (
         lambda: replace(
             make_scenario(m=8, n=4, yaw=0.6), eve=Position3D(500.0, 0.0, 1e-4)
         ),
-        [_B.format("1619.325634", "1.070e-08"), _B.format("-1619.325634", "1.694e-08")],
-        [_E.format("-173.710298", "1.089e-07")],
-        [_E.format("673.710298", "5.244e-07")],
+        [_B.format("1619.33", "1.070e-08"), _B.format("-1619.33", "1.694e-08")],
+        [_E.format("-173.71", "1.089e-07")],
+        [_E.format("673.71", "5.244e-07")],
     ),
 }
 

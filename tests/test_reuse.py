@@ -123,13 +123,13 @@ def test_slot_holds_one_scenario():
 def kernel_calls(monkeypatch):
     """A list that grows by one entry per correlation kernel call."""
     calls = []
-    kernel = signalmodel._magnitude
+    kernel = signalmodel.correlation_magnitude
 
     def counting(*args):
         calls.append(1)
         return kernel(*args)
 
-    monkeypatch.setattr(signalmodel, "_magnitude", counting)
+    monkeypatch.setattr(signalmodel, "correlation_magnitude", counting)
     return calls
 
 
