@@ -7,8 +7,6 @@ byte-identical files.
 
 import math
 
-import numpy as np
-
 _PALETTE = ("#1f77b4", "#333333", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
 _W, _H = 640, 420
@@ -134,6 +132,8 @@ def render_heatmap(
     grid is subsampled to at most ~200 cells per axis for rendering;
     ``overlays`` positions (x, y) are marked with circles.
     """
+    import numpy as np
+
     nx, ny = len(xs), len(ys)
     stride = max(1, math.ceil(nx / 200), math.ceil(ny / 200))
     sx = list(range(0, nx, stride))

@@ -28,8 +28,6 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
 from .geometry import TWO_PI, Position3D, canonicalize_frame
 from .scenario import ScenarioConfig
@@ -47,12 +45,27 @@ _NULL_TOL = 1e-8
 # Positions closer than this (meters) are considered the same solution.
 _DEDUP_M = 1e-6
 
-_BISECT_LO = 1e-6
-_BISECT_HI = 1e6
-_BISECT_SCAN = 64
-# Outward distances of the bisection's logarithmic pre-scan.
-_SCAN_T = tuple(
-    np.logspace(math.log10(_BISECT_LO), math.log10(_BISECT_HI), _BISECT_SCAN).tolist()
+# Outward distances of the bisection's logarithmic pre-scan: the 64 values
+# of numpy.logspace(-6, 6, 64), 1e-6 to 1e6 m.  10.0 ** x over the same
+# exponents rounds 5 of them differently, which would move roots.
+_SCAN_T = (
+    1e-06, 1.5505157798326253e-06, 2.404099183509974e-06, 3.727593720314938e-06,
+    5.779692884153313e-06, 8.96150501946605e-06, 1.389495494373136e-05,
+    2.1544346900318823e-05, 3.340484983513244e-05, 5.1794746792312125e-05,
+    8.030857221391521e-05, 0.0001245197084735032, 0.00019306977288832496,
+    0.00029935772947204905, 0.00046415888336127773, 0.0007196856730011514,
+    0.001115883992507748, 0.0017301957388458943, 0.0026826957952797246,
+    0.004159562163071843, 0.00644946677103762, 0.01, 0.015505157798326221,
+    0.024040991835099692, 0.03727593720314938, 0.05779692884153313, 0.0896150501946605,
+    0.1389495494373136, 0.21544346900318823, 0.33404849835132444, 0.5179474679231202,
+    0.8030857221391504, 1.2451970847350318, 1.9306977288832496, 2.9935772947204904,
+    4.641588833612772, 7.196856730011514, 11.15883992507748, 17.30195738845891,
+    26.82695795279722, 41.595621630718426, 64.4946677103762, 100.0, 155.0515779832622,
+    240.40991835099643, 372.7593720314938, 577.9692884153301, 896.150501946605,
+    1389.495494373136, 2154.434690031878, 3340.4849835132445, 5179.474679231202,
+    8030.85722139152, 12451.970847350318, 19306.977288832455, 29935.772947204903,
+    46415.888336127726, 71968.567300115, 111588.3992507748, 173019.57388458907,
+    268269.5795279716, 415956.2163071843, 644946.6771037607, 1000000.0,
 )
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
@@ -180,10 +193,11 @@ def _bisector(scenario: ScenarioConfig, index: NullIndex) -> list[PlacementSolut
     if isinstance(candidates, str):
         raise InfeasibleGeometry(candidates)
     solutions: list[PlacementSolution] = []
-    accepted_y: list[float] = []
+    seen_y: list[float] = []
     for (factor, branch, y), position, residual, rate in candidates:
-        if any(abs(y - prev) < _DEDUP_M for prev in accepted_y):
+        if any(abs(y - prev) < _DEDUP_M for prev in seen_y):
             continue
+        seen_y.append(y)
         if rate is None:
             warnings.warn(
                 f"bisector candidate y={y:.6g} failed verification "
@@ -191,7 +205,6 @@ def _bisector(scenario: ScenarioConfig, index: NullIndex) -> list[PlacementSolut
                 stacklevel=3,
             )
             continue
-        accepted_y.append(y)
         solutions.append(
             PlacementSolution(
                 position=position,
@@ -254,7 +267,7 @@ def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
             f"yaw closer to the ground axis"
         )
     positions = [tf.from_canonical(Position3D(half, y, g)) for _, _, y in candidates]
-    residuals = correlation_at(scenario, positions).tolist()
+    residuals = correlation_at(scenario, positions)
     return tuple(zip(candidates, positions, residuals, _rates(scenario, residuals)))
 
 
@@ -335,34 +348,38 @@ def _extension(
         raise ValueError("factor must be 'row' or 'column'")
     key = ("pitch", index.l, type(index.l))
     steps = _kept(scenario, key, _extension_candidates, index.l)
+    failures: list[str] = []
+    failed_x: list[float] = []
     for fac in (factor,) if factor is not None else ("row", "column"):
         kind, *step = steps[side, fac]
         if kind == "raised":
             raise InfeasibleGeometry(step[0])
         if kind == "gap":
-            failure = step[0]
+            failures.append(step[0])
             continue
         x_a, branch, position, residual, rate = step
-        if rate is None:
+        # A point already discarded is not tried, or warned of, again.
+        if not any(abs(x_a - prev) < _DEDUP_M for prev in failed_x):
+            if rate is not None:
+                return PlacementSolution(
+                    position=position,
+                    scheme="pitch",
+                    branch=branch,
+                    index_used=index,
+                    factor_used=fac,
+                    null_residual=residual,
+                    sr_at_solution=rate,
+                )
             warnings.warn(
                 f"extension candidate x={x_a:.6g} failed verification "
                 f"(|rho| = {residual:.3e}); discarded",
                 stacklevel=3,
             )
-            failure = f"{fac} factor candidate failed verification"
-            continue
-        return PlacementSolution(
-            position=position,
-            scheme="pitch",
-            branch=branch,
-            index_used=index,
-            factor_used=fac,
-            null_residual=residual,
-            sr_at_solution=rate,
-        )
+            failed_x.append(x_a)
+        failures.append(f"{fac} factor candidate failed verification")
     raise InfeasibleGeometry(
-        f"extension scheme infeasible on the {side} side: {failure}; lower "
-        f"the altitude, shrink the index, or use a larger array"
+        f"extension scheme infeasible on the {side} side: {'; '.join(failures)}; "
+        f"lower the altitude, shrink the index, or use a larger array"
     )
 
 
@@ -409,7 +426,7 @@ def _extension_candidates(scenario: ScenarioConfig, l) -> dict:
             position = tf.from_canonical(Position3D(x_a, 0.0, g))
             found.append(((side, fac), x_a, branch, position))
     if found:
-        residuals = correlation_at(scenario, [c[3] for c in found]).tolist()
+        residuals = correlation_at(scenario, [c[3] for c in found])
         rates = _rates(scenario, residuals)
         for (key, *candidate), residual, rate in zip(found, residuals, rates):
             steps[key] = ("candidate", *candidate, residual, rate)
@@ -504,23 +521,24 @@ def solve_all(
     return solutions, failures
 
 
-def correlation_map(
-    scenario: ScenarioConfig, xs: np.ndarray, ys: np.ndarray
-) -> np.ndarray:
+def correlation_map(scenario: ScenarioConfig, xs, ys):
     """|h_e^H h_b| over a canonical-frame position grid at the platform
-    altitude, shape (len(ys), len(xs)).
+    altitude, a numpy array of shape (len(ys), len(xs)).
 
-    :func:`~spwt.signalmodel.correlation_magnitude` over the grid, rows in
-    chunks of at most ``_MAP_CHUNK`` points, which bounds every temporary
-    array.
+    :func:`~spwt.signalmodel.correlation_magnitude` over numpy, rows in
+    chunks of at most ``_MAP_CHUNK`` points, which bounds every
+    temporary array.
     """
+    import numpy as np
+
+    tf = canonicalize_frame(scenario.bob, scenario.eve)
+    x_e = tf.to_canonical(scenario.eve).x
     x = np.asarray(xs, float).ravel()[None, :]
     ys = np.asarray(ys, float).ravel()
     out = np.empty((ys.size, x.size))
     rows = max(1, _MAP_CHUNK // max(1, x.size))
     for start in range(0, ys.size, rows):
         out[start : start + rows] = correlation_magnitude(
-            scenario, x, ys[start : start + rows, None], scenario.uav_height_m
+            scenario, x_e, x, ys[start : start + rows, None], scenario.uav_height_m, np
         )
     return out
-

@@ -7,15 +7,15 @@ alpha*P/sigma_b^2 at every transmitter position; the eavesdropper's SINR is
 governed entirely by the correlation rho between the two steering vectors.
 Secrecy rate is log2(1+SINR_b) - log2(1+SINR_e), clipped at zero.
 
-|rho| for transmitter positions comes from one vectorised kernel,
-:func:`correlation_magnitude`, which every caller in the package shares.
+|rho| for transmitter positions comes from one kernel, in floats or over
+numpy arrays, :func:`correlation_magnitude`, which every caller shares.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import InvalidCorrelation
 from .geometry import canonicalize_frame
@@ -62,36 +62,49 @@ def secrecy_rate(sinr_b: float, sinr_e: float) -> float:
     return max(0.0, math.log2(1.0 + sinr_b) - math.log2(1.0 + sinr_e))
 
 
-def _axis_sum_magnitude(count: int, step: np.ndarray) -> np.ndarray:
+# correlation_magnitude's one-point backend, numpy's names; 0/0 (on a node) is nan.
+SCALAR = SimpleNamespace(
+    arctan2=math.atan2, hypot=math.hypot, cos=math.cos, sin=math.sin, exp=cmath.exp,
+    divide=lambda a, b: a / b if b else math.nan,
+)
+
+
+def _axis_sum_magnitude(xp, count: int, step):
     """|sum(exp(1j*i*step) for i in range(count))|, elementwise over ``step``.
 
-    Summed term by term (each term one rotation of the previous), so a step
-    at a multiple of 2*pi needs no limit handling.  The products are not
-    taken in place: numpy's in-place complex multiply can round a one-element
-    array differently from a longer one, and a point must give the same
-    value alone as in a batch.
+    Binary doubling over the bits of ``count`` from the top: with S(j) the
+    sum of the first j terms and r the rotor exp(1j*step),
+
+        S(2j) = S(j) * (1 + r^j)    and    S(j+1) = S(j) + r^j,
+
+    ~2*log2(count) complex products, and no limit handling at a step that is
+    a multiple of 2*pi.  The products are not taken in place: numpy's
+    in-place complex multiply can round a one-element array differently.
     """
-    if count == 1:
-        return np.ones(np.shape(step))
-    rotor = np.exp(1j * step)
-    term = rotor
-    total = rotor + 1.0
-    for _ in range(2, count):
-        term = term * rotor
-        total = total + term
-    return np.abs(total)
+    rotor = xp.exp(1j * step)
+    total, power = 1.0, rotor  # S(j) and r^j at j = 1
+    for bit in bin(count)[3:]:
+        total = total * (1.0 + power)
+        power = power * power
+        if bit == "1":
+            total = total + power
+            power = power * rotor
+    return abs(total)
 
 
-def correlation_magnitude(scenario: "ScenarioConfig", x, y, z) -> np.ndarray:
+def correlation_magnitude(scenario: "ScenarioConfig", x_e: float, x, y, z, xp):
     """|h_e^H h_b| for transmitters at canonical-frame points (x, y, z).
 
     The one evaluation of the correlation in the package: certification,
     the sweeps' baselines and the correlation map all call it.  The
     canonical frame (:func:`~spwt.geometry.canonicalize_frame`) puts the
-    receiver over the origin and the eavesdropper over the +x axis; each
-    node keeps its own altitude, so the pitch toward it uses the height
-    difference z - node.z.  ``x``, ``y`` and ``z`` are scalars or arrays
-    that broadcast together; the result has their broadcast shape.
+    receiver over the origin and the eavesdropper at ``x_e`` on the +x
+    axis; each node keeps its own altitude, so the pitch toward it uses the
+    height difference z - node.z.  ``xp`` is the backend: numpy, for arrays
+    that broadcast together and a result of their broadcast shape (a 1x1
+    array gives the float 1.0), or :data:`SCALAR`, for one point in floats.
+    Within each backend a point gives the same value alone as in a batch;
+    the two agree to rounding.
 
     The element double sum factors into one geometric sum per array axis,
     with phase increments
@@ -100,47 +113,43 @@ def correlation_magnitude(scenario: "ScenarioConfig", x, y, z) -> np.ndarray:
         b = coef * (cos(pitch_e)*sin(az_e) - cos(pitch_b)*sin(az_b))
 
     (az yaw-relative, coef the array phase coefficient), so each point costs
-    |sum_m e^{i m a}| * |sum_n e^{i n b}| / (M*N): O(M + N) work instead of
-    O(M*N).  Both sums are evaluated explicitly, not by their ratio form,
-    which keeps the result independent of the null equations the solvers
-    use.  Directly over a node cos(pitch) is 0 and the value is the
-    continuous limit.
+    |sum_m e^{i m a}| * |sum_n e^{i n b}| / (M*N): O(log M + log N) work
+    instead of O(M*N).  Both sums are evaluated explicitly, not by their
+    ratio form, which keeps the result independent of the null equations
+    the solvers use.  Directly over a node cos(pitch) is 0 and the value is
+    the continuous limit.
     """
     geom = scenario.array
-    tf = canonicalize_frame(scenario.bob, scenario.eve)
-    x_e = tf.to_canonical(scenario.eve).x
     coef = geom.phase_coef
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    z = np.asarray(z, float)
-    az_b = np.arctan2(y, x) - scenario.yaw
-    az_e = np.arctan2(y, x - x_e) - scenario.yaw
+    az_b = xp.arctan2(y, x) - scenario.yaw
+    az_e = xp.arctan2(y, x - x_e) - scenario.yaw
     # cos(pitch) = horizontal range / slant range.
-    cp_b = np.hypot(x, y)
-    cp_b = cp_b / np.hypot(cp_b, z - scenario.bob.z)
-    cp_e = np.hypot(x - x_e, y)
-    cp_e = cp_e / np.hypot(cp_e, z - scenario.eve.z)
-    a = coef * (cp_e * np.cos(az_e) - cp_b * np.cos(az_b))
-    b = coef * (cp_e * np.sin(az_e) - cp_b * np.sin(az_b))
+    cp_b = xp.hypot(x, y)
+    cp_b = xp.divide(cp_b, xp.hypot(cp_b, z - scenario.bob.z))
+    cp_e = xp.hypot(x - x_e, y)
+    cp_e = xp.divide(cp_e, xp.hypot(cp_e, z - scenario.eve.z))
+    a = coef * (cp_e * xp.cos(az_e) - cp_b * xp.cos(az_b))
+    b = coef * (cp_e * xp.sin(az_e) - cp_b * xp.sin(az_b))
     return (
-        _axis_sum_magnitude(geom.m_rows, a)
-        * _axis_sum_magnitude(geom.n_cols, b)
+        _axis_sum_magnitude(xp, geom.m_rows, a)
+        * _axis_sum_magnitude(xp, geom.n_cols, b)
         / geom.size
     )
 
 
-def correlation_at(scenario: "ScenarioConfig", positions) -> np.ndarray:
-    """:func:`correlation_magnitude` at caller-frame ``positions``, mapped
-    into the canonical frame, in one kernel call.
+def correlation_at(scenario: "ScenarioConfig", positions) -> list[float]:
+    """:func:`correlation_magnitude` at caller-frame ``positions``, one
+    :data:`SCALAR` call per point in the canonical frame.
 
     Depends only on geometry, never on the power budget, so a sweep over
     power or noise needs it once per position.
     """
     tf = canonicalize_frame(scenario.bob, scenario.eve)
-    points = [tf.to_canonical(p) for p in positions]
-    return correlation_magnitude(
-        scenario, [p.x for p in points], [p.y for p in points], [p.z for p in points]
-    )
+    x_e = tf.to_canonical(scenario.eve).x
+    return [
+        correlation_magnitude(scenario, x_e, p.x, p.y, p.z, SCALAR)
+        for p in map(tf.to_canonical, positions)
+    ]
 
 
 def secrecy_rates(

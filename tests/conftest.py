@@ -343,8 +343,8 @@ def heatmap_shade(value: float) -> int:
 
 def scalar_baseline_positions(n, bounds, z, seed, exclude) -> list[Position3D]:
     """``random_baseline_positions`` as one scalar ``rng.uniform`` call per
-    coordinate, x before y, a draw within 1 m of an excluded node redrawn:
-    the reference for the vectorised draw."""
+    coordinate of numpy's own ``default_rng``, x before y, a draw within 1 m
+    of an excluded node redrawn: the reference for the plain-Python draw."""
     (x_lo, x_hi), (y_lo, y_hi) = bounds
     rng = np.random.default_rng(seed)
     out = []

@@ -31,7 +31,7 @@ from spwt import (
     sweep_alpha,
     sweep_snr,
 )
-from spwt.signalmodel import correlation_magnitude
+from spwt.signalmodel import correlation_at
 
 
 def _verdict(capsys, num, ok, detail):
@@ -338,9 +338,8 @@ def test_acceptance_8_invariant_suite(capsys):
         )
         xs, ys = rng.uniform(-1500.0, 1500.0, (2, 50))
         zs = rng.uniform(10.0, 800.0, 50)
-        factored = correlation_magnitude(sc, xs, ys, zs)
-        for x, y, z, got in zip(xs, ys, zs, factored):
-            uav = Position3D(float(x), float(y), float(z))
+        uavs = [Position3D(*p) for p in zip(xs.tolist(), ys.tolist(), zs.tolist())]
+        for uav, got in zip(uavs, correlation_at(sc, uavs)):
             ang_b = look_angles(uav, sc.bob, sc.yaw)
             ang_e = look_angles(uav, sc.eve, sc.yaw)
             direct = cross_correlation(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spwt import ArrayGeometry, Position3D
-from spwt.signalmodel import correlation_magnitude
+from spwt.signalmodel import correlation_at
 from conftest import (
     DimensionMismatch,
     cross_correlation,
@@ -140,9 +140,7 @@ def test_equal_look_angles_correlate_fully():
     sc = replace(make_scenario(yaw=0.37), eve=Position3D(500.0, 0.0, 30.0))
     uav = Position3D(1000.0, 0.0, 60.0)
     assert explicit_correlation(sc, uav) == pytest.approx(1.0, abs=1e-12)
-    assert correlation_magnitude(sc, uav.x, uav.y, uav.z) == pytest.approx(
-        1.0, abs=1e-12
-    )
+    assert correlation_at(sc, [uav])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_full_turn_increment_hits_removable_singularity():
@@ -155,7 +153,8 @@ def test_full_turn_increment_hits_removable_singularity():
     assert cross_correlation(h_e, h_b) == pytest.approx(1.0 + 0.0j, abs=1e-12)
     # the same directions from a transmitter on the ground between the nodes
     sc = make_scenario(m=2, n=2, yaw=0.0)
-    assert correlation_magnitude(sc, 250.0, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+    at = correlation_at(sc, [Position3D(250.0, 0.0, 0.0)])
+    assert at[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_factored_kernel_matches_direct_sum():
@@ -172,9 +171,9 @@ def test_factored_kernel_matches_direct_sum():
         )
         xs, ys = rng.uniform(-2000.0, 2000.0, (2, 50))
         zs = 10.0 ** rng.uniform(-2.0, 5.0, 50)
-        got = correlation_magnitude(sc, xs, ys, zs)
-        want = [explicit_correlation(sc, Position3D(*p)) for p in zip(xs, ys, zs)]
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        uavs = [Position3D(*p) for p in zip(xs.tolist(), ys.tolist(), zs.tolist())]
+        for got, uav in zip(correlation_at(sc, uavs), uavs):
+            worst = max(worst, abs(got - explicit_correlation(sc, uav)))
     assert worst <= 1e-10
 
 

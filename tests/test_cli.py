@@ -488,13 +488,81 @@ def test_geometry_beyond_float_squares_is_a_named_outcome(
     err = capsys.readouterr().err.splitlines()
     assert err and all(line.startswith("infeasible: ") for line in err)
     if (key, command) == ("x_e_m", "place"):
-        # the warning the command writes to stderr (once per right-side
-        # factor) gives the far candidate's coordinate in six significant
-        # digits, not all 201 of them
-        assert {str(w.message) for w in caught} == {
-            "extension candidate x=1e+200 failed verification "
-            "(|rho| = 7.233e-02); discarded"
-        }
+        # the warning the command writes to stderr gives the far candidate's
+        # coordinate in six significant digits, not all 201 of them
+        assert [str(w.message) for w in caught] == [FAR_WARNING]
+
+
+FAR_WARNING = (
+    "extension candidate x=1e+200 failed verification (|rho| = 7.233e-02); discarded"
+)
+GOLDEN_REFERENCE = Path(__file__).parent / "golden" / "reference.cfg"
+
+
+def _cli_process(argv, *flags, code=None, timeout=120):
+    """``python <flags> -m spwt.cli <argv>`` in a fresh process, or ``-c
+    code`` with ``argv`` as its arguments."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spwt.__file__).parents[1]))
+    env.pop("SPWT_SEED", None)
+    run = ["-c", code] if code is not None else ["-m", "spwt.cli"]
+    return subprocess.run(
+        [sys.executable, *flags, *run, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+def test_far_candidates_at_one_point_warn_once(tmp_path):
+    # Beyond a 1e200 m segment the right side's row and column candidates
+    # round to the same point: one warning, and the side names both factors.
+    cfg = write_config(tmp_path / "a.cfg", x_e_m="1e200")
+    proc = _cli_process(["place", "--config", cfg], "-W", "always")
+    assert proc.returncode == 0
+    assert proc.stderr.count(FAR_WARNING) == 1
+    right = [
+        line for line in proc.stderr.splitlines() if line.startswith("infeasible: pitch right")
+    ]
+    assert right == [
+        "infeasible: pitch right: extension scheme infeasible on the right side: "
+        "row factor candidate failed verification; column factor candidate failed "
+        "verification; lower the altitude, shrink the index, or use a larger array"
+    ]
+
+
+def test_place_on_a_billion_rows_is_a_named_outcome(tmp_path):
+    # each axis sum takes ~2*log2(M) products, so m = 10^9 ends at once
+    cfg = write_config(tmp_path / "a.cfg", m=10**9)
+    proc = _cli_process(["place", "--config", cfg], timeout=5)
+    assert proc.returncode in (0, 2)
+
+
+# Imports spwt, then runs the CLI on the arguments, if any, and reports
+# whether numpy was imported.
+_NUMPY_CHECK = """
+import sys
+import spwt
+if sys.argv[1:]:
+    from spwt.cli import main
+    main(sys.argv[1:])
+print("numpy imported:", "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["place"], ["sweep", "--kind", "snr"], ["sweep", "--kind", "alpha"]],
+    ids=["import", "place", "sweep-snr", "sweep-alpha"],
+)
+def test_import_place_and_sweep_need_no_numpy(tmp_path, argv):
+    if argv:
+        argv = [*argv, "--config", str(GOLDEN_REFERENCE)]
+    if argv[:1] == ["sweep"]:
+        argv += ["--out", str(tmp_path / "out")]
+    proc = _cli_process(argv, code=_NUMPY_CHECK)
+    assert proc.returncode == 0
+    assert proc.stderr == "numpy imported: False\n"
 
 
 # Linux carries a process's high-water RSS across exec, so a command started
@@ -514,14 +582,9 @@ def test_pattern_at_the_grid_cap_peak_rss(tmp_path):
     # its peak RSS is the interpreter, numpy and the float64 map (32 MB).
     cfg = write_config(tmp_path / "a.cfg")
     out = tmp_path / "out"
-    env = dict(os.environ, PYTHONPATH=str(Path(spwt.__file__).parents[1]))
     argv = ["pattern", "--config", cfg, "--grid=-1000:1000:1", "--out", str(out)]
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "spwt.cli", *argv],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
+    proc = _cli_process(
+        [sys.executable, "-m", "spwt.cli", *argv], code=_PEAK_RSS, timeout=300
     )
     try:
         code, peak_kb = map(int, proc.stdout.split())

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from conftest import (
     make_scenario,
     scalar_baseline_positions,
 )
+from spwt.experiments import _uniforms
 
 SERIES = ("proposed", "theory", "rand1", "rand2", "rand3")
 
@@ -89,6 +91,25 @@ def test_baseline_positions_validation():
         random_baseline_positions(0)
     with pytest.raises(ValueError):
         random_baseline_positions(2, ((5.0, 5.0), (-1.0, 1.0)))
+    with pytest.raises(ValueError, match="non-negative"):
+        random_baseline_positions(2, seed=-1)
+    with pytest.raises(TypeError):
+        random_baseline_positions(2, seed=1.0)
+
+
+@given(
+    seed=st.one_of(
+        st.integers(0, 2**300),
+        st.integers(0, 2**63 - 1).map(np.int64),
+        st.integers(0, 2**32 - 1).map(np.uint32),
+    ),
+    k=st.integers(1, 40),
+)
+def test_uniform_stream_is_numpys_default_rng(seed, k):
+    # the plain-Python PCG64 port draws numpy's doubles, bit for bit, for
+    # seeds of one to ten 32-bit words and for numpy integer seeds
+    want = np.random.default_rng(seed).random(k).tolist()
+    assert list(itertools.islice(_uniforms(seed), k)) == want
 
 
 @given(

@@ -25,7 +25,7 @@ from spwt import (
     sweep_alpha,
     sweep_snr,
 )
-from spwt import signalmodel
+from spwt import experiments, placement, signalmodel
 from conftest import finite_scenarios, make_scenario
 
 
@@ -121,15 +121,17 @@ def test_slot_holds_one_scenario():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """A list that grows by one entry per correlation kernel call."""
+    """A list that grows by one entry per ``correlation_at`` call, under
+    each name the solvers and sweeps call it by."""
     calls = []
-    kernel = signalmodel.correlation_magnitude
+    kernel = signalmodel.correlation_at
 
     def counting(*args):
         calls.append(1)
         return kernel(*args)
 
-    monkeypatch.setattr(signalmodel, "correlation_magnitude", counting)
+    for module in (placement, experiments):
+        monkeypatch.setattr(module, "correlation_at", counting)
     return calls
 
 

@@ -12,9 +12,15 @@ from spwt import (
     PowerConfig,
     ScenarioConfig,
     canonicalize_frame,
+    correlation_map,
     secrecy_rate,
 )
-from spwt.signalmodel import correlation_at, correlation_magnitude, secrecy_rates
+from spwt.signalmodel import (
+    SCALAR,
+    correlation_at,
+    correlation_magnitude,
+    secrecy_rates,
+)
 from conftest import (
     SIGMA2_15DB,
     build_beamformers,
@@ -204,6 +210,12 @@ def test_evaluate_link_at_a_node_is_degenerate(reference_scenario):
         assert math.isfinite(evaluate_link(reference_scenario, above).sinr_e)
 
 
+def test_kernel_on_a_node_is_nan():
+    # 0/0 in the pitch cosine: nan, as numpy gives, not ZeroDivisionError
+    sc = make_scenario()
+    assert all(map(math.isnan, correlation_at(sc, [sc.bob, sc.eve])))
+
+
 def test_receiver_sinr_is_placement_invariant(reference_scenario):
     rng = np.random.default_rng(17)
     for _ in range(50):
@@ -251,17 +263,38 @@ def test_correlation_kernel_matches_explicit_vectors():
             )
             for _ in range(8)
         ]
-        want = np.array([explicit_correlation(sc, u) for u in uavs])
+        want = [explicit_correlation(sc, u) for u in uavs]
         got = correlation_at(sc, uavs)
-        assert got.shape == (8,)
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        worst = max(worst, *(abs(g - w) for g, w in zip(got, want)))
         # a point alone gives the same float as in a batch
-        assert correlation_at(sc, uavs[:1])[0] == got[0]
-        p = canonicalize_frame(bob, eve).to_canonical(uavs[0])
-        one = correlation_magnitude(sc, p.x, p.y, p.z)
-        assert np.shape(one) == ()
-        assert abs(float(one) - want[0]) <= 1e-12
+        assert got == [correlation_at(sc, [u])[0] for u in uavs]
+        tf = canonicalize_frame(bob, eve)
+        p = tf.to_canonical(uavs[0])
+        one = correlation_magnitude(sc, tf.to_canonical(eve).x, p.x, p.y, p.z, SCALAR)
+        assert type(one) is float and one == got[0]
     assert worst <= 1e-12
+
+
+def test_scalar_and_numpy_kernels_agree():
+    # One kernel body over two backends: correlation_at in floats,
+    # correlation_map over numpy arrays.  They round apart; 2,000 random
+    # points on arrays of 4 to 256 elements per axis.
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for _ in range(100):
+        sc = make_scenario(
+            m=int(rng.integers(4, 257)),
+            n=int(rng.integers(4, 257)),
+            x_e=float(rng.uniform(50.0, 1000.0)),
+            g=float(rng.uniform(10.0, 800.0)),
+            yaw=float(rng.uniform(0.0, 2.0 * math.pi)),
+        )
+        xs = rng.uniform(-1500.0, 1500.0, 10).tolist()
+        ys = rng.uniform(-1500.0, 1500.0, 2).tolist()
+        grid = correlation_map(sc, xs, ys).ravel().tolist()
+        points = [Position3D(x, y, sc.uav_height_m) for y in ys for x in xs]
+        worst = max(worst, *(abs(a - b) for a, b in zip(grid, correlation_at(sc, points))))
+    assert worst <= 1e-13
 
 
 @pytest.mark.parametrize("field", range(4))
