@@ -6,21 +6,20 @@ requested scenario admits no nulling placement.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
 
 from . import __version__
 from .arrays import ArrayGeometry
-from .charts import render_heatmap, render_line_chart
 from .errors import DegenerateGeometry, InfeasibleGeometry, InvalidIndex, InvalidYaw
-from .experiments import sweep_alpha, sweep_snr
 from .geometry import Position3D
 from .placement import correlation_map, solve_all
 from .scenario import ScenarioConfig
 from .signalmodel import PowerConfig
+
+# experiments, charts, json and datetime are imported inside the commands
+# that run them: start-up and imports are most of a `place` call.
 
 _INT_KEYS = {"m", "n", "seed"}
 _FLOAT_KEYS = {
@@ -232,6 +231,9 @@ def _write_outputs(out_dir: str, files: dict) -> list[str]:
 
 
 def _manifest(command: str, resolved: dict) -> str:
+    import json
+    from datetime import datetime, timezone
+
     data = {
         "command": command,
         "tool_version": __version__,
@@ -283,6 +285,9 @@ def cmd_place(args, resolved: dict, scenario: ScenarioConfig) -> int:
 
 
 def cmd_sweep(args, resolved: dict, scenario: ScenarioConfig) -> int:
+    from .charts import render_line_chart
+    from .experiments import sweep_alpha, sweep_snr
+
     grid = _sweep_grid(args.grid, args.kind)
     if args.kind == "snr":
         result = sweep_snr(scenario, scheme=args.scheme, snr_db_grid=grid)
@@ -319,6 +324,8 @@ def cmd_sweep(args, resolved: dict, scenario: ScenarioConfig) -> int:
 
 
 def cmd_pattern(args, resolved: dict, scenario: ScenarioConfig) -> int:
+    from .charts import render_heatmap
+
     axis = _pattern_axis(args.grid)
     values = correlation_map(scenario, axis, axis)
     try:

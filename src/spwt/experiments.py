@@ -6,7 +6,6 @@ true null the proposed curve meets the bound exactly, so the comparisons
 isolate what placement alone buys.
 """
 
-import hashlib
 import itertools
 import math
 import operator
@@ -168,6 +167,8 @@ def _linear_snr(snr_db: float, p: float) -> float:
 
 
 def _run_id(scenario: ScenarioConfig, kind: str, scheme: str) -> str:
+    import hashlib  # on the first sweep, not with the module
+
     # The scenario's repr is most of the cost; the sweeps of a study share it.
     text = f"{_kept(scenario, ('repr',), repr)}|{kind}|{scheme}"
     return hashlib.sha1(text.encode()).hexdigest()[:12]

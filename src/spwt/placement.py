@@ -350,12 +350,16 @@ def _extension(
     steps = _kept(scenario, key, _extension_candidates, index.l)
     failures: list[str] = []
     failed_x: list[float] = []
+    advice = ""
     for fac in (factor,) if factor is not None else ("row", "column"):
         kind, *step = steps[side, fac]
         if kind == "raised":
             raise InfeasibleGeometry(step[0])
         if kind == "gap":
             failures.append(step[0])
+            # Only an unattainable gap is helped by these; a candidate that
+            # failed verification is not (a larger array amplifies rounding).
+            advice = "; lower the altitude, shrink the index, or use a larger array"
             continue
         x_a, branch, position, residual, rate = step
         # A point already discarded is not tried, or warned of, again.
@@ -378,8 +382,7 @@ def _extension(
             failed_x.append(x_a)
         failures.append(f"{fac} factor candidate failed verification")
     raise InfeasibleGeometry(
-        f"extension scheme infeasible on the {side} side: {'; '.join(failures)}; "
-        f"lower the altitude, shrink the index, or use a larger array"
+        f"extension scheme infeasible on the {side} side: {'; '.join(failures)}{advice}"
     )
 
 

@@ -527,15 +527,20 @@ def test_far_candidates_at_one_point_warn_once(tmp_path):
     assert right == [
         "infeasible: pitch right: extension scheme infeasible on the right side: "
         "row factor candidate failed verification; column factor candidate failed "
-        "verification; lower the altitude, shrink the index, or use a larger array"
+        "verification"
     ]
 
 
 def test_place_on_a_billion_rows_is_a_named_outcome(tmp_path):
     # each axis sum takes ~2*log2(M) products, so m = 10^9 ends at once
-    cfg = write_config(tmp_path / "a.cfg", m=10**9)
-    proc = _cli_process(["place", "--config", cfg], timeout=5)
-    assert proc.returncode in (0, 2)
+    for sizes in ({"m": 10**9}, {"m": 10**9, "n": 10**9}):
+        cfg = write_config(tmp_path / "a.cfg", **sizes)
+        proc = _cli_process(["place", "--config", cfg], timeout=5)
+        assert proc.returncode in (0, 2)
+        # At m = n = 10^9 the extension candidates fail only on rounding,
+        # which a larger array would make worse.
+        infeasible = [x for x in proc.stderr.splitlines() if x.startswith("infeasible:")]
+        assert not any("larger array" in line for line in infeasible)
 
 
 # Imports spwt, then runs the CLI on the arguments, if any, and reports
@@ -563,6 +568,43 @@ def test_import_place_and_sweep_need_no_numpy(tmp_path, argv):
     proc = _cli_process(argv, code=_NUMPY_CHECK)
     assert proc.returncode == 0
     assert proc.stderr == "numpy imported: False\n"
+
+
+# Imports spwt, then runs the CLI on the arguments, if any, and prints the
+# names of every loaded module.
+_MODULES_CHECK = """
+import sys
+import spwt
+if sys.argv[1:]:
+    from spwt.cli import main
+    main(sys.argv[1:])
+print(*sys.modules, file=sys.stderr)
+"""
+_SUBMODULES = {
+    f"spwt.{path.stem}" for path in Path(spwt.__file__).parent.glob("[!_]*.py")
+}
+
+
+@pytest.mark.parametrize(
+    "argv, skipped",
+    [
+        ([], _SUBMODULES),
+        (
+            ["place"],
+            {"spwt.experiments", "spwt.charts", "json", "datetime", "hashlib", "numpy"},
+        ),
+        (["pattern", "--grid=-100:100:10"], {"spwt.experiments", "hashlib"}),
+    ],
+    ids=["import", "place", "pattern"],
+)
+def test_commands_load_only_the_modules_they_run(tmp_path, argv, skipped):
+    if argv:
+        argv = [*argv, "--config", str(GOLDEN_REFERENCE)]
+    if argv[:1] == ["pattern"]:
+        argv += ["--out", str(tmp_path / "out")]
+    proc = _cli_process(argv, code=_MODULES_CHECK)
+    assert proc.returncode == 0
+    assert set(proc.stderr.split()) & skipped == set()
 
 
 # Linux carries a process's high-water RSS across exec, so a command started

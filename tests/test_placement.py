@@ -201,8 +201,9 @@ def test_pitch_column_factor_matches_row_here(reference_scenario):
 
 
 def test_pitch_infeasible_when_gap_unreachable():
-    # small array, high flight: the needed pitch-cosine gap is unattainable
-    with pytest.raises(InfeasibleGeometry):
+    # small array, high flight: the needed pitch-cosine gap is unattainable,
+    # and the message says what would make it attainable
+    with pytest.raises(InfeasibleGeometry, match="or use a larger array$"):
         solve_pitch_scheme(make_scenario(m=2, n=2, g=2000.0), side="left")
 
 
