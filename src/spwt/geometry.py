@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 from .errors import DegenerateGeometry
 
-TWO_PI = 2.0 * math.pi
-
 # Below this horizontal separation in meters the ground axis is undefined.
 _FLAT_EPS = 1e-9
 

@@ -9,7 +9,8 @@ whose zeros are known:
 * extension scheme ("pitch"): on the extension of the ground segment (y = 0,
   outside [0, x_e]) the two yaw-relative azimuths coincide, and the null
   condition becomes a scalar equation in the pitch-cosine gap, solved by
-  bisection on a strictly monotone function.
+  safeguarded Newton steps on a strictly monotone function.  The gap is the
+  same beyond either end, so each factor's root serves both sides.
 
 Every candidate position is certified by recomputing the correlation with
 :func:`~spwt.signalmodel.correlation_magnitude` at the returned position;
@@ -29,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
-from .geometry import TWO_PI, Position3D, canonicalize_frame
+from .geometry import Position3D, canonicalize_frame
 from .scenario import ScenarioConfig
 from .signalmodel import correlation_at, correlation_magnitude, secrecy_rates
 
@@ -45,9 +46,9 @@ _NULL_TOL = 1e-8
 # Positions closer than this (meters) are considered the same solution.
 _DEDUP_M = 1e-6
 
-# Outward distances of the bisection's logarithmic pre-scan: the 64 values
-# of numpy.logspace(-6, 6, 64), 1e-6 to 1e6 m.  10.0 ** x over the same
-# exponents rounds 5 of them differently, which would move roots.
+# Outward distances of the root search's logarithmic bracket grid: the 64
+# values of numpy.logspace(-6, 6, 64), 1e-6 to 1e6 m.  10.0 ** x over the
+# same exponents rounds 5 of them differently, which would move brackets.
 _SCAN_T = (
     1e-06, 1.5505157798326253e-06, 2.404099183509974e-06, 3.727593720314938e-06,
     5.779692884153313e-06, 8.96150501946605e-06, 1.389495494373136e-05,
@@ -282,15 +283,19 @@ def _rates(scenario: ScenarioConfig, residuals: list) -> list:
     return [next(rates)[0] if r <= _NULL_TOL else None for r in residuals]
 
 
-def _pitch_gap(x_e: float, g: float, t: float) -> float:
+def _pitch_gap(x_e: float, g: float, t: float) -> tuple[float, float]:
     """cos(pitch) gap between the far and near ground node for a transmitter
-    ``t`` meters beyond the segment end, altitude ``g``.
+    ``t`` meters beyond the segment end, altitude ``g``, and its slope in t.
 
     Strictly decreasing in ``t``: from x_e/sqrt(x_e^2+g^2) at t -> 0 down to
-    0 as t -> inf, which gives the bisection a single root.
+    0 as t -> inf, which gives the equation a single root.  The slope,
+    g^2/h_far^3 - g^2/h_t^3 with h the slant ranges, is formed as
+    (g/h)^2/h so that it stays in float range where g^2 or h^3 would not.
     """
     far = x_e + t
-    return far / math.hypot(far, g) - t / math.hypot(t, g)
+    h_far = math.hypot(far, g)
+    h_t = math.hypot(t, g)
+    return far / h_far - t / h_t, (g / h_far) ** 2 / h_far - (g / h_t) ** 2 / h_t
 
 
 def solve_pitch_scheme(
@@ -308,10 +313,11 @@ def solve_pitch_scheme(
         cos(pitch_e) - cos(pitch_b) = +/- 2*l / (M * cos(az_rel))
 
     (column factor: N*sin instead of M*cos).  The sign of the left side is
-    fixed by the chosen ``side``, so the branch is selected automatically;
-    the magnitude equation is solved by bisection over the outward distance
-    in [1e-6, 1e6] m after a 64-point logarithmic pre-scan, until the
-    equation residual drops to 1e-12, for at most 200 iterations.
+    fixed by the chosen ``side``, so the branch is selected automatically.
+    The magnitude equation is the same on both sides: its root, the outward
+    distance in [1e-6, 1e6] m, is bracketed by a binary search of a 64-point
+    logarithmic grid and refined by Newton steps kept inside the bracket,
+    until the equation residual drops to 1e-12, for at most 200 iterations.
 
     Parameters
     ----------
@@ -326,7 +332,7 @@ def solve_pitch_scheme(
     InfeasibleGeometry
         If the required gap exceeds the attainable range on this side for
         every allowed factor, no candidate passes certification, or the
-        bisection does not converge.
+        root search does not converge.
     """
     return _extension(
         scenario, index if index is not None else NullIndex(), side, factor
@@ -338,7 +344,7 @@ def _extension(
 ) -> PlacementSolution:
     """The checks of the extension scheme, then the first certified
     placement on ``side`` from the kept steps, as :func:`_bisector` does; a
-    bisection that raised ends the side with its message."""
+    root search that raised ends the side with its message."""
     geom = scenario.array
     _check_index(index.l, geom.m_rows, geom.n_cols)
     _check_yaw(scenario.yaw)
@@ -388,44 +394,45 @@ def _extension(
 
 def _extension_candidates(scenario: ScenarioConfig, l) -> dict:
     """Every extension step at column index ``l`` by (side, factor): ("gap",
-    why the gap is unattainable), ("raised", a bisection's message), or
+    why the gap is unattainable), ("raised", a root search's message), or
     ("candidate", canonical x, branch, position, |rho|, secrecy rate or
-    None), all candidates certified in one kernel call."""
+    None), all candidates certified in one kernel call.
+
+    Beyond either end of the segment the eavesdropper lies at a yaw-relative
+    azimuth of pi - yaw (left) or -yaw (right).  Both have the same |cos| and
+    |sin|, so each factor's target, root t and branch serve both sides: the
+    candidates are x = -t and x = x_e + t.
+    """
     geom = scenario.array
     tf = canonicalize_frame(scenario.bob, scenario.eve)
-    eve_c = tf.to_canonical(scenario.eve)
-    x_e = eve_c.x
+    x_e = tf.to_canonical(scenario.eve).x
     g = scenario.uav_height_m
     gap_max = x_e / math.hypot(x_e, g)
 
     steps: dict = {}
     found: list = []
-    for side, side_sign in (("left", 1.0), ("right", -1.0)):
-        # The eavesdropper's yaw-relative azimuth is constant along each side;
-        # take it 1 m beyond the segment end, wrapped twice as look angles are.
-        probe_x = -1.0 if side == "left" else x_e + 1.0
-        az = math.atan2(0.0 - eve_c.y, probe_x - x_e) % TWO_PI
-        az = (az - scenario.yaw) % TWO_PI
-        for fac, count, trig in (
-            ("row", geom.m_rows, math.cos(az)),
-            ("column", geom.n_cols, math.sin(az)),
-        ):
-            target = 2.0 * l / (count * abs(trig))
-            if not target < gap_max:
+    # The left side's cos and sin of pi - yaw; their signs give the branch.
+    for fac, count, trig in (
+        ("row", geom.m_rows, -math.cos(scenario.yaw)),
+        ("column", geom.n_cols, math.sin(scenario.yaw)),
+    ):
+        target = 2.0 * l / (count * abs(trig))
+        if not target < gap_max:
+            for side in ("left", "right"):
                 steps[side, fac] = (
                     "gap",
                     f"{fac} factor needs a pitch-cosine gap of {target:.6g}, "
                     f"above the attainable {gap_max:.6g} on the {side} side",
                 )
-                continue
-            try:
-                t = _bisect_gap(x_e, g, target)
-            except InfeasibleGeometry as exc:
-                steps[side, fac] = ("raised", str(exc))
-                continue
-            x_a = -t if side == "left" else x_e + t
-            # Branch sign of +/- as it appears in the defining equation.
-            branch = "+" if side_sign * target * trig > 0.0 else "-"
+            continue
+        try:
+            t = _bisect_gap(x_e, g, target)
+        except InfeasibleGeometry as exc:
+            steps["left", fac] = steps["right", fac] = ("raised", str(exc))
+            continue
+        # Branch sign of +/- as it appears in the defining equation.
+        branch = "+" if trig > 0.0 else "-"
+        for side, x_a in (("left", -t), ("right", x_e + t)):
             position = tf.from_canonical(Position3D(x_a, 0.0, g))
             found.append(((side, fac), x_a, branch, position))
     if found:
@@ -437,49 +444,61 @@ def _extension_candidates(scenario: ScenarioConfig, l) -> dict:
 
 
 def _scan_gap(x_e: float, g: float, target: float) -> tuple[float, float]:
-    """Pre-scan for the root of _pitch_gap(x_e, g, t) = target over the
-    ``_SCAN_T`` grid, nearest point first.
+    """Bracket of the root of _pitch_gap(x_e, g, t) = target on the
+    ``_SCAN_T`` grid, by binary search.
 
     Returns the first adjacent pair (lo, hi) where the equation changes sign
     from + to -, or (t, t) for a grid point that solves it exactly,
-    whichever comes first on the grid.
+    whichever comes first on the grid.  The gap is strictly decreasing, so
+    that is the first grid point where gap - target is not positive.
     """
-    lo = v_lo = math.nan
-    for t in _SCAN_T:
-        v = _pitch_gap(x_e, g, t) - target
-        if v == 0.0:
-            return t, t
-        if v_lo > 0.0 > v:
-            return lo, t
-        lo, v_lo = t, v
-    # The gap is monotone, so a missing sign change means the target is
-    # outside the attainable range on the scan interval.
+    lo, hi = 0, len(_SCAN_T)
+    v_hi = math.nan
+    while lo < hi:
+        mid = (lo + hi) // 2
+        v = _pitch_gap(x_e, g, _SCAN_T[mid])[0] - target
+        if v > 0.0:
+            lo = mid + 1
+        else:
+            hi, v_hi = mid, v
+    if v_hi == 0.0:
+        return _SCAN_T[hi], _SCAN_T[hi]
+    if v_hi < 0.0 and hi > 0:
+        return _SCAN_T[hi - 1], _SCAN_T[hi]
+    # A missing sign change means the target is outside the attainable range
+    # on the scan interval.
     raise InfeasibleGeometry(
         f"no bracketing interval for a pitch-cosine gap of {target:.6g}"
     )
 
 
 def _bisect_gap(x_e: float, g: float, target: float) -> float:
-    """Root of _pitch_gap(x_e, g, t) = target by pre-scan plus bisection.
+    """Root of _pitch_gap(x_e, g, t) = target: Newton steps from the middle
+    of :func:`_scan_gap`'s bracket, halving the bracket instead whenever a
+    Newton step would leave it.
 
     Raises InfeasibleGeometry, naming the last equation residual, if the
-    residual is still above 1e-12 after 200 halvings.
+    residual is still above 1e-12 after 200 steps.
     """
     lo, hi = _scan_gap(x_e, g, target)
     if lo == hi:
         return lo
+    t = 0.5 * (lo + hi)
     v = math.nan
     for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        v = _pitch_gap(x_e, g, mid) - target
+        v, slope = _pitch_gap(x_e, g, t)
+        v -= target
         if abs(v) <= _BISECT_TOL:
-            return mid
+            return t
         if v > 0.0:
-            lo = mid
+            lo = t
         else:
-            hi = mid
+            hi = t
+        # A slope that underflowed to 0 takes a halving step.
+        step = t - v / slope if slope < 0.0 else math.nan
+        t = step if lo < step < hi else 0.5 * (lo + hi)
     raise InfeasibleGeometry(
-        f"bisection for a pitch-cosine gap of {target:.6g} did not converge in "
+        f"root search for a pitch-cosine gap of {target:.6g} did not converge in "
         f"{_BISECT_MAX_ITER} iterations (equation residual {abs(v):.3e})"
     )
 

@@ -24,9 +24,11 @@ from spwt import (
     correlation_map,
     secrecy_rate,
 )
-from spwt.geometry import _FLAT_EPS, TWO_PI
+from spwt.geometry import _FLAT_EPS
 from spwt.placement import _pitch_gap
 from spwt.signalmodel import correlation_at
+
+TWO_PI = 2.0 * math.pi
 
 # Property tests draw the same examples on every run (no flakes, no example
 # database), with no per-example deadline, since timings swing on small
@@ -279,15 +281,16 @@ def evaluate_link(scenario: ScenarioConfig, uav: Position3D) -> LinkMetrics:
 
 
 def scalar_scan_bracket(x_e: float, g: float, target: float):
-    """The extension solver's pre-scan (``placement._scan_gap``) restated
+    """The extension solver's bracket (``placement._scan_gap``) restated
     from its definition, on a grid built here: 64 log-spaced outward
-    distances over [1e-6, 1e6] m, each gap from ``_pitch_gap``.  Returns
-    the first (lo, hi) where gap - target changes sign from + to -, (t, t)
-    at a grid point that solves it exactly, or None when neither occurs.
+    distances over [1e-6, 1e6] m, walked nearest first, each gap from
+    ``_pitch_gap``.  Returns the first (lo, hi) where gap - target changes
+    sign from + to -, (t, t) at a grid point that solves it exactly, or None
+    when neither occurs.
     """
     prev_t = prev_v = None
     for t in np.logspace(math.log10(1e-6), math.log10(1e6), 64).tolist():
-        v = _pitch_gap(x_e, g, t) - target
+        v = _pitch_gap(x_e, g, t)[0] - target
         if v == 0.0:
             return t, t
         if prev_v is not None and prev_v > 0.0 > v:

@@ -213,12 +213,16 @@ def test_bisection_without_convergence_raises(monkeypatch):
     monkeypatch.setattr(placement, "_BISECT_MAX_ITER", 3)
     with pytest.raises(InfeasibleGeometry, match="did not converge in 3 iter") as info:
         _bisect_gap(500.0, 200.0, target)
-    # the message names the residual of the last midpoint tried
+    # the message names the residual of the last point tried: Newton steps
+    # from the bracket's middle, halving where a step would leave the bracket
     lo, hi = _scan_gap(500.0, 200.0, target)
+    t = 0.5 * (lo + hi)
     for _ in range(3):
-        mid = 0.5 * (lo + hi)
-        v = _pitch_gap(500.0, 200.0, mid) - target
-        lo, hi = (mid, hi) if v > 0.0 else (lo, mid)
+        v, slope = _pitch_gap(500.0, 200.0, t)
+        v -= target
+        lo, hi = (t, hi) if v > 0.0 else (lo, t)
+        step = t - v / slope
+        t = step if lo < step < hi else 0.5 * (lo + hi)
     assert abs(v) > 1e-12
     assert f"(equation residual {abs(v):.3e})" in str(info.value)
     # a solver reports it as the side's failure
@@ -228,9 +232,46 @@ def test_bisection_without_convergence_raises(monkeypatch):
 
 def test_pitch_gap_monotone_decreasing_outward():
     ts = np.logspace(-6, 6, 1000)
-    gaps = [_pitch_gap(500.0, 200.0, float(t)) for t in ts]
+    gaps = [_pitch_gap(500.0, 200.0, float(t))[0] for t in ts]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[0] == pytest.approx(500.0 / math.hypot(500.0, 200.0), abs=1e-6)
+    # the slope the Newton steps take matches a central difference
+    for t in (1e-3, 1.0, PITCH_T_REF, 1e3, 1e4):
+        h = 1e-4 * t
+        up, down = _pitch_gap(500.0, 200.0, t + h)[0], _pitch_gap(500.0, 200.0, t - h)[0]
+        assert _pitch_gap(500.0, 200.0, t)[1] == pytest.approx((up - down) / (2 * h), rel=1e-6)
+
+
+def test_solve_all_finds_each_extension_root_once(monkeypatch):
+    gap = placement._pitch_gap
+    calls = []
+
+    def counted(x_e, g, t):
+        calls.append(t)
+        return gap(x_e, g, t)
+
+    monkeypatch.setattr(placement, "_pitch_gap", counted)
+    solutions, failures = solve_all(make_scenario())
+    assert len(solutions) == 4 and not failures
+    # Two roots (row and column), each a 7-point binary search of the grid
+    # plus a few Newton steps; one root per side would take twice as many.
+    assert len(calls) <= 24
+
+
+@given(sc=finite_scenarios())
+def test_both_sides_take_each_factors_root_from_one_t(sc):
+    # finite_scenarios put the receiver at the origin and the eavesdropper
+    # on the +x axis, so the caller's frame is the canonical one
+    steps = placement._extension_candidates(sc, 1)
+    for fac in ("row", "column"):
+        (kind, *left), (right_kind, *right) = steps["left", fac], steps["right", fac]
+        assert kind == right_kind
+        if kind == "candidate":
+            t = -left[0]
+            assert right[0] == sc.eve.x + t  # x = -t and x = x_e + t
+            assert right[1] == left[1]  # one branch
+        elif kind == "raised":
+            assert right == left
 
 
 def test_verify_null_rejects_generic_points(reference_scenario):
@@ -414,6 +455,22 @@ def test_vectorised_prescan_matches_scalar_scan(x_e, g, frac):
             _scan_gap(x_e, g, target)
     else:
         assert _scan_gap(x_e, g, target) == want
+
+
+@given(
+    x_e=st.floats(1.0, 5000.0),
+    g=st.floats(1.0, 5000.0),
+    frac=st.floats(1e-6, 1.2),
+)
+def test_root_lies_in_its_bracket_and_solves_the_equation(x_e, g, frac):
+    # the domain of test_vectorised_prescan_matches_scalar_scan, where the
+    # target is attainable on the grid
+    target = frac * x_e / math.hypot(x_e, g)
+    assume(scalar_scan_bracket(x_e, g, target) is not None)
+    lo, hi = _scan_gap(x_e, g, target)
+    t = _bisect_gap(x_e, g, target)
+    assert lo <= t <= hi
+    assert abs(_pitch_gap(x_e, g, t)[0] - target) <= 1e-12
 
 
 def test_scan_grid_is_numpys_logspace():
