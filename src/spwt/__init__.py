@@ -32,7 +32,7 @@ _EXPORTS = {
         "solve_azimuth_scheme", "solve_pitch_scheme",
     ),
     "scenario": ("ScenarioConfig",),
-    "signalmodel": ("PowerConfig", "secrecy_rate"),
+    "signalmodel": ("PowerConfig",),
 }
 _HOMES = {name: home for home, names in _EXPORTS.items() for name in names}
 

@@ -23,15 +23,8 @@ from .signalmodel import PowerConfig
 
 _INT_KEYS = {"m", "n", "seed"}
 _FLOAT_KEYS = {
-    "f_c_hz",
-    "x_e_m",
-    "g_m",
-    "theta_a_rad",
-    "theta_a_deg",
-    "p_w",
-    "sigma2_w",
-    "alpha",
-    "bandwidth_hz",
+    "f_c_hz", "x_e_m", "g_m", "theta_a_rad", "theta_a_deg", "p_w", "sigma2_w",
+    "alpha", "bandwidth_hz",
 }
 _KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS
 _REQUIRED_KEYS = ("m", "n", "f_c_hz", "x_e_m", "g_m", "p_w", "sigma2_w")

@@ -143,10 +143,7 @@ def _baselines(scenario: ScenarioConfig, n: int) -> tuple:
     """The scenario's ``n`` baseline positions and their correlations, in
     one draw and one kernel call."""
     positions = random_baseline_positions(
-        n,
-        BASELINE_BOUNDS,
-        z=scenario.uav_height_m,
-        seed=scenario.seed,
+        n, BASELINE_BOUNDS, z=scenario.uav_height_m, seed=scenario.seed,
         exclude=(scenario.bob, scenario.eve),
     )
     return positions, correlation_at(scenario, positions)

@@ -19,11 +19,22 @@ _FLAT_EPS = 1e-9
 
 @dataclass(frozen=True)
 class Position3D:
-    """A point in meters; z is altitude above the ground plane."""
+    """A finite point in meters; z is altitude above the ground plane."""
 
     x: float
     y: float
     z: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x, self.y, self.z))):
+            raise ValueError("position coordinates must be finite")
+
+
+def _point(x: float, y: float, z: float) -> Position3D:
+    """Position3D(x, y, z) unchecked: a computed point, judged by certification."""
+    p = object.__new__(Position3D)
+    p.__dict__.update(x=x, y=y, z=z)
+    return p
 
 
 @dataclass(frozen=True)
@@ -44,14 +55,14 @@ class FrameTransform:
         yt = p.y + self.shift_y
         c = math.cos(self.rotation)
         s = math.sin(self.rotation)
-        return Position3D(xt * c - yt * s, xt * s + yt * c, p.z)
+        return _point(xt * c - yt * s, xt * s + yt * c, p.z)
 
     def from_canonical(self, p: Position3D) -> Position3D:
         c = math.cos(self.rotation)
         s = math.sin(self.rotation)
         xt = p.x * c + p.y * s
         yt = -p.x * s + p.y * c
-        return Position3D(xt - self.shift_x, yt - self.shift_y, p.z)
+        return _point(xt - self.shift_x, yt - self.shift_y, p.z)
 
 
 def canonicalize_frame(bob_raw: Position3D, eve_raw: Position3D) -> FrameTransform:

@@ -30,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
-from .geometry import Position3D, canonicalize_frame
+from .geometry import Position3D, _point, canonicalize_frame
 from .scenario import ScenarioConfig
 from .signalmodel import correlation_at, correlation_magnitude, secrecy_rates
 
@@ -267,7 +267,7 @@ def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
             f"{max(radicands):.6g} m^2); lower the altitude or rotate the "
             f"yaw closer to the ground axis"
         )
-    positions = [tf.from_canonical(Position3D(half, y, g)) for _, _, y in candidates]
+    positions = [tf.from_canonical(_point(half, y, g)) for _, _, y in candidates]
     residuals = correlation_at(scenario, positions)
     return tuple(zip(candidates, positions, residuals, _rates(scenario, residuals)))
 
@@ -433,7 +433,7 @@ def _extension_candidates(scenario: ScenarioConfig, l) -> dict:
         # Branch sign of +/- as it appears in the defining equation.
         branch = "+" if trig > 0.0 else "-"
         for side, x_a in (("left", -t), ("right", x_e + t)):
-            position = tf.from_canonical(Position3D(x_a, 0.0, g))
+            position = tf.from_canonical(_point(x_a, 0.0, g))
             found.append(((side, fac), x_a, branch, position))
     if found:
         residuals = correlation_at(scenario, [c[3] for c in found])

@@ -14,6 +14,7 @@ numpy arrays, :func:`correlation_magnitude`, which every caller shares.
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -55,11 +56,6 @@ def _correlation_power(rho) -> float:
     if mag2 > 1.0 + 2e-9:
         raise InvalidCorrelation(f"|rho| = {math.sqrt(mag2):.6g} exceeds 1")
     return min(mag2, 1.0)
-
-
-def secrecy_rate(sinr_b: float, sinr_e: float) -> float:
-    """max(0, log2(1+sinr_b) - log2(1+sinr_e)) in bits/s/Hz."""
-    return max(0.0, math.log2(1.0 + sinr_b) - math.log2(1.0 + sinr_e))
 
 
 # correlation_magnitude's one-point backend, numpy's names; 0/0 (on a node) is nan.
@@ -162,36 +158,39 @@ def secrecy_rates(
     ``noise_b_w`` and ``noise_e_w`` the receiver's and the eavesdropper's
     noise floor per budget, and ``alpha`` the power split of every cell, one
     row per budget.  ``total_power_w`` must already be valid (it comes from
-    a PowerConfig).  A cell's receiver SINR is alpha*P/sigma_b^2 wherever
-    the transmitter is; the eavesdropper keeps 1 - |rho|^2 of the
-    artificial noise, so its SINR is
+    a PowerConfig).  The receiver's SINR alpha*P/sigma_b^2 does not depend
+    on the position, so its log is taken once per run of equal splits in a
+    row; the eavesdropper keeps 1 - |rho|^2 of the artificial noise:
 
-        alpha*P*|rho|^2 / ((1-alpha)*P*(1-|rho|^2) + sigma_e^2).
+        SINR_e = alpha*P*|rho|^2 / ((1-alpha)*P*(1-|rho|^2) + sigma_e^2).
 
     After the shapes, the checks of PowerConfig apply to every cell: noise
     floors first, then splits, then correlations (InvalidCorrelation for
     |rho| beyond 1).
     """
-    if not len(noise_b_w) == len(noise_e_w) == len(alpha) or any(
-        len(row) != len(rhos) for row in alpha
+    if not len(noise_b_w) == len(noise_e_w) == len(alpha) or (
+        set(map(len, alpha)) - {len(rhos)}
     ):
         raise ValueError("alpha needs one row per budget, one split per position")
     floors = [*noise_b_w, *noise_e_w]
     if not all(map(math.isfinite, floors)):
         raise ValueError(_NOT_FINITE)
-    if not all(noise > 0.0 for noise in floors):
+    if min(floors, default=1.0) <= 0.0:  # no nan left to compare
         raise ValueError("noise powers must be positive")
-    splits = [a for row in alpha for a in row]
+    splits = [*chain.from_iterable(alpha)]
     if not all(map(math.isfinite, splits)):
         raise ValueError(_NOT_FINITE)
-    if not all(0.0 <= a <= 1.0 for a in splits):
+    if min(splits, default=0.0) < 0.0 or max(splits, default=0.0) > 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     mags = [_correlation_power(rho) for rho in rhos]
-    p = total_power_w
-    return [
-        [
-            secrecy_rate(a * p / n_b, a * p * m / ((1.0 - a) * p * (1.0 - m) + n_e))
-            for a, n_b, n_e in zip(column, noise_b_w, noise_e_w)
-        ]
-        for m, column in zip(mags, zip(*alpha))
-    ]
+    p, log2 = total_power_w, math.log2
+    rates = [[] for _ in mags] if alpha else []  # no budgets: [], as for no positions
+    for row, n_b, n_e in zip(alpha, noise_b_w, noise_e_w):
+        prev = None
+        for a, m, cells in zip(row, mags, rates):
+            if a != prev:  # 0.0 and -0.0 give the same bits here
+                prev, signal, art_noise = a, a * p, (1.0 - a) * p
+                bob = log2(1.0 + signal / n_b)
+            rate = bob - log2(1.0 + signal * m / (art_noise * (1.0 - m) + n_e))
+            cells.append(rate if rate > 0.0 else 0.0)  # max(0.0, rate)'s bits
+    return rates

@@ -22,7 +22,6 @@ from spwt import (
     SpwtError,
     canonicalize_frame,
     correlation_map,
-    secrecy_rate,
 )
 from spwt.geometry import _FLAT_EPS
 from spwt.placement import _pitch_gap
@@ -67,12 +66,23 @@ def make_scenario(
 
 def unchecked_scenario(**fields) -> ScenarioConfig:
     """``make_scenario()`` with ``fields`` set past ScenarioConfig's checks:
-    the out-of-model scenarios (a nan height or yaw) that reach the solvers'
+    the out-of-model scenarios (a nan height or yaw, a node built by
+    :func:`unchecked_position`) that reach the solvers'
     certification-failure paths on purpose."""
     scenario = make_scenario()
     for name, value in fields.items():
         object.__setattr__(scenario, name, value)
     return scenario
+
+
+def unchecked_position(x: float, y: float, z: float = 0.0) -> Position3D:
+    """``Position3D(x, y, z)`` set past its finiteness check: an
+    out-of-model node (an eavesdropper at x = inf) for
+    :func:`unchecked_scenario`."""
+    position = object.__new__(Position3D)
+    for name, value in zip("xyz", (x, y, z)):
+        object.__setattr__(position, name, value)
+    return position
 
 
 @pytest.fixture
@@ -230,6 +240,11 @@ class LinkMetrics:
     sinr_b: float
     sinr_e: float
     secrecy_rate_bps_hz: float
+
+
+def secrecy_rate(sinr_b: float, sinr_e: float) -> float:
+    """max(0, log2(1+sinr_b) - log2(1+sinr_e)) in bits/s/Hz."""
+    return max(0.0, math.log2(1.0 + sinr_b) - math.log2(1.0 + sinr_e))
 
 
 def sinr_bob(power: PowerConfig) -> float:

@@ -26,7 +26,6 @@ PUBLIC = [
     "canonicalize_frame",
     "correlation_map",
     "random_baseline_positions",
-    "secrecy_rate",
     "solve_all",
     "solve_azimuth_scheme",
     "solve_pitch_scheme",

@@ -136,3 +136,24 @@ def test_canonicalize_round_trip():
 def test_canonicalize_rejects_coincident_nodes():
     with pytest.raises(DegenerateGeometry):
         canonicalize_frame(Position3D(5, 5, 0), Position3D(5, 5, 0))
+
+
+@pytest.mark.parametrize("field", range(3))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_position_rejects_non_finite(field, value):
+    # a nan node used to surface only as failed-verification warnings
+    coords = [12.0, -9.0, 77.0]
+    coords[field] = value
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        Position3D(*coords)
+
+
+def test_frame_maps_give_ordinary_positions():
+    # the maps build their points past the check; they still compare, hash
+    # and print as the positions the constructor builds
+    tf = canonicalize_frame(Position3D(-40.0, 12.0), Position3D(333.0, -80.0))
+    point = Position3D(1.0, 2.0, 3.0)
+    for p in (tf.to_canonical(point), tf.from_canonical(point)):
+        built = Position3D(p.x, p.y, p.z)
+        assert type(p) is Position3D
+        assert (p, hash(p), repr(p)) == (built, hash(built), repr(built))

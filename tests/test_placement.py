@@ -32,6 +32,7 @@ from conftest import (
     make_scenario,
     midpoint_symmetry_check,
     scalar_scan_bracket,
+    unchecked_position,
     unchecked_scenario,
 )
 
@@ -290,7 +291,7 @@ def test_null_is_locally_sharp(reference_scenario):
     "build",
     [
         lambda: unchecked_scenario(uav_height_m=math.nan),
-        lambda: make_scenario(x_e=math.inf),
+        lambda: unchecked_scenario(eve=unchecked_position(math.inf, 0.0)),
         lambda: unchecked_scenario(yaw=math.nan),
         # the bisector closed form assumes both nodes on the ground
         lambda: replace(make_scenario(), eve=Position3D(500.0, 0.0, 30.0)),
@@ -494,7 +495,7 @@ WARNING_CASES = {
         [_B.format("0", "nan")], [], [],
     ),
     "x_e-inf": (
-        lambda: make_scenario(x_e=math.inf),
+        lambda: unchecked_scenario(eve=unchecked_position(math.inf, 0.0)),
         [_B.format("0", "nan")], [], [],
     ),
     "yaw-nan": (

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from spwt import (
     ArrayGeometry,
@@ -13,7 +14,6 @@ from spwt import (
     ScenarioConfig,
     canonicalize_frame,
     correlation_map,
-    secrecy_rate,
 )
 from spwt.signalmodel import (
     SCALAR,
@@ -29,6 +29,7 @@ from conftest import (
     link_metrics,
     look_angles,
     make_scenario,
+    secrecy_rate,
     sinr_bob,
     sinr_eve_analytic,
     sinr_eve_monte_carlo,
@@ -376,3 +377,65 @@ def test_secrecy_rates_equal_link_metrics_bitwise():
             for a, sigma_b, sigma_e in budgets
         ]
         assert row == want
+
+
+# Splits of one budget's row: a few values, so that rows repeat them in runs
+# and alternate between them, with 0.0 and -0.0 among them.
+_SPLITS = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)
+_FLOORS = st.floats(1e-6, 1e3)
+
+
+@st.composite
+def _rate_grids(draw):
+    """(rhos, total power, alpha, receiver floors, eavesdropper floors)."""
+    rhos = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    budgets = draw(st.integers(1, 4))
+    palette = draw(st.lists(_SPLITS, min_size=1, max_size=3))
+    picks = st.lists(
+        st.integers(0, len(palette) - 1), min_size=len(rhos), max_size=len(rhos)
+    )
+    alpha = [[palette[i] for i in draw(picks)] for _ in range(budgets)]
+    sizes = {"min_size": budgets, "max_size": budgets}
+    noise_b = draw(st.lists(_FLOORS, **sizes))
+    noise_e = draw(st.lists(_FLOORS, **sizes))
+    return rhos, draw(st.floats(0.01, 100.0)), alpha, noise_b, noise_e
+
+
+@given(_rate_grids())
+@example(([0.3, 0.0, 1.0, 0.7], 2.0, [[0.0, -0.0, 0.0, -0.0], [1.0, 0.4, 0.4, 1.0]],
+          [0.01, 3.0], [0.5, 1e-4]))
+def test_secrecy_rates_equal_per_point_rates_bitwise(grid):
+    # the receiver's term is taken once per run of equal splits; every cell
+    # still has the bits of the per-point reference
+    rhos, p, alpha, noise_b, noise_e = grid
+    got = secrecy_rates(rhos, p, alpha, noise_b, noise_e)
+    assert len(got) == len(rhos)
+    for j, (rho, cells) in enumerate(zip(rhos, got)):
+        want = []
+        for row, n_b, n_e in zip(alpha, noise_b, noise_e):
+            power = PowerConfig(p, row[j], n_b, n_e)
+            want.append(secrecy_rate(sinr_bob(power), sinr_eve_analytic(rho, power)))
+        assert list(map(float.hex, cells)) == list(map(float.hex, want))
+
+
+def test_secrecy_rates_of_no_budgets_or_no_positions_are_empty():
+    # no cells, and no per-position lists either
+    assert secrecy_rates([0.1], 1.0, [], [], []) == []
+    assert secrecy_rates([], 1.0, [[]], [0.1], [0.1]) == []
+
+
+@pytest.mark.parametrize(
+    "alpha, noise_b, noise_e, rho, message",
+    [
+        # each case breaks two checks; the one run first names the error
+        ([[0.5]], [math.inf], [-1.0], 0.2, "must be finite"),
+        ([[1.5]], [0.1], [0.0], 0.2, "noise powers must be positive"),
+        ([[math.nan]], [0.1], [-1.0], 0.2, "noise powers must be positive"),
+        ([[math.nan, 1.5]], [0.1], [0.1], 0.2, "must be finite"),
+        ([[1.5, math.nan]], [0.1], [0.1], 0.2, "must be finite"),
+        ([[0.5, -0.1]], [0.1], [0.1], 1.5, re.escape("alpha must lie in [0, 1]")),
+    ],
+)
+def test_secrecy_rates_checks_run_in_order(alpha, noise_b, noise_e, rho, message):
+    with pytest.raises(ValueError, match=message):
+        secrecy_rates([rho] * len(alpha[0]), 1.0, alpha, noise_b, noise_e)
