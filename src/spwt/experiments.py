@@ -15,7 +15,7 @@ from .errors import InfeasibleGeometry
 from .geometry import Position3D
 from .placement import PlacementSolution, _kept, solve_all
 from .scenario import ScenarioConfig
-from .signalmodel import correlation_at, secrecy_rates
+from .signalmodel import _NOT_FINITE, _correlation_power, _rate_table, correlation_at
 
 DEFAULT_SNR_GRID_DB = tuple(range(0, 21, 2))
 DEFAULT_ALPHA_GRID = tuple(i / 10.0 for i in range(11))
@@ -188,17 +188,17 @@ def _sweep(
     computed once per position: the placement's is its certified residual,
     the baselines' come from one kernel call, shared by every sweep of the
     scenario.  The rates of every (grid point, position) cell then come
-    from one :func:`secrecy_rates` call.
+    from one ``_rate_table`` call; each floor and split was checked on entry.
     """
     best = _best_placement(scenario, scheme)
     n = n_random_baselines
     key = ("baselines", n, type(n))
     baselines, baseline_rhos = _kept(scenario, key, _baselines, n)
-    rhos = [best.null_residual, *baseline_rhos]
     p = scenario.power.total_power_w
     noise = [p / snr_lin for _, snr_lin, _ in points]
     alpha = [[1.0] + [a] * len(baselines) for _, _, a in points]
-    proposed, *rand = secrecy_rates(rhos, p, alpha, noise, noise)
+    mags = [_correlation_power(r) for r in (best.null_residual, *baseline_rhos)]
+    proposed, *rand = _rate_table(mags, p, alpha, noise, noise)
     theory = [math.log2(1.0 + snr_lin) for _, snr_lin, _ in points]
     series = {"proposed": proposed, "theory": theory}
     for i, values in enumerate(rand, start=1):
@@ -265,6 +265,8 @@ def sweep_alpha(
     if not math.isfinite(snr_db):
         raise ValueError("snr_db must be finite")
     snr_lin = _linear_snr(snr_db, scenario.power.total_power_w)
+    if not all(map(math.isfinite, grid)):  # a nan passes the range check
+        raise ValueError(_NOT_FINITE)
     points = [(a, snr_lin, a) for a in grid]
     return _sweep(
         scenario, "alpha", scheme, n_random_baselines, points, {"snr_db": snr_db}

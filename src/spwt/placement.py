@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
 from .geometry import Position3D, _point, canonicalize_frame
 from .scenario import ScenarioConfig
-from .signalmodel import correlation_at, correlation_magnitude, secrecy_rates
+from .signalmodel import _correlation_power, _rate_table
+from .signalmodel import correlation_at, correlation_magnitude
 
 HALF_PI = math.pi / 2.0
 
@@ -99,6 +100,13 @@ class PlacementSolution:
     factor_used: str
     null_residual: float
     sr_at_solution: float
+
+
+def _solution(**fields) -> PlacementSolution:
+    """PlacementSolution(**fields) without __init__, which has no checks to skip."""
+    solution = object.__new__(PlacementSolution)
+    solution.__dict__.update(fields)
+    return solution
 
 
 def _check_yaw(yaw: float) -> None:
@@ -194,11 +202,7 @@ def _bisector(scenario: ScenarioConfig, index: NullIndex) -> list[PlacementSolut
     if isinstance(candidates, str):
         raise InfeasibleGeometry(candidates)
     solutions: list[PlacementSolution] = []
-    seen_y: list[float] = []
     for (factor, branch, y), position, residual, rate in candidates:
-        if any(abs(y - prev) < _DEDUP_M for prev in seen_y):
-            continue
-        seen_y.append(y)
         if rate is None:
             warnings.warn(
                 f"bisector candidate y={y:.6g} failed verification "
@@ -207,7 +211,7 @@ def _bisector(scenario: ScenarioConfig, index: NullIndex) -> list[PlacementSolut
             )
             continue
         solutions.append(
-            PlacementSolution(
+            _solution(
                 position=position,
                 scheme="azimuth",
                 branch=branch,
@@ -255,11 +259,10 @@ def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
         if y_sq < 0.0:
             continue
         y = math.sqrt(y_sq)
-        if y > 0.0:
-            candidates.append((factor, "+", y))
-            candidates.append((factor, "-", -y))
-        else:
-            candidates.append((factor, "+", 0.0))
+        for branch, offset in (("+", y), ("-", -y)) if y > 0.0 else (("+", 0.0),):
+            # Within _DEDUP_M of an earlier candidate: one point, certified once.
+            if not any(abs(offset - c[2]) < _DEDUP_M for c in candidates):
+                candidates.append((factor, branch, offset))
 
     if not candidates:
         return (
@@ -274,12 +277,12 @@ def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
 
 def _rates(scenario: ScenarioConfig, residuals: list) -> list:
     """The secrecy rate at each residual that passes certification, None at
-    the others, from one :func:`~spwt.signalmodel.secrecy_rates` call at the
-    scenario's power budget."""
+    the others, from one rate table at the scenario's power budget, which
+    PowerConfig has checked (see :func:`~spwt.signalmodel.secrecy_rates`)."""
     power = scenario.power
-    ok = [r for r in residuals if r <= _NULL_TOL]
+    ok = [_correlation_power(r) for r in residuals if r <= _NULL_TOL]
     budget = [[power.alpha] * len(ok)], [power.noise_b_w], [power.noise_e_w]
-    rates = iter(secrecy_rates(ok, power.total_power_w, *budget))
+    rates = iter(_rate_table(ok, power.total_power_w, *budget))
     return [next(rates)[0] if r <= _NULL_TOL else None for r in residuals]
 
 
@@ -371,7 +374,7 @@ def _extension(
         # A point already discarded is not tried, or warned of, again.
         if not any(abs(x_a - prev) < _DEDUP_M for prev in failed_x):
             if rate is not None:
-                return PlacementSolution(
+                return _solution(
                     position=position,
                     scheme="pitch",
                     branch=branch,

@@ -164,9 +164,9 @@ def secrecy_rates(
 
         SINR_e = alpha*P*|rho|^2 / ((1-alpha)*P*(1-|rho|^2) + sigma_e^2).
 
-    After the shapes, the checks of PowerConfig apply to every cell: noise
-    floors first, then splits, then correlations (InvalidCorrelation for
-    |rho| beyond 1).
+    After the shapes, PowerConfig's checks apply to every floor, then every
+    split (the package's callers check them where they enter and call
+    :func:`_rate_table`), then InvalidCorrelation to each |rho| beyond 1.
     """
     if not len(noise_b_w) == len(noise_e_w) == len(alpha) or (
         set(map(len, alpha)) - {len(rhos)}
@@ -183,7 +183,12 @@ def secrecy_rates(
     if min(splits, default=0.0) < 0.0 or max(splits, default=0.0) > 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     mags = [_correlation_power(rho) for rho in rhos]
-    p, log2 = total_power_w, math.log2
+    return _rate_table(mags, total_power_w, alpha, noise_b_w, noise_e_w)
+
+
+def _rate_table(mags, p, alpha, noise_b_w, noise_e_w) -> list[list[float]]:
+    """secrecy_rates' cells from each |rho|^2, the budgets taken as checked."""
+    log2 = math.log2
     rates = [[] for _ in mags] if alpha else []  # no budgets: [], as for no positions
     for row, n_b, n_e in zip(alpha, noise_b_w, noise_e_w):
         prev = None

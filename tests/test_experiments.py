@@ -21,6 +21,7 @@ from conftest import (
     scalar_baseline_positions,
 )
 from spwt.experiments import _uniforms
+from spwt.signalmodel import correlation_at, secrecy_rates
 
 SERIES = ("proposed", "theory", "rand1", "rand2", "rand3")
 
@@ -293,9 +294,84 @@ def test_sweep_alpha_rejects_non_finite_snr(reference_scenario, snr_db):
 
 
 def test_sweep_alpha_rejects_nan_split(reference_scenario):
-    # NaN passes the grid's range comparison; the per-cell check catches it
+    # NaN passes the grid's range comparison; the finiteness check after it
+    # catches it, before anything is solved
     with pytest.raises(ValueError, match="power budget values must be finite"):
         sweep_alpha(reference_scenario, alpha_grid=[0.5, math.nan])
+
+
+def test_sweep_alpha_rejects_nan_split_before_solving():
+    # no scheme has a placement at this altitude: the nan is named, not the
+    # InfeasibleGeometry that solving would raise
+    with pytest.raises(ValueError, match="power budget values must be finite"):
+        sweep_alpha(make_scenario(g=10_000.0), alpha_grid=[math.nan])
+
+
+_OUT_OF_RANGE = (
+    "dB is out of range: the linear SNR and the noise floor P/SNR must be "
+    "finite and positive"
+)
+_SPLIT_RANGE = "alpha grid must lie in [0, 1]"
+_NOT_FINITE_SPLIT = "power budget values must be finite"
+
+
+@pytest.mark.parametrize(
+    "p, sweep, kwargs, message",
+    [
+        (1.0, sweep_snr, {"snr_db_grid": [0.0, math.nan]}, "SNR grid must be finite"),
+        (1.0, sweep_alpha, {"snr_db": math.inf}, "snr_db must be finite"),
+        (1.0, sweep_snr, {"snr_db_grid": [4000.0]}, f"SNR 4000 {_OUT_OF_RANGE}"),
+        (1.0, sweep_alpha, {"snr_db": -4000.0}, f"SNR -4000 {_OUT_OF_RANGE}"),
+        (1e300, sweep_snr, {"snr_db_grid": [-100.0]}, f"SNR -100 {_OUT_OF_RANGE}"),
+        (1e300, sweep_alpha, {"snr_db": -100.0}, f"SNR -100 {_OUT_OF_RANGE}"),
+        (1.0, sweep_alpha, {"alpha_grid": [0.0, 1.2]}, _SPLIT_RANGE),
+        (1.0, sweep_alpha, {"alpha_grid": [-0.5]}, _SPLIT_RANGE),
+        # a nan after an out-of-range split: the range check still comes first
+        (1.0, sweep_alpha, {"alpha_grid": [math.nan, 2.0]}, _SPLIT_RANGE),
+        (1.0, sweep_alpha, {"alpha_grid": [0.5, math.nan]}, _NOT_FINITE_SPLIT),
+    ],
+)
+def test_sweep_rejections_keep_their_type_and_message(p, sweep, kwargs, message):
+    # the budgets are checked where they enter, not per rate cell: each
+    # rejection keeps the exact type and text it had when checked per cell
+    with pytest.raises(ValueError) as info:
+        sweep(make_scenario(p=p), **kwargs)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+_SNRS = st.sampled_from([0.0, -0.0, 15.0]) | st.floats(-30.0, 60.0)
+_SPLITS = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@given(
+    sc=finite_scenarios(),
+    snr_grid=st.lists(_SNRS, min_size=1, max_size=12),
+    alpha_grid=st.lists(_SPLITS, min_size=1, max_size=12),
+    snr_db=_SNRS,
+)
+def test_sweep_series_equal_public_secrecy_rates(sc, snr_grid, alpha_grid, snr_db):
+    # the sweeps skip secrecy_rates' budget checks: their rates are its
+    # cells to the bit, at the same correlations and budgets
+    p = sc.power.total_power_w
+    for scheme in ("azimuth", "pitch"):
+        try:
+            snr = sweep_snr(sc, scheme=scheme, snr_db_grid=snr_grid)
+        except InfeasibleGeometry:
+            continue
+        alpha = sweep_alpha(sc, snr_db=snr_db, alpha_grid=alpha_grid, scheme=scheme)
+        positions = [snr.metadata["placement"], *snr.metadata["baseline_positions"]]
+        rhos = correlation_at(sc, [Position3D(*pos) for pos in positions])
+        floors = [p / 10.0 ** (x / 10.0) for x in snr_grid]
+        want_snr = secrecy_rates(rhos, p, [[1.0] * 4 for _ in floors], floors, floors)
+        floors = [p / 10.0 ** (snr_db / 10.0)] * len(alpha_grid)
+        rows = [[1.0, a, a, a] for a in alpha_grid]
+        want_alpha = secrecy_rates(rhos, p, rows, floors, floors)
+        for result, want in ((snr, want_snr), (alpha, want_alpha)):
+            got = [result.series[name] for name in SERIES if name != "theory"]
+            assert [[*map(float.hex, cells)] for cells in got] == [
+                [*map(float.hex, cells)] for cells in want
+            ]
 
 
 @pytest.mark.parametrize("grid", [[4000.0], [0.0, 3084.0], [-3240.0], [-4000.0]])

@@ -1,5 +1,8 @@
 """Golden CLI outputs: stdout, stderr, exit code and every written file of
-each command, byte for byte against the copies stored under tests/golden/.
+each command, byte for byte against the copies stored under tests/golden/;
+and golden library results: the repr of each test_reuse._study record of a
+fixed scenario set, stored in tests/golden/studies.txt, so that every float
+is pinned to the bit (the CSV files keep 12 digits).
 
 Each case runs ``python -m spwt.cli`` in a fresh process from a scratch
 directory holding the case's config, with ``--out out``, so the printed
@@ -11,19 +14,24 @@ After a deliberate change to the outputs, regenerate the stored files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
+import itertools
 import os
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 
 import spwt
+from conftest import make_scenario
+from test_reuse import _study
 
 GOLDEN = Path(__file__).parent / "golden"
+STUDIES = GOLDEN / "studies.txt"
 # Stored configs: the README reference (4x4) and a 16x16 array.
 CONFIGS = ("reference", "wide16")
 COMMANDS = {
@@ -80,7 +88,40 @@ def test_cli_output_matches_golden(config, command, tmp_path):
         assert data == stored[name], f"{config}/{command}/{name} differs"
 
 
+def study_scenarios() -> list:
+    """One geometry per array in {4, 8, 16}^2, the odd ones at an altitude
+    where only the bisector scheme places; then one where nothing does."""
+    high = {1: 600.0, 3: 1520.0, 5: 4200.0, 7: 2890.0}
+    grid = itertools.product((4, 8, 16), repeat=2)
+    return [
+        make_scenario(
+            m=m, n=n, x_e=300.0 + 70.0 * i, g=high.get(i, 120.0 + 25.0 * i),
+            yaw=0.3 + 0.13 * i, seed=i,
+        )
+        for i, (m, n) in enumerate(grid)
+    ] + [make_scenario(g=10_000.0)]
+
+
+def study_records() -> list[str]:
+    """Three lines per scenario: its repr, the repr of its study record and
+    the messages of the warnings the study emitted."""
+    lines = []
+    for scenario in study_scenarios():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            record = _study(scenario)
+        lines += [repr(scenario), repr(record), repr([str(w.message) for w in caught])]
+    return lines
+
+
+def test_study_records_match_golden():
+    stored = STUDIES.read_text(encoding="utf-8").splitlines()
+    for k, (got, want) in enumerate(zip(study_records(), stored, strict=True)):
+        assert got == want, f"studies.txt line {k + 1} differs"
+
+
 def _regenerate() -> None:
+    STUDIES.write_text("\n".join(study_records()) + "\n", encoding="utf-8")
     for config in CONFIGS:
         for command in COMMANDS:
             with tempfile.TemporaryDirectory() as tmp:
