@@ -47,29 +47,7 @@ _NULL_TOL = 1e-8
 # Positions closer than this (meters) are considered the same solution.
 _DEDUP_M = 1e-6
 
-# Outward distances of the root search's logarithmic bracket grid: the 64
-# values of numpy.logspace(-6, 6, 64), 1e-6 to 1e6 m.  10.0 ** x over the
-# same exponents rounds 5 of them differently, which would move brackets.
-_SCAN_T = (
-    1e-06, 1.5505157798326253e-06, 2.404099183509974e-06, 3.727593720314938e-06,
-    5.779692884153313e-06, 8.96150501946605e-06, 1.389495494373136e-05,
-    2.1544346900318823e-05, 3.340484983513244e-05, 5.1794746792312125e-05,
-    8.030857221391521e-05, 0.0001245197084735032, 0.00019306977288832496,
-    0.00029935772947204905, 0.00046415888336127773, 0.0007196856730011514,
-    0.001115883992507748, 0.0017301957388458943, 0.0026826957952797246,
-    0.004159562163071843, 0.00644946677103762, 0.01, 0.015505157798326221,
-    0.024040991835099692, 0.03727593720314938, 0.05779692884153313, 0.0896150501946605,
-    0.1389495494373136, 0.21544346900318823, 0.33404849835132444, 0.5179474679231202,
-    0.8030857221391504, 1.2451970847350318, 1.9306977288832496, 2.9935772947204904,
-    4.641588833612772, 7.196856730011514, 11.15883992507748, 17.30195738845891,
-    26.82695795279722, 41.595621630718426, 64.4946677103762, 100.0, 155.0515779832622,
-    240.40991835099643, 372.7593720314938, 577.9692884153301, 896.150501946605,
-    1389.495494373136, 2154.434690031878, 3340.4849835132445, 5179.474679231202,
-    8030.85722139152, 12451.970847350318, 19306.977288832455, 29935.772947204903,
-    46415.888336127726, 71968.567300115, 111588.3992507748, 173019.57388458907,
-    268269.5795279716, 415956.2163071843, 644946.6771037607, 1000000.0,
-)
-_BISECT_TOL = 1e-12
+# Steps the extension root search may take before it gives up.
 _BISECT_MAX_ITER = 200
 
 # Grid points per chunk of correlation_map rows: small enough that the
@@ -286,9 +264,10 @@ def _rates(scenario: ScenarioConfig, residuals: list) -> list:
     return [next(rates)[0] if r <= _NULL_TOL else None for r in residuals]
 
 
-def _pitch_gap(x_e: float, g: float, t: float) -> tuple[float, float]:
+def _pitch_gap(x_e: float, g: float, t: float) -> tuple[float, float, float]:
     """cos(pitch) gap between the far and near ground node for a transmitter
-    ``t`` meters beyond the segment end, altitude ``g``, and its slope in t.
+    ``t`` meters beyond the segment end, altitude ``g``; its slope in t; and
+    the near node's term t/h_t.
 
     Strictly decreasing in ``t``: from x_e/sqrt(x_e^2+g^2) at t -> 0 down to
     0 as t -> inf, which gives the equation a single root.  The slope,
@@ -298,7 +277,8 @@ def _pitch_gap(x_e: float, g: float, t: float) -> tuple[float, float]:
     far = x_e + t
     h_far = math.hypot(far, g)
     h_t = math.hypot(t, g)
-    return far / h_far - t / h_t, (g / h_far) ** 2 / h_far - (g / h_t) ** 2 / h_t
+    near = t / h_t
+    return far / h_far - near, (g / h_far) ** 2 / h_far - (g / h_t) ** 2 / h_t, near
 
 
 def solve_pitch_scheme(
@@ -317,10 +297,12 @@ def solve_pitch_scheme(
 
     (column factor: N*sin instead of M*cos).  The sign of the left side is
     fixed by the chosen ``side``, so the branch is selected automatically.
-    The magnitude equation is the same on both sides: its root, the outward
-    distance in [1e-6, 1e6] m, is bracketed by a binary search of a 64-point
-    logarithmic grid and refined by Newton steps kept inside the bracket,
-    until the equation residual drops to 1e-12, for at most 200 iterations.
+    The magnitude equation is the same on both sides.  Its root, the outward
+    distance t, exists whenever the target is below the attainable gap
+    x_e/sqrt(x_e^2+g^2), and lies in (0, hi], hi being where the bounds
+    x_e*g^2/t^3 and 1 - t/sqrt(t^2+g^2) of the gap meet the target.  Newton
+    steps from hi, kept inside the bracket, find it to the rounding of the
+    gap's terms, for at most 200 iterations.
 
     Parameters
     ----------
@@ -446,52 +428,28 @@ def _extension_candidates(scenario: ScenarioConfig, l) -> dict:
     return steps
 
 
-def _scan_gap(x_e: float, g: float, target: float) -> tuple[float, float]:
-    """Bracket of the root of _pitch_gap(x_e, g, t) = target on the
-    ``_SCAN_T`` grid, by binary search.
-
-    Returns the first adjacent pair (lo, hi) where the equation changes sign
-    from + to -, or (t, t) for a grid point that solves it exactly,
-    whichever comes first on the grid.  The gap is strictly decreasing, so
-    that is the first grid point where gap - target is not positive.
-    """
-    lo, hi = 0, len(_SCAN_T)
-    v_hi = math.nan
-    while lo < hi:
-        mid = (lo + hi) // 2
-        v = _pitch_gap(x_e, g, _SCAN_T[mid])[0] - target
-        if v > 0.0:
-            lo = mid + 1
-        else:
-            hi, v_hi = mid, v
-    if v_hi == 0.0:
-        return _SCAN_T[hi], _SCAN_T[hi]
-    if v_hi < 0.0 and hi > 0:
-        return _SCAN_T[hi - 1], _SCAN_T[hi]
-    # A missing sign change means the target is outside the attainable range
-    # on the scan interval.
-    raise InfeasibleGeometry(
-        f"no bracketing interval for a pitch-cosine gap of {target:.6g}"
-    )
-
-
 def _bisect_gap(x_e: float, g: float, target: float) -> float:
-    """Root of _pitch_gap(x_e, g, t) = target: Newton steps from the middle
-    of :func:`_scan_gap`'s bracket, halving the bracket instead whenever a
-    Newton step would leave it.
+    """Root of _pitch_gap(x_e, g, t) = target, for 0 < target < gap(0).
 
-    Raises InfeasibleGeometry, naming the last equation residual, if the
-    residual is still above 1e-12 after 200 steps.
+    The root lies in (0, hi], hi being where the bounds gap <= x_e*g^2/t^3
+    and gap <= 1 - t/h_t meet the target (the first written to stay in float
+    range).  Newton steps start at hi and halve the bracket instead where a
+    step would leave it, until |gap - target| <= 4*eps*(target + 2*t/h_t),
+    the rounding of the gap's two terms.
+
+    Raises InfeasibleGeometry, naming the last equation residual, if that
+    has not happened after 200 steps.
     """
-    lo, hi = _scan_gap(x_e, g, target)
-    if lo == hi:
-        return lo
-    t = 0.5 * (lo + hi)
+    lo, hi = 0.0, min(
+        (x_e / target) ** (1.0 / 3.0) * g ** (2.0 / 3.0),
+        g * (1.0 - target) / math.sqrt(target * (2.0 - target)),
+    )
+    t = hi
     v = math.nan
     for _ in range(_BISECT_MAX_ITER):
-        v, slope = _pitch_gap(x_e, g, t)
+        v, slope, near = _pitch_gap(x_e, g, t)
         v -= target
-        if abs(v) <= _BISECT_TOL:
+        if abs(v) <= 4.0 * sys.float_info.epsilon * (target + 2.0 * near):
             return t
         if v > 0.0:
             lo = t

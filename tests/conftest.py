@@ -1,5 +1,5 @@
 """Shared fixtures and the test-only references: independent
-recomputations (element sums, scalar scans, explicit steering vectors,
+recomputations (element sums, the root bracket, explicit steering vectors,
 per-point link metrics, a dense artificial-noise projector with Monte-Carlo
 draws, a grid scan for minima) that the package's own code paths are
 checked against.
@@ -24,7 +24,6 @@ from spwt import (
     correlation_map,
 )
 from spwt.geometry import _FLAT_EPS
-from spwt.placement import _pitch_gap
 from spwt.signalmodel import correlation_at
 
 TWO_PI = 2.0 * math.pi
@@ -106,6 +105,26 @@ def finite_scenarios(draw):
         yaw=quarter * math.pi / 2.0 + offset,
         p=draw(st.floats(0.01, 100.0)),
         seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@st.composite
+def log_uniform_scenarios(draw):
+    """Random scenarios spread over many decades: 2 to 10^4 elements per
+    axis, x_e and g from 1e-2 to 1e6 m, each log-uniform, and yaw in any
+    quadrant but at least 0.05 rad from a quarter turn."""
+
+    def decades(lo: float, hi: float) -> float:
+        return 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+
+    quarter = draw(st.integers(0, 3))
+    offset = draw(st.floats(0.05, math.pi / 2.0 - 0.05))
+    return make_scenario(
+        m=round(decades(2, 1e4)),
+        n=round(decades(2, 1e4)),
+        x_e=decades(1e-2, 1e6),
+        g=decades(1e-2, 1e6),
+        yaw=quarter * math.pi / 2.0 + offset,
     )
 
 
@@ -295,23 +314,15 @@ def evaluate_link(scenario: ScenarioConfig, uav: Position3D) -> LinkMetrics:
     return link_metrics(float(correlation_at(scenario, [uav])[0]), scenario.power)
 
 
-def scalar_scan_bracket(x_e: float, g: float, target: float):
-    """The extension solver's bracket (``placement._scan_gap``) restated
-    from its definition, on a grid built here: 64 log-spaced outward
-    distances over [1e-6, 1e6] m, walked nearest first, each gap from
-    ``_pitch_gap``.  Returns the first (lo, hi) where gap - target changes
-    sign from + to -, (t, t) at a grid point that solves it exactly, or None
-    when neither occurs.
-    """
-    prev_t = prev_v = None
-    for t in np.logspace(math.log10(1e-6), math.log10(1e6), 64).tolist():
-        v = _pitch_gap(x_e, g, t)[0] - target
-        if v == 0.0:
-            return t, t
-        if prev_v is not None and prev_v > 0.0 > v:
-            return prev_t, t
-        prev_t, prev_v = t, v
-    return None
+def gap_bracket_top(x_e: float, g: float, target: float) -> float:
+    """Upper end of the extension root's bracket: where the two bounds of
+    the pitch-cosine gap, gap(t) <= x_e*g^2/t^3 and
+    gap(t) <= 1 - t/sqrt(t^2 + g^2), fall to ``target``, the nearer one.
+    Written as the solver writes it, so that the two agree to the bit."""
+    return min(
+        (x_e / target) ** (1.0 / 3.0) * g ** (2.0 / 3.0),
+        g * (1.0 - target) / math.sqrt(target * (2.0 - target)),
+    )
 
 
 def element_sum_map(scenario: ScenarioConfig, xs, ys) -> np.ndarray:

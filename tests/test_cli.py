@@ -537,10 +537,21 @@ def test_place_on_a_billion_rows_is_a_named_outcome(tmp_path):
         cfg = write_config(tmp_path / "a.cfg", **sizes)
         proc = _cli_process(["place", "--config", cfg], timeout=5)
         assert proc.returncode in (0, 2)
-        # At m = n = 10^9 the extension candidates fail only on rounding,
-        # which a larger array would make worse.
+        # A candidate that fails here fails on the rounding of the axis sums
+        # (the m = 10^9, n = 4 row nulls read |rho| ~3e-8), which a larger
+        # array would make worse.  The m = n = 10^9 extension nulls certify.
         infeasible = [x for x in proc.stderr.splitlines() if x.startswith("infeasible:")]
         assert not any("larger array" in line for line in infeasible)
+
+
+def test_place_on_a_billion_square_array_certifies_both_pitch_sides(tmp_path):
+    # the root search stops relative to the gap's size, so even the row
+    # target 2/(M*|cos|) ~ 2.8e-9 is met as closely as certification needs
+    cfg = write_config(tmp_path / "a.cfg", m=10**9, n=10**9)
+    proc = _cli_process(["place", "--config", cfg], timeout=5)
+    assert proc.returncode == 0
+    assert proc.stdout.count("scheme=pitch") == 2
+    assert "infeasible: pitch" not in proc.stdout + proc.stderr
 
 
 # Imports spwt, then runs the CLI on the arguments, if any, and reports

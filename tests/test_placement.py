@@ -1,10 +1,11 @@
 import math
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spwt import (
     ArrayGeometry,
@@ -21,17 +22,18 @@ from spwt import (
     solve_pitch_scheme,
 )
 from spwt import placement
-from spwt.placement import _SCAN_T, _bisect_gap, _pitch_gap, _scan_gap
+from spwt.placement import _bisect_gap, _pitch_gap
 from spwt.signalmodel import correlation_at
 from conftest import (
     element_sum_map,
     explicit_correlation,
     finite_scenarios,
+    gap_bracket_top,
     grid_null_oracle,
     link_metrics,
+    log_uniform_scenarios,
     make_scenario,
     midpoint_symmetry_check,
-    scalar_scan_bracket,
     unchecked_position,
     unchecked_scenario,
 )
@@ -209,22 +211,23 @@ def test_pitch_infeasible_when_gap_unreachable():
 
 
 def test_bisection_without_convergence_raises(monkeypatch):
+    x_e, g = 500.0, 200.0
     target = 2.0 / (4.0 * math.cos(math.pi / 4.0))  # the reference root's gap
-    assert _bisect_gap(500.0, 200.0, target) == pytest.approx(PITCH_T_REF, abs=1e-9)
+    assert _bisect_gap(x_e, g, target) == pytest.approx(PITCH_T_REF, abs=1e-9)
     monkeypatch.setattr(placement, "_BISECT_MAX_ITER", 3)
     with pytest.raises(InfeasibleGeometry, match="did not converge in 3 iter") as info:
-        _bisect_gap(500.0, 200.0, target)
+        _bisect_gap(x_e, g, target)
     # the message names the residual of the last point tried: Newton steps
-    # from the bracket's middle, halving where a step would leave the bracket
-    lo, hi = _scan_gap(500.0, 200.0, target)
-    t = 0.5 * (lo + hi)
+    # from the bracket's upper end, halving where a step would leave it
+    lo, hi = 0.0, gap_bracket_top(x_e, g, target)
+    t = hi
     for _ in range(3):
-        v, slope = _pitch_gap(500.0, 200.0, t)
+        v, slope, near = _pitch_gap(x_e, g, t)
         v -= target
         lo, hi = (t, hi) if v > 0.0 else (lo, t)
         step = t - v / slope
         t = step if lo < step < hi else 0.5 * (lo + hi)
-    assert abs(v) > 1e-12
+    assert abs(v) > 4.0 * sys.float_info.epsilon * (target + 2.0 * near)
     assert f"(equation residual {abs(v):.3e})" in str(info.value)
     # a solver reports it as the side's failure
     with pytest.raises(InfeasibleGeometry, match="did not converge"):
@@ -254,9 +257,9 @@ def test_solve_all_finds_each_extension_root_once(monkeypatch):
     monkeypatch.setattr(placement, "_pitch_gap", counted)
     solutions, failures = solve_all(make_scenario())
     assert len(solutions) == 4 and not failures
-    # Two roots (row and column), each a 7-point binary search of the grid
-    # plus a few Newton steps; one root per side would take twice as many.
-    assert len(calls) <= 24
+    # Two roots (row and column), each five Newton steps from the top of
+    # its bracket; one root per side would take twice as many.
+    assert len(calls) <= 12
 
 
 @given(sc=finite_scenarios())
@@ -442,41 +445,82 @@ def test_no_verification_warnings_in_normal_runs(reference_scenario):
         solve_pitch_scheme(reference_scenario, side="right")
 
 
-@given(
-    x_e=st.floats(1.0, 5000.0),
-    g=st.floats(1.0, 5000.0),
-    frac=st.floats(1e-6, 1.2),
+def _factor_targets(sc):
+    """Each factor's name, the extension gap it needs at index 1 and its
+    bisector radicand (y^2 at index 1; the frame is the canonical one)."""
+    x_e, g = sc.eve.x, sc.uav_height_m
+    for fac, count, trig in (
+        ("row", sc.array.m_rows, math.cos(sc.yaw)),
+        ("column", sc.array.n_cols, math.sin(sc.yaw)),
+    ):
+        radicand = ((count * trig * x_e) ** 2 - x_e**2 - (2.0 * g) ** 2) / 4.0
+        yield fac, 2.0 / (count * abs(trig)), radicand
+
+
+@given(sc=log_uniform_scenarios())
+def test_root_lies_in_its_bracket_and_solves_the_equation(sc):
+    x_e, g = sc.eve.x, sc.uav_height_m
+    gap_max = x_e / math.hypot(x_e, g)
+    for _, target, _ in _factor_targets(sc):
+        if not target < gap_max:
+            continue
+        t = _bisect_gap(x_e, g, target)
+        assert 0.0 < t <= gap_bracket_top(x_e, g, target)
+        # the two bounds the bracket rests on, at the root
+        gap = _pitch_gap(x_e, g, t)[0]
+        assert gap <= x_e * g * g / t**3
+        assert gap <= 1.0 - t / math.hypot(t, g)
+        # the stop rule: the rounding of the gap's two terms
+        tol = 4.0 * sys.float_info.epsilon * (target + 2.0 * t / math.hypot(t, g))
+        assert abs(gap - target) <= tol
+
+
+@settings(max_examples=400)
+@given(sc=log_uniform_scenarios())
+def test_every_attainable_null_is_placed(sc):
+    # completeness over many decades of array size, segment and altitude:
+    # an attainable extension gap gives a certified placement on both
+    # sides for that factor, a positive bisector radicand a placement at
+    # that factor's offset
+    x_e, g = sc.eve.x, sc.uav_height_m
+    gap_max = x_e / math.hypot(x_e, g)
+    bisector = None
+    for fac, target, radicand in _factor_targets(sc):
+        if target < gap_max:
+            for side in ("left", "right"):
+                s = solve_pitch_scheme(sc, side=side, factor=fac)
+                assert s.factor_used == fac
+                assert s.null_residual <= 1e-8
+        if radicand > 0.0:
+            bisector = bisector or solve_azimuth_scheme(sc)
+            y = math.sqrt(radicand)
+            assert any(
+                math.isclose(abs(s.position.y), y, rel_tol=1e-9, abs_tol=1e-6)
+                for s in bisector
+            )
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        # a root ~2.5e6 m outward
+        make_scenario(m=10**6, g=3.0e5),
+        # a target within 1e-10 of gap_max: a root ~2e-8 m outward
+        make_scenario(
+            yaw=math.acos(0.5 / (500.0 / math.hypot(500.0, 200.0) * (1.0 - 1e-10)))
+        ),
+        # row targets of 2.8e-6 and 2.8e-8, which only a stop relative to
+        # the gap's size meets to the accuracy certification needs
+        make_scenario(m=10**6, g=2.0e4),
+        make_scenario(m=10**8),
+    ],
+    ids=["m1e6-g300km", "gap-max-less-1e-10", "m1e6-g20km", "m1e8"],
 )
-def test_vectorised_prescan_matches_scalar_scan(x_e, g, frac):
-    # targets up to 20% beyond the attainable gap, so some have no bracket
-    target = frac * x_e / math.hypot(x_e, g)
-    want = scalar_scan_bracket(x_e, g, target)
-    if want is None:
-        with pytest.raises(InfeasibleGeometry, match="no bracketing interval"):
-            _scan_gap(x_e, g, target)
-    else:
-        assert _scan_gap(x_e, g, target) == want
-
-
-@given(
-    x_e=st.floats(1.0, 5000.0),
-    g=st.floats(1.0, 5000.0),
-    frac=st.floats(1e-6, 1.2),
-)
-def test_root_lies_in_its_bracket_and_solves_the_equation(x_e, g, frac):
-    # the domain of test_vectorised_prescan_matches_scalar_scan, where the
-    # target is attainable on the grid
-    target = frac * x_e / math.hypot(x_e, g)
-    assume(scalar_scan_bracket(x_e, g, target) is not None)
-    lo, hi = _scan_gap(x_e, g, target)
-    t = _bisect_gap(x_e, g, target)
-    assert lo <= t <= hi
-    assert abs(_pitch_gap(x_e, g, t)[0] - target) <= 1e-12
-
-
-def test_scan_grid_is_numpys_logspace():
-    # stored as literals so that placing needs no numpy
-    assert _SCAN_T == tuple(np.logspace(-6, 6, 64).tolist())
+def test_extension_row_null_at_extreme_roots_and_targets(sc):
+    for side in ("left", "right"):
+        s = solve_pitch_scheme(sc, side=side, factor="row")
+        assert s.factor_used == "row"
+        assert s.null_residual <= 1e-8
 
 
 _B = "bisector candidate y={} failed verification (|rho| = {}); discarded"
