@@ -6,8 +6,7 @@ class SpwtError(Exception):
 
 
 class DegenerateGeometry(SpwtError):
-    """Angles are undefined: coincident ground nodes, or a transmitter
-    directly above the node it is being aimed at."""
+    """Angles are undefined: the two ground nodes coincide."""
 
 
 class InvalidCorrelation(SpwtError):

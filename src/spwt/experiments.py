@@ -6,9 +6,9 @@ true null the proposed curve meets the bound exactly, so the comparisons
 isolate what placement alone buys.
 """
 
-import itertools
 import math
 import operator
+import random
 from dataclasses import dataclass
 
 from .errors import InfeasibleGeometry
@@ -38,64 +38,6 @@ class SweepResult:
     metadata: dict
 
 
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-
-
-def _hasher(const: int, mult: int):
-    """numpy SeedSequence's 32-bit hashmix; its constant steps per call."""
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _uniforms(seed):
-    """The doubles of ``numpy.random.default_rng(seed).random()``, bit for
-    bit, in plain Python: an endless iterator.
-
-    SeedSequence hashes the seed's 32-bit words, least significant first,
-    into a 4-word pool, then draws PCG64's start and stream from it.  PCG64
-    (O'Neill 2014) steps a 128-bit LCG and outputs XSL-RR; a double is the
-    top 53 bits of an output times 2^-53.
-    """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    # At least the pool's four words; the ones above the seed are zero.
-    words = [seed >> i & _MASK32 for i in range(0, max(seed.bit_length(), 128), 32)]
-    entropy_hash = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [entropy_hash(word) for word in words[:4]]
-
-    def mix(dst: int, value: int) -> None:
-        x = (0xCA01F9DD * pool[dst] - 0x4973F715 * entropy_hash(value)) & _MASK32
-        pool[dst] = x ^ x >> 16
-
-    for src, dst in itertools.permutations(range(4), 2):
-        mix(dst, pool[src])
-    for word in words[4:]:
-        for dst in range(4):
-            mix(dst, word)
-    state_hash = _hasher(0x8B51F9DD, 0x58F38DED)
-    state = [state_hash(pool[i % 4]) for i in range(8)]
-    s0, s1, s2, s3 = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
-    mult = 0x2360ED051FC65DA44385DF649FCCF645
-    inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
-    lcg = ((inc + (s0 << 64 | s1)) * mult + inc) & _MASK128
-    while True:
-        lcg = (lcg * mult + inc) & _MASK128
-        rot = lcg >> 122
-        out = (lcg >> 64 ^ lcg) & _MASK64
-        out = (out >> rot | out << 64 - rot) & _MASK64
-        yield (out >> 11) * 2.0**-53
-
-
 def random_baseline_positions(
     n: int,
     bounds: tuple = BASELINE_BOUNDS,
@@ -103,24 +45,29 @@ def random_baseline_positions(
     seed: int = 0,
     exclude: tuple = (),
 ) -> list[Position3D]:
-    """Seeded uniform draws over a ground box at fixed altitude, x before y:
-    the values of numpy's ``default_rng(seed).uniform``, in plain Python.
+    """Seeded uniform draws over a ground box at fixed altitude, x before y,
+    from the standard library's Mersenne Twister, ``random.Random(seed)``.
 
-    Draws within 1 m horizontal of any position in ``exclude`` are rejected
-    and redrawn, so the returned deployments always have well-defined look
-    angles toward those nodes.
+    Each coordinate is ``lo + (hi - lo) * random()``, the formula
+    ``random.uniform`` documents, so the positions rest only on
+    ``random()``'s promise of the same stream for the same seed across
+    Python versions.  Draws within 1 m horizontal of any position in
+    ``exclude`` are rejected and redrawn, so the returned deployments
+    always have well-defined look angles toward those nodes.
     """
     if operator.index(n) < 1:
         raise ValueError("need at least one position")
     (x_lo, x_hi), (y_lo, y_hi) = bounds
     if not (x_hi > x_lo and y_hi > y_lo):
         raise ValueError("bounds box is degenerate")
-    draws = _uniforms(seed)
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    draw = random.Random(seed).random
     out: list[Position3D] = []
     while len(out) < n:
-        # x, then y, each scaled as rng.uniform(lo, hi) scales its draw.
-        x = x_lo + (x_hi - x_lo) * next(draws)
-        y = y_lo + (y_hi - y_lo) * next(draws)
+        x = x_lo + (x_hi - x_lo) * draw()
+        y = y_lo + (y_hi - y_lo) * draw()
         if any(math.hypot(x - p.x, y - p.y) < _EXCLUSION_M for p in exclude):
             continue
         out.append(Position3D(x, y, z))

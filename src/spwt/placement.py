@@ -310,14 +310,14 @@ def solve_pitch_scheme(
         "left" places the transmitter at x < 0, "right" at x > x_e.
     factor : {"row", "column"}, optional
         Force one factor; by default the row factor is tried first and the
-        column factor is the fallback.
+        column factor is the fallback wherever the row factor fails.
 
     Raises
     ------
     InfeasibleGeometry
-        If the required gap exceeds the attainable range on this side for
-        every allowed factor, no candidate passes certification, or the
-        root search does not converge.
+        If every allowed factor fails on this side: its gap is above the
+        attainable range, its root search does not converge, or its
+        candidate does not pass certification.
     """
     return _extension(
         scenario, index if index is not None else NullIndex(), side, factor
@@ -329,7 +329,8 @@ def _extension(
 ) -> PlacementSolution:
     """The checks of the extension scheme, then the first certified
     placement on ``side`` from the kept steps, as :func:`_bisector` does; a
-    root search that raised ends the side with its message."""
+    root search that raised is that factor's failure, as an unattainable gap
+    or a failed candidate is."""
     geom = scenario.array
     _check_index(index.l, geom.m_rows, geom.n_cols)
     _check_yaw(scenario.yaw)
@@ -345,7 +346,8 @@ def _extension(
     for fac in (factor,) if factor is not None else ("row", "column"):
         kind, *step = steps[side, fac]
         if kind == "raised":
-            raise InfeasibleGeometry(step[0])
+            failures.append(step[0])
+            continue
         if kind == "gap":
             failures.append(step[0])
             # Only an unattainable gap is helped by these; a candidate that

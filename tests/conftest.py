@@ -1,8 +1,10 @@
-"""Shared fixtures and the test-only references: independent
-recomputations (element sums, the root bracket, explicit steering vectors,
-per-point link metrics, a dense artificial-noise projector with Monte-Carlo
-draws, a grid scan for minima) that the package's own code paths are
-checked against.
+"""Shared fixtures, scenario strategies, builders that bypass the
+constructors' checks for out-of-model inputs, and the test-only references:
+independent recomputations (element sums, the root bracket, explicit
+steering vectors, per-point link metrics, a dense artificial-noise projector
+with Monte-Carlo draws, a grid scan for minima) that the package's own code
+paths are checked against.  The baseline draws have no reference here: any
+seeded uniform stream serves them, and their tests check its properties.
 """
 
 import math
@@ -368,22 +370,6 @@ def heatmap_shade(value: float) -> int:
     The reference for the vectorised shading in ``render_heatmap``."""
     level = math.log10(max(float(value), 1e-6))
     return int(round(255 * min(1.0, max(0.0, (level + 6.0) / 6.0))))
-
-
-def scalar_baseline_positions(n, bounds, z, seed, exclude) -> list[Position3D]:
-    """``random_baseline_positions`` as one scalar ``rng.uniform`` call per
-    coordinate of numpy's own ``default_rng``, x before y, a draw within 1 m
-    of an excluded node redrawn: the reference for the plain-Python draw."""
-    (x_lo, x_hi), (y_lo, y_hi) = bounds
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
-        x = float(rng.uniform(x_lo, x_hi))
-        y = float(rng.uniform(y_lo, y_hi))
-        if any(math.hypot(x - p.x, y - p.y) < 1.0 for p in exclude):
-            continue
-        out.append(Position3D(x, y, z))
-    return out
 
 
 def _wrap_pm_pi(angle: float) -> float:

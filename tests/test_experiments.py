@@ -1,4 +1,3 @@
-import itertools
 import math
 from dataclasses import replace
 
@@ -18,9 +17,7 @@ from conftest import (
     evaluate_link,
     finite_scenarios,
     make_scenario,
-    scalar_baseline_positions,
 )
-from spwt.experiments import _uniforms
 from spwt.signalmodel import correlation_at, secrecy_rates
 
 SERIES = ("proposed", "theory", "rand1", "rand2", "rand3")
@@ -98,19 +95,12 @@ def test_baseline_positions_validation():
         random_baseline_positions(2, seed=1.0)
 
 
-@given(
-    seed=st.one_of(
-        st.integers(0, 2**300),
-        st.integers(0, 2**63 - 1).map(np.int64),
-        st.integers(0, 2**32 - 1).map(np.uint32),
-    ),
-    k=st.integers(1, 40),
-)
-def test_uniform_stream_is_numpys_default_rng(seed, k):
-    # the plain-Python PCG64 port draws numpy's doubles, bit for bit, for
-    # seeds of one to ten 32-bit words and for numpy integer seeds
-    want = np.random.default_rng(seed).random(k).tolist()
-    assert list(itertools.islice(_uniforms(seed), k)) == want
+def test_baseline_positions_for_seed_zero_are_pinned():
+    # random.Random(0).random() scaled onto the default box, x before y: a
+    # change of generator or of scaling fails here, not only in the goldens
+    first, second = random_baseline_positions(2, seed=0)
+    assert first == Position3D(688.8437030500963, 515.9088058806049, 200.0)
+    assert second == Position3D(-158.85683833831, -482.1664994140733, 200.0)
 
 
 @given(
@@ -121,13 +111,20 @@ def test_uniform_stream_is_numpys_default_rng(seed, k):
         st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=4
     ),
 )
-def test_baseline_positions_equal_scalar_draws(seed, n, half, nodes):
+def test_baseline_positions_are_seeded_draws_clear_of_the_nodes(seed, n, half, nodes):
     # A box 3 to 8 m wide with excluded nodes inside it, so redraws are
     # common: one node at the center rejects 5% (8 m) to 35% (3 m) of draws.
     bounds = ((-half, half), (-half, half))
     exclude = tuple(Position3D(x * half, y * half, 0.0) for x, y in nodes)
     got = random_baseline_positions(n, bounds, z=50.0, seed=seed, exclude=exclude)
-    assert got == scalar_baseline_positions(n, bounds, 50.0, seed, exclude)
+    assert len(got) == n
+    for p in got:
+        assert -half <= p.x <= half and -half <= p.y <= half and p.z == 50.0
+        assert all(math.hypot(p.x - q.x, p.y - q.y) >= 1.0 for q in exclude)
+    assert got == random_baseline_positions(n, bounds, z=50.0, seed=seed, exclude=exclude)
+    assert got == random_baseline_positions(
+        n, bounds, z=50.0, seed=np.int64(seed), exclude=exclude
+    )
 
 
 def test_sweep_snr_shapes_and_tightness(reference_scenario):

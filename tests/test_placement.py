@@ -234,6 +234,28 @@ def test_bisection_without_convergence_raises(monkeypatch):
         solve_pitch_scheme(make_scenario(), side="left")
 
 
+def test_row_root_search_that_raises_falls_back_to_the_column(monkeypatch):
+    sc = make_scenario(m=4, n=8, yaw=0.6)
+    row_target = 2.0 / (4 * abs(math.cos(0.6)))
+    bisect = placement._bisect_gap
+
+    def row_fails(x_e, g, target):
+        if target == row_target:
+            raise InfeasibleGeometry("row root search did not converge")
+        return bisect(x_e, g, target)
+
+    monkeypatch.setattr(placement, "_bisect_gap", row_fails)
+    assert solve_pitch_scheme(sc, side="left").factor_used == "column"
+    # forced onto the row, the side names the root search, with no advice
+    # meant for an unattainable gap
+    with pytest.raises(InfeasibleGeometry) as info:
+        solve_pitch_scheme(sc, side="left", factor="row")
+    assert str(info.value) == (
+        "extension scheme infeasible on the left side: "
+        "row root search did not converge"
+    )
+
+
 def test_pitch_gap_monotone_decreasing_outward():
     ts = np.logspace(-6, 6, 1000)
     gaps = [_pitch_gap(500.0, 200.0, float(t))[0] for t in ts]
@@ -621,9 +643,9 @@ def test_default_factor_is_the_first_that_certifies(sc):
         )
         if not isinstance(row, str):
             assert default == row
-        elif not isinstance(column, str) and "extension scheme" in row:
-            # the row gap was unattainable or its candidate failed; a row
-            # bisection that raised would end the side instead
+        elif not isinstance(column, str):
+            # the row gap was unattainable, its root search raised or its
+            # candidate failed: each falls back to the column factor
             assert default == column
         else:
             assert isinstance(default, str)
