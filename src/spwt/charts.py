@@ -18,8 +18,6 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 

@@ -15,7 +15,7 @@ from .errors import InfeasibleGeometry
 from .geometry import Position3D
 from .placement import PlacementSolution, _kept, solve_all
 from .scenario import ScenarioConfig
-from .signalmodel import _NOT_FINITE, _correlation_power, _rate_table, correlation_at
+from .signalmodel import _NOT_FINITE, correlation_at, secrecy_rates
 
 DEFAULT_SNR_GRID_DB = tuple(range(0, 21, 2))
 DEFAULT_ALPHA_GRID = tuple(i / 10.0 for i in range(11))
@@ -24,6 +24,7 @@ BASELINE_BOUNDS = ((-1000.0, 1000.0), (-1000.0, 1000.0))
 # Baselines closer than this (meters, horizontal) to a ground node are
 # redrawn; directly overhead the angles degenerate.
 _EXCLUSION_M = 1.0
+_MAX_REDRAWS = 10_000
 
 
 @dataclass
@@ -53,7 +54,8 @@ def random_baseline_positions(
     ``random()``'s promise of the same stream for the same seed across
     Python versions.  Draws within 1 m horizontal of any position in
     ``exclude`` are rejected and redrawn, so the returned deployments
-    always have well-defined look angles toward those nodes.
+    always have well-defined look angles toward those nodes; 10,000
+    rejections in a row for one position raise ValueError.
     """
     if operator.index(n) < 1:
         raise ValueError("need at least one position")
@@ -66,11 +68,16 @@ def random_baseline_positions(
     draw = random.Random(seed).random
     out: list[Position3D] = []
     while len(out) < n:
-        x = x_lo + (x_hi - x_lo) * draw()
-        y = y_lo + (y_hi - y_lo) * draw()
-        if any(math.hypot(x - p.x, y - p.y) < _EXCLUSION_M for p in exclude):
-            continue
-        out.append(Position3D(x, y, z))
+        for _ in range(_MAX_REDRAWS):
+            x = x_lo + (x_hi - x_lo) * draw()
+            y = y_lo + (y_hi - y_lo) * draw()
+            if not any(math.hypot(x - p.x, y - p.y) < _EXCLUSION_M for p in exclude):
+                out.append(Position3D(x, y, z))
+                break
+        else:
+            raise ValueError(
+                "the excluded nodes' 1 m discs leave no room in the bounds box"
+            )
     return out
 
 
@@ -135,7 +142,7 @@ def _sweep(
     computed once per position: the placement's is its certified residual,
     the baselines' come from one kernel call, shared by every sweep of the
     scenario.  The rates of every (grid point, position) cell then come
-    from one ``_rate_table`` call; each floor and split was checked on entry.
+    from one ``secrecy_rates`` call; each floor and split was checked on entry.
     """
     best = _best_placement(scenario, scheme)
     n = n_random_baselines
@@ -144,8 +151,8 @@ def _sweep(
     p = scenario.power.total_power_w
     noise = [p / snr_lin for _, snr_lin, _ in points]
     alpha = [[1.0] + [a] * len(baselines) for _, _, a in points]
-    mags = [_correlation_power(r) for r in (best.null_residual, *baseline_rhos)]
-    proposed, *rand = _rate_table(mags, p, alpha, noise, noise)
+    rhos = [best.null_residual, *baseline_rhos]
+    proposed, *rand = secrecy_rates(rhos, p, alpha, noise, noise)
     theory = [math.log2(1.0 + snr_lin) for _, snr_lin, _ in points]
     series = {"proposed": proposed, "theory": theory}
     for i, values in enumerate(rand, start=1):

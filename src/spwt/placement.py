@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
 from .geometry import Position3D, _point, canonicalize_frame
 from .scenario import ScenarioConfig
-from .signalmodel import _correlation_power, _rate_table
-from .signalmodel import correlation_at, correlation_magnitude
+from .signalmodel import correlation_at, correlation_magnitude, secrecy_rates
 
 HALF_PI = math.pi / 2.0
 
@@ -87,13 +86,15 @@ def _solution(**fields) -> PlacementSolution:
     return solution
 
 
-def _check_yaw(yaw: float) -> None:
-    r = yaw % HALF_PI
+def _check_scenario(scenario: ScenarioConfig) -> None:
+    r = scenario.yaw % HALF_PI
     if min(r, HALF_PI - r) < _YAW_EPS:
         raise InvalidYaw(
             "yaw is a multiple of pi/2; rotate the heading off the ground "
             "axis to keep both direction cosines nonzero"
         )
+    if scenario.bob.z or scenario.eve.z:  # the null equations assume the ground
+        raise ValueError("the placement schemes need both ground nodes at z = 0")
 
 
 def _check_index(value: int, m_rows: int, n_cols: int) -> None:
@@ -162,8 +163,9 @@ def solve_azimuth_scheme(
     InfeasibleGeometry
         If both radicands are negative (lower the altitude or rotate the
         yaw toward the ground axis), or no candidate passes certification.
-    InvalidYaw, InvalidIndex
-        For a quarter-turn yaw or an index with no matching zero.
+    InvalidYaw, InvalidIndex, ValueError
+        For a quarter-turn yaw, an index with no matching zero, or a ground
+        node off z = 0.
     """
     return _bisector(scenario, index if index is not None else NullIndex())
 
@@ -174,7 +176,7 @@ def _bisector(scenario: ScenarioConfig, index: NullIndex) -> list[PlacementSolut
     caller of the public function that called this one)."""
     geom = scenario.array
     _check_index(index.k, geom.m_rows, geom.n_cols)
-    _check_yaw(scenario.yaw)
+    _check_scenario(scenario)
     key = ("azimuth", index.k, type(index.k))
     candidates = _kept(scenario, key, _bisector_candidates, index.k)
     if isinstance(candidates, str):
@@ -200,10 +202,7 @@ def _bisector(scenario: ScenarioConfig, index: NullIndex) -> list[PlacementSolut
             )
         )
     if not solutions:
-        raise InfeasibleGeometry(
-            "every bisector candidate failed verification; the closed form "
-            "needs finite inputs and both ground nodes at z = 0"
-        )
+        raise InfeasibleGeometry("every bisector candidate failed verification")
     return solutions
 
 
@@ -255,12 +254,12 @@ def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
 
 def _rates(scenario: ScenarioConfig, residuals: list) -> list:
     """The secrecy rate at each residual that passes certification, None at
-    the others, from one rate table at the scenario's power budget, which
-    PowerConfig has checked (see :func:`~spwt.signalmodel.secrecy_rates`)."""
+    the others, from one :func:`~spwt.signalmodel.secrecy_rates` call at the
+    scenario's power budget, which its PowerConfig checked."""
     power = scenario.power
-    ok = [_correlation_power(r) for r in residuals if r <= _NULL_TOL]
+    ok = [r for r in residuals if r <= _NULL_TOL]
     budget = [[power.alpha] * len(ok)], [power.noise_b_w], [power.noise_e_w]
-    rates = iter(_rate_table(ok, power.total_power_w, *budget))
+    rates = iter(secrecy_rates(ok, power.total_power_w, *budget))
     return [next(rates)[0] if r <= _NULL_TOL else None for r in residuals]
 
 
@@ -333,7 +332,7 @@ def _extension(
     or a failed candidate is."""
     geom = scenario.array
     _check_index(index.l, geom.m_rows, geom.n_cols)
-    _check_yaw(scenario.yaw)
+    _check_scenario(scenario)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if factor not in (None, "row", "column"):
@@ -479,11 +478,10 @@ def solve_all(
 
     Raises
     ------
-    InvalidYaw, InvalidIndex
-        For a quarter-turn yaw or an index with no matching zero; these rule
-        out every scheme, so they are raised rather than reported.
-    ValueError
-        For a scheme other than "azimuth" or "pitch".
+    InvalidYaw, InvalidIndex, ValueError
+        For a quarter-turn yaw, an index with no matching zero or a ground
+        node off z = 0, which rule out every scheme and so are raised rather
+        than reported; and for a scheme other than "azimuth" or "pitch".
     """
     index = NullIndex()
     solutions: list[PlacementSolution] = []

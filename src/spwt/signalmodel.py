@@ -8,13 +8,13 @@ governed entirely by the correlation rho between the two steering vectors.
 Secrecy rate is log2(1+SINR_b) - log2(1+SINR_e), clipped at zero.
 
 |rho| for transmitter positions comes from one kernel, in floats or over
-numpy arrays, :func:`correlation_magnitude`, which every caller shares.
+numpy arrays, :func:`correlation_magnitude`, and rates from one function,
+:func:`secrecy_rates`, correlations in and rates out; every caller shares both.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import chain
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -154,41 +154,20 @@ def secrecy_rates(
     """Secrecy rate of every (power budget, position) cell, one list per
     position: the one computation of SINRs and rates in the package.
 
-    ``rhos`` holds one correlation (or its magnitude) per position,
-    ``noise_b_w`` and ``noise_e_w`` the receiver's and the eavesdropper's
-    noise floor per budget, and ``alpha`` the power split of every cell, one
-    row per budget.  ``total_power_w`` must already be valid (it comes from
-    a PowerConfig).  The receiver's SINR alpha*P/sigma_b^2 does not depend
-    on the position, so its log is taken once per run of equal splits in a
-    row; the eavesdropper keeps 1 - |rho|^2 of the artificial noise:
+    ``rhos`` holds one correlation (or its magnitude) per position, each
+    clipped to |rho| <= 1 (InvalidCorrelation beyond it), ``noise_b_w`` and
+    ``noise_e_w`` the receiver's and the eavesdropper's noise floor per
+    budget, and ``alpha`` the power split of every cell, one row per budget.
+    Every budget was checked where it entered: in a PowerConfig for the
+    solvers, by ``_linear_snr`` and the grid checks for the sweeps.  The
+    receiver's SINR alpha*P/sigma_b^2 does not depend on the position, so
+    its log is taken once per run of equal splits in a row; the eavesdropper
+    keeps 1 - |rho|^2 of the artificial noise:
 
         SINR_e = alpha*P*|rho|^2 / ((1-alpha)*P*(1-|rho|^2) + sigma_e^2).
-
-    After the shapes, PowerConfig's checks apply to every floor, then every
-    split (the package's callers check them where they enter and call
-    :func:`_rate_table`), then InvalidCorrelation to each |rho| beyond 1.
     """
-    if not len(noise_b_w) == len(noise_e_w) == len(alpha) or (
-        set(map(len, alpha)) - {len(rhos)}
-    ):
-        raise ValueError("alpha needs one row per budget, one split per position")
-    floors = [*noise_b_w, *noise_e_w]
-    if not all(map(math.isfinite, floors)):
-        raise ValueError(_NOT_FINITE)
-    if min(floors, default=1.0) <= 0.0:  # no nan left to compare
-        raise ValueError("noise powers must be positive")
-    splits = [*chain.from_iterable(alpha)]
-    if not all(map(math.isfinite, splits)):
-        raise ValueError(_NOT_FINITE)
-    if min(splits, default=0.0) < 0.0 or max(splits, default=0.0) > 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    log2, p = math.log2, total_power_w
     mags = [_correlation_power(rho) for rho in rhos]
-    return _rate_table(mags, total_power_w, alpha, noise_b_w, noise_e_w)
-
-
-def _rate_table(mags, p, alpha, noise_b_w, noise_e_w) -> list[list[float]]:
-    """secrecy_rates' cells from each |rho|^2, the budgets taken as checked."""
-    log2 = math.log2
     rates = [[] for _ in mags] if alpha else []  # no budgets: [], as for no positions
     for row, n_b, n_e in zip(alpha, noise_b_w, noise_e_w):
         prev = None

@@ -25,6 +25,7 @@ from spwt import (
     canonicalize_frame,
     correlation_map,
 )
+from spwt import experiments, placement, signalmodel
 from spwt.geometry import _FLAT_EPS
 from spwt.signalmodel import correlation_at
 
@@ -91,6 +92,22 @@ def reference_scenario() -> ScenarioConfig:
     """4x4 half-wavelength array at 3 GHz, nodes 500 m apart, 200 m altitude,
     45 degree yaw, 1 W at a 15 dB SNR."""
     return make_scenario()
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """A list that grows by one entry per ``correlation_at`` call, under
+    each name the solvers and sweeps call it by."""
+    calls = []
+    kernel = signalmodel.correlation_at
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    for module in (placement, experiments):
+        monkeypatch.setattr(module, "correlation_at", counting)
+    return calls
 
 
 @st.composite

@@ -94,6 +94,40 @@ def test_unknown_key_reports_line(tmp_path, capsys):
     assert "bogus_key" in err and "line" in err
 
 
+@pytest.mark.parametrize(
+    "extra_line, drop, flags, env_seed, message",
+    [
+        pytest.param("m 4", (), [], None, "config line 12: expected 'key = value'",
+                     id="no-equals"),
+        pytest.param("m = 4", (), [], None, "config line 12: duplicate key 'm'",
+                     id="duplicate-key"),
+        pytest.param("", ("theta_a_rad",), [], None,
+                     "config: missing required key 'theta_a_rad'", id="no-angle"),
+        pytest.param("", ("seed",), [], "four", "SPWT_SEED is not an integer: 'four'",
+                     id="env-seed"),
+        pytest.param("", (), ["--grid=0:two:20"], None,
+                     "--grid: cannot parse '0:two:20'", id="grid-unparsable"),
+        pytest.param("", (), ["--grid=0:0:20"], None,
+                     "--grid: need step > 0 and stop >= start", id="grid-zero-step"),
+        pytest.param("", (), ["--grid=20:2:0"], None,
+                     "--grid: need step > 0 and stop >= start", id="grid-reversed"),
+    ],
+)
+def test_config_and_grid_errors_exit_1_and_write_nothing(
+    tmp_path, capsys, monkeypatch, extra_line, drop, flags, env_seed, message
+):
+    path = tmp_path / "a.cfg"
+    write_config(path, drop=drop)
+    path.write_text(path.read_text() + extra_line + "\n")
+    if env_seed is not None:
+        monkeypatch.setenv("SPWT_SEED", env_seed)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out), *flags]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["a.cfg"]
+
+
 def test_degrees_alias(tmp_path, capsys):
     cfg_rad = write_config(tmp_path / "rad.cfg")
     main(["place", "--config", cfg_rad, "--scheme", "azimuth"])
@@ -133,6 +167,18 @@ def test_sweep_snr_outputs(tmp_path):
     assert manifest["command"] == "sweep snr"
     assert manifest["config_m"] == 4
     assert manifest["seed"] == 0
+
+
+def test_one_point_sweep_writes_one_row_and_a_finite_chart(tmp_path):
+    # the chart widens the one-point x range to [3, 5] before its ticks
+    cfg = write_config(tmp_path / "a.cfg")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--grid=4:1:4"]) == 0
+    csv = (out / "sweep_snr.csv").read_text().splitlines()
+    assert len(csv) == 2 and csv[1].startswith("4,")
+    svg = (out / "sweep_snr.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
+    assert '>4</text>' in svg  # the one x tick
 
 
 def test_sweep_reruns_byte_identical(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -93,6 +94,17 @@ def test_baseline_positions_validation():
         random_baseline_positions(2, seed=-1)
     with pytest.raises(TypeError):
         random_baseline_positions(2, seed=1.0)
+
+
+def test_baseline_positions_give_up_on_a_box_the_exclusion_covers():
+    # the one node's 1 m disc covers the 1 m box: a named error after a
+    # bounded number of redraws, not a loop without end
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="leave no room in the bounds box"):
+        random_baseline_positions(
+            1, ((-0.5, 0.5), (-0.5, 0.5)), exclude=(Position3D(0.0, 0.0),)
+        )
+    assert time.perf_counter() - start < 1.0
 
 
 def test_baseline_positions_for_seed_zero_are_pinned():
@@ -348,8 +360,8 @@ _SPLITS = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
     snr_db=_SNRS,
 )
 def test_sweep_series_equal_public_secrecy_rates(sc, snr_grid, alpha_grid, snr_db):
-    # the sweeps skip secrecy_rates' budget checks: their rates are its
-    # cells to the bit, at the same correlations and budgets
+    # the sweeps call secrecy_rates with budgets checked on entry: their
+    # rates are its cells to the bit, at the same correlations and budgets
     p = sc.power.total_power_w
     for scheme in ("azimuth", "pitch"):
         try:

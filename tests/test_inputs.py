@@ -1,7 +1,8 @@
 """The library's front door: each field of the public value types rejects a
 value outside the model at construction, with the documented message, so
-no such value reaches a solver or a sweep.  The solvers' z = 0 rule for the
-ground nodes is not among these yet.
+no such value reaches a solver or a sweep.  The solvers' one rule on a valid
+scenario, both ground nodes at z = 0, is checked before solving instead:
+the correlation kernel and map keep per-node altitude.
 """
 
 import math
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_scenario
+from spwt import solve_all, solve_azimuth_scheme, solve_pitch_scheme, sweep_snr
 from spwt.signalmodel import _NOT_FINITE
 
 SCENARIO = make_scenario()
@@ -73,3 +75,20 @@ def test_each_field_rejects_an_out_of_model_value_at_construction(
     with pytest.raises(ValueError) as info:
         replace(valid, **{field: value})
     assert str(info.value) == message
+
+
+# Any finite altitude but zero, of either sign.
+OFF_THE_GROUND = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+GROUND_RULE = "the placement schemes need both ground nodes at z = 0"
+
+
+@pytest.mark.parametrize("node", ["bob", "eve"])
+@settings(max_examples=20)
+@given(z=OFF_THE_GROUND)
+def test_each_solver_rejects_a_ground_node_off_z_0_before_solving(node, z):
+    valid = getattr(SCENARIO, node)
+    scenario = replace(SCENARIO, **{node: replace(valid, z=z)})
+    for solve in (solve_azimuth_scheme, solve_pitch_scheme, solve_all, sweep_snr):
+        with pytest.raises(ValueError) as info:
+            solve(scenario)
+        assert str(info.value) == GROUND_RULE

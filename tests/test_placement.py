@@ -318,15 +318,48 @@ def test_null_is_locally_sharp(reference_scenario):
         lambda: unchecked_scenario(uav_height_m=math.nan),
         lambda: unchecked_scenario(eve=unchecked_position(math.inf, 0.0)),
         lambda: unchecked_scenario(yaw=math.nan),
-        # the bisector closed form assumes both nodes on the ground
-        lambda: replace(make_scenario(), eve=Position3D(500.0, 0.0, 30.0)),
     ],
-    ids=["g-nan", "x_e-inf", "yaw-nan", "eve-30m-up"],
+    ids=["g-nan", "x_e-inf", "yaw-nan"],
 )
 def test_no_certified_candidate_raises_infeasible(build):
     with pytest.warns(UserWarning, match="failed verification"):
-        with pytest.raises(InfeasibleGeometry, match="every bisector candidate"):
+        with pytest.raises(InfeasibleGeometry) as info:
             solve_azimuth_scheme(build())
+    assert str(info.value) == "every bisector candidate failed verification"
+
+
+_LIFTED = "the placement schemes need both ground nodes at z = 0"
+
+
+@pytest.mark.parametrize(
+    "bob_z, eve_z",
+    [(0.0, 30.0), (50.0, 0.0), (0.0, -1e-4), (1e-300, 0.0)],
+    ids=["eve-30m-up", "bob-50m-up", "eve-0.1mm-down", "bob-1e-300m-up"],
+)
+def test_lifted_ground_node_is_rejected_before_any_kernel_call(
+    kernel_calls, bob_z, eve_z
+):
+    # the null equations of both schemes assume both nodes on the ground
+    sc = replace(
+        make_scenario(),
+        bob=Position3D(0.0, 0.0, bob_z),
+        eve=Position3D(500.0, 0.0, eve_z),
+    )
+    calls = [
+        lambda: solve_azimuth_scheme(sc),
+        lambda: solve_pitch_scheme(sc, side="left"),
+        lambda: solve_pitch_scheme(sc, side="right", factor="column"),
+        lambda: solve_all(sc),
+        lambda: solve_all(sc, ("pitch",)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert type(info.value) is ValueError
+            assert str(info.value) == _LIFTED
+    assert kernel_calls == []
 
 
 def test_solve_all_order_and_failures():
@@ -550,11 +583,13 @@ _E = "extension candidate x={} failed verification (|rho| = {}); discarded"
 
 # Per case: the scenario, then the warning messages of solve_azimuth_scheme
 # and of solve_pitch_scheme on each side, in emission order.  Every warning
-# is a UserWarning.  "row-fails" has the eavesdropper 0.1 mm off the ground:
-# both extension sides discard their row candidate and certify the column
-# one, and the bisector keeps only its column placements.  In the other
-# cases the row and column candidates fall on the same points (a square
-# array at a 45 degree yaw, or y = 0), and each point is warned of once.
+# is a UserWarning.  "row-fails" has a billion rows, whose row nulls fail on
+# the rounding of the row sum: both extension sides discard their row
+# candidate and certify the column one, and the bisector keeps only its
+# column placements.  In the nan cases the row and column candidates fall on
+# the same points (a square array at a 45 degree yaw, or y = 0), and each
+# point is warned of once.  "eve-30m-up" warns of nothing: a lifted node is
+# rejected before any candidate is computed.
 WARNING_CASES = {
     "g-nan": (
         lambda: unchecked_scenario(uav_height_m=math.nan),
@@ -570,17 +605,16 @@ WARNING_CASES = {
     ),
     "eve-30m-up": (
         lambda: replace(make_scenario(), eve=Position3D(500.0, 0.0, 30.0)),
-        [_B.format("630.476", "2.087e-04"), _B.format("-630.476", "2.087e-04")],
-        [_E.format("-47.7527", "5.880e-04")],
-        [_E.format("547.753", "3.896e-03")],
+        [], [], [],
     ),
     "row-fails": (
-        lambda: replace(
-            make_scenario(m=8, n=4, yaw=0.6), eve=Position3D(500.0, 0.0, 1e-4)
-        ),
-        [_B.format("1619.33", "1.070e-08"), _B.format("-1619.33", "1.694e-08")],
-        [_E.format("-173.71", "1.089e-07")],
-        [_E.format("673.71", "5.244e-07")],
+        lambda: make_scenario(m=10**9, n=4),
+        [
+            _B.format("1.76777e+11", "2.862e-08"),
+            _B.format("-1.76777e+11", "8.286e-08"),
+        ],
+        [_E.format("-191688", "2.758e-08")],
+        [_E.format("192188", "2.758e-08")],
     ),
 }
 
@@ -592,8 +626,8 @@ def _recorded(call):
         warnings.simplefilter("always")
         try:
             outcome = call()
-        except InfeasibleGeometry as exc:
-            outcome = ("InfeasibleGeometry", str(exc))
+        except (InfeasibleGeometry, ValueError) as exc:
+            outcome = (type(exc).__name__, str(exc))
     return [(w.category, str(w.message)) for w in caught], outcome
 
 
@@ -620,8 +654,10 @@ def test_warning_sequences_are_pinned(case):
         assert [s.factor_used for s in first["azimuth"]] == ["column", "column"]
         assert first["left"].factor_used == first["right"].factor_used == "column"
         assert first["all"] == (first["azimuth"] + [first["left"], first["right"]], [])
+    elif case == "eve-30m-up":
+        assert set(first.values()) == {("ValueError", _LIFTED)}
     else:
-        assert first["azimuth"][1].startswith("every bisector candidate")
+        assert first["azimuth"][1] == "every bisector candidate failed verification"
         assert first["left"][0] == first["right"][0] == "InfeasibleGeometry"
 
 

@@ -18,14 +18,12 @@ from hypothesis import given
 from spwt import (
     InfeasibleGeometry,
     NullIndex,
-    Position3D,
     solve_all,
     solve_azimuth_scheme,
     solve_pitch_scheme,
     sweep_alpha,
     sweep_snr,
 )
-from spwt import experiments, placement, signalmodel
 from conftest import finite_scenarios, make_scenario
 
 
@@ -119,22 +117,6 @@ def test_slot_holds_one_scenario():
     assert ref() is None
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """A list that grows by one entry per ``correlation_at`` call, under
-    each name the solvers and sweeps call it by."""
-    calls = []
-    kernel = signalmodel.correlation_at
-
-    def counting(*args):
-        calls.append(1)
-        return kernel(*args)
-
-    for module in (placement, experiments):
-        monkeypatch.setattr(module, "correlation_at", counting)
-    return calls
-
-
 def test_study_makes_one_kernel_call_per_distinct_piece(reference_scenario, kernel_calls):
     # the bisector candidates, the extension candidates of both sides, the
     # baselines: three calls, whatever the number of repeated solves and
@@ -173,7 +155,7 @@ def test_forced_factor_reuses_the_certified_candidates(kernel_calls):
 def test_replayed_warnings_point_at_the_caller():
     # the "row-fails" case of test_placement: two bisector and one extension
     # candidate per side are discarded, and a repeated call warns again
-    sc = replace(make_scenario(m=8, n=4, yaw=0.6), eve=Position3D(500.0, 0.0, 1e-4))
+    sc = make_scenario(m=10**9, n=4)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for _ in range(2):

@@ -310,45 +310,23 @@ def test_power_config_rejects_non_finite(field, value):
 
 
 @pytest.mark.parametrize(
-    "rho, alpha, noise",
+    "rho, noise",
     [
-        (1.0 + 1e-6, 0.5, 0.1),
-        (0.3, 1.5, 0.1),
-        (0.3, -0.1, 0.1),
-        (0.3, math.nan, 0.1),
-        (0.3, 0.5, 0.0),
-        (0.3, 0.5, -1.0),
-        (0.3, 0.5, math.inf),
-        (0.3, 0.5, math.nan),
-        # (receiver, eavesdropper) floors: only one of them is out of range
-        pytest.param(1.0 + 1e-6, 0.5, (0.2, 0.1), id="1.000001-0.5-b0.2-e0.1"),
-        pytest.param(0.3, 1.5, (0.1, 0.3), id="0.3-1.5-b0.1-e0.3"),
-        pytest.param(0.3, 0.5, (0.0, 0.1), id="0.3-0.5-b0.0-e0.1"),
-        pytest.param(0.3, 0.5, (0.1, -1.0), id="0.3-0.5-b0.1-e-1.0"),
-        pytest.param(0.3, 0.5, (math.inf, 0.1), id="0.3-0.5-binf-e0.1"),
-        pytest.param(0.3, 0.5, (0.1, math.nan), id="0.3-0.5-b0.1-enan"),
+        pytest.param(1.0 + 1e-6, 0.1, id="1.000001-0.5-0.1"),
+        # (receiver, eavesdropper) floors
+        pytest.param(1.0 + 1e-6, (0.2, 0.1), id="1.000001-0.5-b0.2-e0.1"),
     ],
 )
-def test_secrecy_rates_check_cells_like_per_point_objects(rho, alpha, noise):
+def test_secrecy_rates_check_cells_like_per_point_objects(rho, noise):
+    # the one check secrecy_rates makes: |rho| beyond 1, in link_metrics' words;
+    # the budgets are checked where they enter (PowerConfig, the sweeps)
     noise_b, noise_e = noise if isinstance(noise, tuple) else (noise, noise)
-    with pytest.raises((ValueError, InvalidCorrelation)) as per_point:
-        link_metrics(rho, PowerConfig(1.0, alpha, noise_b, noise_e))
-    expected = type(per_point.value)
-    with pytest.raises(expected, match=re.escape(str(per_point.value))):
+    with pytest.raises(InvalidCorrelation) as per_point:
+        link_metrics(rho, PowerConfig(1.0, 0.5, noise_b, noise_e))
+    with pytest.raises(InvalidCorrelation, match=re.escape(str(per_point.value))):
         secrecy_rates(
-            [0.2, rho], 1.0, [[1.0, 1.0], [1.0, alpha]], [0.1, noise_b], [0.1, noise_e]
+            [0.2, rho], 1.0, [[1.0, 1.0], [1.0, 0.5]], [0.1, noise_b], [0.1, noise_e]
         )
-
-
-def test_secrecy_rates_reject_mismatched_shapes():
-    # too few splits for the positions, too many rows for the noise floors
-    for alpha, noise_b, noise_e in (
-        ([[1.0]], [0.1], [0.1]),
-        ([[1.0, 1.0], [0.5, 0.5]], [0.1], [0.1]),
-        ([[1.0, 1.0]], [0.1], [0.1, 0.2]),
-    ):
-        with pytest.raises(ValueError, match="one row per budget"):
-            secrecy_rates([0.1, 0.2], 1.0, alpha, noise_b, noise_e)
 
 
 def test_secrecy_rates_equal_link_metrics_bitwise():
@@ -422,20 +400,3 @@ def test_secrecy_rates_of_no_budgets_or_no_positions_are_empty():
     # no cells, and no per-position lists either
     assert secrecy_rates([0.1], 1.0, [], [], []) == []
     assert secrecy_rates([], 1.0, [[]], [0.1], [0.1]) == []
-
-
-@pytest.mark.parametrize(
-    "alpha, noise_b, noise_e, rho, message",
-    [
-        # each case breaks two checks; the one run first names the error
-        ([[0.5]], [math.inf], [-1.0], 0.2, "must be finite"),
-        ([[1.5]], [0.1], [0.0], 0.2, "noise powers must be positive"),
-        ([[math.nan]], [0.1], [-1.0], 0.2, "noise powers must be positive"),
-        ([[math.nan, 1.5]], [0.1], [0.1], 0.2, "must be finite"),
-        ([[1.5, math.nan]], [0.1], [0.1], 0.2, "must be finite"),
-        ([[0.5, -0.1]], [0.1], [0.1], 1.5, re.escape("alpha must lie in [0, 1]")),
-    ],
-)
-def test_secrecy_rates_checks_run_in_order(alpha, noise_b, noise_e, rho, message):
-    with pytest.raises(ValueError, match=message):
-        secrecy_rates([rho] * len(alpha[0]), 1.0, alpha, noise_b, noise_e)
