@@ -61,8 +61,9 @@ def render_line_chart(
     """
     xs = [float(v) for v in x_values]
     x_lo, x_hi = min(xs), max(xs)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
+    if x_hi == x_lo:  # a step that still moves x where +/-1 rounds away
+        step = max(1.0, abs(x_lo) * 2**-40)
+        x_lo, x_hi = x_lo - step, x_hi + step
     y_hi = max((max(v) for v in series.values() if v), default=1.0)
     y_hi = y_hi * 1.06 if y_hi > 0 else 1.0
     y_lo = 0.0

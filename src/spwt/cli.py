@@ -286,8 +286,8 @@ def cmd_sweep(args, resolved: dict, scenario: ScenarioConfig) -> int:
         result = sweep_snr(scenario, scheme=args.scheme, snr_db_grid=grid)
         x_name, x_label = "snr_db", "SNR (dB)"
     else:
-        # The config's own SNR, P/sigma^2; a ratio that under- or overflows
-        # gives an infinite SNR, which the sweep rejects.
+        # The config's own SNR, P/sigma^2 (PowerConfig rejects one that
+        # overflows); a ratio that underflows gives -inf, which the sweep rejects.
         ratio = resolved["p_w"] / resolved["sigma2_w"]
         snr_db = 10.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
         result = sweep_alpha(

@@ -30,9 +30,8 @@ _MAX_REDRAWS = 10_000
 @dataclass
 class SweepResult:
     """One sweep: shared x axis, named SR series, and what the scenario does
-    not hold: ``kind``, ``scheme``, ``snr_db`` (alpha sweeps), a
-    content-derived ``run_id``, the ``placement`` and the
-    ``baseline_positions``."""
+    not hold: ``kind``, ``scheme``, ``snr_db`` (alpha sweeps), the
+    ``placement`` and the ``baseline_positions``."""
 
     x_axis: list
     series: dict
@@ -82,15 +81,23 @@ def random_baseline_positions(
 
 
 def _best_placement(scenario: ScenarioConfig, scheme: str) -> PlacementSolution:
-    """Deterministic pick among a scheme's solutions: highest SR first, then
-    smallest residual, then branch/factor order."""
+    """The scheme's placement of highest SR, then smallest residual, then
+    branch/factor order, picked once per scenario object: only the first
+    sweep of a scheme warns of the candidates its solve discards."""
+    best = _kept(scenario, ("best", scheme), _pick, scheme)
+    if isinstance(best, str):
+        raise InfeasibleGeometry(best)
+    return best
+
+
+def _pick(scenario: ScenarioConfig, scheme: str) -> PlacementSolution | str:
     solutions, failures = solve_all(scenario, (scheme,))
     if not solutions:
-        raise InfeasibleGeometry("; ".join(failures))
-    return sorted(
+        return "; ".join(failures)
+    return min(
         solutions,
         key=lambda s: (-s.sr_at_solution, s.null_residual, s.branch, s.factor_used),
-    )[0]
+    )
 
 
 def _baselines(scenario: ScenarioConfig, n: int) -> tuple:
@@ -115,14 +122,6 @@ def _linear_snr(snr_db: float, p: float) -> float:
             "floor P/SNR must be finite and positive"
         )
     return snr_lin
-
-
-def _run_id(scenario: ScenarioConfig, kind: str, scheme: str) -> str:
-    import hashlib  # on the first sweep, not with the module
-
-    # The scenario's repr is most of the cost; the sweeps of a study share it.
-    text = f"{_kept(scenario, ('repr',), repr)}|{kind}|{scheme}"
-    return hashlib.sha1(text.encode()).hexdigest()[:12]
 
 
 def _sweep(
@@ -164,7 +163,6 @@ def _sweep(
             "kind": kind,
             "scheme": scheme,
             **extra,
-            "run_id": _run_id(scenario, kind, scheme),
             "placement": (best.position.x, best.position.y, best.position.z),
             "baseline_positions": [(b.x, b.y, b.z) for b in baselines],
         },

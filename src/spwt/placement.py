@@ -124,9 +124,9 @@ def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
     the first time it is asked for; any other scenario's are dropped first.
 
     Keys name what was computed: ("azimuth", k), ("pitch", l), the sweeps'
-    ("baselines", count) and ("repr",), each number with its type, so that
-    inputs that only compare equal (1, 1.0, True) are solved apart.  An
-    outcome holds only values and messages, never an exception or the
+    ("baselines", count) and ("best", scheme), each number with its type,
+    so that inputs that only compare equal (1, 1.0, True) are solved apart.
+    An outcome holds only values and messages, never an exception or the
     scenario, so releasing the slot frees the scenario.
     """
     global _last

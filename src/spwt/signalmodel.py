@@ -48,6 +48,10 @@ class PowerConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if self.noise_b_w <= 0.0 or self.noise_e_w <= 0.0:
             raise ValueError("noise powers must be positive")
+        # Finite P/sigma^2 at both nodes keeps every SINR, and so every rate, finite.
+        p = self.total_power_w
+        if not all(map(math.isfinite, (p / self.noise_b_w, p / self.noise_e_w))):
+            raise ValueError("the SNR, total power over a noise power, must be finite")
 
 
 def _correlation_power(rho) -> float:

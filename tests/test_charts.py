@@ -1,9 +1,10 @@
 import re
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from spwt.charts import render_heatmap
+from spwt.charts import render_heatmap, render_line_chart
 from conftest import heatmap_shade
 
 _FILL = re.compile(r'^<rect x="[^"]*" y="[^"]*" width="[^"]*" height="[^"]*" '
@@ -46,3 +47,11 @@ def test_heatmap_shades_of_the_clamp_ends():
     fills = re.findall(r'fill="rgb\((\d+),', svg)
     assert fills == ["0", "0", "255", "255", "255", "0"]
     assert [heatmap_shade(v) for v in values[0]] == [0, 0, 255, 255, 255, 0]
+
+
+@pytest.mark.parametrize("x", [1e17, -1e17, 1e300])
+def test_one_point_line_chart_is_finite(x):
+    # a one-point x range is widened by a step that moves x at its size;
+    # +/-1 rounds away from |x| >= 2^53 and left a zero span to divide by
+    svg = render_line_chart([x], {"a": [1.0]}, "x", "y")
+    assert not re.search(r"nan|inf", svg)

@@ -475,13 +475,21 @@ def test_alpha_sweep_runs_at_the_config_snr(tmp_path):
     assert want == "6.65821148275"
 
 
-@pytest.mark.parametrize("p_w,sigma2_w", [("1e-200", "1e200"), ("1e200", "1e-200")])
-def test_alpha_sweep_rejects_an_snr_beyond_float_range(tmp_path, capsys, p_w, sigma2_w):
-    # P/sigma^2 under- or overflows: exit 1 with one error line, no traceback
+@pytest.mark.parametrize(
+    "p_w,sigma2_w,message",
+    [("1e-200", "1e200", "snr_db must be finite"),
+     ("1e200", "1e-200", "the SNR, total power over a noise power, must be finite")],
+    ids=["1e-200-1e200", "1e200-1e-200"],
+)
+def test_alpha_sweep_rejects_an_snr_beyond_float_range(
+    tmp_path, capsys, p_w, sigma2_w, message
+):
+    # P/sigma^2 under- or overflows: exit 1 with one error line, no traceback;
+    # PowerConfig rejects the overflow, the sweep the underflow
     cfg = write_config(tmp_path / "a.cfg", p_w=p_w, sigma2_w=sigma2_w)
     out = tmp_path / "o"
     assert main(["sweep", "--kind", "alpha", "--config", cfg, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: snr_db must be finite\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -650,14 +658,15 @@ _SUBMODULES = {
             ["place"],
             {"spwt.experiments", "spwt.charts", "json", "datetime", "hashlib", "numpy"},
         ),
+        (["sweep"], {"hashlib", "numpy"}),
         (["pattern", "--grid=-100:100:10"], {"spwt.experiments", "hashlib"}),
     ],
-    ids=["import", "place", "pattern"],
+    ids=["import", "place", "sweep", "pattern"],
 )
 def test_commands_load_only_the_modules_they_run(tmp_path, argv, skipped):
     if argv:
         argv = [*argv, "--config", str(GOLDEN_REFERENCE)]
-    if argv[:1] == ["pattern"]:
+    if argv[:1] in (["sweep"], ["pattern"]):
         argv += ["--out", str(tmp_path / "out")]
     proc = _cli_process(argv, code=_MODULES_CHECK)
     assert proc.returncode == 0

@@ -186,7 +186,6 @@ def test_sweep_snr_baselines_fixed_across_grid(reference_scenario):
     r2 = sweep_snr(reference_scenario)
     assert r1.metadata["baseline_positions"] == r2.metadata["baseline_positions"]
     assert r1.series == r2.series
-    assert r1.metadata["run_id"] == r2.metadata["run_id"]
 
 
 def test_sweep_snr_rejects_empty_grid(reference_scenario):
@@ -224,7 +223,7 @@ def test_sweep_alpha_metadata(reference_scenario):
     result = sweep_alpha(reference_scenario, snr_db=12.0)
     assert result.metadata["kind"] == "alpha"
     assert result.metadata["snr_db"] == 12.0
-    common = {"kind", "scheme", "run_id", "placement", "baseline_positions"}
+    common = {"kind", "scheme", "placement", "baseline_positions"}
     assert set(result.metadata) == common | {"snr_db"}
     assert set(sweep_snr(reference_scenario).metadata) == common
 

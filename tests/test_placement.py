@@ -1,7 +1,7 @@
 import math
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -706,6 +706,21 @@ def test_every_solution_is_finite_certified_and_on_its_locus(sc):
             assert p.x < 0.0 or p.x > x_e
         assert s.null_residual <= 1e-8
         assert explicit_correlation(sc, p) <= 1e-8
+
+
+@given(sc=finite_scenarios())
+def test_every_solution_field_is_finite(sc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        solutions, _ = solve_all(sc)
+
+    def numbers(value):
+        if isinstance(value, tuple):
+            return [n for item in value for n in numbers(item)]
+        return [] if isinstance(value, str) else [value]
+
+    for s in solutions:
+        assert all(math.isfinite(v) for v in numbers(astuple(s)))
 
 
 @given(

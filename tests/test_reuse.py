@@ -1,8 +1,9 @@
-"""The solvers and sweeps keep the candidates, baselines and run-id text of
-the last scenario object they were asked about: a warm scenario must give
-exactly what a fresh equal copy gives, as fresh objects, with the same
-warnings, and the kept scenario must be released once another one is
-solved."""
+"""The solvers and sweeps keep the candidates, baselines and best placement
+per scheme of the last scenario object they were asked about: a warm
+scenario must give exactly what a fresh equal copy gives, as fresh objects,
+with the same warnings from the solvers (a sweep warns only on the first
+pick of its scheme), and the kept scenario must be released once another
+one is solved."""
 
 import gc
 import sys
@@ -24,6 +25,7 @@ from spwt import (
     sweep_alpha,
     sweep_snr,
 )
+from spwt import experiments
 from conftest import finite_scenarios, make_scenario
 
 
@@ -150,6 +152,47 @@ def test_forced_factor_reuses_the_certified_candidates(kernel_calls):
     solve_pitch_scheme(sc, side="right", factor="row")
     assert len(kernel_calls) == 1
     assert (default.factor_used, column.factor_used) == ("row", "column")
+
+
+def test_sweeps_of_a_scheme_pick_its_placement_once(monkeypatch, reference_scenario):
+    calls = []
+    solve = experiments.solve_all
+
+    def counting(*args):
+        calls.append(args[1])
+        return solve(*args)
+
+    monkeypatch.setattr(experiments, "solve_all", counting)
+    sc = reference_scenario
+    for _ in range(2):
+        for scheme in ("azimuth", "pitch"):
+            sweep_snr(sc, scheme=scheme)
+            sweep_alpha(sc, scheme=scheme)
+    assert calls == [("azimuth",), ("pitch",)]
+    sweep_snr(replace(sc))  # an equal copy is another scenario
+    assert len(calls) == 3
+
+
+def test_sweeps_warn_on_the_first_pick_of_a_scheme_only():
+    # the "row-fails" case of test_placement: two bisector and one extension
+    # candidate per side are discarded
+    sc = make_scenario(m=10**9, n=4)
+    counts = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for call in (
+            lambda: sweep_snr(sc),
+            lambda: sweep_alpha(sc),
+            lambda: sweep_snr(sc),
+            lambda: sweep_alpha(sc, scheme="pitch"),
+            lambda: sweep_snr(sc, scheme="pitch"),
+            lambda: solve_all(sc),  # the solvers still warn on every call
+            lambda: sweep_snr(replace(sc)),  # an equal copy is picked afresh
+        ):
+            before = len(caught)
+            call()
+            counts.append(len(caught) - before)
+    assert counts == [2, 0, 0, 2, 0, 4, 2]
 
 
 def test_replayed_warnings_point_at_the_caller():

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, reject, strategies as st
 
 from spwt import (
     ArrayGeometry,
@@ -307,6 +307,38 @@ def test_power_config_rejects_non_finite(field, value):
     args[field] = value
     with pytest.raises(ValueError, match="must be finite"):
         PowerConfig(*args)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(1e300, 1.0, 1e-300, 1e-300), (1e300, 0.5, 1e-300, 1e-300),
+     (1.0, 1.0, 5e-324, 5e-324), (1.0, 1.0, 0.1, 5e-324), (1e10, 1.0, 1e-300, 1.0)],
+)
+def test_power_config_rejects_an_snr_beyond_float_range(args):
+    # P/sigma^2 = inf used to pass and print certified nulls with an SR of 0
+    # (alpha = 1) or inf (alpha = 0.5)
+    with pytest.raises(ValueError, match="SNR, total power over a noise power"):
+        PowerConfig(*args)
+
+
+@st.composite
+def _accepted_budgets(draw):
+    """Any PowerConfig the constructor accepts: power and floors log-uniform
+    over the whole positive float range, from 2^-1074 to just below 2^1024."""
+    p, noise_b, noise_e = (2.0 ** draw(st.floats(-1074.0, 1023.99)) for _ in "pbe")
+    try:
+        return PowerConfig(p, draw(st.floats(0.0, 1.0)), noise_b, noise_e)
+    except ValueError:
+        reject()
+
+
+@given(_accepted_budgets(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_every_accepted_budget_gives_finite_rates(power, rhos):
+    cells = secrecy_rates(
+        rhos, power.total_power_w, [[power.alpha] * len(rhos)],
+        [power.noise_b_w], [power.noise_e_w],
+    )
+    assert all(math.isfinite(rate) and rate >= 0.0 for (rate,) in cells)
 
 
 @pytest.mark.parametrize(
