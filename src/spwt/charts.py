@@ -6,29 +6,47 @@ byte-identical files.
 """
 
 import math
+import sys
 
 _PALETTE = ("#1f77b4", "#333333", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 62, 16, 20, 46
+_MAX = sys.float_info.max
 
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _unit(lo: float, hi: float) -> float:
+    """The power of two an axis from ``lo`` to ``hi`` is measured in: 1, or
+    1/16 where its span, or the span times a tick index, would overflow.
+    Scaling by a power of two is exact, so an axis in range maps as before."""
+    return 1.0 if (hi - lo) * 5.0 < math.inf else 0.0625
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    u = _unit(lo, hi)
+    # min: beyond the float range the top tick could round past hi, to inf
+    return [
+        min(hi, (lo * u + (hi * u - lo * u) * i / (count - 1)) / u)
+        for i in range(count)
+    ]
 
 
-def _scales(x_lo: float, x_span: float, y_lo: float, y_span: float):
-    """The data-to-pixel maps (px, py) of the plot area for these axes."""
+def _scales(x_lo: float, x_hi: float, y_lo: float, y_hi: float):
+    """The data-to-pixel maps (px, py) of the plot area for these axes; an
+    axis that does not increase spans one data unit."""
+    xu, yu = _unit(x_lo, x_hi), _unit(y_lo, y_hi)
+    x_span = x_hi * xu - x_lo * xu if x_hi > x_lo else 1.0
+    y_span = y_hi * yu - y_lo * yu if y_hi > y_lo else 1.0
 
     def px(v: float) -> float:
-        return _ML + (v - x_lo) / x_span * (_W - _ML - _MR)
+        return _ML + (v * xu - x_lo * xu) / x_span * (_W - _ML - _MR)
 
     def py(v: float) -> float:
-        return _H - _MB - (v - y_lo) / y_span * (_H - _MT - _MB)
+        return _H - _MB - (v * yu - y_lo * yu) / y_span * (_H - _MT - _MB)
 
     return px, py
 
@@ -63,11 +81,11 @@ def render_line_chart(
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:  # a step that still moves x where +/-1 rounds away
         step = max(1.0, abs(x_lo) * 2**-40)
-        x_lo, x_hi = x_lo - step, x_hi + step
+        x_lo, x_hi = max(x_lo - step, -_MAX), min(x_hi + step, _MAX)
     y_hi = max((max(v) for v in series.values() if v), default=1.0)
-    y_hi = y_hi * 1.06 if y_hi > 0 else 1.0
+    y_hi = min(y_hi * 1.06, _MAX) if y_hi > 0 else 1.0
     y_lo = 0.0
-    px, py = _scales(x_lo, x_hi - x_lo, y_lo, y_hi - y_lo)
+    px, py = _scales(x_lo, x_hi, y_lo, y_hi)
 
     parts = []
     if title:
@@ -139,9 +157,7 @@ def render_heatmap(
     sy = list(range(0, ny, stride))
     x_lo, x_hi = float(xs[0]), float(xs[-1])
     y_lo, y_hi = float(ys[0]), float(ys[-1])
-    span_x = x_hi - x_lo if x_hi > x_lo else 1.0
-    span_y = y_hi - y_lo if y_hi > y_lo else 1.0
-    px, py = _scales(x_lo, span_x, y_lo, span_y)
+    px, py = _scales(x_lo, x_hi, y_lo, y_hi)
 
     cell_w = (_W - _ML - _MR) / max(1, len(sx)) + 0.5
     cell_h = (_H - _MT - _MB) / max(1, len(sy)) + 0.5

@@ -21,10 +21,11 @@ Each scheme computes every candidate up front (no candidate's position
 depends on another's certification) and certifies them all in one kernel
 call.  The candidates of the last scenario object asked for are kept while
 the same object keeps being asked; each call picks its placements from
-them and warns of the candidates it discards.
+them and warns, at the caller's line, of the candidates it discards.
 """
 
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -79,11 +80,24 @@ class PlacementSolution:
     sr_at_solution: float
 
 
-def _solution(**fields) -> PlacementSolution:
-    """PlacementSolution(**fields) without __init__, which has no checks to skip."""
+def _solution(*fields) -> PlacementSolution:
+    """PlacementSolution(*fields) without __init__, which has no checks to skip."""
     solution = object.__new__(PlacementSolution)
-    solution.__dict__.update(fields)
+    solution.__dict__.update(zip(PlacementSolution.__dataclass_fields__, fields))
     return solution
+
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _caller_level() -> int:
+    """The stacklevel at which a warning from this function's caller names
+    the first frame outside this package, or the outermost one: the rule of
+    Python 3.12's ``skip_file_prefixes``, which 3.10 and 3.11 lack."""
+    frame, level = sys._getframe(2), 2
+    while frame.f_back and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _check_scenario(scenario: ScenarioConfig) -> None:
@@ -167,13 +181,7 @@ def solve_azimuth_scheme(
         For a quarter-turn yaw, an index with no matching zero, or a ground
         node off z = 0.
     """
-    return _bisector(scenario, index if index is not None else NullIndex())
-
-
-def _bisector(scenario: ScenarioConfig, index: NullIndex) -> list[PlacementSolution]:
-    """The checks of the bisector scheme, then its certified placements from
-    the kept candidates, warning of each one discarded (attributed to the
-    caller of the public function that called this one)."""
+    index = index if index is not None else NullIndex()
     geom = scenario.array
     _check_index(index.k, geom.m_rows, geom.n_cols)
     _check_scenario(scenario)
@@ -182,24 +190,16 @@ def _bisector(scenario: ScenarioConfig, index: NullIndex) -> list[PlacementSolut
     if isinstance(candidates, str):
         raise InfeasibleGeometry(candidates)
     solutions: list[PlacementSolution] = []
-    for (factor, branch, y), position, residual, rate in candidates:
+    for (factor, branch, y), (position, residual, rate) in candidates:
         if rate is None:
             warnings.warn(
                 f"bisector candidate y={y:.6g} failed verification "
                 f"(|rho| = {residual:.3e}); discarded",
-                stacklevel=3,
+                stacklevel=_caller_level(),
             )
             continue
         solutions.append(
-            _solution(
-                position=position,
-                scheme="azimuth",
-                branch=branch,
-                index_used=index,
-                factor_used=factor,
-                null_residual=residual,
-                sr_at_solution=rate,
-            )
+            _solution(position, "azimuth", branch, index, factor, residual, rate)
         )
     if not solutions:
         raise InfeasibleGeometry("every bisector candidate failed verification")
@@ -208,14 +208,12 @@ def _bisector(scenario: ScenarioConfig, index: NullIndex) -> list[PlacementSolut
 
 def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
     """Every bisector candidate at row index ``k`` as ((factor, branch, y),
-    position, |rho|, secrecy rate or None), all certified in one kernel
-    call; or the reason there is none."""
+    its :func:`_certify` outcome); or the reason there is none."""
     geom = scenario.array
     k = float(k)
     tf = canonicalize_frame(scenario.bob, scenario.eve)
     x_e = tf.to_canonical(scenario.eve).x
     g = scenario.uav_height_m
-    half = x_e / 2.0
 
     candidates: list[tuple[str, str, float]] = []
     radicands: list[float] = []
@@ -247,20 +245,27 @@ def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
             f"{max(radicands):.6g} m^2); lower the altitude or rotate the "
             f"yaw closer to the ground axis"
         )
-    positions = [tf.from_canonical(_point(half, y, g)) for _, _, y in candidates]
+    points = [_point(x_e / 2.0, y, g) for _, _, y in candidates]
+    return tuple(zip(candidates, _certify(scenario, tf, points)))
+
+
+def _certify(scenario: ScenarioConfig, tf, points: list) -> list:
+    """Each canonical point as (caller-frame position, |rho|, secrecy rate or
+    None): |rho| from one ``correlation_at`` call, and the rate from one
+    ``secrecy_rates`` call at the scenario's checked budget for the points
+    within ``_NULL_TOL``, the only place that applies it.  No points, no call."""
+    if not points:
+        return []
+    positions = [tf.from_canonical(p) for p in points]
     residuals = correlation_at(scenario, positions)
-    return tuple(zip(candidates, positions, residuals, _rates(scenario, residuals)))
-
-
-def _rates(scenario: ScenarioConfig, residuals: list) -> list:
-    """The secrecy rate at each residual that passes certification, None at
-    the others, from one :func:`~spwt.signalmodel.secrecy_rates` call at the
-    scenario's power budget, which its PowerConfig checked."""
     power = scenario.power
     ok = [r for r in residuals if r <= _NULL_TOL]
     budget = [[power.alpha] * len(ok)], [power.noise_b_w], [power.noise_e_w]
     rates = iter(secrecy_rates(ok, power.total_power_w, *budget))
-    return [next(rates)[0] if r <= _NULL_TOL else None for r in residuals]
+    return [
+        (position, r, next(rates)[0] if r <= _NULL_TOL else None)
+        for position, r in zip(positions, residuals)
+    ]
 
 
 def _pitch_gap(x_e: float, g: float, t: float) -> tuple[float, float, float]:
@@ -318,18 +323,7 @@ def solve_pitch_scheme(
         attainable range, its root search does not converge, or its
         candidate does not pass certification.
     """
-    return _extension(
-        scenario, index if index is not None else NullIndex(), side, factor
-    )
-
-
-def _extension(
-    scenario: ScenarioConfig, index: NullIndex, side: str, factor: str | None
-) -> PlacementSolution:
-    """The checks of the extension scheme, then the first certified
-    placement on ``side`` from the kept steps, as :func:`_bisector` does; a
-    root search that raised is that factor's failure, as an unattainable gap
-    or a failed candidate is."""
+    index = index if index is not None else NullIndex()
     geom = scenario.array
     _check_index(index.l, geom.m_rows, geom.n_cols)
     _check_scenario(scenario)
@@ -344,32 +338,22 @@ def _extension(
     advice = ""
     for fac in (factor,) if factor is not None else ("row", "column"):
         kind, *step = steps[side, fac]
-        if kind == "raised":
+        if kind != "candidate":  # a root search that raised fails as a gap does
             failures.append(step[0])
-            continue
-        if kind == "gap":
-            failures.append(step[0])
-            # Only an unattainable gap is helped by these; a candidate that
-            # failed verification is not (a larger array amplifies rounding).
-            advice = "; lower the altitude, shrink the index, or use a larger array"
+            if kind == "gap":
+                # Only an unattainable gap is helped by these; a candidate that
+                # failed verification is not (a larger array amplifies rounding).
+                advice = "; lower the altitude, shrink the index, or use a larger array"
             continue
         x_a, branch, position, residual, rate = step
         # A point already discarded is not tried, or warned of, again.
         if not any(abs(x_a - prev) < _DEDUP_M for prev in failed_x):
             if rate is not None:
-                return _solution(
-                    position=position,
-                    scheme="pitch",
-                    branch=branch,
-                    index_used=index,
-                    factor_used=fac,
-                    null_residual=residual,
-                    sr_at_solution=rate,
-                )
+                return _solution(position, "pitch", branch, index, fac, residual, rate)
             warnings.warn(
                 f"extension candidate x={x_a:.6g} failed verification "
                 f"(|rho| = {residual:.3e}); discarded",
-                stacklevel=3,
+                stacklevel=_caller_level(),
             )
             failed_x.append(x_a)
         failures.append(f"{fac} factor candidate failed verification")
@@ -381,8 +365,7 @@ def _extension(
 def _extension_candidates(scenario: ScenarioConfig, l) -> dict:
     """Every extension step at column index ``l`` by (side, factor): ("gap",
     why the gap is unattainable), ("raised", a root search's message), or
-    ("candidate", canonical x, branch, position, |rho|, secrecy rate or
-    None), all candidates certified in one kernel call.
+    ("candidate", canonical x, branch, then its :func:`_certify` outcome).
 
     Beyond either end of the segment the eavesdropper lies at a yaw-relative
     azimuth of pi - yaw (left) or -yaw (right).  Both have the same |cos| and
@@ -418,14 +401,10 @@ def _extension_candidates(scenario: ScenarioConfig, l) -> dict:
             continue
         # Branch sign of +/- as it appears in the defining equation.
         branch = "+" if trig > 0.0 else "-"
-        for side, x_a in (("left", -t), ("right", x_e + t)):
-            position = tf.from_canonical(_point(x_a, 0.0, g))
-            found.append(((side, fac), x_a, branch, position))
-    if found:
-        residuals = correlation_at(scenario, [c[3] for c in found])
-        rates = _rates(scenario, residuals)
-        for (key, *candidate), residual, rate in zip(found, residuals, rates):
-            steps[key] = ("candidate", *candidate, residual, rate)
+        found += (("left", fac), -t, branch), (("right", fac), x_e + t, branch)
+    certified = _certify(scenario, tf, [_point(x_a, 0.0, g) for _, x_a, _ in found])
+    for (key, x_a, branch), outcome in zip(found, certified):
+        steps[key] = ("candidate", x_a, branch, *outcome)
     return steps
 
 
@@ -486,17 +465,16 @@ def solve_all(
     index = NullIndex()
     solutions: list[PlacementSolution] = []
     failures: list[str] = []
-    # Plain loops: a comprehension's frame would move the warnings' attribution.
     for scheme in schemes:
         if scheme == "azimuth":
             try:
-                solutions.extend(_bisector(scenario, index))
+                solutions.extend(solve_azimuth_scheme(scenario, index))
             except InfeasibleGeometry as exc:
                 failures.append(f"azimuth: {exc}")
         elif scheme == "pitch":
             for side in ("left", "right"):
                 try:
-                    solutions.append(_extension(scenario, index, side, None))
+                    solutions.append(solve_pitch_scheme(scenario, index, side))
                 except InfeasibleGeometry as exc:
                     failures.append(f"pitch {side}: {exc}")
         else:

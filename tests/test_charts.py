@@ -55,3 +55,31 @@ def test_one_point_line_chart_is_finite(x):
     # +/-1 rounds away from |x| >= 2^53 and left a zero span to divide by
     svg = render_line_chart([x], {"a": [1.0]}, "x", "y")
     assert not re.search(r"nan|inf", svg)
+
+
+# Finite floats, with the ends of the float range drawn often: spans up to
+# twice the range, and series up to its top.
+_HUGE = (1e308, 1.7976931348623157e308)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    (*_HUGE, *(-v for v in _HUGE))
+)
+_RATE = st.floats(0.0, allow_infinity=False) | st.sampled_from(_HUGE)
+_RATES = st.lists(_RATE, min_size=1, max_size=16)
+
+
+@given(xs=st.lists(_FINITE, min_size=1, max_size=16), rows=st.lists(_RATES, max_size=3))
+def test_line_chart_of_finite_values_is_finite(xs, rows):
+    series = {f"s{i}": row for i, row in enumerate(rows)}
+    assert not re.search(r"nan|inf", render_line_chart(xs, series, "x", "y"))
+
+
+@given(
+    xs=st.lists(_FINITE, min_size=1, max_size=6).map(sorted),
+    ys=st.lists(_FINITE, min_size=1, max_size=6).map(sorted),
+    cells=_RATES,
+)
+def test_heatmap_of_finite_values_is_finite(xs, ys, cells):
+    # grid axes ascend; the overlays sit on the grid's corners
+    values = np.resize(np.array(cells), (len(ys), len(xs)))
+    svg = render_heatmap(xs, ys, values, overlays=[(xs[0], ys[0]), (xs[-1], ys[-1])])
+    assert not re.search(r"nan|inf", svg)

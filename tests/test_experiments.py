@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -404,3 +405,28 @@ def test_sweeps_reject_noise_floor_out_of_range(p, snr_db):
         sweep_snr(sc, snr_db_grid=[snr_db])
     with pytest.raises(ValueError, match="out of range"):
         sweep_alpha(sc, snr_db=snr_db)
+
+
+@given(
+    sc=finite_scenarios(),
+    scheme=st.sampled_from(("azimuth", "pitch")),
+    snr_grid=st.lists(st.floats(-3200.0, 3200.0), min_size=1, max_size=4),
+    snr_db=st.floats(-3200.0, 3200.0),
+    alpha_grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_every_sweep_value_is_finite(sc, scheme, snr_grid, snr_db, alpha_grid):
+    # SNRs reach past the float range (~3,080 dB) both ways: the sweeps'
+    # own checks are the filter, and a scheme with no placement is skipped
+    sweeps = (
+        lambda: sweep_snr(sc, scheme, snr_grid),
+        lambda: sweep_alpha(sc, snr_db, alpha_grid, scheme),
+    )
+    for sweep in sweeps:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                result = sweep()
+        except (InfeasibleGeometry, ValueError):
+            continue
+        values = [v for series in result.series.values() for v in series]
+        assert all(math.isfinite(v) and v >= 0.0 for v in values)

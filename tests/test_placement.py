@@ -15,7 +15,6 @@ from spwt import (
     NullIndex,
     Position3D,
     PowerConfig,
-    canonicalize_frame,
     correlation_map,
     solve_all,
     solve_azimuth_scheme,
@@ -406,19 +405,74 @@ def test_solutions_lie_on_their_loci():
     assert right.position.x > 700.0
 
 
-def test_raw_frame_round_trip():
-    # identical physics after translating and rotating the ground frame
-    sc_canon = make_scenario()
-    bob = Position3D(120.0, -40.0, 0.0)
-    eve = Position3D(120.0 + 300.0, -40.0 + 400.0, 0.0)  # still 500 m apart
-    sc_raw = replace(sc_canon, bob=bob, eve=eve)
-    sols_canon = sorted(s.position.y for s in solve_azimuth_scheme(sc_canon))
-    sols_raw = solve_azimuth_scheme(sc_raw)
-    tf = canonicalize_frame(bob, eve)
-    back = sorted(tf.to_canonical(s.position).y for s in sols_raw)
-    assert back == pytest.approx(sols_canon, abs=1e-9)
-    for s in sols_raw:
-        assert s.null_residual <= 1e-8
+def _solved(sc):
+    """solve_all(sc) with its warnings silenced: the solutions, and which
+    schemes and sides failed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        solutions, failures = solve_all(sc)
+    return solutions, [f.split(":")[0] for f in failures]
+
+
+def _labels(solutions):
+    return [(s.scheme, s.branch, s.factor_used) for s in solutions]
+
+
+# The model's symmetries, over finite_scenarios (receiver at the origin,
+# eavesdropper on the +x axis).  The yaw is measured from the ground axis,
+# so it moves with the pair.
+@given(
+    sc=finite_scenarios(),
+    dx=st.floats(-1e6, 1e6),
+    dy=st.floats(-1e6, 1e6),
+    turn=st.floats(0.0, 2.0 * math.pi),
+)
+def test_rigid_motion_of_the_ground_pair_moves_every_placement(sc, dx, dy, turn):
+    c, s = math.cos(turn), math.sin(turn)
+    x_e = sc.eve.x
+    eve = Position3D(dx + c * x_e, dy + s * x_e)
+    moved = replace(sc, bob=Position3D(dx, dy), eve=eve)
+    want, want_failed = _solved(sc)
+    got, got_failed = _solved(moved)
+    assert (_labels(got), got_failed) == (_labels(want), want_failed)
+    for a, b in zip(want, got):
+        p = a.position
+        follow = (dx + c * p.x - s * p.y, dy + s * p.x + c * p.y, p.z)
+        assert math.dist(follow, astuple(b.position)) <= 1e-6
+
+
+@given(sc=finite_scenarios())
+def test_mirrored_yaw_mirrors_every_placement(sc):
+    want, want_failed = _solved(sc)
+    got, got_failed = _solved(replace(sc, yaw=-sc.yaw))
+    assert got_failed == want_failed
+
+    # the residuals at a mirrored point agree to rounding only; both certify
+    def mirrored(solutions, sign):
+        return sorted(
+            (s.scheme, s.factor_used, s.position.x, sign * s.position.y, s.position.z)
+            for s in solutions
+        )
+
+    assert mirrored(got, -1.0) == mirrored(want, 1.0)
+
+
+@given(sc=finite_scenarios(), scale=st.floats(1e-3, 1e3))
+def test_scaling_every_length_scales_every_placement(sc, scale):
+    # the half-wavelength spacing scales with the wavelength
+    geom = sc.array
+    scaled = replace(
+        sc,
+        array=ArrayGeometry(geom.m_rows, geom.n_cols, geom.carrier_hz / scale),
+        eve=Position3D(sc.eve.x * scale, 0.0),
+        uav_height_m=sc.uav_height_m * scale,
+    )
+    want, want_failed = _solved(sc)
+    got, got_failed = _solved(scaled)
+    assert (_labels(got), got_failed) == (_labels(want), want_failed)
+    for a, b in zip(want, got):
+        p = [scale * v for v in astuple(a.position)]
+        assert math.dist(p, astuple(b.position)) <= 1e-9 * math.hypot(*p)
 
 
 def test_grid_oracle_midline(reference_scenario):

@@ -197,7 +197,9 @@ def test_sweeps_warn_on_the_first_pick_of_a_scheme_only():
 
 def test_replayed_warnings_point_at_the_caller():
     # the "row-fails" case of test_placement: two bisector and one extension
-    # candidate per side are discarded, and a repeated call warns again
+    # candidate per side are discarded, and a repeated solve warns again; a
+    # sweep warns on the first pick of its scheme only, from deeper inside
+    # the package, and names this file all the same
     sc = make_scenario(m=10**9, n=4)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -205,7 +207,10 @@ def test_replayed_warnings_point_at_the_caller():
             solve_azimuth_scheme(sc)
             solve_pitch_scheme(sc, side="right")
             solve_all(sc)
-    assert len(caught) == 2 * (2 + 1 + 4)
+            for scheme in ("azimuth", "pitch"):
+                sweep_snr(sc, scheme=scheme)
+                sweep_alpha(sc, scheme=scheme)
+    assert len(caught) == 2 * (2 + 1 + 4) + (2 + 2)
     assert {w.filename for w in caught} == {__file__}
 
 
