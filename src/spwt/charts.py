@@ -23,7 +23,7 @@ def _unit(lo: float, hi: float) -> float:
     """The power of two an axis from ``lo`` to ``hi`` is measured in: 1, or
     1/16 where its span, or the span times a tick index, would overflow.
     Scaling by a power of two is exact, so an axis in range maps as before."""
-    return 1.0 if (hi - lo) * 5.0 < math.inf else 0.0625
+    return 1.0 if abs(hi - lo) * 5.0 < math.inf else 0.0625
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -36,11 +36,12 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 def _scales(x_lo: float, x_hi: float, y_lo: float, y_hi: float):
-    """The data-to-pixel maps (px, py) of the plot area for these axes; an
-    axis that does not increase spans one data unit."""
+    """The data-to-pixel maps (px, py) of the plot area for these axes,
+    each axis running from its first end to its second, either way up; an
+    axis whose ends are equal spans one data unit."""
     xu, yu = _unit(x_lo, x_hi), _unit(y_lo, y_hi)
-    x_span = x_hi * xu - x_lo * xu if x_hi > x_lo else 1.0
-    y_span = y_hi * yu - y_lo * yu if y_hi > y_lo else 1.0
+    x_span = (x_hi * xu - x_lo * xu) or 1.0
+    y_span = (y_hi * yu - y_lo * yu) or 1.0
 
     def px(v: float) -> float:
         return _ML + (v * xu - x_lo * xu) / x_span * (_W - _ML - _MR)

@@ -9,6 +9,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 from . import __version__
 from .arrays import ArrayGeometry
@@ -85,7 +86,7 @@ def parse_config(path: str) -> dict:
 
 def _resolve_config(cfg: dict, seed_flag: int | None) -> dict:
     """Validate, fill defaults and settle the seed precedence
-    (flag > config > SPWT_SEED > 0)."""
+    (flag > config > 0)."""
     for key, value in cfg.items():
         if key in _FLOAT_KEYS and not math.isfinite(value):
             raise CliError(f"config: '{key}' must be finite, got {value!r}")
@@ -101,19 +102,7 @@ def _resolve_config(cfg: dict, seed_flag: int | None) -> dict:
     else:
         raise CliError("config: missing required key 'theta_a_rad'")
 
-    if seed_flag is not None:
-        seed = seed_flag
-    elif "seed" in cfg:
-        seed = cfg["seed"]
-    elif os.environ.get("SPWT_SEED"):
-        try:
-            seed = int(os.environ["SPWT_SEED"])
-        except ValueError as exc:
-            raise CliError(
-                f"SPWT_SEED is not an integer: {os.environ['SPWT_SEED']!r}"
-            ) from exc
-    else:
-        seed = 0
+    seed = seed_flag if seed_flag is not None else cfg.get("seed", 0)
 
     # ScenarioConfig judges the height; no constructor owns the ground
     # segment, and the array and power constructors judge their own fields.
@@ -137,7 +126,6 @@ def _scenario(resolved: dict) -> ScenarioConfig:
             resolved["sigma2_w"],
             resolved["sigma2_w"],
         ),
-        bandwidth_hz=resolved["bandwidth_hz"],
         seed=resolved["seed"],
     )
 
@@ -397,8 +385,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        resolved = _resolve_config(parse_config(args.config), args.seed)
-        return args.func(args, resolved, _scenario(resolved))
+        with warnings.catch_warnings():
+            # A discarded candidate is an outcome of the command: print its
+            # text, not the frame outside the package that the warning names.
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr
+            )
+            resolved = _resolve_config(parse_config(args.config), args.seed)
+            return args.func(args, resolved, _scenario(resolved))
     except (InfeasibleGeometry, InvalidIndex, InvalidYaw) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

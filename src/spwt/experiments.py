@@ -15,7 +15,7 @@ from .errors import InfeasibleGeometry
 from .geometry import Position3D
 from .placement import PlacementSolution, _kept, solve_all
 from .scenario import ScenarioConfig
-from .signalmodel import _NOT_FINITE, correlation_at, secrecy_rates
+from .signalmodel import correlation_at, secrecy_rates
 
 DEFAULT_SNR_GRID_DB = tuple(range(0, 21, 2))
 DEFAULT_ALPHA_GRID = tuple(i / 10.0 for i in range(11))
@@ -111,7 +111,8 @@ def _baselines(scenario: ScenarioConfig, n: int) -> tuple:
 
 
 def _linear_snr(snr_db: float, p: float) -> float:
-    """10^(snr_db/10), checked to give a finite, positive noise floor p/SNR."""
+    """10^(snr_db/10), checked to give a finite, positive noise floor p/SNR:
+    the one rule for an SNR, which a nan or infinite ``snr_db`` fails."""
     try:
         snr_lin = 10.0 ** (snr_db / 10.0)
     except OverflowError:
@@ -144,9 +145,8 @@ def _sweep(
     from one ``secrecy_rates`` call; each floor and split was checked on entry.
     """
     best = _best_placement(scenario, scheme)
-    n = n_random_baselines
-    key = ("baselines", n, type(n))
-    baselines, baseline_rhos = _kept(scenario, key, _baselines, n)
+    n = operator.index(n_random_baselines)  # a float count raises TypeError
+    baselines, baseline_rhos = _kept(scenario, ("baselines", n), _baselines, n)
     p = scenario.power.total_power_w
     noise = [p / snr_lin for _, snr_lin, _ in points]
     alpha = [[1.0] + [a] * len(baselines) for _, _, a in points]
@@ -188,8 +188,6 @@ def sweep_snr(
     grid = list(DEFAULT_SNR_GRID_DB if snr_db_grid is None else snr_db_grid)
     if not grid:
         raise ValueError("SNR grid is empty")
-    if not all(math.isfinite(snr_db) for snr_db in grid):
-        raise ValueError("SNR grid must be finite")
     p = scenario.power.total_power_w
     points = [(snr_db, _linear_snr(snr_db, p), 1.0) for snr_db in grid]
     return _sweep(scenario, "snr", scheme, n_random_baselines, points, {})
@@ -212,13 +210,9 @@ def sweep_alpha(
     grid = list(DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid)
     if not grid:
         raise ValueError("alpha grid is empty")
-    if any(a < 0.0 or a > 1.0 for a in grid):
+    if not all(0.0 <= a <= 1.0 for a in grid):  # a nan fails too
         raise ValueError("alpha grid must lie in [0, 1]")
-    if not math.isfinite(snr_db):
-        raise ValueError("snr_db must be finite")
     snr_lin = _linear_snr(snr_db, scenario.power.total_power_w)
-    if not all(map(math.isfinite, grid)):  # a nan passes the range check
-        raise ValueError(_NOT_FINITE)
     points = [(a, snr_lin, a) for a in grid]
     return _sweep(
         scenario, "alpha", scheme, n_random_baselines, points, {"snr_db": snr_db}

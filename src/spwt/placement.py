@@ -138,10 +138,11 @@ def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
     the first time it is asked for; any other scenario's are dropped first.
 
     Keys name what was computed: ("azimuth", k), ("pitch", l), the sweeps'
-    ("baselines", count) and ("best", scheme), each number with its type,
-    so that inputs that only compare equal (1, 1.0, True) are solved apart.
-    An outcome holds only values and messages, never an exception or the
-    scenario, so releasing the slot frees the scenario.
+    ("baselines", count) and ("best", scheme).  They hold values only: the
+    builders take ``float(k)`` and ``float(l)``, and the sweeps the count's
+    ``operator.index`` before the slot, so inputs that compare equal (1, 1.0,
+    True) share one outcome.  An outcome holds only values and messages, never
+    an exception or the scenario, so releasing the slot frees the scenario.
     """
     global _last
     held, outcomes = _last
@@ -154,7 +155,7 @@ def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
 
 
 def solve_azimuth_scheme(
-    scenario: ScenarioConfig, index: NullIndex | None = None
+    scenario: ScenarioConfig, index: NullIndex = NullIndex()
 ) -> list[PlacementSolution]:
     """All bisector-scheme placements nulling the correlation.
 
@@ -181,12 +182,10 @@ def solve_azimuth_scheme(
         For a quarter-turn yaw, an index with no matching zero, or a ground
         node off z = 0.
     """
-    index = index if index is not None else NullIndex()
     geom = scenario.array
     _check_index(index.k, geom.m_rows, geom.n_cols)
     _check_scenario(scenario)
-    key = ("azimuth", index.k, type(index.k))
-    candidates = _kept(scenario, key, _bisector_candidates, index.k)
+    candidates = _kept(scenario, ("azimuth", index.k), _bisector_candidates, index.k)
     if isinstance(candidates, str):
         raise InfeasibleGeometry(candidates)
     solutions: list[PlacementSolution] = []
@@ -287,7 +286,7 @@ def _pitch_gap(x_e: float, g: float, t: float) -> tuple[float, float, float]:
 
 def solve_pitch_scheme(
     scenario: ScenarioConfig,
-    index: NullIndex | None = None,
+    index: NullIndex = NullIndex(),
     side: str = "left",
     factor: str | None = None,
 ) -> PlacementSolution:
@@ -323,7 +322,6 @@ def solve_pitch_scheme(
         attainable range, its root search does not converge, or its
         candidate does not pass certification.
     """
-    index = index if index is not None else NullIndex()
     geom = scenario.array
     _check_index(index.l, geom.m_rows, geom.n_cols)
     _check_scenario(scenario)
@@ -331,8 +329,7 @@ def solve_pitch_scheme(
         raise ValueError("side must be 'left' or 'right'")
     if factor not in (None, "row", "column"):
         raise ValueError("factor must be 'row' or 'column'")
-    key = ("pitch", index.l, type(index.l))
-    steps = _kept(scenario, key, _extension_candidates, index.l)
+    steps = _kept(scenario, ("pitch", index.l), _extension_candidates, index.l)
     failures: list[str] = []
     failed_x: list[float] = []
     advice = ""
@@ -373,6 +370,7 @@ def _extension_candidates(scenario: ScenarioConfig, l) -> dict:
     candidates are x = -t and x = x_e + t.
     """
     geom = scenario.array
+    l = float(l)
     tf = canonicalize_frame(scenario.bob, scenario.eve)
     x_e = tf.to_canonical(scenario.eve).x
     g = scenario.uav_height_m
@@ -462,19 +460,18 @@ def solve_all(
         node off z = 0, which rule out every scheme and so are raised rather
         than reported; and for a scheme other than "azimuth" or "pitch".
     """
-    index = NullIndex()
     solutions: list[PlacementSolution] = []
     failures: list[str] = []
     for scheme in schemes:
         if scheme == "azimuth":
             try:
-                solutions.extend(solve_azimuth_scheme(scenario, index))
+                solutions.extend(solve_azimuth_scheme(scenario))
             except InfeasibleGeometry as exc:
                 failures.append(f"azimuth: {exc}")
         elif scheme == "pitch":
             for side in ("left", "right"):
                 try:
-                    solutions.append(solve_pitch_scheme(scenario, index, side))
+                    solutions.append(solve_pitch_scheme(scenario, side=side))
                 except InfeasibleGeometry as exc:
                     failures.append(f"pitch {side}: {exc}")
         else:

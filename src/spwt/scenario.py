@@ -15,8 +15,7 @@ class ScenarioConfig:
 
     ``bob`` is the intended receiver, ``eve`` the eavesdropper; both sit on
     the ground (z = 0).  ``yaw`` is the transmitter heading measured from the
-    receiver-to-eavesdropper axis.  ``bandwidth_hz`` is carried for reporting
-    only; all rates are per hertz.  ``seed`` drives the one randomized part
+    receiver-to-eavesdropper axis.  ``seed`` drives the one randomized part
     of a run, the baseline draws.
     """
 
@@ -26,7 +25,6 @@ class ScenarioConfig:
     uav_height_m: float
     yaw: float
     power: PowerConfig
-    bandwidth_hz: float = 5.0e6
     seed: int = 0
 
     def __post_init__(self) -> None:

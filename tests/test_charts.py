@@ -83,3 +83,17 @@ def test_heatmap_of_finite_values_is_finite(xs, ys, cells):
     values = np.resize(np.array(cells), (len(ys), len(xs)))
     svg = render_heatmap(xs, ys, values, overlays=[(xs[0], ys[0]), (xs[-1], ys[-1])])
     assert not re.search(r"nan|inf", svg)
+
+
+def test_descending_heatmap_axis_draws_on_the_plot():
+    # the first value of an axis sits at its left (or bottom) end whichever
+    # way the axis runs, so reversing the axis keeps every cell on the plot
+    def cell_xs(xs):
+        svg = render_heatmap(xs, [0.0, 1.0], np.ones((2, 3)))
+        return [float(x) for x in re.findall(r'<rect x="([-0-9.]+)"', svg)[:3]]
+
+    assert cell_xs([10.0, 5.0, 0.0]) == cell_xs([0.0, 5.0, 10.0])
+    assert cell_xs([10.0, 5.0, 0.0]) == [-31.92, 249.08, 530.08]
+    huge = [1e308, -1e308]
+    svg = render_heatmap(huge, huge, np.ones((2, 2)), overlays=[(0.0, 0.0)])
+    assert not re.search(r"nan|inf", svg)

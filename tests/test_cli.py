@@ -49,11 +49,6 @@ def write_config(path, drop=(), **overrides):
     return str(path)
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("SPWT_SEED", raising=False)
-
-
 def test_place_reports_reference_solutions(tmp_path, capsys):
     cfg = write_config(tmp_path / "a.cfg")
     assert main(["place", "--config", cfg, "--scheme", "azimuth"]) == 0
@@ -103,8 +98,10 @@ def test_unknown_key_reports_line(tmp_path, capsys):
                      id="duplicate-key"),
         pytest.param("", ("theta_a_rad",), [], None,
                      "config: missing required key 'theta_a_rad'", id="no-angle"),
-        pytest.param("", ("seed",), [], "four", "SPWT_SEED is not an integer: 'four'",
-                     id="env-seed"),
+        # the environment is not a seed source: a grid error is reported as
+        # it is without SPWT_SEED
+        pytest.param("", ("seed",), ["--grid=0:two:20"], "four",
+                     "--grid: cannot parse '0:two:20'", id="env-seed"),
         pytest.param("", (), ["--grid=0:two:20"], None,
                      "--grid: cannot parse '0:two:20'", id="grid-unparsable"),
         pytest.param("", (), ["--grid=0:0:20"], None,
@@ -235,7 +232,7 @@ def test_sweep_infeasible_leaves_no_partial_files(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
-def test_seed_precedence(tmp_path):
+def test_seed_precedence(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "a.cfg", seed=5)
     out = tmp_path / "o1"
     main(["sweep", "--config", cfg, "--out", str(out)])
@@ -245,18 +242,22 @@ def test_seed_precedence(tmp_path):
     main(["sweep", "--config", cfg, "--seed", "3", "--out", str(out)])
     assert json.loads((out / "manifest.json").read_text())["seed"] == 3
 
+    # then 0: the environment is not a seed source, so SPWT_SEED, valid or
+    # not, leaves every written byte as it is without it (the manifest's
+    # timestamp apart)
     cfg_noseed = write_config(tmp_path / "b.cfg", drop=("seed",))
-    os.environ["SPWT_SEED"] = "9"
-    try:
-        out = tmp_path / "o3"
-        main(["sweep", "--config", cfg_noseed, "--out", str(out)])
-        assert json.loads((out / "manifest.json").read_text())["seed"] == 9
-    finally:
-        del os.environ["SPWT_SEED"]
-
-    out = tmp_path / "o4"
-    main(["sweep", "--config", cfg_noseed, "--out", str(out)])
-    assert json.loads((out / "manifest.json").read_text())["seed"] == 0
+    runs = []
+    for env_seed in (None, "9", "four"):
+        if env_seed is None:
+            monkeypatch.delenv("SPWT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SPWT_SEED", env_seed)
+        out = tmp_path / f"env-{env_seed}"
+        assert main(["sweep", "--config", cfg_noseed, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest.pop("timestamp") and manifest["seed"] == 0
+        runs.append(_listing(out) | {"manifest.json": manifest})
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_pattern_outputs(tmp_path):
@@ -477,7 +478,8 @@ def test_alpha_sweep_runs_at_the_config_snr(tmp_path):
 
 @pytest.mark.parametrize(
     "p_w,sigma2_w,message",
-    [("1e-200", "1e200", "snr_db must be finite"),
+    [("1e-200", "1e200", "SNR -inf dB is out of range: the linear SNR and the noise "
+                         "floor P/SNR must be finite and positive"),
      ("1e200", "1e-200", "the SNR, total power over a noise power, must be finite")],
     ids=["1e-200-1e200", "1e200-1e-200"],
 )
@@ -485,7 +487,8 @@ def test_alpha_sweep_rejects_an_snr_beyond_float_range(
     tmp_path, capsys, p_w, sigma2_w, message
 ):
     # P/sigma^2 under- or overflows: exit 1 with one error line, no traceback;
-    # PowerConfig rejects the overflow, the sweep the underflow
+    # PowerConfig rejects the overflow, the sweep's SNR rule the -inf dB of
+    # the underflow
     cfg = write_config(tmp_path / "a.cfg", p_w=p_w, sigma2_w=sigma2_w)
     out = tmp_path / "o"
     assert main(["sweep", "--kind", "alpha", "--config", cfg, "--out", str(out)]) == 1
@@ -535,16 +538,17 @@ def test_geometry_beyond_float_squares_is_a_named_outcome(
     argv = [command, "--config", cfg]
     if command == "sweep":
         argv += ["--out", str(tmp_path / "out")]
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings():
         warnings.simplefilter("always", UserWarning)
         code = main(argv)
     assert code in (0, 2)
     err = capsys.readouterr().err.splitlines()
-    assert err and all(line.startswith("infeasible: ") for line in err)
+    assert err and all(line.startswith(("infeasible: ", "warning: ")) for line in err)
+    warned = [line for line in err if line.startswith("warning: ")]
     if (key, command) == ("x_e_m", "place"):
-        # the warning the command writes to stderr gives the far candidate's
-        # coordinate in six significant digits, not all 201 of them
-        assert [str(w.message) for w in caught] == [FAR_WARNING]
+        # the warning line gives the far candidate's coordinate in six
+        # significant digits, not all 201 of them
+        assert warned == [f"warning: {FAR_WARNING}"]
 
 
 FAR_WARNING = (
@@ -557,7 +561,6 @@ def _cli_process(argv, *flags, code=None, timeout=120):
     """``python <flags> -m spwt.cli <argv>`` in a fresh process, or ``-c
     code`` with ``argv`` as its arguments."""
     env = dict(os.environ, PYTHONPATH=str(Path(spwt.__file__).parents[1]))
-    env.pop("SPWT_SEED", None)
     run = ["-c", code] if code is not None else ["-m", "spwt.cli"]
     return subprocess.run(
         [sys.executable, *flags, *run, *argv],
@@ -574,7 +577,10 @@ def test_far_candidates_at_one_point_warn_once(tmp_path):
     cfg = write_config(tmp_path / "a.cfg", x_e_m="1e200")
     proc = _cli_process(["place", "--config", cfg], "-W", "always")
     assert proc.returncode == 0
-    assert proc.stderr.count(FAR_WARNING) == 1
+    # the warning is printed as the command's own line, naming no frame
+    warned = [line for line in proc.stderr.splitlines() if not line.startswith("infeasible: ")]
+    assert warned == [f"warning: {FAR_WARNING}"]
+    assert "runpy" not in proc.stderr
     right = [
         line for line in proc.stderr.splitlines() if line.startswith("infeasible: pitch right")
     ]

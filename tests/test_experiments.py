@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 from dataclasses import replace
@@ -290,54 +291,55 @@ def test_random_sweeps_equal_per_point_link_evaluation(sc, snr_grid, alpha_grid,
             assert [alpha.series[name][k] for name in rates] == want
 
 
+_OUT_OF_RANGE = (
+    "dB is out of range: the linear SNR and the noise floor P/SNR must be "
+    "finite and positive"
+)
+_SPLIT_RANGE = "alpha grid must lie in [0, 1]"
+
+
 @pytest.mark.parametrize("grid", [[math.nan], [0.0, math.inf], [-math.inf, 10.0]])
 def test_sweep_snr_rejects_non_finite_grid(reference_scenario, grid):
-    with pytest.raises(ValueError, match="SNR grid must be finite"):
+    # the one SNR rule names the first point that fails it
+    first = next(snr_db for snr_db in grid if not math.isfinite(snr_db))
+    with pytest.raises(ValueError, match=f"^SNR {first:g} {_OUT_OF_RANGE}$"):
         sweep_snr(reference_scenario, snr_db_grid=grid)
 
 
 @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
 def test_sweep_alpha_rejects_non_finite_snr(reference_scenario, snr_db):
-    with pytest.raises(ValueError, match="snr_db must be finite"):
+    with pytest.raises(ValueError, match=f"^SNR {snr_db:g} {_OUT_OF_RANGE}$"):
         sweep_alpha(reference_scenario, snr_db=snr_db)
 
 
 def test_sweep_alpha_rejects_nan_split(reference_scenario):
-    # NaN passes the grid's range comparison; the finiteness check after it
-    # catches it, before anything is solved
-    with pytest.raises(ValueError, match="power budget values must be finite"):
+    # a nan fails the split's one rule, 0 <= alpha <= 1, before anything is
+    # solved
+    with pytest.raises(ValueError, match=re.escape(_SPLIT_RANGE)):
         sweep_alpha(reference_scenario, alpha_grid=[0.5, math.nan])
 
 
 def test_sweep_alpha_rejects_nan_split_before_solving():
     # no scheme has a placement at this altitude: the nan is named, not the
     # InfeasibleGeometry that solving would raise
-    with pytest.raises(ValueError, match="power budget values must be finite"):
+    with pytest.raises(ValueError, match=re.escape(_SPLIT_RANGE)):
         sweep_alpha(make_scenario(g=10_000.0), alpha_grid=[math.nan])
-
-
-_OUT_OF_RANGE = (
-    "dB is out of range: the linear SNR and the noise floor P/SNR must be "
-    "finite and positive"
-)
-_SPLIT_RANGE = "alpha grid must lie in [0, 1]"
-_NOT_FINITE_SPLIT = "power budget values must be finite"
 
 
 @pytest.mark.parametrize(
     "p, sweep, kwargs, message",
     [
-        (1.0, sweep_snr, {"snr_db_grid": [0.0, math.nan]}, "SNR grid must be finite"),
-        (1.0, sweep_alpha, {"snr_db": math.inf}, "snr_db must be finite"),
+        (1.0, sweep_snr, {"snr_db_grid": [0.0, math.nan]}, f"SNR nan {_OUT_OF_RANGE}"),
+        (1.0, sweep_alpha, {"snr_db": math.inf}, f"SNR inf {_OUT_OF_RANGE}"),
         (1.0, sweep_snr, {"snr_db_grid": [4000.0]}, f"SNR 4000 {_OUT_OF_RANGE}"),
         (1.0, sweep_alpha, {"snr_db": -4000.0}, f"SNR -4000 {_OUT_OF_RANGE}"),
         (1e300, sweep_snr, {"snr_db_grid": [-100.0]}, f"SNR -100 {_OUT_OF_RANGE}"),
         (1e300, sweep_alpha, {"snr_db": -100.0}, f"SNR -100 {_OUT_OF_RANGE}"),
         (1.0, sweep_alpha, {"alpha_grid": [0.0, 1.2]}, _SPLIT_RANGE),
         (1.0, sweep_alpha, {"alpha_grid": [-0.5]}, _SPLIT_RANGE),
-        # a nan after an out-of-range split: the range check still comes first
+        # a nan fails the range rule as an out-of-range split does
         (1.0, sweep_alpha, {"alpha_grid": [math.nan, 2.0]}, _SPLIT_RANGE),
-        (1.0, sweep_alpha, {"alpha_grid": [0.5, math.nan]}, _NOT_FINITE_SPLIT),
+        (1.0, sweep_alpha, {"alpha_grid": [0.5, math.nan]}, _SPLIT_RANGE),
     ],
 )
 def test_sweep_rejections_keep_their_type_and_message(p, sweep, kwargs, message):

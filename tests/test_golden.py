@@ -53,7 +53,6 @@ def run_case(config: str, command: str, workdir: Path) -> dict[str, bytes]:
     if command != "place":
         argv += ["--out", "out"]
     env = dict(os.environ, PYTHONPATH=str(Path(spwt.__file__).parents[1]))
-    env.pop("SPWT_SEED", None)
     proc = subprocess.run(
         [sys.executable, "-m", "spwt.cli", *argv],
         cwd=workdir,

@@ -44,13 +44,12 @@ def test_sample_place_line_is_in_the_golden_stdout():
         assert line in stdout.splitlines()
 
 
-def test_key_table_matches_the_cli(monkeypatch):
+def test_key_table_matches_the_cli():
     table = _key_table()
     assert {key for keys, _ in table for key in keys} == cli._KNOWN_KEYS
     required = [key for keys, column in table if column == "yes" for key in keys]
     assert sorted(required) == sorted(cli._REQUIRED_KEYS)
     # "no (default)": the value the CLI fills in when the key is left out
-    monkeypatch.delenv("SPWT_SEED", raising=False)
     minimal = {key: 1.0 for key in cli._REQUIRED_KEYS} | {"theta_a_deg": 45.0}
     resolved = cli._resolve_config(minimal, None)
     defaults = [(keys, column) for keys, column in table if column.startswith("no (")]

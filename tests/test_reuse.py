@@ -74,7 +74,10 @@ def test_returned_lists_are_fresh(reference_scenario):
     assert again.metadata["baseline_positions"] == want_baselines
 
 
-def test_equal_but_distinct_inputs_are_solved_apart(reference_scenario):
+def test_equal_inputs_share_one_outcome(reference_scenario, kernel_calls):
+    # the four forms of index 1 are one key: one bisector and one extension
+    # kernel call in all, Python floats out, and each solution keeps the
+    # caller's index as given
     sc = reference_scenario
     for index in (
         NullIndex(1, 1),
@@ -84,7 +87,11 @@ def test_equal_but_distinct_inputs_are_solved_apart(reference_scenario):
     ):
         solutions = solve_azimuth_scheme(sc, index) + [solve_pitch_scheme(sc, index)]
         assert {repr(s.index_used) for s in solutions} == {repr(index)}
-    # a float count fails in the draw, also after an int count was drawn
+        for s in solutions:
+            assert {type(v) for v in (s.position.x, s.position.y, s.position.z)} == {float}
+    assert len(kernel_calls) == 2
+    # a float count fails before the kept baselines are read, also after an
+    # int count was drawn
     sweep_snr(sc, n_random_baselines=1)
     with pytest.raises(TypeError):
         sweep_snr(sc, n_random_baselines=1.0)
