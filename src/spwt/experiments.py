@@ -54,11 +54,14 @@ def random_baseline_positions(
     Python versions.  Draws within 1 m horizontal of any position in
     ``exclude`` are rejected and redrawn, so the returned deployments
     always have well-defined look angles toward those nodes; 10,000
-    rejections in a row for one position raise ValueError.
+    rejections in a row for one position raise ValueError, as does a
+    non-finite bound, span or ``z``, before any draw.
     """
     if operator.index(n) < 1:
         raise ValueError("need at least one position")
     (x_lo, x_hi), (y_lo, y_hi) = bounds
+    if not all(map(math.isfinite, (x_hi - x_lo, y_hi - y_lo, z))):  # bounds too
+        raise ValueError("the bounds box, its spans and z must be finite")
     if not (x_hi > x_lo and y_hi > y_lo):
         raise ValueError("bounds box is degenerate")
     seed = operator.index(seed)
@@ -125,12 +128,24 @@ def _linear_snr(snr_db: float, p: float) -> float:
     return snr_lin
 
 
+def _shared(scenario: ScenarioConfig, n: int, points: tuple) -> tuple:
+    """What no scheme changes in a sweep of ``points``: the noise floors, the
+    bound's and the baselines' series, and the baseline positions as tuples."""
+    baselines, baseline_rhos = _kept(scenario, ("baselines", n), _baselines, n)
+    p = scenario.power.total_power_w
+    noise = [p / snr_lin for _, snr_lin, _ in points]
+    rand = secrecy_rates(baseline_rhos, p, [a for _, _, a in points], noise, noise)
+    series = {"theory": [math.log2(1.0 + snr_lin) for _, snr_lin, _ in points]}
+    series.update((f"rand{i}", row) for i, row in enumerate(rand, start=1))
+    return noise, series, [(b.x, b.y, b.z) for b in baselines]
+
+
 def _sweep(
     scenario: ScenarioConfig,
     kind: str,
     scheme: str,
     n_random_baselines: int,
-    points: list,
+    points: tuple,
     extra: dict,
 ) -> SweepResult:
     """The sweep core: ``points`` holds one (x, linear SNR, baseline alpha)
@@ -138,25 +153,19 @@ def _sweep(
 
     The proposed placement transmits at alpha = 1 and the baselines at the
     point's alpha, both at the noise floor P/SNR; the bound is
-    log2(1 + SNR).  The correlation does not depend on power, so it is
-    computed once per position: the placement's is its certified residual,
-    the baselines' come from one kernel call, shared by every sweep of the
-    scenario.  The rates of every (grid point, position) cell then come
-    from one ``secrecy_rates`` call; each floor and split was checked on entry.
+    log2(1 + SNR).  The placement's correlation is its certified residual.
+    What no scheme changes is kept once per scenario, count and grid
+    (:func:`_shared`), and each scheme adds its proposed row.  Each floor
+    and split was checked on entry.
     """
     best = _best_placement(scenario, scheme)
     n = operator.index(n_random_baselines)  # a float count raises TypeError
-    baselines, baseline_rhos = _kept(scenario, ("baselines", n), _baselines, n)
+    noise, shared, baselines = _kept(scenario, ("sweep", n, points), _shared, n, points)
     p = scenario.power.total_power_w
-    noise = [p / snr_lin for _, snr_lin, _ in points]
-    alpha = [[1.0] + [a] * len(baselines) for _, _, a in points]
-    rhos = [best.null_residual, *baseline_rhos]
-    proposed, *rand = secrecy_rates(rhos, p, alpha, noise, noise)
-    theory = [math.log2(1.0 + snr_lin) for _, snr_lin, _ in points]
-    series = {"proposed": proposed, "theory": theory}
-    for i, values in enumerate(rand, start=1):
-        series[f"rand{i}"] = values
+    rates = secrecy_rates([best.null_residual], p, [1.0] * len(points), noise, noise)
+    series = {"proposed": rates[0], **{k: list(v) for k, v in shared.items()}}
     return SweepResult(
+        # from the call's own grid: -0.0 and 0.0 share a kept part
         x_axis=[float(x) for x, _, _ in points],
         series=series,
         metadata={
@@ -164,7 +173,7 @@ def _sweep(
             "scheme": scheme,
             **extra,
             "placement": (best.position.x, best.position.y, best.position.z),
-            "baseline_positions": [(b.x, b.y, b.z) for b in baselines],
+            "baseline_positions": list(baselines),
         },
     )
 
@@ -189,7 +198,7 @@ def sweep_snr(
     if not grid:
         raise ValueError("SNR grid is empty")
     p = scenario.power.total_power_w
-    points = [(snr_db, _linear_snr(snr_db, p), 1.0) for snr_db in grid]
+    points = tuple([(snr_db, _linear_snr(snr_db, p), 1.0) for snr_db in grid])
     return _sweep(scenario, "snr", scheme, n_random_baselines, points, {})
 
 
@@ -213,7 +222,7 @@ def sweep_alpha(
     if not all(0.0 <= a <= 1.0 for a in grid):  # a nan fails too
         raise ValueError("alpha grid must lie in [0, 1]")
     snr_lin = _linear_snr(snr_db, scenario.power.total_power_w)
-    points = [(a, snr_lin, a) for a in grid]
+    points = tuple([(a, snr_lin, a) for a in grid])
     return _sweep(
         scenario, "alpha", scheme, n_random_baselines, points, {"snr_db": snr_db}
     )

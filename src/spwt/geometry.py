@@ -51,11 +51,15 @@ class FrameTransform:
     rotation: float
 
     def to_canonical(self, p: Position3D) -> Position3D:
-        xt = p.x + self.shift_x
-        yt = p.y + self.shift_y
+        return _point(*self._canonical_xy(p.x, p.y), p.z)
+
+    def _canonical_xy(self, x: float, y: float) -> tuple[float, float]:
+        """The canonical (x, y) of the caller-frame ground point (x, y)."""
+        xt = x + self.shift_x
+        yt = y + self.shift_y
         c = math.cos(self.rotation)
         s = math.sin(self.rotation)
-        return _point(xt * c - yt * s, xt * s + yt * c, p.z)
+        return xt * c - yt * s, xt * s + yt * c
 
     def from_canonical(self, p: Position3D) -> Position3D:
         c = math.cos(self.rotation)

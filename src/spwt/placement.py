@@ -138,20 +138,21 @@ def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
     the first time it is asked for; any other scenario's are dropped first.
 
     Keys name what was computed: ("azimuth", k), ("pitch", l), the sweeps'
-    ("baselines", count) and ("best", scheme).  They hold values only: the
-    builders take ``float(k)`` and ``float(l)``, and the sweeps the count's
-    ``operator.index`` before the slot, so inputs that compare equal (1, 1.0,
-    True) share one outcome.  An outcome holds only values and messages, never
-    an exception or the scenario, so releasing the slot frees the scenario.
+    ("baselines", count), ("sweep", count, grid points) and ("best", scheme).
+    They hold values only: the builders take ``float(k)`` and ``float(l)``,
+    the sweeps the count's ``operator.index`` before the slot, so inputs that
+    compare equal (1, 1.0, True; 0.0, -0.0) share one outcome.  Outcomes hold
+    values and messages, never an exception or the scenario: releasing the
+    slot frees it.
     """
     global _last
     held, outcomes = _last
     if held is not scenario:
         outcomes = {}
         _last = (scenario, outcomes)
-    if key not in outcomes:
-        outcomes[key] = build(scenario, *args)
-    return outcomes[key]
+    if (outcome := outcomes.get(key)) is None:  # no builder returns None
+        outcome = outcomes[key] = build(scenario, *args)
+    return outcome
 
 
 def solve_azimuth_scheme(
@@ -259,7 +260,7 @@ def _certify(scenario: ScenarioConfig, tf, points: list) -> list:
     residuals = correlation_at(scenario, positions)
     power = scenario.power
     ok = [r for r in residuals if r <= _NULL_TOL]
-    budget = [[power.alpha] * len(ok)], [power.noise_b_w], [power.noise_e_w]
+    budget = [power.alpha], [power.noise_b_w], [power.noise_e_w]
     rates = iter(secrecy_rates(ok, power.total_power_w, *budget))
     return [
         (position, r, next(rates)[0] if r <= _NULL_TOL else None)

@@ -146,9 +146,10 @@ def correlation_at(scenario: "ScenarioConfig", positions) -> list[float]:
     """
     tf = canonicalize_frame(scenario.bob, scenario.eve)
     x_e = tf.to_canonical(scenario.eve).x
+    xy = tf._canonical_xy
     return [
-        correlation_magnitude(scenario, x_e, p.x, p.y, p.z, SCALAR)
-        for p in map(tf.to_canonical, positions)
+        correlation_magnitude(scenario, x_e, x, y, p.z, SCALAR)
+        for p in positions for x, y in (xy(p.x, p.y),)
     ]
 
 
@@ -159,26 +160,27 @@ def secrecy_rates(
     position: the one computation of SINRs and rates in the package.
 
     ``rhos`` holds one correlation (or its magnitude) per position, each
-    clipped to |rho| <= 1 (InvalidCorrelation beyond it), ``noise_b_w`` and
-    ``noise_e_w`` the receiver's and the eavesdropper's noise floor per
-    budget, and ``alpha`` the power split of every cell, one row per budget.
-    Every budget was checked where it entered: in a PowerConfig for the
-    solvers, by ``_linear_snr`` and the grid checks for the sweeps.  The
-    receiver's SINR alpha*P/sigma_b^2 does not depend on the position, so
-    its log is taken once per run of equal splits in a row; the eavesdropper
-    keeps 1 - |rho|^2 of the artificial noise:
+    clipped to |rho| <= 1 (InvalidCorrelation beyond it); ``alpha``,
+    ``noise_b_w`` and ``noise_e_w`` hold one power split, receiver noise
+    floor and eavesdropper noise floor per budget.  Every budget was checked
+    where it entered: in a PowerConfig for the solvers, by ``_linear_snr``
+    and the grid checks for the sweeps.  The receiver's SINR alpha*P/sigma_b^2
+    does not depend on the position, so its log is taken once per budget;
+    the eavesdropper keeps 1 - |rho|^2 of the artificial noise:
 
         SINR_e = alpha*P*|rho|^2 / ((1-alpha)*P*(1-|rho|^2) + sigma_e^2).
     """
     log2, p = math.log2, total_power_w
     mags = [_correlation_power(rho) for rho in rhos]
-    rates = [[] for _ in mags] if alpha else []  # no budgets: [], as for no positions
-    for row, n_b, n_e in zip(alpha, noise_b_w, noise_e_w):
-        prev = None
-        for a, m, cells in zip(row, mags, rates):
-            if a != prev:  # 0.0 and -0.0 give the same bits here
-                prev, signal, art_noise = a, a * p, (1.0 - a) * p
-                bob = log2(1.0 + signal / n_b)
-            rate = bob - log2(1.0 + signal * m / (art_noise * (1.0 - m) + n_e))
-            cells.append(rate if rate > 0.0 else 0.0)  # max(0.0, rate)'s bits
-    return rates
+    budgets = [
+        (log2(1.0 + a * p / n_b), a * p, (1.0 - a) * p, n_e)
+        for a, n_b, n_e in zip(alpha, noise_b_w, noise_e_w)
+    ]
+    rates = []
+    for m in mags:
+        k = 1.0 - m
+        rates.append([  # the clip has max(0.0, r)'s bits, without the call
+            r if (r := bob - log2(1.0 + sig * m / (jam * k + n_e))) > 0.0 else 0.0
+            for bob, sig, jam, n_e in budgets
+        ])
+    return rates if budgets else []  # no budgets: [], as for no positions

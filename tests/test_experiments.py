@@ -90,8 +90,21 @@ def test_baseline_positions_respect_exclusion():
 def test_baseline_positions_validation():
     with pytest.raises(ValueError):
         random_baseline_positions(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degenerate"):
         random_baseline_positions(2, ((5.0, 5.0), (-1.0, 1.0)))
+    # a bound, a span or z that is not finite is named before any draw,
+    # not as the drawn position it would give
+    for bounds, z in [
+        (((-1e308, 1e308), (-1.0, 1.0)), 200.0),
+        (((-1.0, 1.0), (-1e308, 1e308)), 200.0),
+        (((-math.inf, 1.0), (-1.0, 1.0)), 200.0),
+        (((-1.0, 1.0), (-1.0, math.inf)), 200.0),
+        (((math.nan, 1.0), (-1.0, 1.0)), 200.0),
+        (((-1.0, 1.0), (-1.0, 1.0)), math.nan),
+        (((-1.0, 1.0), (-1.0, 1.0)), math.inf),
+    ]:
+        with pytest.raises(ValueError, match="bounds box, its spans and z must be finite"):
+            random_baseline_positions(2, bounds, z=z)
     with pytest.raises(ValueError, match="non-negative"):
         random_baseline_positions(2, seed=-1)
     with pytest.raises(TypeError):
@@ -326,20 +339,52 @@ def test_sweep_alpha_rejects_nan_split_before_solving():
         sweep_alpha(make_scenario(g=10_000.0), alpha_grid=[math.nan])
 
 
+# Each row's id is written out: p, sweep, row and the rule's input, so that
+# a change of message does not rename the row.
 @pytest.mark.parametrize(
     "p, sweep, kwargs, message",
     [
-        (1.0, sweep_snr, {"snr_db_grid": [0.0, math.nan]}, f"SNR nan {_OUT_OF_RANGE}"),
-        (1.0, sweep_alpha, {"snr_db": math.inf}, f"SNR inf {_OUT_OF_RANGE}"),
-        (1.0, sweep_snr, {"snr_db_grid": [4000.0]}, f"SNR 4000 {_OUT_OF_RANGE}"),
-        (1.0, sweep_alpha, {"snr_db": -4000.0}, f"SNR -4000 {_OUT_OF_RANGE}"),
-        (1e300, sweep_snr, {"snr_db_grid": [-100.0]}, f"SNR -100 {_OUT_OF_RANGE}"),
-        (1e300, sweep_alpha, {"snr_db": -100.0}, f"SNR -100 {_OUT_OF_RANGE}"),
-        (1.0, sweep_alpha, {"alpha_grid": [0.0, 1.2]}, _SPLIT_RANGE),
-        (1.0, sweep_alpha, {"alpha_grid": [-0.5]}, _SPLIT_RANGE),
+        pytest.param(
+            1.0, sweep_snr, {"snr_db_grid": [0.0, math.nan]},
+            f"SNR nan {_OUT_OF_RANGE}", id="1.0-sweep_snr-kwargs0-SNR nan",
+        ),
+        pytest.param(
+            1.0, sweep_alpha, {"snr_db": math.inf},
+            f"SNR inf {_OUT_OF_RANGE}", id="1.0-sweep_alpha-kwargs1-SNR inf",
+        ),
+        pytest.param(
+            1.0, sweep_snr, {"snr_db_grid": [4000.0]},
+            f"SNR 4000 {_OUT_OF_RANGE}", id="1.0-sweep_snr-kwargs2-SNR 4000",
+        ),
+        pytest.param(
+            1.0, sweep_alpha, {"snr_db": -4000.0},
+            f"SNR -4000 {_OUT_OF_RANGE}", id="1.0-sweep_alpha-kwargs3-SNR -4000",
+        ),
+        pytest.param(
+            1e300, sweep_snr, {"snr_db_grid": [-100.0]},
+            f"SNR -100 {_OUT_OF_RANGE}", id="1e+300-sweep_snr-kwargs4-SNR -100",
+        ),
+        pytest.param(
+            1e300, sweep_alpha, {"snr_db": -100.0},
+            f"SNR -100 {_OUT_OF_RANGE}", id="1e+300-sweep_alpha-kwargs5-SNR -100",
+        ),
+        pytest.param(
+            1.0, sweep_alpha, {"alpha_grid": [0.0, 1.2]}, _SPLIT_RANGE,
+            id="1.0-sweep_alpha-kwargs6-alpha 1.2",
+        ),
+        pytest.param(
+            1.0, sweep_alpha, {"alpha_grid": [-0.5]}, _SPLIT_RANGE,
+            id="1.0-sweep_alpha-kwargs7-alpha -0.5",
+        ),
         # a nan fails the range rule as an out-of-range split does
-        (1.0, sweep_alpha, {"alpha_grid": [math.nan, 2.0]}, _SPLIT_RANGE),
-        (1.0, sweep_alpha, {"alpha_grid": [0.5, math.nan]}, _SPLIT_RANGE),
+        pytest.param(
+            1.0, sweep_alpha, {"alpha_grid": [math.nan, 2.0]}, _SPLIT_RANGE,
+            id="1.0-sweep_alpha-kwargs8-alpha nan first",
+        ),
+        pytest.param(
+            1.0, sweep_alpha, {"alpha_grid": [0.5, math.nan]}, _SPLIT_RANGE,
+            id="1.0-sweep_alpha-kwargs9-alpha nan last",
+        ),
     ],
 )
 def test_sweep_rejections_keep_their_type_and_message(p, sweep, kwargs, message):
@@ -374,10 +419,12 @@ def test_sweep_series_equal_public_secrecy_rates(sc, snr_grid, alpha_grid, snr_d
         positions = [snr.metadata["placement"], *snr.metadata["baseline_positions"]]
         rhos = correlation_at(sc, [Position3D(*pos) for pos in positions])
         floors = [p / 10.0 ** (x / 10.0) for x in snr_grid]
-        want_snr = secrecy_rates(rhos, p, [[1.0] * 4 for _ in floors], floors, floors)
+        want_snr = secrecy_rates(rhos, p, [1.0] * len(floors), floors, floors)
         floors = [p / 10.0 ** (snr_db / 10.0)] * len(alpha_grid)
-        rows = [[1.0, a, a, a] for a in alpha_grid]
-        want_alpha = secrecy_rates(rhos, p, rows, floors, floors)
+        # the placement at alpha = 1, the baselines at the grid's splits
+        want_alpha = secrecy_rates(
+            rhos[:1], p, [1.0] * len(floors), floors, floors
+        ) + secrecy_rates(rhos[1:], p, alpha_grid, floors, floors)
         for result, want in ((snr, want_snr), (alpha, want_alpha)):
             got = [result.series[name] for name in SERIES if name != "theory"]
             assert [[*map(float.hex, cells)] for cells in got] == [

@@ -1,5 +1,6 @@
 """The solvers and sweeps keep the candidates, baselines and best placement
-per scheme of the last scenario object they were asked about: a warm
+per scheme of the last scenario object they were asked about, and the part
+of each sweep no scheme changes (floors, baseline rate rows, bound): a warm
 scenario must give exactly what a fresh equal copy gives, as fresh objects,
 with the same warnings from the solvers (a sweep warns only on the first
 pick of its scheme), and the kept scenario must be released once another
@@ -72,6 +73,40 @@ def test_returned_lists_are_fresh(reference_scenario):
     again = sweep_snr(sc)
     assert again.series == want_series
     assert again.metadata["baseline_positions"] == want_baselines
+
+    # the schemes share the kept baseline rows, floors and bound: a caller's
+    # edits to one scheme's result reach neither the other's nor a repeat
+    copy = replace(sc)
+    want = [sweep_snr(copy, scheme="pitch"), sweep_snr(copy)]
+    result = sweep_snr(sc)
+    result.series["theory"][0] = -1.0
+    result.series["rand1"].clear()
+    result.x_axis.append(99.0)
+    result.metadata["baseline_positions"].pop()
+    assert [sweep_snr(sc, scheme="pitch"), sweep_snr(sc)] == want
+
+
+def test_equal_grids_keep_their_own_x_axis(reference_scenario):
+    # -0.0 == 0.0, so both grids share one kept part; each prints its own sign
+    sc = reference_scenario
+    for grid in ([-0.0, 0.5], [0.0, 0.5], [-0.0, 0.5]):
+        result = sweep_alpha(sc, alpha_grid=grid)
+        assert list(map(float.hex, result.x_axis)) == list(map(float.hex, grid))
+
+
+def test_study_asks_each_distinct_rate_cell_once(monkeypatch, reference_scenario):
+    # both schemes' SNR and alpha sweeps, 11 points each: 4 x 11 proposed
+    # cells and 2 x 3 x 11 baseline cells, not 4 x 4 x 11
+    cells = []
+    rates = experiments.secrecy_rates
+
+    def counting(rhos, p, alpha, *floors):
+        cells.append(len(rhos) * len(alpha))
+        return rates(rhos, p, alpha, *floors)
+
+    monkeypatch.setattr(experiments, "secrecy_rates", counting)
+    _study(reference_scenario)
+    assert sum(cells) <= 110
 
 
 def test_equal_inputs_share_one_outcome(reference_scenario, kernel_calls):

@@ -335,8 +335,7 @@ def _accepted_budgets(draw):
 @given(_accepted_budgets(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
 def test_every_accepted_budget_gives_finite_rates(power, rhos):
     cells = secrecy_rates(
-        rhos, power.total_power_w, [[power.alpha] * len(rhos)],
-        [power.noise_b_w], [power.noise_e_w],
+        rhos, power.total_power_w, [power.alpha], [power.noise_b_w], [power.noise_e_w]
     )
     assert all(math.isfinite(rate) and rate >= 0.0 for (rate,) in cells)
 
@@ -356,9 +355,7 @@ def test_secrecy_rates_check_cells_like_per_point_objects(rho, noise):
     with pytest.raises(InvalidCorrelation) as per_point:
         link_metrics(rho, PowerConfig(1.0, 0.5, noise_b, noise_e))
     with pytest.raises(InvalidCorrelation, match=re.escape(str(per_point.value))):
-        secrecy_rates(
-            [0.2, rho], 1.0, [[1.0, 1.0], [1.0, 0.5]], [0.1, noise_b], [0.1, noise_e]
-        )
+        secrecy_rates([0.2, rho], 1.0, [1.0, 0.5], [0.1, noise_b], [0.1, noise_e])
 
 
 def test_secrecy_rates_equal_link_metrics_bitwise():
@@ -377,7 +374,7 @@ def test_secrecy_rates_equal_link_metrics_bitwise():
         (0.77, 7.0, 1e-4),
         (1.0, 1e-3, 0.5),
     ]
-    alpha = [[a] * len(rhos) for a, _, _ in budgets]
+    alpha = [a for a, _, _ in budgets]
     noise_b = [sigma_b for _, sigma_b, _ in budgets]
     noise_e = [sigma_e for _, _, sigma_e in budgets]
     got = secrecy_rates(rhos, 2.0, alpha, noise_b, noise_e)
@@ -389,8 +386,7 @@ def test_secrecy_rates_equal_link_metrics_bitwise():
         assert row == want
 
 
-# Splits of one budget's row: a few values, so that rows repeat them in runs
-# and alternate between them, with 0.0 and -0.0 among them.
+# One split per budget, with 0.0, -0.0 and 1.0 among them.
 _SPLITS = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)
 _FLOORS = st.floats(1e-6, 1e3)
 
@@ -400,30 +396,25 @@ def _rate_grids(draw):
     """(rhos, total power, alpha, receiver floors, eavesdropper floors)."""
     rhos = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
     budgets = draw(st.integers(1, 4))
-    palette = draw(st.lists(_SPLITS, min_size=1, max_size=3))
-    picks = st.lists(
-        st.integers(0, len(palette) - 1), min_size=len(rhos), max_size=len(rhos)
-    )
-    alpha = [[palette[i] for i in draw(picks)] for _ in range(budgets)]
     sizes = {"min_size": budgets, "max_size": budgets}
+    alpha = draw(st.lists(_SPLITS, **sizes))
     noise_b = draw(st.lists(_FLOORS, **sizes))
     noise_e = draw(st.lists(_FLOORS, **sizes))
     return rhos, draw(st.floats(0.01, 100.0)), alpha, noise_b, noise_e
 
 
 @given(_rate_grids())
-@example(([0.3, 0.0, 1.0, 0.7], 2.0, [[0.0, -0.0, 0.0, -0.0], [1.0, 0.4, 0.4, 1.0]],
-          [0.01, 3.0], [0.5, 1e-4]))
+@example(([0.3, 0.0, 1.0, 0.7], 2.0, [-0.0, 0.4], [0.01, 3.0], [0.5, 1e-4]))
 def test_secrecy_rates_equal_per_point_rates_bitwise(grid):
-    # the receiver's term is taken once per run of equal splits; every cell
-    # still has the bits of the per-point reference
+    # the receiver's term is taken once per budget; every cell still has the
+    # bits of the per-point reference
     rhos, p, alpha, noise_b, noise_e = grid
     got = secrecy_rates(rhos, p, alpha, noise_b, noise_e)
     assert len(got) == len(rhos)
-    for j, (rho, cells) in enumerate(zip(rhos, got)):
+    for rho, cells in zip(rhos, got):
         want = []
-        for row, n_b, n_e in zip(alpha, noise_b, noise_e):
-            power = PowerConfig(p, row[j], n_b, n_e)
+        for a, n_b, n_e in zip(alpha, noise_b, noise_e):
+            power = PowerConfig(p, a, n_b, n_e)
             want.append(secrecy_rate(sinr_bob(power), sinr_eve_analytic(rho, power)))
         assert list(map(float.hex, cells)) == list(map(float.hex, want))
 
@@ -431,4 +422,4 @@ def test_secrecy_rates_equal_per_point_rates_bitwise(grid):
 def test_secrecy_rates_of_no_budgets_or_no_positions_are_empty():
     # no cells, and no per-position lists either
     assert secrecy_rates([0.1], 1.0, [], [], []) == []
-    assert secrecy_rates([], 1.0, [[]], [0.1], [0.1]) == []
+    assert secrecy_rates([], 1.0, [0.5], [0.1], [0.1]) == []
