@@ -19,6 +19,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _text(value) -> str:
+    """``value`` as SVG character data: &, < and > escaped, & first."""
+    return str(value).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _unit(lo: float, hi: float) -> float:
     """The power of two an axis from ``lo`` to ``hi`` is measured in: 1, or
     1/16 where its span, or the span times a tick index, would overflow.
@@ -61,9 +66,10 @@ def _frame(body: list, x_label: str, y_label: str, extra: list) -> str:
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         *body,
         f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 10}" '
-        f'text-anchor="middle">{x_label}</text>',
+        f'text-anchor="middle">{_text(x_label)}</text>',
         f'<text x="14" y="{(_MT + _H - _MB) / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.0f})">{y_label}</text>',
+        f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.0f})">'
+        f"{_text(y_label)}</text>",
         *extra,
         "</svg>",
     ]
@@ -91,7 +97,7 @@ def render_line_chart(
     parts = []
     if title:
         parts.append(
-            f'<text x="{_W / 2:.0f}" y="14" text-anchor="middle">{title}</text>'
+            f'<text x="{_W / 2:.0f}" y="14" text-anchor="middle">{_text(title)}</text>'
         )
     for yt in _ticks(y_lo, y_hi):
         parts.append(
@@ -136,7 +142,7 @@ def render_line_chart(
             f'<line x1="{_W - _MR - 120}" y1="{ly}" x2="{_W - _MR - 96}" '
             f'y2="{ly}" stroke="{color}" stroke-width="1.6"{dash}/>'
         )
-        curves.append(f'<text x="{_W - _MR - 90}" y="{ly + 4}">{name}</text>')
+        curves.append(f'<text x="{_W - _MR - 90}" y="{ly + 4}">{_text(name)}</text>')
     return _frame(parts, x_label, y_label, curves)
 
 

@@ -6,6 +6,7 @@ true null the proposed curve meets the bound exactly, so the comparisons
 isolate what placement alone buys.
 """
 
+import functools
 import math
 import operator
 import random
@@ -15,7 +16,7 @@ from .errors import InfeasibleGeometry
 from .geometry import Position3D
 from .placement import PlacementSolution, _kept, solve_all
 from .scenario import ScenarioConfig
-from .signalmodel import correlation_at, secrecy_rates
+from .signalmodel import _budget_rows, _correlation_power, _rate_cells, correlation_at
 
 DEFAULT_SNR_GRID_DB = tuple(range(0, 21, 2))
 DEFAULT_ALPHA_GRID = tuple(i / 10.0 for i in range(11))
@@ -128,16 +129,46 @@ def _linear_snr(snr_db: float, p: float) -> float:
     return snr_lin
 
 
-def _shared(scenario: ScenarioConfig, n: int, points: tuple) -> tuple:
-    """What no scheme changes in a sweep of ``points``: the noise floors, the
-    bound's and the baselines' series, and the baseline positions as tuples."""
+class _Axis:
+    """What no scenario changes in a sweep: the bound's series ``theory``,
+    and one budget row (:func:`~spwt.signalmodel._budget_rows`) per grid
+    point at the baselines' split (``rows``) and at alpha = 1 (``ones``,
+    the same list in an SNR sweep).  Hashed by identity, so it keys a
+    scenario's kept baseline rows without hashing its lists."""
+
+    __slots__ = ("theory", "rows", "ones")
+
+    def __init__(self, theory: list, rows: list, ones: list) -> None:
+        self.theory, self.rows, self.ones = theory, rows, ones
+
+
+@functools.lru_cache(maxsize=16)
+def _axis(p: float, kind: str, grid: tuple, snr_db: float) -> _Axis:
+    """The checked axis of a ``kind`` sweep over ``grid`` at total power
+    ``p``, and at ``snr_db`` for an alpha sweep: every grid check in one
+    place, once per distinct (p, kind, grid, snr_db) among the last 16.
+    Equal values share an axis (0, 0.0 and -0.0 give the same bits); a
+    rejected grid raises afresh on every call, as nothing is kept of it."""
+    if not grid:
+        raise ValueError(f"{'SNR' if kind == 'snr' else 'alpha'} grid is empty")
+    if kind == "snr":
+        snrs = [_linear_snr(x, p) for x in grid]
+    else:
+        if not all(0.0 <= a <= 1.0 for a in grid):  # a nan fails too
+            raise ValueError("alpha grid must lie in [0, 1]")
+        snrs = [_linear_snr(snr_db, p)] * len(grid)
+    floors = [p / snr_lin for snr_lin in snrs]
+    ones = _budget_rows(p, [1.0] * len(grid), floors, floors)
+    rows = ones if kind == "snr" else _budget_rows(p, grid, floors, floors)
+    return _Axis([math.log2(1.0 + snr_lin) for snr_lin in snrs], rows, ones)
+
+
+def _baseline_rows(scenario: ScenarioConfig, n: int, axis: _Axis) -> tuple:
+    """The baselines' rate rows over ``axis`` and their positions as tuples,
+    kept once per scenario, count and axis for both schemes."""
     baselines, baseline_rhos = _kept(scenario, ("baselines", n), _baselines, n)
-    p = scenario.power.total_power_w
-    noise = [p / snr_lin for _, snr_lin, _ in points]
-    rand = secrecy_rates(baseline_rhos, p, [a for _, _, a in points], noise, noise)
-    series = {"theory": [math.log2(1.0 + snr_lin) for _, snr_lin, _ in points]}
-    series.update((f"rand{i}", row) for i, row in enumerate(rand, start=1))
-    return noise, series, [(b.x, b.y, b.z) for b in baselines]
+    rand = _rate_cells(map(_correlation_power, baseline_rhos), axis.rows)
+    return rand, [(b.x, b.y, b.z) for b in baselines]
 
 
 def _sweep(
@@ -145,28 +176,32 @@ def _sweep(
     kind: str,
     scheme: str,
     n_random_baselines: int,
-    points: tuple,
+    grid: tuple,
+    axis: _Axis,
     extra: dict,
 ) -> SweepResult:
-    """The sweep core: ``points`` holds one (x, linear SNR, baseline alpha)
-    triple per grid point, ``extra`` the kind's own metadata.
+    """The sweep core over the caller's ``grid`` and its checked ``axis``,
+    ``extra`` the kind's own metadata.
 
     The proposed placement transmits at alpha = 1 and the baselines at the
     point's alpha, both at the noise floor P/SNR; the bound is
     log2(1 + SNR).  The placement's correlation is its certified residual.
-    What no scheme changes is kept once per scenario, count and grid
-    (:func:`_shared`), and each scheme adds its proposed row.  Each floor
-    and split was checked on entry.
+    The grid's checks, floors, bound and budget rows are built once per
+    total power and grid (:func:`_axis`), the baselines' rate rows once per
+    scenario, count and axis (:func:`_baseline_rows`), and each scheme adds
+    its proposed row, one cell pass over the axis's alpha = 1 rows.
     """
     best = _best_placement(scenario, scheme)
     n = operator.index(n_random_baselines)  # a float count raises TypeError
-    noise, shared, baselines = _kept(scenario, ("sweep", n, points), _shared, n, points)
-    p = scenario.power.total_power_w
-    rates = secrecy_rates([best.null_residual], p, [1.0] * len(points), noise, noise)
-    series = {"proposed": rates[0], **{k: list(v) for k, v in shared.items()}}
+    rand, baselines = _kept(scenario, ("sweep", n, axis), _baseline_rows, n, axis)
+    series = {
+        "proposed": _rate_cells([_correlation_power(best.null_residual)], axis.ones)[0],
+        "theory": list(axis.theory),
+    }
+    series.update((f"rand{i}", list(row)) for i, row in enumerate(rand, start=1))
     return SweepResult(
-        # from the call's own grid: -0.0 and 0.0 share a kept part
-        x_axis=[float(x) for x, _, _ in points],
+        # from the call's own grid: -0.0 and 0.0 share an axis
+        x_axis=[float(x) for x in grid],
         series=series,
         metadata={
             "kind": kind,
@@ -194,12 +229,9 @@ def sweep_snr(
     purely about placement; baseline positions are drawn once per run from
     the scenario seed and held across the sweep.
     """
-    grid = list(DEFAULT_SNR_GRID_DB if snr_db_grid is None else snr_db_grid)
-    if not grid:
-        raise ValueError("SNR grid is empty")
-    p = scenario.power.total_power_w
-    points = tuple([(snr_db, _linear_snr(snr_db, p), 1.0) for snr_db in grid])
-    return _sweep(scenario, "snr", scheme, n_random_baselines, points, {})
+    grid = tuple(DEFAULT_SNR_GRID_DB if snr_db_grid is None else snr_db_grid)
+    axis = _axis(scenario.power.total_power_w, "snr", grid, None)
+    return _sweep(scenario, "snr", scheme, n_random_baselines, grid, axis, {})
 
 
 def sweep_alpha(
@@ -216,13 +248,8 @@ def sweep_alpha(
     power only lowers the receiver's SINR.  Baselines split power per the
     swept alpha, trading signal for jamming.
     """
-    grid = list(DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid)
-    if not grid:
-        raise ValueError("alpha grid is empty")
-    if not all(0.0 <= a <= 1.0 for a in grid):  # a nan fails too
-        raise ValueError("alpha grid must lie in [0, 1]")
-    snr_lin = _linear_snr(snr_db, scenario.power.total_power_w)
-    points = tuple([(a, snr_lin, a) for a in grid])
+    grid = tuple(DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid)
+    axis = _axis(scenario.power.total_power_w, "alpha", grid, snr_db)
     return _sweep(
-        scenario, "alpha", scheme, n_random_baselines, points, {"snr_db": snr_db}
+        scenario, "alpha", scheme, n_random_baselines, grid, axis, {"snr_db": snr_db}
     )

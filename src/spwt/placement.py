@@ -138,12 +138,14 @@ def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
     the first time it is asked for; any other scenario's are dropped first.
 
     Keys name what was computed: ("azimuth", k), ("pitch", l), the sweeps'
-    ("baselines", count), ("sweep", count, grid points) and ("best", scheme).
-    They hold values only: the builders take ``float(k)`` and ``float(l)``,
-    the sweeps the count's ``operator.index`` before the slot, so inputs that
-    compare equal (1, 1.0, True; 0.0, -0.0) share one outcome.  Outcomes hold
-    values and messages, never an exception or the scenario: releasing the
-    slot frees it.
+    ("baselines", count), ("sweep", count, axis) and ("best", scheme).  They
+    hold values, and the sweep's shared axis, which compares by identity
+    (``experiments._axis`` gives equal grids at one power the same axis):
+    the builders take ``float(k)`` and ``float(l)``, the sweeps the count's
+    ``operator.index`` before the slot, so inputs that compare equal (1,
+    1.0, True; 0.0, -0.0) share one outcome.  Outcomes hold values and
+    messages, never an exception or the scenario: releasing the slot frees
+    it.
     """
     global _last
     held, outcomes = _last
@@ -484,20 +486,20 @@ def correlation_map(scenario: ScenarioConfig, xs, ys):
     """|h_e^H h_b| over a canonical-frame position grid at the platform
     altitude, a numpy array of shape (len(ys), len(xs)).
 
-    :func:`~spwt.signalmodel.correlation_magnitude` over numpy, rows in
-    chunks of at most ``_MAP_CHUNK`` points, which bounds every
-    temporary array.
+    :func:`~spwt.signalmodel.correlation_magnitude` over numpy, its
+    constants bound once and rows taken in chunks of at most ``_MAP_CHUNK``
+    points, which bounds every temporary array.
     """
     import numpy as np
 
     tf = canonicalize_frame(scenario.bob, scenario.eve)
-    x_e = tf.to_canonical(scenario.eve).x
+    magnitude = correlation_magnitude(scenario, tf.to_canonical(scenario.eve).x, np)
     x = np.asarray(xs, float).ravel()[None, :]
     ys = np.asarray(ys, float).ravel()
     out = np.empty((ys.size, x.size))
     rows = max(1, _MAP_CHUNK // max(1, x.size))
     for start in range(0, ys.size, rows):
-        out[start : start + rows] = correlation_magnitude(
-            scenario, x_e, x, ys[start : start + rows, None], scenario.uav_height_m, np
+        out[start : start + rows] = magnitude(
+            x, ys[start : start + rows, None], scenario.uav_height_m
         )
     return out

@@ -69,8 +69,9 @@ SCALAR = SimpleNamespace(
 )
 
 
-def _axis_sum_magnitude(xp, count: int, step):
-    """|sum(exp(1j*i*step) for i in range(count))|, elementwise over ``step``.
+def _axis_sum_magnitude(exp, bits: str, step):
+    """|sum(exp(1j*i*step) for i in range(count))|, elementwise over
+    ``step``, with ``bits`` = bin(count)[3:] and ``exp`` the backend's.
 
     Binary doubling over the bits of ``count`` from the top: with S(j) the
     sum of the first j terms and r the rotor exp(1j*step),
@@ -81,9 +82,9 @@ def _axis_sum_magnitude(xp, count: int, step):
     a multiple of 2*pi.  The products are not taken in place: numpy's
     in-place complex multiply can round a one-element array differently.
     """
-    rotor = xp.exp(1j * step)
+    rotor = exp(1j * step)
     total, power = 1.0, rotor  # S(j) and r^j at j = 1
-    for bit in bin(count)[3:]:
+    for bit in bits:
         total = total * (1.0 + power)
         power = power * power
         if bit == "1":
@@ -92,19 +93,22 @@ def _axis_sum_magnitude(xp, count: int, step):
     return abs(total)
 
 
-def correlation_magnitude(scenario: "ScenarioConfig", x_e: float, x, y, z, xp):
-    """|h_e^H h_b| for transmitters at canonical-frame points (x, y, z).
+def correlation_magnitude(scenario: "ScenarioConfig", x_e: float, xp):
+    """|h_e^H h_b| as a function of canonical-frame transmitter points
+    (x, y, z), with the scenario's array, yaw and node heights, ``x_e`` and
+    the backend's functions read once.
 
-    The one evaluation of the correlation in the package: certification,
-    the sweeps' baselines and the correlation map all call it.  The
-    canonical frame (:func:`~spwt.geometry.canonicalize_frame`) puts the
-    receiver over the origin and the eavesdropper at ``x_e`` on the +x
-    axis; each node keeps its own altitude, so the pitch toward it uses the
-    height difference z - node.z.  ``xp`` is the backend: numpy, for arrays
-    that broadcast together and a result of their broadcast shape (a 1x1
-    array gives the float 1.0), or :data:`SCALAR`, for one point in floats.
-    Within each backend a point gives the same value alone as in a batch;
-    the two agree to rounding.
+    The one evaluation of the correlation in the package: certification and
+    the sweeps' baselines bind it once per :func:`correlation_at` call, the
+    correlation map once per map.  The canonical frame
+    (:func:`~spwt.geometry.canonicalize_frame`) puts the receiver over the
+    origin and the eavesdropper at ``x_e`` on the +x axis; each node keeps
+    its own altitude, so the pitch toward it uses the height difference
+    z - node.z.  ``xp`` is the backend: numpy, for arrays that broadcast
+    together and a result of their broadcast shape (a 1x1 array gives the
+    float 1.0), or :data:`SCALAR`, for one point in floats.  Within each
+    backend a point gives the same value alone as in a batch; the two agree
+    to rounding.
 
     The element double sum factors into one geometric sum per array axis,
     with phase increments
@@ -120,37 +124,39 @@ def correlation_magnitude(scenario: "ScenarioConfig", x_e: float, x, y, z, xp):
     the continuous limit.
     """
     geom = scenario.array
-    coef = geom.phase_coef
-    az_b = xp.arctan2(y, x) - scenario.yaw
-    az_e = xp.arctan2(y, x - x_e) - scenario.yaw
-    # cos(pitch) = horizontal range / slant range.
-    cp_b = xp.hypot(x, y)
-    cp_b = xp.divide(cp_b, xp.hypot(cp_b, z - scenario.bob.z))
-    cp_e = xp.hypot(x - x_e, y)
-    cp_e = xp.divide(cp_e, xp.hypot(cp_e, z - scenario.eve.z))
-    a = coef * (cp_e * xp.cos(az_e) - cp_b * xp.cos(az_b))
-    b = coef * (cp_e * xp.sin(az_e) - cp_b * xp.sin(az_b))
-    return (
-        _axis_sum_magnitude(xp, geom.m_rows, a)
-        * _axis_sum_magnitude(xp, geom.n_cols, b)
-        / geom.size
-    )
+    coef, yaw, size = geom.phase_coef, scenario.yaw, geom.size
+    z_b, z_e = scenario.bob.z, scenario.eve.z
+    row_bits, col_bits = bin(geom.m_rows)[3:], bin(geom.n_cols)[3:]
+    arctan2, hypot, divide, cos, sin = xp.arctan2, xp.hypot, xp.divide, xp.cos, xp.sin
+    exp, axis_sum = xp.exp, _axis_sum_magnitude
+
+    def magnitude(x, y, z):
+        az_b = arctan2(y, x) - yaw
+        az_e = arctan2(y, x - x_e) - yaw
+        # cos(pitch) = horizontal range / slant range.
+        cp_b = hypot(x, y)
+        cp_b = divide(cp_b, hypot(cp_b, z - z_b))
+        cp_e = hypot(x - x_e, y)
+        cp_e = divide(cp_e, hypot(cp_e, z - z_e))
+        a = coef * (cp_e * cos(az_e) - cp_b * cos(az_b))
+        b = coef * (cp_e * sin(az_e) - cp_b * sin(az_b))
+        return axis_sum(exp, row_bits, a) * axis_sum(exp, col_bits, b) / size
+
+    return magnitude
 
 
 def correlation_at(scenario: "ScenarioConfig", positions) -> list[float]:
-    """:func:`correlation_magnitude` at caller-frame ``positions``, one
-    :data:`SCALAR` call per point in the canonical frame.
+    """:func:`correlation_magnitude` at caller-frame ``positions``, bound
+    once over :data:`SCALAR` and called once per point in the canonical
+    frame.
 
     Depends only on geometry, never on the power budget, so a sweep over
     power or noise needs it once per position.
     """
     tf = canonicalize_frame(scenario.bob, scenario.eve)
-    x_e = tf.to_canonical(scenario.eve).x
+    magnitude = correlation_magnitude(scenario, tf.to_canonical(scenario.eve).x, SCALAR)
     xy = tf._canonical_xy
-    return [
-        correlation_magnitude(scenario, x_e, x, y, p.z, SCALAR)
-        for p in positions for x, y in (xy(p.x, p.y),)
-    ]
+    return [magnitude(x, y, p.z) for p in positions for x, y in (xy(p.x, p.y),)]
 
 
 def secrecy_rates(
@@ -164,18 +170,34 @@ def secrecy_rates(
     ``noise_b_w`` and ``noise_e_w`` hold one power split, receiver noise
     floor and eavesdropper noise floor per budget.  Every budget was checked
     where it entered: in a PowerConfig for the solvers, by ``_linear_snr``
-    and the grid checks for the sweeps.  The receiver's SINR alpha*P/sigma_b^2
-    does not depend on the position, so its log is taken once per budget;
-    the eavesdropper keeps 1 - |rho|^2 of the artificial noise:
-
-        SINR_e = alpha*P*|rho|^2 / ((1-alpha)*P*(1-|rho|^2) + sigma_e^2).
+    and the grid checks for the sweeps.  The rates are two steps: the
+    correlations are checked, then :func:`_budget_rows` turns each budget
+    into one row and :func:`_rate_cells` pairs the rows with the positions.
+    The sweeps build their rows once per grid and call the cell step alone.
     """
-    log2, p = math.log2, total_power_w
     mags = [_correlation_power(rho) for rho in rhos]
-    budgets = [
+    return _rate_cells(mags, _budget_rows(total_power_w, alpha, noise_b_w, noise_e_w))
+
+
+def _budget_rows(total_power_w: float, alpha, noise_b_w, noise_e_w) -> list[tuple]:
+    """One (log2(1 + SINR_b), alpha*P, (1-alpha)*P, sigma_e^2) row per budget:
+    the receiver's SINR alpha*P/sigma_b^2 does not depend on the position,
+    so its log is taken once per budget."""
+    log2, p = math.log2, total_power_w
+    return [
         (log2(1.0 + a * p / n_b), a * p, (1.0 - a) * p, n_e)
         for a, n_b, n_e in zip(alpha, noise_b_w, noise_e_w)
     ]
+
+
+def _rate_cells(mags, budgets) -> list[list[float]]:
+    """The secrecy rate of every (budget row, position) cell, one list per
+    |rho|^2 in ``mags`` (checked and clipped by :func:`_correlation_power`).
+    The eavesdropper keeps 1 - |rho|^2 of the artificial noise:
+
+        SINR_e = alpha*P*|rho|^2 / ((1-alpha)*P*(1-|rho|^2) + sigma_e^2).
+    """
+    log2 = math.log2
     rates = []
     for m in mags:
         k = 1.0 - m

@@ -97,3 +97,23 @@ def test_descending_heatmap_axis_draws_on_the_plot():
     huge = [1e308, -1e308]
     svg = render_heatmap(huge, huge, np.ones((2, 2)), overlays=[(0.0, 0.0)])
     assert not re.search(r"nan|inf", svg)
+
+
+def test_labels_titles_and_series_names_are_escaped():
+    # &, < and > in any text the caller passes stay character data: both
+    # pages parse as XML and read back the caller's strings
+    from xml.dom import minidom
+
+    def texts(svg):
+        return [
+            node.firstChild.data
+            for node in minidom.parseString(svg).getElementsByTagName("text")
+        ]
+
+    series = {"a<b & c": [1.0, 2.0]}
+    line = render_line_chart([0, 1], series, "x < 1", "y>0", title="T&C")
+    assert {"T&C", "a<b & c", "x < 1", "y>0"} <= set(texts(line))
+    heat = render_heatmap([0.0, 1.0], [0.0, 1.0], np.ones((2, 2)), (), "x&y", "<z>")
+    assert {"x&y", "<z>"} <= set(texts(heat))
+    # an entity already in a name is escaped again, not passed through
+    assert "&amp;amp;" in render_line_chart([0], {"&amp;": [1.0]}, "x", "y")

@@ -28,6 +28,7 @@ import pytest
 
 import spwt
 from conftest import make_scenario
+from spwt import experiments
 from test_reuse import _study
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -101,22 +102,36 @@ def study_scenarios() -> list:
     ] + [make_scenario(g=10_000.0)]
 
 
+def study_record(scenario) -> list[str]:
+    """The scenario's three lines: its repr, the repr of its study record
+    and the messages of the warnings the study emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        record = _study(scenario)
+    return [repr(scenario), repr(record), repr([str(w.message) for w in caught])]
+
+
 def study_records() -> list[str]:
-    """Three lines per scenario: its repr, the repr of its study record and
-    the messages of the warnings the study emitted."""
-    lines = []
-    for scenario in study_scenarios():
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            record = _study(scenario)
-        lines += [repr(scenario), repr(record), repr([str(w.message) for w in caught])]
-    return lines
+    return [line for scenario in study_scenarios() for line in study_record(scenario)]
 
 
 def test_study_records_match_golden():
     stored = STUDIES.read_text(encoding="utf-8").splitlines()
     for k, (got, want) in enumerate(zip(study_records(), stored, strict=True)):
         assert got == want, f"studies.txt line {k + 1} differs"
+
+
+def test_study_records_do_not_depend_on_the_studies_before():
+    # the sweeps share each grid's axis across scenarios of one power: the
+    # scenarios studied in reverse, each after a study at 2 W, give the
+    # stored records
+    stored = STUDIES.read_text(encoding="utf-8").splitlines()
+    scenarios = study_scenarios()
+    assert len(stored) == 3 * len(scenarios)
+    experiments._axis.cache_clear()
+    for k in reversed(range(len(scenarios))):
+        _study(make_scenario(p=2.0, x_e=450.0, seed=k))
+        assert study_record(scenarios[k]) == stored[3 * k : 3 * k + 3], k
 
 
 def _regenerate() -> None:

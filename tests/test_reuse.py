@@ -1,12 +1,14 @@
 """The solvers and sweeps keep the candidates, baselines and best placement
-per scheme of the last scenario object they were asked about, and the part
-of each sweep no scheme changes (floors, baseline rate rows, bound): a warm
-scenario must give exactly what a fresh equal copy gives, as fresh objects,
-with the same warnings from the solvers (a sweep warns only on the first
-pick of its scheme), and the kept scenario must be released once another
-one is solved."""
+per scheme of the last scenario object they were asked about, and the
+baselines' rate rows each sweep grid gives them; the grid's own axis
+(checks, floors, bound, budget rows) is kept once per total power across
+scenarios, for the last 16.  A warm scenario must give exactly what a
+fresh equal copy gives, as fresh objects, with the same warnings from the
+solvers (a sweep warns only on the first pick of its scheme), and the kept
+scenario must be released once another one is solved."""
 
 import gc
+import math
 import sys
 import threading
 import warnings
@@ -28,6 +30,11 @@ from spwt import (
 )
 from spwt import experiments
 from conftest import finite_scenarios, make_scenario
+
+_OUT_OF_RANGE = (
+    "dB is out of range: the linear SNR and the noise floor P/SNR must be "
+    "finite and positive"
+)
 
 
 def _study(sc):
@@ -94,19 +101,94 @@ def test_equal_grids_keep_their_own_x_axis(reference_scenario):
         assert list(map(float.hex, result.x_axis)) == list(map(float.hex, grid))
 
 
+def test_equal_grids_share_one_axis(reference_scenario):
+    # grids of equal values are one axis: each gives the series a cold
+    # cache gives it, to the bit, and prints its own x values
+    sc = reference_scenario
+    grids = ([0, 2], [0.0, 2.0], np.array([0.0, 2.0]), [-0.0, 2.0])
+    fresh = []
+    for grid in grids:
+        experiments._axis.cache_clear()
+        fresh.append(sweep_snr(replace(sc), snr_db_grid=grid))
+    experiments._axis.cache_clear()
+    shared = [sweep_snr(sc, snr_db_grid=grid) for grid in grids]
+    assert experiments._axis.cache_info().currsize == 1
+
+    def bits(result):
+        return {name: [*map(float.hex, row)] for name, row in result.series.items()}
+
+    assert len({repr(bits(r)) for r in fresh + shared}) == 1
+    for grid, result in zip(grids, shared):
+        assert [*map(float.hex, result.x_axis)] == [float(x).hex() for x in grid]
+
+
+@pytest.mark.parametrize(
+    "sweep, kwargs, message",
+    [
+        (sweep_snr, {"snr_db_grid": [0.0, math.nan]}, f"SNR nan {_OUT_OF_RANGE}"),
+        (sweep_alpha, {"alpha_grid": [0.5, 1.5]}, "alpha grid must lie in [0, 1]"),
+        (sweep_alpha, {"snr_db": 4000.0}, f"SNR 4000 {_OUT_OF_RANGE}"),
+        (sweep_snr, {"snr_db_grid": [4000.0]}, f"SNR 4000 {_OUT_OF_RANGE}"),
+    ],
+)
+def test_rejected_grids_raise_afresh(reference_scenario, sweep, kwargs, message):
+    # nothing is kept of a rejected grid: every repeat, before and after a
+    # valid sweep, raises a new exception of the same type and text
+    raised = []
+    for valid_first in (False, True, False):
+        if valid_first:
+            sweep(reference_scenario)
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                sweep(reference_scenario, **kwargs)
+            assert (type(info.value), str(info.value)) == (ValueError, message)
+            raised.append(info.value)
+    assert len(set(map(id, raised))) == len(raised)
+
+
+def test_at_most_16_axes_stay_alive():
+    # one axis per total power: the oldest are released beyond 16
+    for k in range(100):
+        sweep_snr(make_scenario(p=1.0 + k / 8.0), n_random_baselines=1)
+    gc.collect()
+    alive = [o for o in gc.get_objects() if type(o) is experiments._Axis]
+    assert 1 <= len(alive) <= 16
+
+
 def test_study_asks_each_distinct_rate_cell_once(monkeypatch, reference_scenario):
     # both schemes' SNR and alpha sweeps, 11 points each: 4 x 11 proposed
     # cells and 2 x 3 x 11 baseline cells, not 4 x 4 x 11
-    cells = []
-    rates = experiments.secrecy_rates
+    cells, snr_checks, rows = [], [], []
+    rate_cells, linear_snr, budget_rows = (
+        experiments._rate_cells, experiments._linear_snr, experiments._budget_rows
+    )
 
-    def counting(rhos, p, alpha, *floors):
-        cells.append(len(rhos) * len(alpha))
-        return rates(rhos, p, alpha, *floors)
+    def counting_cells(mags, budgets):
+        out = rate_cells(mags, budgets)
+        cells.append(sum(map(len, out)))
+        return out
 
-    monkeypatch.setattr(experiments, "secrecy_rates", counting)
+    def counting_snr(*args):
+        snr_checks.append(1)
+        return linear_snr(*args)
+
+    def counting_rows(p, alpha, *floors):
+        rows.append(len(alpha))
+        return budget_rows(p, alpha, *floors)
+
+    monkeypatch.setattr(experiments, "_rate_cells", counting_cells)
+    monkeypatch.setattr(experiments, "_linear_snr", counting_snr)
+    monkeypatch.setattr(experiments, "_budget_rows", counting_rows)
+    experiments._axis.cache_clear()
     _study(reference_scenario)
     assert sum(cells) <= 110
+    # a second scenario at the same power sweeps the same grids: it checks
+    # no SNR and builds no budget row, only its own rate cells
+    assert (len(snr_checks), sum(rows)) == (11 + 1, 11 + 2 * 11)
+    del snr_checks[:], rows[:], cells[:]
+    _study(make_scenario(x_e=650.0, seed=3))
+    assert (snr_checks, rows) == ([], [])
+    assert 0 < sum(cells) <= 110
 
 
 def test_equal_inputs_share_one_outcome(reference_scenario, kernel_calls):

@@ -271,7 +271,7 @@ def test_correlation_kernel_matches_explicit_vectors():
         assert got == [correlation_at(sc, [u])[0] for u in uavs]
         tf = canonicalize_frame(bob, eve)
         p = tf.to_canonical(uavs[0])
-        one = correlation_magnitude(sc, tf.to_canonical(eve).x, p.x, p.y, p.z, SCALAR)
+        one = correlation_magnitude(sc, tf.to_canonical(eve).x, SCALAR)(p.x, p.y, p.z)
         assert type(one) is float and one == got[0]
     assert worst <= 1e-12
 
