@@ -129,26 +129,29 @@ def _linear_snr(snr_db: float, p: float) -> float:
     return snr_lin
 
 
-class _Axis:
-    """What no scenario changes in a sweep: the bound's series ``theory``,
-    and one budget row (:func:`~spwt.signalmodel._budget_rows`) per grid
-    point at the baselines' split (``rows``) and at alpha = 1 (``ones``,
-    the same list in an SNR sweep).  Hashed by identity, so it keys a
-    scenario's kept baseline rows without hashing its lists."""
-
-    __slots__ = ("theory", "rows", "ones")
-
-    def __init__(self, theory: list, rows: list, ones: list) -> None:
-        self.theory, self.rows, self.ones = theory, rows, ones
+# Arithmetic on exact ints and floats gives equal values the same bits, so
+# equal inputs of these types may share one axis (None: an SNR sweep's
+# snr_db).  Others build their own: numpy's float32 keeps float32
+# precision, and a Decimal hashes equal to a float but takes no float
+# arithmetic.
+_SHAREABLE = frozenset((int, float, type(None)))
 
 
-@functools.lru_cache(maxsize=16)
-def _axis(p: float, kind: str, grid: tuple, snr_db: float) -> _Axis:
+@functools.lru_cache(maxsize=2)
+def _axis(p: float, kind: str, grid: tuple, snr_db: float) -> tuple:
     """The checked axis of a ``kind`` sweep over ``grid`` at total power
     ``p``, and at ``snr_db`` for an alpha sweep: every grid check in one
-    place, once per distinct (p, kind, grid, snr_db) among the last 16.
-    Equal values share an axis (0, 0.0 and -0.0 give the same bits); a
-    rejected grid raises afresh on every call, as nothing is kept of it."""
+    place, then the bound's series ``theory`` and one budget row
+    (:func:`~spwt.signalmodel._budget_rows`) per grid point at the
+    baselines' split (``rows``) and at alpha = 1 (``ones``, the same list
+    in an SNR sweep).
+
+    Kept for the last two distinct (p, kind, grid, snr_db), an SNR and an
+    alpha sweep's, so memory grows with the grids' length; :func:`_sweep`
+    asks the cache only for inputs of ``_SHAREABLE`` types, where 0, 0.0
+    and -0.0 give the same bits.  A rejected grid raises afresh on every
+    call, as nothing is kept of it.
+    """
     if not grid:
         raise ValueError(f"{'SNR' if kind == 'snr' else 'alpha'} grid is empty")
     if kind == "snr":
@@ -160,14 +163,14 @@ def _axis(p: float, kind: str, grid: tuple, snr_db: float) -> _Axis:
     floors = [p / snr_lin for snr_lin in snrs]
     ones = _budget_rows(p, [1.0] * len(grid), floors, floors)
     rows = ones if kind == "snr" else _budget_rows(p, grid, floors, floors)
-    return _Axis([math.log2(1.0 + snr_lin) for snr_lin in snrs], rows, ones)
+    return [math.log2(1.0 + snr_lin) for snr_lin in snrs], rows, ones
 
 
-def _baseline_rows(scenario: ScenarioConfig, n: int, axis: _Axis) -> tuple:
-    """The baselines' rate rows over ``axis`` and their positions as tuples,
-    kept once per scenario, count and axis for both schemes."""
+def _baseline_rows(scenario: ScenarioConfig, n: int, rows: list) -> tuple:
+    """The baselines' rate rows over the budget ``rows`` and their
+    positions as tuples."""
     baselines, baseline_rhos = _kept(scenario, ("baselines", n), _baselines, n)
-    rand = _rate_cells(map(_correlation_power, baseline_rhos), axis.rows)
+    rand = _rate_cells(map(_correlation_power, baseline_rhos), rows)
     return rand, [(b.x, b.y, b.z) for b in baselines]
 
 
@@ -177,26 +180,34 @@ def _sweep(
     scheme: str,
     n_random_baselines: int,
     grid: tuple,
-    axis: _Axis,
-    extra: dict,
+    snr_db: float,
 ) -> SweepResult:
-    """The sweep core over the caller's ``grid`` and its checked ``axis``,
-    ``extra`` the kind's own metadata.
+    """The sweep core over the caller's ``grid``, at ``snr_db`` for an alpha
+    sweep (None for an SNR sweep).
 
     The proposed placement transmits at alpha = 1 and the baselines at the
     point's alpha, both at the noise floor P/SNR; the bound is
     log2(1 + SNR).  The placement's correlation is its certified residual.
-    The grid's checks, floors, bound and budget rows are built once per
-    total power and grid (:func:`_axis`), the baselines' rate rows once per
-    scenario, count and axis (:func:`_baseline_rows`), and each scheme adds
-    its proposed row, one cell pass over the axis's alpha = 1 rows.
+    The grid is checked first, then the placement, then the count.  For
+    inputs of ``_SHAREABLE`` types the grid's checks, floors, bound and
+    budget rows are built once per total power and grid (:func:`_axis`),
+    and the baselines' rate rows once per scenario, count and grid for
+    both schemes; other inputs build both afresh.  Each scheme adds its
+    proposed row, one cell pass over the alpha = 1 rows.
     """
+    p = scenario.power.total_power_w
+    shared = {type(p), type(snr_db), *map(type, grid)} <= _SHAREABLE
+    theory, rows, ones = (_axis if shared else _axis.__wrapped__)(p, kind, grid, snr_db)
     best = _best_placement(scenario, scheme)
     n = operator.index(n_random_baselines)  # a float count raises TypeError
-    rand, baselines = _kept(scenario, ("sweep", n, axis), _baseline_rows, n, axis)
+    if shared:
+        key = ("sweep", n, kind, grid, snr_db)
+        rand, baselines = _kept(scenario, key, _baseline_rows, n, rows)
+    else:
+        rand, baselines = _baseline_rows(scenario, n, rows)
     series = {
-        "proposed": _rate_cells([_correlation_power(best.null_residual)], axis.ones)[0],
-        "theory": list(axis.theory),
+        "proposed": _rate_cells([_correlation_power(best.null_residual)], ones)[0],
+        "theory": list(theory),
     }
     series.update((f"rand{i}", list(row)) for i, row in enumerate(rand, start=1))
     return SweepResult(
@@ -206,7 +217,7 @@ def _sweep(
         metadata={
             "kind": kind,
             "scheme": scheme,
-            **extra,
+            **({"snr_db": snr_db} if kind == "alpha" else {}),
             "placement": (best.position.x, best.position.y, best.position.z),
             "baseline_positions": list(baselines),
         },
@@ -230,8 +241,7 @@ def sweep_snr(
     the scenario seed and held across the sweep.
     """
     grid = tuple(DEFAULT_SNR_GRID_DB if snr_db_grid is None else snr_db_grid)
-    axis = _axis(scenario.power.total_power_w, "snr", grid, None)
-    return _sweep(scenario, "snr", scheme, n_random_baselines, grid, axis, {})
+    return _sweep(scenario, "snr", scheme, n_random_baselines, grid, None)
 
 
 def sweep_alpha(
@@ -249,7 +259,4 @@ def sweep_alpha(
     swept alpha, trading signal for jamming.
     """
     grid = tuple(DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid)
-    axis = _axis(scenario.power.total_power_w, "alpha", grid, snr_db)
-    return _sweep(
-        scenario, "alpha", scheme, n_random_baselines, grid, axis, {"snr_db": snr_db}
-    )
+    return _sweep(scenario, "alpha", scheme, n_random_baselines, grid, snr_db)

@@ -138,12 +138,11 @@ def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
     the first time it is asked for; any other scenario's are dropped first.
 
     Keys name what was computed: ("azimuth", k), ("pitch", l), the sweeps'
-    ("baselines", count), ("sweep", count, axis) and ("best", scheme).  They
-    hold values, and the sweep's shared axis, which compares by identity
-    (``experiments._axis`` gives equal grids at one power the same axis):
-    the builders take ``float(k)`` and ``float(l)``, the sweeps the count's
-    ``operator.index`` before the slot, so inputs that compare equal (1,
-    1.0, True; 0.0, -0.0) share one outcome.  Outcomes hold values and
+    ("baselines", count), ("sweep", count, kind, grid, snr_db) and ("best",
+    scheme).  They hold values only: the builders take ``float(k)`` and
+    ``float(l)``, the sweeps the count's ``operator.index`` before the slot
+    and keep only grids of ints and floats, so inputs that compare equal
+    (1, 1.0, True; 0.0, -0.0) share one outcome.  Outcomes hold values and
     messages, never an exception or the scenario: releasing the slot frees
     it.
     """

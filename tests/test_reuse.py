@@ -2,7 +2,8 @@
 per scheme of the last scenario object they were asked about, and the
 baselines' rate rows each sweep grid gives them; the grid's own axis
 (checks, floors, bound, budget rows) is kept once per total power across
-scenarios, for the last 16.  A warm scenario must give exactly what a
+scenarios, for the last two, when the grid holds only ints and floats.  A
+warm scenario must give exactly what a
 fresh equal copy gives, as fresh objects, with the same warnings from the
 solvers (a sweep warns only on the first pick of its scheme), and the kept
 scenario must be released once another one is solved."""
@@ -14,6 +15,7 @@ import threading
 import warnings
 import weakref
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -101,9 +103,14 @@ def test_equal_grids_keep_their_own_x_axis(reference_scenario):
         assert list(map(float.hex, result.x_axis)) == list(map(float.hex, grid))
 
 
+def _bits(result):
+    return {name: [*map(float.hex, row)] for name, row in result.series.items()}
+
+
 def test_equal_grids_share_one_axis(reference_scenario):
-    # grids of equal values are one axis: each gives the series a cold
-    # cache gives it, to the bit, and prints its own x values
+    # grids of equal ints and floats are one axis; numpy's float64 builds
+    # its own.  Each gives the series a cold cache gives it, to the bit,
+    # and prints its own x values
     sc = reference_scenario
     grids = ([0, 2], [0.0, 2.0], np.array([0.0, 2.0]), [-0.0, 2.0])
     fresh = []
@@ -112,14 +119,51 @@ def test_equal_grids_share_one_axis(reference_scenario):
         fresh.append(sweep_snr(replace(sc), snr_db_grid=grid))
     experiments._axis.cache_clear()
     shared = [sweep_snr(sc, snr_db_grid=grid) for grid in grids]
-    assert experiments._axis.cache_info().currsize == 1
+    assert experiments._axis.cache_info()[:2] == (2, 1)  # hits, misses
 
-    def bits(result):
-        return {name: [*map(float.hex, row)] for name, row in result.series.items()}
-
-    assert len({repr(bits(r)) for r in fresh + shared}) == 1
+    assert len({repr(_bits(r)) for r in fresh + shared}) == 1
     for grid, result in zip(grids, shared):
         assert [*map(float.hex, result.x_axis)] == [float(x).hex() for x in grid]
+
+
+def test_grids_of_other_types_build_their_own_axis(reference_scenario):
+    # numpy's float32 keeps float32 precision (NEP 50), and its values hash
+    # equal to the default grid's: neither may take the other's axis or
+    # kept rows, in either order
+    sc = reference_scenario
+    f32 = np.arange(0, 21, 2, dtype=np.float32)
+    want = _bits(sweep_snr(replace(sc)))
+    want_f32 = _bits(sweep_snr(replace(sc), snr_db_grid=f32))
+    assert want_f32 != want
+    experiments._axis.cache_clear()
+    for grid, bits in ((f32, want_f32), (None, want), (f32, want_f32), (None, want)):
+        assert _bits(sweep_snr(sc, snr_db_grid=grid)) == bits
+        assert _bits(sweep_snr(replace(sc), snr_db_grid=grid)) == bits
+    # a 0-d array snr_db is no key, and gives a float's bits
+    want = _bits(sweep_alpha(sc, snr_db=15.0))
+    assert _bits(sweep_alpha(sc, snr_db=np.array(15.0))) == want
+
+
+@pytest.mark.parametrize(
+    "sweep, kwargs, plain",
+    [
+        (sweep_snr, {"snr_db_grid": [Decimal(0), Decimal(2)]}, {"snr_db_grid": [0, 2]}),
+        (
+            sweep_alpha,
+            {"alpha_grid": [Decimal(0), Decimal("0.5")]},
+            {"alpha_grid": [0, 0.5]},
+        ),
+    ],
+)
+def test_decimal_grids_fail_cold_and_warm(reference_scenario, sweep, kwargs, plain):
+    # a Decimal hashes equal to the float of its value but takes no float
+    # arithmetic: it raises whether or not an equal float grid was swept
+    sc = reference_scenario
+    experiments._axis.cache_clear()
+    for _ in range(2):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            sweep(sc, **kwargs)
+        sweep(sc, **plain)
 
 
 @pytest.mark.parametrize(
@@ -146,13 +190,19 @@ def test_rejected_grids_raise_afresh(reference_scenario, sweep, kwargs, message)
     assert len(set(map(id, raised))) == len(raised)
 
 
-def test_at_most_16_axes_stay_alive():
-    # one axis per total power: the oldest are released beyond 16
-    for k in range(100):
-        sweep_snr(make_scenario(p=1.0 + k / 8.0), n_random_baselines=1)
+def test_at_most_2_axes_stay_alive():
+    # one axis per total power: beyond the last two their budget rows, one
+    # list of (log2(1 + SNR_b), alpha*P, ...) rows each, are released
+    powers = {1.0 + k / 8.0 for k in range(100)}
+    for p in sorted(powers):
+        sweep_snr(make_scenario(p=p), n_random_baselines=1)
     gc.collect()
-    alive = [o for o in gc.get_objects() if type(o) is experiments._Axis]
-    assert 1 <= len(alive) <= 16
+    alive = [
+        o for o in gc.get_objects()
+        if type(o) is list and len(o) == 11 and type(o[0]) is tuple
+        and len(o[0]) == 4 and o[0][1] in powers
+    ]
+    assert 1 <= len(alive) <= 2
 
 
 def test_study_asks_each_distinct_rate_cell_once(monkeypatch, reference_scenario):
