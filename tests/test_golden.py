@@ -15,6 +15,7 @@ After a deliberate change to the outputs, regenerate the stored files with
 """
 
 import itertools
+import math
 import os
 import re
 import shutil
@@ -22,12 +23,14 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import spwt
 from conftest import make_scenario
+from spwt import Position3D
 from spwt import experiments
 from test_reuse import _study
 
@@ -90,16 +93,32 @@ def test_cli_output_matches_golden(config, command, tmp_path):
 
 def study_scenarios() -> list:
     """One geometry per array in {4, 8, 16}^2, the odd ones at an altitude
-    where only the bisector scheme places; then one where nothing does."""
+    where only the bisector scheme places; then one where nothing does;
+    then three whose ground pair is shifted off the origin and turned to a
+    bearing in the second, third and fourth quadrant, so that the solvers
+    and sweeps run through a non-identity frame transform."""
     high = {1: 600.0, 3: 1520.0, 5: 4200.0, 7: 2890.0}
     grid = itertools.product((4, 8, 16), repeat=2)
+    turned = (
+        # (m, n, ground distance, altitude, yaw, bob's x and y, bearing)
+        (4, 4, 430.0, 180.0, 1.1, -250.0, 400.0, 2.2),
+        (4, 8, 370.0, 600.0, 0.43, 120.5, -310.0, -2.5),
+        (8, 16, 610.0, 260.0, 2.05, 615.0, 75.0, -0.9),
+    )
     return [
         make_scenario(
             m=m, n=n, x_e=300.0 + 70.0 * i, g=high.get(i, 120.0 + 25.0 * i),
             yaw=0.3 + 0.13 * i, seed=i,
         )
         for i, (m, n) in enumerate(grid)
-    ] + [make_scenario(g=10_000.0)]
+    ] + [make_scenario(g=10_000.0)] + [
+        replace(
+            make_scenario(m=m, n=n, g=g, yaw=yaw, seed=20 + k),
+            bob=Position3D(x, y),
+            eve=Position3D(x + d * math.cos(bearing), y + d * math.sin(bearing)),
+        )
+        for k, (m, n, d, g, yaw, x, y, bearing) in enumerate(turned)
+    ]
 
 
 def study_record(scenario) -> list[str]:
