@@ -7,6 +7,7 @@ isolate what placement alone buys.
 """
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -129,16 +130,8 @@ def _linear_snr(snr_db: float, p: float) -> float:
     return snr_lin
 
 
-# Arithmetic on exact ints and floats gives equal values the same bits, so
-# equal inputs of these types may share one axis (None: an SNR sweep's
-# snr_db).  Others build their own: numpy's float32 keeps float32
-# precision, and a Decimal hashes equal to a float but takes no float
-# arithmetic.
-_SHAREABLE = frozenset((int, float, type(None)))
-
-
 @functools.lru_cache(maxsize=2)
-def _axis(p: float, kind: str, grid: tuple, snr_db: float) -> tuple:
+def _axis(p: float, kind: str, grid: tuple, snr_db: float | None) -> tuple:
     """The checked axis of a ``kind`` sweep over ``grid`` at total power
     ``p``, and at ``snr_db`` for an alpha sweep: every grid check in one
     place, then the bound's series ``theory`` and one budget row
@@ -147,10 +140,9 @@ def _axis(p: float, kind: str, grid: tuple, snr_db: float) -> tuple:
     in an SNR sweep).
 
     Kept for the last two distinct (p, kind, grid, snr_db), an SNR and an
-    alpha sweep's, so memory grows with the grids' length; :func:`_sweep`
-    asks the cache only for inputs of ``_SHAREABLE`` types, where 0, 0.0
-    and -0.0 give the same bits.  A rejected grid raises afresh on every
-    call, as nothing is kept of it.
+    alpha sweep's, so memory grows with the grids' length.  Its inputs are
+    floats, so equal values (0.0 and -0.0 too) give the same bits.  A
+    rejected grid raises afresh on every call, as nothing is kept of it.
     """
     if not grid:
         raise ValueError(f"{'SNR' if kind == 'snr' else 'alpha'} grid is empty")
@@ -179,40 +171,35 @@ def _sweep(
     kind: str,
     scheme: str,
     n_random_baselines: int,
-    grid: tuple,
-    snr_db: float,
+    grid,
+    snr_db: float | None,
 ) -> SweepResult:
-    """The sweep core over the caller's ``grid``, at ``snr_db`` for an alpha
-    sweep (None for an SNR sweep).
+    """The sweep core over ``grid``, at ``snr_db`` for an alpha sweep.
 
     The proposed placement transmits at alpha = 1 and the baselines at the
     point's alpha, both at the noise floor P/SNR; the bound is
     log2(1 + SNR).  The placement's correlation is its certified residual.
-    The grid is checked first, then the placement, then the count.  For
-    inputs of ``_SHAREABLE`` types the grid's checks, floors, bound and
-    budget rows are built once per total power and grid (:func:`_axis`),
-    and the baselines' rate rows once per scenario, count and grid for
-    both schemes; other inputs build both afresh.  Each scheme adds its
+    The inputs are taken as floats on entry, so a sweep computes in the
+    floats it prints, and equal grids share one axis (:func:`_axis`) and,
+    per scenario and count, the baselines' rate rows.  The grid is checked
+    first, then the placement, then the count.  Each scheme adds its
     proposed row, one cell pass over the alpha = 1 rows.
     """
-    p = scenario.power.total_power_w
-    shared = {type(p), type(snr_db), *map(type, grid)} <= _SHAREABLE
-    theory, rows, ones = (_axis if shared else _axis.__wrapped__)(p, kind, grid, snr_db)
+    # float(x) in C, except that a str or bytes raises TypeError
+    grid = tuple(map(math.ldexp, grid, itertools.repeat(0)))
+    snr_db = None if snr_db is None else math.ldexp(snr_db, 0)
+    theory, rows, ones = _axis(float(scenario.power.total_power_w), kind, grid, snr_db)
     best = _best_placement(scenario, scheme)
     n = operator.index(n_random_baselines)  # a float count raises TypeError
-    if shared:
-        key = ("sweep", n, kind, grid, snr_db)
-        rand, baselines = _kept(scenario, key, _baseline_rows, n, rows)
-    else:
-        rand, baselines = _baseline_rows(scenario, n, rows)
+    key = ("sweep", n, kind, grid, snr_db)
+    rand, baselines = _kept(scenario, key, _baseline_rows, n, rows)
     series = {
         "proposed": _rate_cells([_correlation_power(best.null_residual)], ones)[0],
         "theory": list(theory),
     }
     series.update((f"rand{i}", list(row)) for i, row in enumerate(rand, start=1))
     return SweepResult(
-        # from the call's own grid: -0.0 and 0.0 share an axis
-        x_axis=[float(x) for x in grid],
+        x_axis=list(grid),
         series=series,
         metadata={
             "kind": kind,
@@ -238,9 +225,10 @@ def sweep_snr(
     the scenario's value.  The proposed and baseline curves both transmit
     with the full power on the signal (alpha = 1) so the comparison is
     purely about placement; baseline positions are drawn once per run from
-    the scenario seed and held across the sweep.
+    the scenario seed and held across the sweep.  Grid values of any real
+    type run as their floats; a str or bytes raises TypeError.
     """
-    grid = tuple(DEFAULT_SNR_GRID_DB if snr_db_grid is None else snr_db_grid)
+    grid = DEFAULT_SNR_GRID_DB if snr_db_grid is None else snr_db_grid
     return _sweep(scenario, "snr", scheme, n_random_baselines, grid, None)
 
 
@@ -256,7 +244,8 @@ def sweep_alpha(
     The proposed placement never splits power (alpha held at 1): with the
     correlation nulled, artificial noise buys nothing and shaving signal
     power only lowers the receiver's SINR.  Baselines split power per the
-    swept alpha, trading signal for jamming.
+    swept alpha, trading signal for jamming.  ``snr_db`` and grid values of
+    any real type run as their floats; a str or bytes raises TypeError.
     """
-    grid = tuple(DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid)
+    grid = DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid
     return _sweep(scenario, "alpha", scheme, n_random_baselines, grid, snr_db)

@@ -140,11 +140,11 @@ def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
     Keys name what was computed: ("azimuth", k), ("pitch", l), the sweeps'
     ("baselines", count), ("sweep", count, kind, grid, snr_db) and ("best",
     scheme).  They hold values only: the builders take ``float(k)`` and
-    ``float(l)``, the sweeps the count's ``operator.index`` before the slot
-    and keep only grids of ints and floats, so inputs that compare equal
-    (1, 1.0, True; 0.0, -0.0) share one outcome.  Outcomes hold values and
-    messages, never an exception or the scenario: releasing the slot frees
-    it.
+    ``float(l)``, the sweeps the count's ``operator.index`` and the floats
+    of the grid and ``snr_db`` before the slot, so inputs that compare
+    equal (1, 1.0, True; 0.0, -0.0) share one outcome.  Outcomes hold
+    values and messages, never an exception or the scenario: releasing the
+    slot frees it.
     """
     global _last
     held, outcomes = _last

@@ -16,14 +16,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from .errors import InvalidCorrelation
 from .geometry import canonicalize_frame
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .scenario import ScenarioConfig
-
 
 _NOT_FINITE = "power budget values must be finite"
 

@@ -679,6 +679,27 @@ def test_commands_load_only_the_modules_they_run(tmp_path, argv, skipped):
     assert set(proc.stderr.split()) & skipped == set()
 
 
+# Imports the CLI, then runs it on the arguments, if any, and reports
+# whether typing was imported.
+_TYPING_CHECK = """
+import sys
+from spwt.cli import main
+if sys.argv[1:]:
+    main(sys.argv[1:])
+print("typing imported:", "typing" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [[], ["place"]], ids=["import", "place"])
+def test_import_and_place_need_no_typing(argv):
+    # -S skips site, whose .pth hooks may import typing before spwt does
+    if argv:
+        argv = [*argv, "--config", str(GOLDEN_REFERENCE)]
+    proc = _cli_process(argv, "-S", code=_TYPING_CHECK)
+    assert proc.returncode == 0
+    assert proc.stderr == "typing imported: False\n"
+
+
 # Linux carries a process's high-water RSS across exec, so a command started
 # straight from the test process would report at least the test process's
 # own peak.  This small intermediate starts the command and reports its exit

@@ -339,6 +339,29 @@ def test_sweep_alpha_rejects_nan_split_before_solving():
         sweep_alpha(make_scenario(g=10_000.0), alpha_grid=[math.nan])
 
 
+@pytest.mark.parametrize(
+    "sweep, kwargs",
+    [
+        (sweep_snr, {"snr_db_grid": "0246"}),
+        (sweep_snr, {"snr_db_grid": [0.0, "2"]}),
+        (sweep_snr, {"snr_db_grid": [b"0"]}),
+        (sweep_alpha, {"snr_db": "15"}),
+        (sweep_alpha, {"snr_db": b"15"}),
+        (sweep_alpha, {"alpha_grid": [0.5, "1"]}),
+    ],
+    ids=["snr-str-grid", "snr-str-value", "snr-bytes-value", "alpha-str-snr",
+         "alpha-bytes-snr", "alpha-str-value"],
+)
+def test_sweeps_reject_text_values(reference_scenario, sweep, kwargs):
+    # the sweeps take their values as floats, but not by float(): a str or
+    # bytes is no number, and raises TypeError, before and after a sweep of
+    # the default grid
+    for _ in range(2):
+        with pytest.raises(TypeError, match="real number"):
+            sweep(reference_scenario, **kwargs)
+        sweep(reference_scenario)
+
+
 # Each row's id is written out: p, sweep, row and the rule's input, so that
 # a change of message does not rename the row.
 @pytest.mark.parametrize(

@@ -2,11 +2,12 @@
 per scheme of the last scenario object they were asked about, and the
 baselines' rate rows each sweep grid gives them; the grid's own axis
 (checks, floors, bound, budget rows) is kept once per total power across
-scenarios, for the last two, when the grid holds only ints and floats.  A
-warm scenario must give exactly what a
-fresh equal copy gives, as fresh objects, with the same warnings from the
-solvers (a sweep warns only on the first pick of its scheme), and the kept
-scenario must be released once another one is solved."""
+scenarios, for the last two.  A sweep takes its inputs as floats, so equal
+values give equal bits and share one axis, whatever their type.  A warm
+scenario must give exactly what a fresh equal copy gives, as fresh
+objects, with the same warnings from the solvers (a sweep warns only on
+the first pick of its scheme), and the kept scenario must be released
+once another one is solved."""
 
 import gc
 import math
@@ -31,6 +32,7 @@ from spwt import (
     sweep_snr,
 )
 from spwt import experiments
+from spwt.experiments import DEFAULT_ALPHA_GRID
 from conftest import finite_scenarios, make_scenario
 
 _OUT_OF_RANGE = (
@@ -108,9 +110,9 @@ def _bits(result):
 
 
 def test_equal_grids_share_one_axis(reference_scenario):
-    # grids of equal ints and floats are one axis; numpy's float64 builds
-    # its own.  Each gives the series a cold cache gives it, to the bit,
-    # and prints its own x values
+    # grids of equal values are one axis, whatever their type: each gives
+    # the series a cold cache gives it, to the bit, and prints its own x
+    # values
     sc = reference_scenario
     grids = ([0, 2], [0.0, 2.0], np.array([0.0, 2.0]), [-0.0, 2.0])
     fresh = []
@@ -119,27 +121,32 @@ def test_equal_grids_share_one_axis(reference_scenario):
         fresh.append(sweep_snr(replace(sc), snr_db_grid=grid))
     experiments._axis.cache_clear()
     shared = [sweep_snr(sc, snr_db_grid=grid) for grid in grids]
-    assert experiments._axis.cache_info()[:2] == (2, 1)  # hits, misses
+    assert experiments._axis.cache_info()[:2] == (3, 1)  # hits, misses
 
     assert len({repr(_bits(r)) for r in fresh + shared}) == 1
     for grid, result in zip(grids, shared):
         assert [*map(float.hex, result.x_axis)] == [float(x).hex() for x in grid]
 
 
-def test_grids_of_other_types_build_their_own_axis(reference_scenario):
-    # numpy's float32 keeps float32 precision (NEP 50), and its values hash
-    # equal to the default grid's: neither may take the other's axis or
-    # kept rows, in either order
+def test_grids_of_other_types_share_the_equal_float_grids_axis(reference_scenario):
+    # numpy's float32 0..20 holds the default grid's values: it gives the
+    # default grid's bits and shares its axis, cold and warm, in either
+    # order
     sc = reference_scenario
     f32 = np.arange(0, 21, 2, dtype=np.float32)
     want = _bits(sweep_snr(replace(sc)))
-    want_f32 = _bits(sweep_snr(replace(sc), snr_db_grid=f32))
-    assert want_f32 != want
-    experiments._axis.cache_clear()
-    for grid, bits in ((f32, want_f32), (None, want), (f32, want_f32), (None, want)):
-        assert _bits(sweep_snr(sc, snr_db_grid=grid)) == bits
-        assert _bits(sweep_snr(replace(sc), snr_db_grid=grid)) == bits
-    # a 0-d array snr_db is no key, and gives a float's bits
+    for order in ((f32, None), (None, f32)):
+        experiments._axis.cache_clear()
+        for grid in order * 2:
+            assert _bits(sweep_snr(sc, snr_db_grid=grid)) == want
+            assert _bits(sweep_snr(replace(sc), snr_db_grid=grid)) == want
+        assert experiments._axis.cache_info()[:2] == (7, 1)  # hits, misses
+    # a float32 value that no float equals runs as the float it prints
+    alphas = np.linspace(0.0, 1.0, 11, dtype=np.float32)
+    result = sweep_alpha(sc, alpha_grid=alphas)
+    assert result.x_axis == [float(a) for a in alphas] != list(DEFAULT_ALPHA_GRID)
+    assert _bits(result) == _bits(sweep_alpha(replace(sc), alpha_grid=result.x_axis))
+    # a 0-d array snr_db runs as its float, with the float's bits
     want = _bits(sweep_alpha(sc, snr_db=15.0))
     assert _bits(sweep_alpha(sc, snr_db=np.array(15.0))) == want
 
@@ -155,15 +162,20 @@ def test_grids_of_other_types_build_their_own_axis(reference_scenario):
         ),
     ],
 )
-def test_decimal_grids_fail_cold_and_warm(reference_scenario, sweep, kwargs, plain):
-    # a Decimal hashes equal to the float of its value but takes no float
-    # arithmetic: it raises whether or not an equal float grid was swept
+def test_decimal_grids_give_the_equal_float_grids_bits(
+    reference_scenario, sweep, kwargs, plain
+):
+    # a Decimal grid is taken as floats: cold and warm, before and after an
+    # equal float grid, it gives that grid's series and x values to the bit
     sc = reference_scenario
+    want = sweep(replace(sc), **plain)
+    want = (_bits(want), [*map(float.hex, want.x_axis)])
     experiments._axis.cache_clear()
     for _ in range(2):
-        with pytest.raises(TypeError, match="unsupported operand"):
-            sweep(sc, **kwargs)
-        sweep(sc, **plain)
+        for args in (kwargs, plain):
+            got = sweep(sc, **args)
+            assert (_bits(got), [*map(float.hex, got.x_axis)]) == want
+    assert experiments._axis.cache_info()[:2] == (3, 1)  # hits, misses
 
 
 @pytest.mark.parametrize(
