@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleGeometry
 from .geometry import Position3D
-from .placement import PlacementSolution, _kept, solve_all
+from .placement import PlacementSolution, _frame, _kept, solve_all
 from .scenario import ScenarioConfig
-from .signalmodel import _budget_rows, _correlation_power, _rate_cells, correlation_at
+from .signalmodel import _budget_rows, _correlation_power, _rate_cells
 
 DEFAULT_SNR_GRID_DB = tuple(range(0, 21, 2))
 DEFAULT_ALPHA_GRID = tuple(i / 10.0 for i in range(11))
@@ -107,12 +107,14 @@ def _pick(scenario: ScenarioConfig, scheme: str) -> PlacementSolution | str:
 
 def _baselines(scenario: ScenarioConfig, n: int) -> tuple:
     """The scenario's ``n`` baseline positions and their correlations, in
-    one draw and one kernel call."""
+    one draw and one pass of the kept kernel over their canonical points."""
     positions = random_baseline_positions(
         n, BASELINE_BOUNDS, z=scenario.uav_height_m, seed=scenario.seed,
         exclude=(scenario.bob, scenario.eve),
     )
-    return positions, correlation_at(scenario, positions)
+    tf, _, magnitude = _kept(scenario, ("frame",), _frame)
+    xy = tf._canonical_xy
+    return positions, [magnitude(*xy(p.x, p.y), p.z) for p in positions]
 
 
 def _linear_snr(snr_db: float, p: float) -> float:
@@ -186,8 +188,13 @@ def _sweep(
     proposed row, one cell pass over the alpha = 1 rows.
     """
     # float(x) in C, except that a str or bytes raises TypeError
-    grid = tuple(map(math.ldexp, grid, itertools.repeat(0)))
-    snr_db = None if snr_db is None else math.ldexp(snr_db, 0)
+    try:
+        grid = tuple(map(math.ldexp, grid, itertools.repeat(0)))
+        snr_db = None if snr_db is None else math.ldexp(snr_db, 0)
+    except OverflowError:
+        raise ValueError(
+            "sweep grid and SNR values must lie within the float range"
+        ) from None
     theory, rows, ones = _axis(float(scenario.power.total_power_w), kind, grid, snr_db)
     best = _best_placement(scenario, scheme)
     n = operator.index(n_random_baselines)  # a float count raises TypeError

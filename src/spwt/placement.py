@@ -12,14 +12,15 @@ whose zeros are known:
   safeguarded Newton steps on a strictly monotone function.  The gap is the
   same beyond either end, so each factor's root serves both sides.
 
-Every candidate position is certified by recomputing the correlation with
-:func:`~spwt.signalmodel.correlation_magnitude` at the returned position;
-candidates that fail are discarded with a warning rather than returned, and a
-solver with no certified candidate raises ``InfeasibleGeometry``.
+Every candidate is certified by recomputing the correlation at the canonical
+point the solver found, with the scenario's one kept frame and kernel
+(:func:`_frame`), before it is mapped back; candidates that fail are
+discarded with a warning rather than returned, and a solver with no
+certified candidate raises ``InfeasibleGeometry``.
 
 Each scheme computes every candidate up front (no candidate's position
 depends on another's certification) and certifies them all in one kernel
-call.  The candidates of the last scenario object asked for are kept while
+pass.  The candidates of the last scenario object asked for are kept while
 the same object keeps being asked; each call picks its placements from
 them and warns, at the caller's line, of the candidates it discards.
 """
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
 from .geometry import Position3D, _point, canonicalize_frame
 from .scenario import ScenarioConfig
-from .signalmodel import correlation_at, correlation_magnitude, secrecy_rates
+from .signalmodel import SCALAR, correlation_magnitude, secrecy_rates
 
 HALF_PI = math.pi / 2.0
 
@@ -137,14 +138,14 @@ def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
     """The outcome ``key`` kept for ``scenario``, ``build(scenario, *args)``
     the first time it is asked for; any other scenario's are dropped first.
 
-    Keys name what was computed: ("azimuth", k), ("pitch", l), the sweeps'
-    ("baselines", count), ("sweep", count, kind, grid, snr_db) and ("best",
-    scheme).  They hold values only: the builders take ``float(k)`` and
-    ``float(l)``, the sweeps the count's ``operator.index`` and the floats
-    of the grid and ``snr_db`` before the slot, so inputs that compare
-    equal (1, 1.0, True; 0.0, -0.0) share one outcome.  Outcomes hold
-    values and messages, never an exception or the scenario: releasing the
-    slot frees it.
+    Keys name what was computed: ("frame",), ("azimuth", k), ("pitch", l),
+    the sweeps' ("baselines", count), ("sweep", count, kind, grid, snr_db)
+    and ("best", scheme).  They hold values only: the builders take
+    ``float(k)`` and ``float(l)``, the sweeps the count's ``operator.index``
+    and the floats of the grid and ``snr_db`` before the slot, so inputs
+    that compare equal (1, 1.0, True; 0.0, -0.0) share one outcome.  Outcomes hold
+    values and messages, never an exception or the scenario (the frame's
+    kernel closes over the scenario's values): releasing the slot frees it.
     """
     global _last
     held, outcomes = _last
@@ -168,7 +169,7 @@ def solve_azimuth_scheme(
     the column factor when M*cos is replaced by N*sin.  Up to four
     candidates arise (two equations, two signs); duplicates within 1e-6 m
     are merged and every survivor is certified against the recomputed
-    correlation, all candidates in one kernel call.
+    correlation, all candidates in one kernel pass.
 
     Returns
     -------
@@ -212,8 +213,7 @@ def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
     its :func:`_certify` outcome); or the reason there is none."""
     geom = scenario.array
     k = float(k)
-    tf = canonicalize_frame(scenario.bob, scenario.eve)
-    x_e = tf.to_canonical(scenario.eve).x
+    x_e = _kept(scenario, ("frame",), _frame)[1]
     g = scenario.uav_height_m
 
     candidates: list[tuple[str, str, float]] = []
@@ -247,25 +247,33 @@ def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
             f"yaw closer to the ground axis"
         )
     points = [_point(x_e / 2.0, y, g) for _, _, y in candidates]
-    return tuple(zip(candidates, _certify(scenario, tf, points)))
+    return tuple(zip(candidates, _certify(scenario, points)))
 
 
-def _certify(scenario: ScenarioConfig, tf, points: list) -> list:
+def _frame(scenario: ScenarioConfig) -> tuple:
+    """The canonical frame transform, the eavesdropper's canonical x, and the
+    kernel bound to both over SCALAR: built here only, kept under ("frame",)."""
+    tf = canonicalize_frame(scenario.bob, scenario.eve)
+    x_e = tf.to_canonical(scenario.eve).x
+    return tf, x_e, correlation_magnitude(scenario, x_e, SCALAR)
+
+
+def _certify(scenario: ScenarioConfig, points: list) -> list:
     """Each canonical point as (caller-frame position, |rho|, secrecy rate or
-    None): |rho| from one ``correlation_at`` call, and the rate from one
-    ``secrecy_rates`` call at the scenario's checked budget for the points
-    within ``_NULL_TOL``, the only place that applies it.  No points, no call."""
+    None): |rho| from the kept kernel at the point solved, and the rate from
+    one ``secrecy_rates`` call at the scenario's checked budget for the points
+    within ``_NULL_TOL``, the only place that applies it.  No points, no pass."""
     if not points:
         return []
-    positions = [tf.from_canonical(p) for p in points]
-    residuals = correlation_at(scenario, positions)
+    tf, _, magnitude = _kept(scenario, ("frame",), _frame)
+    residuals = [magnitude(p.x, p.y, p.z) for p in points]
     power = scenario.power
     ok = [r for r in residuals if r <= _NULL_TOL]
     budget = [power.alpha], [power.noise_b_w], [power.noise_e_w]
     rates = iter(secrecy_rates(ok, power.total_power_w, *budget))
     return [
-        (position, r, next(rates)[0] if r <= _NULL_TOL else None)
-        for position, r in zip(positions, residuals)
+        (tf.from_canonical(p), r, next(rates)[0] if r <= _NULL_TOL else None)
+        for p, r in zip(points, residuals)
     ]
 
 
@@ -373,8 +381,7 @@ def _extension_candidates(scenario: ScenarioConfig, l) -> dict:
     """
     geom = scenario.array
     l = float(l)
-    tf = canonicalize_frame(scenario.bob, scenario.eve)
-    x_e = tf.to_canonical(scenario.eve).x
+    x_e = _kept(scenario, ("frame",), _frame)[1]
     g = scenario.uav_height_m
     gap_max = x_e / math.hypot(x_e, g)
 
@@ -402,7 +409,7 @@ def _extension_candidates(scenario: ScenarioConfig, l) -> dict:
         # Branch sign of +/- as it appears in the defining equation.
         branch = "+" if trig > 0.0 else "-"
         found += (("left", fac), -t, branch), (("right", fac), x_e + t, branch)
-    certified = _certify(scenario, tf, [_point(x_a, 0.0, g) for _, x_a, _ in found])
+    certified = _certify(scenario, [_point(x_a, 0.0, g) for _, x_a, _ in found])
     for (key, x_a, branch), outcome in zip(found, certified):
         steps[key] = ("candidate", x_a, branch, *outcome)
     return steps
@@ -485,14 +492,14 @@ def correlation_map(scenario: ScenarioConfig, xs, ys):
     """|h_e^H h_b| over a canonical-frame position grid at the platform
     altitude, a numpy array of shape (len(ys), len(xs)).
 
-    :func:`~spwt.signalmodel.correlation_magnitude` over numpy, its
-    constants bound once and rows taken in chunks of at most ``_MAP_CHUNK``
+    :func:`~spwt.signalmodel.correlation_magnitude` over numpy at the kept
+    frame's x_e, bound once, rows taken in chunks of at most ``_MAP_CHUNK``
     points, which bounds every temporary array.
     """
     import numpy as np
 
-    tf = canonicalize_frame(scenario.bob, scenario.eve)
-    magnitude = correlation_magnitude(scenario, tf.to_canonical(scenario.eve).x, np)
+    x_e = _kept(scenario, ("frame",), _frame)[1]
+    magnitude = correlation_magnitude(scenario, x_e, np)
     x = np.asarray(xs, float).ravel()[None, :]
     ys = np.asarray(ys, float).ravel()
     out = np.empty((ys.size, x.size))

@@ -7,9 +7,9 @@ alpha*P/sigma_b^2 at every transmitter position; the eavesdropper's SINR is
 governed entirely by the correlation rho between the two steering vectors.
 Secrecy rate is log2(1+SINR_b) - log2(1+SINR_e), clipped at zero.
 
-|rho| for transmitter positions comes from one kernel, in floats or over
-numpy arrays, :func:`correlation_magnitude`, and rates from one function,
-:func:`secrecy_rates`, correlations in and rates out; every caller shares both.
+|rho| at canonical-frame transmitter positions comes from one kernel, in
+floats or over numpy arrays, :func:`correlation_magnitude`, and rates from
+one function, :func:`secrecy_rates`; every caller shares both.
 """
 
 import cmath
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .errors import InvalidCorrelation
-from .geometry import canonicalize_frame
 
 _NOT_FINITE = "power budget values must be finite"
 
@@ -93,17 +92,16 @@ def correlation_magnitude(scenario: "ScenarioConfig", x_e: float, xp):
     (x, y, z), with the scenario's array, yaw and node heights, ``x_e`` and
     the backend's functions read once.
 
-    The one evaluation of the correlation in the package: certification and
-    the sweeps' baselines bind it once per :func:`correlation_at` call, the
-    correlation map once per map.  The canonical frame
-    (:func:`~spwt.geometry.canonicalize_frame`) puts the receiver over the
-    origin and the eavesdropper at ``x_e`` on the +x axis; each node keeps
-    its own altitude, so the pitch toward it uses the height difference
-    z - node.z.  ``xp`` is the backend: numpy, for arrays that broadcast
-    together and a result of their broadcast shape (a 1x1 array gives the
-    float 1.0), or :data:`SCALAR`, for one point in floats.  Within each
-    backend a point gives the same value alone as in a batch; the two agree
-    to rounding.
+    The one evaluation of the correlation in the package: the placement
+    module binds it over :data:`SCALAR` once per scenario object, for
+    certification and the sweeps' baselines, and over numpy once per
+    correlation map.  The canonical frame puts the receiver over the origin
+    and the eavesdropper at ``x_e`` on the +x axis; each node keeps its own
+    altitude, so the pitch toward it uses the height difference z - node.z.
+    ``xp`` is the backend: numpy, for arrays that broadcast together and a
+    result of their broadcast shape (a 1x1 array gives the float 1.0), or
+    :data:`SCALAR`, for one point in floats.  Within each backend a point
+    gives the same value alone as in a batch; the two agree to rounding.
 
     The element double sum factors into one geometric sum per array axis,
     with phase increments
@@ -138,20 +136,6 @@ def correlation_magnitude(scenario: "ScenarioConfig", x_e: float, xp):
         return axis_sum(exp, row_bits, a) * axis_sum(exp, col_bits, b) / size
 
     return magnitude
-
-
-def correlation_at(scenario: "ScenarioConfig", positions) -> list[float]:
-    """:func:`correlation_magnitude` at caller-frame ``positions``, bound
-    once over :data:`SCALAR` and called once per point in the canonical
-    frame.
-
-    Depends only on geometry, never on the power budget, so a sweep over
-    power or noise needs it once per position.
-    """
-    tf = canonicalize_frame(scenario.bob, scenario.eve)
-    magnitude = correlation_magnitude(scenario, tf.to_canonical(scenario.eve).x, SCALAR)
-    xy = tf._canonical_xy
-    return [magnitude(x, y, p.z) for p in positions for x, y in (xy(p.x, p.y),)]
 
 
 def secrecy_rates(

@@ -27,7 +27,6 @@ from spwt import (
 )
 from spwt import experiments, placement, signalmodel
 from spwt.geometry import _FLAT_EPS
-from spwt.signalmodel import correlation_at
 
 TWO_PI = 2.0 * math.pi
 
@@ -96,17 +95,23 @@ def reference_scenario() -> ScenarioConfig:
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """A list that grows by one entry per ``correlation_at`` call, under
-    each name the solvers and sweeps call it by."""
+    """A list that grows by one entry per kernel pass: each certification
+    of one or more candidates (``placement._certify``) and each baseline
+    draw (``experiments._baselines``)."""
     calls = []
-    kernel = signalmodel.correlation_at
+    certify, baselines = placement._certify, experiments._baselines
 
-    def counting(*args):
+    def counting_certify(scenario, points):
+        if points:
+            calls.append(1)
+        return certify(scenario, points)
+
+    def counting_baselines(*args):
         calls.append(1)
-        return kernel(*args)
+        return baselines(*args)
 
-    for module in (placement, experiments):
-        monkeypatch.setattr(module, "correlation_at", counting)
+    monkeypatch.setattr(placement, "_certify", counting_certify)
+    monkeypatch.setattr(experiments, "_baselines", counting_baselines)
     return calls
 
 
@@ -248,6 +253,16 @@ def cross_correlation(h_e: np.ndarray, h_b: np.ndarray) -> complex:
             f"steering vectors differ in length: {h_e.shape} vs {h_b.shape}"
         )
     return complex(np.vdot(h_e, h_b))
+
+
+def correlation_at(scenario: ScenarioConfig, positions) -> list[float]:
+    """The package's kernel (signalmodel.correlation_magnitude over
+    signalmodel.SCALAR) at caller-frame ``positions``: a fresh frame and
+    binding per call, each point rotated into the canonical frame."""
+    tf = canonicalize_frame(scenario.bob, scenario.eve)
+    x_e = tf.to_canonical(scenario.eve).x
+    magnitude = signalmodel.correlation_magnitude(scenario, x_e, signalmodel.SCALAR)
+    return [magnitude(*tf._canonical_xy(p.x, p.y), p.z) for p in positions]
 
 
 def explicit_correlation(scenario: ScenarioConfig, uav: Position3D) -> float:

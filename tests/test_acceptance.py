@@ -14,6 +14,7 @@ import pytest
 
 from conftest import (
     build_beamformers,
+    correlation_at,
     cross_correlation,
     look_angles,
     make_scenario,
@@ -31,7 +32,6 @@ from spwt import (
     sweep_alpha,
     sweep_snr,
 )
-from spwt.signalmodel import correlation_at
 
 
 def _verdict(capsys, num, ok, detail):

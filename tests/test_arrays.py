@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from spwt import ArrayGeometry, Position3D
-from spwt.signalmodel import correlation_at
 from conftest import (
     DimensionMismatch,
+    correlation_at,
     cross_correlation,
     explicit_correlation,
     look_angles,

@@ -17,11 +17,13 @@ from spwt import (
     sweep_snr,
 )
 from conftest import (
+    correlation_at,
     evaluate_link,
     finite_scenarios,
     make_scenario,
 )
-from spwt.signalmodel import correlation_at, secrecy_rates
+from spwt import experiments
+from spwt.signalmodel import secrecy_rates
 
 SERIES = ("proposed", "theory", "rand1", "rand2", "rand3")
 
@@ -360,6 +362,30 @@ def test_sweeps_reject_text_values(reference_scenario, sweep, kwargs):
         with pytest.raises(TypeError, match="real number"):
             sweep(reference_scenario, **kwargs)
         sweep(reference_scenario)
+
+
+@pytest.mark.parametrize("state", ["cold", "warm"])
+@pytest.mark.parametrize(
+    "sweep, kwargs",
+    [
+        (sweep_snr, {"snr_db_grid": [0.0, 10**400]}),
+        (sweep_alpha, {"snr_db": 10**400}),
+        (sweep_alpha, {"alpha_grid": [10**400]}),
+    ],
+    ids=["snr-grid", "alpha-snr", "alpha-grid"],
+)
+def test_sweeps_name_an_int_past_the_float_range(sweep, kwargs, state):
+    # an int too large for a float raises a named ValueError, not its
+    # conversion's bare OverflowError: on a fresh scenario with no axis
+    # kept, and on one whose default sweep and axis are kept
+    sc = make_scenario()
+    experiments._axis.cache_clear()
+    if state == "warm":
+        sweep(sc)
+    with pytest.raises(ValueError) as info:
+        sweep(sc, **kwargs)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "sweep grid and SNR values must lie within the float range"
 
 
 # Each row's id is written out: p, sweep, row and the rule's input, so that

@@ -22,8 +22,8 @@ from spwt import (
 )
 from spwt import placement
 from spwt.placement import _bisect_gap, _pitch_gap
-from spwt.signalmodel import correlation_at
 from conftest import (
+    correlation_at,
     element_sum_map,
     explicit_correlation,
     finite_scenarios,

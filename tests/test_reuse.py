@@ -25,13 +25,14 @@ from hypothesis import given
 from spwt import (
     InfeasibleGeometry,
     NullIndex,
+    correlation_map,
     solve_all,
     solve_azimuth_scheme,
     solve_pitch_scheme,
     sweep_alpha,
     sweep_snr,
 )
-from spwt import experiments
+from spwt import experiments, geometry
 from spwt.experiments import DEFAULT_ALPHA_GRID
 from conftest import finite_scenarios, make_scenario
 
@@ -303,6 +304,33 @@ def test_slot_holds_one_scenario():
     solve_all(make_scenario())  # an equal copy is another scenario
     gc.collect()
     assert ref() is None
+
+
+def test_one_frame_per_scenario_object(monkeypatch):
+    # the solvers, the sweeps' baselines and the correlation map all read
+    # the frame kept for the scenario object: one canonicalize_frame call
+    # under every name a module binds it to, and one more for an equal copy
+    frames = []
+    canonicalize = geometry.canonicalize_frame
+
+    def counting(*args):
+        frames.append(args)
+        return canonicalize(*args)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "canonicalize_frame", None)
+        if name.startswith("spwt") and bound is canonicalize:
+            monkeypatch.setattr(module, "canonicalize_frame", counting)
+    sc = make_scenario()
+    for _ in range(2):
+        solve_azimuth_scheme(sc)
+        solve_pitch_scheme(sc, side="left")
+        solve_pitch_scheme(sc, side="right")
+        _study(sc)
+        correlation_map(sc, [0.0, 250.0], [100.0])
+    assert len(frames) == 1
+    correlation_map(replace(sc), [0.0], [100.0])
+    assert len(frames) == 2
 
 
 def test_study_makes_one_kernel_call_per_distinct_piece(reference_scenario, kernel_calls):

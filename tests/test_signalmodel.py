@@ -15,15 +15,11 @@ from spwt import (
     canonicalize_frame,
     correlation_map,
 )
-from spwt.signalmodel import (
-    SCALAR,
-    correlation_at,
-    correlation_magnitude,
-    secrecy_rates,
-)
+from spwt.signalmodel import SCALAR, correlation_magnitude, secrecy_rates
 from conftest import (
     SIGMA2_15DB,
     build_beamformers,
+    correlation_at,
     evaluate_link,
     explicit_correlation,
     link_metrics,
