@@ -96,7 +96,9 @@ def study_scenarios() -> list:
     where only the bisector scheme places; then one where nothing does;
     then three whose ground pair is shifted off the origin and turned to a
     bearing in the second, third and fourth quadrant, so that the solvers
-    and sweeps run through a non-identity frame transform."""
+    and sweeps run through a non-identity frame transform; then three whose
+    array sides are not powers of two, each placed by both schemes, so that
+    the kernel's odd-bit doubling step is pinned too."""
     high = {1: 600.0, 3: 1520.0, 5: 4200.0, 7: 2890.0}
     grid = itertools.product((4, 8, 16), repeat=2)
     turned = (
@@ -118,6 +120,13 @@ def study_scenarios() -> list:
             eve=Position3D(x + d * math.cos(bearing), y + d * math.sin(bearing)),
         )
         for k, (m, n, d, g, yaw, x, y, bearing) in enumerate(turned)
+    ] + [
+        make_scenario(m=m, n=n, x_e=x_e, g=g, yaw=yaw)
+        for m, n, x_e, g, yaw in (
+            (3, 5, 430.0, 150.0, 0.7),
+            (6, 7, 520.0, 230.0, 1.0),
+            (12, 9, 610.0, 260.0, 0.45),
+        )
     ]
 
 
