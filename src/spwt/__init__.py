@@ -23,9 +23,7 @@ _EXPORTS = {
         "DegenerateGeometry", "InfeasibleGeometry", "InvalidCorrelation",
         "InvalidIndex", "InvalidYaw", "SpwtError",
     ),
-    "experiments": (
-        "SweepResult", "random_baseline_positions", "sweep_alpha", "sweep_snr",
-    ),
+    "experiments": ("SweepResult", "sweep_alpha", "sweep_snr"),
     "geometry": ("FrameTransform", "Position3D", "canonicalize_frame"),
     "placement": (
         "NullIndex", "PlacementSolution", "correlation_map", "solve_all",

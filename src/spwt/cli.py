@@ -24,8 +24,7 @@ from .signalmodel import PowerConfig
 
 _INT_KEYS = {"m", "n", "seed"}
 _FLOAT_KEYS = {
-    "f_c_hz", "x_e_m", "g_m", "theta_a_rad", "theta_a_deg", "p_w", "sigma2_w",
-    "alpha", "bandwidth_hz",
+    "f_c_hz", "x_e_m", "g_m", "theta_a_rad", "theta_a_deg", "p_w", "sigma2_w", "alpha",
 }
 _KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS
 _REQUIRED_KEYS = ("m", "n", "f_c_hz", "x_e_m", "g_m", "p_w", "sigma2_w")
@@ -108,7 +107,7 @@ def _resolve_config(cfg: dict, seed_flag: int | None) -> dict:
     # segment, and the array and power constructors judge their own fields.
     if cfg["x_e_m"] <= 0:
         raise CliError("config: 'x_e_m' must be positive")
-    resolved = {"alpha": 1.0, "bandwidth_hz": 5.0e6, **cfg}
+    resolved = {"alpha": 1.0, **cfg}
     resolved.pop("theta_a_deg", None)
     return {**resolved, "theta_a_rad": theta, "seed": seed}
 

@@ -14,10 +14,9 @@ import random
 from dataclasses import dataclass
 
 from .errors import InfeasibleGeometry
-from .geometry import Position3D
 from .placement import PlacementSolution, _frame, _kept, solve_all
 from .scenario import ScenarioConfig
-from .signalmodel import _budget_rows, _correlation_power, _rate_cells
+from .signalmodel import _budget_rows, _rate_cells
 
 DEFAULT_SNR_GRID_DB = tuple(range(0, 21, 2))
 DEFAULT_ALPHA_GRID = tuple(i / 10.0 for i in range(11))
@@ -38,51 +37,6 @@ class SweepResult:
     x_axis: list
     series: dict
     metadata: dict
-
-
-def random_baseline_positions(
-    n: int,
-    bounds: tuple = BASELINE_BOUNDS,
-    z: float = 200.0,
-    seed: int = 0,
-    exclude: tuple = (),
-) -> list[Position3D]:
-    """Seeded uniform draws over a ground box at fixed altitude, x before y,
-    from the standard library's Mersenne Twister, ``random.Random(seed)``.
-
-    Each coordinate is ``lo + (hi - lo) * random()``, the formula
-    ``random.uniform`` documents, so the positions rest only on
-    ``random()``'s promise of the same stream for the same seed across
-    Python versions.  Draws within 1 m horizontal of any position in
-    ``exclude`` are rejected and redrawn, so the returned deployments
-    always have well-defined look angles toward those nodes; 10,000
-    rejections in a row for one position raise ValueError, as does a
-    non-finite bound, span or ``z``, before any draw.
-    """
-    if operator.index(n) < 1:
-        raise ValueError("need at least one position")
-    (x_lo, x_hi), (y_lo, y_hi) = bounds
-    if not all(map(math.isfinite, (x_hi - x_lo, y_hi - y_lo, z))):  # bounds too
-        raise ValueError("the bounds box, its spans and z must be finite")
-    if not (x_hi > x_lo and y_hi > y_lo):
-        raise ValueError("bounds box is degenerate")
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    draw = random.Random(seed).random
-    out: list[Position3D] = []
-    while len(out) < n:
-        for _ in range(_MAX_REDRAWS):
-            x = x_lo + (x_hi - x_lo) * draw()
-            y = y_lo + (y_hi - y_lo) * draw()
-            if not any(math.hypot(x - p.x, y - p.y) < _EXCLUSION_M for p in exclude):
-                out.append(Position3D(x, y, z))
-                break
-        else:
-            raise ValueError(
-                "the excluded nodes' 1 m discs leave no room in the bounds box"
-            )
-    return out
 
 
 def _best_placement(scenario: ScenarioConfig, scheme: str) -> PlacementSolution:
@@ -106,15 +60,38 @@ def _pick(scenario: ScenarioConfig, scheme: str) -> PlacementSolution | str:
 
 
 def _baselines(scenario: ScenarioConfig, n: int) -> tuple:
-    """The scenario's ``n`` baseline positions and their correlations, in
-    one draw and one pass of the kept kernel over their canonical points."""
-    positions = random_baseline_positions(
-        n, BASELINE_BOUNDS, z=scenario.uav_height_m, seed=scenario.seed,
-        exclude=(scenario.bob, scenario.eve),
-    )
+    """The scenario's ``n`` baseline positions as (x, y, z) tuples and their
+    correlations, in one draw and one pass of the kept kernel.
+
+    The draws are uniform over ``BASELINE_BOUNDS`` at the scenario's height,
+    x before y, each coordinate ``lo + (hi - lo) * random()`` (the formula
+    ``random.uniform`` documents) from ``random.Random(seed)``, so they rest
+    only on ``random()``'s promise of one stream per seed across Python
+    versions.  A draw within 1 m horizontal of either ground node is
+    redrawn, so its look angles are well defined; 10,000 rejections in a row
+    raise ValueError.
+    """
+    if n < 1:
+        raise ValueError("need at least one position")
+    (x_lo, x_hi), (y_lo, y_hi) = BASELINE_BOUNDS
+    z, nodes = scenario.uav_height_m, (scenario.bob, scenario.eve)
+    # random.Random takes no numpy integer on every Python version
+    draw = random.Random(operator.index(scenario.seed)).random
+    positions = []
+    while len(positions) < n:
+        for _ in range(_MAX_REDRAWS):
+            x = x_lo + (x_hi - x_lo) * draw()
+            y = y_lo + (y_hi - y_lo) * draw()
+            if not any(math.hypot(x - p.x, y - p.y) < _EXCLUSION_M for p in nodes):
+                positions.append((x, y, z))
+                break
+        else:
+            raise ValueError(
+                "the excluded nodes' 1 m discs leave no room in the bounds box"
+            )
     tf, _, magnitude = _kept(scenario, ("frame",), _frame)
     xy = tf._canonical_xy
-    return positions, [magnitude(*xy(p.x, p.y), p.z) for p in positions]
+    return positions, [magnitude(*xy(x, y), z) for x, y, z in positions]
 
 
 def _linear_snr(snr_db: float, p: float) -> float:
@@ -161,11 +138,10 @@ def _axis(p: float, kind: str, grid: tuple, snr_db: float | None) -> tuple:
 
 
 def _baseline_rows(scenario: ScenarioConfig, n: int, rows: list) -> tuple:
-    """The baselines' rate rows over the budget ``rows`` and their
-    positions as tuples."""
+    """The baselines' rate rows over the budget ``rows``, one
+    :func:`~spwt.signalmodel._rate_cells` pass, and their positions."""
     baselines, baseline_rhos = _kept(scenario, ("baselines", n), _baselines, n)
-    rand = _rate_cells(map(_correlation_power, baseline_rhos), rows)
-    return rand, [(b.x, b.y, b.z) for b in baselines]
+    return _rate_cells(baseline_rhos, rows), baselines
 
 
 def _sweep(
@@ -201,7 +177,7 @@ def _sweep(
     key = ("sweep", n, kind, grid, snr_db)
     rand, baselines = _kept(scenario, key, _baseline_rows, n, rows)
     series = {
-        "proposed": _rate_cells([_correlation_power(best.null_residual)], ones)[0],
+        "proposed": _rate_cells([best.null_residual], ones)[0],
         "theory": list(theory),
     }
     series.update((f"rand{i}", list(row)) for i, row in enumerate(rand, start=1))

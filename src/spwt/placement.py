@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
 from .geometry import Position3D, _point, canonicalize_frame
 from .scenario import ScenarioConfig
-from .signalmodel import SCALAR, correlation_magnitude, secrecy_rates
+from .signalmodel import SCALAR, _budget_rows, _rate_cells, correlation_magnitude
 
 HALF_PI = math.pi / 2.0
 
@@ -261,8 +261,9 @@ def _frame(scenario: ScenarioConfig) -> tuple:
 def _certify(scenario: ScenarioConfig, points: list) -> list:
     """Each canonical point as (caller-frame position, |rho|, secrecy rate or
     None): |rho| from the kept kernel at the point solved, and the rate from
-    one ``secrecy_rates`` call at the scenario's checked budget for the points
-    within ``_NULL_TOL``, the only place that applies it.  No points, no pass."""
+    one ``_rate_cells`` pass, at the scenario's checked budget, over the
+    points within ``_NULL_TOL``, the only place that applies it.  No points,
+    no pass."""
     if not points:
         return []
     tf, _, magnitude = _kept(scenario, ("frame",), _frame)
@@ -270,7 +271,7 @@ def _certify(scenario: ScenarioConfig, points: list) -> list:
     power = scenario.power
     ok = [r for r in residuals if r <= _NULL_TOL]
     budget = [power.alpha], [power.noise_b_w], [power.noise_e_w]
-    rates = iter(secrecy_rates(ok, power.total_power_w, *budget))
+    rates = iter(_rate_cells(ok, _budget_rows(power.total_power_w, *budget)))
     return [
         (tf.from_canonical(p), r, next(rates)[0] if r <= _NULL_TOL else None)
         for p, r in zip(points, residuals)

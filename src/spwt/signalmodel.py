@@ -9,7 +9,8 @@ Secrecy rate is log2(1+SINR_b) - log2(1+SINR_e), clipped at zero.
 
 |rho| at canonical-frame transmitter positions comes from one kernel, in
 floats or over numpy arrays, :func:`correlation_magnitude`, and rates from
-one function, :func:`secrecy_rates`; every caller shares both.
+one step, :func:`_rate_cells` over the rows :func:`_budget_rows` builds;
+every caller shares both.
 """
 
 import cmath
@@ -138,30 +139,11 @@ def correlation_magnitude(scenario: "ScenarioConfig", x_e: float, xp):
     return magnitude
 
 
-def secrecy_rates(
-    rhos, total_power_w: float, alpha, noise_b_w, noise_e_w
-) -> list[list[float]]:
-    """Secrecy rate of every (power budget, position) cell, one list per
-    position: the one computation of SINRs and rates in the package.
-
-    ``rhos`` holds one correlation (or its magnitude) per position, each
-    clipped to |rho| <= 1 (InvalidCorrelation beyond it); ``alpha``,
-    ``noise_b_w`` and ``noise_e_w`` hold one power split, receiver noise
-    floor and eavesdropper noise floor per budget.  Every budget was checked
-    where it entered: in a PowerConfig for the solvers, by ``_linear_snr``
-    and the grid checks for the sweeps.  The rates are two steps: the
-    correlations are checked, then :func:`_budget_rows` turns each budget
-    into one row and :func:`_rate_cells` pairs the rows with the positions.
-    The sweeps build their rows once per grid and call the cell step alone.
-    """
-    mags = [_correlation_power(rho) for rho in rhos]
-    return _rate_cells(mags, _budget_rows(total_power_w, alpha, noise_b_w, noise_e_w))
-
-
 def _budget_rows(total_power_w: float, alpha, noise_b_w, noise_e_w) -> list[tuple]:
-    """One (log2(1 + SINR_b), alpha*P, (1-alpha)*P, sigma_e^2) row per budget:
-    the receiver's SINR alpha*P/sigma_b^2 does not depend on the position,
-    so its log is taken once per budget."""
+    """One (log2(1 + SINR_b), alpha*P, (1-alpha)*P, sigma_e^2) row per budget,
+    each checked where it entered (a PowerConfig, or the sweep's grid): the
+    receiver's SINR alpha*P/sigma_b^2 does not depend on the position, so
+    its log is taken once per budget."""
     log2, p = math.log2, total_power_w
     return [
         (log2(1.0 + a * p / n_b), a * p, (1.0 - a) * p, n_e)
@@ -169,16 +151,18 @@ def _budget_rows(total_power_w: float, alpha, noise_b_w, noise_e_w) -> list[tupl
     ]
 
 
-def _rate_cells(mags, budgets) -> list[list[float]]:
+def _rate_cells(rhos, budgets) -> list[list[float]]:
     """The secrecy rate of every (budget row, position) cell, one list per
-    |rho|^2 in ``mags`` (checked and clipped by :func:`_correlation_power`).
-    The eavesdropper keeps 1 - |rho|^2 of the artificial noise:
+    correlation (or its magnitude) in ``rhos``, each checked and clipped by
+    :func:`_correlation_power`: the package's one rate computation.  The
+    eavesdropper keeps 1 - |rho|^2 of the artificial noise:
 
         SINR_e = alpha*P*|rho|^2 / ((1-alpha)*P*(1-|rho|^2) + sigma_e^2).
     """
     log2 = math.log2
     rates = []
-    for m in mags:
+    for rho in rhos:
+        m = _correlation_power(rho)
         k = 1.0 - m
         rates.append([  # the clip has max(0.0, r)'s bits, without the call
             r if (r := bob - log2(1.0 + sig * m / (jam * k + n_e))) > 0.0 else 0.0

@@ -283,9 +283,17 @@ def explicit_correlation(scenario: ScenarioConfig, uav: Position3D) -> float:
 
 # -- per-point link metrics ----------------------------------------------
 # One transmitter position under one power budget, with its own |rho|^2
-# clip and SINR arithmetic: the reference that the package's grid-wide
-# signalmodel.secrecy_rates (the sweeps' cells and each solution's
-# sr_at_solution) is checked against, bit for bit.
+# clip and SINR arithmetic: the reference that the package's one grid-wide
+# rate step, signalmodel._rate_cells over signalmodel._budget_rows (the
+# sweeps' cells and each solution's sr_at_solution), is checked against,
+# bit for bit, through secrecy_rates below.
+
+
+def secrecy_rates(rhos, total_power_w, alpha, noise_b_w, noise_e_w) -> list[list[float]]:
+    """The package's rates of every (budget, position) cell, one list per
+    correlation in ``rhos``: its two rate steps, composed as its callers do."""
+    rows = signalmodel._budget_rows(total_power_w, alpha, noise_b_w, noise_e_w)
+    return signalmodel._rate_cells(rhos, rows)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ PUBLIC = [
     "__version__",
     "canonicalize_frame",
     "correlation_map",
-    "random_baseline_positions",
     "solve_all",
     "solve_azimuth_scheme",
     "solve_pitch_scheme",

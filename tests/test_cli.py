@@ -96,6 +96,9 @@ def test_unknown_key_reports_line(tmp_path, capsys):
                      id="no-equals"),
         pytest.param("m = 4", (), [], None, "config line 12: duplicate key 'm'",
                      id="duplicate-key"),
+        # the bandwidth sets nothing in the model, so it is not a key
+        pytest.param("bandwidth_hz = 5e6", (), [], None,
+                     "config line 12: unknown key 'bandwidth_hz'", id="bandwidth-key"),
         pytest.param("", ("theta_a_rad",), [], None,
                      "config: missing required key 'theta_a_rad'", id="no-angle"),
         # the environment is not a seed source: a grid error is reported as

@@ -3,16 +3,16 @@ import re
 import time
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from spwt import (
     InfeasibleGeometry,
     Position3D,
     PowerConfig,
-    random_baseline_positions,
     sweep_alpha,
     sweep_snr,
 )
@@ -21,9 +21,9 @@ from conftest import (
     evaluate_link,
     finite_scenarios,
     make_scenario,
+    secrecy_rates,
 )
 from spwt import experiments
-from spwt.signalmodel import secrecy_rates
 
 SERIES = ("proposed", "theory", "rand1", "rand2", "rand3")
 
@@ -59,101 +59,87 @@ def test_scenario_accepts_numpy_integer_seeds():
     assert got == sweep_snr(make_scenario(seed=7)).metadata["baseline_positions"]
 
 
+def baseline_positions(scenario, n: int) -> list[tuple]:
+    """The sweeps' ``n`` baseline positions for ``scenario``, drawn afresh."""
+    return experiments._baselines(scenario, n)[0]
+
+
 def test_baseline_positions_deterministic():
-    a = random_baseline_positions(3, z=200.0, seed=42)
-    b = random_baseline_positions(3, z=200.0, seed=42)
+    a = baseline_positions(make_scenario(g=200.0, seed=42), 3)
+    b = baseline_positions(make_scenario(g=200.0, seed=42), 3)
     assert a == b
-    c = random_baseline_positions(3, z=200.0, seed=43)
+    c = baseline_positions(make_scenario(g=200.0, seed=43), 3)
     assert a != c
-    assert all(p.z == 200.0 for p in a)
-    assert len({(p.x, p.y) for p in a}) == 3
+    assert all(z == 200.0 for _, _, z in a)
+    assert len({(x, y) for x, y, _ in a}) == 3
 
 
 def test_baseline_positions_uniform_coverage():
-    pts = random_baseline_positions(10_000, ((-1000.0, 1000.0), (-1000.0, 1000.0)),
-                                    z=150.0, seed=7)
-    xs = np.array([p.x for p in pts])
-    ys = np.array([p.y for p in pts])
+    pts = baseline_positions(make_scenario(g=150.0, seed=7), 10_000)
+    xs = np.array([x for x, _, _ in pts])
+    ys = np.array([y for _, y, _ in pts])
     # mean within 5% of the box half-width of the center
     assert abs(xs.mean()) <= 50.0 and abs(ys.mean()) <= 50.0
     assert xs.min() >= -1000.0 and xs.max() <= 1000.0
 
 
-def test_baseline_positions_respect_exclusion():
-    nodes = (Position3D(0.0, 0.0, 0.0), Position3D(2.0, 0.0, 0.0))
-    pts = random_baseline_positions(
-        500, ((-3.0, 5.0), (-3.0, 3.0)), z=100.0, seed=11, exclude=nodes
-    )
-    for p in pts:
-        assert math.hypot(p.x, p.y) >= 1.0
-        assert math.hypot(p.x - 2.0, p.y) >= 1.0
+def test_baseline_positions_respect_exclusion(monkeypatch):
+    monkeypatch.setattr(experiments, "BASELINE_BOUNDS", ((-3.0, 5.0), (-3.0, 3.0)))
+    pts = baseline_positions(make_scenario(x_e=2.0, g=100.0, seed=11), 500)
+    for x, y, _ in pts:
+        assert math.hypot(x, y) >= 1.0
+        assert math.hypot(x - 2.0, y) >= 1.0
 
 
 def test_baseline_positions_validation():
-    with pytest.raises(ValueError):
-        random_baseline_positions(0)
-    with pytest.raises(ValueError, match="degenerate"):
-        random_baseline_positions(2, ((5.0, 5.0), (-1.0, 1.0)))
-    # a bound, a span or z that is not finite is named before any draw,
-    # not as the drawn position it would give
-    for bounds, z in [
-        (((-1e308, 1e308), (-1.0, 1.0)), 200.0),
-        (((-1.0, 1.0), (-1e308, 1e308)), 200.0),
-        (((-math.inf, 1.0), (-1.0, 1.0)), 200.0),
-        (((-1.0, 1.0), (-1.0, math.inf)), 200.0),
-        (((math.nan, 1.0), (-1.0, 1.0)), 200.0),
-        (((-1.0, 1.0), (-1.0, 1.0)), math.nan),
-        (((-1.0, 1.0), (-1.0, 1.0)), math.inf),
-    ]:
-        with pytest.raises(ValueError, match="bounds box, its spans and z must be finite"):
-            random_baseline_positions(2, bounds, z=z)
-    with pytest.raises(ValueError, match="non-negative"):
-        random_baseline_positions(2, seed=-1)
-    with pytest.raises(TypeError):
-        random_baseline_positions(2, seed=1.0)
+    # the count is the one input the sweeps' caller gives the draw; the
+    # scenario has checked its seed and height already
+    with pytest.raises(ValueError, match="at least one position"):
+        baseline_positions(make_scenario(), 0)
 
 
-def test_baseline_positions_give_up_on_a_box_the_exclusion_covers():
-    # the one node's 1 m disc covers the 1 m box: a named error after a
+def test_baseline_positions_give_up_on_a_box_the_exclusion_covers(monkeypatch):
+    # the receiver's 1 m disc covers the 1 m box: a named error after a
     # bounded number of redraws, not a loop without end
+    monkeypatch.setattr(experiments, "BASELINE_BOUNDS", ((-0.5, 0.5), (-0.5, 0.5)))
     start = time.perf_counter()
     with pytest.raises(ValueError, match="leave no room in the bounds box"):
-        random_baseline_positions(
-            1, ((-0.5, 0.5), (-0.5, 0.5)), exclude=(Position3D(0.0, 0.0),)
-        )
+        baseline_positions(make_scenario(), 1)
     assert time.perf_counter() - start < 1.0
 
 
 def test_baseline_positions_for_seed_zero_are_pinned():
     # random.Random(0).random() scaled onto the default box, x before y: a
     # change of generator or of scaling fails here, not only in the goldens
-    first, second = random_baseline_positions(2, seed=0)
-    assert first == Position3D(688.8437030500963, 515.9088058806049, 200.0)
-    assert second == Position3D(-158.85683833831, -482.1664994140733, 200.0)
+    first, second = baseline_positions(make_scenario(g=200.0, seed=0), 2)
+    assert first == (688.8437030500963, 515.9088058806049, 200.0)
+    assert second == (-158.85683833831, -482.1664994140733, 200.0)
+
+
+_UNIT = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 
 
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 40),
     half=st.floats(1.5, 4.0),
-    nodes=st.lists(
-        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=4
-    ),
+    nodes=st.tuples(_UNIT, _UNIT),
 )
 def test_baseline_positions_are_seeded_draws_clear_of_the_nodes(seed, n, half, nodes):
-    # A box 3 to 8 m wide with excluded nodes inside it, so redraws are
+    # A box 3 to 8 m wide with both ground nodes inside it, so redraws are
     # common: one node at the center rejects 5% (8 m) to 35% (3 m) of draws.
+    bob, eve = (Position3D(x * half, y * half, 0.0) for x, y in nodes)
+    assume(math.hypot(bob.x - eve.x, bob.y - eve.y) >= 1e-3)
+    sc = replace(make_scenario(g=50.0, seed=seed), bob=bob, eve=eve)
     bounds = ((-half, half), (-half, half))
-    exclude = tuple(Position3D(x * half, y * half, 0.0) for x, y in nodes)
-    got = random_baseline_positions(n, bounds, z=50.0, seed=seed, exclude=exclude)
-    assert len(got) == n
-    for p in got:
-        assert -half <= p.x <= half and -half <= p.y <= half and p.z == 50.0
-        assert all(math.hypot(p.x - q.x, p.y - q.y) >= 1.0 for q in exclude)
-    assert got == random_baseline_positions(n, bounds, z=50.0, seed=seed, exclude=exclude)
-    assert got == random_baseline_positions(
-        n, bounds, z=50.0, seed=np.int64(seed), exclude=exclude
-    )
+    with mock.patch.object(experiments, "BASELINE_BOUNDS", bounds):
+        got = baseline_positions(sc, n)
+        assert len(got) == n
+        for x, y, z in got:
+            assert -half <= x <= half and -half <= y <= half and z == 50.0
+            assert all(math.hypot(x - q.x, y - q.y) >= 1.0 for q in (bob, eve))
+        assert got == baseline_positions(sc, n)
+        assert got == baseline_positions(replace(sc, seed=np.int64(seed)), n)
 
 
 def test_sweep_snr_shapes_and_tightness(reference_scenario):
@@ -455,9 +441,10 @@ _SPLITS = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
     alpha_grid=st.lists(_SPLITS, min_size=1, max_size=12),
     snr_db=_SNRS,
 )
-def test_sweep_series_equal_public_secrecy_rates(sc, snr_grid, alpha_grid, snr_db):
-    # the sweeps call secrecy_rates with budgets checked on entry: their
-    # rates are its cells to the bit, at the same correlations and budgets
+def test_sweep_series_equal_reference_secrecy_rates(sc, snr_grid, alpha_grid, snr_db):
+    # the sweeps run the package's two rate steps on budgets checked on
+    # entry: their rates are the reference's cells to the bit, at the same
+    # correlations and budgets
     p = sc.power.total_power_w
     for scheme in ("azimuth", "pitch"):
         try:

@@ -15,7 +15,7 @@ from spwt import (
     canonicalize_frame,
     correlation_map,
 )
-from spwt.signalmodel import SCALAR, correlation_magnitude, secrecy_rates
+from spwt.signalmodel import SCALAR, correlation_magnitude
 from conftest import (
     SIGMA2_15DB,
     build_beamformers,
@@ -26,6 +26,7 @@ from conftest import (
     look_angles,
     make_scenario,
     secrecy_rate,
+    secrecy_rates,
     sinr_bob,
     sinr_eve_analytic,
     sinr_eve_monte_carlo,
@@ -345,7 +346,7 @@ def test_every_accepted_budget_gives_finite_rates(power, rhos):
     ],
 )
 def test_secrecy_rates_check_cells_like_per_point_objects(rho, noise):
-    # the one check secrecy_rates makes: |rho| beyond 1, in link_metrics' words;
+    # the one check the rate step makes: |rho| beyond 1, in link_metrics' words;
     # the budgets are checked where they enter (PowerConfig, the sweeps)
     noise_b, noise_e = noise if isinstance(noise, tuple) else (noise, noise)
     with pytest.raises(InvalidCorrelation) as per_point:
