@@ -74,7 +74,7 @@ def _baselines(scenario: ScenarioConfig, n: int) -> tuple:
     if n < 1:
         raise ValueError("need at least one position")
     (x_lo, x_hi), (y_lo, y_hi) = BASELINE_BOUNDS
-    z, nodes = scenario.uav_height_m, (scenario.bob, scenario.eve)
+    z, bob, eve, hypot = scenario.uav_height_m, scenario.bob, scenario.eve, math.hypot
     # random.Random takes no numpy integer on every Python version
     draw = random.Random(operator.index(scenario.seed)).random
     positions = []
@@ -82,7 +82,8 @@ def _baselines(scenario: ScenarioConfig, n: int) -> tuple:
         for _ in range(_MAX_REDRAWS):
             x = x_lo + (x_hi - x_lo) * draw()
             y = y_lo + (y_hi - y_lo) * draw()
-            if not any(math.hypot(x - p.x, y - p.y) < _EXCLUSION_M for p in nodes):
+            near_bob = hypot(x - bob.x, y - bob.y) < _EXCLUSION_M
+            if not (near_bob or hypot(x - eve.x, y - eve.y) < _EXCLUSION_M):
                 positions.append((x, y, z))
                 break
         else:
@@ -139,9 +140,11 @@ def _axis(p: float, kind: str, grid: tuple, snr_db: float | None) -> tuple:
 
 def _baseline_rows(scenario: ScenarioConfig, n: int, rows: list) -> tuple:
     """The baselines' rate rows over the budget ``rows``, one
-    :func:`~spwt.signalmodel._rate_cells` pass, and their positions."""
+    :func:`~spwt.signalmodel._rate_cells` pass, each under its series name
+    ``rand<i>``, and their positions."""
     baselines, baseline_rhos = _kept(scenario, ("baselines", n), _baselines, n)
-    return _rate_cells(baseline_rhos, rows), baselines
+    rand = _rate_cells(baseline_rhos, rows)
+    return [(f"rand{i}", row) for i, row in enumerate(rand, start=1)], baselines
 
 
 def _sweep(
@@ -180,18 +183,17 @@ def _sweep(
         "proposed": _rate_cells([best.null_residual], ones)[0],
         "theory": list(theory),
     }
-    series.update((f"rand{i}", list(row)) for i, row in enumerate(rand, start=1))
-    return SweepResult(
-        x_axis=list(grid),
-        series=series,
-        metadata={
-            "kind": kind,
-            "scheme": scheme,
-            **({"snr_db": snr_db} if kind == "alpha" else {}),
-            "placement": (best.position.x, best.position.y, best.position.z),
-            "baseline_positions": list(baselines),
-        },
-    )
+    series.update((name, list(row)) for name, row in rand)
+    metadata = {
+        "kind": kind,
+        "scheme": scheme,
+        "snr_db": snr_db,
+        "placement": (best.position.x, best.position.y, best.position.z),
+        "baseline_positions": list(baselines),
+    }
+    if kind == "snr":
+        del metadata["snr_db"]
+    return SweepResult(x_axis=list(grid), series=series, metadata=metadata)
 
 
 def sweep_snr(

@@ -18,11 +18,12 @@ point the solver found, with the scenario's one kept frame and kernel
 discarded with a warning rather than returned, and a solver with no
 certified candidate raises ``InfeasibleGeometry``.
 
-Each scheme computes every candidate up front (no candidate's position
-depends on another's certification) and certifies them all in one kernel
-pass.  The candidates of the last scenario object asked for are kept while
-the same object keeps being asked; each call picks its placements from
-them and warns, at the caller's line, of the candidates it discards.
+The bisector certifies all its candidates in one kernel pass; the extension
+scheme makes one pass per factor, both sides together, and computes the
+column factor only when a call reaches it (forced, or the row factor failed
+on the side asked for).  The candidates of the last scenario object asked
+for are kept while the same object keeps being asked; each call picks its
+placements from them and warns, at the caller's line, of those it discards.
 """
 
 import math
@@ -51,8 +52,10 @@ _DEDUP_M = 1e-6
 # Steps the extension root search may take before it gives up.
 _BISECT_MAX_ITER = 200
 
-# Grid points per chunk of correlation_map rows: small enough that the
-# kernel's temporaries stay in cache (2^12..2^14 time alike; 2^16 is slower).
+# Grid points per chunk of correlation_map: small enough that the kernel's
+# temporaries stay in cache (2^12 and 2^13 time alike; 2^16 is slower), and
+# below 2^14 complex points (256 KiB), where numpy's temporary elision makes
+# a product in-place and rounds some points unlike a smaller batch.
 _MAP_CHUNK = 1 << 13
 
 
@@ -138,14 +141,15 @@ def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
     """The outcome ``key`` kept for ``scenario``, ``build(scenario, *args)``
     the first time it is asked for; any other scenario's are dropped first.
 
-    Keys name what was computed: ("frame",), ("azimuth", k), ("pitch", l),
-    the sweeps' ("baselines", count), ("sweep", count, kind, grid, snr_db)
-    and ("best", scheme).  They hold values only: the builders take
-    ``float(k)`` and ``float(l)``, the sweeps the count's ``operator.index``
-    and the floats of the grid and ``snr_db`` before the slot, so inputs
-    that compare equal (1, 1.0, True; 0.0, -0.0) share one outcome.  Outcomes hold
-    values and messages, never an exception or the scenario (the frame's
-    kernel closes over the scenario's values): releasing the slot frees it.
+    Keys name what was computed: ("frame",), ("azimuth", k), ("pitch", l,
+    factor) for each factor a call reaches, the sweeps' ("baselines",
+    count), ("sweep", count, kind, grid, snr_db) and ("best", scheme).
+    They hold values only: the builders take ``float(k)`` and ``float(l)``,
+    the sweeps the count's ``operator.index`` and the floats of the grid
+    and ``snr_db`` before the slot, so inputs that compare equal (1, 1.0,
+    True; 0.0, -0.0) share one outcome.  Outcomes hold values and messages,
+    never an exception or the scenario (the frame's kernel closes over the
+    scenario's values): releasing the slot frees it.
     """
     global _last
     held, outcomes = _last
@@ -324,7 +328,9 @@ def solve_pitch_scheme(
         "left" places the transmitter at x < 0, "right" at x > x_e.
     factor : {"row", "column"}, optional
         Force one factor; by default the row factor is tried first and the
-        column factor is the fallback wherever the row factor fails.
+        column factor is the fallback wherever the row factor fails.  A
+        factor's root search and its one certification pass of both sides
+        run when a call first reaches it: the column factor only then.
 
     Raises
     ------
@@ -340,12 +346,12 @@ def solve_pitch_scheme(
         raise ValueError("side must be 'left' or 'right'")
     if factor not in (None, "row", "column"):
         raise ValueError("factor must be 'row' or 'column'")
-    steps = _kept(scenario, ("pitch", index.l), _extension_candidates, index.l)
     failures: list[str] = []
     failed_x: list[float] = []
     advice = ""
     for fac in (factor,) if factor is not None else ("row", "column"):
-        kind, *step = steps[side, fac]
+        key = ("pitch", index.l, fac)
+        kind, *step = _kept(scenario, key, _extension_candidates, index.l, fac)[side]
         if kind != "candidate":  # a root search that raised fails as a gap does
             failures.append(step[0])
             if kind == "gap":
@@ -370,50 +376,41 @@ def solve_pitch_scheme(
     )
 
 
-def _extension_candidates(scenario: ScenarioConfig, l) -> dict:
-    """Every extension step at column index ``l`` by (side, factor): ("gap",
-    why the gap is unattainable), ("raised", a root search's message), or
+def _extension_candidates(scenario: ScenarioConfig, l, factor: str) -> dict:
+    """The ``factor``'s extension step at column index ``l`` by side: ("gap",
+    why the gap is unattainable), ("raised", the root search's message), or
     ("candidate", canonical x, branch, then its :func:`_certify` outcome).
 
     Beyond either end of the segment the eavesdropper lies at a yaw-relative
     azimuth of pi - yaw (left) or -yaw (right).  Both have the same |cos| and
-    |sin|, so each factor's target, root t and branch serve both sides: the
-    candidates are x = -t and x = x_e + t.
+    |sin|, so the factor's target, root t and branch serve both sides: one
+    root search, and one certification pass of x = -t and x = x_e + t.
     """
-    geom = scenario.array
-    l = float(l)
     x_e = _kept(scenario, ("frame",), _frame)[1]
     g = scenario.uav_height_m
     gap_max = x_e / math.hypot(x_e, g)
-
-    steps: dict = {}
-    found: list = []
-    # The left side's cos and sin of pi - yaw; their signs give the branch.
-    for fac, count, trig in (
-        ("row", geom.m_rows, -math.cos(scenario.yaw)),
-        ("column", geom.n_cols, math.sin(scenario.yaw)),
-    ):
-        target = 2.0 * l / (count * abs(trig))
-        if not target < gap_max:
-            for side in ("left", "right"):
-                steps[side, fac] = (
-                    "gap",
-                    f"{fac} factor needs a pitch-cosine gap of {target:.6g}, "
-                    f"above the attainable {gap_max:.6g} on the {side} side",
-                )
-            continue
-        try:
-            t = _bisect_gap(x_e, g, target)
-        except InfeasibleGeometry as exc:
-            steps["left", fac] = steps["right", fac] = ("raised", str(exc))
-            continue
-        # Branch sign of +/- as it appears in the defining equation.
-        branch = "+" if trig > 0.0 else "-"
-        found += (("left", fac), -t, branch), (("right", fac), x_e + t, branch)
-    certified = _certify(scenario, [_point(x_a, 0.0, g) for _, x_a, _ in found])
-    for (key, x_a, branch), outcome in zip(found, certified):
-        steps[key] = ("candidate", x_a, branch, *outcome)
-    return steps
+    row = factor == "row"
+    count = scenario.array.m_rows if row else scenario.array.n_cols
+    # The left side's cos or sin of pi - yaw; its sign gives the branch.
+    trig = -math.cos(scenario.yaw) if row else math.sin(scenario.yaw)
+    target = 2.0 * float(l) / (count * abs(trig))
+    if not target < gap_max:
+        why = (
+            f"{factor} factor needs a pitch-cosine gap of {target:.6g}, "
+            f"above the attainable {gap_max:.6g} on the"
+        )
+        return {side: ("gap", f"{why} {side} side") for side in ("left", "right")}
+    try:
+        t = _bisect_gap(x_e, g, target)
+    except InfeasibleGeometry as exc:
+        return dict.fromkeys(("left", "right"), ("raised", str(exc)))
+    # Branch sign of +/- as it appears in the defining equation.
+    branch = "+" if trig > 0.0 else "-"
+    left, right = _certify(scenario, [_point(-t, 0.0, g), _point(x_e + t, 0.0, g)])
+    return {
+        "left": ("candidate", -t, branch, *left),
+        "right": ("candidate", x_e + t, branch, *right),
+    }
 
 
 def _bisect_gap(x_e: float, g: float, target: float) -> float:
@@ -434,10 +431,11 @@ def _bisect_gap(x_e: float, g: float, target: float) -> float:
     )
     t = hi
     v = math.nan
+    tol = 4.0 * sys.float_info.epsilon
     for _ in range(_BISECT_MAX_ITER):
         v, slope, near = _pitch_gap(x_e, g, t)
         v -= target
-        if abs(v) <= 4.0 * sys.float_info.epsilon * (target + 2.0 * near):
+        if abs(v) <= tol * (target + 2.0 * near):
             return t
         if v > 0.0:
             lo = t
@@ -494,8 +492,9 @@ def correlation_map(scenario: ScenarioConfig, xs, ys):
     altitude, a numpy array of shape (len(ys), len(xs)).
 
     :func:`~spwt.signalmodel.correlation_magnitude` over numpy at the kept
-    frame's x_e, bound once, rows taken in chunks of at most ``_MAP_CHUNK``
-    points, which bounds every temporary array.
+    frame's x_e, bound once, in chunks of at most ``_MAP_CHUNK`` points
+    (whole rows, or blocks of one row wider than that), which bounds every
+    temporary array and gives each point the bits it has alone.
     """
     import numpy as np
 
@@ -504,9 +503,12 @@ def correlation_map(scenario: ScenarioConfig, xs, ys):
     x = np.asarray(xs, float).ravel()[None, :]
     ys = np.asarray(ys, float).ravel()
     out = np.empty((ys.size, x.size))
-    rows = max(1, _MAP_CHUNK // max(1, x.size))
+    cols = max(1, min(x.size, _MAP_CHUNK))
+    rows = _MAP_CHUNK // cols
     for start in range(0, ys.size, rows):
-        out[start : start + rows] = magnitude(
-            x, ys[start : start + rows, None], scenario.uav_height_m
-        )
+        y = ys[start : start + rows, None]
+        for col in range(0, x.size, cols):
+            out[start : start + rows, col : col + cols] = magnitude(
+                x[:, col : col + cols], y, scenario.uav_height_m
+            )
     return out

@@ -102,7 +102,9 @@ def correlation_magnitude(scenario: "ScenarioConfig", x_e: float, xp):
     ``xp`` is the backend: numpy, for arrays that broadcast together and a
     result of their broadcast shape (a 1x1 array gives the float 1.0), or
     :data:`SCALAR`, for one point in floats.  Within each backend a point
-    gives the same value alone as in a batch; the two agree to rounding.
+    gives the same value alone as in a batch of fewer than 2^14 points
+    (numpy's temporary elision rounds larger ones differently); the two
+    backends agree to rounding.
 
     The element double sum factors into one geometric sum per array axis,
     with phase increments

@@ -278,18 +278,42 @@ def test_solve_all_finds_each_extension_root_once(monkeypatch):
     monkeypatch.setattr(placement, "_pitch_gap", counted)
     solutions, failures = solve_all(make_scenario())
     assert len(solutions) == 4 and not failures
-    # Two roots (row and column), each five Newton steps from the top of
-    # its bracket; one root per side would take twice as many.
-    assert len(calls) <= 12
+    # One root, the row factor's, five Newton steps from the top of its
+    # bracket, serves both sides; the column factor, which no side needs,
+    # takes none, and one root per side would take twice as many.
+    assert len(calls) <= 6
+
+
+def test_default_pitch_solve_computes_the_column_factor_only_when_forced(
+    monkeypatch, kernel_calls
+):
+    # the reference row factor serves both sides: one root search and one
+    # certification pass; a forced column adds exactly one of each
+    roots = []
+    bisect = placement._bisect_gap
+
+    def counting(*args):
+        roots.append(args)
+        return bisect(*args)
+
+    monkeypatch.setattr(placement, "_bisect_gap", counting)
+    sc = make_scenario()
+    solve_pitch_scheme(sc, side="left")
+    solve_pitch_scheme(sc, side="right")
+    assert (len(roots), len(kernel_calls)) == (1, 1)
+    column = solve_pitch_scheme(sc, side="left", factor="column")
+    solve_pitch_scheme(sc, side="right", factor="column")
+    assert column.factor_used == "column"
+    assert (len(roots), len(kernel_calls)) == (2, 2)
 
 
 @given(sc=finite_scenarios())
 def test_both_sides_take_each_factors_root_from_one_t(sc):
     # finite_scenarios put the receiver at the origin and the eavesdropper
     # on the +x axis, so the caller's frame is the canonical one
-    steps = placement._extension_candidates(sc, 1)
     for fac in ("row", "column"):
-        (kind, *left), (right_kind, *right) = steps["left", fac], steps["right", fac]
+        steps = placement._extension_candidates(sc, 1, fac)
+        (kind, *left), (right_kind, *right) = steps["left"], steps["right"]
         assert kind == right_kind
         if kind == "candidate":
             t = -left[0]
@@ -537,6 +561,19 @@ def test_correlation_map_matches_element_double_sum(m, n, spacing_m):
     assert got.shape == (MAP_YS.size, MAP_XS.size)
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - element_sum_map(sc, MAP_XS, MAP_YS))) <= 1e-12
+
+
+def test_a_row_wider_than_a_chunk_equals_its_pieces(reference_scenario):
+    # from 2^14 complex points on, numpy's temporary elision rounds a batch
+    # differently; the map takes a wide row in blocks below that, so each
+    # point keeps the bits it has in a 1,000-point piece
+    xs = np.linspace(-1000.0, 1000.0, 20_000)
+    whole = correlation_map(reference_scenario, xs, [123.0])
+    pieces = [
+        correlation_map(reference_scenario, xs[i : i + 1000], [123.0])
+        for i in range(0, xs.size, 1000)
+    ]
+    assert np.array_equal(whole, np.concatenate(pieces, axis=1))
 
 
 def test_grid_oracle_validates_inputs(reference_scenario):

@@ -20,7 +20,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from spwt import (
     InfeasibleGeometry,
@@ -357,15 +357,43 @@ def test_solve_all_makes_one_kernel_call_per_scheme(kernel_calls):
     assert len(kernel_calls) == 2
 
 
-def test_forced_factor_reuses_the_certified_candidates(kernel_calls):
-    # both factors of both sides were certified with the default call
+def test_forced_factor_certifies_each_factor_once(kernel_calls):
+    # the default call certifies the row factor of both sides; a forced
+    # column certifies the column factor of both, and neither is repeated
     sc = make_scenario()
     default = solve_pitch_scheme(sc, side="left")
     assert len(kernel_calls) == 1
     column = solve_pitch_scheme(sc, side="left", factor="column")
     solve_pitch_scheme(sc, side="right", factor="row")
-    assert len(kernel_calls) == 1
+    solve_pitch_scheme(sc, side="right", factor="column")
+    assert len(kernel_calls) == 2
     assert (default.factor_used, column.factor_used) == ("row", "column")
+
+
+_PITCH_CALLS = [
+    (side, factor) for side in ("left", "right") for factor in (None, "row", "column")
+]
+
+
+def _pitch_outcome(sc, side, factor):
+    """One pitch solve's solution or error text, with its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = repr(solve_pitch_scheme(sc, side=side, factor=factor))
+        except InfeasibleGeometry as exc:
+            outcome = str(exc)
+    return outcome, [str(w.message) for w in caught]
+
+
+@given(sc=finite_scenarios(), order=st.permutations(_PITCH_CALLS))
+def test_pitch_outcomes_do_not_depend_on_the_order_asked(sc, order):
+    # each factor is computed when a call first reaches it; whichever
+    # factor and side come first, every call gives what it gives when the
+    # calls come in the fixed order, on a fresh copy each
+    fixed, shuffled = replace(sc), replace(sc)
+    want = {call: _pitch_outcome(fixed, *call) for call in _PITCH_CALLS}
+    assert {call: _pitch_outcome(shuffled, *call) for call in order} == want
 
 
 def test_sweeps_of_a_scheme_pick_its_placement_once(monkeypatch, reference_scenario):
