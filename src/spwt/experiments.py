@@ -13,7 +13,6 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .errors import InfeasibleGeometry
 from .placement import PlacementSolution, _frame, _kept, solve_all
 from .scenario import ScenarioConfig
 from .signalmodel import _budget_rows, _rate_cells
@@ -39,17 +38,11 @@ class SweepResult:
     metadata: dict
 
 
-def _best_placement(scenario: ScenarioConfig, scheme: str) -> PlacementSolution:
-    """The scheme's placement of highest SR, then smallest residual, then
-    branch/factor order, picked once per scenario object: only the first
-    sweep of a scheme warns of the candidates its solve discards."""
-    best = _kept(scenario, ("best", scheme), _pick, scheme)
-    if isinstance(best, str):
-        raise InfeasibleGeometry(best)
-    return best
-
-
 def _pick(scenario: ScenarioConfig, scheme: str) -> PlacementSolution | str:
+    """The scheme's placement of highest SR, then smallest residual, then
+    branch/factor order, or why it has none; kept under ("best", scheme), so
+    only the first sweep of a scheme warns of the candidates its solve
+    discards."""
     solutions, failures = solve_all(scenario, (scheme,))
     if not solutions:
         return "; ".join(failures)
@@ -175,7 +168,7 @@ def _sweep(
             "sweep grid and SNR values must lie within the float range"
         ) from None
     theory, rows, ones = _axis(float(scenario.power.total_power_w), kind, grid, snr_db)
-    best = _best_placement(scenario, scheme)
+    best = _kept(scenario, ("best", scheme), _pick, scheme)
     n = operator.index(n_random_baselines)  # a float count raises TypeError
     key = ("sweep", n, kind, grid, snr_db)
     rand, baselines = _kept(scenario, key, _baseline_rows, n, rows)

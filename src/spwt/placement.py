@@ -104,7 +104,19 @@ def _caller_level() -> int:
     return level
 
 
-def _check_scenario(scenario: ScenarioConfig) -> None:
+def _check(scenario: ScenarioConfig, index) -> None:
+    """The solvers' input check: the null index, then the scenario."""
+    # 1.0, True and numpy integers pass; 1.5, nan and inf would reach the
+    # null equations and fail there for a misleading reason, and an integer
+    # beyond the float range would overflow converting to float there.
+    if not (1 <= index <= sys.float_info.max and index % 1 == 0):
+        raise InvalidIndex("null index must be a positive integer")
+    m_rows, n_cols = scenario.array.m_rows, scenario.array.n_cols
+    if index % m_rows == 0 or index % n_cols == 0:
+        raise InvalidIndex(
+            f"index {index} is a multiple of an array dimension "
+            f"({m_rows}x{n_cols}); that factor has no zero there"
+        )
     r = scenario.yaw % HALF_PI
     if min(r, HALF_PI - r) < _YAW_EPS:
         raise InvalidYaw(
@@ -115,17 +127,16 @@ def _check_scenario(scenario: ScenarioConfig) -> None:
         raise ValueError("the placement schemes need both ground nodes at z = 0")
 
 
-def _check_index(value: int, m_rows: int, n_cols: int) -> None:
-    # 1.0, True and numpy integers pass; 1.5, nan and inf would reach the
-    # null equations and fail there for a misleading reason, and an integer
-    # beyond the float range would overflow converting to float there.
-    if not (1 <= value <= sys.float_info.max and value % 1 == 0):
-        raise InvalidIndex("null index must be a positive integer")
-    if value % m_rows == 0 or value % n_cols == 0:
-        raise InvalidIndex(
-            f"index {value} is a multiple of an array dimension "
-            f"({m_rows}x{n_cols}); that factor has no zero there"
-        )
+def _factors(scenario: ScenarioConfig) -> tuple:
+    """Each geometric-sum factor of the correlation as (name, term): the
+    term is its array dimension times the cos (row) or sin (column) of the
+    left side's yaw-relative azimuth pi - yaw.  The bisector squares it; the
+    extension scheme targets its magnitude and takes the branch from its sign."""
+    geom, yaw = scenario.array, scenario.yaw
+    return (
+        ("row", geom.m_rows * -math.cos(yaw)),
+        ("column", geom.n_cols * math.sin(yaw)),
+    )
 
 
 # The last scenario object asked for, and its kept outcomes.  A study solves one
@@ -158,6 +169,8 @@ def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
         _last = (scenario, outcomes)
     if (outcome := outcomes.get(key)) is None:  # no builder returns None
         outcome = outcomes[key] = build(scenario, *args)
+    if isinstance(outcome, str):  # the reason there is no outcome
+        raise InfeasibleGeometry(outcome)
     return outcome
 
 
@@ -189,12 +202,8 @@ def solve_azimuth_scheme(
         For a quarter-turn yaw, an index with no matching zero, or a ground
         node off z = 0.
     """
-    geom = scenario.array
-    _check_index(index.k, geom.m_rows, geom.n_cols)
-    _check_scenario(scenario)
+    _check(scenario, index.k)
     candidates = _kept(scenario, ("azimuth", index.k), _bisector_candidates, index.k)
-    if isinstance(candidates, str):
-        raise InfeasibleGeometry(candidates)
     solutions: list[PlacementSolution] = []
     for (factor, branch, y), (position, residual, rate) in candidates:
         if rate is None:
@@ -215,20 +224,16 @@ def solve_azimuth_scheme(
 def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
     """Every bisector candidate at row index ``k`` as ((factor, branch, y),
     its :func:`_certify` outcome); or the reason there is none."""
-    geom = scenario.array
     k = float(k)
     x_e = _kept(scenario, ("frame",), _frame)[1]
     g = scenario.uav_height_m
 
     candidates: list[tuple[str, str, float]] = []
     radicands: list[float] = []
-    for factor, count, trig in (
-        ("row", geom.m_rows, math.cos(scenario.yaw)),
-        ("column", geom.n_cols, math.sin(scenario.yaw)),
-    ):
+    for factor, term in _factors(scenario):
         try:
             y_sq = (
-                (count * trig * x_e) ** 2 - (k * x_e) ** 2 - (2.0 * k * g) ** 2
+                (term * x_e) ** 2 - (k * x_e) ** 2 - (2.0 * k * g) ** 2
             ) / (4.0 * k * k)
         except OverflowError:
             return (
@@ -266,10 +271,7 @@ def _certify(scenario: ScenarioConfig, points: list) -> list:
     """Each canonical point as (caller-frame position, |rho|, secrecy rate or
     None): |rho| from the kept kernel at the point solved, and the rate from
     one ``_rate_cells`` pass, at the scenario's checked budget, over the
-    points within ``_NULL_TOL``, the only place that applies it.  No points,
-    no pass."""
-    if not points:
-        return []
+    points within ``_NULL_TOL``, the only place that applies it."""
     tf, _, magnitude = _kept(scenario, ("frame",), _frame)
     residuals = [magnitude(p.x, p.y, p.z) for p in points]
     power = scenario.power
@@ -339,9 +341,7 @@ def solve_pitch_scheme(
         attainable range, its root search does not converge, or its
         candidate does not pass certification.
     """
-    geom = scenario.array
-    _check_index(index.l, geom.m_rows, geom.n_cols)
-    _check_scenario(scenario)
+    _check(scenario, index.l)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if factor not in (None, "row", "column"):
@@ -389,11 +389,8 @@ def _extension_candidates(scenario: ScenarioConfig, l, factor: str) -> dict:
     x_e = _kept(scenario, ("frame",), _frame)[1]
     g = scenario.uav_height_m
     gap_max = x_e / math.hypot(x_e, g)
-    row = factor == "row"
-    count = scenario.array.m_rows if row else scenario.array.n_cols
-    # The left side's cos or sin of pi - yaw; its sign gives the branch.
-    trig = -math.cos(scenario.yaw) if row else math.sin(scenario.yaw)
-    target = 2.0 * float(l) / (count * abs(trig))
+    term = dict(_factors(scenario))[factor]
+    target = 2.0 * float(l) / abs(term)
     if not target < gap_max:
         why = (
             f"{factor} factor needs a pitch-cosine gap of {target:.6g}, "
@@ -405,7 +402,7 @@ def _extension_candidates(scenario: ScenarioConfig, l, factor: str) -> dict:
     except InfeasibleGeometry as exc:
         return dict.fromkeys(("left", "right"), ("raised", str(exc)))
     # Branch sign of +/- as it appears in the defining equation.
-    branch = "+" if trig > 0.0 else "-"
+    branch = "+" if term > 0.0 else "-"
     left, right = _certify(scenario, [_point(-t, 0.0, g), _point(x_e + t, 0.0, g)])
     return {
         "left": ("candidate", -t, branch, *left),
