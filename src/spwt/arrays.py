@@ -23,7 +23,8 @@ class ArrayGeometry:
     ``spacing_m`` apart, fed at ``carrier_hz``.
 
     ``spacing_m`` defaults to half the carrier wavelength, for which the
-    per-element phase coefficient reduces to exactly pi.
+    per-element phase coefficient reduces to exactly pi; the kernel and the
+    placement schemes' null equations both use :attr:`phase_coef`.
     """
 
     m_rows: int

@@ -23,5 +23,5 @@ class InvalidYaw(SpwtError):
 
 
 class InvalidIndex(SpwtError):
-    """Null index that is a multiple of an array dimension; the corresponding
-    factor has no zero there."""
+    """Null index that no factor has a zero at: not a positive integer, a
+    multiple of both array dimensions, or of a forced factor's dimension."""

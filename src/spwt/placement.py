@@ -1,7 +1,8 @@
 """Transmitter placement on nulls of the receiver/eavesdropper correlation.
 
 Two placement loci make one factor of the correlation a pure geometric sum
-whose zeros are known:
+whose zeros are known; both read the factors' terms from :func:`_factors`,
+which honours the element spacing and skips a factor with no zero at the index:
 
 * bisector scheme ("azimuth"): on the perpendicular bisector of the ground
   segment (x = x_e/2) the two pitches coincide, and the null condition
@@ -63,10 +64,10 @@ _MAP_CHUNK = 1 << 13
 class NullIndex:
     """Which zero of each geometric-sum factor to target.
 
-    ``k`` selects the row-axis zero used by the bisector scheme, ``l`` the
-    one used by the extension scheme.  A value that is a multiple of the
-    matching array dimension lands on the sum's maximum instead of a zero
-    and is rejected.
+    ``k`` selects the zero of each factor that the bisector scheme targets,
+    ``l`` the one the extension scheme targets.  A factor whose dimension
+    divides the value has its maximum there and is skipped; a value that
+    both dimensions, or a forced factor's, divide is rejected.
     """
 
     k: int = 1
@@ -104,18 +105,18 @@ def _caller_level() -> int:
     return level
 
 
-def _check(scenario: ScenarioConfig, index) -> None:
-    """The solvers' input check: the null index, then the scenario."""
+def _check(scenario: ScenarioConfig, index) -> dict:
+    """Check the null index, then the scenario; return the kept :func:`_factors`."""
     # 1.0, True and numpy integers pass; 1.5, nan and inf would reach the
     # null equations and fail there for a misleading reason, and an integer
     # beyond the float range would overflow converting to float there.
     if not (1 <= index <= sys.float_info.max and index % 1 == 0):
         raise InvalidIndex("null index must be a positive integer")
-    m_rows, n_cols = scenario.array.m_rows, scenario.array.n_cols
-    if index % m_rows == 0 or index % n_cols == 0:
+    if not (factors := _kept(scenario, ("factors", index), _factors, index)):
+        geom = scenario.array
         raise InvalidIndex(
-            f"index {index} is a multiple of an array dimension "
-            f"({m_rows}x{n_cols}); that factor has no zero there"
+            f"index {index} is a multiple of both array dimensions "
+            f"({geom.m_rows}x{geom.n_cols}); neither factor has a zero there"
         )
     r = scenario.yaw % HALF_PI
     if min(r, HALF_PI - r) < _YAW_EPS:
@@ -125,18 +126,20 @@ def _check(scenario: ScenarioConfig, index) -> None:
         )
     if scenario.bob.z or scenario.eve.z:  # the null equations assume the ground
         raise ValueError("the placement schemes need both ground nodes at z = 0")
+    return factors
 
 
-def _factors(scenario: ScenarioConfig) -> tuple:
-    """Each geometric-sum factor of the correlation as (name, term): the
-    term is its array dimension times the cos (row) or sin (column) of the
-    left side's yaw-relative azimuth pi - yaw.  The bisector squares it; the
-    extension scheme targets its magnitude and takes the branch from its sign."""
+def _factors(scenario: ScenarioConfig, index) -> dict:
+    """{name: term} of each geometric-sum factor with a zero at ``index``:
+    a factor whose element count divides ``index`` has its maximum there and
+    is skipped.  The term is the count times phase_coef/pi (1 at half a
+    wavelength) times the cos (row) or sin (column) of the left side's
+    azimuth pi - yaw: the bisector squares it, the extension scheme targets
+    its magnitude and takes the branch from its sign."""
     geom, yaw = scenario.array, scenario.yaw
-    return (
-        ("row", geom.m_rows * -math.cos(yaw)),
-        ("column", geom.n_cols * math.sin(yaw)),
-    )
+    scale = geom.phase_coef / math.pi
+    both = ("row", geom.m_rows, -math.cos(yaw)), ("column", geom.n_cols, math.sin(yaw))
+    return {f: count * scale * trig for f, count, trig in both if index % count}
 
 
 # The last scenario object asked for, and its kept outcomes.  A study solves one
@@ -152,15 +155,16 @@ def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
     """The outcome ``key`` kept for ``scenario``, ``build(scenario, *args)``
     the first time it is asked for; any other scenario's are dropped first.
 
-    Keys name what was computed: ("frame",), ("azimuth", k), ("pitch", l,
-    factor) for each factor a call reaches, the sweeps' ("baselines",
+    Keys name what was computed: ("frame",), ("factors", index), ("azimuth",
+    k), ("pitch", l, factor) per factor reached, the sweeps' ("baselines",
     count), ("sweep", count, kind, grid, snr_db) and ("best", scheme).
     They hold values only: the builders take ``float(k)`` and ``float(l)``,
     the sweeps the count's ``operator.index`` and the floats of the grid
     and ``snr_db`` before the slot, so inputs that compare equal (1, 1.0,
     True; 0.0, -0.0) share one outcome.  Outcomes hold values and messages,
     never an exception or the scenario (the frame's kernel closes over the
-    scenario's values): releasing the slot frees it.
+    scenario's values): releasing the slot frees it.  A kept message (str) is
+    why there is no outcome: every ask raises it as ``InfeasibleGeometry``.
     """
     global _last
     held, outcomes = _last
@@ -183,7 +187,8 @@ def solve_azimuth_scheme(
 
         y > 0 with  4*k^2*(y^2 + g^2) = (M^2*cos(yaw)^2 - k^2) * x_e^2,
 
-    the column factor when M*cos is replaced by N*sin.  Up to four
+    the column factor when M*cos is replaced by N*sin (M and N times
+    phase_coef/pi away from half-wavelength spacing).  Up to four
     candidates arise (two equations, two signs); duplicates within 1e-6 m
     are merged and every survivor is certified against the recomputed
     correlation, all candidates in one kernel pass.
@@ -222,15 +227,16 @@ def solve_azimuth_scheme(
 
 
 def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
-    """Every bisector candidate at row index ``k`` as ((factor, branch, y),
+    """Every bisector candidate at null index ``k`` as ((factor, branch, y),
     its :func:`_certify` outcome); or the reason there is none."""
+    factors = _kept(scenario, ("factors", k), _factors, k)  # k as _check keyed it
     k = float(k)
     x_e = _kept(scenario, ("frame",), _frame)[1]
     g = scenario.uav_height_m
 
     candidates: list[tuple[str, str, float]] = []
     radicands: list[float] = []
-    for factor, term in _factors(scenario):
+    for factor, term in factors.items():
         try:
             y_sq = (
                 (term * x_e) ** 2 - (k * x_e) ** 2 - (2.0 * k * g) ** 2
@@ -315,10 +321,11 @@ def solve_pitch_scheme(
 
         cos(pitch_e) - cos(pitch_b) = +/- 2*l / (M * cos(az_rel))
 
-    (column factor: N*sin instead of M*cos).  The sign of the left side is
-    fixed by the chosen ``side``, so the branch is selected automatically.
-    The magnitude equation is the same on both sides.  Its root, the outward
-    distance t, exists whenever the target is below the attainable gap
+    (column factor: N*sin instead of M*cos; M and N times phase_coef/pi away
+    from half-wavelength spacing).  The sign of the left side is fixed by the
+    chosen ``side``, so the branch is selected automatically.  The magnitude
+    equation is the same on both sides.  Its root, the outward distance t,
+    exists whenever the target is below the attainable gap
     x_e/sqrt(x_e^2+g^2), and lies in (0, hi], hi being where the bounds
     x_e*g^2/t^3 and 1 - t/sqrt(t^2+g^2) of the gap meet the target.  Newton
     steps from hi, kept inside the bracket, find it to the rounding of the
@@ -329,10 +336,10 @@ def solve_pitch_scheme(
     side : {"left", "right"}
         "left" places the transmitter at x < 0, "right" at x > x_e.
     factor : {"row", "column"}, optional
-        Force one factor; by default the row factor is tried first and the
-        column factor is the fallback wherever the row factor fails.  A
-        factor's root search and its one certification pass of both sides
-        run when a call first reaches it: the column factor only then.
+        Force one factor, which raises InvalidIndex if its dimension divides
+        ``l``; by default the row factor is tried first and the column
+        factor wherever it fails or has no zero.  A factor's root search and
+        its certification pass of both sides run when a call first reaches it.
 
     Raises
     ------
@@ -341,15 +348,17 @@ def solve_pitch_scheme(
         attainable range, its root search does not converge, or its
         candidate does not pass certification.
     """
-    _check(scenario, index.l)
+    factors = _check(scenario, index.l)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if factor not in (None, "row", "column"):
         raise ValueError("factor must be 'row' or 'column'")
+    if factor is not None and factor not in factors:
+        raise InvalidIndex(f"index {index.l} is a multiple of the {factor} dimension")
     failures: list[str] = []
     failed_x: list[float] = []
     advice = ""
-    for fac in (factor,) if factor is not None else ("row", "column"):
+    for fac in (factor,) if factor is not None else factors:
         key = ("pitch", index.l, fac)
         kind, *step = _kept(scenario, key, _extension_candidates, index.l, fac)[side]
         if kind != "candidate":  # a root search that raised fails as a gap does
@@ -377,7 +386,7 @@ def solve_pitch_scheme(
 
 
 def _extension_candidates(scenario: ScenarioConfig, l, factor: str) -> dict:
-    """The ``factor``'s extension step at column index ``l`` by side: ("gap",
+    """The ``factor``'s extension step at null index ``l`` by side: ("gap",
     why the gap is unattainable), ("raised", the root search's message), or
     ("candidate", canonical x, branch, then its :func:`_certify` outcome).
 
@@ -389,7 +398,7 @@ def _extension_candidates(scenario: ScenarioConfig, l, factor: str) -> dict:
     x_e = _kept(scenario, ("frame",), _frame)[1]
     g = scenario.uav_height_m
     gap_max = x_e / math.hypot(x_e, g)
-    term = dict(_factors(scenario))[factor]
+    term = _kept(scenario, ("factors", l), _factors, l)[factor]
     target = 2.0 * float(l) / abs(term)
     if not target < gap_max:
         why = (
@@ -401,7 +410,6 @@ def _extension_candidates(scenario: ScenarioConfig, l, factor: str) -> dict:
         t = _bisect_gap(x_e, g, target)
     except InfeasibleGeometry as exc:
         return dict.fromkeys(("left", "right"), ("raised", str(exc)))
-    # Branch sign of +/- as it appears in the defining equation.
     branch = "+" if term > 0.0 else "-"
     left, right = _certify(scenario, [_point(-t, 0.0, g), _point(x_e + t, 0.0, g)])
     return {

@@ -36,8 +36,8 @@ from test_reuse import _study
 
 GOLDEN = Path(__file__).parent / "golden"
 STUDIES = GOLDEN / "studies.txt"
-# Stored configs: the README reference (4x4) and a 16x16 array.
-CONFIGS = ("reference", "wide16")
+# Stored configs: the README reference (4x4), a 16x16 array and a linear 1x8 one.
+CONFIGS = ("reference", "wide16", "linear")
 COMMANDS = {
     "place": ["place"],
     "sweep-snr-azimuth": ["sweep", "--kind", "snr", "--scheme", "azimuth"],

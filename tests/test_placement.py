@@ -139,7 +139,66 @@ def test_index_rejection():
         solve_pitch_scheme(sc, NullIndex(l=4))
     sc_rect = make_scenario(m=4, n=3)
     with pytest.raises(InvalidIndex):
-        solve_azimuth_scheme(sc_rect, NullIndex(k=3))  # multiple of n
+        solve_azimuth_scheme(sc_rect, NullIndex(k=12))  # multiple of m and n
+
+
+def test_index_rule_is_per_factor():
+    # an index that one array side divides leaves the other factor's zero
+    sc = make_scenario(m=8, n=3)
+    solutions = solve_azimuth_scheme(sc, NullIndex(k=3))
+    assert [s.factor_used for s in solutions] == ["row", "row"]
+    for s in solutions:
+        assert explicit_correlation(sc, s.position) <= 1e-8
+    with pytest.raises(InvalidIndex, match="multiple of the column dimension"):
+        solve_pitch_scheme(sc, NullIndex(l=3), factor="column")
+    with pytest.raises(InvalidIndex, match="multiple of both array dimensions"):
+        solve_pitch_scheme(sc, NullIndex(l=24))
+
+
+@pytest.mark.parametrize("m, n, live", [(1, 8, "column"), (8, 1, "row")])
+@pytest.mark.parametrize("carrier_hz, spacing_m", [(3.0e9, None), (5.8e9, 0.12)])
+def test_linear_arrays_place_on_their_one_factor(m, n, live, carrier_hz, spacing_m):
+    # a one-element side's sum never vanishes, so its factor is skipped, not
+    # solved: at 5.8 GHz and 0.12 m its closed form gives points that fail
+    # certification
+    sc = replace(make_scenario(), array=ArrayGeometry(m, n, carrier_hz, spacing_m))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solutions, failures = solve_all(sc)
+    assert (caught, failures) == ([], [])
+    assert [s.factor_used for s in solutions] == [live] * 4
+    for s in solutions:
+        assert explicit_correlation(sc, s.position) <= 1e-8
+    dead = "row" if live == "column" else "column"
+    with pytest.raises(InvalidIndex, match=f"multiple of the {dead} dimension"):
+        solve_pitch_scheme(sc, factor=dead)
+
+
+@pytest.mark.parametrize("spacing_m, placements", [(0.03, 4), (0.07, 6), (0.12, 6)])
+def test_solvers_honour_the_element_spacing(spacing_m, placements):
+    # the phase step per element is phase_coef, not pi, away from
+    # half-wavelength spacing; null equations that assumed pi placed nothing
+    sc = make_scenario(yaw=math.pi / 4.0 + 0.1)
+    sc = replace(sc, array=ArrayGeometry(4, 4, 3.0e9, spacing_m))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solutions, _ = solve_all(sc)
+    assert caught == []
+    assert len(solutions) == placements
+    for s in solutions:
+        assert s.null_residual <= 1e-12
+        assert explicit_correlation(sc, s.position) <= 1e-8
+
+
+def test_pitch_rejects_an_unknown_side_or_factor(reference_scenario):
+    for kwargs, text in (
+        ({"side": "up"}, "side must be 'left' or 'right'"),
+        ({"factor": "diagonal"}, "factor must be 'row' or 'column'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            solve_pitch_scheme(reference_scenario, **kwargs)
+        assert type(info.value) is ValueError
+        assert str(info.value) == text
 
 
 @pytest.mark.parametrize(
@@ -414,7 +473,7 @@ def test_solve_all_order_and_failures():
     with pytest.raises(InvalidYaw):
         solve_all(make_scenario(yaw=math.pi / 2.0))
     with pytest.raises(InvalidIndex):
-        solve_all(make_scenario(m=1))
+        solve_all(make_scenario(m=1, n=1))
     with pytest.raises(ValueError):
         solve_all(sc, ("spiral",))
 
