@@ -30,7 +30,15 @@ import pytest
 
 import spwt
 from conftest import make_scenario
-from spwt import Position3D
+from spwt import (
+    ArrayGeometry,
+    InfeasibleGeometry,
+    InvalidIndex,
+    NullIndex,
+    Position3D,
+    solve_azimuth_scheme,
+    solve_pitch_scheme,
+)
 from spwt import experiments
 from test_reuse import _study
 
@@ -98,7 +106,13 @@ def study_scenarios() -> list:
     bearing in the second, third and fourth quadrant, so that the solvers
     and sweeps run through a non-identity frame transform; then three whose
     array sides are not powers of two, each placed by both schemes, so that
-    the kernel's odd-bit doubling step is pinned too."""
+    the kernel's odd-bit doubling step is pinned too; then arrays spaced
+    0.03, 0.07 and 0.12 m apart at 3 GHz, and 1x8 and 8x1 arrays, whose null
+    equations scale each count by phase_coef/pi or skip the factor whose
+    count is 1.
+
+    Each scenario comes with the null index k = l of its record; above 1
+    the record is :func:`indexed_study` at that index instead of a study."""
     high = {1: 600.0, 3: 1520.0, 5: 4200.0, 7: 2890.0}
     grid = itertools.product((4, 8, 16), repeat=2)
     turned = (
@@ -107,7 +121,7 @@ def study_scenarios() -> list:
         (4, 8, 370.0, 600.0, 0.43, 120.5, -310.0, -2.5),
         (8, 16, 610.0, 260.0, 2.05, 615.0, 75.0, -0.9),
     )
-    return [
+    scenarios = [
         make_scenario(
             m=m, n=n, x_e=300.0 + 70.0 * i, g=high.get(i, 120.0 + 25.0 * i),
             yaw=0.3 + 0.13 * i, seed=i,
@@ -128,19 +142,55 @@ def study_scenarios() -> list:
             (12, 9, 610.0, 260.0, 0.45),
         )
     ]
+    off_default = (
+        # (m, n, spacing in m or None for half a wavelength, x_e, g, yaw,
+        # the indices above 1 pinned)
+        (8, 8, 0.03, 500.0, 200.0, 0.885, (2,)),
+        (4, 8, 0.07, 430.0, 150.0, 0.6, (2, 3)),
+        (8, 4, 0.12, 610.0, 260.0, 1.0, (3,)),
+        (1, 8, None, 450.0, 180.0, 0.7, (2,)),
+        (8, 1, None, 520.0, 200.0, 0.9, (3,)),
+    )
+    return [(scenario, 1) for scenario in scenarios] + [
+        (replace(make_scenario(x_e=x_e, g=g, yaw=yaw), array=ArrayGeometry(m, n, 3.0e9, s)), k)
+        for m, n, s, x_e, g, yaw, ks in off_default
+        for k in (1, *ks)
+    ]
 
 
-def study_record(scenario) -> list[str]:
-    """The scenario's three lines: its repr, the repr of its study record
-    and the messages of the warnings the study emitted."""
+def indexed_study(scenario, index: NullIndex) -> list:
+    """Each solver's outcome at ``index``: the bisector's placements, then
+    the extension's on the left and on the right, with a named error
+    recorded as its type and text."""
+    out = []
+    for solve in (
+        lambda: solve_azimuth_scheme(scenario, index),
+        lambda: solve_pitch_scheme(scenario, index, "left"),
+        lambda: solve_pitch_scheme(scenario, index, "right"),
+    ):
+        try:
+            out.append(solve())
+        except (InfeasibleGeometry, InvalidIndex) as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def study_record(scenario, k: int = 1) -> list[str]:
+    """The case's three lines: the scenario's repr (followed by the index's
+    above 1), the repr of its record and the messages of the warnings that
+    making the record emitted."""
+    head, index = repr(scenario), NullIndex(k, k)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        record = _study(scenario)
-    return [repr(scenario), repr(record), repr([str(w.message) for w in caught])]
+        if k == 1:
+            record = _study(scenario)
+        else:
+            head, record = f"{head} {index!r}", indexed_study(scenario, index)
+    return [head, repr(record), repr([str(w.message) for w in caught])]
 
 
 def study_records() -> list[str]:
-    return [line for scenario in study_scenarios() for line in study_record(scenario)]
+    return [line for case in study_scenarios() for line in study_record(*case)]
 
 
 def test_study_records_match_golden():
@@ -154,12 +204,12 @@ def test_study_records_do_not_depend_on_the_studies_before():
     # scenarios studied in reverse, each after a study at 2 W, give the
     # stored records
     stored = STUDIES.read_text(encoding="utf-8").splitlines()
-    scenarios = study_scenarios()
-    assert len(stored) == 3 * len(scenarios)
+    cases = study_scenarios()
+    assert len(stored) == 3 * len(cases)
     experiments._axis.cache_clear()
-    for k in reversed(range(len(scenarios))):
+    for k in reversed(range(len(cases))):
         _study(make_scenario(p=2.0, x_e=450.0, seed=k))
-        assert study_record(scenarios[k]) == stored[3 * k : 3 * k + 3], k
+        assert study_record(*cases[k]) == stored[3 * k : 3 * k + 3], k
 
 
 def _regenerate() -> None:
