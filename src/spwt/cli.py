@@ -33,6 +33,9 @@ _REQUIRED_KEYS = ("m", "n", "f_c_hz", "x_e_m", "g_m", "p_w", "sigma2_w")
 # 1 m step; 2001^2 map cells).
 _MAX_SWEEP_POINTS = 100_000
 _MAX_PATTERN_AXIS = 2001
+# The share of the grid rows pattern maps and formats itself when it splits
+# them with a child process: it also solves, renders and writes the files.
+_PARENT_SHARE = 0.4
 
 
 class CliError(Exception):
@@ -174,6 +177,9 @@ def _pattern_axis(text: str | None):
     # The point count np.arange computes, before it allocates.
     if (hi + step / 2.0 - lo) / step > _MAX_PATTERN_AXIS:
         raise CliError(f"--grid: more than {_MAX_PATTERN_AXIS} points per axis")
+    # pattern uses no BLAS: a pool of its threads would idle and keep
+    # cmd_pattern from forking.  A user's own setting is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np
 
     return np.arange(lo, hi + step / 2.0, step)
@@ -230,9 +236,10 @@ def _csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_pattern_csv(fh, axis, values) -> None:
+def _write_pattern_csv(fh, axis, values, start=0) -> None:
     """Write the x_m,y_m,residual table of a square grid to ``fh``, x
-    varying fastest, one grid row at a time.
+    varying fastest, one grid row at a time: the rows of ``values`` are the
+    grid rows from ``start`` on, and the header comes first when that is 0.
 
     Same bytes as :func:`_csv` over the rows.  The axis labels are formatted
     once; each grid row is then one ``%`` template over its residuals, built
@@ -240,9 +247,90 @@ def _write_pattern_csv(fh, axis, values) -> None:
     """
     labels = [_fmt(v) + "," for v in axis]
     pieces = [labels[0], *("%.12g\n" + x for x in labels[1:]), "%.12g\n"]
-    fh.write("x_m,y_m,residual\n")
-    for y_label, row in zip(labels, values):
+    if not start:
+        fh.write("x_m,y_m,residual\n")
+    for y_label, row in zip(labels[start:], values):
         fh.write(y_label.join(pieces) % tuple(row.tolist()))
+
+
+def _can_split(rows: int) -> bool:
+    """Whether pattern may fork: two or more grid rows and CPUs, and one
+    native thread (a fork copies only the calling one, not a BLAS pool)."""
+    if rows < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) > 1 and len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _pattern_map(stack, scenario, axis) -> tuple:
+    """The pattern's map and CSV writer.  Where :func:`_can_split` allows,
+    a forked child maps and formats the grid rows from h = _PARENT_SHARE*n
+    on; otherwise this process does them, as if that child failed at once.
+
+    The bytes are the serial ones: each map chunk gives the bits it gives
+    alone (see :func:`~spwt.placement.correlation_map`), and CSV rows do not
+    depend on one another.  The child maps its rows into the shared map,
+    writes a byte on a pipe, formats them into an unnamed temporary file and
+    exits.  Whatever it does not finish, this process does itself, so no
+    output depends on it; ``stack`` kills and reaps it unless the writer has
+    waited for it.
+    """
+    import mmap
+    import shutil
+    import signal
+    import tempfile
+
+    import numpy as np
+
+    n = axis.size
+    h = max(1, round(n * _PARENT_SHARE))  # this process writes the header
+    values = np.frombuffer(mmap.mmap(-1, n * n * 8)).reshape(n, n)
+    pid = None
+    ready_r, ready_w = os.pipe()
+    if _can_split(n):
+        try:
+            tmp = stack.enter_context(tempfile.TemporaryFile())
+            pid = os.fork()
+        except OSError:  # no temporary file or process
+            pass
+    if pid == 0:
+        try:
+            values[h:] = correlation_map(scenario, axis, axis[h:])
+            os.write(ready_w, b".")
+            with open(tmp.fileno(), "w", encoding="utf-8", closefd=False) as fh:
+                _write_pattern_csv(fh, axis, values[h:], h)
+            os._exit(0)
+        finally:
+            os._exit(1)  # never back into the CLI, nor flush its buffers
+    # the child's wait status, once reaped; with no child, a failed one's
+    status = [1] if pid is None else []
+
+    def reap(kill: bool = False) -> int:
+        if not status:
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+            status.append(os.waitpid(pid, 0)[1])
+        return status[0]
+
+    stack.callback(reap, True)
+    os.close(ready_w)
+    with open(ready_r, "rb", buffering=0) as ready:
+        values[:h] = correlation_map(scenario, axis, axis[:h])
+        if not ready.read(1):  # end of file: the child failed before its rows
+            values[h:] = correlation_map(scenario, axis, axis[h:])
+
+    def write_csv(fh) -> None:
+        _write_pattern_csv(fh, axis, values[:h])
+        if reap() == 0:  # the wait status of an exit with code 0
+            fh.flush()
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, fh.buffer)
+        else:
+            _write_pattern_csv(fh, axis, values[h:], h)
+
+    return values, write_csv
 
 
 def cmd_place(args, resolved: dict, scenario: ScenarioConfig) -> int:
@@ -304,23 +392,26 @@ def cmd_sweep(args, resolved: dict, scenario: ScenarioConfig) -> int:
 
 
 def cmd_pattern(args, resolved: dict, scenario: ScenarioConfig) -> int:
+    import contextlib
+
     from .charts import render_heatmap
 
     axis = _pattern_axis(args.grid)
-    values = correlation_map(scenario, axis, axis)
-    try:
-        solutions, _ = solve_all(scenario)
-    except (InvalidIndex, InvalidYaw):
-        solutions = []  # the map is still defined; it just has no overlay
-    overlays = [(s.position.x, s.position.y) for s in solutions]
-    written = _write_outputs(
-        args.out,
-        {
-            "pattern.csv": lambda fh: _write_pattern_csv(fh, axis, values),
-            "pattern.svg": render_heatmap(axis, axis, values, overlays),
-            "manifest.json": _manifest("pattern", resolved),
-        },
-    )
+    with contextlib.ExitStack() as stack:
+        values, write_csv = _pattern_map(stack, scenario, axis)
+        try:
+            solutions, _ = solve_all(scenario)
+        except (InvalidIndex, InvalidYaw):
+            solutions = []  # the map is still defined; it just has no overlay
+        overlays = [(s.position.x, s.position.y) for s in solutions]
+        written = _write_outputs(
+            args.out,
+            {
+                "pattern.csv": write_csv,
+                "pattern.svg": render_heatmap(axis, axis, values, overlays),
+                "manifest.json": _manifest("pattern", resolved),
+            },
+        )
     for path in written:
         print(f"wrote {path}")
     return 0

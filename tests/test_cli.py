@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import spwt
 from spwt import cli
 from spwt.cli import (
     CliError,
+    _can_split,
     _csv,
     _fmt,
     _pattern_axis,
@@ -24,6 +26,21 @@ from spwt.cli import (
     main,
     parse_config,
 )
+from test_golden import _TIMESTAMP, GOLDEN
+
+
+@pytest.fixture(autouse=True)
+def _restore_blas_threads():
+    # an in-process pattern sets OPENBLAS_NUM_THREADS where it is unset; put
+    # it back as it was, set or unset, so later subprocesses inherit the
+    # environment pytest started with
+    before = os.environ.get("OPENBLAS_NUM_THREADS")
+    yield
+    if before is None:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = before
+
 
 BASE = {
     "m": 4,
@@ -293,6 +310,13 @@ def test_pattern_single_element_flat(tmp_path):
     assert all(row.split(",")[2] == "1" for row in rows)
 
 
+def test_pattern_on_one_grid_point(tmp_path):
+    # one grid row is never split: the header and the row come once
+    cfg = write_config(tmp_path / "a.cfg", m=1, n=1)
+    out = tmp_path / "out"
+    assert main(["pattern", "--config", cfg, "--grid=0:1:5", "--out", str(out)]) == 0
+    assert (out / "pattern.csv").read_text() == "x_m,y_m,residual\n0,0,1\n"
+
 def test_config_value_parse_error(tmp_path, capsys):
     path = tmp_path / "a.cfg"
     path.write_text("m = four\n")
@@ -317,6 +341,12 @@ def test_pattern_csv_matches_per_cell_formatting():
     buf = io.StringIO()
     _write_pattern_csv(buf, axis, values)
     assert buf.getvalue() == _csv("x_m,y_m,residual", rows)
+    # the rows before 3 and from 3 on, as pattern splits them between two
+    # processes, give the same bytes
+    blocks = io.StringIO()
+    _write_pattern_csv(blocks, axis, values[:3])
+    _write_pattern_csv(blocks, axis, values[3:], 3)
+    assert blocks.getvalue() == buf.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -560,14 +590,17 @@ FAR_WARNING = (
 GOLDEN_REFERENCE = Path(__file__).parent / "golden" / "reference.cfg"
 
 
-def _cli_process(argv, *flags, code=None, timeout=120):
+def _cli_process(argv, *flags, code=None, timeout=120, env=None, cwd=None):
     """``python <flags> -m spwt.cli <argv>`` in a fresh process, or ``-c
-    code`` with ``argv`` as its arguments."""
-    env = dict(os.environ, PYTHONPATH=str(Path(spwt.__file__).parents[1]))
+    code`` with ``argv`` as its arguments; ``env`` (this process's
+    environment by default) gets the package's PYTHONPATH."""
+    env = os.environ if env is None else env
+    env = dict(env, PYTHONPATH=str(Path(spwt.__file__).parents[1]))
     run = ["-c", code] if code is not None else ["-m", "spwt.cli"]
     return subprocess.run(
         [sys.executable, *flags, *run, *argv],
         env=env,
+        cwd=cwd,
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -731,3 +764,168 @@ def test_pattern_at_the_grid_cap_peak_rss(tmp_path):
         assert peak_kb <= 150 * 1024
     finally:
         shutil.rmtree(out, ignore_errors=True)  # the CSV alone is 96 MB
+
+
+# Runs the CLI on the arguments after the first, first making the function
+# of spwt.cli that the first one names raise in any process but this one
+# (the child a split pattern forks); or, for "partial", the CSV writer fail
+# partway in every process; or, for "fork" and "tempfile", os.fork or
+# tempfile.TemporaryFile fail.  Then it prints, as the last line of stdout,
+# how many children the run forked, the exit codes of those it reaped and
+# whether a child is left, and exits with the CLI's exit code.
+_PATTERN_DRIVER = """
+import os, sys, tempfile
+from spwt import cli
+
+mode, argv = sys.argv[1], sys.argv[2:]
+parent, forked, reaped = os.getpid(), [], []
+fork, waitpid = os.fork, os.waitpid
+
+
+def counted_fork():
+    pid = fork()
+    if pid:
+        forked.append(pid)
+    return pid
+
+
+def recorded_waitpid(pid, options):
+    got, status = waitpid(pid, options)
+    if got in forked:
+        reaped.append(os.waitstatus_to_exitcode(status))
+    return got, status
+
+
+def in_the_child(real):
+    def fail(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("the child fails")
+        return real(*args)
+    return fail
+
+
+def partial_then_fail(fh, *args):
+    fh.write("x_m,y_m,residual\\n0,0,")
+    raise OSError(28, "No space left on device")
+
+
+def no_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+def no_file(*args):
+    raise FileNotFoundError(2, "No usable temporary directory found")
+
+
+os.fork, os.waitpid = counted_fork, recorded_waitpid
+if mode == "partial":
+    cli._write_pattern_csv = partial_then_fail
+elif mode == "fork":
+    os.fork = no_fork
+elif mode == "tempfile":
+    tempfile.TemporaryFile = no_file
+elif mode != "none":
+    setattr(cli, mode, in_the_child(getattr(cli, mode)))
+code = cli.main(argv)
+try:
+    waitpid(-1, os.WNOHANG)
+    left = "a child left"
+except ChildProcessError:
+    left = "no child left"
+blas = os.environ.get("OPENBLAS_NUM_THREADS")
+print(f"{len(forked)} forked, reaped {reaped}, {left}, OPENBLAS_NUM_THREADS={blas}")
+sys.exit(code)
+"""
+# pattern splits its rows where this host gives it two CPUs
+_SPLITS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+def _pattern_run(tmp_path, config, mode="none", blas=None, grid="--grid=-100:100:10"):
+    """One pattern run of _PATTERN_DRIVER on a stored config from
+    ``tmp_path``, with OPENBLAS_NUM_THREADS unset or ``blas``; returns its
+    outputs as the goldens store them, and its report line."""
+    shutil.copy(GOLDEN / f"{config}.cfg", tmp_path / "run.cfg")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    argv = [mode, "pattern", "--config", "run.cfg", grid, "--out", "out"]
+    proc = _cli_process(argv, code=_PATTERN_DRIVER, env=env, cwd=tmp_path)
+    stdout, _, report = proc.stdout.rstrip("\n").rpartition("\n")
+    outputs = {
+        "stdout": stdout + "\n",
+        "stderr": proc.stderr,
+        "exit_code": f"{proc.returncode}\n",
+    }
+    for path in sorted((tmp_path / "out").iterdir()):
+        outputs[path.name] = _TIMESTAMP.sub(b"", path.read_bytes()).decode()
+    return outputs, report
+
+
+def _golden_pattern(config):
+    case = GOLDEN / config / "pattern"
+    return {path.name: path.read_text(encoding="utf-8") for path in case.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "blas, forked", [(None, int(_SPLITS)), ("2", 0)], ids=["split", "serial"]
+)
+@pytest.mark.parametrize("config", ["reference", "wide16", "linear"])
+def test_pattern_paths_match_golden(tmp_path, config, blas, forked):
+    # Unset, OPENBLAS_NUM_THREADS is set to 1 before numpy loads, so numpy
+    # starts no BLAS thread and the rows are split; a user's own 2 is kept,
+    # and the BLAS thread it starts keeps pattern on the serial path.
+    outputs, report = _pattern_run(tmp_path, config, blas=blas)
+    assert report == (
+        f"{forked} forked, reaped {[0] * forked}, no child left, "
+        f"OPENBLAS_NUM_THREADS={blas or 1}"
+    )
+    assert outputs == _golden_pattern(config)
+
+
+@pytest.mark.skipif(not _SPLITS, reason="pattern runs serially on this host")
+@pytest.mark.parametrize(
+    "failing, children",
+    [
+        ("correlation_map", "1 forked, reaped [1]"),
+        ("_write_pattern_csv", "1 forked, reaped [1]"),
+        ("fork", "0 forked, reaped []"),
+        ("tempfile", "0 forked, reaped []"),
+    ],
+    ids=["before-ready", "after-ready", "no-fork", "no-tempfile"],
+)
+def test_a_failing_child_leaves_the_golden_output(tmp_path, failing, children):
+    # the child fails mapping its rows, before it signals them ready, or
+    # formatting them, after; or it cannot be forked, or given a file for
+    # its rows: the parent does that work itself
+    outputs, report = _pattern_run(tmp_path, "reference", failing)
+    assert report == f"{children}, no child left, OPENBLAS_NUM_THREADS=1"
+    assert outputs == _golden_pattern("reference")
+
+
+@pytest.mark.skipif(not _SPLITS, reason="pattern runs serially on this host")
+def test_failed_split_pattern_write_keeps_previous_outputs(tmp_path):
+    _pattern_run(tmp_path, "reference")
+    before = _listing(tmp_path / "out")
+    # the CSV writer fails partway, in the parent before it waits for the
+    # child, which it then kills or finds failed, and reaps
+    outputs, report = _pattern_run(tmp_path, "wide16", "partial", grid="--grid=-30:30:5")
+    assert report.startswith("1 forked, reaped [")
+    assert report.endswith("], no child left, OPENBLAS_NUM_THREADS=1")
+    assert outputs["exit_code"] == "1\n"
+    assert outputs["stderr"] == "error: [Errno 28] No space left on device\n"
+    assert _listing(tmp_path / "out") == before  # byte-identical, and no *.tmp left
+
+
+def test_pattern_splits_only_many_rows_in_one_thread():
+    # one grid row is never split; nor are many while this process runs a
+    # second thread, whether or not numpy's BLAS started more
+    assert not _can_split(1)
+    done = threading.Event()
+    worker = threading.Thread(target=done.wait)
+    worker.start()
+    try:
+        assert not _can_split(401)
+    finally:
+        done.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
