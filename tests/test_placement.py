@@ -15,12 +15,14 @@ from spwt import (
     NullIndex,
     Position3D,
     PowerConfig,
+    canonicalize_frame,
     correlation_map,
     solve_all,
     solve_azimuth_scheme,
     solve_pitch_scheme,
 )
 from spwt import placement
+from spwt.arrays import SPEED_OF_LIGHT
 from spwt.placement import _bisect_gap, _pitch_gap
 from conftest import (
     correlation_at,
@@ -31,6 +33,7 @@ from conftest import (
     grid_null_oracle,
     link_metrics,
     log_uniform_scenarios,
+    look_angles,
     make_scenario,
     midpoint_symmetry_check,
     unchecked_position,
@@ -703,6 +706,140 @@ def test_every_attainable_null_is_placed(sc):
                 math.isclose(abs(s.position.y), y, rel_tol=1e-9, abs_tol=1e-6)
                 for s in bisector
             )
+
+
+# -- completeness against an independent scan ------------------------------
+# Each locus is scanned for the zeros of each factor at the null index from
+# explicit look angles, with neither the kernel nor the null equations.  A
+# factor of M elements whose per-element phase increment is a vanishes where
+# |a| = 2*pi*k/M and M does not divide k, so each sign change of
+# |a| - 2*pi*k/M (row) or |b| - 2*pi*k/N (column) along a half-line brackets
+# a candidate, which bisection refines and explicit_correlation confirms.  A
+# sign-change scan cannot see a tangential (double) root, where the increment
+# touches its level without crossing it.
+
+# Scan points per half-line, log-spaced, in units of hypot(x_e, g): the
+# extension's roots lie within about 4*g of the segment's ends.
+_SCAN = np.geomspace(1e-9, 1e3, 4000)
+
+
+def _increments(sc, pitch_b, rel_b, pitch_e, rel_e):
+    """|a| and |b|, the row and column phase increments per element between
+    the receiver's and the eavesdropper's steering vectors, from each
+    node's pitch and yaw-relative azimuth (floats or numpy arrays)."""
+    coef = sc.array.phase_coef
+    cos_b, cos_e = np.cos(pitch_b), np.cos(pitch_e)
+    return (
+        abs(coef * (cos_e * np.cos(rel_e) - cos_b * np.cos(rel_b))),
+        abs(coef * (cos_e * np.sin(rel_e) - cos_b * np.sin(rel_b))),
+    )
+
+
+def _scanned_roots(sc, k, tf):
+    """(locus, factor, canonical coordinate) of each zero at index ``k``
+    that the scan finds and explicit_correlation confirms, the locus being
+    "bisector" (coordinate y) or the extension's "left" or "right" (x)."""
+    x_e, g, yaw = tf.to_canonical(sc.eve).x, sc.uav_height_m, sc.yaw
+    nodes = Position3D(0.0, 0.0), Position3D(x_e, 0.0)
+    levels = {
+        "row": 2.0 * math.pi * k / sc.array.m_rows,
+        "column": 2.0 * math.pi * k / sc.array.n_cols,
+    }
+    half_lines = {  # (locus, canonical (x, y) at distance u along it)
+        ("bisector", 1): lambda u: (x_e / 2.0, u),
+        ("bisector", -1): lambda u: (x_e / 2.0, -u),
+        ("left", 0): lambda u: (-u, 0.0),
+        ("right", 0): lambda u: (x_e + u, 0.0),
+    }
+
+    def exact(u, along):
+        """The increments at one point, from conftest.look_angles itself."""
+        uav = Position3D(*along(u), g)
+        b, e = (look_angles(uav, node, yaw) for node in nodes)
+        return dict(zip(levels, _increments(sc, b.pitch, b.azimuth_rel, e.pitch, e.azimuth_rel)))
+
+    roots = []
+    us = _SCAN * math.hypot(x_e, g)
+    for (locus, _), along in half_lines.items():
+        # look_angles' own formulas over the whole half-line at once
+        x, y = along(us)
+        angles = [
+            (np.arctan2(g, np.hypot(x - node.x, y)), np.arctan2(y, x - node.x) - yaw)
+            for node in nodes
+        ]
+        sampled = dict(zip(levels, _increments(sc, *angles[0], *angles[1])))
+        for fac, level in levels.items():
+            above = sampled[fac] > level
+            for i in np.flatnonzero(above[:-1] != above[1:]):
+                lo, hi = us[i], us[i + 1]
+                lo_above = exact(lo, along)[fac] > level
+                while lo < (mid := 0.5 * (lo + hi)) < hi:
+                    if (exact(mid, along)[fac] > level) == lo_above:
+                        lo = mid
+                    else:
+                        hi = mid
+                point = Position3D(*along(lo), g)
+                if explicit_correlation(sc, tf.from_canonical(point)) <= 1e-6:
+                    roots.append((locus, fac, point.y if locus == "bisector" else point.x))
+    return roots
+
+
+@st.composite
+def completeness_cases(draw):
+    """A scenario and a null index: M and N in 1..16, not both 1; the
+    default spacing or 0.1 to 2 wavelengths; an index in 1..8 that not
+    both sides divide; a yaw in any quadrant, at least 0.05 rad from a
+    quarter turn; and the ground pair under a rigid motion."""
+    m, n = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    assume(m * n > 1)
+    k = draw(st.integers(1, 8).filter(lambda k: k % m or k % n))
+    wavelength = SPEED_OF_LIGHT / 3.0e9
+    spacing = draw(st.floats(0.1, 2.0).map(lambda w: w * wavelength) | st.none())
+    yaw = draw(st.integers(0, 3)) * math.pi / 2.0 + draw(
+        st.floats(0.05, math.pi / 2.0 - 0.05)
+    )
+    x_e, g = draw(st.floats(50.0, 2000.0)), draw(st.floats(10.0, 600.0))
+    dx, dy = draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4))
+    turn = draw(st.floats(0.0, 2.0 * math.pi))
+    sc = replace(
+        make_scenario(x_e=x_e, g=g, yaw=yaw),
+        array=ArrayGeometry(m, n, 3.0e9, spacing),
+        bob=Position3D(dx, dy),
+        eve=Position3D(dx + math.cos(turn) * x_e, dy + math.sin(turn) * x_e),
+    )
+    return sc, k
+
+
+@given(case=completeness_cases())
+def test_solvers_place_every_root_an_independent_scan_finds(case):
+    # the bisector returns exactly the scanned roots, the extension one
+    # root of the side asked for with its factor; each raises only where
+    # its locus has none
+    sc, k = case
+    tf = canonicalize_frame(sc.bob, sc.eve)
+    roots = _scanned_roots(sc, k, tf)
+
+    def near(a, b):
+        return math.isclose(a, b, rel_tol=1e-3, abs_tol=1e-6)
+
+    bisector = [y for locus, _, y in roots if locus == "bisector"]
+    if not bisector:
+        with pytest.raises(InfeasibleGeometry):
+            solve_azimuth_scheme(sc, NullIndex(k=k))
+    else:
+        placed = solve_azimuth_scheme(sc, NullIndex(k=k))
+        ys = [tf.to_canonical(s.position).y for s in placed]
+        assert all(any(near(y, r) for r in bisector) for y in ys)
+        assert all(any(near(r, y) for y in ys) for r in bisector)
+    for side in ("left", "right"):
+        want = [(fac, x) for locus, fac, x in roots if locus == side]
+        if not want:
+            with pytest.raises(InfeasibleGeometry):
+                solve_pitch_scheme(sc, NullIndex(l=k), side)
+            continue
+        placed = solve_pitch_scheme(sc, NullIndex(l=k), side)
+        x = tf.to_canonical(placed.position).x
+        assert any(fac == placed.factor_used and near(x, r) for fac, r in want)
 
 
 @pytest.mark.parametrize(
