@@ -15,16 +15,15 @@ which honours the element spacing and skips a factor with no zero at the index:
 
 Every candidate is certified by recomputing the correlation at the canonical
 point the solver found, with the scenario's one kept frame and kernel
-(:func:`_frame`), before it is mapped back; candidates that fail are
-discarded with a warning rather than returned, and a solver with no
-certified candidate raises ``InfeasibleGeometry``.
-
-The bisector certifies all its candidates in one kernel pass; the extension
-scheme makes one pass per factor, both sides together, and computes the
-column factor only when a call reaches it (forced, or the row factor failed
-on the side asked for).  The candidates of the last scenario object asked
-for are kept while the same object keeps being asked; each call picks its
-placements from them and warns, at the caller's line, of those it discards.
+(:func:`_frame`), into one record of the same shape for both solvers
+(:func:`_certify`).  The bisector certifies all its candidates in one kernel
+pass; the extension scheme makes one pass per factor, both sides together,
+and computes the column factor only when a call reaches it (forced, or the
+row factor failed on the side asked for).  The records of the last scenario
+object asked for are kept while the same object keeps being asked.  On each
+call, one step (:func:`_accept`) turns every record the solver picks into a
+placement, or discards it with a warning at the caller's line; a solver with
+no certified candidate raises ``InfeasibleGeometry``.
 """
 
 import math
@@ -163,8 +162,9 @@ def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
     and ``snr_db`` before the slot, so inputs that compare equal (1, 1.0,
     True; 0.0, -0.0) share one outcome.  Outcomes hold values and messages,
     never an exception or the scenario (the frame's kernel closes over the
-    scenario's values): releasing the slot frees it.  A kept message (str) is
-    why there is no outcome: every ask raises it as ``InfeasibleGeometry``.
+    scenario's values): releasing the slot frees it.  A solver's are its
+    :func:`_certify` records, which :func:`_accept` reads on every ask.  A
+    kept message (str) is why there is none, raised as ``InfeasibleGeometry``.
     """
     global _last
     held, outcomes = _last
@@ -208,39 +208,27 @@ def solve_azimuth_scheme(
         node off z = 0.
     """
     _check(scenario, index.k)
-    candidates = _kept(scenario, ("azimuth", index.k), _bisector_candidates, index.k)
-    solutions: list[PlacementSolution] = []
-    for (factor, branch, y), (position, residual, rate) in candidates:
-        if rate is None:
-            warnings.warn(
-                f"bisector candidate y={y:.6g} failed verification "
-                f"(|rho| = {residual:.3e}); discarded",
-                stacklevel=_caller_level(),
-            )
-            continue
-        solutions.append(
-            _solution(position, "azimuth", branch, index, factor, residual, rate)
-        )
+    records = _kept(scenario, ("azimuth", index.k), _bisector_candidates, index.k)
+    solutions = [s for r in records if (s := _accept(r, index)) is not None]
     if not solutions:
         raise InfeasibleGeometry("every bisector candidate failed verification")
     return solutions
 
 
-def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
-    """Every bisector candidate at null index ``k`` as ((factor, branch, y),
-    its :func:`_certify` outcome); or the reason there is none."""
+def _bisector_candidates(scenario: ScenarioConfig, k) -> str | list:
+    """The :func:`_certify` record of every bisector candidate at null index
+    ``k``, its coordinate the canonical y; or the reason there is none."""
     factors = _kept(scenario, ("factors", k), _factors, k)  # k as _check keyed it
     k = float(k)
     x_e = _kept(scenario, ("frame",), _frame)[1]
     g = scenario.uav_height_m
 
-    candidates: list[tuple[str, str, float]] = []
+    candidates: list[tuple] = []
     radicands: list[float] = []
     for factor, term in factors.items():
         try:
-            y_sq = (
-                (term * x_e) ** 2 - (k * x_e) ** 2 - (2.0 * k * g) ** 2
-            ) / (4.0 * k * k)
+            y_sq = (term * x_e) ** 2 - (k * x_e) ** 2 - (2.0 * k * g) ** 2
+            y_sq /= 4.0 * k * k
         except OverflowError:
             return (
                 f"the bisector closed form overflows the float range at a "
@@ -252,8 +240,9 @@ def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
         y = math.sqrt(y_sq)
         for branch, offset in (("+", y), ("-", -y)) if y > 0.0 else (("+", 0.0),):
             # Within _DEDUP_M of an earlier candidate: one point, certified once.
-            if not any(abs(offset - c[2]) < _DEDUP_M for c in candidates):
-                candidates.append((factor, branch, offset))
+            if not any(abs(offset - c[3]) < _DEDUP_M for c in candidates):
+                point = _point(x_e / 2.0, offset, g)
+                candidates.append(("azimuth", factor, branch, offset, point))
 
     if not candidates:
         return (
@@ -261,8 +250,7 @@ def _bisector_candidates(scenario: ScenarioConfig, k) -> str | tuple:
             f"{max(radicands):.6g} m^2); lower the altitude or rotate the "
             f"yaw closer to the ground axis"
         )
-    points = [_point(x_e / 2.0, y, g) for _, _, y in candidates]
-    return tuple(zip(candidates, _certify(scenario, points)))
+    return _certify(scenario, candidates)
 
 
 def _frame(scenario: ScenarioConfig) -> tuple:
@@ -273,21 +261,38 @@ def _frame(scenario: ScenarioConfig) -> tuple:
     return tf, x_e, correlation_magnitude(scenario, x_e, SCALAR)
 
 
-def _certify(scenario: ScenarioConfig, points: list) -> list:
-    """Each canonical point as (caller-frame position, |rho|, secrecy rate or
-    None): |rho| from the kept kernel at the point solved, and the rate from
-    one ``_rate_cells`` pass, at the scenario's checked budget, over the
-    points within ``_NULL_TOL``, the only place that applies it."""
+def _certify(scenario: ScenarioConfig, candidates: list) -> list:
+    """Each (scheme, factor, branch, canonical coordinate, canonical point)
+    candidate as its record: (scheme, factor, branch, coordinate, caller-frame
+    position, |rho|, secrecy rate or None), |rho| from the kept kernel at the
+    point solved and the rate from one ``_rate_cells`` pass at the scenario's
+    checked budget over the points within ``_NULL_TOL``, where alone it applies."""
     tf, _, magnitude = _kept(scenario, ("frame",), _frame)
-    residuals = [magnitude(p.x, p.y, p.z) for p in points]
+    residuals = [magnitude(p.x, p.y, p.z) for _, _, _, _, p in candidates]
     power = scenario.power
     ok = [r for r in residuals if r <= _NULL_TOL]
     budget = [power.alpha], [power.noise_b_w], [power.noise_e_w]
     rates = iter(_rate_cells(ok, _budget_rows(power.total_power_w, *budget)))
     return [
-        (tf.from_canonical(p), r, next(rates)[0] if r <= _NULL_TOL else None)
-        for p, r in zip(points, residuals)
+        (scheme, factor, branch, coordinate, tf.from_canonical(p), r,
+         next(rates)[0] if r <= _NULL_TOL else None)
+        for (scheme, factor, branch, coordinate, p), r in zip(candidates, residuals)
     ]
+
+
+def _accept(record: tuple, index: NullIndex) -> PlacementSolution | None:
+    """A :func:`_certify` record's placement; or None, with a warning at the
+    caller's line, if it failed verification.  Both solvers accept here."""
+    scheme, factor, branch, coordinate, position, residual, rate = record
+    if rate is not None:
+        return _solution(position, scheme, branch, index, factor, residual, rate)
+    name = "bisector candidate y" if scheme == "azimuth" else "extension candidate x"
+    warnings.warn(
+        f"{name}={coordinate:.6g} failed verification "
+        f"(|rho| = {residual:.3e}); discarded",
+        stacklevel=_caller_level(),
+    )
+    return None
 
 
 def _pitch_gap(x_e: float, g: float, t: float) -> tuple[float, float, float]:
@@ -360,25 +365,19 @@ def solve_pitch_scheme(
     advice = ""
     for fac in (factor,) if factor is not None else factors:
         key = ("pitch", index.l, fac)
-        kind, *step = _kept(scenario, key, _extension_candidates, index.l, fac)[side]
-        if kind != "candidate":  # a root search that raised fails as a gap does
-            failures.append(step[0])
-            if kind == "gap":
+        record = _kept(scenario, key, _extension_candidates, index.l, fac)[side]
+        if len(record) == 2:  # no candidate: (why, whether the gap was unattainable)
+            failures.append(record[0])
+            if record[1]:
                 # Only an unattainable gap is helped by these; a candidate that
                 # failed verification is not (a larger array amplifies rounding).
                 advice = "; lower the altitude, shrink the index, or use a larger array"
             continue
-        x_a, branch, position, residual, rate = step
         # A point already discarded is not tried, or warned of, again.
-        if not any(abs(x_a - prev) < _DEDUP_M for prev in failed_x):
-            if rate is not None:
-                return _solution(position, "pitch", branch, index, fac, residual, rate)
-            warnings.warn(
-                f"extension candidate x={x_a:.6g} failed verification "
-                f"(|rho| = {residual:.3e}); discarded",
-                stacklevel=_caller_level(),
-            )
-            failed_x.append(x_a)
+        if not any(abs(record[3] - prev) < _DEDUP_M for prev in failed_x):
+            if (solution := _accept(record, index)) is not None:
+                return solution
+            failed_x.append(record[3])
         failures.append(f"{fac} factor candidate failed verification")
     raise InfeasibleGeometry(
         f"extension scheme infeasible on the {side} side: {'; '.join(failures)}{advice}"
@@ -386,9 +385,9 @@ def solve_pitch_scheme(
 
 
 def _extension_candidates(scenario: ScenarioConfig, l, factor: str) -> dict:
-    """The ``factor``'s extension step at null index ``l`` by side: ("gap",
-    why the gap is unattainable), ("raised", the root search's message), or
-    ("candidate", canonical x, branch, then its :func:`_certify` outcome).
+    """By side, the ``factor``'s :func:`_certify` record at null index ``l``,
+    coordinate the canonical x, for :func:`_accept`; or, with no candidate,
+    (why, whether the gap was unattainable: not where the root search raised).
 
     Beyond either end of the segment the eavesdropper lies at a yaw-relative
     azimuth of pi - yaw (left) or -yaw (right).  Both have the same |cos| and
@@ -405,17 +404,14 @@ def _extension_candidates(scenario: ScenarioConfig, l, factor: str) -> dict:
             f"{factor} factor needs a pitch-cosine gap of {target:.6g}, "
             f"above the attainable {gap_max:.6g} on the"
         )
-        return {side: ("gap", f"{why} {side} side") for side in ("left", "right")}
+        return {side: (f"{why} {side} side", True) for side in ("left", "right")}
     try:
         t = _bisect_gap(x_e, g, target)
     except InfeasibleGeometry as exc:
-        return dict.fromkeys(("left", "right"), ("raised", str(exc)))
+        return dict.fromkeys(("left", "right"), (str(exc), False))
     branch = "+" if term > 0.0 else "-"
-    left, right = _certify(scenario, [_point(-t, 0.0, g), _point(x_e + t, 0.0, g)])
-    return {
-        "left": ("candidate", -t, branch, *left),
-        "right": ("candidate", x_e + t, branch, *right),
-    }
+    sides = [("pitch", factor, branch, x, _point(x, 0.0, g)) for x in (-t, x_e + t)]
+    return dict(zip(("left", "right"), _certify(scenario, sides)))
 
 
 def _bisect_gap(x_e: float, g: float, target: float) -> float:

@@ -374,15 +374,17 @@ def test_both_sides_take_each_factors_root_from_one_t(sc):
     # finite_scenarios put the receiver at the origin and the eavesdropper
     # on the +x axis, so the caller's frame is the canonical one
     for fac in ("row", "column"):
-        steps = placement._extension_candidates(sc, 1, fac)
-        (kind, *left), (right_kind, *right) = steps["left"], steps["right"]
-        assert kind == right_kind
-        if kind == "candidate":
-            t = -left[0]
-            assert right[0] == sc.eve.x + t  # x = -t and x = x_e + t
-            assert right[1] == left[1]  # one branch
-        elif kind == "raised":
-            assert right == left
+        sides = placement._extension_candidates(sc, 1, fac)
+        left, right = sides["left"], sides["right"]
+        assert len(left) == len(right)
+        if len(left) == 2:  # no candidate on either side
+            assert left[1] == right[1]  # an unattainable gap on both, or on neither
+            if not left[1]:
+                assert right == left  # the one root search's message
+        else:
+            t = -left[3]
+            assert right[3] == sc.eve.x + t  # x = -t and x = x_e + t
+            assert right[:3] == left[:3] == ("pitch", fac, left[2])  # one branch
 
 
 def test_verify_null_rejects_generic_points(reference_scenario):
