@@ -177,10 +177,13 @@ def _pattern_axis(text: str | None):
     # The point count np.arange computes, before it allocates.
     if (hi + step / 2.0 - lo) / step > _MAX_PATTERN_AXIS:
         raise CliError(f"--grid: more than {_MAX_PATTERN_AXIS} points per axis")
-    # pattern uses no BLAS: a pool of its threads would idle and keep
-    # cmd_pattern from forking.  A user's own setting is kept.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # pattern uses no BLAS, whose idle threads would keep cmd_pattern from
+    # forking.  OpenBLAS reads it once, as numpy loads; set if unset, just for that.
+    if unset := "OPENBLAS_NUM_THREADS" not in os.environ:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     import numpy as np
+    if unset:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
     return np.arange(lo, hi + step / 2.0, step)
 

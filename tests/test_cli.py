@@ -29,19 +29,6 @@ from spwt.cli import (
 from test_golden import _TIMESTAMP, GOLDEN
 
 
-@pytest.fixture(autouse=True)
-def _restore_blas_threads():
-    # an in-process pattern sets OPENBLAS_NUM_THREADS where it is unset; put
-    # it back as it was, set or unset, so later subprocesses inherit the
-    # environment pytest started with
-    before = os.environ.get("OPENBLAS_NUM_THREADS")
-    yield
-    if before is None:
-        os.environ.pop("OPENBLAS_NUM_THREADS", None)
-    else:
-        os.environ["OPENBLAS_NUM_THREADS"] = before
-
-
 BASE = {
     "m": 4,
     "n": 4,
@@ -871,13 +858,13 @@ def _golden_pattern(config):
 )
 @pytest.mark.parametrize("config", ["reference", "wide16", "linear"])
 def test_pattern_paths_match_golden(tmp_path, config, blas, forked):
-    # Unset, OPENBLAS_NUM_THREADS is set to 1 before numpy loads, so numpy
-    # starts no BLAS thread and the rows are split; a user's own 2 is kept,
-    # and the BLAS thread it starts keeps pattern on the serial path.
+    # Unset, OPENBLAS_NUM_THREADS is 1 while numpy loads, so numpy starts no
+    # BLAS thread and the rows are split, and unset again after; a user's own
+    # 2 is kept, and the BLAS thread it starts keeps pattern on the serial path.
     outputs, report = _pattern_run(tmp_path, config, blas=blas)
     assert report == (
         f"{forked} forked, reaped {[0] * forked}, no child left, "
-        f"OPENBLAS_NUM_THREADS={blas or 1}"
+        f"OPENBLAS_NUM_THREADS={blas}"
     )
     assert outputs == _golden_pattern(config)
 
@@ -898,7 +885,7 @@ def test_a_failing_child_leaves_the_golden_output(tmp_path, failing, children):
     # formatting them, after; or it cannot be forked, or given a file for
     # its rows: the parent does that work itself
     outputs, report = _pattern_run(tmp_path, "reference", failing)
-    assert report == f"{children}, no child left, OPENBLAS_NUM_THREADS=1"
+    assert report == f"{children}, no child left, OPENBLAS_NUM_THREADS=None"
     assert outputs == _golden_pattern("reference")
 
 
@@ -910,7 +897,7 @@ def test_failed_split_pattern_write_keeps_previous_outputs(tmp_path):
     # child, which it then kills or finds failed, and reaps
     outputs, report = _pattern_run(tmp_path, "wide16", "partial", grid="--grid=-30:30:5")
     assert report.startswith("1 forked, reaped [")
-    assert report.endswith("], no child left, OPENBLAS_NUM_THREADS=1")
+    assert report.endswith("], no child left, OPENBLAS_NUM_THREADS=None")
     assert outputs["exit_code"] == "1\n"
     assert outputs["stderr"] == "error: [Errno 28] No space left on device\n"
     assert _listing(tmp_path / "out") == before  # byte-identical, and no *.tmp left
