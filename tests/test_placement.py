@@ -747,12 +747,12 @@ def _scanned_roots(sc, k, tf):
         "row": 2.0 * math.pi * k / sc.array.m_rows,
         "column": 2.0 * math.pi * k / sc.array.n_cols,
     }
-    half_lines = {  # (locus, canonical (x, y) at distance u along it)
-        ("bisector", 1): lambda u: (x_e / 2.0, u),
-        ("bisector", -1): lambda u: (x_e / 2.0, -u),
-        ("left", 0): lambda u: (-u, 0.0),
-        ("right", 0): lambda u: (x_e + u, 0.0),
-    }
+    half_lines = [  # (locus, canonical (x, y) at distance u along it)
+        ("bisector", lambda u: (x_e / 2.0, u)),
+        ("bisector", lambda u: (x_e / 2.0, -u)),
+        ("left", lambda u: (-u, 0.0)),
+        ("right", lambda u: (x_e + u, 0.0)),
+    ]
 
     def exact(u, along):
         """The increments at one point, from conftest.look_angles itself."""
@@ -762,7 +762,7 @@ def _scanned_roots(sc, k, tf):
 
     roots = []
     us = _SCAN * math.hypot(x_e, g)
-    for (locus, _), along in half_lines.items():
+    for locus, along in half_lines:
         # look_angles' own formulas over the whole half-line at once
         x, y = along(us)
         angles = [
