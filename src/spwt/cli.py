@@ -5,10 +5,15 @@ the library's constructors and sweeps reject, in their own words), 2 when the
 requested scenario admits no nulling placement.
 """
 
+import gc
+import sys
+
+if __name__ == "__main__":  # off for the imports below too; see run()
+    gc.disable()
+
 import argparse
 import math
 import os
-import sys
 import warnings
 
 from . import __version__
@@ -494,5 +499,16 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry of ``spwt`` and ``python -m spwt.cli``: :func:`main`
+    without the cyclic collector, whose exit collections would walk all of
+    numpy's objects unless frozen; the exit still flushes stdio and runs
+    atexit handlers.  :func:`main` leaves a caller's collector alone."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -721,6 +722,60 @@ def test_import_and_place_need_no_typing(argv):
     proc = _cli_process(argv, "-S", code=_TYPING_CHECK)
     assert proc.returncode == 0
     assert proc.stderr == "typing imported: False\n"
+
+
+# Runs ``python -m spwt.cli`` on the arguments, as runpy runs it, recording
+# whether the collector was on each time the command parses its arguments,
+# and reports that and whether any object was frozen as the last line of
+# stderr, from an atexit handler, after the command's own exit.
+_COLLECTOR_CHECK = """
+import argparse, atexit, gc, runpy, sys
+
+enabled = []
+parse_args = argparse.ArgumentParser.parse_args
+
+
+def recorded_parse_args(self, *args, **kwargs):
+    enabled.append(gc.isenabled())
+    return parse_args(self, *args, **kwargs)
+
+
+def report():
+    print(f"enabled {enabled}, frozen {gc.get_freeze_count() > 0}", file=sys.stderr)
+
+
+argparse.ArgumentParser.parse_args = recorded_parse_args
+atexit.register(report)
+runpy.run_module("spwt.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "overrides, drop, code",
+    [({}, (), 0), ({}, ("x_e_m",), 1), ({"g_m": 10_000}, (), 2)],
+    ids=["placed", "missing-key", "infeasible"],
+)
+def test_the_process_entry_runs_without_the_collector_and_exits_frozen(
+    tmp_path, overrides, drop, code
+):
+    cfg = write_config(tmp_path / "a.cfg", drop=drop, **overrides)
+    argv = ["place", "--config", cfg, "--scheme", "azimuth"]
+    proc = _cli_process(argv, code=_COLLECTOR_CHECK)
+    assert proc.returncode == code
+    assert proc.stderr.splitlines()[-1] == "enabled [False], frozen True"
+    # stdout is still flushed at exit: the same lines as in process
+    assert proc.stdout.count("scheme=azimuth") == (2 if code == 0 else 0)
+
+
+def test_main_leaves_the_callers_collector_as_it_found_it(tmp_path):
+    assert gc.isenabled()
+    frozen = gc.get_freeze_count()
+    cfg = write_config(tmp_path / "a.cfg")
+    out = ["--out", str(tmp_path / "out")]
+    for argv in (["place"], ["sweep", *out], ["pattern", "--grid=-100:100:10", *out]):
+        assert main([*argv, "--config", cfg]) == 0
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
 
 
 # Linux carries a process's high-water RSS across exec, so a command started
