@@ -24,7 +24,7 @@ _EXPORTS = {
         "InvalidIndex", "InvalidYaw", "SpwtError",
     ),
     "experiments": ("SweepResult", "sweep_alpha", "sweep_snr"),
-    "geometry": ("FrameTransform", "Position3D", "canonicalize_frame"),
+    "geometry": ("Position3D",),
     "placement": (
         "NullIndex", "PlacementSolution", "correlation_map", "solve_all",
         "solve_azimuth_scheme", "solve_pitch_scheme",

@@ -1,0 +1,159 @@
+"""``spwt pattern``: the correlation map over a square box, split between two
+processes, with numpy loaded under a BLAS pin and the CSV streamed.  Only the
+``pattern`` command imports this module; ``place`` and ``sweep`` never do."""
+
+import os
+
+from .cli import CliError, _fmt, _manifest, _parse_grid, _write_outputs
+from .errors import InvalidIndex, InvalidYaw
+from .placement import correlation_map, solve_all
+
+# Largest --grid accepted, checked before any grid is built: points per axis
+# of the square box (the default box at a 1 m step; 2001^2 map cells).
+_MAX_PATTERN_AXIS = 2001
+# The share of the grid rows pattern maps and formats itself when it splits
+# them with a child process: it also solves, renders and writes the files.
+_PARENT_SHARE = 0.4
+
+
+def _pattern_axis(text: str | None):
+    """The pattern box's axis, min:max:step inclusive of max (default
+    -1000:1000:5)."""
+    lo, hi, step = _parse_grid(text, "pattern") if text else (-1000.0, 1000.0, 5.0)
+    if step <= 0 or hi <= lo:
+        raise CliError("--grid: need max > min and step > 0")
+    # The point count np.arange computes, before it allocates.
+    if (hi + step / 2.0 - lo) / step > _MAX_PATTERN_AXIS:
+        raise CliError(f"--grid: more than {_MAX_PATTERN_AXIS} points per axis")
+    # pattern uses no BLAS, whose idle threads would keep cmd_pattern from
+    # forking.  OpenBLAS reads it once, as numpy loads; set if unset, just for that.
+    if unset := "OPENBLAS_NUM_THREADS" not in os.environ:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import numpy as np
+    if unset:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+    return np.arange(lo, hi + step / 2.0, step)
+
+
+def _write_pattern_csv(fh, axis, values, start=0) -> None:
+    """Write the x_m,y_m,residual table of a square grid to ``fh``, x
+    varying fastest, one grid row at a time: the rows of ``values`` are the
+    grid rows from ``start`` on, and the header comes first when that is 0.
+
+    Same bytes as :func:`~spwt.cli._csv` over the rows.  The axis labels
+    are formatted once; each grid row is then one ``%`` template over its
+    residuals, built by joining the per-column pieces with the row's y label.
+    """
+    labels = [_fmt(v) + "," for v in axis]
+    pieces = [labels[0], *("%.12g\n" + x for x in labels[1:]), "%.12g\n"]
+    if not start:
+        fh.write("x_m,y_m,residual\n")
+    for y_label, row in zip(labels[start:], values):
+        fh.write(y_label.join(pieces) % tuple(row.tolist()))
+
+
+def _can_split(rows: int) -> bool:
+    """Whether pattern may fork: two or more grid rows and CPUs, and one
+    native thread (a fork copies only the calling one, not a BLAS pool)."""
+    if rows < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) > 1 and len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _pattern_map(stack, scenario, axis) -> tuple:
+    """The pattern's map and CSV writer.  Where :func:`_can_split` allows,
+    a forked child maps and formats the grid rows from h = _PARENT_SHARE*n
+    on; otherwise this process does them, as if that child failed at once.
+
+    The bytes are the serial ones: each map chunk gives the bits it gives
+    alone (see :func:`~spwt.placement.correlation_map`), and CSV rows do not
+    depend on one another.  The child maps its rows into the shared map,
+    writes a byte on a pipe, formats them into an unnamed temporary file and
+    exits.  Whatever it does not finish, this process does itself, so no
+    output depends on it; ``stack`` kills and reaps it unless the writer has
+    waited for it.
+    """
+    import mmap
+    import shutil
+    import signal
+    import tempfile
+
+    import numpy as np
+
+    n = axis.size
+    h = max(1, round(n * _PARENT_SHARE))  # this process writes the header
+    values = np.frombuffer(mmap.mmap(-1, n * n * 8)).reshape(n, n)
+    pid = None
+    ready_r, ready_w = os.pipe()
+    if _can_split(n):
+        try:
+            tmp = stack.enter_context(tempfile.TemporaryFile())
+            pid = os.fork()
+        except OSError:  # no temporary file or process
+            pass
+    if pid == 0:
+        try:
+            values[h:] = correlation_map(scenario, axis, axis[h:])
+            os.write(ready_w, b".")
+            with open(tmp.fileno(), "w", encoding="utf-8", closefd=False) as fh:
+                _write_pattern_csv(fh, axis, values[h:], h)
+            os._exit(0)
+        finally:
+            os._exit(1)  # never back into the CLI, nor flush its buffers
+    # the child's wait status, once reaped; with no child, a failed one's
+    status = [1] if pid is None else []
+
+    def reap(kill: bool = False) -> int:
+        if not status:
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+            status.append(os.waitpid(pid, 0)[1])
+        return status[0]
+
+    stack.callback(reap, True)
+    os.close(ready_w)
+    with open(ready_r, "rb", buffering=0) as ready:
+        values[:h] = correlation_map(scenario, axis, axis[:h])
+        if not ready.read(1):  # end of file: the child failed before its rows
+            values[h:] = correlation_map(scenario, axis, axis[h:])
+
+    def write_csv(fh) -> None:
+        _write_pattern_csv(fh, axis, values[:h])
+        if reap() == 0:  # the wait status of an exit with code 0
+            fh.flush()
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, fh.buffer)
+        else:
+            _write_pattern_csv(fh, axis, values[h:], h)
+
+    return values, write_csv
+
+
+def cmd_pattern(args, resolved: dict, scenario) -> int:
+    import contextlib
+
+    from .charts import render_heatmap
+
+    axis = _pattern_axis(args.grid)
+    with contextlib.ExitStack() as stack:
+        values, write_csv = _pattern_map(stack, scenario, axis)
+        try:
+            solutions, _ = solve_all(scenario)
+        except (InvalidIndex, InvalidYaw):
+            solutions = []  # the map is still defined; it just has no overlay
+        overlays = [(s.position.x, s.position.y) for s in solutions]
+        written = _write_outputs(
+            args.out,
+            {
+                "pattern.csv": write_csv,
+                "pattern.svg": render_heatmap(axis, axis, values, overlays),
+                "manifest.json": _manifest("pattern", resolved),
+            },
+        )
+    for path in written:
+        print(f"wrote {path}")
+    return 0

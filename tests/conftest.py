@@ -22,11 +22,10 @@ from spwt import (
     Position3D,
     ScenarioConfig,
     SpwtError,
-    canonicalize_frame,
     correlation_map,
 )
 from spwt import experiments, placement, signalmodel
-from spwt.geometry import _FLAT_EPS
+from spwt.geometry import _FLAT_EPS, canonicalize_frame
 
 TWO_PI = 2.0 * math.pi
 

@@ -10,7 +10,6 @@ import spwt
 PUBLIC = [
     "ArrayGeometry",
     "DegenerateGeometry",
-    "FrameTransform",
     "InfeasibleGeometry",
     "InvalidCorrelation",
     "InvalidIndex",
@@ -23,7 +22,6 @@ PUBLIC = [
     "SpwtError",
     "SweepResult",
     "__version__",
-    "canonicalize_frame",
     "correlation_map",
     "solve_all",
     "solve_azimuth_scheme",

@@ -14,19 +14,17 @@ import numpy as np
 import pytest
 
 import spwt
-from spwt import cli
+from spwt import pattern
 from spwt.cli import (
     CliError,
-    _can_split,
     _csv,
     _fmt,
-    _pattern_axis,
     _sweep_grid,
     _write_outputs,
-    _write_pattern_csv,
     main,
     parse_config,
 )
+from spwt.pattern import _can_split, _pattern_axis, _write_pattern_csv
 from test_golden import _TIMESTAMP, GOLDEN
 
 
@@ -452,7 +450,7 @@ def test_failed_pattern_write_keeps_previous_outputs(tmp_path, capsys, monkeypat
     assert sorted(before) == ["manifest.json", "pattern.csv", "pattern.svg"]
 
     # A second run, on other inputs, whose CSV writer fails partway.
-    monkeypatch.setattr(cli, "_write_pattern_csv", _partial_then_fail)
+    monkeypatch.setattr(pattern, "_write_pattern_csv", _partial_then_fail)
     cfg = write_config(tmp_path / "b.cfg", m=8)
     capsys.readouterr()
     assert main(["pattern", "--config", cfg, "--grid=-30:30:5", "--out", str(out)]) == 1
@@ -595,6 +593,16 @@ def _cli_process(argv, *flags, code=None, timeout=120, env=None, cwd=None):
     )
 
 
+def test_pattern_under_python_m_names_its_error(tmp_path):
+    # under -m the CLI runs as __main__; spwt.pattern must import that module,
+    # not a second spwt.cli whose CliError main() would not catch
+    cfg = write_config(tmp_path / "a.cfg")
+    argv = ["pattern", "--config", cfg, "--grid=-1000:1001:1", "--out", str(tmp_path / "o")]
+    proc = _cli_process(argv)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: --grid: more than 2001 points per axis\n"
+
+
 def test_far_candidates_at_one_point_warn_once(tmp_path):
     # Beyond a 1e200 m segment the right side's row and column candidates
     # round to the same point: one warning, and the side names both factors.
@@ -686,9 +694,12 @@ _SUBMODULES = {
         ([], _SUBMODULES),
         (
             ["place"],
-            {"spwt.experiments", "spwt.charts", "json", "datetime", "hashlib", "numpy"},
+            {
+                "spwt.experiments", "spwt.charts", "spwt.pattern",
+                "json", "datetime", "hashlib", "numpy",
+            },
         ),
-        (["sweep"], {"hashlib", "numpy"}),
+        (["sweep"], {"spwt.pattern", "hashlib", "numpy"}),
         (["pattern", "--grid=-100:100:10"], {"spwt.experiments", "hashlib"}),
     ],
     ids=["import", "place", "sweep", "pattern"],
@@ -809,7 +820,7 @@ def test_pattern_at_the_grid_cap_peak_rss(tmp_path):
 
 
 # Runs the CLI on the arguments after the first, first making the function
-# of spwt.cli that the first one names raise in any process but this one
+# of spwt.pattern that the first one names raise in any process but this one
 # (the child a split pattern forks); or, for "partial", the CSV writer fail
 # partway in every process; or, for "fork" and "tempfile", os.fork or
 # tempfile.TemporaryFile fail.  Then it prints, as the last line of stdout,
@@ -817,7 +828,7 @@ def test_pattern_at_the_grid_cap_peak_rss(tmp_path):
 # whether a child is left, and exits with the CLI's exit code.
 _PATTERN_DRIVER = """
 import os, sys, tempfile
-from spwt import cli
+from spwt import cli, pattern
 
 mode, argv = sys.argv[1], sys.argv[2:]
 parent, forked, reaped = os.getpid(), [], []
@@ -861,13 +872,13 @@ def no_file(*args):
 
 os.fork, os.waitpid = counted_fork, recorded_waitpid
 if mode == "partial":
-    cli._write_pattern_csv = partial_then_fail
+    pattern._write_pattern_csv = partial_then_fail
 elif mode == "fork":
     os.fork = no_fork
 elif mode == "tempfile":
     tempfile.TemporaryFile = no_file
 elif mode != "none":
-    setattr(cli, mode, in_the_child(getattr(cli, mode)))
+    setattr(pattern, mode, in_the_child(getattr(pattern, mode)))
 code = cli.main(argv)
 try:
     waitpid(-1, os.WNOHANG)

@@ -3,11 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spwt import (
-    DegenerateGeometry,
-    Position3D,
-    canonicalize_frame,
-)
+from spwt import DegenerateGeometry, Position3D
+from spwt.geometry import canonicalize_frame
 from conftest import look_angles, midpoint_symmetry_check
 
 YAW = math.pi / 4.0

@@ -15,7 +15,6 @@ from spwt import (
     NullIndex,
     Position3D,
     PowerConfig,
-    canonicalize_frame,
     correlation_map,
     solve_all,
     solve_azimuth_scheme,
@@ -23,6 +22,7 @@ from spwt import (
 )
 from spwt import placement
 from spwt.arrays import SPEED_OF_LIGHT
+from spwt.geometry import canonicalize_frame
 from spwt.placement import _bisect_gap, _pitch_gap
 from conftest import (
     correlation_at,

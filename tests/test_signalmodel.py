@@ -12,9 +12,9 @@ from spwt import (
     Position3D,
     PowerConfig,
     ScenarioConfig,
-    canonicalize_frame,
     correlation_map,
 )
+from spwt.geometry import canonicalize_frame
 from spwt.signalmodel import SCALAR, correlation_magnitude
 from conftest import (
     SIGMA2_15DB,
