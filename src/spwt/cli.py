@@ -10,7 +10,6 @@ import sys
 
 if __name__ == "__main__":
     gc.disable()  # off for the imports below too; see run()
-    sys.modules["spwt.cli"] = sys.modules[__name__]  # the copy spwt.pattern imports
 
 import argparse
 import math
@@ -36,19 +35,13 @@ _KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS
 _REQUIRED_KEYS = ("m", "n", "f_c_hz", "x_e_m", "g_m", "p_w", "sigma2_w")
 # Largest --grid accepted by sweep, checked before any grid is built.
 _MAX_SWEEP_POINTS = 100_000
+# Largest --grid accepted by pattern, checked before numpy loads: points per
+# axis of the square box (the default box at a 1 m step; 2001^2 map cells).
+_MAX_PATTERN_AXIS = 2001
 
 
 class CliError(Exception):
     """Anything that should terminate the command with exit code 1."""
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors by default; 2 is reserved for
-    # infeasible scenarios here, so remap to 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def parse_config(path: str) -> dict:
@@ -199,18 +192,23 @@ def _write_outputs(out_dir: str, files: dict) -> list[str]:
     return paths
 
 
-def _manifest(command: str, resolved: dict) -> str:
+def _write_files(out_dir: str, command: str, resolved: dict, files: dict) -> int:
+    """Write ``files`` and the run's ``manifest.json`` with
+    :func:`_write_outputs`, print a ``wrote`` line for each and return 0."""
     import json
     from datetime import datetime, timezone
 
-    data = {
+    manifest = {
         "command": command,
         "tool_version": __version__,
         "seed": resolved["seed"],
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    data.update({f"config_{k}": v for k, v in resolved.items()})
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    manifest.update({f"config_{k}": v for k, v in resolved.items()})
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    for path in _write_outputs(out_dir, {**files, "manifest.json": text}):
+        print(f"wrote {path}")
+    return 0
 
 
 def _csv(header: str, rows) -> str:
@@ -264,26 +262,29 @@ def cmd_sweep(args, resolved: dict, scenario: ScenarioConfig) -> int:
         "secrecy rate (bits/s/Hz)",
         title=f"{args.scheme} scheme",
     )
-    written = _write_outputs(
-        args.out,
-        {
-            f"sweep_{args.kind}.csv": csv_text,
-            f"sweep_{args.kind}.svg": svg_text,
-            "manifest.json": _manifest(f"sweep {args.kind}", resolved),
-        },
-    )
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+    files = {f"sweep_{args.kind}.csv": csv_text, f"sweep_{args.kind}.svg": svg_text}
+    return _write_files(args.out, f"sweep {args.kind}", resolved, files)
 
 
 def cmd_pattern(args, resolved: dict, scenario: ScenarioConfig) -> int:
-    from .pattern import cmd_pattern  # with numpy, which place and sweep skip
-    return cmd_pattern(args, resolved, scenario)
+    import contextlib
+
+    # min:max:step inclusive of max; checked before spwt.pattern loads numpy
+    lo, hi, step = _parse_grid(args.grid, "pattern") if args.grid else (-1e3, 1e3, 5.0)
+    if step <= 0 or hi <= lo:
+        raise CliError("--grid: need max > min and step > 0")
+    # The point count np.arange computes, before it allocates.
+    if (hi + step / 2.0 - lo) / step > _MAX_PATTERN_AXIS:
+        raise CliError(f"--grid: more than {_MAX_PATTERN_AXIS} points per axis")
+    from .pattern import _pattern_files
+
+    with contextlib.ExitStack() as stack:  # holds the split's child until written
+        files = _pattern_files(stack, scenario, lo, hi, step)
+        return _write_files(args.out, "pattern", resolved, files)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="spwt",
         description=(
             "Place an airborne planar array on nulls of the receiver/"
@@ -337,8 +338,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # 0 after --help or --version, 2 on a usage error
+        return 1 if exc.code else 0  # 2 is reserved for infeasible scenarios
     try:
         with warnings.catch_warnings():
             # A discarded candidate is an outcome of the command: print its

@@ -1,37 +1,29 @@
-"""``spwt pattern``: the correlation map over a square box, split between two
-processes, with numpy loaded under a BLAS pin and the CSV streamed.  Only the
-``pattern`` command imports this module; ``place`` and ``sweep`` never do."""
+"""``spwt pattern``'s engine: the correlation map over a square box, split
+between two processes, with numpy loaded under a BLAS pin and the CSV
+streamed.  ``spwt.cli`` checks the box and writes the files; only its
+``pattern`` command imports this module, and ``place`` and ``sweep`` never do."""
 
 import os
 
-from .cli import CliError, _fmt, _manifest, _parse_grid, _write_outputs
 from .errors import InvalidIndex, InvalidYaw
 from .placement import correlation_map, solve_all
 
-# Largest --grid accepted, checked before any grid is built: points per axis
-# of the square box (the default box at a 1 m step; 2001^2 map cells).
-_MAX_PATTERN_AXIS = 2001
 # The share of the grid rows pattern maps and formats itself when it splits
 # them with a child process: it also solves, renders and writes the files.
 _PARENT_SHARE = 0.4
 
 
-def _pattern_axis(text: str | None):
-    """The pattern box's axis, min:max:step inclusive of max (default
-    -1000:1000:5)."""
-    lo, hi, step = _parse_grid(text, "pattern") if text else (-1000.0, 1000.0, 5.0)
-    if step <= 0 or hi <= lo:
-        raise CliError("--grid: need max > min and step > 0")
-    # The point count np.arange computes, before it allocates.
-    if (hi + step / 2.0 - lo) / step > _MAX_PATTERN_AXIS:
-        raise CliError(f"--grid: more than {_MAX_PATTERN_AXIS} points per axis")
-    # pattern uses no BLAS, whose idle threads would keep cmd_pattern from
+def _pattern_axis(lo: float, hi: float, step: float):
+    """The pattern box's axis, lo to hi by step, inclusive of hi."""
+    # pattern uses no BLAS, whose idle threads would keep _pattern_map from
     # forking.  OpenBLAS reads it once, as numpy loads; set if unset, just for that.
     if unset := "OPENBLAS_NUM_THREADS" not in os.environ:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    import numpy as np
-    if unset:
-        del os.environ["OPENBLAS_NUM_THREADS"]
+    try:
+        import numpy as np
+    finally:
+        if unset:
+            del os.environ["OPENBLAS_NUM_THREADS"]
 
     return np.arange(lo, hi + step / 2.0, step)
 
@@ -45,7 +37,7 @@ def _write_pattern_csv(fh, axis, values, start=0) -> None:
     are formatted once; each grid row is then one ``%`` template over its
     residuals, built by joining the per-column pieces with the row's y label.
     """
-    labels = [_fmt(v) + "," for v in axis]
+    labels = ["%.12g," % v for v in axis]
     pieces = [labels[0], *("%.12g\n" + x for x in labels[1:]), "%.12g\n"]
     if not start:
         fh.write("x_m,y_m,residual\n")
@@ -133,27 +125,19 @@ def _pattern_map(stack, scenario, axis) -> tuple:
     return values, write_csv
 
 
-def cmd_pattern(args, resolved: dict, scenario) -> int:
-    import contextlib
-
+def _pattern_files(stack, scenario, lo: float, hi: float, step: float) -> dict:
+    """The pattern's files over the box lo..hi by step, by name: the
+    ``pattern.csv`` writer and the ``pattern.svg`` text, the map with every
+    placement overlaid.  ``stack`` holds the split's child until the writer
+    has run (see :func:`_pattern_map`)."""
     from .charts import render_heatmap
 
-    axis = _pattern_axis(args.grid)
-    with contextlib.ExitStack() as stack:
-        values, write_csv = _pattern_map(stack, scenario, axis)
-        try:
-            solutions, _ = solve_all(scenario)
-        except (InvalidIndex, InvalidYaw):
-            solutions = []  # the map is still defined; it just has no overlay
-        overlays = [(s.position.x, s.position.y) for s in solutions]
-        written = _write_outputs(
-            args.out,
-            {
-                "pattern.csv": write_csv,
-                "pattern.svg": render_heatmap(axis, axis, values, overlays),
-                "manifest.json": _manifest("pattern", resolved),
-            },
-        )
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+    axis = _pattern_axis(lo, hi, step)
+    values, write_csv = _pattern_map(stack, scenario, axis)
+    try:
+        solutions, _ = solve_all(scenario)
+    except (InvalidIndex, InvalidYaw):
+        solutions = []  # the map is still defined; it just has no overlay
+    overlays = [(s.position.x, s.position.y) for s in solutions]
+    svg = render_heatmap(axis, axis, values, overlays)
+    return {"pattern.csv": write_csv, "pattern.svg": svg}

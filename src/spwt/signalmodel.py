@@ -170,4 +170,4 @@ def _rate_cells(rhos, budgets) -> list[list[float]]:
             r if (r := bob - log2(1.0 + sig * m / (jam * k + n_e))) > 0.0 else 0.0
             for bob, sig, jam, n_e in budgets
         ])
-    return rates if budgets else []  # no budgets: [], as for no positions
+    return rates

@@ -290,9 +290,10 @@ def explicit_correlation(scenario: ScenarioConfig, uav: Position3D) -> float:
 
 def secrecy_rates(rhos, total_power_w, alpha, noise_b_w, noise_e_w) -> list[list[float]]:
     """The package's rates of every (budget, position) cell, one list per
-    correlation in ``rhos``: its two rate steps, composed as its callers do."""
+    correlation in ``rhos``: its two rate steps, composed as its callers do;
+    no budgets give no lists, as no positions do."""
     rows = signalmodel._budget_rows(total_power_w, alpha, noise_b_w, noise_e_w)
-    return signalmodel._rate_cells(rhos, rows)
+    return signalmodel._rate_cells(rhos, rows) if rows else []
 
 
 @dataclass(frozen=True)

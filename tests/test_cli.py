@@ -1,3 +1,4 @@
+import ast
 import gc
 import io
 import json
@@ -423,14 +424,39 @@ def test_oversized_grid_rejected(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
-def test_grid_caps_admit_their_limits():
+def test_grid_caps_admit_their_limits(tmp_path, capsys, monkeypatch):
     assert len(_sweep_grid("0:1:99999", "snr")) == 100_000
-    assert len(_pattern_axis("-1000:1000:1")) == 2001
-    assert len(_pattern_axis("-1000:1000:2")) == 1001
     with pytest.raises(CliError, match="more than 100000 sweep points"):
         _sweep_grid("0:1:100000", "snr")
-    with pytest.raises(CliError, match="more than 2001 points per axis"):
-        _pattern_axis("-1000:1001:1")
+    # the CLI checks pattern's box, then hands it to the engine: record the
+    # length of the axis the engine would map, without mapping it
+    sizes = []
+
+    def axis_only(stack, scenario, *box):
+        sizes.append(len(_pattern_axis(*box)))
+        return {}
+
+    monkeypatch.setattr(pattern, "_pattern_files", axis_only)
+    argv = ["pattern", "--config", write_config(tmp_path / "a.cfg"), "--out", str(tmp_path)]
+    grids = ("-1000:1000:1", "-1000:1000:2", "-1000:1001:1")
+    assert [main([*argv, f"--grid={grid}"]) for grid in grids] == [0, 0, 1]
+    assert sizes == [2001, 1001]
+    assert capsys.readouterr().err == "error: --grid: more than 2001 points per axis\n"
+
+
+@pytest.mark.parametrize("blas", [None, "2"], ids=["unset", "user-set"])
+def test_pattern_axis_restores_the_blas_pin_when_numpy_fails_to_import(
+    monkeypatch, blas
+):
+    # None in sys.modules makes `import numpy` raise ImportError
+    if blas is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ImportError):
+        _pattern_axis(-100.0, 100.0, 10.0)
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == blas
 
 
 def _partial_then_fail(fh, *args):
@@ -646,33 +672,6 @@ def test_place_on_a_billion_square_array_certifies_both_pitch_sides(tmp_path):
     assert "infeasible: pitch" not in proc.stdout + proc.stderr
 
 
-# Imports spwt, then runs the CLI on the arguments, if any, and reports
-# whether numpy was imported.
-_NUMPY_CHECK = """
-import sys
-import spwt
-if sys.argv[1:]:
-    from spwt.cli import main
-    main(sys.argv[1:])
-print("numpy imported:", "numpy" in sys.modules, file=sys.stderr)
-"""
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [[], ["place"], ["sweep", "--kind", "snr"], ["sweep", "--kind", "alpha"]],
-    ids=["import", "place", "sweep-snr", "sweep-alpha"],
-)
-def test_import_place_and_sweep_need_no_numpy(tmp_path, argv):
-    if argv:
-        argv = [*argv, "--config", str(GOLDEN_REFERENCE)]
-    if argv[:1] == ["sweep"]:
-        argv += ["--out", str(tmp_path / "out")]
-    proc = _cli_process(argv, code=_NUMPY_CHECK)
-    assert proc.returncode == 0
-    assert proc.stderr == "numpy imported: False\n"
-
-
 # Imports spwt, then runs the CLI on the arguments, if any, and prints the
 # names of every loaded module.
 _MODULES_CHECK = """
@@ -691,7 +690,7 @@ _SUBMODULES = {
 @pytest.mark.parametrize(
     "argv, skipped",
     [
-        ([], _SUBMODULES),
+        ([], {*_SUBMODULES, "numpy"}),
         (
             ["place"],
             {
@@ -700,9 +699,10 @@ _SUBMODULES = {
             },
         ),
         (["sweep"], {"spwt.pattern", "hashlib", "numpy"}),
+        (["sweep", "--kind", "alpha"], {"spwt.pattern", "hashlib", "numpy"}),
         (["pattern", "--grid=-100:100:10"], {"spwt.experiments", "hashlib"}),
     ],
-    ids=["import", "place", "sweep", "pattern"],
+    ids=["import", "place", "sweep", "sweep-alpha", "pattern"],
 )
 def test_commands_load_only_the_modules_they_run(tmp_path, argv, skipped):
     if argv:
@@ -711,7 +711,33 @@ def test_commands_load_only_the_modules_they_run(tmp_path, argv, skipped):
         argv += ["--out", str(tmp_path / "out")]
     proc = _cli_process(argv, code=_MODULES_CHECK)
     assert proc.returncode == 0
+    assert proc.stderr.count("\n") == 1  # the module names, and no warning
     assert set(proc.stderr.split()) & skipped == set()
+
+
+def _imported_names(path):
+    """Every dotted name an import statement in ``path`` names, a relative
+    one read from inside the spwt package, with each name it imports from
+    a module: ``from . import cli`` gives "spwt" and "spwt.cli"."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["spwt" if node.level else "", node.module]))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_but_the_cli_imports_it():
+    # the CLI layer is one way: it imports the engine modules, none of them
+    # imports it, so `python -m spwt.cli` loads the CLI once
+    package = Path(spwt.__file__).parent
+    importers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "cli.py" and "spwt.cli" in set(_imported_names(path))
+    ]
+    assert importers == []
 
 
 # Imports the CLI, then runs it on the arguments, if any, and reports

@@ -950,6 +950,88 @@ def test_warning_sequences_are_pinned(case):
         assert first["left"][0] == first["right"][0] == "InfeasibleGeometry"
 
 
+@st.composite
+def frontier_cases(draw):
+    """A scheme and one of its factors, with a scenario at the altitude
+    where that factor stops nulling times 1 + rel, for each rel in -d and d,
+    d = 10^U(-16, -3): M and N in 2..16, an index in 1..3 that the factor's
+    count does not divide, a yaw in any quadrant at least 0.05 rad from a
+    quarter turn, x_e in 50..2000 m.  Returns the scheme, index, factor and
+    the (rel, scenario) pairs.
+
+    The factor's term is count * phase_coef/pi * (-cos yaw or sin yaw).
+    The extension factor needs the gap target 2*l/|term| below the
+    attainable x_e/sqrt(x_e^2 + g^2); the bisector factor a nonnegative
+    radicand (term^2 - k^2)*x_e^2 - 4*k^2*g^2.  A factor with no frontier
+    is not drawn, nor one whose frontier is so shallow (1 - target^2 or
+    1 - k^2/term^2 below 0.01) that 1e-12 of altitude moves the solver's
+    own test by less than its rounding."""
+    scheme = draw(st.sampled_from(("azimuth", "pitch")))
+    factor = draw(st.sampled_from(("row", "column")))
+    m, n, index = draw(st.integers(2, 16)), draw(st.integers(2, 16)), draw(st.integers(1, 3))
+    yaw = draw(st.integers(0, 3)) * math.pi / 2.0 + draw(
+        st.floats(0.05, math.pi / 2.0 - 0.05)
+    )
+    x_e = draw(st.floats(50.0, 2000.0))
+    scale = ArrayGeometry(m, n, 3.0e9).phase_coef / math.pi
+    terms = {"row": m * scale * -math.cos(yaw), "column": n * scale * math.sin(yaw)}
+    counts = {"row": m, "column": n}
+    assume(index % counts[factor])
+    term = terms[factor]
+    if scheme == "pitch":
+        target = 2.0 * index / abs(term)
+        assume(1.0 - target**2 > 0.01)
+        critical = x_e * math.sqrt(1.0 / target**2 - 1.0)
+    else:
+        assume(1.0 - (index / term) ** 2 > 0.01)
+        critical = x_e * math.sqrt(term**2 - index**2) / (2.0 * index)
+        # the bisector places one point for two candidates closer than
+        # 1e-6 m, under the row factor, which nearly equal terms would give
+        other = "column" if factor == "row" else "row"
+        if index % counts[other]:
+            assume(abs(abs(term) - abs(terms[other])) > 1e-9 * abs(term))
+    d = 10.0 ** draw(st.floats(-16.0, -3.0))
+    pairs = [
+        (rel, make_scenario(m=m, n=n, x_e=x_e, g=critical * (1.0 + rel), yaw=yaw))
+        for rel in (-d, d)
+    ]
+    return scheme, index, factor, pairs
+
+
+def _frontier_places(sc, scheme, index, factor) -> list[bool]:
+    """Whether ``factor`` places: forced, on each extension side, or among
+    the bisector's placements.  No call warns of a failed candidate or
+    raises but for a frontier reason."""
+    if scheme == "pitch":
+        calls = [
+            lambda side=side: [solve_pitch_scheme(sc, NullIndex(l=index), side, factor)]
+            for side in ("left", "right")
+        ]
+    else:
+        calls = [lambda: solve_azimuth_scheme(sc, NullIndex(k=index))]
+    places = []
+    for call in calls:
+        caught, outcome = _recorded(call)
+        assert not [m for _, m in caught if "failed verification" in m]
+        if isinstance(outcome, tuple):
+            kind, why = outcome
+            assert kind == "InfeasibleGeometry"
+            assert "above the attainable" in why or "no real lateral offset" in why
+        places.append(isinstance(outcome, list) and factor in [s.factor_used for s in outcome])
+    return places
+
+
+@given(case=frontier_cases())
+def test_each_factor_places_below_its_feasibility_frontier_only(case):
+    scheme, index, factor, pairs = case
+    for rel, sc in pairs:
+        places = _frontier_places(sc, scheme, index, factor)
+        if rel < -1e-12:
+            assert all(places), rel
+        elif rel > 1e-12:  # within 1e-12 of the frontier, either outcome
+            assert not any(places), rel
+
+
 def _side_outcome(sc, side, factor):
     """solve_pitch_scheme's placement, or the text of its InfeasibleGeometry."""
     with warnings.catch_warnings():
