@@ -672,6 +672,33 @@ def test_place_on_a_billion_square_array_certifies_both_pitch_sides(tmp_path):
     assert "infeasible: pitch" not in proc.stdout + proc.stderr
 
 
+# Imports spwt, then runs the CLI on the arguments, if any, and reports
+# whether numpy was imported.
+_NUMPY_CHECK = """
+import sys
+import spwt
+if sys.argv[1:]:
+    from spwt.cli import main
+    main(sys.argv[1:])
+print("numpy imported:", "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["place"], ["sweep", "--kind", "snr"], ["sweep", "--kind", "alpha"]],
+    ids=["import", "place", "sweep-snr", "sweep-alpha"],
+)
+def test_import_place_and_sweep_need_no_numpy(tmp_path, argv):
+    if argv:
+        argv = [*argv, "--config", str(GOLDEN_REFERENCE)]
+    if argv[:1] == ["sweep"]:
+        argv += ["--out", str(tmp_path / "out")]
+    proc = _cli_process(argv, code=_NUMPY_CHECK)
+    assert proc.returncode == 0
+    assert proc.stderr == "numpy imported: False\n"
+
+
 # Imports spwt, then runs the CLI on the arguments, if any, and prints the
 # names of every loaded module.
 _MODULES_CHECK = """
@@ -690,7 +717,7 @@ _SUBMODULES = {
 @pytest.mark.parametrize(
     "argv, skipped",
     [
-        ([], {*_SUBMODULES, "numpy"}),
+        ([], _SUBMODULES),
         (
             ["place"],
             {
@@ -699,10 +726,9 @@ _SUBMODULES = {
             },
         ),
         (["sweep"], {"spwt.pattern", "hashlib", "numpy"}),
-        (["sweep", "--kind", "alpha"], {"spwt.pattern", "hashlib", "numpy"}),
         (["pattern", "--grid=-100:100:10"], {"spwt.experiments", "hashlib"}),
     ],
-    ids=["import", "place", "sweep", "sweep-alpha", "pattern"],
+    ids=["import", "place", "sweep", "pattern"],
 )
 def test_commands_load_only_the_modules_they_run(tmp_path, argv, skipped):
     if argv:
