@@ -146,9 +146,7 @@ def render_line_chart(
     return _frame(parts, x_label, y_label, curves)
 
 
-def render_heatmap(
-    xs, ys, values, overlays=(), x_label: str = "x (m)", y_label: str = "y (m)"
-) -> str:
+def render_heatmap(xs, ys, values, overlays=()) -> str:
     """Grayscale map of correlation magnitude over a position grid.
 
     ``values`` is indexed [row = y, column = x]; residuals are displayed on
@@ -205,4 +203,4 @@ def render_heatmap(
         f'<text x="{_W - _MR}" y="14" text-anchor="end">dark = |correlation| '
         "near 0 (log scale 1e-6..1)</text>"
     )
-    return _frame(parts, x_label, y_label, [note])
+    return _frame(parts, "x (m)", "y (m)", [note])

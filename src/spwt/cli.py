@@ -12,6 +12,7 @@ if __name__ == "__main__":
     gc.disable()  # off for the imports below too; see run()
 
 import argparse
+import errno
 import math
 import os
 import warnings
@@ -168,10 +169,14 @@ def _write_outputs(out_dir: str, files: dict) -> list[str]:
     Each value is the file's text or a callable that writes it to an open
     text file.  Every file is written in full to ``<name>.tmp`` in
     ``out_dir`` before any is moved over its name with :func:`os.replace`;
-    on any failure the temporary files are removed.
+    on any failure the temporary files are removed.  A directory in a
+    name's place, which os.replace would meet late, is refused first.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, name) for name in files]
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     temps = [path + ".tmp" for path in paths]
     try:
         for temp, content in zip(temps, files.values()):
@@ -270,7 +275,7 @@ def cmd_pattern(args, resolved: dict, scenario: ScenarioConfig) -> int:
     import contextlib
 
     # min:max:step inclusive of max; checked before spwt.pattern loads numpy
-    lo, hi, step = _parse_grid(args.grid, "pattern") if args.grid else (-1e3, 1e3, 5.0)
+    lo, hi, step = _parse_grid(args.grid, "pattern")
     if step <= 0 or hi <= lo:
         raise CliError("--grid: need max > min and step > 0")
     # The point count np.arange computes, before it allocates.
@@ -326,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p_pattern)
     p_pattern.add_argument(
-        "--grid", default=None,
-        help="square box as min:max:step in meters (default -1000:1000:5); "
+        "--grid", default="-1000:1000:5",
+        help="square box as min:max:step in meters (default %(default)s); "
         "use --grid=-100:100:5 when the minimum is negative",
     )
     p_pattern.set_defaults(func=cmd_pattern)

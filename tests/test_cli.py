@@ -94,31 +94,38 @@ def test_unknown_key_reports_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "extra_line, drop, flags, env_seed, message",
+    "extra_line, drop, argv, env_seed, message",
     [
-        pytest.param("m 4", (), [], None, "config line 12: expected 'key = value'",
+        pytest.param("m 4", (), ["sweep"], None, "config line 12: expected 'key = value'",
                      id="no-equals"),
-        pytest.param("m = 4", (), [], None, "config line 12: duplicate key 'm'",
+        pytest.param("m = 4", (), ["sweep"], None, "config line 12: duplicate key 'm'",
                      id="duplicate-key"),
         # the bandwidth sets nothing in the model, so it is not a key
-        pytest.param("bandwidth_hz = 5e6", (), [], None,
+        pytest.param("bandwidth_hz = 5e6", (), ["sweep"], None,
                      "config line 12: unknown key 'bandwidth_hz'", id="bandwidth-key"),
-        pytest.param("", ("theta_a_rad",), [], None,
+        pytest.param("", ("theta_a_rad",), ["sweep"], None,
                      "config: missing required key 'theta_a_rad'", id="no-angle"),
         # the environment is not a seed source: a grid error is reported as
         # it is without SPWT_SEED
-        pytest.param("", ("seed",), ["--grid=0:two:20"], "four",
+        pytest.param("", ("seed",), ["sweep", "--grid=0:two:20"], "four",
                      "--grid: cannot parse '0:two:20'", id="env-seed"),
-        pytest.param("", (), ["--grid=0:two:20"], None,
+        pytest.param("", (), ["sweep", "--grid=0:two:20"], None,
                      "--grid: cannot parse '0:two:20'", id="grid-unparsable"),
-        pytest.param("", (), ["--grid=0:0:20"], None,
+        pytest.param("", (), ["sweep", "--grid=0:0:20"], None,
                      "--grid: need step > 0 and stop >= start", id="grid-zero-step"),
-        pytest.param("", (), ["--grid=20:2:0"], None,
+        pytest.param("", (), ["sweep", "--grid=20:2:0"], None,
                      "--grid: need step > 0 and stop >= start", id="grid-reversed"),
+        # an empty --grid is a grid to parse, not the default one
+        pytest.param("", (), ["sweep", "--grid="], None,
+                     "--grid for sweep must have three ':'-separated numbers",
+                     id="grid-empty-sweep"),
+        pytest.param("", (), ["pattern", "--grid="], None,
+                     "--grid for pattern must have three ':'-separated numbers",
+                     id="grid-empty-pattern"),
     ],
 )
 def test_config_and_grid_errors_exit_1_and_write_nothing(
-    tmp_path, capsys, monkeypatch, extra_line, drop, flags, env_seed, message
+    tmp_path, capsys, monkeypatch, extra_line, drop, argv, env_seed, message
 ):
     path = tmp_path / "a.cfg"
     write_config(path, drop=drop)
@@ -126,7 +133,7 @@ def test_config_and_grid_errors_exit_1_and_write_nothing(
     if env_seed is not None:
         monkeypatch.setenv("SPWT_SEED", env_seed)
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(path), "--out", str(out), *flags]) == 1
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["a.cfg"]
@@ -465,7 +472,11 @@ def _partial_then_fail(fh, *args):
 
 
 def _listing(directory):
-    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+    """name -> bytes of each entry, None for a directory."""
+    return {
+        path.name: None if path.is_dir() else path.read_bytes()
+        for path in sorted(directory.iterdir())
+    }
 
 
 def test_failed_pattern_write_keeps_previous_outputs(tmp_path, capsys, monkeypatch):
@@ -484,15 +495,27 @@ def test_failed_pattern_write_keeps_previous_outputs(tmp_path, capsys, monkeypat
     assert _listing(out) == before  # byte-identical, and no *.tmp left
 
 
-@pytest.mark.parametrize("failing", [0, 1, 2])
-def test_failed_write_keeps_every_previous_file(tmp_path, failing):
+@pytest.mark.parametrize(
+    "failing, directory",
+    [(k, False) for k in range(3)] + [(k, True) for k in range(3)],
+    ids=["0", "1", "2", "directory-0", "directory-1", "directory-2"],
+)
+def test_failed_write_keeps_every_previous_file(tmp_path, failing, directory):
+    # a writer fails partway, or a directory stands in one name's place,
+    # which os.replace would find only after the names before it had moved
     out = tmp_path / "out"
     names = ("a.csv", "b.svg", "manifest.json")
     _write_outputs(str(out), {name: f"old {name}\n" for name in names})
-    before = _listing(out)
     files = {name: f"new {name}\n" for name in names}
-    files[names[failing]] = _partial_then_fail
-    with pytest.raises(OSError, match="No space left"):
+    if directory:
+        (out / names[failing]).unlink()
+        (out / names[failing]).mkdir()
+        error = pytest.raises(IsADirectoryError)
+    else:
+        files[names[failing]] = _partial_then_fail
+        error = pytest.raises(OSError, match="No space left")
+    before = _listing(out)
+    with error:
         _write_outputs(str(out), files)
     assert _listing(out) == before
 

@@ -4,11 +4,17 @@ and golden library results: the repr of each test_reuse._study record of a
 fixed scenario set, stored in tests/golden/studies.txt, so that every float
 is pinned to the bit (the CSV files keep 12 digits).
 
-Each case runs ``python -m spwt.cli`` in a fresh process from a scratch
-directory holding the case's config, with ``--out out``, so the printed
-paths are relative and the bytes do not depend on where the suite runs.
-The manifest's timestamp line is the one part of a run that changes between
-reruns; it is removed before the comparison (and before storing).
+Each case runs the CLI's ``__main__`` entry in a fresh process from a
+scratch directory holding the case's config, with ``--out out``, so the
+printed paths are relative and the bytes do not depend on where the suite
+runs.  ``pattern`` runs as ``python -m spwt.cli``.  ``place`` and ``sweep``
+run through a ``-c`` driver that first blocks the imports they must not
+need (``BLOCKED``: numpy, hashlib and spwt.pattern, and for ``place`` json
+and datetime too), then enters ``spwt.cli`` as ``-m`` does, with
+:func:`runpy.run_module`; a command that imports a blocked name fails its
+golden.  The manifest's timestamp line is the one part of a run that
+changes between reruns; it is removed before the comparison (and before
+storing).
 
 After a deliberate change to the outputs, regenerate the stored files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -55,6 +61,12 @@ COMMANDS = {
     "pattern": ["pattern", "--grid=-100:100:10"],
 }
 _TIMESTAMP = re.compile(rb'^  "timestamp": "[^"\n]*",\n', re.M)
+# Imports each command runs without; None in sys.modules makes importing
+# the name raise ImportError.
+BLOCKED = {
+    "place": ("numpy", "hashlib", "spwt.pattern", "json", "datetime"),
+    "sweep": ("numpy", "hashlib", "spwt.pattern"),
+}
 
 
 def run_case(config: str, command: str, workdir: Path) -> dict[str, bytes]:
@@ -65,8 +77,15 @@ def run_case(config: str, command: str, workdir: Path) -> dict[str, bytes]:
     if command != "place":
         argv += ["--out", "out"]
     env = dict(os.environ, PYTHONPATH=str(Path(spwt.__file__).parents[1]))
+    entry = ["-m", "spwt.cli"]
+    if argv[0] in BLOCKED:
+        entry = [
+            "-c",
+            f"import runpy, sys; sys.modules.update(dict.fromkeys({BLOCKED[argv[0]]}));"
+            " runpy.run_module('spwt.cli', run_name='__main__', alter_sys=True)",
+        ]
     proc = subprocess.run(
-        [sys.executable, "-m", "spwt.cli", *argv],
+        [sys.executable, *entry, *argv],
         cwd=workdir,
         env=env,
         capture_output=True,
