@@ -146,20 +146,23 @@ def render_line_chart(
     return _frame(parts, x_label, y_label, curves)
 
 
+def heatmap_stride(nx: int, ny: int) -> int:
+    """The step between the drawn rows, and columns, of an nx by ny grid."""
+    return max(1, math.ceil(nx / 200), math.ceil(ny / 200))
+
+
 def render_heatmap(xs, ys, values, overlays=()) -> str:
     """Grayscale map of correlation magnitude over a position grid.
 
-    ``values`` is indexed [row = y, column = x]; residuals are displayed on
-    a log scale clamped to [1e-6, 1], darker meaning closer to a null.  The
-    grid is subsampled to at most ~200 cells per axis for rendering;
-    ``overlays`` positions (x, y) are marked with circles.
+    ``values`` holds the drawn cells only, [row = y, column = x]: rows
+    ``ys[::s]`` and columns ``xs[::s]``, s = ``heatmap_stride(len(xs), len(ys))``.
+    Residuals are displayed on a log scale clamped to [1e-6, 1], darker
+    meaning closer to a null; ``overlays`` positions (x, y) are circled.
     """
     import numpy as np
 
-    nx, ny = len(xs), len(ys)
-    stride = max(1, math.ceil(nx / 200), math.ceil(ny / 200))
-    sx = list(range(0, nx, stride))
-    sy = list(range(0, ny, stride))
+    stride = heatmap_stride(len(xs), len(ys))
+    sx, sy = xs[::stride], ys[::stride]
     x_lo, x_hi = float(xs[0]), float(xs[-1])
     y_lo, y_hi = float(ys[0]), float(ys[-1])
     px, py = _scales(x_lo, x_hi, y_lo, y_hi)
@@ -173,17 +176,17 @@ def render_heatmap(xs, ys, values, overlays=()) -> str:
     # is math.log10 per cell: numpy's log10 differs from it in the last bit
     # for a few percent of inputs, which moves the rounding of a value within
     # that bit of a half level.  The rest is one exact numpy pass.
-    drawn = np.fmax(np.asarray(values, float)[:ny:stride, :nx:stride], 1e-6)
+    drawn = np.fmax(np.asarray(values, float), 1e-6)
     level = np.fromiter(map(math.log10, drawn.ravel().tolist()), float, drawn.size)
     shades = np.rint(255 * np.clip((level + 6.0) / 6.0, 0.0, 1.0)).astype(int)
     fills = [f'fill="rgb({k},{k},{k})"/>' for k in range(256)]
     # Each column's x and the cell size are formatted once; each row is one
     # template, the column pieces joined by the row's y, filled per cell.
-    col_heads = [f'<rect x="{_fmt(px(float(xs[j])) - cell_w / 2)}" ' for j in sx]
+    col_heads = [f'<rect x="{_fmt(px(float(x)) - cell_w / 2)}" ' for x in sx]
     pieces = [col_heads[0], *("%s\n" + head for head in col_heads[1:]), "%s"]
     size = f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" '
-    for i, row in zip(sy, shades.reshape(drawn.shape).tolist()):
-        row_head = f'y="{_fmt(py(float(ys[i])) - cell_h / 2)}" {size}'
+    for y, row in zip(sy, shades.reshape(drawn.shape).tolist()):
+        row_head = f'y="{_fmt(py(float(y)) - cell_h / 2)}" {size}'
         parts.append(row_head.join(pieces) % tuple(map(fills.__getitem__, row)))
     for ox, oy in overlays:
         parts.append(

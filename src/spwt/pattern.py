@@ -1,7 +1,7 @@
-"""``spwt pattern``'s engine: the correlation map over a square box, split
-between two processes, with numpy loaded under a BLAS pin and the CSV
-streamed.  ``spwt.cli`` checks the box and writes the files; only its
-``pattern`` command imports this module, and ``place`` and ``sweep`` never do."""
+"""``spwt pattern``'s engine: a correlation map over a square box, whose CSV
+rows two processes split, each mapping only the rows it writes, and whose
+heatmap maps only its drawn cells; numpy loads under a BLAS pin.  ``spwt.cli``
+checks the box and writes the files; only its ``pattern`` imports this module."""
 
 import os
 
@@ -56,31 +56,29 @@ def _can_split(rows: int) -> bool:
         return False
 
 
-def _pattern_map(stack, scenario, axis) -> tuple:
-    """The pattern's map and CSV writer.  Where :func:`_can_split` allows,
-    a forked child maps and formats the grid rows from h = _PARENT_SHARE*n
-    on; otherwise this process does them, as if that child failed at once.
+def _pattern_map(stack, scenario, axis):
+    """The pattern's CSV writer.  Where :func:`_can_split` allows, a forked
+    child maps and formats the grid rows from h = _PARENT_SHARE*n on into an
+    unnamed temporary file, and exits; unless it exits with code 0, the
+    writer does those rows itself, so no output depends on it.  ``stack``
+    kills and reaps the child unless the writer has waited for it.
 
     The bytes are the serial ones: each map chunk gives the bits it gives
     alone (see :func:`~spwt.placement.correlation_map`), and CSV rows do not
-    depend on one another.  The child maps its rows into the shared map,
-    writes a byte on a pipe, formats them into an unnamed temporary file and
-    exits.  Whatever it does not finish, this process does itself, so no
-    output depends on it; ``stack`` kills and reaps it unless the writer has
-    waited for it.
+    depend on one another.
     """
-    import mmap
     import shutil
     import signal
     import tempfile
 
-    import numpy as np
-
     n = axis.size
     h = max(1, round(n * _PARENT_SHARE))  # this process writes the header
-    values = np.frombuffer(mmap.mmap(-1, n * n * 8)).reshape(n, n)
+
+    def write_rows(fh, start, stop) -> None:
+        rows = correlation_map(scenario, axis, axis[start:stop])
+        _write_pattern_csv(fh, axis, rows, start)
+
     pid = None
-    ready_r, ready_w = os.pipe()
     if _can_split(n):
         try:
             tmp = stack.enter_context(tempfile.TemporaryFile())
@@ -89,10 +87,8 @@ def _pattern_map(stack, scenario, axis) -> tuple:
             pass
     if pid == 0:
         try:
-            values[h:] = correlation_map(scenario, axis, axis[h:])
-            os.write(ready_w, b".")
             with open(tmp.fileno(), "w", encoding="utf-8", closefd=False) as fh:
-                _write_pattern_csv(fh, axis, values[h:], h)
+                write_rows(fh, h, n)
             os._exit(0)
         finally:
             os._exit(1)  # never back into the CLI, nor flush its buffers
@@ -107,37 +103,33 @@ def _pattern_map(stack, scenario, axis) -> tuple:
         return status[0]
 
     stack.callback(reap, True)
-    os.close(ready_w)
-    with open(ready_r, "rb", buffering=0) as ready:
-        values[:h] = correlation_map(scenario, axis, axis[:h])
-        if not ready.read(1):  # end of file: the child failed before its rows
-            values[h:] = correlation_map(scenario, axis, axis[h:])
 
     def write_csv(fh) -> None:
-        _write_pattern_csv(fh, axis, values[:h])
+        write_rows(fh, 0, h)
         if reap() == 0:  # the wait status of an exit with code 0
             fh.flush()
             tmp.seek(0)
             shutil.copyfileobj(tmp, fh.buffer)
         else:
-            _write_pattern_csv(fh, axis, values[h:], h)
+            write_rows(fh, h, n)
 
-    return values, write_csv
+    return write_csv
 
 
 def _pattern_files(stack, scenario, lo: float, hi: float, step: float) -> dict:
     """The pattern's files over the box lo..hi by step, by name: the
-    ``pattern.csv`` writer and the ``pattern.svg`` text, the map with every
-    placement overlaid.  ``stack`` holds the split's child until the writer
-    has run (see :func:`_pattern_map`)."""
-    from .charts import render_heatmap
+    ``pattern.csv`` writer and the ``pattern.svg`` text, the map at the
+    heatmap's drawn points with every placement overlaid.  ``stack`` holds
+    the split's child until the writer has run (see :func:`_pattern_map`)."""
+    from .charts import heatmap_stride, render_heatmap
 
     axis = _pattern_axis(lo, hi, step)
-    values, write_csv = _pattern_map(stack, scenario, axis)
+    write_csv = _pattern_map(stack, scenario, axis)
     try:
         solutions, _ = solve_all(scenario)
     except (InvalidIndex, InvalidYaw):
         solutions = []  # the map is still defined; it just has no overlay
     overlays = [(s.position.x, s.position.y) for s in solutions]
-    svg = render_heatmap(axis, axis, values, overlays)
+    drawn = axis[:: heatmap_stride(axis.size, axis.size)]
+    svg = render_heatmap(axis, axis, correlation_map(scenario, drawn, drawn), overlays)
     return {"pattern.csv": write_csv, "pattern.svg": svg}

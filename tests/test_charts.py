@@ -32,10 +32,12 @@ def test_heatmap_shades_equal_per_cell_formula(nx, ny, seed):
     values[special] = rng.choice(_SPECIAL, int(special.sum()))
     xs = np.linspace(-100.0, 100.0, nx)
     ys = np.linspace(-50.0, 150.0, ny)
-    svg = render_heatmap(xs, ys, values, overlays=[(0.0, 0.0)])
-
+    # the caller passes the drawn cells only
     stride = max(1, -(-nx // 200), -(-ny // 200))
-    want = [heatmap_shade(v) for row in values[::stride, ::stride] for v in row]
+    drawn = values[::stride, ::stride]
+    svg = render_heatmap(xs, ys, drawn, overlays=[(0.0, 0.0)])
+
+    want = [heatmap_shade(v) for row in drawn for v in row]
     cells = [line for line in svg.splitlines() if line.startswith("<rect x=")]
     got = [int(_FILL.match(line).group(1)) for line in cells]
     assert got == want

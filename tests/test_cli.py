@@ -695,33 +695,6 @@ def test_place_on_a_billion_square_array_certifies_both_pitch_sides(tmp_path):
     assert "infeasible: pitch" not in proc.stdout + proc.stderr
 
 
-# Imports spwt, then runs the CLI on the arguments, if any, and reports
-# whether numpy was imported.
-_NUMPY_CHECK = """
-import sys
-import spwt
-if sys.argv[1:]:
-    from spwt.cli import main
-    main(sys.argv[1:])
-print("numpy imported:", "numpy" in sys.modules, file=sys.stderr)
-"""
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [[], ["place"], ["sweep", "--kind", "snr"], ["sweep", "--kind", "alpha"]],
-    ids=["import", "place", "sweep-snr", "sweep-alpha"],
-)
-def test_import_place_and_sweep_need_no_numpy(tmp_path, argv):
-    if argv:
-        argv = [*argv, "--config", str(GOLDEN_REFERENCE)]
-    if argv[:1] == ["sweep"]:
-        argv += ["--out", str(tmp_path / "out")]
-    proc = _cli_process(argv, code=_NUMPY_CHECK)
-    assert proc.returncode == 0
-    assert proc.stderr == "numpy imported: False\n"
-
-
 # Imports spwt, then runs the CLI on the arguments, if any, and prints the
 # names of every loaded module.
 _MODULES_CHECK = """
@@ -740,7 +713,7 @@ _SUBMODULES = {
 @pytest.mark.parametrize(
     "argv, skipped",
     [
-        ([], _SUBMODULES),
+        ([], _SUBMODULES | {"numpy"}),
         (
             ["place"],
             {
@@ -877,8 +850,9 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def test_pattern_at_the_grid_cap_peak_rss(tmp_path):
-    # One fresh process at the 2001 x 2001 cap; the output is streamed, so
-    # its peak RSS is the interpreter, numpy and the float64 map (32 MB).
+    # One fresh process at the 2001 x 2001 cap; the output is streamed, and
+    # each process maps only the rows it writes, so the peak RSS is the
+    # interpreter, numpy and at most 60% of the float64 map (19 of 32 MB).
     cfg = write_config(tmp_path / "a.cfg")
     out = tmp_path / "out"
     argv = ["pattern", "--config", cfg, "--grid=-1000:1000:1", "--out", str(out)]
@@ -1019,12 +993,12 @@ def test_pattern_paths_match_golden(tmp_path, config, blas, forked):
         ("fork", "0 forked, reaped []"),
         ("tempfile", "0 forked, reaped []"),
     ],
-    ids=["before-ready", "after-ready", "no-fork", "no-tempfile"],
+    ids=["child-map", "child-csv", "no-fork", "no-tempfile"],
 )
 def test_a_failing_child_leaves_the_golden_output(tmp_path, failing, children):
-    # the child fails mapping its rows, before it signals them ready, or
-    # formatting them, after; or it cannot be forked, or given a file for
-    # its rows: the parent does that work itself
+    # the child fails mapping its rows, or formatting them into its file,
+    # and exits with code 1; or it cannot be forked, or given a file for its
+    # rows: the parent maps and formats those rows itself
     outputs, report = _pattern_run(tmp_path, "reference", failing)
     assert report == f"{children}, no child left, OPENBLAS_NUM_THREADS=None"
     assert outputs == _golden_pattern("reference")

@@ -640,6 +640,15 @@ def test_a_row_wider_than_a_chunk_equals_its_pieces(reference_scenario):
     assert np.array_equal(whole, np.concatenate(pieces, axis=1))
 
 
+def test_a_strided_grid_equals_the_whole_maps_cells(reference_scenario):
+    # pattern's heatmap maps only the cells it draws, every third point of
+    # the default 401-point axis; its SVG bytes need the whole map's bits
+    axis = np.arange(-1000.0, 1000.0 + 2.5, 5.0)
+    drawn = axis[::3]
+    whole = correlation_map(reference_scenario, axis, axis)
+    assert np.array_equal(correlation_map(reference_scenario, drawn, drawn), whole[::3, ::3])
+
+
 def test_grid_oracle_validates_inputs(reference_scenario):
     with pytest.raises(ValueError):
         grid_null_oracle(reference_scenario, "midline", 0.0)
