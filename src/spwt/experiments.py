@@ -40,9 +40,9 @@ class SweepResult:
 
 def _pick(scenario: ScenarioConfig, scheme: str) -> PlacementSolution | str:
     """The scheme's placement of highest SR, then smallest residual, then
-    branch/factor order, or why it has none; kept under ("best", scheme), so
-    only the first sweep of a scheme warns of the candidates its solve
-    discards."""
+    branch/factor order, then the order ``solve_all`` returns, or why it has
+    none; kept under ("best", scheme), so only the first sweep of a scheme
+    warns of the candidates its solve discards."""
     solutions, failures = solve_all(scenario, (scheme,))
     if not solutions:
         return "; ".join(failures)

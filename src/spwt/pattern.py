@@ -63,9 +63,9 @@ def _pattern_map(stack, scenario, axis):
     writer does those rows itself, so no output depends on it.  ``stack``
     kills and reaps the child unless the writer has waited for it.
 
-    The bytes are the serial ones: each map chunk gives the bits it gives
-    alone (see :func:`~spwt.placement.correlation_map`), and CSV rows do not
-    depend on one another.
+    The bytes are the serial ones: a point's bits do not depend on the rows
+    mapped with it (see :func:`~spwt.signalmodel.correlation_magnitude`),
+    and CSV rows do not depend on one another.
     """
     import shutil
     import signal

@@ -53,9 +53,7 @@ _DEDUP_M = 1e-6
 _BISECT_MAX_ITER = 200
 
 # Grid points per chunk of correlation_map: small enough that the kernel's
-# temporaries stay in cache (2^12 and 2^13 time alike; 2^16 is slower), and
-# below 2^14 complex points (256 KiB), where numpy's temporary elision makes
-# a product in-place and rounds some points unlike a smaller batch.
+# temporaries stay in cache (2^12 and 2^13 time alike; 2^16 is slower).
 _MAP_CHUNK = 1 << 13
 
 
@@ -495,7 +493,8 @@ def correlation_map(scenario: ScenarioConfig, xs, ys):
     :func:`~spwt.signalmodel.correlation_magnitude` over numpy at the kept
     frame's x_e, bound once, in chunks of at most ``_MAP_CHUNK`` points
     (whole rows, or blocks of one row wider than that), which bounds every
-    temporary array and gives each point the bits it has alone.
+    temporary array.  Each point has the bits it has alone, whatever the
+    chunk size.
     """
     import numpy as np
 

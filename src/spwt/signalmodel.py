@@ -13,7 +13,6 @@ one step, :func:`_rate_cells` over the rows :func:`_budget_rows` builds;
 every caller shares both.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -59,33 +58,33 @@ def _correlation_power(rho) -> float:
 
 # correlation_magnitude's one-point backend, numpy's names; 0/0 (on a node) is nan.
 SCALAR = SimpleNamespace(
-    arctan2=math.atan2, hypot=math.hypot, cos=math.cos, sin=math.sin, exp=cmath.exp,
+    hypot=math.hypot, cos=math.cos, sin=math.sin,
     divide=lambda a, b: a / b if b else math.nan,
 )
 
 
-def _axis_sum_magnitude(exp, bits: str, step):
-    """|sum(exp(1j*i*step) for i in range(count))|, elementwise over
-    ``step``, with ``bits`` = bin(count)[3:] and ``exp`` the backend's.
+def _axis_sum_magnitude(hypot, bits: str, c, s):
+    """|sum(r^i for i in range(count))|, elementwise, for the unit rotor r
+    of real part ``c`` = cos(step) and imaginary part ``s`` = sin(step),
+    with ``bits`` = bin(count)[3:] and ``hypot`` the backend's.
 
     Binary doubling over the bits of ``count`` from the top: with S(j) the
-    sum of the first j terms and r the rotor exp(1j*step),
+    sum of the first j terms,
 
         S(2j) = S(j) * (1 + r^j)    and    S(j+1) = S(j) + r^j,
 
-    ~2*log2(count) complex products, and no limit handling at a step that is
-    a multiple of 2*pi.  The products are not taken in place: numpy's
-    in-place complex multiply can round a one-element array differently.
+    ~2*log2(count) products of (real, imaginary) float pairs, and no limit
+    handling at a step that is a multiple of 2*pi.
     """
-    rotor = exp(1j * step)
-    total, power = 1.0, rotor  # S(j) and r^j at j = 1
+    t_re, t_im, p_re, p_im = 1.0, 0.0, c, s  # S(j) and r^j at j = 1
     for bit in bits:
-        total = total * (1.0 + power)
-        power = power * power
+        q_re = 1.0 + p_re
+        t_re, t_im = t_re * q_re - t_im * p_im, t_re * p_im + t_im * q_re
+        p_re, p_im = p_re * p_re - p_im * p_im, 2.0 * p_re * p_im
         if bit == "1":
-            total = total + power
-            power = power * rotor
-    return abs(total)
+            t_re, t_im = t_re + p_re, t_im + p_im
+            p_re, p_im = p_re * c - p_im * s, p_re * s + p_im * c
+    return hypot(t_re, t_im)
 
 
 def correlation_magnitude(scenario: "ScenarioConfig", x_e: float, xp):
@@ -98,45 +97,44 @@ def correlation_magnitude(scenario: "ScenarioConfig", x_e: float, xp):
     certification and the sweeps' baselines, and over numpy once per
     correlation map.  The canonical frame puts the receiver over the origin
     and the eavesdropper at ``x_e`` on the +x axis; each node keeps its own
-    altitude, so the pitch toward it uses the height difference z - node.z.
+    altitude, so the slant range to it uses the height difference z - node.z.
     ``xp`` is the backend: numpy, for arrays that broadcast together and a
-    result of their broadcast shape (a 1x1 array gives the float 1.0), or
-    :data:`SCALAR`, for one point in floats.  Within each backend a point
-    gives the same value alone as in a batch of fewer than 2^14 points
-    (numpy's temporary elision rounds larger ones differently); the two
-    backends agree to rounding.
+    result of their broadcast shape (a 1x1 array gives the scalar 1.0), or
+    :data:`SCALAR`, for one point in floats.  The kernel takes real floats
+    through ``+ - * /``, ``hypot``, ``cos`` and ``sin`` only, so a point
+    gives the same bits alone as in any batch, on every dispatch target of
+    the installed numpy; the two backends agree to rounding.
 
     The element double sum factors into one geometric sum per array axis,
-    with phase increments
+    with phase increments a = coef * (u_e - u_b) and b = coef * (v_e - v_b)
+    (coef the array phase coefficient), where for each node
 
-        a = coef * (cos(pitch_e)*cos(az_e) - cos(pitch_b)*cos(az_b))
-        b = coef * (cos(pitch_e)*sin(az_e) - cos(pitch_b)*sin(az_b))
+        u = ((x - node.x)*cos(yaw) + y*sin(yaw)) / slant range
+        v = (y*cos(yaw) - (x - node.x)*sin(yaw)) / slant range
 
-    (az yaw-relative, coef the array phase coefficient), so each point costs
-    |sum_m e^{i m a}| * |sum_n e^{i n b}| / (M*N): O(log M + log N) work
-    instead of O(M*N).  Both sums are evaluated explicitly, not by their
-    ratio form, which keeps the result independent of the null equations
-    the solvers use.  Directly over a node cos(pitch) is 0 and the value is
-    the continuous limit.
+    are the direction cosines of the node along the array's two axes.  So
+    each point costs |sum_m e^{i m a}| * |sum_n e^{i n b}| / (M*N): O(log M
+    + log N) work instead of O(M*N).  Both sums are evaluated in full, not
+    by their ratio form, which keeps the result independent of the null
+    equations the solvers use.  Directly over a node both direction cosines
+    are 0 and the value is the continuous limit.
     """
     geom = scenario.array
-    coef, yaw, size = geom.phase_coef, scenario.yaw, geom.size
+    coef, size = geom.phase_coef, geom.size
+    c, s = math.cos(scenario.yaw), math.sin(scenario.yaw)
     z_b, z_e = scenario.bob.z, scenario.eve.z
     row_bits, col_bits = bin(geom.m_rows)[3:], bin(geom.n_cols)[3:]
-    arctan2, hypot, divide, cos, sin = xp.arctan2, xp.hypot, xp.divide, xp.cos, xp.sin
-    exp, axis_sum = xp.exp, _axis_sum_magnitude
+    hypot, divide, cos, sin = xp.hypot, xp.divide, xp.cos, xp.sin
+    axis_sum = _axis_sum_magnitude
 
     def magnitude(x, y, z):
-        az_b = arctan2(y, x) - yaw
-        az_e = arctan2(y, x - x_e) - yaw
-        # cos(pitch) = horizontal range / slant range.
-        cp_b = hypot(x, y)
-        cp_b = divide(cp_b, hypot(cp_b, z - z_b))
-        cp_e = hypot(x - x_e, y)
-        cp_e = divide(cp_e, hypot(cp_e, z - z_e))
-        a = coef * (cp_e * cos(az_e) - cp_b * cos(az_b))
-        b = coef * (cp_e * sin(az_e) - cp_b * sin(az_b))
-        return axis_sum(exp, row_bits, a) * axis_sum(exp, col_bits, b) / size
+        xe = x - x_e
+        s_b = hypot(hypot(x, y), z - z_b)
+        s_e = hypot(hypot(xe, y), z - z_e)
+        a = coef * (divide(xe * c + y * s, s_e) - divide(x * c + y * s, s_b))
+        b = coef * (divide(y * c - xe * s, s_e) - divide(y * c - x * s, s_b))
+        rows = axis_sum(hypot, row_bits, cos(a), sin(a))
+        return rows * axis_sum(hypot, col_bits, cos(b), sin(b)) / size
 
     return magnitude
 

@@ -1,12 +1,16 @@
 import math
+import os
+import subprocess
 import sys
 import warnings
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import spwt
 from spwt import (
     ArrayGeometry,
     InfeasibleGeometry,
@@ -627,10 +631,17 @@ def test_correlation_map_matches_element_double_sum(m, n, spacing_m):
     assert np.max(np.abs(got - element_sum_map(sc, MAP_XS, MAP_YS))) <= 1e-12
 
 
-def test_a_row_wider_than_a_chunk_equals_its_pieces(reference_scenario):
-    # from 2^14 complex points on, numpy's temporary elision rounds a batch
-    # differently; the map takes a wide row in blocks below that, so each
-    # point keeps the bits it has in a 1,000-point piece
+def test_chunk_size_does_not_change_the_map(monkeypatch, reference_scenario):
+    # a point's bits do not depend on the points mapped with it: the default
+    # 401-point axis mapped in chunks of 2^10 and of 2^16 points give the same
+    # bits, and so do a 20,000-point row and its 1,000-point pieces
+    axis = np.arange(-1000.0, 1000.0 + 2.5, 5.0)
+    maps = []
+    for chunk in (1 << 10, 1 << 16):
+        monkeypatch.setattr(placement, "_MAP_CHUNK", chunk)
+        maps.append(correlation_map(reference_scenario, axis, axis))
+    assert np.array_equal(*maps)
+    monkeypatch.undo()
     xs = np.linspace(-1000.0, 1000.0, 20_000)
     whole = correlation_map(reference_scenario, xs, [123.0])
     pieces = [
@@ -638,6 +649,51 @@ def test_a_row_wider_than_a_chunk_equals_its_pieces(reference_scenario):
         for i in range(0, xs.size, 1000)
     ]
     assert np.array_equal(whole, np.concatenate(pieces, axis=1))
+
+
+# One sha256 over the default 401-point axis's maps of the golden configs.
+_MAP_HASH = """
+import hashlib, sys
+import numpy as np
+from spwt import correlation_map
+from spwt.cli import _resolve_config, _scenario, parse_config
+axis = np.arange(-1000.0, 1000.0 + 2.5, 5.0)
+digest = hashlib.sha256()
+for path in sys.argv[1:]:
+    scenario = _scenario(_resolve_config(parse_config(path), None))
+    digest.update(correlation_map(scenario, axis, axis).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_the_simd_target_does_not_change_the_map():
+    # numpy picks a SIMD loop per function at import, from the targets the
+    # CPU has less those NPY_DISABLE_CPU_FEATURES names; in a fresh process
+    # per setting, the host's targets are turned off from the highest down,
+    # one more each time, and every setting must give the same map bits
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    features = umath.__cpu_features__
+    targets = [t for t in reversed(umath.__cpu_dispatch__) if features.get(t)]
+    if not targets:
+        pytest.skip("numpy dispatches to no target above its baseline on this CPU")
+    golden = Path(__file__).parent / "golden"
+    configs = [str(golden / f"{name}.cfg") for name in ("reference", "wide16", "linear")]
+    env = dict(os.environ, PYTHONPATH=str(Path(spwt.__file__).parents[1]))
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)
+    hashes = {}
+    for i in range(len(targets) + 1):
+        disabled = " ".join(targets[:i])
+        proc = subprocess.run(
+            [sys.executable, "-c", _MAP_HASH, *configs],
+            env=dict(env, NPY_DISABLE_CPU_FEATURES=disabled),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        hashes[disabled or "none"] = proc.stdout.strip()
+    assert len(set(hashes.values())) == 1, hashes
 
 
 def test_a_strided_grid_equals_the_whole_maps_cells(reference_scenario):
@@ -908,7 +964,7 @@ WARNING_CASES = {
     "row-fails": (
         lambda: make_scenario(m=10**9, n=4),
         [
-            _B.format("1.76777e+11", "2.862e-08"),
+            _B.format("1.76777e+11", "8.286e-08"),
             _B.format("-1.76777e+11", "8.286e-08"),
         ],
         [_E.format("-191688", "2.758e-08")],

@@ -292,7 +292,7 @@ def test_scalar_and_numpy_kernels_agree():
         grid = correlation_map(sc, xs, ys).ravel().tolist()
         points = [Position3D(x, y, sc.uav_height_m) for y in ys for x in xs]
         worst = max(worst, *(abs(a - b) for a, b in zip(grid, correlation_at(sc, points))))
-    assert worst <= 1e-13
+    assert worst <= 1e-14
 
 
 @pytest.mark.parametrize("field", range(4))
