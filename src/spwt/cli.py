@@ -272,8 +272,6 @@ def cmd_sweep(args, resolved: dict, scenario: ScenarioConfig) -> int:
 
 
 def cmd_pattern(args, resolved: dict, scenario: ScenarioConfig) -> int:
-    import contextlib
-
     # min:max:step inclusive of max; checked before spwt.pattern loads numpy
     lo, hi, step = _parse_grid(args.grid, "pattern")
     if step <= 0 or hi <= lo:
@@ -283,9 +281,8 @@ def cmd_pattern(args, resolved: dict, scenario: ScenarioConfig) -> int:
         raise CliError(f"--grid: more than {_MAX_PATTERN_AXIS} points per axis")
     from .pattern import _pattern_files
 
-    with contextlib.ExitStack() as stack:  # holds the split's child until written
-        files = _pattern_files(stack, scenario, lo, hi, step)
-        return _write_files(args.out, "pattern", resolved, files)
+    files = _pattern_files(scenario, lo, hi, step)
+    return _write_files(args.out, "pattern", resolved, files)
 
 
 def build_parser() -> argparse.ArgumentParser:

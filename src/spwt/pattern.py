@@ -1,22 +1,22 @@
-"""``spwt pattern``'s engine: a correlation map over a square box, whose CSV
-rows two processes split, each mapping only the rows it writes, and whose
-heatmap maps only its drawn cells; numpy loads under a BLAS pin.  ``spwt.cli``
-checks the box and writes the files; only its ``pattern`` imports this module."""
+"""``spwt pattern``'s engine: one pass over a square box's grid, a block of
+rows at a time, mapping, formatting the CSV and keeping the heatmap's cells.
+``spwt.cli`` checks the box and writes the files; only its ``pattern`` imports it."""
 
 import os
 
 from .errors import InvalidIndex, InvalidYaw
 from .placement import correlation_map, solve_all
 
-# The share of the grid rows pattern maps and formats itself when it splits
-# them with a child process: it also solves, renders and writes the files.
-_PARENT_SHARE = 0.4
+# Grid cells mapped and formatted at a time.  8,192 (one map chunk) took 8%
+# more page faults in a fresh pattern on wide16.cfg (6,910 against 6,402).
+_BLOCK = 1 << 12
 
 
 def _pattern_axis(lo: float, hi: float, step: float):
     """The pattern box's axis, lo to hi by step, inclusive of hi."""
-    # pattern uses no BLAS, whose idle threads would keep _pattern_map from
-    # forking.  OpenBLAS reads it once, as numpy loads; set if unset, just for that.
+    # pattern uses no BLAS, and a fresh `import numpy` took 140 ms with one
+    # OpenBLAS thread against 207 ms unset (12 interleaved runs).  OpenBLAS
+    # reads it once, as numpy loads; set if unset, just for that.
     if unset := "OPENBLAS_NUM_THREADS" not in os.environ:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
@@ -28,108 +28,108 @@ def _pattern_axis(lo: float, hi: float, step: float):
     return np.arange(lo, hi + step / 2.0, step)
 
 
+def _mantissa(np, v, e):
+    """round(v * 10**(11 - e)) of the exact product, ties to even; a rounded
+    product's tie is settled by its error: Dekker's two-product, Veltkamp's split."""
+    s = np.array([1e11, 1e12, 1e13, 1e14, 1e15, 1e16]).take(-e.astype(int))
+    p = v * s
+    m = np.rint(p)
+    if (tie := np.flatnonzero(np.abs(p - m) == 0.5)).size:
+        v, s, p, half = (x.flat[tie] for x in (v, s, p, p - m))
+        c, d = 134217729.0 * v, 134217729.0 * s
+        vh, sh = c - (c - v), d - (d - s)
+        vl, sl = v - vh, s - sh
+        err = ((vh * sh - p) + vh * sl + vl * sh) + vl * sl
+        m.flat[tie] += (half * err > 0) * 2.0 * half
+    return m
+
+
 def _write_pattern_csv(fh, axis, values, start=0) -> None:
     """Write the x_m,y_m,residual table of a square grid to ``fh``, x
-    varying fastest, one grid row at a time: the rows of ``values`` are the
-    grid rows from ``start`` on, and the header comes first when that is 0.
+    varying fastest: ``values`` holds the grid rows from ``start`` on, a 2-D
+    array or an iterable of 2-D blocks of rows; the header comes first when
+    ``start`` is 0.  Same bytes as :func:`~spwt.cli._csv` over the rows.
 
-    Same bytes as :func:`~spwt.cli._csv` over the rows.  The axis labels
-    are formatted once; each grid row is then one ``%`` template over its
-    residuals, built by joining the per-column pieces with the row's y label.
-    """
-    labels = ["%.12g," % v for v in axis]
-    pieces = [labels[0], *("%.12g\n" + x for x in labels[1:]), "%.12g\n"]
+    Each line is a zero-padded row of 8-byte words (x label, y label, value,
+    newline) whose zero bytes are dropped.  A cell in [1e-4, 1) is written
+    from its correctly rounded 12-digit mantissa, ``np.log10`` only guessing
+    the exponent; any other, or one rounding to 1, through Python's %.12g."""
+    import numpy as np
+
+    n, u32 = len(axis), np.uint32
+    labels = np.array(["%.12g," % v for v in axis], "S")
+    lw = -(-labels.itemsize // 8)  # words per label
+    labels = labels.astype(f"S{8 * lw}").view(np.uint64).reshape(n, lw)
+    # made once: the line buffer, "0." with 0-3 zeros, and "%04d" of 0..9999
+    rows = max(1, _BLOCK // n)
+    line = np.zeros((rows, n, 2 * lw + 3), np.uint64)
+    line[:, :, :lw] = labels
+    line.view(u32)[:, :, -1] = np.frombuffer(b"\0\0\0\n", u32)
+    keep = np.empty(line.size * 8, bool)
+    heads = np.array([b"0.", b"0.0", b"0.00", b"0.000"], "S8").view(np.uint64)
+    q = np.arange(10_000)
+    digits = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], -1) + 48
+    ends = np.cumprod(digits[:, ::-1] == 48, -1)[:, ::-1]  # dropped in a 2nd half
+    digits = np.concatenate([digits, digits * (1 - ends)]).astype(np.uint8).view(u32)
     if not start:
         fh.write("x_m,y_m,residual\n")
-    for y_label, row in zip(labels[start:], values):
-        fh.write(y_label.join(pieces) % tuple(row.tolist()))
+    for block in [values] if isinstance(values, np.ndarray) else values:
+        for i in range(0, len(block), rows):
+            v = np.asarray(block[i : i + rows], float)
+            words = line[: len(v)]
+            words[:, :, lw : 2 * lw] = labels[start : start + len(v), None]
+            fast = (v >= 1e-4) & (v < 1.0)
+            w = np.where(fast, v, 0.5)
+            e = np.clip(np.floor(np.log10(w)), -4.0, -1.0)
+            m = _mantissa(np, w, e)
+            if ((m >= 1e12) | (m < 1e11)).any():  # the guess was a decade off
+                e = e + (m >= 1e12) - (m < 1e11)
+                m = _mantissa(np, w, e)
+            fast &= e < 0  # else v rounds to 1
+            hi, low = np.divmod(m.astype(np.int64), 10**8)
+            mid, low = np.divmod(low, 10**4)
+            low += 10**4  # trailing zeros dropped from the last group, and
+            mid += 10**4 * (low == 10**4)  # from each one before it whose
+            hi += 10**4 * (mid == 10**4)  # followers are all zeros
+            words[:, :, 2 * lw] = heads.take(-1 - e.astype(int))
+            for j, group in enumerate((hi, mid, low), 4 * lw + 2):
+                words.view(u32)[:, :, j] = digits.take(group)
+            if (slow := np.flatnonzero(~fast)).size:
+                text = np.array(["%.12g" % x for x in v.flat[slow].tolist()], "S20")
+                cells = words.view(u32).reshape(v.size, -1)
+                cells[slow, 4 * lw : -1] = text[:, None].view(u32)
+            octets = words.reshape(-1).view(np.uint8)
+            kept = octets[np.not_equal(octets, 0, out=keep[: octets.size])]
+            fh.write(str(kept, "ascii"))
+            start += len(v)
 
 
-def _can_split(rows: int) -> bool:
-    """Whether pattern may fork: two or more grid rows and CPUs, and one
-    native thread (a fork copies only the calling one, not a BLAS pool)."""
-    if rows < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return False
-    try:
-        return len(os.sched_getaffinity(0)) > 1 and len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
-def _pattern_map(stack, scenario, axis):
-    """The pattern's CSV writer.  Where :func:`_can_split` allows, a forked
-    child maps and formats the grid rows from h = _PARENT_SHARE*n on into an
-    unnamed temporary file, and exits; unless it exits with code 0, the
-    writer does those rows itself, so no output depends on it.  ``stack``
-    kills and reaps the child unless the writer has waited for it.
-
-    The bytes are the serial ones: a point's bits do not depend on the rows
-    mapped with it (see :func:`~spwt.signalmodel.correlation_magnitude`),
-    and CSV rows do not depend on one another.
-    """
-    import shutil
-    import signal
-    import tempfile
-
-    n = axis.size
-    h = max(1, round(n * _PARENT_SHARE))  # this process writes the header
-
-    def write_rows(fh, start, stop) -> None:
-        rows = correlation_map(scenario, axis, axis[start:stop])
-        _write_pattern_csv(fh, axis, rows, start)
-
-    pid = None
-    if _can_split(n):
-        try:
-            tmp = stack.enter_context(tempfile.TemporaryFile())
-            pid = os.fork()
-        except OSError:  # no temporary file or process
-            pass
-    if pid == 0:
-        try:
-            with open(tmp.fileno(), "w", encoding="utf-8", closefd=False) as fh:
-                write_rows(fh, h, n)
-            os._exit(0)
-        finally:
-            os._exit(1)  # never back into the CLI, nor flush its buffers
-    # the child's wait status, once reaped; with no child, a failed one's
-    status = [1] if pid is None else []
-
-    def reap(kill: bool = False) -> int:
-        if not status:
-            if kill:
-                os.kill(pid, signal.SIGKILL)
-            status.append(os.waitpid(pid, 0)[1])
-        return status[0]
-
-    stack.callback(reap, True)
-
-    def write_csv(fh) -> None:
-        write_rows(fh, 0, h)
-        if reap() == 0:  # the wait status of an exit with code 0
-            fh.flush()
-            tmp.seek(0)
-            shutil.copyfileobj(tmp, fh.buffer)
-        else:
-            write_rows(fh, h, n)
-
-    return write_csv
-
-
-def _pattern_files(stack, scenario, lo: float, hi: float, step: float) -> dict:
-    """The pattern's files over the box lo..hi by step, by name: the
-    ``pattern.csv`` writer and the ``pattern.svg`` text, the map at the
-    heatmap's drawn points with every placement overlaid.  ``stack`` holds
-    the split's child until the writer has run (see :func:`_pattern_map`)."""
+def _pattern_files(scenario, lo: float, hi: float, step: float) -> dict:
+    """The pattern's file writers over the box lo..hi by step, by name.  The
+    ``pattern.csv`` writer maps the grid once, a block of rows at a time, and
+    keeps each block's drawn cells for the ``pattern.svg`` writer (the heatmap,
+    every placement overlaid), which :func:`~spwt.cli._write_outputs` runs
+    after it.  A point's bits do not depend on the rows mapped with it (see
+    :func:`~spwt.signalmodel.correlation_magnitude`)."""
     from .charts import heatmap_stride, render_heatmap
 
     axis = _pattern_axis(lo, hi, step)
-    write_csv = _pattern_map(stack, scenario, axis)
+    n = axis.size
+    stride, rows = heatmap_stride(n, n), max(1, _BLOCK // n)
     try:
         solutions, _ = solve_all(scenario)
     except (InvalidIndex, InvalidYaw):
         solutions = []  # the map is still defined; it just has no overlay
     overlays = [(s.position.x, s.position.y) for s in solutions]
-    drawn = axis[:: heatmap_stride(axis.size, axis.size)]
-    svg = render_heatmap(axis, axis, correlation_map(scenario, drawn, drawn), overlays)
-    return {"pattern.csv": write_csv, "pattern.svg": svg}
+    drawn = []  # the heatmap's rows
+
+    def blocks():
+        for start in range(0, n, rows):
+            block = correlation_map(scenario, axis, axis[start : start + rows])
+            drawn.extend(block[-start % stride :: stride, ::stride].copy())
+            yield block
+
+    return {
+        "pattern.csv": lambda fh: _write_pattern_csv(fh, axis, blocks()),
+        "pattern.svg": lambda fh: fh.write(render_heatmap(axis, axis, drawn, overlays)),
+    }

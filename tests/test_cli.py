@@ -7,12 +7,13 @@ import os
 import shutil
 import subprocess
 import sys
-import threading
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spwt
 from spwt import pattern
@@ -25,7 +26,7 @@ from spwt.cli import (
     main,
     parse_config,
 )
-from spwt.pattern import _can_split, _pattern_axis, _write_pattern_csv
+from spwt.pattern import _pattern_axis, _write_pattern_csv
 from test_golden import _TIMESTAMP, GOLDEN
 
 
@@ -305,7 +306,7 @@ def test_pattern_single_element_flat(tmp_path):
 
 
 def test_pattern_on_one_grid_point(tmp_path):
-    # one grid row is never split: the header and the row come once
+    # one grid point: the header and its row come once
     cfg = write_config(tmp_path / "a.cfg", m=1, n=1)
     out = tmp_path / "out"
     assert main(["pattern", "--config", cfg, "--grid=0:1:5", "--out", str(out)]) == 0
@@ -341,6 +342,62 @@ def test_pattern_csv_matches_per_cell_formatting():
     _write_pattern_csv(blocks, axis, values[:3])
     _write_pattern_csv(blocks, axis, values[3:], 3)
     assert blocks.getvalue() == buf.getvalue()
+
+
+def _decade_edges(e):
+    """10^e and the value from which 12 digits round up to it, each with
+    its two neighbouring doubles."""
+    for edge in (float(f"1e{e}"), float(f"1e{e}") * (1 - 5e-13)):
+        yield from (np.nextafter(edge, -math.inf), edge, np.nextafter(edge, math.inf))
+
+
+# Cells at the edges of the writer's numpy path, [1e-4, 1), and beyond it.
+_CELLS = st.one_of(
+    # exact 12-digit ties, which round to even
+    st.integers(410, 4095).map(lambda j: (2 * j + 1) / 8192),
+    # decimal ties, k5 x 10^-(13+j), which a double holds just off the tie
+    st.builds(
+        lambda k, j: float(f"{k}5e-{13 + j}"),
+        st.integers(10**11, 10**12 - 1),
+        st.integers(0, 3),
+    ),
+    st.sampled_from([v for e in range(-5, 1) for v in _decade_edges(e)]),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, -0.5, -1e-3, 1.5, 1e17, math.nan]),
+    st.sampled_from([math.inf, -math.inf]),
+    st.floats(1e-4, 1.0, exclude_max=True),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _csv_rows(draw):
+    """Rows of cells on an n-point axis, as many as n at most, and a row
+    from 1 on to split them at."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, n))
+    cells = draw(st.lists(_CELLS, min_size=rows * n, max_size=rows * n))
+    return np.array(cells).reshape(rows, n), draw(st.integers(1, rows))
+
+
+@settings(max_examples=300)
+@given(grid=_csv_rows(), block=st.integers(1, 64))
+def test_pattern_csv_writes_every_double_as_python_formats_it(grid, block):
+    # rows of cells written whole, as two calls split at `start` and as one
+    # iterable of those two blocks, with buffers of `block` cells or one row,
+    # must give _csv's per-cell bytes
+    values, start = grid
+    axis = np.arange(values.shape[1]) * 2.5 - 5.0
+    rows = ((x, y, v) for y, row in zip(axis, values) for x, v in zip(axis, row))
+    expected = _csv("x_m,y_m,residual", rows)
+    with mock.patch.object(pattern, "_BLOCK", block):
+        whole, split, blocks = io.StringIO(), io.StringIO(), io.StringIO()
+        _write_pattern_csv(whole, axis, values)
+        _write_pattern_csv(split, axis, values[:start])
+        _write_pattern_csv(split, axis, values[start:], start)
+        _write_pattern_csv(blocks, axis, iter([values[:start], values[start:]]))
+    assert whole.getvalue() == expected
+    assert split.getvalue() == expected
+    assert blocks.getvalue() == expected
 
 
 @pytest.mark.parametrize(
@@ -439,7 +496,7 @@ def test_grid_caps_admit_their_limits(tmp_path, capsys, monkeypatch):
     # length of the axis the engine would map, without mapping it
     sizes = []
 
-    def axis_only(stack, scenario, *box):
+    def axis_only(scenario, *box):
         sizes.append(len(_pattern_axis(*box)))
         return {}
 
@@ -850,9 +907,11 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def test_pattern_at_the_grid_cap_peak_rss(tmp_path):
-    # One fresh process at the 2001 x 2001 cap; the output is streamed, and
-    # each process maps only the rows it writes, so the peak RSS is the
-    # interpreter, numpy and at most 60% of the float64 map (19 of 32 MB).
+    # One fresh process at the 2001 x 2001 cap, which maps the grid and
+    # formats its CSV a block of rows (about 4,096 cells) at a time into
+    # buffers made once, and keeps only the heatmap's drawn cells (182 x 182)
+    # beyond the block; so the peak RSS is the interpreter, numpy and about
+    # a MB of map, text and drawn cells, not the float64 map's 32 MB.
     cfg = write_config(tmp_path / "a.cfg")
     out = tmp_path / "out"
     argv = ["pattern", "--config", cfg, "--grid=-1000:1000:1", "--out", str(out)]
@@ -868,81 +927,30 @@ def test_pattern_at_the_grid_cap_peak_rss(tmp_path):
         shutil.rmtree(out, ignore_errors=True)  # the CSV alone is 96 MB
 
 
-# Runs the CLI on the arguments after the first, first making the function
-# of spwt.pattern that the first one names raise in any process but this one
-# (the child a split pattern forks); or, for "partial", the CSV writer fail
-# partway in every process; or, for "fork" and "tempfile", os.fork or
-# tempfile.TemporaryFile fail.  Then it prints, as the last line of stdout,
-# how many children the run forked, the exit codes of those it reaped and
-# whether a child is left, and exits with the CLI's exit code.
+# Runs the CLI on its arguments, noting OPENBLAS_NUM_THREADS as numpy starts
+# to load; then it prints, as the last line of stdout, that value and the
+# one the run leaves, and exits with the CLI's exit code.
 _PATTERN_DRIVER = """
-import os, sys, tempfile
-from spwt import cli, pattern
-
-mode, argv = sys.argv[1], sys.argv[2:]
-parent, forked, reaped = os.getpid(), [], []
-fork, waitpid = os.fork, os.waitpid
+import os, sys
+from spwt import cli
 
 
-def counted_fork():
-    pid = fork()
-    if pid:
-        forked.append(pid)
-    return pid
+class NumpyLoad:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            loaded.append(os.environ.get("OPENBLAS_NUM_THREADS"))
 
 
-def recorded_waitpid(pid, options):
-    got, status = waitpid(pid, options)
-    if got in forked:
-        reaped.append(os.waitstatus_to_exitcode(status))
-    return got, status
-
-
-def in_the_child(real):
-    def fail(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("the child fails")
-        return real(*args)
-    return fail
-
-
-def partial_then_fail(fh, *args):
-    fh.write("x_m,y_m,residual\\n0,0,")
-    raise OSError(28, "No space left on device")
-
-
-def no_fork():
-    raise BlockingIOError(11, "Resource temporarily unavailable")
-
-
-def no_file(*args):
-    raise FileNotFoundError(2, "No usable temporary directory found")
-
-
-os.fork, os.waitpid = counted_fork, recorded_waitpid
-if mode == "partial":
-    pattern._write_pattern_csv = partial_then_fail
-elif mode == "fork":
-    os.fork = no_fork
-elif mode == "tempfile":
-    tempfile.TemporaryFile = no_file
-elif mode != "none":
-    setattr(pattern, mode, in_the_child(getattr(pattern, mode)))
-code = cli.main(argv)
-try:
-    waitpid(-1, os.WNOHANG)
-    left = "a child left"
-except ChildProcessError:
-    left = "no child left"
+loaded = []
+sys.meta_path.insert(0, NumpyLoad())
+code = cli.main(sys.argv[1:])
 blas = os.environ.get("OPENBLAS_NUM_THREADS")
-print(f"{len(forked)} forked, reaped {reaped}, {left}, OPENBLAS_NUM_THREADS={blas}")
+print(f"numpy loaded at OPENBLAS_NUM_THREADS={loaded}, left at {blas}")
 sys.exit(code)
 """
-# pattern splits its rows where this host gives it two CPUs
-_SPLITS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
-def _pattern_run(tmp_path, config, mode="none", blas=None, grid="--grid=-100:100:10"):
+def _pattern_run(tmp_path, config, blas=None, grid="--grid=-100:100:10"):
     """One pattern run of _PATTERN_DRIVER on a stored config from
     ``tmp_path``, with OPENBLAS_NUM_THREADS unset or ``blas``; returns its
     outputs as the goldens store them, and its report line."""
@@ -950,7 +958,7 @@ def _pattern_run(tmp_path, config, mode="none", blas=None, grid="--grid=-100:100
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if blas:
         env["OPENBLAS_NUM_THREADS"] = blas
-    argv = [mode, "pattern", "--config", "run.cfg", grid, "--out", "out"]
+    argv = ["pattern", "--config", "run.cfg", grid, "--out", "out"]
     proc = _cli_process(argv, code=_PATTERN_DRIVER, env=env, cwd=tmp_path)
     stdout, _, report = proc.stdout.rstrip("\n").rpartition("\n")
     outputs = {
@@ -968,66 +976,14 @@ def _golden_pattern(config):
     return {path.name: path.read_text(encoding="utf-8") for path in case.iterdir()}
 
 
-@pytest.mark.parametrize(
-    "blas, forked", [(None, int(_SPLITS)), ("2", 0)], ids=["split", "serial"]
-)
+# ids: "split" is OPENBLAS_NUM_THREADS unset, "serial" a user's own 2
+@pytest.mark.parametrize("blas", [None, "2"], ids=["split", "serial"])
 @pytest.mark.parametrize("config", ["reference", "wide16", "linear"])
-def test_pattern_paths_match_golden(tmp_path, config, blas, forked):
-    # Unset, OPENBLAS_NUM_THREADS is 1 while numpy loads, so numpy starts no
-    # BLAS thread and the rows are split, and unset again after; a user's own
-    # 2 is kept, and the BLAS thread it starts keeps pattern on the serial path.
+def test_pattern_paths_match_golden(tmp_path, config, blas):
+    # Unset, OPENBLAS_NUM_THREADS is 1 while numpy loads and unset again
+    # after; a user's own 2 is kept.  Either way the outputs are the goldens.
     outputs, report = _pattern_run(tmp_path, config, blas=blas)
     assert report == (
-        f"{forked} forked, reaped {[0] * forked}, no child left, "
-        f"OPENBLAS_NUM_THREADS={blas}"
+        f"numpy loaded at OPENBLAS_NUM_THREADS={[blas or '1']}, left at {blas}"
     )
     assert outputs == _golden_pattern(config)
-
-
-@pytest.mark.skipif(not _SPLITS, reason="pattern runs serially on this host")
-@pytest.mark.parametrize(
-    "failing, children",
-    [
-        ("correlation_map", "1 forked, reaped [1]"),
-        ("_write_pattern_csv", "1 forked, reaped [1]"),
-        ("fork", "0 forked, reaped []"),
-        ("tempfile", "0 forked, reaped []"),
-    ],
-    ids=["child-map", "child-csv", "no-fork", "no-tempfile"],
-)
-def test_a_failing_child_leaves_the_golden_output(tmp_path, failing, children):
-    # the child fails mapping its rows, or formatting them into its file,
-    # and exits with code 1; or it cannot be forked, or given a file for its
-    # rows: the parent maps and formats those rows itself
-    outputs, report = _pattern_run(tmp_path, "reference", failing)
-    assert report == f"{children}, no child left, OPENBLAS_NUM_THREADS=None"
-    assert outputs == _golden_pattern("reference")
-
-
-@pytest.mark.skipif(not _SPLITS, reason="pattern runs serially on this host")
-def test_failed_split_pattern_write_keeps_previous_outputs(tmp_path):
-    _pattern_run(tmp_path, "reference")
-    before = _listing(tmp_path / "out")
-    # the CSV writer fails partway, in the parent before it waits for the
-    # child, which it then kills or finds failed, and reaps
-    outputs, report = _pattern_run(tmp_path, "wide16", "partial", grid="--grid=-30:30:5")
-    assert report.startswith("1 forked, reaped [")
-    assert report.endswith("], no child left, OPENBLAS_NUM_THREADS=None")
-    assert outputs["exit_code"] == "1\n"
-    assert outputs["stderr"] == "error: [Errno 28] No space left on device\n"
-    assert _listing(tmp_path / "out") == before  # byte-identical, and no *.tmp left
-
-
-def test_pattern_splits_only_many_rows_in_one_thread():
-    # one grid row is never split; nor are many while this process runs a
-    # second thread, whether or not numpy's BLAS started more
-    assert not _can_split(1)
-    done = threading.Event()
-    worker = threading.Thread(target=done.wait)
-    worker.start()
-    try:
-        assert not _can_split(401)
-    finally:
-        done.set()
-        worker.join(timeout=10)
-    assert not worker.is_alive()

@@ -651,17 +651,23 @@ def test_chunk_size_does_not_change_the_map(monkeypatch, reference_scenario):
     assert np.array_equal(whole, np.concatenate(pieces, axis=1))
 
 
-# One sha256 over the default 401-point axis's maps of the golden configs.
+# One sha256 over the default 401-point axis's maps of the golden configs,
+# and over their pattern.csv text, whose writer calls np.log10.
 _MAP_HASH = """
-import hashlib, sys
+import hashlib, io, sys
 import numpy as np
 from spwt import correlation_map
 from spwt.cli import _resolve_config, _scenario, parse_config
+from spwt.pattern import _write_pattern_csv
 axis = np.arange(-1000.0, 1000.0 + 2.5, 5.0)
 digest = hashlib.sha256()
 for path in sys.argv[1:]:
     scenario = _scenario(_resolve_config(parse_config(path), None))
-    digest.update(correlation_map(scenario, axis, axis).tobytes())
+    values = correlation_map(scenario, axis, axis)
+    text = io.StringIO()
+    _write_pattern_csv(text, axis, values)
+    digest.update(values.tobytes())
+    digest.update(text.getvalue().encode())
 print(digest.hexdigest())
 """
 
@@ -670,7 +676,8 @@ def test_the_simd_target_does_not_change_the_map():
     # numpy picks a SIMD loop per function at import, from the targets the
     # CPU has less those NPY_DISABLE_CPU_FEATURES names; in a fresh process
     # per setting, the host's targets are turned off from the highest down,
-    # one more each time, and every setting must give the same map bits
+    # one more each time, and every setting must give the same map bits and
+    # the same pattern.csv bytes
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
