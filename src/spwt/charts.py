@@ -159,6 +159,8 @@ def render_heatmap(xs, ys, values, overlays=()) -> str:
     Residuals are displayed on a log scale clamped to [1e-6, 1], darker
     meaning closer to a null; ``overlays`` positions (x, y) are circled.
     """
+    import zlib
+
     import numpy as np
 
     stride = heatmap_stride(len(xs), len(ys))
@@ -167,10 +169,6 @@ def render_heatmap(xs, ys, values, overlays=()) -> str:
     y_lo, y_hi = float(ys[0]), float(ys[-1])
     px, py = _scales(x_lo, x_hi, y_lo, y_hi)
 
-    cell_w = (_W - _ML - _MR) / max(1, len(sx)) + 0.5
-    cell_h = (_H - _MT - _MB) / max(1, len(sy)) + 0.5
-
-    parts = []
     # One grey level per drawn cell: log10 of the residual clamped to
     # [1e-6, 1], scaled to 0..255 and rounded half to even.  The logarithm
     # is math.log10 per cell: numpy's log10 differs from it in the last bit
@@ -178,16 +176,29 @@ def render_heatmap(xs, ys, values, overlays=()) -> str:
     # that bit of a half level.  The rest is one exact numpy pass.
     drawn = np.fmax(np.asarray(values, float), 1e-6)
     level = np.fromiter(map(math.log10, drawn.ravel().tolist()), float, drawn.size)
-    shades = np.rint(255 * np.clip((level + 6.0) / 6.0, 0.0, 1.0)).astype(int)
-    fills = [f'fill="rgb({k},{k},{k})"/>' for k in range(256)]
-    # Each column's x and the cell size are formatted once; each row is one
-    # template, the column pieces joined by the row's y, filled per cell.
-    col_heads = [f'<rect x="{_fmt(px(float(x)) - cell_w / 2)}" ' for x in sx]
-    pieces = [col_heads[0], *("%s\n" + head for head in col_heads[1:]), "%s"]
-    size = f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" '
-    for y, row in zip(sy, shades.reshape(drawn.shape).tolist()):
-        row_head = f'y="{_fmt(py(float(y)) - cell_h / 2)}" {size}'
-        parts.append(row_head.join(pieces) % tuple(map(fills.__getitem__, row)))
+    shades = np.rint(255 * np.clip((level + 6.0) / 6.0, 0.0, 1.0)).astype(np.uint8)
+    # The cells as one 8-bit grayscale PNG (RFC 2083), the first drawn row
+    # at the bottom: IHDR, one IDAT of rows each led by filter byte 0, IEND.
+    ny, nx = drawn.shape
+    rows = np.pad(shades.reshape(ny, nx)[::-1], ((0, 0), (1, 0)))
+    png = b"\x89PNG\r\n\x1a\n"
+    ihdr = nx.to_bytes(4, "big") + ny.to_bytes(4, "big") + b"\x08\0\0\0\0"
+    idat = zlib.compress(rows.tobytes())
+    for tag, data in ((b"IHDR", ihdr), (b"IDAT", idat), (b"IEND", b"")):
+        crc = zlib.crc32(tag + data).to_bytes(4, "big")
+        png += len(data).to_bytes(4, "big") + tag + data + crc
+    # Each pixel spans the drawn points' step (one point: the plot), centred on it.
+    x0, y0 = px(float(sx[0])), py(float(sy[-1]))
+    dx = (px(float(sx[-1])) - x0) / max(1, nx - 1) or (_W - _ML - _MR) / nx
+    dy = (py(float(sy[0])) - y0) / max(1, ny - 1) or (_H - _MT - _MB) / ny
+    # The payload percent-encoded (RFC 2397), %XX only: base64 could
+    # spell "nan" or "inf", which a check for non-finite numbers rejects.
+    parts = [
+        f'<image xmlns:xlink="http://www.w3.org/1999/xlink" x="{_fmt(x0 - dx / 2)}" '
+        f'y="{_fmt(y0 - dy / 2)}" width="{_fmt(nx * dx)}" height="{_fmt(ny * dy)}" '
+        'preserveAspectRatio="none" style="image-rendering:pixelated" '
+        f'xlink:href="data:image/png,%{png.hex("%").upper()}"/>'
+    ]
     for ox, oy in overlays:
         parts.append(
             f'<circle cx="{_fmt(px(float(ox)))}" cy="{_fmt(py(float(oy)))}" '

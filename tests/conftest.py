@@ -8,6 +8,9 @@ seeded uniform stream serves them, and their tests check its properties.
 """
 
 import math
+import re
+import urllib.parse
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -410,6 +413,37 @@ def heatmap_shade(value: float) -> int:
     The reference for the vectorised shading in ``render_heatmap``."""
     level = math.log10(max(float(value), 1e-6))
     return int(round(255 * min(1.0, max(0.0, (level + 6.0) / 6.0))))
+
+
+def heatmap_image(svg: str):
+    """The heatmap's one ``<image>`` in ``svg``: its (x, y, width, height)
+    and its pixels as a uint8 array [row, column], top row first.  The
+    percent-encoded PNG is decoded and checked on the way: the signature,
+    IHDR, IDAT and IEND in that order with their CRCs, an 8-bit grayscale
+    non-interlaced IHDR, and filter byte 0 leading each row."""
+    (element,) = re.findall(r"<image [^>]*/>", svg)
+    attrs = dict(re.findall(r'([\w:]+)="([^"]*)"', element))
+    assert attrs["preserveAspectRatio"] == "none"
+    scheme, payload = attrs["xlink:href"].split(",", 1)
+    assert scheme == "data:image/png"
+    png = urllib.parse.unquote_to_bytes(payload)
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = {}, 8
+    while pos < len(png):
+        size = int.from_bytes(png[pos : pos + 4], "big")
+        tag, data = png[pos + 4 : pos + 8], png[pos + 8 : pos + 8 + size]
+        crc = int.from_bytes(png[pos + 8 + size : pos + 12 + size], "big")
+        assert crc == zlib.crc32(tag + data), tag
+        chunks[tag], pos = data, pos + 12 + size
+    assert list(chunks) == [b"IHDR", b"IDAT", b"IEND"] and pos == len(png)
+    ihdr = chunks[b"IHDR"]
+    width, height = int.from_bytes(ihdr[:4], "big"), int.from_bytes(ihdr[4:8], "big")
+    assert ihdr[8:] == bytes([8, 0, 0, 0, 0])  # depth 8, grayscale, no interlace
+    rows = np.frombuffer(zlib.decompress(chunks[b"IDAT"]), np.uint8)
+    rows = rows.reshape(height, width + 1)
+    assert not rows[:, 0].any()  # filter type 0 (None) on every row
+    box = tuple(float(attrs[name]) for name in ("x", "y", "width", "height"))
+    return box, rows[:, 1:]
 
 
 def _wrap_pm_pi(angle: float) -> float:

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spwt.charts import render_heatmap, render_line_chart
-from conftest import heatmap_shade
+from spwt.charts import _scales, render_heatmap, render_line_chart
+from conftest import heatmap_image, heatmap_shade
 
-_FILL = re.compile(r'^<rect x="[^"]*" y="[^"]*" width="[^"]*" height="[^"]*" '
-                   r'fill="rgb\((\d+),\1,\1\)"/>$')
 # Doubles next to a shade boundary at which numpy's log10 (AVX-512 build)
 # and math.log10 round to different grey levels.
 _SPLIT_LEVEL = (
@@ -37,17 +35,26 @@ def test_heatmap_shades_equal_per_cell_formula(nx, ny, seed):
     drawn = values[::stride, ::stride]
     svg = render_heatmap(xs, ys, drawn, overlays=[(0.0, 0.0)])
 
-    want = [heatmap_shade(v) for row in drawn for v in row]
-    cells = [line for line in svg.splitlines() if line.startswith("<rect x=")]
-    got = [int(_FILL.match(line).group(1)) for line in cells]
-    assert got == want
+    (x, y, width, height), pixels = heatmap_image(svg)
+    want = [[heatmap_shade(v) for v in row] for row in drawn]
+    # the first drawn row is the image's bottom row, the first column its left
+    assert pixels[::-1].tolist() == want
+    # each pixel is centred on its grid point: the corner pixels on the
+    # first and last drawn points (the coordinates carry two decimals)
+    px, py = _scales(xs[0], xs[-1], ys[0], ys[-1])
+    ny, nx = pixels.shape
+    sx, sy = xs[::stride], ys[::stride]
+    half_w, half_h = width / nx / 2, height / ny / 2
+    assert x + half_w == pytest.approx(px(sx[0]), abs=0.02)
+    assert x + width - half_w == pytest.approx(px(sx[-1]), abs=0.02)
+    assert y + height - half_h == pytest.approx(py(sy[0]), abs=0.02)
+    assert y + half_h == pytest.approx(py(sy[-1]), abs=0.02)
 
 
 def test_heatmap_shades_of_the_clamp_ends():
     values = np.array([[0.0, 1e-6, 1.0, 2.0, np.inf, np.nan]])
-    svg = render_heatmap(np.arange(6.0), np.zeros(1), values)
-    fills = re.findall(r'fill="rgb\((\d+),', svg)
-    assert fills == ["0", "0", "255", "255", "255", "0"]
+    _, pixels = heatmap_image(render_heatmap(np.arange(6.0), np.zeros(1), values))
+    assert pixels.tolist() == [[0, 0, 255, 255, 255, 0]]
     assert [heatmap_shade(v) for v in values[0]] == [0, 0, 255, 255, 255, 0]
 
 
@@ -89,13 +96,20 @@ def test_heatmap_of_finite_values_is_finite(xs, ys, cells):
 
 def test_descending_heatmap_axis_draws_on_the_plot():
     # the first value of an axis sits at its left (or bottom) end whichever
-    # way the axis runs, so reversing the axis keeps every cell on the plot
-    def cell_xs(xs):
-        svg = render_heatmap(xs, [0.0, 1.0], np.ones((2, 3)))
-        return [float(x) for x in re.findall(r'<rect x="([-0-9.]+)"', svg)[:3]]
-
-    assert cell_xs([10.0, 5.0, 0.0]) == cell_xs([0.0, 5.0, 10.0])
-    assert cell_xs([10.0, 5.0, 0.0]) == [-31.92, 249.08, 530.08]
+    # way the axis runs: reversing an axis, with the values that go with
+    # it, keeps the image's extent and flips its pixels along that axis
+    values = np.array([[0.5, 1e-3, 1e-5], [1.0, 0.1, 1e-6]])
+    box, pixels = heatmap_image(render_heatmap([0.0, 5.0, 10.0], [0.0, 1.0], values))
+    box_x, flip_x = heatmap_image(
+        render_heatmap([10.0, 5.0, 0.0], [0.0, 1.0], values[:, ::-1])
+    )
+    box_y, flip_y = heatmap_image(
+        render_heatmap([0.0, 5.0, 10.0], [1.0, 0.0], values[::-1])
+    )
+    assert box_x == box == box_y == (-78.5, -157.0, 843.0, 708.0)
+    assert flip_x.tolist() == pixels[:, ::-1].tolist()
+    assert flip_y.tolist() == pixels[::-1].tolist()
+    assert len(set(pixels.ravel().tolist())) == values.size
     huge = [1e308, -1e308]
     svg = render_heatmap(huge, huge, np.ones((2, 2)), overlays=[(0.0, 0.0)])
     assert not re.search(r"nan|inf", svg)

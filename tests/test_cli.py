@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -27,7 +28,8 @@ from spwt.cli import (
     parse_config,
 )
 from spwt.pattern import _pattern_axis, _write_pattern_csv
-from test_golden import _TIMESTAMP, GOLDEN
+from conftest import heatmap_image, make_scenario
+from test_golden import _TIMESTAMP, CONFIGS, GOLDEN
 
 
 BASE = {
@@ -286,7 +288,27 @@ def test_pattern_outputs(tmp_path):
     assert rows[0] == "x_m,y_m,residual"
     assert len(rows) == 1 + 9 * 9
     svg = (out / "pattern.svg").read_text()
-    assert "<rect" in svg and "circle" in svg  # cells plus solution overlay
+    # the cells as one image, and one circle per solved placement
+    solutions, _ = spwt.solve_all(make_scenario())  # the config's scenario
+    assert svg.count("<image") == 1
+    assert svg.count("<circle") == len(solutions) > 0
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_default_grid_pattern_svg_is_well_formed_and_small(config, tmp_path):
+    # the default 401-point box: the heatmap's cells as one %XX-encoded PNG
+    from xml.dom import minidom
+
+    out = tmp_path / "out"
+    cfg = str(GOLDEN / f"{config}.cfg")
+    assert main(["pattern", "--config", cfg, "--out", str(out)]) == 0
+    data = (out / "pattern.svg").read_bytes()
+    minidom.parseString(data)
+    (payload,) = re.findall(rb'xlink:href="data:image/png,([^"]*)"', data)
+    assert re.fullmatch(rb"(%[0-9A-F]{2})+", payload)
+    assert len(data) < 50_000
+    _, pixels = heatmap_image(data.decode())
+    assert pixels.shape == (134, 134)
 
 
 def test_pattern_rejects_bad_grid(tmp_path, capsys):
@@ -336,8 +358,8 @@ def test_pattern_csv_matches_per_cell_formatting():
     buf = io.StringIO()
     _write_pattern_csv(buf, axis, values)
     assert buf.getvalue() == _csv("x_m,y_m,residual", rows)
-    # the rows before 3 and from 3 on, as pattern splits them between two
-    # processes, give the same bytes
+    # the rows before 3 and from 3 on, written by two calls, the second
+    # from start 3, give the same bytes
     blocks = io.StringIO()
     _write_pattern_csv(blocks, axis, values[:3])
     _write_pattern_csv(blocks, axis, values[3:], 3)
