@@ -187,15 +187,19 @@ def render_heatmap(xs, ys, values, overlays=()) -> str:
     for tag, data in ((b"IHDR", ihdr), (b"IDAT", idat), (b"IEND", b"")):
         crc = zlib.crc32(tag + data).to_bytes(4, "big")
         png += len(data).to_bytes(4, "big") + tag + data + crc
-    # Each pixel spans the drawn points' step (one point: the plot), centred on it.
+    # Each pixel spans the drawn points' step (one point: the plot), centred
+    # on it; the half pixels past the edge points are clipped to the plot.
     x0, y0 = px(float(sx[0])), py(float(sy[-1]))
     dx = (px(float(sx[-1])) - x0) / max(1, nx - 1) or (_W - _ML - _MR) / nx
     dy = (py(float(sy[0])) - y0) / max(1, ny - 1) or (_H - _MT - _MB) / ny
     # The payload percent-encoded (RFC 2397), %XX only: base64 could
     # spell "nan" or "inf", which a check for non-finite numbers rejects.
     parts = [
-        f'<image xmlns:xlink="http://www.w3.org/1999/xlink" x="{_fmt(x0 - dx / 2)}" '
-        f'y="{_fmt(y0 - dy / 2)}" width="{_fmt(nx * dx)}" height="{_fmt(ny * dy)}" '
+        f'<clipPath id="plot"><rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
+        f'height="{_H - _MT - _MB}"/></clipPath>',
+        '<image xmlns:xlink="http://www.w3.org/1999/xlink" clip-path="url(#plot)" '
+        f'x="{_fmt(x0 - dx / 2)}" y="{_fmt(y0 - dy / 2)}" '
+        f'width="{_fmt(nx * dx)}" height="{_fmt(ny * dy)}" '
         'preserveAspectRatio="none" style="image-rendering:pixelated" '
         f'xlink:href="data:image/png,%{png.hex("%").upper()}"/>'
     ]

@@ -4,12 +4,8 @@ rows at a time, mapping, formatting the CSV and keeping the heatmap's cells.
 
 import os
 
+from . import placement
 from .errors import InvalidIndex, InvalidYaw
-from .placement import correlation_map, solve_all
-
-# Grid cells mapped and formatted at a time.  8,192 (one map chunk) took 8%
-# more page faults in a fresh pattern on wide16.cfg (6,910 against 6,402).
-_BLOCK = 1 << 12
 
 
 def _pattern_axis(lo: float, hi: float, step: float):
@@ -28,32 +24,17 @@ def _pattern_axis(lo: float, hi: float, step: float):
     return np.arange(lo, hi + step / 2.0, step)
 
 
-def _mantissa(np, v, e):
-    """round(v * 10**(11 - e)) of the exact product, ties to even; a rounded
-    product's tie is settled by its error: Dekker's two-product, Veltkamp's split."""
-    s = np.array([1e11, 1e12, 1e13, 1e14, 1e15, 1e16]).take(-e.astype(int))
-    p = v * s
-    m = np.rint(p)
-    if (tie := np.flatnonzero(np.abs(p - m) == 0.5)).size:
-        v, s, p, half = (x.flat[tie] for x in (v, s, p, p - m))
-        c, d = 134217729.0 * v, 134217729.0 * s
-        vh, sh = c - (c - v), d - (d - s)
-        vl, sl = v - vh, s - sh
-        err = ((vh * sh - p) + vh * sl + vl * sh) + vl * sl
-        m.flat[tie] += (half * err > 0) * 2.0 * half
-    return m
-
-
-def _write_pattern_csv(fh, axis, values, start=0) -> None:
-    """Write the x_m,y_m,residual table of a square grid to ``fh``, x
-    varying fastest: ``values`` holds the grid rows from ``start`` on, a 2-D
-    array or an iterable of 2-D blocks of rows; the header comes first when
-    ``start`` is 0.  Same bytes as :func:`~spwt.cli._csv` over the rows.
+def _write_pattern_csv(fh, axis, blocks) -> None:
+    """Write the x_m,y_m,residual table of a square grid to ``fh``, the
+    header and then ``blocks``, the grid's 2-D blocks of rows in order, x
+    varying fastest.  Same bytes as :func:`~spwt.cli._csv` over the rows.
 
     Each line is a zero-padded row of 8-byte words (x label, y label, value,
-    newline) whose zero bytes are dropped.  A cell in [1e-4, 1) is written
-    from its correctly rounded 12-digit mantissa, ``np.log10`` only guessing
-    the exponent; any other, or one rounding to 1, through Python's %.12g."""
+    newline) whose zero bytes are dropped.  A cell v in [1e-4, 1) is written
+    from m = rint(v * 10^(12 + d)), d its decade from three comparisons
+    (exact, as 0.1, 0.01 and 0.001 each lie just above its decimal): where
+    the product is not a half, the rounding of its exact value.  A half, an
+    m of 10^12 (v rounds up a decade) and any other cell go through %.12g."""
     import numpy as np
 
     n, u32 = len(axis), np.uint32
@@ -61,36 +42,36 @@ def _write_pattern_csv(fh, axis, values, start=0) -> None:
     lw = -(-labels.itemsize // 8)  # words per label
     labels = labels.astype(f"S{8 * lw}").view(np.uint64).reshape(n, lw)
     # made once: the line buffer, "0." with 0-3 zeros, and "%04d" of 0..9999
-    rows = max(1, _BLOCK // n)
+    rows = max(1, placement._MAP_CHUNK // n)
     line = np.zeros((rows, n, 2 * lw + 3), np.uint64)
     line[:, :, :lw] = labels
     line.view(u32)[:, :, -1] = np.frombuffer(b"\0\0\0\n", u32)
     heads = np.array([b"0.", b"0.0", b"0.00", b"0.000"], "S8").view(np.uint64)
+    scales = np.array([1e12, 1e13, 1e14, 1e15])
     q = np.arange(10_000)
     digits = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], -1) + 48
     ends = np.cumprod(digits[:, ::-1] == 48, -1)[:, ::-1]  # dropped in a 2nd half
     digits = np.concatenate([digits, digits * (1 - ends)]).astype(np.uint8).view(u32)
-    if not start:
-        fh.write("x_m,y_m,residual\n")
-    for block in [values] if isinstance(values, np.ndarray) else values:
+    fh.write("x_m,y_m,residual\n")
+    y = 0
+    for block in blocks:
         for i in range(0, len(block), rows):
             v = np.asarray(block[i : i + rows], float)
             words = line[: len(v)]
-            words[:, :, lw : 2 * lw] = labels[start : start + len(v), None]
+            words[:, :, lw : 2 * lw] = labels[y : y + len(v), None]
             fast = (v >= 1e-4) & (v < 1.0)
             w = np.where(fast, v, 0.5)
-            e = np.clip(np.floor(np.log10(w)), -4.0, -1.0)
-            m = _mantissa(np, w, e)
-            if ((m >= 1e12) | (m < 1e11)).any():  # the guess was a decade off
-                e = e + (m >= 1e12) - (m < 1e11)
-                m = _mantissa(np, w, e)
-            fast &= e < 0  # else v rounds to 1
-            hi, low = np.divmod(m.astype(np.int64), 10**8)
+            d = (w < 0.1).astype(np.intp) + (w < 0.01) + (w < 0.001)
+            p = w * scales.take(d)
+            m = np.rint(p)
+            fast &= (m < 1e12) & (np.abs(p - m) != 0.5)
+            # a slow cell's digits are overwritten below; 0 keeps them in range
+            hi, low = np.divmod(np.where(fast, m, 0.0).astype(np.int64), 10**8)
             mid, low = np.divmod(low, 10**4)
             low += 10**4  # trailing zeros dropped from the last group, and
             mid += 10**4 * (low == 10**4)  # from each one before it whose
             hi += 10**4 * (mid == 10**4)  # followers are all zeros
-            words[:, :, 2 * lw] = heads.take(-1 - e.astype(int))
+            words[:, :, 2 * lw] = heads.take(d)
             for j, group in enumerate((hi, mid, low), 4 * lw + 2):
                 words.view(u32)[:, :, j] = digits.take(group)
             if (slow := np.flatnonzero(~fast)).size:
@@ -98,7 +79,7 @@ def _write_pattern_csv(fh, axis, values, start=0) -> None:
                 cells = words.view(u32).reshape(v.size, -1)
                 cells[slow, 4 * lw : -1] = text[:, None].view(u32)
             fh.write(str(words.tobytes().translate(None, b"\0"), "ascii"))
-            start += len(v)
+            y += len(v)
 
 
 def _pattern_files(scenario, lo: float, hi: float, step: float) -> dict:
@@ -112,9 +93,9 @@ def _pattern_files(scenario, lo: float, hi: float, step: float) -> dict:
 
     axis = _pattern_axis(lo, hi, step)
     n = axis.size
-    stride, rows = heatmap_stride(n, n), max(1, _BLOCK // n)
+    stride, rows = heatmap_stride(n, n), max(1, placement._MAP_CHUNK // n)
     try:
-        solutions, _ = solve_all(scenario)
+        solutions, _ = placement.solve_all(scenario)
     except (InvalidIndex, InvalidYaw):
         solutions = []  # the map is still defined; it just has no overlay
     overlays = [(s.position.x, s.position.y) for s in solutions]
@@ -122,7 +103,8 @@ def _pattern_files(scenario, lo: float, hi: float, step: float) -> dict:
 
     def blocks():
         for start in range(0, n, rows):
-            block = correlation_map(scenario, axis, axis[start : start + rows])
+            ys = axis[start : start + rows]
+            block = placement.correlation_map(scenario, axis, ys)
             drawn.extend(block[-start % stride :: stride, ::stride].copy())
             yield block
 

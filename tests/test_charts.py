@@ -1,4 +1,5 @@
 import re
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -107,6 +108,15 @@ def test_descending_heatmap_axis_draws_on_the_plot():
         render_heatmap([0.0, 5.0, 10.0], [1.0, 0.0], values[::-1])
     )
     assert box_x == box == box_y == (-78.5, -157.0, 843.0, 708.0)
+    # that extent overhangs the page; the image is clipped to the plot,
+    # 62..624 x 20..374, where the axes run
+    page = minidom.parseString(render_heatmap([0.0, 5.0, 10.0], [0.0, 1.0], values))
+    (clip,) = page.getElementsByTagName("clipPath")
+    (rect,) = clip.getElementsByTagName("rect")
+    (image,) = page.getElementsByTagName("image")
+    assert image.getAttribute("clip-path") == f"url(#{clip.getAttribute('id')})"
+    plot = [float(rect.getAttribute(k)) for k in ("x", "y", "width", "height")]
+    assert plot == [62.0, 20.0, 562.0, 354.0]
     assert flip_x.tolist() == pixels[:, ::-1].tolist()
     assert flip_y.tolist() == pixels[::-1].tolist()
     assert len(set(pixels.ravel().tolist())) == values.size
@@ -118,8 +128,6 @@ def test_descending_heatmap_axis_draws_on_the_plot():
 def test_labels_titles_and_series_names_are_escaped():
     # &, < and > in any text the caller passes stay character data: the
     # page parses as XML and reads back the caller's strings
-    from xml.dom import minidom
-
     def texts(svg):
         return [
             node.firstChild.data

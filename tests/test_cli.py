@@ -17,11 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spwt
-from spwt import pattern
+from spwt import pattern, placement
 from spwt.cli import (
     CliError,
     _csv,
     _fmt,
+    _resolve_config,
+    _scenario,
     _sweep_grid,
     _write_outputs,
     main,
@@ -356,14 +358,23 @@ def test_pattern_csv_matches_per_cell_formatting():
         for j, x in enumerate(axis)
     )
     buf = io.StringIO()
-    _write_pattern_csv(buf, axis, values)
+    _write_pattern_csv(buf, axis, [values])
     assert buf.getvalue() == _csv("x_m,y_m,residual", rows)
-    # the rows before 3 and from 3 on, written by two calls, the second
-    # from start 3, give the same bytes
-    blocks = io.StringIO()
-    _write_pattern_csv(blocks, axis, values[:3])
-    _write_pattern_csv(blocks, axis, values[3:], 3)
-    assert blocks.getvalue() == buf.getvalue()
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_default_grid_pattern_csv_matches_per_cell_formatting(config, tmp_path):
+    # a real map, on the default 401-point grid: pattern.csv holds _csv's
+    # per-cell bytes over the same map (wide16's has 3,333 cells outside
+    # [1e-4, 1), which the writer formats one by one)
+    cfg = str(GOLDEN / f"{config}.cfg")
+    assert main(["pattern", "--config", cfg, "--out", str(tmp_path)]) == 0
+    axis = _pattern_axis(-1000.0, 1000.0, 5.0)
+    scenario = _scenario(_resolve_config(parse_config(cfg), None))
+    values = spwt.correlation_map(scenario, axis, axis)
+    rows = ((x, y, v) for y, row in zip(axis, values) for x, v in zip(axis, row))
+    expected = _csv("x_m,y_m,residual", rows)
+    assert (tmp_path / "pattern.csv").read_text() == expected
 
 
 def _decade_edges(e):
@@ -402,23 +413,19 @@ def _csv_rows(draw):
 
 
 @settings(max_examples=300)
-@given(grid=_csv_rows(), block=st.integers(1, 64))
-def test_pattern_csv_writes_every_double_as_python_formats_it(grid, block):
-    # rows of cells written whole, as two calls split at `start` and as one
-    # iterable of those two blocks, with buffers of `block` cells or one row,
-    # must give _csv's per-cell bytes
+@given(grid=_csv_rows(), chunk=st.integers(1, 64))
+def test_pattern_csv_writes_every_double_as_python_formats_it(grid, chunk):
+    # rows of cells written as one block and as two split at `start`, with
+    # buffers of `chunk` cells or one row, must give _csv's per-cell bytes
     values, start = grid
     axis = np.arange(values.shape[1]) * 2.5 - 5.0
     rows = ((x, y, v) for y, row in zip(axis, values) for x, v in zip(axis, row))
     expected = _csv("x_m,y_m,residual", rows)
-    with mock.patch.object(pattern, "_BLOCK", block):
-        whole, split, blocks = io.StringIO(), io.StringIO(), io.StringIO()
-        _write_pattern_csv(whole, axis, values)
-        _write_pattern_csv(split, axis, values[:start])
-        _write_pattern_csv(split, axis, values[start:], start)
+    with mock.patch.object(placement, "_MAP_CHUNK", chunk):
+        whole, blocks = io.StringIO(), io.StringIO()
+        _write_pattern_csv(whole, axis, [values])
         _write_pattern_csv(blocks, axis, iter([values[:start], values[start:]]))
     assert whole.getvalue() == expected
-    assert split.getvalue() == expected
     assert blocks.getvalue() == expected
 
 

@@ -652,7 +652,8 @@ def test_chunk_size_does_not_change_the_map(monkeypatch, reference_scenario):
 
 
 # One sha256 over the default 401-point axis's maps of the golden configs,
-# and over their pattern.csv text, whose writer calls np.log10.
+# and over their pattern.csv text, whose writer uses only correctly rounded
+# numpy operations (comparisons, products, rint, divmod).
 _MAP_HASH = """
 import hashlib, io, sys
 import numpy as np
@@ -665,7 +666,7 @@ for path in sys.argv[1:]:
     scenario = _scenario(_resolve_config(parse_config(path), None))
     values = correlation_map(scenario, axis, axis)
     text = io.StringIO()
-    _write_pattern_csv(text, axis, values)
+    _write_pattern_csv(text, axis, [values])
     digest.update(values.tobytes())
     digest.update(text.getvalue().encode())
 print(digest.hexdigest())
