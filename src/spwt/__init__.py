@@ -26,7 +26,7 @@ _EXPORTS = {
     "experiments": ("SweepResult", "sweep_alpha", "sweep_snr"),
     "geometry": ("Position3D",),
     "placement": (
-        "NullIndex", "PlacementSolution", "correlation_map", "solve_all",
+        "PlacementSolution", "correlation_map", "solve_all",
         "solve_azimuth_scheme", "solve_pitch_scheme",
     ),
     "scenario": ("ScenarioConfig",),

@@ -187,19 +187,22 @@ def render_heatmap(xs, ys, values, overlays=()) -> str:
     for tag, data in ((b"IHDR", ihdr), (b"IDAT", idat), (b"IEND", b"")):
         crc = zlib.crc32(tag + data).to_bytes(4, "big")
         png += len(data).to_bytes(4, "big") + tag + data + crc
-    # Each pixel spans the drawn points' step (one point: the plot), centred
-    # on it; the half pixels past the edge points are clipped to the plot.
-    x0, y0 = px(float(sx[0])), py(float(sy[-1]))
-    dx = (px(float(sx[-1])) - x0) / max(1, nx - 1) or (_W - _ML - _MR) / nx
-    dy = (py(float(sy[0])) - y0) / max(1, ny - 1) or (_H - _MT - _MB) / ny
+    # Each pixel spans the drawn points' step, centred on it; the half
+    # pixels past the edge points are clipped to the plot.  An axis whose
+    # drawn points have no extent fills the plot on that axis.
+    def extent(first: float, last: float, n: int, start: int, size: int):
+        step = (last - first) / max(1, n - 1)
+        return (first - step / 2, n * step) if step else (start, size)
+
+    x0, width = extent(px(float(sx[0])), px(float(sx[-1])), nx, _ML, _W - _ML - _MR)
+    y0, height = extent(py(float(sy[-1])), py(float(sy[0])), ny, _MT, _H - _MT - _MB)
     # The payload percent-encoded (RFC 2397), %XX only: base64 could
     # spell "nan" or "inf", which a check for non-finite numbers rejects.
     parts = [
         f'<clipPath id="plot"><rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
         f'height="{_H - _MT - _MB}"/></clipPath>',
         '<image xmlns:xlink="http://www.w3.org/1999/xlink" clip-path="url(#plot)" '
-        f'x="{_fmt(x0 - dx / 2)}" y="{_fmt(y0 - dy / 2)}" '
-        f'width="{_fmt(nx * dx)}" height="{_fmt(ny * dy)}" '
+        f'x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(width)}" height="{_fmt(height)}" '
         'preserveAspectRatio="none" style="image-rendering:pixelated" '
         f'xlink:href="data:image/png,%{png.hex("%").upper()}"/>'
     ]

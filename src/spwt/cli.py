@@ -231,10 +231,9 @@ def cmd_place(args, resolved: dict, scenario: ScenarioConfig) -> int:
         return 2
     print(f"solutions: {len(solutions)}")
     for s in solutions:
-        index = s.index_used.k if s.scheme == "azimuth" else s.index_used.l
         print(
             f"scheme={s.scheme} branch={s.branch} factor={s.factor_used} "
-            f"index={index} x_m={_fmt(s.position.x)} y_m={_fmt(s.position.y)} "
+            f"index={s.index_used} x_m={_fmt(s.position.x)} y_m={_fmt(s.position.y)} "
             f"z_m={_fmt(s.position.z)} null_residual={s.null_residual:.3e} "
             f"sr_bits_hz={_fmt(s.sr_at_solution)}"
         )

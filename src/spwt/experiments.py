@@ -39,17 +39,13 @@ class SweepResult:
 
 
 def _pick(scenario: ScenarioConfig, scheme: str) -> PlacementSolution | str:
-    """The scheme's placement of highest SR, then smallest residual, then
-    branch/factor order, then the order ``solve_all`` returns, or why it has
-    none; kept under ("best", scheme), so only the first sweep of a scheme
-    warns of the candidates its solve discards."""
+    """The scheme's first placement in the order ``solve_all`` returns, or
+    why it has none; kept under ("best", scheme), so only the first sweep of
+    a scheme warns of the candidates its solve discards.  Every placement is
+    certified at |rho| <= 1e-8, where the SR differs from the bound only by
+    rounding, so no ranking of them picks a better one."""
     solutions, failures = solve_all(scenario, (scheme,))
-    if not solutions:
-        return "; ".join(failures)
-    return min(
-        solutions,
-        key=lambda s: (-s.sr_at_solution, s.null_residual, s.branch, s.factor_used),
-    )
+    return solutions[0] if solutions else "; ".join(failures)
 
 
 def _baselines(scenario: ScenarioConfig, n: int) -> tuple:

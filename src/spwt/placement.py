@@ -60,25 +60,11 @@ _MAP_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
-class NullIndex:
-    """Which zero of each geometric-sum factor to target.
-
-    ``k`` selects the zero of each factor that the bisector scheme targets,
-    ``l`` the one the extension scheme targets.  A factor whose dimension
-    divides the value has its maximum there and is skipped; a value that
-    both dimensions, or a forced factor's, divide is rejected.
-    """
-
-    k: int = 1
-    l: int = 1
-
-
-@dataclass(frozen=True)
 class PlacementSolution:
     position: Position3D
     scheme: str
     branch: str
-    index_used: NullIndex
+    index_used: int
     factor_used: str
     null_residual: float
     sr_at_solution: float
@@ -155,10 +141,10 @@ def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
     the first time it is asked for; any other scenario's are dropped first.
 
     Keys name what was computed: ("frame",), ("factors", index), ("azimuth",
-    k), ("pitch", l, factor) per factor reached, the sweeps' ("baselines",
-    count), ("sweep", count, kind, grid, snr_db) and ("best", scheme).
-    They hold values only: the builders take ``float(k)`` and ``float(l)``,
-    the sweeps the count's ``operator.index`` and the floats of the grid
+    index), ("pitch", index, factor) per factor reached, the sweeps'
+    ("baselines", count), ("sweep", count, kind, grid, snr_db) and ("best",
+    scheme).  They hold values only: the builders take the index's float, the
+    sweeps the count's ``operator.index`` and the floats of the grid
     and ``snr_db`` before the slot, so inputs that compare equal (1, 1.0,
     True; 0.0, -0.0) share one outcome.  Outcomes hold values and messages,
     never an exception or the scenario (the frame's kernel closes over the
@@ -179,11 +165,12 @@ def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
 
 
 def solve_azimuth_scheme(
-    scenario: ScenarioConfig, index: NullIndex = NullIndex()
+    scenario: ScenarioConfig, index: int = 1
 ) -> list[PlacementSolution]:
     """All bisector-scheme placements nulling the correlation.
 
-    On x = x_e/2 the pitch cosines agree, and the row factor vanishes when
+    On x = x_e/2 the pitch cosines agree, and the row factor vanishes at
+    null index k = ``index`` when
 
         y > 0 with  4*k^2*(y^2 + g^2) = (M^2*cos(yaw)^2 - k^2) * x_e^2,
 
@@ -207,8 +194,8 @@ def solve_azimuth_scheme(
         For a quarter-turn yaw, an index with no matching zero, or a ground
         node off z = 0.
     """
-    _check(scenario, index.k)
-    records = _kept(scenario, ("azimuth", index.k), _bisector_candidates, index.k)
+    _check(scenario, index)
+    records = _kept(scenario, ("azimuth", index), _bisector_candidates, index)
     solutions = [s for r in records if (s := _accept(r, index)) is not None]
     if not solutions:
         raise InfeasibleGeometry("every bisector candidate failed verification")
@@ -280,7 +267,7 @@ def _certify(scenario: ScenarioConfig, candidates: list) -> list:
     ]
 
 
-def _accept(record: tuple, index: NullIndex) -> PlacementSolution | None:
+def _accept(record: tuple, index) -> PlacementSolution | None:
     """A :func:`_certify` record's placement; or None, with a warning at the
     caller's line, if it failed verification.  Both solvers accept here."""
     scheme, factor, branch, coordinate, position, residual, rate = record
@@ -314,15 +301,15 @@ def _pitch_gap(x_e: float, g: float, t: float) -> tuple[float, float, float]:
 
 def solve_pitch_scheme(
     scenario: ScenarioConfig,
-    index: NullIndex = NullIndex(),
+    index: int = 1,
     side: str = "left",
     factor: str | None = None,
 ) -> PlacementSolution:
     """Extension-scheme placement on one side of the ground segment.
 
     With y = 0 and the transmitter beyond the segment, both nodes share a
-    yaw-relative azimuth, and the row factor vanishes when the pitch-cosine
-    gap satisfies
+    yaw-relative azimuth, and the row factor vanishes at null index
+    l = ``index`` when the pitch-cosine gap satisfies
 
         cos(pitch_e) - cos(pitch_b) = +/- 2*l / (M * cos(az_rel))
 
@@ -342,7 +329,7 @@ def solve_pitch_scheme(
         "left" places the transmitter at x < 0, "right" at x > x_e.
     factor : {"row", "column"}, optional
         Force one factor, which raises InvalidIndex if its dimension divides
-        ``l``; by default the row factor is tried first and the column
+        ``index``; by default the row factor is tried first and the column
         factor wherever it fails or has no zero.  A factor's root search and
         its certification pass of both sides run when a call first reaches it.
 
@@ -353,19 +340,19 @@ def solve_pitch_scheme(
         attainable range, its root search does not converge, or its
         candidate does not pass certification.
     """
-    factors = _check(scenario, index.l)
+    factors = _check(scenario, index)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if factor not in (None, "row", "column"):
         raise ValueError("factor must be 'row' or 'column'")
     if factor is not None and factor not in factors:
-        raise InvalidIndex(f"index {index.l} is a multiple of the {factor} dimension")
+        raise InvalidIndex(f"index {index} is a multiple of the {factor} dimension")
     failures: list[str] = []
     failed_x: list[float] = []
     advice = ""
     for fac in (factor,) if factor is not None else factors:
-        key = ("pitch", index.l, fac)
-        record = _kept(scenario, key, _extension_candidates, index.l, fac)[side]
+        key = ("pitch", index, fac)
+        record = _kept(scenario, key, _extension_candidates, index, fac)[side]
         if len(record) == 2:  # no candidate: (why, whether the gap was unattainable)
             failures.append(record[0])
             if record[1]:

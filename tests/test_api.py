@@ -14,7 +14,6 @@ PUBLIC = [
     "InvalidCorrelation",
     "InvalidIndex",
     "InvalidYaw",
-    "NullIndex",
     "PlacementSolution",
     "Position3D",
     "PowerConfig",

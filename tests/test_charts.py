@@ -41,15 +41,22 @@ def test_heatmap_shades_equal_per_cell_formula(nx, ny, seed):
     # the first drawn row is the image's bottom row, the first column its left
     assert pixels[::-1].tolist() == want
     # each pixel is centred on its grid point: the corner pixels on the
-    # first and last drawn points (the coordinates carry two decimals)
+    # first and last drawn points (the coordinates carry two decimals); an
+    # axis of one drawn point fills the plot on that axis
     px, py = _scales(xs[0], xs[-1], ys[0], ys[-1])
     ny, nx = pixels.shape
     sx, sy = xs[::stride], ys[::stride]
     half_w, half_h = width / nx / 2, height / ny / 2
-    assert x + half_w == pytest.approx(px(sx[0]), abs=0.02)
-    assert x + width - half_w == pytest.approx(px(sx[-1]), abs=0.02)
-    assert y + height - half_h == pytest.approx(py(sy[0]), abs=0.02)
-    assert y + half_h == pytest.approx(py(sy[-1]), abs=0.02)
+    if nx > 1:
+        assert x + half_w == pytest.approx(px(sx[0]), abs=0.02)
+        assert x + width - half_w == pytest.approx(px(sx[-1]), abs=0.02)
+    else:
+        assert (x, width) == (62.0, 562.0)
+    if ny > 1:
+        assert y + height - half_h == pytest.approx(py(sy[0]), abs=0.02)
+        assert y + half_h == pytest.approx(py(sy[-1]), abs=0.02)
+    else:
+        assert (y, height) == (20.0, 354.0)
 
 
 def test_heatmap_shades_of_the_clamp_ends():
@@ -120,6 +127,14 @@ def test_descending_heatmap_axis_draws_on_the_plot():
     assert flip_x.tolist() == pixels[:, ::-1].tolist()
     assert flip_y.tolist() == pixels[::-1].tolist()
     assert len(set(pixels.ravel().tolist())) == values.size
+    # an axis whose drawn points have no extent fills the plot on that axis,
+    # and the other axis keeps its extent
+    one, _ = heatmap_image(render_heatmap([0.0], [0.0], [[0.5]]))
+    assert one == (62.0, 20.0, 562.0, 354.0)
+    one_x, _ = heatmap_image(render_heatmap([0.0], [0.0, 1.0], values[:, :1]))
+    one_y, _ = heatmap_image(render_heatmap([0.0, 5.0, 10.0], [0.0], values[:1]))
+    assert one_x == (62.0, -157.0, 562.0, 708.0)
+    assert one_y == (-78.5, 20.0, 843.0, 354.0)
     huge = [1e308, -1e308]
     svg = render_heatmap(huge, huge, np.ones((2, 2)), overlays=[(0.0, 0.0)])
     assert not re.search(r"nan|inf", svg)

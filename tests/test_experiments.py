@@ -13,6 +13,7 @@ from spwt import (
     InfeasibleGeometry,
     Position3D,
     PowerConfig,
+    solve_all,
     sweep_alpha,
     sweep_snr,
 )
@@ -229,6 +230,16 @@ def test_sweep_alpha_metadata(reference_scenario):
     common = {"kind", "scheme", "placement", "baseline_positions"}
     assert set(result.metadata) == common | {"snr_db"}
     assert set(sweep_snr(reference_scenario).metadata) == common
+
+
+@pytest.mark.parametrize("scheme", ["azimuth", "pitch"])
+def test_sweeps_take_the_first_certified_placement(scheme):
+    # four bisector placements and two extension sides, all certified: a
+    # sweep takes the first in solve_all's order, not a rounding-noise best
+    sc = make_scenario(yaw=math.pi / 3.0)
+    first = solve_all(sc, (scheme,))[0][0].position
+    for result in (sweep_snr(sc, scheme), sweep_alpha(sc, scheme=scheme)):
+        assert result.metadata["placement"] == (first.x, first.y, first.z)
 
 
 @pytest.mark.parametrize("scheme", ["azimuth", "pitch"])

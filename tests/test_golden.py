@@ -40,7 +40,6 @@ from spwt import (
     ArrayGeometry,
     InfeasibleGeometry,
     InvalidIndex,
-    NullIndex,
     Position3D,
     solve_azimuth_scheme,
     solve_pitch_scheme,
@@ -177,7 +176,7 @@ def study_scenarios() -> list:
     ]
 
 
-def indexed_study(scenario, index: NullIndex) -> list:
+def indexed_study(scenario, index: int) -> list:
     """Each solver's outcome at ``index``: the bisector's placements, then
     the extension's on the left and on the right, with a named error
     recorded as its type and text."""
@@ -195,16 +194,16 @@ def indexed_study(scenario, index: NullIndex) -> list:
 
 
 def study_record(scenario, k: int = 1) -> list[str]:
-    """The case's three lines: the scenario's repr (followed by the index's
-    above 1), the repr of its record and the messages of the warnings that
-    making the record emitted."""
-    head, index = repr(scenario), NullIndex(k, k)
+    """The case's three lines: the scenario's repr (followed by ``index=K``
+    for an index K above 1), the repr of its record and the messages of the
+    warnings that making the record emitted."""
+    head = repr(scenario)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if k == 1:
             record = _study(scenario)
         else:
-            head, record = f"{head} {index!r}", indexed_study(scenario, index)
+            head, record = f"{head} index={k}", indexed_study(scenario, k)
     return [head, repr(record), repr([str(w.message) for w in caught])]
 
 

@@ -16,7 +16,6 @@ from spwt import (
     InfeasibleGeometry,
     InvalidIndex,
     InvalidYaw,
-    NullIndex,
     Position3D,
     PowerConfig,
     correlation_map,
@@ -70,7 +69,7 @@ def test_azimuth_reference_values(reference_scenario):
 
 def test_azimuth_second_index(reference_scenario):
     # k = 2 shrinks the radicand to 360000/16, an exact square
-    solutions = solve_azimuth_scheme(reference_scenario, NullIndex(k=2))
+    solutions = solve_azimuth_scheme(reference_scenario, 2)
     ys = sorted(s.position.y for s in solutions)
     assert ys == pytest.approx([-150.0, 150.0], abs=1e-9)
     assert all(s.null_residual <= 1e-10 for s in solutions)
@@ -95,7 +94,7 @@ def test_azimuth_infeasible_when_too_high():
         solve_azimuth_scheme(make_scenario(g=10_000.0))
     # (k * x_e) ** 2 beyond the float range: named, not OverflowError
     with pytest.raises(InfeasibleGeometry, match="overflows the float range"):
-        solve_azimuth_scheme(make_scenario(m=3, n=5), NullIndex(k=10**300 + 1))
+        solve_azimuth_scheme(make_scenario(m=3, n=5), 10**300 + 1)
 
 
 def test_azimuth_feasibility_threshold():
@@ -114,9 +113,9 @@ def test_azimuth_feasibility_threshold():
                         sc = make_scenario(m=m, n=m, x_e=x_e, g=g, yaw=yaw)
                         if not (feas_row or feas_col):
                             with pytest.raises(InfeasibleGeometry):
-                                solve_azimuth_scheme(sc, NullIndex(k=k))
+                                solve_azimuth_scheme(sc, k)
                             continue
-                        sols = solve_azimuth_scheme(sc, NullIndex(k=k))
+                        sols = solve_azimuth_scheme(sc, k)
                         assert sols
                         factors = {s.factor_used for s in sols}
                         if feas_row:
@@ -141,25 +140,25 @@ def test_index_rejection():
     sc = make_scenario()  # 4x4
     for bad in (0, -1, 4, 8, 12):
         with pytest.raises(InvalidIndex):
-            solve_azimuth_scheme(sc, NullIndex(k=bad))
+            solve_azimuth_scheme(sc, bad)
     with pytest.raises(InvalidIndex):
-        solve_pitch_scheme(sc, NullIndex(l=4))
+        solve_pitch_scheme(sc, 4)
     sc_rect = make_scenario(m=4, n=3)
     with pytest.raises(InvalidIndex):
-        solve_azimuth_scheme(sc_rect, NullIndex(k=12))  # multiple of m and n
+        solve_azimuth_scheme(sc_rect, 12)  # multiple of m and n
 
 
 def test_index_rule_is_per_factor():
     # an index that one array side divides leaves the other factor's zero
     sc = make_scenario(m=8, n=3)
-    solutions = solve_azimuth_scheme(sc, NullIndex(k=3))
+    solutions = solve_azimuth_scheme(sc, 3)
     assert [s.factor_used for s in solutions] == ["row", "row"]
     for s in solutions:
         assert explicit_correlation(sc, s.position) <= 1e-8
     with pytest.raises(InvalidIndex, match="multiple of the column dimension"):
-        solve_pitch_scheme(sc, NullIndex(l=3), factor="column")
+        solve_pitch_scheme(sc, 3, factor="column")
     with pytest.raises(InvalidIndex, match="multiple of both array dimensions"):
-        solve_pitch_scheme(sc, NullIndex(l=24))
+        solve_pitch_scheme(sc, 24)
 
 
 @pytest.mark.parametrize("m, n, live", [(1, 8, "column"), (8, 1, "row")])
@@ -211,13 +210,13 @@ def test_pitch_rejects_an_unknown_side_or_factor(reference_scenario):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda sc: solve_azimuth_scheme(sc, NullIndex(k=1.5)),
-        lambda sc: solve_azimuth_scheme(sc, NullIndex(k=math.nan)),
-        lambda sc: solve_azimuth_scheme(sc, NullIndex(k=math.inf)),
-        lambda sc: solve_pitch_scheme(sc, NullIndex(l=1.5)),
-        lambda sc: solve_pitch_scheme(sc, NullIndex(l=math.nan), side="right"),
-        lambda sc: solve_azimuth_scheme(sc, NullIndex(k=10**400 + 1)),
-        lambda sc: solve_pitch_scheme(sc, NullIndex(l=10**400 + 1)),
+        lambda sc: solve_azimuth_scheme(sc, 1.5),
+        lambda sc: solve_azimuth_scheme(sc, math.nan),
+        lambda sc: solve_azimuth_scheme(sc, math.inf),
+        lambda sc: solve_pitch_scheme(sc, 1.5),
+        lambda sc: solve_pitch_scheme(sc, math.nan, side="right"),
+        lambda sc: solve_azimuth_scheme(sc, 10**400 + 1),
+        lambda sc: solve_pitch_scheme(sc, 10**400 + 1),
     ],
     ids=["k-1.5", "k-nan", "k-inf", "l-1.5", "l-nan", "k-huge", "l-huge"],
 )
@@ -235,7 +234,7 @@ def test_non_whole_index_is_rejected_before_solving(reference_scenario, call):
 def test_higher_index_solutions_verify():
     sc = make_scenario(m=8, n=8)
     for k in (1, 2, 3):
-        for s in solve_azimuth_scheme(sc, NullIndex(k=k)):
+        for s in solve_azimuth_scheme(sc, k):
             assert s.null_residual <= 1e-8
 
 
@@ -900,9 +899,9 @@ def test_solvers_place_every_root_an_independent_scan_finds(case):
     bisector = [y for locus, _, y in roots if locus == "bisector"]
     if not bisector:
         with pytest.raises(InfeasibleGeometry):
-            solve_azimuth_scheme(sc, NullIndex(k=k))
+            solve_azimuth_scheme(sc, k)
     else:
-        placed = solve_azimuth_scheme(sc, NullIndex(k=k))
+        placed = solve_azimuth_scheme(sc, k)
         ys = [tf.to_canonical(s.position).y for s in placed]
         assert all(any(near(y, r) for r in bisector) for y in ys)
         assert all(any(near(r, y) for y in ys) for r in bisector)
@@ -910,9 +909,9 @@ def test_solvers_place_every_root_an_independent_scan_finds(case):
         want = [(fac, x) for locus, fac, x in roots if locus == side]
         if not want:
             with pytest.raises(InfeasibleGeometry):
-                solve_pitch_scheme(sc, NullIndex(l=k), side)
+                solve_pitch_scheme(sc, k, side)
             continue
-        placed = solve_pitch_scheme(sc, NullIndex(l=k), side)
+        placed = solve_pitch_scheme(sc, k, side)
         x = tf.to_canonical(placed.position).x
         assert any(fac == placed.factor_used and near(x, r) for fac, r in want)
 
@@ -1077,11 +1076,11 @@ def _frontier_places(sc, scheme, index, factor) -> list[bool]:
     raises but for a frontier reason."""
     if scheme == "pitch":
         calls = [
-            lambda side=side: [solve_pitch_scheme(sc, NullIndex(l=index), side, factor)]
+            lambda side=side: [solve_pitch_scheme(sc, index, side, factor)]
             for side in ("left", "right")
         ]
     else:
-        calls = [lambda: solve_azimuth_scheme(sc, NullIndex(k=index))]
+        calls = [lambda: solve_azimuth_scheme(sc, index)]
     places = []
     for call in calls:
         caught, outcome = _recorded(call)

@@ -24,7 +24,6 @@ from hypothesis import given, strategies as st
 
 from spwt import (
     InfeasibleGeometry,
-    NullIndex,
     correlation_map,
     solve_all,
     solve_azimuth_scheme,
@@ -259,12 +258,7 @@ def test_equal_inputs_share_one_outcome(reference_scenario, kernel_calls):
     # kernel call in all, Python floats out, and each solution keeps the
     # caller's index as given
     sc = reference_scenario
-    for index in (
-        NullIndex(1, 1),
-        NullIndex(True, 1),
-        NullIndex(1.0, 1.0),
-        NullIndex(np.int64(1), np.int64(1)),
-    ):
+    for index in (1, True, 1.0, np.int64(1)):
         solutions = solve_azimuth_scheme(sc, index) + [solve_pitch_scheme(sc, index)]
         assert {repr(s.index_used) for s in solutions} == {repr(index)}
         for s in solutions:
