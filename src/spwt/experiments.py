@@ -81,7 +81,7 @@ def _baselines(scenario: ScenarioConfig, n: int) -> tuple:
             )
     tf, _, magnitude = _kept(scenario, ("frame",), _frame)
     xy = tf._canonical_xy
-    return positions, [magnitude(*xy(x, y), z) for x, y, z in positions]
+    return positions, [magnitude(*xy(x, y)) for x, y, _ in positions]
 
 
 def _linear_snr(snr_db: float, p: float) -> float:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
 from .geometry import Position3D, _point, canonicalize_frame
 from .scenario import ScenarioConfig
-from .signalmodel import SCALAR, _budget_rows, _rate_cells, correlation_magnitude
+from .signalmodel import _budget_rows, _rate_cells, correlation_magnitude
 
 HALF_PI = math.pi / 2.0
 
@@ -109,8 +109,6 @@ def _check(scenario: ScenarioConfig, index) -> dict:
             "yaw is a multiple of pi/2; rotate the heading off the ground "
             "axis to keep both direction cosines nonzero"
         )
-    if scenario.bob.z or scenario.eve.z:  # the null equations assume the ground
-        raise ValueError("the placement schemes need both ground nodes at z = 0")
     return factors
 
 
@@ -190,9 +188,8 @@ def solve_azimuth_scheme(
     InfeasibleGeometry
         If both radicands are negative (lower the altitude or rotate the
         yaw toward the ground axis), or no candidate passes certification.
-    InvalidYaw, InvalidIndex, ValueError
-        For a quarter-turn yaw, an index with no matching zero, or a ground
-        node off z = 0.
+    InvalidYaw, InvalidIndex
+        For a quarter-turn yaw, or an index with no matching zero.
     """
     _check(scenario, index)
     records = _kept(scenario, ("azimuth", index), _bisector_candidates, index)
@@ -242,10 +239,10 @@ def _bisector_candidates(scenario: ScenarioConfig, k) -> str | list:
 
 def _frame(scenario: ScenarioConfig) -> tuple:
     """The canonical frame transform, the eavesdropper's canonical x, and the
-    kernel bound to both over SCALAR: built here only, kept under ("frame",)."""
+    kernel bound to both over math: built here only, kept under ("frame",)."""
     tf = canonicalize_frame(scenario.bob, scenario.eve)
     x_e = tf.to_canonical(scenario.eve).x
-    return tf, x_e, correlation_magnitude(scenario, x_e, SCALAR)
+    return tf, x_e, correlation_magnitude(scenario, x_e, math)
 
 
 def _certify(scenario: ScenarioConfig, candidates: list) -> list:
@@ -255,7 +252,7 @@ def _certify(scenario: ScenarioConfig, candidates: list) -> list:
     point solved and the rate from one ``_rate_cells`` pass at the scenario's
     checked budget over the points within ``_NULL_TOL``, where alone it applies."""
     tf, _, magnitude = _kept(scenario, ("frame",), _frame)
-    residuals = [magnitude(p.x, p.y, p.z) for _, _, _, _, p in candidates]
+    residuals = [magnitude(p.x, p.y) for _, _, _, _, p in candidates]
     power = scenario.power
     ok = [r for r in residuals if r <= _NULL_TOL]
     budget = [power.alpha], [power.noise_b_w], [power.noise_e_w]
@@ -452,9 +449,9 @@ def solve_all(
     Raises
     ------
     InvalidYaw, InvalidIndex, ValueError
-        For a quarter-turn yaw, an index with no matching zero or a ground
-        node off z = 0, which rule out every scheme and so are raised rather
-        than reported; and for a scheme other than "azimuth" or "pitch".
+        For a quarter-turn yaw or an index with no matching zero, which rule
+        out every scheme and so are raised rather than reported; and for a
+        scheme other than "azimuth" or "pitch".
     """
     solutions: list[PlacementSolution] = []
     failures: list[str] = []
@@ -498,6 +495,6 @@ def correlation_map(scenario: ScenarioConfig, xs, ys):
         y = ys[start : start + rows, None]
         for col in range(0, x.size, cols):
             out[start : start + rows, col : col + cols] = magnitude(
-                x[:, col : col + cols], y, scenario.uav_height_m
+                x[:, col : col + cols], y
             )
     return out

@@ -13,10 +13,10 @@ from .signalmodel import PowerConfig
 class ScenarioConfig:
     """One complete study setup.
 
-    ``bob`` is the intended receiver, ``eve`` the eavesdropper; both sit on
-    the ground (z = 0).  ``yaw`` is the transmitter heading measured from the
-    receiver-to-eavesdropper axis.  ``seed`` drives the one randomized part
-    of a run, the baseline draws.
+    ``bob`` is the intended receiver, ``eve`` the eavesdropper; both must sit
+    on the ground (z = 0, checked here).  ``yaw`` is the transmitter heading
+    measured from the receiver-to-eavesdropper axis.  ``seed`` drives the one
+    randomized part of a run, the baseline draws.
     """
 
     array: ArrayGeometry
@@ -30,6 +30,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.uav_height_m) and self.uav_height_m > 0.0):
             raise ValueError("platform height must be finite and positive")
+        if self.bob.z or self.eve.z:  # the kernel and null equations assume it
+            raise ValueError("the placement schemes need both ground nodes at z = 0")
         if not math.isfinite(self.yaw):
             raise ValueError("yaw must be finite")
         # numpy integers pass, as ArrayGeometry's counts do.

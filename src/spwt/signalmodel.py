@@ -15,7 +15,6 @@ every caller shares both.
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 from .errors import InvalidCorrelation
 
@@ -56,13 +55,6 @@ def _correlation_power(rho) -> float:
     return min(mag2, 1.0)
 
 
-# correlation_magnitude's one-point backend, numpy's names; 0/0 (on a node) is nan.
-SCALAR = SimpleNamespace(
-    hypot=math.hypot, cos=math.cos, sin=math.sin,
-    divide=lambda a, b: a / b if b else math.nan,
-)
-
-
 def _axis_sum_magnitude(hypot, bits: str, c, s):
     """|sum(r^i for i in range(count))|, elementwise, for the unit rotor r
     of real part ``c`` = cos(step) and imaginary part ``s`` = sin(step),
@@ -88,22 +80,22 @@ def _axis_sum_magnitude(hypot, bits: str, c, s):
 
 
 def correlation_magnitude(scenario: "ScenarioConfig", x_e: float, xp):
-    """|h_e^H h_b| as a function of canonical-frame transmitter points
-    (x, y, z), with the scenario's array, yaw and node heights, ``x_e`` and
-    the backend's functions read once.
+    """|h_e^H h_b| as a function of canonical-frame transmitter points (x, y)
+    at the platform height, with the scenario's array, yaw and height, ``x_e``
+    and the backend's functions read once.
 
     The one evaluation of the correlation in the package: the placement
-    module binds it over :data:`SCALAR` once per scenario object, for
+    module binds it over :mod:`math` once per scenario object, for
     certification and the sweeps' baselines, and over numpy once per
-    correlation map.  The canonical frame puts the receiver over the origin
-    and the eavesdropper at ``x_e`` on the +x axis; each node keeps its own
-    altitude, so the slant range to it uses the height difference z - node.z.
-    ``xp`` is the backend: numpy, for arrays that broadcast together and a
-    result of their broadcast shape (a 1x1 array gives the scalar 1.0), or
-    :data:`SCALAR`, for one point in floats.  The kernel takes real floats
-    through ``+ - * /``, ``hypot``, ``cos`` and ``sin`` only, so a point
-    gives the same bits alone as in any batch, on every dispatch target of
-    the installed numpy; the two backends agree to rounding.
+    correlation map.  The canonical frame puts the receiver at the origin
+    and the eavesdropper at ``x_e`` on the +x axis, both on the ground, so
+    the slant range to either is at least the height g > 0.  ``xp`` is the
+    backend: numpy, for arrays that broadcast together and a result of their
+    broadcast shape (a 1x1 array gives the scalar 1.0), or :mod:`math`, for
+    one point in floats.  The kernel takes real floats through ``+ - * /``,
+    ``hypot``, ``cos`` and ``sin`` only, so a point gives the same bits alone
+    as in any batch, on every dispatch target of the installed numpy; the
+    two backends agree to rounding.
 
     The element double sum factors into one geometric sum per array axis,
     with phase increments a = coef * (u_e - u_b) and b = coef * (v_e - v_b)
@@ -122,17 +114,17 @@ def correlation_magnitude(scenario: "ScenarioConfig", x_e: float, xp):
     geom = scenario.array
     coef, size = geom.phase_coef, geom.size
     c, s = math.cos(scenario.yaw), math.sin(scenario.yaw)
-    z_b, z_e = scenario.bob.z, scenario.eve.z
+    g = scenario.uav_height_m
     row_bits, col_bits = bin(geom.m_rows)[3:], bin(geom.n_cols)[3:]
-    hypot, divide, cos, sin = xp.hypot, xp.divide, xp.cos, xp.sin
+    hypot, cos, sin = xp.hypot, xp.cos, xp.sin
     axis_sum = _axis_sum_magnitude
 
-    def magnitude(x, y, z):
+    def magnitude(x, y):
         xe = x - x_e
-        s_b = hypot(hypot(x, y), z - z_b)
-        s_e = hypot(hypot(xe, y), z - z_e)
-        a = coef * (divide(xe * c + y * s, s_e) - divide(x * c + y * s, s_b))
-        b = coef * (divide(y * c - xe * s, s_e) - divide(y * c - x * s, s_b))
+        s_b = hypot(hypot(x, y), g)
+        s_e = hypot(hypot(xe, y), g)
+        a = coef * ((xe * c + y * s) / s_e - (x * c + y * s) / s_b)
+        b = coef * ((y * c - xe * s) / s_e - (y * c - x * s) / s_b)
         rows = axis_sum(hypot, row_bits, cos(a), sin(a))
         return rows * axis_sum(hypot, col_bits, cos(b), sin(b)) / size
 

@@ -7,6 +7,7 @@ paths are checked against.  The baseline draws have no reference here: any
 seeded uniform stream serves them, and their tests check its properties.
 """
 
+import copy
 import math
 import re
 import urllib.parse
@@ -67,12 +68,15 @@ def make_scenario(
     )
 
 
-def unchecked_scenario(**fields) -> ScenarioConfig:
-    """``make_scenario()`` with ``fields`` set past ScenarioConfig's checks:
-    the out-of-model scenarios (a nan height or yaw, a node built by
-    :func:`unchecked_position`) that reach the solvers'
-    certification-failure paths on purpose."""
-    scenario = make_scenario()
+def unchecked_scenario(
+    base: ScenarioConfig | None = None, /, **fields
+) -> ScenarioConfig:
+    """A copy of ``base`` (by default ``make_scenario()``) with ``fields``
+    set past ScenarioConfig's checks: the out-of-model scenarios (a nan
+    height or yaw, a node built by :func:`unchecked_position`) that reach
+    the solvers' certification-failure paths on purpose, and the kernel
+    bound at a reference point's own height, 0 included."""
+    scenario = copy.copy(make_scenario() if base is None else base)
     for name, value in fields.items():
         object.__setattr__(scenario, name, value)
     return scenario
@@ -258,13 +262,19 @@ def cross_correlation(h_e: np.ndarray, h_b: np.ndarray) -> complex:
 
 
 def correlation_at(scenario: ScenarioConfig, positions) -> list[float]:
-    """The package's kernel (signalmodel.correlation_magnitude over
-    signalmodel.SCALAR) at caller-frame ``positions``: a fresh frame and
-    binding per call, each point rotated into the canonical frame."""
+    """The package's kernel (signalmodel.correlation_magnitude over math) at
+    caller-frame ``positions``: a fresh frame per call, each point rotated
+    into the canonical frame and the kernel bound at its own height, through
+    :func:`unchecked_scenario`, so any altitude can be checked."""
     tf = canonicalize_frame(scenario.bob, scenario.eve)
     x_e = tf.to_canonical(scenario.eve).x
-    magnitude = signalmodel.correlation_magnitude(scenario, x_e, signalmodel.SCALAR)
-    return [magnitude(*tf._canonical_xy(p.x, p.y), p.z) for p in positions]
+    bind = signalmodel.correlation_magnitude
+    return [
+        bind(unchecked_scenario(scenario, uav_height_m=p.z), x_e, math)(
+            *tf._canonical_xy(p.x, p.y)
+        )
+        for p in positions
+    ]
 
 
 def explicit_correlation(scenario: ScenarioConfig, uav: Position3D) -> float:

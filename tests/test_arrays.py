@@ -134,11 +134,12 @@ def test_null_at_solved_bisector_placement():
 
 
 def test_equal_look_angles_correlate_fully():
-    # With the eavesdropper 30 m up, a transmitter on the line from the
-    # receiver through the eavesdropper is seen by both under the same
-    # azimuth and pitch, so the two steering vectors coincide.
-    sc = replace(make_scenario(yaw=0.37), eve=Position3D(500.0, 0.0, 30.0))
-    uav = Position3D(1000.0, 0.0, 60.0)
+    # A transmitter on the ground axis beyond the eavesdropper sees both
+    # nodes under the same azimuth and a zero pitch, so the two steering
+    # vectors coincide; correlation_at binds the kernel at its unchecked
+    # height of 0, where both slant ranges are still nonzero.
+    sc = make_scenario(yaw=0.37)
+    uav = Position3D(1000.0, 0.0, 0.0)
     assert explicit_correlation(sc, uav) == pytest.approx(1.0, abs=1e-12)
     assert correlation_at(sc, [uav])[0] == pytest.approx(1.0, abs=1e-12)
 

@@ -1,8 +1,8 @@
 """The library's front door: each field of the public value types rejects a
 value outside the model at construction, with the documented message, so
-no such value reaches a solver or a sweep.  The solvers' one rule on a valid
-scenario, both ground nodes at z = 0, is checked before solving instead:
-the correlation kernel and map keep per-node altitude.
+no such value reaches a solver or a sweep.  A scenario's one rule across
+fields, both ground nodes at z = 0, is checked at construction too: the
+correlation kernel and map take every node on the ground.
 """
 
 import math
@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_scenario
-from spwt import solve_all, solve_azimuth_scheme, solve_pitch_scheme, sweep_snr
+from spwt import (
+    ScenarioConfig,
+    solve_all,
+    solve_azimuth_scheme,
+    solve_pitch_scheme,
+    sweep_snr,
+)
 from spwt.signalmodel import _NOT_FINITE
 
 SCENARIO = make_scenario()
@@ -86,9 +92,17 @@ GROUND_RULE = "the placement schemes need both ground nodes at z = 0"
 @settings(max_examples=20)
 @given(z=OFF_THE_GROUND)
 def test_each_solver_rejects_a_ground_node_off_z_0_before_solving(node, z):
+    # The rule is checked when the scenario is built, either way it is
+    # built, so no solver or sweep is ever handed a lifted node.
     valid = getattr(SCENARIO, node)
-    scenario = replace(SCENARIO, **{node: replace(valid, z=z)})
+    lifted = {node: replace(valid, z=z)}
+    builds = [lambda: ScenarioConfig(**{**vars(SCENARIO), **lifted})]
     for solve in (solve_azimuth_scheme, solve_pitch_scheme, solve_all, sweep_snr):
+        builds.append(lambda solve=solve: solve(replace(SCENARIO, **lifted)))
+    for build in builds:
         with pytest.raises(ValueError) as info:
-            solve(scenario)
-        assert str(info.value) == GROUND_RULE
+            build()
+        assert type(info.value) is ValueError and str(info.value) == GROUND_RULE
+    # -0.0 is on the ground: it builds, and places as 0.0 does
+    minus_zero = replace(SCENARIO, **{node: replace(valid, z=-0.0)})
+    assert solve_all(minus_zero) == solve_all(SCENARIO)

@@ -429,18 +429,23 @@ _LIFTED = "the placement schemes need both ground nodes at z = 0"
 def test_lifted_ground_node_is_rejected_before_any_kernel_call(
     kernel_calls, bob_z, eve_z
 ):
-    # the null equations of both schemes assume both nodes on the ground
-    sc = replace(
-        make_scenario(),
-        bob=Position3D(0.0, 0.0, bob_z),
-        eve=Position3D(500.0, 0.0, eve_z),
-    )
+    # the null equations of both schemes assume both nodes on the ground, so
+    # a lifted node is refused when its scenario is built, before any solver
+    # computes a candidate
+    def lifted():
+        return replace(
+            make_scenario(),
+            bob=Position3D(0.0, 0.0, bob_z),
+            eve=Position3D(500.0, 0.0, eve_z),
+        )
+
     calls = [
-        lambda: solve_azimuth_scheme(sc),
-        lambda: solve_pitch_scheme(sc, side="left"),
-        lambda: solve_pitch_scheme(sc, side="right", factor="column"),
-        lambda: solve_all(sc),
-        lambda: solve_all(sc, ("pitch",)),
+        lifted,
+        lambda: solve_azimuth_scheme(lifted()),
+        lambda: solve_pitch_scheme(lifted(), side="left"),
+        lambda: solve_pitch_scheme(lifted(), side="right", factor="column"),
+        lambda: solve_all(lifted()),
+        lambda: solve_all(lifted(), ("pitch",)),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -949,8 +954,7 @@ _E = "extension candidate x={} failed verification (|rho| = {}); discarded"
 # candidate and certify the column one, and the bisector keeps only its
 # column placements.  In the nan cases the row and column candidates fall on
 # the same points (a square array at a 45 degree yaw, or y = 0), and each
-# point is warned of once.  "eve-30m-up" warns of nothing: a lifted node is
-# rejected before any candidate is computed.
+# point is warned of once.
 WARNING_CASES = {
     "g-nan": (
         lambda: unchecked_scenario(uav_height_m=math.nan),
@@ -963,10 +967,6 @@ WARNING_CASES = {
     "yaw-nan": (
         lambda: unchecked_scenario(yaw=math.nan),
         [_B.format("0", "nan")], [], [],
-    ),
-    "eve-30m-up": (
-        lambda: replace(make_scenario(), eve=Position3D(500.0, 0.0, 30.0)),
-        [], [], [],
     ),
     "row-fails": (
         lambda: make_scenario(m=10**9, n=4),
@@ -987,7 +987,7 @@ def _recorded(call):
         warnings.simplefilter("always")
         try:
             outcome = call()
-        except (InfeasibleGeometry, ValueError) as exc:
+        except InfeasibleGeometry as exc:
             outcome = (type(exc).__name__, str(exc))
     return [(w.category, str(w.message)) for w in caught], outcome
 
@@ -1015,8 +1015,6 @@ def test_warning_sequences_are_pinned(case):
         assert [s.factor_used for s in first["azimuth"]] == ["column", "column"]
         assert first["left"].factor_used == first["right"].factor_used == "column"
         assert first["all"] == (first["azimuth"] + [first["left"], first["right"]], [])
-    elif case == "eve-30m-up":
-        assert set(first.values()) == {("ValueError", _LIFTED)}
     else:
         assert first["azimuth"][1] == "every bisector candidate failed verification"
         assert first["left"][0] == first["right"][0] == "InfeasibleGeometry"

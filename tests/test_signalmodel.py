@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from spwt import (
     correlation_map,
 )
 from spwt.geometry import canonicalize_frame
-from spwt.signalmodel import SCALAR, correlation_magnitude
+from spwt.signalmodel import correlation_magnitude
 from conftest import (
     SIGMA2_15DB,
     build_beamformers,
@@ -208,10 +209,16 @@ def test_evaluate_link_at_a_node_is_degenerate(reference_scenario):
         assert math.isfinite(evaluate_link(reference_scenario, above).sinr_e)
 
 
-def test_kernel_on_a_node_is_nan():
-    # 0/0 in the pitch cosine: nan, as numpy gives, not ZeroDivisionError
-    sc = make_scenario()
-    assert all(map(math.isnan, correlation_at(sc, [sc.bob, sc.eve])))
+def test_kernel_over_a_node_is_finite_down_to_the_least_height():
+    # The slant range to a ground node is at least the height g > 0, so the
+    # kernel's plain division stays finite directly over either node, down
+    # to the least subnormal g; the canonical frame is the caller's here.
+    for g in (200.0, 1e-300, 5e-324):
+        sc = make_scenario(g=g)
+        for node in (sc.bob, sc.eve):
+            got = correlation_at(sc, [Position3D(node.x, node.y, g)])
+            got.append(float(correlation_map(sc, [node.x], [node.y])[0, 0]))
+            assert all(0.0 <= v <= 1.0 for v in got), (g, node)  # nan fails
 
 
 def test_receiver_sinr_is_placement_invariant(reference_scenario):
@@ -225,20 +232,16 @@ def test_receiver_sinr_is_placement_invariant(reference_scenario):
 
 
 def test_correlation_kernel_matches_explicit_vectors():
-    # Random arrays, spacings and yaws; the receiver off the origin, the
-    # ground axis rotated, and either node up to 60 m above the ground.
+    # Random arrays, spacings and yaws; the receiver off the origin and the
+    # ground axis rotated, both nodes on the ground.
     rng = np.random.default_rng(31)
     worst = 0.0
     for _ in range(300):
-        bob = Position3D(
-            rng.uniform(-300, 300), rng.uniform(-300, 300), rng.choice([0.0, 40.0])
-        )
+        bob = Position3D(rng.uniform(-300, 300), rng.uniform(-300, 300))
         bearing = rng.uniform(0.0, 2.0 * math.pi)
         dist = rng.uniform(50.0, 1000.0)
         eve = Position3D(
-            bob.x + dist * math.cos(bearing),
-            bob.y + dist * math.sin(bearing),
-            rng.choice([0.0, rng.uniform(0.0, 60.0)]),
+            bob.x + dist * math.cos(bearing), bob.y + dist * math.sin(bearing)
         )
         sc = ScenarioConfig(
             array=ArrayGeometry(
@@ -268,7 +271,8 @@ def test_correlation_kernel_matches_explicit_vectors():
         assert got == [correlation_at(sc, [u])[0] for u in uavs]
         tf = canonicalize_frame(bob, eve)
         p = tf.to_canonical(uavs[0])
-        one = correlation_magnitude(sc, tf.to_canonical(eve).x, SCALAR)(p.x, p.y, p.z)
+        at_p = replace(sc, uav_height_m=p.z)
+        one = correlation_magnitude(at_p, tf.to_canonical(eve).x, math)(p.x, p.y)
         assert type(one) is float and one == got[0]
     assert worst <= 1e-12
 
