@@ -191,18 +191,17 @@ def solve_azimuth_scheme(
     InvalidYaw, InvalidIndex
         For a quarter-turn yaw, or an index with no matching zero.
     """
-    _check(scenario, index)
-    records = _kept(scenario, ("azimuth", index), _bisector_candidates, index)
+    factors = _check(scenario, index)
+    records = _kept(scenario, ("azimuth", index), _bisector_candidates, index, factors)
     solutions = [s for r in records if (s := _accept(r, index)) is not None]
     if not solutions:
         raise InfeasibleGeometry("every bisector candidate failed verification")
     return solutions
 
 
-def _bisector_candidates(scenario: ScenarioConfig, k) -> str | list:
-    """The :func:`_certify` record of every bisector candidate at null index
-    ``k``, its coordinate the canonical y; or the reason there is none."""
-    factors = _kept(scenario, ("factors", k), _factors, k)  # k as _check keyed it
+def _bisector_candidates(scenario: ScenarioConfig, k, factors: dict) -> str | list:
+    """The :func:`_certify` record of every bisector candidate of ``factors``
+    at null index ``k``, its coordinate the canonical y; or why there is none."""
     k = float(k)
     x_e = _kept(scenario, ("frame",), _frame)[1]
     g = scenario.uav_height_m
@@ -347,9 +346,9 @@ def solve_pitch_scheme(
     failures: list[str] = []
     failed_x: list[float] = []
     advice = ""
-    for fac in (factor,) if factor is not None else factors:
+    for fac, term in ((factor, factors[factor]),) if factor else factors.items():
         key = ("pitch", index, fac)
-        record = _kept(scenario, key, _extension_candidates, index, fac)[side]
+        record = _kept(scenario, key, _extension_candidates, index, fac, term)[side]
         if len(record) == 2:  # no candidate: (why, whether the gap was unattainable)
             failures.append(record[0])
             if record[1]:
@@ -368,10 +367,10 @@ def solve_pitch_scheme(
     )
 
 
-def _extension_candidates(scenario: ScenarioConfig, l, factor: str) -> dict:
-    """By side, the ``factor``'s :func:`_certify` record at null index ``l``,
-    coordinate the canonical x, for :func:`_accept`; or, with no candidate,
-    (why, whether the gap was unattainable: not where the root search raised).
+def _extension_candidates(scenario: ScenarioConfig, l, factor: str, term) -> dict:
+    """By side, the :func:`_certify` record of ``factor`` (of term ``term``) at
+    null index ``l``, coordinate the canonical x, for :func:`_accept`; or, with
+    no candidate, (why, whether the gap was unattainable rather than unsolved).
 
     Beyond either end of the segment the eavesdropper lies at a yaw-relative
     azimuth of pi - yaw (left) or -yaw (right).  Both have the same |cos| and
@@ -381,7 +380,6 @@ def _extension_candidates(scenario: ScenarioConfig, l, factor: str) -> dict:
     x_e = _kept(scenario, ("frame",), _frame)[1]
     g = scenario.uav_height_m
     gap_max = x_e / math.hypot(x_e, g)
-    term = _kept(scenario, ("factors", l), _factors, l)[factor]
     target = 2.0 * float(l) / abs(term)
     if not target < gap_max:
         why = (

@@ -55,10 +55,10 @@ def _correlation_power(rho) -> float:
     return min(mag2, 1.0)
 
 
-def _axis_sum_magnitude(hypot, bits: str, c, s):
+def _axis_sum_magnitude(sqrt, bits: str, c, s):
     """|sum(r^i for i in range(count))|, elementwise, for the unit rotor r
     of real part ``c`` = cos(step) and imaginary part ``s`` = sin(step),
-    with ``bits`` = bin(count)[3:] and ``hypot`` the backend's.
+    with ``bits`` = bin(count)[3:] and ``sqrt`` the backend's.
 
     Binary doubling over the bits of ``count`` from the top: with S(j) the
     sum of the first j terms,
@@ -76,7 +76,7 @@ def _axis_sum_magnitude(hypot, bits: str, c, s):
         if bit == "1":
             t_re, t_im = t_re + p_re, t_im + p_im
             p_re, p_im = p_re * c - p_im * s, p_re * s + p_im * c
-    return hypot(t_re, t_im)
+    return sqrt(t_re * t_re + t_im * t_im)
 
 
 def correlation_magnitude(scenario: "ScenarioConfig", x_e: float, xp):
@@ -93,9 +93,10 @@ def correlation_magnitude(scenario: "ScenarioConfig", x_e: float, xp):
     backend: numpy, for arrays that broadcast together and a result of their
     broadcast shape (a 1x1 array gives the scalar 1.0), or :mod:`math`, for
     one point in floats.  The kernel takes real floats through ``+ - * /``,
-    ``hypot``, ``cos`` and ``sin`` only, so a point gives the same bits alone
-    as in any batch, on every dispatch target of the installed numpy; the
-    two backends agree to rounding.
+    ``abs``, the largest of three, ``sqrt``, ``cos`` and ``sin`` only, in one
+    source for both backends.  All but ``cos`` and ``sin``, the only libm
+    calls, are exact or correctly rounded, so a point gives the same bits
+    alone as in any batch, on every dispatch target, and on either backend.
 
     The element double sum factors into one geometric sum per array axis,
     with phase increments a = coef * (u_e - u_b) and b = coef * (v_e - v_b)
@@ -104,29 +105,35 @@ def correlation_magnitude(scenario: "ScenarioConfig", x_e: float, xp):
         u = ((x - node.x)*cos(yaw) + y*sin(yaw)) / slant range
         v = (y*cos(yaw) - (x - node.x)*sin(yaw)) / slant range
 
-    are the direction cosines of the node along the array's two axes.  So
-    each point costs |sum_m e^{i m a}| * |sum_n e^{i n b}| / (M*N): O(log M
-    + log N) work instead of O(M*N).  Both sums are evaluated in full, not
-    by their ratio form, which keeps the result independent of the null
-    equations the solvers use.  Directly over a node both direction cosines
-    are 0 and the value is the continuous limit.
+    are the direction cosines of the node along the array's two axes, ratios
+    taken with the node's vector (x - node.x, y, g) divided by its own largest
+    component k >= g > 0, so that no square overflows (one k for both nodes
+    gives nan at x_e = 1e200).  So each point costs |sum_m e^{i m a}| *
+    |sum_n e^{i n b}| / (M*N): O(log M + log N) work instead of O(M*N).  Both
+    sums are evaluated in full, not by their ratio form, which keeps the
+    result independent of the null equations the solvers use.  Directly
+    over a node both direction cosines are 0 and the value is the limit.
     """
     geom = scenario.array
     coef, size = geom.phase_coef, geom.size
     c, s = math.cos(scenario.yaw), math.sin(scenario.yaw)
     g = scenario.uav_height_m
     row_bits, col_bits = bin(geom.m_rows)[3:], bin(geom.n_cols)[3:]
-    hypot, cos, sin = xp.hypot, xp.cos, xp.sin
+    sqrt, cos, sin = xp.sqrt, xp.cos, xp.sin
+    largest = max if xp is math else lambda p, q, r: xp.maximum(xp.maximum(p, q), r)
     axis_sum = _axis_sum_magnitude
 
     def magnitude(x, y):
-        xe = x - x_e
-        s_b = hypot(hypot(x, y), g)
-        s_e = hypot(hypot(xe, y), g)
-        a = coef * ((xe * c + y * s) / s_e - (x * c + y * s) / s_b)
-        b = coef * ((y * c - xe * s) / s_e - (y * c - x * s) / s_b)
-        rows = axis_sum(hypot, row_bits, cos(a), sin(a))
-        return rows * axis_sum(hypot, col_bits, cos(b), sin(b)) / size
+        xe, ay = x - x_e, abs(y)
+        k_b, k_e = largest(abs(x), ay, g), largest(abs(xe), ay, g)
+        x_b, y_b, g_b = x / k_b, y / k_b, g / k_b
+        xe, y_e, g_e = xe / k_e, y / k_e, g / k_e
+        s_b = sqrt(x_b * x_b + y_b * y_b + g_b * g_b)
+        s_e = sqrt(xe * xe + y_e * y_e + g_e * g_e)
+        a = coef * ((xe * c + y_e * s) / s_e - (x_b * c + y_b * s) / s_b)
+        b = coef * ((y_e * c - xe * s) / s_e - (y_b * c - x_b * s) / s_b)
+        rows = axis_sum(sqrt, row_bits, cos(a), sin(a))
+        return rows * axis_sum(sqrt, col_bits, cos(b), sin(b)) / size
 
     return magnitude
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from spwt import (
     ArrayGeometry,
@@ -277,26 +277,42 @@ def test_correlation_kernel_matches_explicit_vectors():
     assert worst <= 1e-12
 
 
-def test_scalar_and_numpy_kernels_agree():
-    # One kernel body over two backends: correlation_at in floats,
-    # correlation_map over numpy arrays.  They round apart; 2,000 random
-    # points on arrays of 4 to 256 elements per axis.
-    rng = np.random.default_rng(41)
-    worst = 0.0
-    for _ in range(100):
-        sc = make_scenario(
-            m=int(rng.integers(4, 257)),
-            n=int(rng.integers(4, 257)),
-            x_e=float(rng.uniform(50.0, 1000.0)),
-            g=float(rng.uniform(10.0, 800.0)),
-            yaw=float(rng.uniform(0.0, 2.0 * math.pi)),
-        )
-        xs = rng.uniform(-1500.0, 1500.0, 10).tolist()
-        ys = rng.uniform(-1500.0, 1500.0, 2).tolist()
-        grid = correlation_map(sc, xs, ys).ravel().tolist()
-        points = [Position3D(x, y, sc.uav_height_m) for y in ys for x in xs]
-        worst = max(worst, *(abs(a - b) for a, b in zip(grid, correlation_at(sc, points))))
-    assert worst <= 1e-14
+def _decades(lo: float, hi: float):
+    """Floats log-uniform from ``lo`` to ``hi``."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# a coordinate of either sign out to 1e307 m, in the CLI's range, or 0
+_COORDINATES = st.just(0.0) | st.floats(-2000.0, 2000.0) | st.tuples(
+    st.sampled_from([-1.0, 1.0]), _decades(1e-300, 1e307)
+).map(lambda t: t[0] * t[1])
+
+
+@settings(max_examples=200)
+@given(
+    m=_decades(1, 1e9).map(int),
+    n=_decades(1, 1e9).map(int),
+    x_e=st.floats(50.0, 2000.0) | _decades(1e-300, 1e300),
+    g=st.floats(10.0, 800.0) | _decades(5e-324, 1e300),
+    yaw=st.floats(0.0, 2.0 * math.pi),
+    xs=st.lists(_COORDINATES, min_size=1, max_size=8),
+    ys=st.lists(_COORDINATES, min_size=1, max_size=4),
+)
+@example(m=4, n=4, x_e=1e200, g=5e-324, yaw=0.7, xs=[250.0, -1e307], ys=[630.0, 1e-300])
+def test_scalar_and_numpy_kernels_agree(m, n, x_e, g, yaw, xs, ys):
+    # One kernel source over two backends: the math kernel at each point
+    # gives the same bits as the numpy kernel over the grid, and as
+    # correlation_map wherever the two nodes are far enough apart to have a
+    # frame.  The draws span the CLI's ranges and the float range: the
+    # eavesdropper to 1e300 m, the platform down to the least subnormal,
+    # points to 1e307 m, and 1 to 10^9 elements per axis.
+    sc = make_scenario(m=m, n=n, x_e=x_e, g=g, yaw=yaw)
+    scalar = correlation_magnitude(sc, x_e, math)
+    want = np.array([[scalar(x, y) for x in xs] for y in ys])
+    got = correlation_magnitude(sc, x_e, np)(np.array(xs)[None, :], np.array(ys)[:, None])
+    assert np.array_equal(np.broadcast_to(got, want.shape), want)  # 1x1 arrays give 1.0
+    if x_e >= 1e-9:  # canonicalize_frame's least node separation
+        assert np.array_equal(correlation_map(sc, xs, ys), want)
 
 
 @pytest.mark.parametrize("field", range(4))
