@@ -34,10 +34,9 @@ _FLOAT_KEYS = {
 }
 _KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS
 _REQUIRED_KEYS = ("m", "n", "f_c_hz", "x_e_m", "g_m", "p_w", "sigma2_w")
-# Largest --grid accepted by sweep, checked before any grid is built.
+# The largest grids, counted before any point is built: sweep points, and
+# pattern's points per axis (the default box at a 1 m step; 2001^2 map cells).
 _MAX_SWEEP_POINTS = 100_000
-# Largest --grid accepted by pattern, checked before numpy loads: points per
-# axis of the square box (the default box at a 1 m step; 2001^2 map cells).
 _MAX_PATTERN_AXIS = 2001
 
 
@@ -143,18 +142,27 @@ def _parse_grid(text: str, what: str) -> tuple[float, float, float]:
     return values
 
 
-def _sweep_grid(text: str | None, kind: str) -> list | None:
-    """start:step:stop, inclusive of stop when it lands on the step."""
-    if text is None:
-        return None
+def _grid_points(first: float, step: float, last: float, cap: int, unit: str) -> list:
+    """Both ``--grid`` flags' one rule: first, first + step, ... up to last,
+    included when it lands on the step (within 1e-9 of a step), no point past it."""
+    span = (last - first) / step
+    if math.isinf(span):  # last - first overflowed: halves, exact for normal floats
+        span = (last * 0.5 - first * 0.5) / step * 2.0
+    span += 1e-9
+    if span >= cap:
+        raise CliError(f"--grid: more than {cap} {unit}")
+    count = int(span) + 1
+    if math.isinf(first + (count - 1) * step):
+        raise CliError("--grid: its far points overflow to inf")
+    return [first + i * step for i in range(count)]
+
+
+def _sweep_grid(text: str, kind: str) -> list:
+    """start:step:stop, by :func:`_grid_points`."""
     start, step, stop = _parse_grid(text, "sweep")
     if step <= 0 or stop < start:
         raise CliError("--grid: need step > 0 and stop >= start")
-    span = (stop - start) / step + 1e-9
-    if span >= _MAX_SWEEP_POINTS:
-        raise CliError(f"--grid: more than {_MAX_SWEEP_POINTS} sweep points")
-    count = int(math.floor(span)) + 1
-    grid = [start + i * step for i in range(count)]
+    grid = _grid_points(start, step, stop, _MAX_SWEEP_POINTS, "sweep points")
     if kind == "alpha":
         if any(v < -1e-12 or v > 1.0 + 1e-12 for v in grid):
             raise CliError("--grid: alpha values must lie in [0, 1]")
@@ -244,7 +252,7 @@ def cmd_sweep(args, resolved: dict, scenario: ScenarioConfig) -> int:
     from .charts import render_line_chart
     from .experiments import sweep_alpha, sweep_snr
 
-    grid = _sweep_grid(args.grid, args.kind)
+    grid = None if args.grid is None else _sweep_grid(args.grid, args.kind)
     if args.kind == "snr":
         result = sweep_snr(scenario, scheme=args.scheme, snr_db_grid=grid)
         x_name, x_label = "snr_db", "SNR (dB)"
@@ -271,17 +279,13 @@ def cmd_sweep(args, resolved: dict, scenario: ScenarioConfig) -> int:
 
 
 def cmd_pattern(args, resolved: dict, scenario: ScenarioConfig) -> int:
-    # min:max:step inclusive of max; checked before spwt.pattern loads numpy
+    # min:max:step by _grid_points, checked and built before numpy loads
     lo, hi, step = _parse_grid(args.grid, "pattern")
     if step <= 0 or hi <= lo:
         raise CliError("--grid: need max > min and step > 0")
-    # The point count np.arange computes, before it allocates.
-    if (hi + step / 2.0 - lo) / step > _MAX_PATTERN_AXIS:
-        raise CliError(f"--grid: more than {_MAX_PATTERN_AXIS} points per axis")
+    points = _grid_points(lo, step, hi, _MAX_PATTERN_AXIS, "points per axis")
     from .pattern import _pattern_files
-
-    files = _pattern_files(scenario, lo, hi, step)
-    return _write_files(args.out, "pattern", resolved, files)
+    return _write_files(args.out, "pattern", resolved, _pattern_files(scenario, points))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,8 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_pattern)
     p_pattern.add_argument(
         "--grid", default="-1000:1000:5",
-        help="square box as min:max:step in meters (default %(default)s); "
-        "use --grid=-100:100:5 when the minimum is negative",
+        help="square box as min:max:step in meters, max included when it lands on "
+        "the step and no point past it (default %(default)s); use "
+        "--grid=-100:100:5 when the minimum is negative",
     )
     p_pattern.set_defaults(func=cmd_pattern)
     return parser

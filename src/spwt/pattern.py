@@ -1,27 +1,11 @@
 """``spwt pattern``'s engine: one pass over a square box's grid, a block of
 rows at a time, mapping, formatting the CSV and keeping the heatmap's cells.
-``spwt.cli`` checks the box and writes the files; only its ``pattern`` imports it."""
+``spwt.cli`` builds the grid's points and writes the files; only it imports this."""
 
 import os
 
 from . import placement
 from .errors import InvalidIndex, InvalidYaw
-
-
-def _pattern_axis(lo: float, hi: float, step: float):
-    """The pattern box's axis, lo to hi by step, inclusive of hi."""
-    # pattern uses no BLAS, and a fresh `import numpy` took 140 ms with one
-    # OpenBLAS thread against 207 ms unset (12 interleaved runs).  OpenBLAS
-    # reads it once, as numpy loads; set if unset, just for that.
-    if unset := "OPENBLAS_NUM_THREADS" not in os.environ:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy as np
-    finally:
-        if unset:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-
-    return np.arange(lo, hi + step / 2.0, step)
 
 
 def _write_pattern_csv(fh, axis, blocks) -> None:
@@ -82,16 +66,27 @@ def _write_pattern_csv(fh, axis, blocks) -> None:
             y += len(v)
 
 
-def _pattern_files(scenario, lo: float, hi: float, step: float) -> dict:
-    """The pattern's file writers over the box lo..hi by step, by name.  The
-    ``pattern.csv`` writer maps the grid once, a block of rows at a time, and
-    keeps each block's drawn cells for the ``pattern.svg`` writer (the heatmap,
-    every placement overlaid), which :func:`~spwt.cli._write_outputs` runs
-    after it.  A point's bits do not depend on the rows mapped with it (see
+def _pattern_files(scenario, points) -> dict:
+    """The pattern's file writers, by name, over the square grid whose axis
+    is ``points``, each point mapped as given.  The ``pattern.csv`` writer maps
+    the grid once, a block of rows at a time, and keeps each block's drawn
+    cells for the ``pattern.svg`` writer (the heatmap, every placement
+    overlaid), which :func:`~spwt.cli._write_outputs` runs after it.  A point's
+    bits do not depend on the rows mapped with it (see
     :func:`~spwt.signalmodel.correlation_magnitude`)."""
     from .charts import heatmap_stride, render_heatmap
 
-    axis = _pattern_axis(lo, hi, step)
+    # No BLAS here: a fresh `import numpy` took 140 ms with one OpenBLAS thread,
+    # 207 ms unset (12 interleaved runs).  OpenBLAS reads it as numpy loads.
+    if unset := "OPENBLAS_NUM_THREADS" not in os.environ:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        if unset:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+
+    axis = np.array(points, float)
     n = axis.size
     stride, rows = heatmap_stride(n, n), max(1, placement._MAP_CHUNK // n)
     try:

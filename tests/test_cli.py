@@ -22,6 +22,7 @@ from spwt.cli import (
     CliError,
     _csv,
     _fmt,
+    _grid_points,
     _resolve_config,
     _scenario,
     _sweep_grid,
@@ -29,7 +30,7 @@ from spwt.cli import (
     main,
     parse_config,
 )
-from spwt.pattern import _pattern_axis, _write_pattern_csv
+from spwt.pattern import _pattern_files, _write_pattern_csv
 from conftest import heatmap_image, make_scenario
 from test_golden import _TIMESTAMP, CONFIGS, GOLDEN
 
@@ -369,7 +370,7 @@ def test_default_grid_pattern_csv_matches_per_cell_formatting(config, tmp_path):
     # [1e-4, 1), which the writer formats one by one)
     cfg = str(GOLDEN / f"{config}.cfg")
     assert main(["pattern", "--config", cfg, "--out", str(tmp_path)]) == 0
-    axis = _pattern_axis(-1000.0, 1000.0, 5.0)
+    axis = np.arange(-200, 201) * 5.0
     scenario = _scenario(_resolve_config(parse_config(cfg), None))
     values = spwt.correlation_map(scenario, axis, axis)
     rows = ((x, y, v) for y, row in zip(axis, values) for x, v in zip(axis, row))
@@ -521,15 +522,12 @@ def test_grid_caps_admit_their_limits(tmp_path, capsys, monkeypatch):
     assert len(_sweep_grid("0:1:99999", "snr")) == 100_000
     with pytest.raises(CliError, match="more than 100000 sweep points"):
         _sweep_grid("0:1:100000", "snr")
-    # the CLI checks pattern's box, then hands it to the engine: record the
-    # length of the axis the engine would map, without mapping it
+    # the CLI builds pattern's points, then hands them to the engine: record
+    # how many the engine would map, without mapping them
     sizes = []
-
-    def axis_only(scenario, *box):
-        sizes.append(len(_pattern_axis(*box)))
-        return {}
-
-    monkeypatch.setattr(pattern, "_pattern_files", axis_only)
+    monkeypatch.setattr(
+        pattern, "_pattern_files", lambda scenario, points: sizes.append(len(points)) or {}
+    )
     argv = ["pattern", "--config", write_config(tmp_path / "a.cfg"), "--out", str(tmp_path)]
     grids = ("-1000:1000:1", "-1000:1000:2", "-1000:1001:1")
     assert [main([*argv, f"--grid={grid}"]) for grid in grids] == [0, 0, 1]
@@ -537,8 +535,75 @@ def test_grid_caps_admit_their_limits(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: --grid: more than 2001 points per axis\n"
 
 
+def test_pattern_maps_no_point_past_max(tmp_path):
+    # 0:11:4 names 0, 4 and 8 on each axis; 12 lies past max
+    cfg = write_config(tmp_path / "a.cfg")
+    assert main(["pattern", "--grid=0:11:4", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "pattern.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[:2] for line in lines] == [
+        [x, y] for y in ("0", "4", "8") for x in ("0", "4", "8")
+    ]
+    svg = (tmp_path / "pattern.svg").read_text()
+    # the heatmap's end labels: x from, x to, y from, y to
+    ends = re.findall(r'text-anchor="(?:start|end)">([^<]*)</text>', svg)[:4]
+    assert ends == ["0", "8", "0", "8"]
+
+
+def test_pattern_grid_ends_at_its_last_point_on_the_step(tmp_path):
+    cfg = write_config(tmp_path / "a.cfg")
+    assert main(["pattern", "--grid=-1000:1000:3", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "pattern.csv").read_text().splitlines()
+    assert len(lines) == 1 + 667**2
+    assert lines[1].startswith("-1000,-1000,") and lines[-1].startswith("998,998,")
+
+
+@pytest.mark.parametrize(
+    "text, kind, count",
+    [
+        ("0:2:20", "snr", 11),
+        ("0:0.1:1", "alpha", 11),
+        ("-3:0.7:5", "snr", 12),
+        ("4:1:4", "snr", 1),
+        ("0:1:99999", "snr", 100_000),
+    ],
+)
+def test_sweep_grid_is_first_plus_i_steps(text, kind, count):
+    start, step, _ = map(float, text.split(":"))
+    expected = [start + i * step for i in range(count)]
+    assert list(map(float.hex, _sweep_grid(text, kind))) == list(map(float.hex, expected))
+
+
+@pytest.mark.parametrize("scheme", ["azimuth", "pitch"])
+@pytest.mark.parametrize("config", CONFIGS)
+def test_sweep_default_grid_spelled_out_writes_the_golden_bytes(tmp_path, config, scheme):
+    cfg = str(GOLDEN / f"{config}.cfg")
+    argv = ["sweep", "--grid=0:2:20", "--scheme", scheme, "--config", cfg]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    for name in ("sweep_snr.csv", "sweep_snr.svg"):
+        golden = GOLDEN / config / f"sweep-snr-{scheme}" / name
+        assert (tmp_path / name).read_bytes() == golden.read_bytes()
+
+
+def test_grid_points_count_a_span_that_overflows_and_subnormal_ends():
+    # last - first overflows, but both points are finite
+    assert _grid_points(-1e308, 1.5e308, 1e308, 2001, "points") == [-1e308, 5e307]
+    # 0 to 3 steps of the smallest double: halving the ends would count 4
+    assert len(_grid_points(0.0, 5e-324, 1.5e-323, 2001, "points")) == 4
+
+
+@pytest.mark.parametrize(
+    "argv", [["pattern", "--grid=-1e308:1e308:1e306"], ["sweep", "--grid=-1e308:1e308:1e308"]]
+)
+def test_grid_whose_far_points_overflow_rejected(tmp_path, capsys, argv):
+    # 201 and 3 points, under the caps, but first + i*step passes the largest double
+    cfg = write_config(tmp_path / "a.cfg")
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: --grid: its far points overflow to inf\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("blas", [None, "2"], ids=["unset", "user-set"])
-def test_pattern_axis_restores_the_blas_pin_when_numpy_fails_to_import(
+def test_pattern_files_restores_the_blas_pin_when_numpy_fails_to_import(
     monkeypatch, blas
 ):
     # None in sys.modules makes `import numpy` raise ImportError
@@ -548,7 +613,7 @@ def test_pattern_axis_restores_the_blas_pin_when_numpy_fails_to_import(
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
     monkeypatch.setitem(sys.modules, "numpy", None)
     with pytest.raises(ImportError):
-        _pattern_axis(-100.0, 100.0, 10.0)
+        _pattern_files(make_scenario(), [-100.0, 0.0, 100.0])
     assert os.environ.get("OPENBLAS_NUM_THREADS") == blas
 
 
