@@ -18,19 +18,16 @@ __version__ = "0.1.0"
 
 # The public names of each module, read from it on first access.
 _EXPORTS = {
-    "arrays": ("ArrayGeometry",),
     "errors": (
         "DegenerateGeometry", "InfeasibleGeometry", "InvalidCorrelation",
         "InvalidIndex", "InvalidYaw", "SpwtError",
     ),
     "experiments": ("SweepResult", "sweep_alpha", "sweep_snr"),
-    "geometry": ("Position3D",),
     "placement": (
         "PlacementSolution", "correlation_map", "solve_all",
         "solve_azimuth_scheme", "solve_pitch_scheme",
     ),
-    "scenario": ("ScenarioConfig",),
-    "signalmodel": ("PowerConfig",),
+    "scenario": ("ArrayGeometry", "PowerConfig", "Position3D", "ScenarioConfig"),
 }
 _HOMES = {name: home for home, names in _EXPORTS.items() for name in names}
 

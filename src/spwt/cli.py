@@ -18,12 +18,9 @@ import os
 import warnings
 
 from . import __version__
-from .arrays import ArrayGeometry
 from .errors import DegenerateGeometry, InfeasibleGeometry, InvalidIndex, InvalidYaw
-from .geometry import Position3D
 from .placement import solve_all
-from .scenario import ScenarioConfig
-from .signalmodel import PowerConfig
+from .scenario import ArrayGeometry, Position3D, PowerConfig, ScenarioConfig
 
 # experiments, charts, pattern, json and datetime are imported inside the
 # commands that run them: start-up and imports are most of a `place` call.
@@ -53,9 +50,9 @@ def parse_config(path: str) -> dict:
     """
     values: dict = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

@@ -1,40 +1,20 @@
-"""Positions and the canonical solving frame.
+"""The canonical solving frame.
 
-Positions use a right-handed frame with z as altitude.  Solvers work in a
-canonical frame with the intended receiver at the origin and the eavesdropper
-on the positive x axis; ``canonicalize_frame`` builds the rigid transform
-taking arbitrary ground coordinates into that frame and back.  The yaw angle
-is measured from the receiver-to-eavesdropper axis, so it is unchanged by the
-canonicalization.
+Solvers work in a canonical frame with the intended receiver at the origin
+and the eavesdropper on the positive x axis; ``canonicalize_frame`` builds
+the rigid transform taking arbitrary ground coordinates into that frame and
+back.  The yaw angle is measured from the receiver-to-eavesdropper axis, so
+it is unchanged by the canonicalization.
 """
 
 import math
 from dataclasses import dataclass
 
 from .errors import DegenerateGeometry
+from .scenario import Position3D, _point
 
 # Below this horizontal separation in meters the ground axis is undefined.
 _FLAT_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class Position3D:
-    """A finite point in meters; z is altitude above the ground plane."""
-
-    x: float
-    y: float
-    z: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.x, self.y, self.z))):
-            raise ValueError("position coordinates must be finite")
-
-
-def _point(x: float, y: float, z: float) -> Position3D:
-    """Position3D(x, y, z) unchecked: a computed point, judged by certification."""
-    p = object.__new__(Position3D)
-    p.__dict__.update(x=x, y=y, z=z)
-    return p
 
 
 @dataclass(frozen=True)

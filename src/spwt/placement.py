@@ -33,8 +33,8 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
-from .geometry import Position3D, _point, canonicalize_frame
-from .scenario import ScenarioConfig
+from .geometry import canonicalize_frame
+from .scenario import Position3D, ScenarioConfig, _point
 from .signalmodel import _budget_rows, _rate_cells, correlation_magnitude
 
 HALF_PI = math.pi / 2.0

@@ -1,12 +1,106 @@
-"""Scenario container shared by the solvers, the sweeps and the CLI."""
+"""The inputs a caller builds: positions, the array, the power budget and the
+scenario that holds them, each checked when it is built.
+
+Positions use a right-handed frame with z as altitude.  The antenna array is
+an M x N rectangular grid in the horizontal plane with rows aligned to the
+platform heading.  The solvers, the sweeps and the CLI all take one
+:class:`ScenarioConfig`.
+"""
 
 import math
 import numbers
 from dataclasses import dataclass
 
-from .arrays import ArrayGeometry
-from .geometry import Position3D
-from .signalmodel import PowerConfig
+SPEED_OF_LIGHT = 299_792_458.0
+_NOT_FINITE = "power budget values must be finite"
+
+
+@dataclass(frozen=True)
+class Position3D:
+    """A finite point in meters; z is altitude above the ground plane."""
+
+    x: float
+    y: float
+    z: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x, self.y, self.z))):
+            raise ValueError("position coordinates must be finite")
+
+
+def _point(x: float, y: float, z: float) -> Position3D:
+    """Position3D(x, y, z) unchecked: a computed point, judged by certification."""
+    p = object.__new__(Position3D)
+    p.__dict__.update(x=x, y=y, z=z)
+    return p
+
+
+@dataclass(frozen=True)
+class ArrayGeometry:
+    """Rectangular array layout: ``m_rows`` x ``n_cols`` elements spaced
+    ``spacing_m`` apart, fed at ``carrier_hz``.
+
+    ``spacing_m`` defaults to half the carrier wavelength, for which the
+    per-element phase coefficient reduces to exactly pi; the kernel and the
+    placement schemes' null equations both use :attr:`phase_coef`.
+    """
+
+    m_rows: int
+    n_cols: int
+    carrier_hz: float
+    spacing_m: float | None = None
+
+    def __post_init__(self) -> None:
+        for count in (self.m_rows, self.n_cols):
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError("array dimensions must be integers")
+        if self.m_rows < 1 or self.n_cols < 1:
+            raise ValueError("array needs at least one element per axis")
+        if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0.0):
+            raise ValueError("carrier frequency must be finite and positive")
+        if self.spacing_m is None:
+            object.__setattr__(
+                self, "spacing_m", SPEED_OF_LIGHT / (2.0 * self.carrier_hz)
+            )
+        # A default spacing overflows for a carrier below ~1e-300 Hz.
+        if not (math.isfinite(self.spacing_m) and self.spacing_m > 0.0):
+            raise ValueError("element spacing must be finite and positive")
+
+    @property
+    def size(self) -> int:
+        return self.m_rows * self.n_cols
+
+    @property
+    def phase_coef(self) -> float:
+        """Phase advance in radians per element index per unit direction
+        cosine: 2*pi*f*d/c (pi at half-wavelength spacing)."""
+        return 2.0 * math.pi * self.carrier_hz * self.spacing_m / SPEED_OF_LIGHT
+
+
+@dataclass(frozen=True)
+class PowerConfig:
+    """Power budget: ``alpha`` of ``total_power_w`` goes to the confidential
+    signal, the rest to artificial noise; per-receiver noise floors in W."""
+
+    total_power_w: float
+    alpha: float
+    noise_b_w: float
+    noise_e_w: float
+
+    def __post_init__(self) -> None:
+        values = (self.total_power_w, self.alpha, self.noise_b_w, self.noise_e_w)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(_NOT_FINITE)
+        if self.total_power_w <= 0.0:
+            raise ValueError("total power must be positive")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError("alpha must lie in [0, 1]")
+        if self.noise_b_w <= 0.0 or self.noise_e_w <= 0.0:
+            raise ValueError("noise powers must be positive")
+        # Finite P/sigma^2 at both nodes keeps every SINR, and so every rate, finite.
+        p = self.total_power_w
+        if not all(map(math.isfinite, (p / self.noise_b_w, p / self.noise_e_w))):
+            raise ValueError("the SNR, total power over a noise power, must be finite")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,13 @@
 """Transmit construction and link metrics.
 
+The channel toward a ground node is the bare steering vector of the array
+for that node's look angles: there is no path loss term, so range enters
+only through the angles.  The correlation between two steering vectors
+factors into a product of two geometric sums, one per array axis, which is
+what both placement schemes exploit; the package evaluates it in that
+factored form (:func:`correlation_magnitude`), and the tests check it
+against the explicit steering vectors.
+
 The confidential stream is beamformed with the receiver's own steering
 vector, and artificial noise is projected onto the orthogonal complement of
 that vector.  The receiver therefore sees no noise leakage and its SINR is
@@ -14,45 +22,8 @@ every caller shares both.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidCorrelation
-
-_NOT_FINITE = "power budget values must be finite"
-
-
-@dataclass(frozen=True)
-class PowerConfig:
-    """Power budget: ``alpha`` of ``total_power_w`` goes to the confidential
-    signal, the rest to artificial noise; per-receiver noise floors in W."""
-
-    total_power_w: float
-    alpha: float
-    noise_b_w: float
-    noise_e_w: float
-
-    def __post_init__(self) -> None:
-        values = (self.total_power_w, self.alpha, self.noise_b_w, self.noise_e_w)
-        if not all(map(math.isfinite, values)):
-            raise ValueError(_NOT_FINITE)
-        if self.total_power_w <= 0.0:
-            raise ValueError("total power must be positive")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.noise_b_w <= 0.0 or self.noise_e_w <= 0.0:
-            raise ValueError("noise powers must be positive")
-        # Finite P/sigma^2 at both nodes keeps every SINR, and so every rate, finite.
-        p = self.total_power_w
-        if not all(map(math.isfinite, (p / self.noise_b_w, p / self.noise_e_w))):
-            raise ValueError("the SNR, total power over a noise power, must be finite")
-
-
-def _correlation_power(rho) -> float:
-    """|rho|^2, clipped to 1 after rounding; InvalidCorrelation beyond it."""
-    mag2 = abs(rho) ** 2
-    if mag2 > 1.0 + 2e-9:
-        raise InvalidCorrelation(f"|rho| = {math.sqrt(mag2):.6g} exceeds 1")
-    return min(mag2, 1.0)
 
 
 def _axis_sum_magnitude(sqrt, bits: str, c, s):
@@ -91,12 +62,13 @@ def correlation_magnitude(scenario: "ScenarioConfig", x_e: float, xp):
     and the eavesdropper at ``x_e`` on the +x axis, both on the ground, so
     the slant range to either is at least the height g > 0.  ``xp`` is the
     backend: numpy, for arrays that broadcast together and a result of their
-    broadcast shape (a 1x1 array gives the scalar 1.0), or :mod:`math`, for
-    one point in floats.  The kernel takes real floats through ``+ - * /``,
-    ``abs``, the largest of three, ``sqrt``, ``cos`` and ``sin`` only, in one
-    source for both backends.  All but ``cos`` and ``sin``, the only libm
-    calls, are exact or correctly rounded, so a point gives the same bits
-    alone as in any batch, on every dispatch target, and on either backend.
+    broadcast shape (except that an M = N = 1 antenna gives the scalar 1.0,
+    whatever the shape of the points), or :mod:`math`, for one point in
+    floats.  The kernel takes real floats through ``+ - * /``, ``abs``, the
+    largest of three, ``sqrt``, ``cos`` and ``sin`` only, in one source for
+    both backends.  All but ``cos`` and ``sin``, the only libm calls, are
+    exact or correctly rounded, so a point gives the same bits alone as in
+    any batch, on every dispatch target, and on either backend.
 
     The element double sum factors into one geometric sum per array axis,
     with phase increments a = coef * (u_e - u_b) and b = coef * (v_e - v_b)
@@ -152,16 +124,20 @@ def _budget_rows(total_power_w: float, alpha, noise_b_w, noise_e_w) -> list[tupl
 
 def _rate_cells(rhos, budgets) -> list[list[float]]:
     """The secrecy rate of every (budget row, position) cell, one list per
-    correlation (or its magnitude) in ``rhos``, each checked and clipped by
-    :func:`_correlation_power`: the package's one rate computation.  The
-    eavesdropper keeps 1 - |rho|^2 of the artificial noise:
+    correlation (or its magnitude) in ``rhos``: the package's one rate
+    computation.  |rho|^2 is clipped to 1 after rounding, and
+    InvalidCorrelation raised beyond it.  The eavesdropper keeps 1 - |rho|^2
+    of the artificial noise:
 
         SINR_e = alpha*P*|rho|^2 / ((1-alpha)*P*(1-|rho|^2) + sigma_e^2).
     """
     log2 = math.log2
     rates = []
     for rho in rhos:
-        m = _correlation_power(rho)
+        m = abs(rho) ** 2
+        if m > 1.0 + 2e-9:
+            raise InvalidCorrelation(f"|rho| = {math.sqrt(m):.6g} exceeds 1")
+        m = min(m, 1.0)
         k = 1.0 - m
         rates.append([  # the clip has max(0.0, r)'s bits, without the call
             r if (r := bob - log2(1.0 + sig * m / (jam * k + n_e))) > 0.0 else 0.0

@@ -349,6 +349,22 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_config_with_a_utf8_bom_reads_as_without_it(tmp_path, capsys):
+    # an editor's byte-order mark is not part of the first key
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + (GOLDEN / "reference.cfg").read_bytes())
+    assert main(["place", "--config", str(path)]) == 0
+    golden = (GOLDEN / "reference" / "place" / "stdout").read_text()
+    assert capsys.readouterr().out == golden
+
+
+def test_config_that_is_not_utf8_exits_1_naming_the_config(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"m = 4\xff\n")
+    assert main(["place", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read config: ")
+
+
 def test_pattern_csv_matches_per_cell_formatting():
     axis = np.arange(-20.0, 20.0 + 2.5, 5.0)
     values = np.random.default_rng(1).random((axis.size, axis.size)) ** 9
@@ -911,6 +927,21 @@ def test_no_module_but_the_cli_imports_it():
         if path.name != "cli.py" and "spwt.cli" in set(_imported_names(path))
     ]
     assert importers == []
+
+
+def test_input_types_sit_below_the_frame_and_the_kernel():
+    # scenario.py holds every type a caller builds and imports no spwt
+    # module; the kernel needs only the errors, the frame those and the
+    # positions
+    package = Path(spwt.__file__).parent
+    modules = {f"spwt.{path.stem}" for path in package.glob("*.py")}
+
+    def spwt_modules(name):
+        return modules & set(_imported_names(package / f"{name}.py"))
+
+    assert spwt_modules("scenario") == set()
+    assert spwt_modules("signalmodel") == {"spwt.errors"}
+    assert spwt_modules("geometry") == {"spwt.errors", "spwt.scenario"}
 
 
 # Imports the CLI, then runs it on the arguments, if any, and reports

@@ -19,7 +19,7 @@ from spwt import (
     solve_pitch_scheme,
     sweep_snr,
 )
-from spwt.signalmodel import _NOT_FINITE
+from spwt.scenario import _NOT_FINITE
 
 SCENARIO = make_scenario()
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

@@ -24,7 +24,7 @@ from spwt import (
     solve_pitch_scheme,
 )
 from spwt import placement
-from spwt.arrays import SPEED_OF_LIGHT
+from spwt.scenario import SPEED_OF_LIGHT
 from spwt.geometry import canonicalize_frame
 from spwt.placement import _bisect_gap, _pitch_gap
 from conftest import (
