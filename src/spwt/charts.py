@@ -77,9 +77,10 @@ def _frame(body: list, x_label: str, y_label: str, extra: list) -> str:
 
 
 def render_line_chart(
-    x_values, series: dict, x_label: str, y_label: str, title: str = ""
+    x_values, series: dict, x_label: str, y_label: str, title: str
 ) -> str:
-    """Polyline chart of one or more named series over a shared x axis.
+    """Polyline chart of one or more named series over a shared x axis,
+    under ``title``.
 
     The series named "theory" is drawn dashed so a curve sitting exactly on
     it stays visible.
@@ -94,11 +95,9 @@ def render_line_chart(
     y_lo = 0.0
     px, py = _scales(x_lo, x_hi, y_lo, y_hi)
 
-    parts = []
-    if title:
-        parts.append(
-            f'<text x="{_W / 2:.0f}" y="14" text-anchor="middle">{_text(title)}</text>'
-        )
+    parts = [
+        f'<text x="{_W / 2:.0f}" y="14" text-anchor="middle">{_text(title)}</text>'
+    ]
     for yt in _ticks(y_lo, y_hi):
         parts.append(
             f'<line x1="{_ML}" y1="{_fmt(py(yt))}" x2="{_W - _MR}" '
@@ -151,7 +150,7 @@ def heatmap_stride(nx: int, ny: int) -> int:
     return max(1, math.ceil(nx / 200), math.ceil(ny / 200))
 
 
-def render_heatmap(xs, ys, values, overlays=()) -> str:
+def render_heatmap(xs, ys, values, overlays) -> str:
     """Grayscale map of correlation magnitude over a position grid.
 
     ``values`` holds the drawn cells only, [row = y, column = x]: rows

@@ -6,7 +6,8 @@ class SpwtError(Exception):
 
 
 class DegenerateGeometry(SpwtError):
-    """Angles are undefined: the two ground nodes coincide."""
+    """The canonical frame has no x axis: the two ground nodes coincide, so
+    no receiver-to-eavesdropper direction defines one."""
 
 
 class InvalidCorrelation(SpwtError):

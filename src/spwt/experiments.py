@@ -20,11 +20,7 @@ from .signalmodel import _budget_rows, _rate_cells
 DEFAULT_SNR_GRID_DB = tuple(range(0, 21, 2))
 DEFAULT_ALPHA_GRID = tuple(i / 10.0 for i in range(11))
 BASELINE_BOUNDS = ((-1000.0, 1000.0), (-1000.0, 1000.0))
-
-# Baselines closer than this (meters, horizontal) to a ground node are
-# redrawn; directly overhead the angles degenerate.
-_EXCLUSION_M = 1.0
-_MAX_REDRAWS = 10_000
+BASELINE_COUNT = 3
 
 
 @dataclass
@@ -48,37 +44,26 @@ def _pick(scenario: ScenarioConfig, scheme: str) -> PlacementSolution | str:
     return solutions[0] if solutions else "; ".join(failures)
 
 
-def _baselines(scenario: ScenarioConfig, n: int) -> tuple:
-    """The scenario's ``n`` baseline positions as (x, y, z) tuples and their
-    correlations, in one draw and one pass of the kept kernel.
+def _baselines(scenario: ScenarioConfig) -> tuple:
+    """The scenario's ``BASELINE_COUNT`` baseline positions as (x, y, z)
+    tuples and their correlations, in one draw and one pass of the kept
+    kernel.
 
     The draws are uniform over ``BASELINE_BOUNDS`` at the scenario's height,
     x before y, each coordinate ``lo + (hi - lo) * random()`` (the formula
     ``random.uniform`` documents) from ``random.Random(seed)``, so they rest
     only on ``random()``'s promise of one stream per seed across Python
-    versions.  A draw within 1 m horizontal of either ground node is
-    redrawn, so its look angles are well defined; 10,000 rejections in a row
-    raise ValueError.
+    versions.  A draw may land over a ground node, where the kernel is as
+    finite as anywhere else.
     """
-    if n < 1:
-        raise ValueError("need at least one position")
     (x_lo, x_hi), (y_lo, y_hi) = BASELINE_BOUNDS
-    z, bob, eve, hypot = scenario.uav_height_m, scenario.bob, scenario.eve, math.hypot
     # random.Random takes no numpy integer on every Python version
     draw = random.Random(operator.index(scenario.seed)).random
-    positions = []
-    while len(positions) < n:
-        for _ in range(_MAX_REDRAWS):
-            x = x_lo + (x_hi - x_lo) * draw()
-            y = y_lo + (y_hi - y_lo) * draw()
-            near_bob = hypot(x - bob.x, y - bob.y) < _EXCLUSION_M
-            if not (near_bob or hypot(x - eve.x, y - eve.y) < _EXCLUSION_M):
-                positions.append((x, y, z))
-                break
-        else:
-            raise ValueError(
-                "the excluded nodes' 1 m discs leave no room in the bounds box"
-            )
+    z = scenario.uav_height_m
+    positions = [
+        (x_lo + (x_hi - x_lo) * draw(), y_lo + (y_hi - y_lo) * draw(), z)
+        for _ in range(BASELINE_COUNT)
+    ]
     tf, _, magnitude = _kept(scenario, ("frame",), _frame)
     xy = tf._canonical_xy
     return positions, [magnitude(*xy(x, y)) for x, y, _ in positions]
@@ -127,11 +112,11 @@ def _axis(p: float, kind: str, grid: tuple, snr_db: float | None) -> tuple:
     return [math.log2(1.0 + snr_lin) for snr_lin in snrs], rows, ones
 
 
-def _baseline_rows(scenario: ScenarioConfig, n: int, rows: list) -> tuple:
+def _baseline_rows(scenario: ScenarioConfig, rows: list) -> tuple:
     """The baselines' rate rows over the budget ``rows``, one
     :func:`~spwt.signalmodel._rate_cells` pass, each under its series name
     ``rand<i>``, and their positions."""
-    baselines, baseline_rhos = _kept(scenario, ("baselines", n), _baselines, n)
+    baselines, baseline_rhos = _kept(scenario, ("baselines",), _baselines)
     rand = _rate_cells(baseline_rhos, rows)
     return [(f"rand{i}", row) for i, row in enumerate(rand, start=1)], baselines
 
@@ -140,7 +125,6 @@ def _sweep(
     scenario: ScenarioConfig,
     kind: str,
     scheme: str,
-    n_random_baselines: int,
     grid,
     snr_db: float | None,
 ) -> SweepResult:
@@ -151,9 +135,9 @@ def _sweep(
     log2(1 + SNR).  The placement's correlation is its certified residual.
     The inputs are taken as floats on entry, so a sweep computes in the
     floats it prints, and equal grids share one axis (:func:`_axis`) and,
-    per scenario and count, the baselines' rate rows.  The grid is checked
-    first, then the placement, then the count.  Each scheme adds its
-    proposed row, one cell pass over the alpha = 1 rows.
+    per scenario, the baselines' rate rows.  The grid is checked first, then
+    the placement.  Each scheme adds its proposed row, one cell pass over the
+    alpha = 1 rows.
     """
     # float(x) in C, except that a str or bytes raises TypeError
     try:
@@ -165,9 +149,8 @@ def _sweep(
         ) from None
     theory, rows, ones = _axis(float(scenario.power.total_power_w), kind, grid, snr_db)
     best = _kept(scenario, ("best", scheme), _pick, scheme)
-    n = operator.index(n_random_baselines)  # a float count raises TypeError
-    key = ("sweep", n, kind, grid, snr_db)
-    rand, baselines = _kept(scenario, key, _baseline_rows, n, rows)
+    key = ("sweep", kind, grid, snr_db)
+    rand, baselines = _kept(scenario, key, _baseline_rows, rows)
     series = {
         "proposed": _rate_cells([best.null_residual], ones)[0],
         "theory": list(theory),
@@ -189,7 +172,6 @@ def sweep_snr(
     scenario: ScenarioConfig,
     scheme: str = "azimuth",
     snr_db_grid=None,
-    n_random_baselines: int = 3,
 ) -> SweepResult:
     """SR versus SNR for the solved placement, the bound, and random
     deployments.
@@ -203,7 +185,7 @@ def sweep_snr(
     type run as their floats; a str or bytes raises TypeError.
     """
     grid = DEFAULT_SNR_GRID_DB if snr_db_grid is None else snr_db_grid
-    return _sweep(scenario, "snr", scheme, n_random_baselines, grid, None)
+    return _sweep(scenario, "snr", scheme, grid, None)
 
 
 def sweep_alpha(
@@ -211,7 +193,6 @@ def sweep_alpha(
     snr_db: float = 15.0,
     alpha_grid=None,
     scheme: str = "azimuth",
-    n_random_baselines: int = 3,
 ) -> SweepResult:
     """SR versus the signal/noise power split at a fixed SNR.
 
@@ -222,4 +203,4 @@ def sweep_alpha(
     any real type run as their floats; a str or bytes raises TypeError.
     """
     grid = DEFAULT_ALPHA_GRID if alpha_grid is None else alpha_grid
-    return _sweep(scenario, "alpha", scheme, n_random_baselines, grid, snr_db)
+    return _sweep(scenario, "alpha", scheme, grid, snr_db)

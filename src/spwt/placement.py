@@ -61,6 +61,13 @@ _MAP_CHUNK = 1 << 12
 
 @dataclass(frozen=True)
 class PlacementSolution:
+    """One certified placement: the UAV ``position`` in the caller's frame,
+    the ``scheme`` ("azimuth" or "pitch") and ``branch`` ("+" or "-") that
+    placed it, the null index as the caller gave it (``index_used``), the
+    ``factor_used`` ("row" or "column"), the kernel's certified |rho| at the
+    position (``null_residual``, at most 1e-8) and the secrecy rate there in
+    bits/s/Hz at the scenario's power split (``sr_at_solution``)."""
+
     position: Position3D
     scheme: str
     branch: str
@@ -140,15 +147,15 @@ def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
 
     Keys name what was computed: ("frame",), ("factors", index), ("azimuth",
     index), ("pitch", index, factor) per factor reached, the sweeps'
-    ("baselines", count), ("sweep", count, kind, grid, snr_db) and ("best",
-    scheme).  They hold values only: the builders take the index's float, the
-    sweeps the count's ``operator.index`` and the floats of the grid
-    and ``snr_db`` before the slot, so inputs that compare equal (1, 1.0,
-    True; 0.0, -0.0) share one outcome.  Outcomes hold values and messages,
-    never an exception or the scenario (the frame's kernel closes over the
-    scenario's values): releasing the slot frees it.  A solver's are its
-    :func:`_certify` records, which :func:`_accept` reads on every ask.  A
-    kept message (str) is why there is none, raised as ``InfeasibleGeometry``.
+    ("baselines",), ("sweep", kind, grid, snr_db) and ("best", scheme).  They
+    hold values only: the builders take the index's float, the sweeps the
+    floats of the grid and ``snr_db`` before the slot, so inputs that compare
+    equal (1, 1.0, True; 0.0, -0.0) share one outcome.  Outcomes hold values
+    and messages, never an exception or the scenario (the frame's kernel
+    closes over the scenario's values): releasing the slot frees it.  A
+    solver's are its :func:`_certify` records, which :func:`_accept` reads on
+    every ask.  A kept message (str) is why there is none, raised as
+    ``InfeasibleGeometry``.
     """
     global _last
     held, outcomes = _last

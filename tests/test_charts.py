@@ -61,7 +61,7 @@ def test_heatmap_shades_equal_per_cell_formula(nx, ny, seed):
 
 def test_heatmap_shades_of_the_clamp_ends():
     values = np.array([[0.0, 1e-6, 1.0, 2.0, np.inf, np.nan]])
-    _, pixels = heatmap_image(render_heatmap(np.arange(6.0), np.zeros(1), values))
+    _, pixels = heatmap_image(render_heatmap(np.arange(6.0), np.zeros(1), values, []))
     assert pixels.tolist() == [[0, 0, 255, 255, 255, 0]]
     assert [heatmap_shade(v) for v in values[0]] == [0, 0, 255, 255, 255, 0]
 
@@ -70,7 +70,7 @@ def test_heatmap_shades_of_the_clamp_ends():
 def test_one_point_line_chart_is_finite(x):
     # a one-point x range is widened by a step that moves x at its size;
     # +/-1 rounds away from |x| >= 2^53 and left a zero span to divide by
-    svg = render_line_chart([x], {"a": [1.0]}, "x", "y")
+    svg = render_line_chart([x], {"a": [1.0]}, "x", "y", "t")
     assert not re.search(r"nan|inf", svg)
 
 
@@ -87,7 +87,7 @@ _RATES = st.lists(_RATE, min_size=1, max_size=16)
 @given(xs=st.lists(_FINITE, min_size=1, max_size=16), rows=st.lists(_RATES, max_size=3))
 def test_line_chart_of_finite_values_is_finite(xs, rows):
     series = {f"s{i}": row for i, row in enumerate(rows)}
-    assert not re.search(r"nan|inf", render_line_chart(xs, series, "x", "y"))
+    assert not re.search(r"nan|inf", render_line_chart(xs, series, "x", "y", "t"))
 
 
 @given(
@@ -107,17 +107,19 @@ def test_descending_heatmap_axis_draws_on_the_plot():
     # way the axis runs: reversing an axis, with the values that go with
     # it, keeps the image's extent and flips its pixels along that axis
     values = np.array([[0.5, 1e-3, 1e-5], [1.0, 0.1, 1e-6]])
-    box, pixels = heatmap_image(render_heatmap([0.0, 5.0, 10.0], [0.0, 1.0], values))
+    box, pixels = heatmap_image(
+        render_heatmap([0.0, 5.0, 10.0], [0.0, 1.0], values, [])
+    )
     box_x, flip_x = heatmap_image(
-        render_heatmap([10.0, 5.0, 0.0], [0.0, 1.0], values[:, ::-1])
+        render_heatmap([10.0, 5.0, 0.0], [0.0, 1.0], values[:, ::-1], [])
     )
     box_y, flip_y = heatmap_image(
-        render_heatmap([0.0, 5.0, 10.0], [1.0, 0.0], values[::-1])
+        render_heatmap([0.0, 5.0, 10.0], [1.0, 0.0], values[::-1], [])
     )
     assert box_x == box == box_y == (-78.5, -157.0, 843.0, 708.0)
     # that extent overhangs the page; the image is clipped to the plot,
     # 62..624 x 20..374, where the axes run
-    page = minidom.parseString(render_heatmap([0.0, 5.0, 10.0], [0.0, 1.0], values))
+    page = minidom.parseString(render_heatmap([0.0, 5.0, 10.0], [0.0, 1.0], values, []))
     (clip,) = page.getElementsByTagName("clipPath")
     (rect,) = clip.getElementsByTagName("rect")
     (image,) = page.getElementsByTagName("image")
@@ -129,10 +131,10 @@ def test_descending_heatmap_axis_draws_on_the_plot():
     assert len(set(pixels.ravel().tolist())) == values.size
     # an axis whose drawn points have no extent fills the plot on that axis,
     # and the other axis keeps its extent
-    one, _ = heatmap_image(render_heatmap([0.0], [0.0], [[0.5]]))
+    one, _ = heatmap_image(render_heatmap([0.0], [0.0], [[0.5]], []))
     assert one == (62.0, 20.0, 562.0, 354.0)
-    one_x, _ = heatmap_image(render_heatmap([0.0], [0.0, 1.0], values[:, :1]))
-    one_y, _ = heatmap_image(render_heatmap([0.0, 5.0, 10.0], [0.0], values[:1]))
+    one_x, _ = heatmap_image(render_heatmap([0.0], [0.0, 1.0], values[:, :1], []))
+    one_y, _ = heatmap_image(render_heatmap([0.0, 5.0, 10.0], [0.0], values[:1], []))
     assert one_x == (62.0, -157.0, 562.0, 708.0)
     assert one_y == (-78.5, 20.0, 843.0, 354.0)
     huge = [1e308, -1e308]
@@ -153,4 +155,4 @@ def test_labels_titles_and_series_names_are_escaped():
     line = render_line_chart([0, 1], series, "x < 1", "y>0", title="T&C")
     assert {"T&C", "a<b & c", "x < 1", "y>0"} <= set(texts(line))
     # an entity already in a name is escaped again, not passed through
-    assert "&amp;amp;" in render_line_chart([0], {"&amp;": [1.0]}, "x", "y")
+    assert "&amp;amp;" in render_line_chart([0], {"&amp;": [1.0]}, "x", "y", "t")
