@@ -185,7 +185,7 @@ def _write_outputs(out_dir: str, files: dict) -> list[str]:
     temps = [path + ".tmp" for path in paths]
     try:
         for temp, content in zip(temps, files.values()):
-            with open(temp, "w", encoding="utf-8") as fh:
+            with open(temp, "w", encoding="utf-8", newline="\n") as fh:
                 if callable(content):
                     content(fh)
                 else:

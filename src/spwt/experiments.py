@@ -65,8 +65,7 @@ def _baselines(scenario: ScenarioConfig) -> tuple:
         for _ in range(BASELINE_COUNT)
     ]
     tf, _, magnitude = _kept(scenario, ("frame",), _frame)
-    xy = tf._canonical_xy
-    return positions, [magnitude(*xy(x, y)) for x, y, _ in positions]
+    return positions, [magnitude(*tf.to_canonical(x, y)) for x, y, _ in positions]
 
 
 def _linear_snr(snr_db: float, p: float) -> float:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateGeometry
-from .scenario import Position3D, _point
+from .scenario import Position3D
 
 # Below this horizontal separation in meters the ground axis is undefined.
 _FLAT_EPS = 1e-9
@@ -21,32 +21,29 @@ _FLAT_EPS = 1e-9
 class FrameTransform:
     """Rigid ground-plane transform into the canonical solving frame.
 
-    ``to_canonical`` first shifts by (shift_x, shift_y), then rotates by
-    ``rotation`` about the z axis; ``from_canonical`` inverts it.  Altitude
-    passes through untouched.
+    ``to_canonical`` first shifts by (shift_x, shift_y), then rotates by the
+    angle whose cosine and sine are ``c`` and ``s`` about the z axis;
+    ``from_canonical`` inverts it.  Both take ground (x, y) as floats, or as
+    numpy arrays that broadcast together, and return the pair in the other
+    frame with the same bits either way.  Altitude is the same in both
+    frames, so they take none.
     """
 
     shift_x: float
     shift_y: float
-    rotation: float
+    c: float
+    s: float
 
-    def to_canonical(self, p: Position3D) -> Position3D:
-        return _point(*self._canonical_xy(p.x, p.y), p.z)
-
-    def _canonical_xy(self, x: float, y: float) -> tuple[float, float]:
+    def to_canonical(self, x, y):
         """The canonical (x, y) of the caller-frame ground point (x, y)."""
-        xt = x + self.shift_x
-        yt = y + self.shift_y
-        c = math.cos(self.rotation)
-        s = math.sin(self.rotation)
-        return xt * c - yt * s, xt * s + yt * c
+        x, y = x + self.shift_x, y + self.shift_y
+        return x * self.c - y * self.s, x * self.s + y * self.c
 
-    def from_canonical(self, p: Position3D) -> Position3D:
-        c = math.cos(self.rotation)
-        s = math.sin(self.rotation)
-        xt = p.x * c + p.y * s
-        yt = -p.x * s + p.y * c
-        return _point(xt - self.shift_x, yt - self.shift_y, p.z)
+    def from_canonical(self, x, y):
+        """The caller-frame (x, y) of the canonical ground point (x, y)."""
+        xt = x * self.c + y * self.s
+        yt = -x * self.s + y * self.c
+        return xt - self.shift_x, yt - self.shift_y
 
 
 def canonicalize_frame(bob_raw: Position3D, eve_raw: Position3D) -> FrameTransform:
@@ -62,5 +59,5 @@ def canonicalize_frame(bob_raw: Position3D, eve_raw: Position3D) -> FrameTransfo
     dy = eve_raw.y - bob_raw.y
     if math.hypot(dx, dy) < _FLAT_EPS:
         raise DegenerateGeometry("ground nodes coincide; no axis to align")
-    bearing = math.atan2(dy, dx)
-    return FrameTransform(shift_x=-bob_raw.x, shift_y=-bob_raw.y, rotation=-bearing)
+    turn = -math.atan2(dy, dx)
+    return FrameTransform(-bob_raw.x, -bob_raw.y, math.cos(turn), math.sin(turn))

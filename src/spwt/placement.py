@@ -231,8 +231,8 @@ def _bisector_candidates(scenario: ScenarioConfig, k, factors: dict) -> str | li
         for branch, offset in (("+", y), ("-", -y)) if y > 0.0 else (("+", 0.0),):
             # Within _DEDUP_M of an earlier candidate: one point, certified once.
             if not any(abs(offset - c[3]) < _DEDUP_M for c in candidates):
-                point = _point(x_e / 2.0, offset, g)
-                candidates.append(("azimuth", factor, branch, offset, point))
+                xy = (x_e / 2.0, offset)
+                candidates.append(("azimuth", factor, branch, offset, xy))
 
     if not candidates:
         return (
@@ -247,26 +247,26 @@ def _frame(scenario: ScenarioConfig) -> tuple:
     """The canonical frame transform, the eavesdropper's canonical x, and the
     kernel bound to both over math: built here only, kept under ("frame",)."""
     tf = canonicalize_frame(scenario.bob, scenario.eve)
-    x_e = tf.to_canonical(scenario.eve).x
+    x_e = tf.to_canonical(scenario.eve.x, scenario.eve.y)[0]
     return tf, x_e, correlation_magnitude(scenario, x_e, math)
 
 
 def _certify(scenario: ScenarioConfig, candidates: list) -> list:
-    """Each (scheme, factor, branch, canonical coordinate, canonical point)
+    """Each (scheme, factor, branch, canonical coordinate, canonical (x, y))
     candidate as its record: (scheme, factor, branch, coordinate, caller-frame
     position, |rho|, secrecy rate or None), |rho| from the kept kernel at the
     point solved and the rate from one ``_rate_cells`` pass at the scenario's
     checked budget over the points within ``_NULL_TOL``, where alone it applies."""
     tf, _, magnitude = _kept(scenario, ("frame",), _frame)
-    residuals = [magnitude(p.x, p.y) for _, _, _, _, p in candidates]
-    power = scenario.power
+    residuals = [magnitude(*xy) for *_, xy in candidates]
+    g, power = scenario.uav_height_m, scenario.power
     ok = [r for r in residuals if r <= _NULL_TOL]
     budget = [power.alpha], [power.noise_b_w], [power.noise_e_w]
     rates = iter(_rate_cells(ok, _budget_rows(power.total_power_w, *budget)))
     return [
-        (scheme, factor, branch, coordinate, tf.from_canonical(p), r,
+        (scheme, factor, branch, coordinate, _point(*tf.from_canonical(*xy), g), r,
          next(rates)[0] if r <= _NULL_TOL else None)
-        for (scheme, factor, branch, coordinate, p), r in zip(candidates, residuals)
+        for (scheme, factor, branch, coordinate, xy), r in zip(candidates, residuals)
     ]
 
 
@@ -399,7 +399,7 @@ def _extension_candidates(scenario: ScenarioConfig, l, factor: str, term) -> dic
     except InfeasibleGeometry as exc:
         return dict.fromkeys(("left", "right"), (str(exc), False))
     branch = "+" if term > 0.0 else "-"
-    sides = [("pitch", factor, branch, x, _point(x, 0.0, g)) for x in (-t, x_e + t)]
+    sides = [("pitch", factor, branch, x, (x, 0.0)) for x in (-t, x_e + t)]
     return dict(zip(("left", "right"), _certify(scenario, sides)))
 
 
@@ -478,18 +478,20 @@ def solve_all(
 
 
 def correlation_map(scenario: ScenarioConfig, xs, ys):
-    """|h_e^H h_b| over a canonical-frame position grid at the platform
-    altitude, a numpy array of shape (len(ys), len(xs)).
+    """|h_e^H h_b| over the grid of caller-frame points (x, y), x in ``xs``
+    and y in ``ys``, at the platform altitude: a numpy array of shape
+    (len(ys), len(xs)), in the frame of the scenario's nodes and placements.
 
     :func:`~spwt.signalmodel.correlation_magnitude` over numpy at the kept
     frame's x_e, bound once, in chunks of at most ``_MAP_CHUNK`` points
     (whole rows, or blocks of one row wider than that), which bounds every
-    temporary array.  Each point has the bits it has alone, whatever the
-    chunk size.
+    temporary array.  Each chunk's row of x and column of y pass through the
+    kept frame's ``to_canonical`` before they broadcast.  Each point has the
+    bits it has alone, whatever the chunk size.
     """
     import numpy as np
 
-    x_e = _kept(scenario, ("frame",), _frame)[1]
+    tf, x_e = _kept(scenario, ("frame",), _frame)[:2]
     magnitude = correlation_magnitude(scenario, x_e, np)
     x = np.asarray(xs, float).ravel()[None, :]
     ys = np.asarray(ys, float).ravel()
@@ -500,6 +502,6 @@ def correlation_map(scenario: ScenarioConfig, xs, ys):
         y = ys[start : start + rows, None]
         for col in range(0, x.size, cols):
             out[start : start + rows, col : col + cols] = magnitude(
-                x[:, col : col + cols], y
+                *tf.to_canonical(x[:, col : col + cols], y)
             )
     return out

@@ -1,4 +1,4 @@
-"""Transmit construction and link metrics.
+"""The correlation kernel and the rate step.
 
 The channel toward a ground node is the bare steering vector of the array
 for that node's look angles: there is no path loss term, so range enters

@@ -26,7 +26,6 @@ from spwt import (
     Position3D,
     ScenarioConfig,
     SpwtError,
-    correlation_map,
 )
 from spwt import experiments, placement, signalmodel
 from spwt.geometry import _FLAT_EPS, canonicalize_frame
@@ -267,11 +266,11 @@ def correlation_at(scenario: ScenarioConfig, positions) -> list[float]:
     into the canonical frame and the kernel bound at its own height, through
     :func:`unchecked_scenario`, so any altitude can be checked."""
     tf = canonicalize_frame(scenario.bob, scenario.eve)
-    x_e = tf.to_canonical(scenario.eve).x
+    x_e = tf.to_canonical(scenario.eve.x, scenario.eve.y)[0]
     bind = signalmodel.correlation_magnitude
     return [
         bind(unchecked_scenario(scenario, uav_height_m=p.z), x_e, math)(
-            *tf._canonical_xy(p.x, p.y)
+            *tf.to_canonical(p.x, p.y)
         )
         for p in positions
     ]
@@ -285,9 +284,12 @@ def explicit_correlation(scenario: ScenarioConfig, uav: Position3D) -> float:
     transform, look angles, full M*N vectors and their inner product.
     """
     tf = canonicalize_frame(scenario.bob, scenario.eve)
-    uav_c = tf.to_canonical(uav)
-    ang_b = look_angles(uav_c, tf.to_canonical(scenario.bob), scenario.yaw)
-    ang_e = look_angles(uav_c, tf.to_canonical(scenario.eve), scenario.yaw)
+    uav_c, bob_c, eve_c = (
+        Position3D(*tf.to_canonical(p.x, p.y), p.z)
+        for p in (uav, scenario.bob, scenario.eve)
+    )
+    ang_b = look_angles(uav_c, bob_c, scenario.yaw)
+    ang_e = look_angles(uav_c, eve_c, scenario.yaw)
     h_b = steering_vector(scenario.array, ang_b.azimuth_rel, ang_b.pitch)
     h_e = steering_vector(scenario.array, ang_e.azimuth_rel, ang_e.pitch)
     return abs(cross_correlation(h_e, h_b))
@@ -381,7 +383,7 @@ def gap_bracket_top(x_e: float, g: float, target: float) -> float:
 
 
 def element_sum_map(scenario: ScenarioConfig, xs, ys) -> np.ndarray:
-    """|h_e^H h_b| over a canonical-frame grid, shape (len(ys), len(xs)),
+    """|h_e^H h_b| over a caller-frame grid, shape (len(ys), len(xs)),
     from the element-by-element double sum over all M*N array elements.
 
     The oracle for the factored ``correlation_map``: it shares nothing with
@@ -390,15 +392,14 @@ def element_sum_map(scenario: ScenarioConfig, xs, ys) -> np.ndarray:
     """
     geom = scenario.array
     tf = canonicalize_frame(scenario.bob, scenario.eve)
-    x_e = tf.to_canonical(scenario.eve).x
+    x_e = tf.to_canonical(scenario.eve.x, scenario.eve.y)[0]
     g = scenario.uav_height_m
     coef = geom.phase_coef
     m = np.arange(geom.m_rows, dtype=float).reshape(1, -1, 1)
     n = np.arange(geom.n_cols, dtype=float).reshape(1, 1, -1)
 
     gx, gy = np.meshgrid(np.asarray(xs, float), np.asarray(ys, float))
-    flat_x = gx.ravel()
-    flat_y = gy.ravel()
+    flat_x, flat_y = tf.to_canonical(gx.ravel(), gy.ravel())
     out = np.empty(flat_x.size)
     chunk = max(1, 2_000_000 // geom.size)
     for start in range(0, flat_x.size, chunk):
@@ -543,7 +544,8 @@ def grid_null_oracle(
     resolution: float,
     bounds: tuple | None = None,
 ) -> list[tuple[Position3D, float]]:
-    """Brute-force search for correlation minima over candidate positions.
+    """Brute-force search for correlation minima over candidate positions
+    of the canonical frame, scanned with the package's numpy kernel.
 
     Parameters
     ----------
@@ -565,8 +567,9 @@ def grid_null_oracle(
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
     tf = canonicalize_frame(scenario.bob, scenario.eve)
-    x_e = tf.to_canonical(scenario.eve).x
+    x_e = tf.to_canonical(scenario.eve.x, scenario.eve.y)[0]
     g = scenario.uav_height_m
+    magnitude = signalmodel.correlation_magnitude(scenario, x_e, np)
 
     def _steps(lo: float, hi: float) -> np.ndarray:
         return np.arange(lo, hi + resolution / 2.0, resolution)
@@ -574,13 +577,13 @@ def grid_null_oracle(
     if locus == "midline":
         lo, hi = bounds if bounds is not None else (-2000.0, 2000.0)
         ys = _steps(lo, hi)
-        res = correlation_map(scenario, np.array([x_e / 2.0]), ys)[:, 0]
+        res = magnitude(x_e / 2.0, ys)
         keep = _local_minima_1d(res)
         points = [(x_e / 2.0, float(ys[i]), float(res[i])) for i in keep]
     elif locus == "axis":
         lo, hi = bounds if bounds is not None else (-2000.0, 2000.0)
         xs = _steps(lo, hi)
-        res = correlation_map(scenario, xs, np.array([0.0]))[0, :]
+        res = magnitude(xs, 0.0)
         keep = _local_minima_1d(res)
         points = [(float(xs[i]), 0.0, float(res[i])) for i in keep]
     elif locus == "box":
@@ -590,7 +593,7 @@ def grid_null_oracle(
             (x_lo, x_hi), (y_lo, y_hi) = (-1000.0, 1000.0), (-1000.0, 1000.0)
         xs = _steps(x_lo, x_hi)
         ys = _steps(y_lo, y_hi)
-        res = correlation_map(scenario, xs, ys)
+        res = magnitude(xs[None, :], ys[:, None])
         points = [
             (float(xs[j]), float(ys[i]), float(res[i, j]))
             for i, j in _local_minima_2d(res)
@@ -599,9 +602,7 @@ def grid_null_oracle(
         raise ValueError("locus must be 'midline', 'axis' or 'box'")
 
     points.sort(key=lambda p: p[2])
-    return [
-        (tf.from_canonical(Position3D(x, y, g)), r) for x, y, r in points
-    ]
+    return [(Position3D(*tf.from_canonical(x, y), g), r) for x, y, r in points]
 
 
 _MINIMUM_CUTOFF = 1e-2

@@ -1,3 +1,9 @@
+"""The array model: ``ArrayGeometry`` (in ``spwt.scenario``), the reference
+steering vectors and look angles in ``conftest``, and the factored kernel
+(``spwt.signalmodel``) against them.  The file keeps the name of the
+``spwt.arrays`` module these checks were written for, which ``scenario`` and
+``signalmodel`` have since absorbed."""
+
 import math
 from dataclasses import replace
 

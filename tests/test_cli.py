@@ -186,6 +186,27 @@ def test_sweep_snr_outputs(tmp_path):
     assert manifest["seed"] == 0
 
 
+def test_every_output_file_is_opened_with_unix_newlines(tmp_path, monkeypatch):
+    # newline=None would write each "\n" as os.linesep, "\r\n" on Windows;
+    # every file the commands write is opened with newline="\n", so its
+    # bytes are the same on every host
+    opened = []
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            opened.append((os.path.basename(file), kwargs.get("newline")))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(spwt.cli, "open", recording_open, raising=False)
+    cfg = write_config(tmp_path / "a.cfg")
+    for command in (["sweep", "--kind", "snr"], ["sweep", "--kind", "alpha"],
+                    ["pattern", "--grid=-100:100:50"]):
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    names = ["sweep_snr.csv", "sweep_snr.svg", "sweep_alpha.csv", "sweep_alpha.svg",
+             "pattern.csv", "pattern.svg"] + ["manifest.json"] * 3
+    assert sorted(opened) == sorted((f"{name}.tmp", "\n") for name in names)
+
+
 def test_one_point_sweep_writes_one_row_and_a_finite_chart(tmp_path):
     # the chart widens the one-point x range to [3, 5] before its ticks
     cfg = write_config(tmp_path / "a.cfg")
@@ -1101,7 +1122,9 @@ def _golden_pattern(config):
     return {path.name: path.read_text(encoding="utf-8") for path in case.iterdir()}
 
 
-# ids: "split" is OPENBLAS_NUM_THREADS unset, "serial" a user's own 2
+# ids: "split" is OPENBLAS_NUM_THREADS unset, "serial" a user's own 2 (the
+# names are those of a forked writer that pattern no longer has; what the
+# two cases vary is only the BLAS thread setting)
 @pytest.mark.parametrize("blas", [None, "2"], ids=["split", "serial"])
 @pytest.mark.parametrize("config", ["reference", "wide16", "linear"])
 def test_pattern_paths_match_golden(tmp_path, config, blas):

@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from spwt import DegenerateGeometry, Position3D
+from spwt import DegenerateGeometry, Position3D, solve_all
 from spwt.geometry import canonicalize_frame
-from conftest import look_angles, midpoint_symmetry_check
+from conftest import look_angles, make_scenario, midpoint_symmetry_check
 
 YAW = math.pi / 4.0
 
@@ -104,30 +106,29 @@ def test_midpoint_symmetry_check():
 
 def test_canonicalize_identity():
     tf = canonicalize_frame(Position3D(0, 0, 0), Position3D(500, 0, 0))
-    assert tf.shift_x == 0.0 and tf.shift_y == 0.0 and tf.rotation == 0.0
-    p = tf.to_canonical(Position3D(12.0, -9.0, 77.0))
-    assert (p.x, p.y, p.z) == (12.0, -9.0, 77.0)
+    assert tf.shift_x == 0.0 and tf.shift_y == 0.0 and tf.c == 1.0 and tf.s == 0.0
+    assert tf.to_canonical(12.0, -9.0) == (12.0, -9.0)
 
 
 def test_canonicalize_axis_aligned():
     tf = canonicalize_frame(Position3D(10, 10, 0), Position3D(10, 510, 0))
     assert tf.shift_x == -10.0 and tf.shift_y == -10.0
-    assert tf.rotation == pytest.approx(-math.pi / 2, abs=1e-15)
-    eve_c = tf.to_canonical(Position3D(10, 510, 0))
-    assert eve_c.x == pytest.approx(500.0, abs=1e-12)
-    assert eve_c.y == pytest.approx(0.0, abs=1e-12)
+    # a quarter turn clockwise: cos and sin of -pi/2
+    assert tf.c == pytest.approx(0.0, abs=1e-15)
+    assert tf.s == pytest.approx(-1.0, abs=1e-15)
+    eve_x, eve_y = tf.to_canonical(10.0, 510.0)
+    assert eve_x == pytest.approx(500.0, abs=1e-12)
+    assert eve_y == pytest.approx(0.0, abs=1e-12)
 
 
 def test_canonicalize_round_trip():
     rng = np.random.default_rng(5)
     tf = canonicalize_frame(Position3D(-40.0, 12.0, 0), Position3D(333.0, -80.0, 0))
     for _ in range(100):
-        p = Position3D(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3),
-                       rng.uniform(0, 500))
-        q = tf.from_canonical(tf.to_canonical(p))
-        assert abs(q.x - p.x) <= 1e-12 * max(1.0, abs(p.x))
-        assert abs(q.y - p.y) <= 1e-12 * max(1.0, abs(p.y))
-        assert q.z == p.z
+        x, y = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
+        qx, qy = tf.from_canonical(*tf.to_canonical(x, y))
+        assert abs(qx - x) <= 1e-12 * max(1.0, abs(x))
+        assert abs(qy - y) <= 1e-12 * max(1.0, abs(y))
 
 
 def test_canonicalize_rejects_coincident_nodes():
@@ -146,11 +147,44 @@ def test_position_rejects_non_finite(field, value):
 
 
 def test_frame_maps_give_ordinary_positions():
-    # the maps build their points past the check; they still compare, hash
-    # and print as the positions the constructor builds
-    tf = canonicalize_frame(Position3D(-40.0, 12.0), Position3D(333.0, -80.0))
-    point = Position3D(1.0, 2.0, 3.0)
-    for p in (tf.to_canonical(point), tf.from_canonical(point)):
+    # certification builds each placement past the check from the pair of
+    # floats from_canonical gives; in a turned frame those positions still
+    # compare, hash and print as the positions the constructor builds
+    bob, eve = Position3D(-40.0, 12.0), Position3D(333.0, -80.0)
+    tf = canonicalize_frame(bob, eve)
+    assert all(type(v) is float for v in (*tf.to_canonical(1, 2), *tf.from_canonical(1, 2)))
+    solutions = solve_all(replace(make_scenario(), bob=bob, eve=eve))[0]
+    assert solutions
+    for p in (s.position for s in solutions):
         built = Position3D(p.x, p.y, p.z)
-        assert type(p) is Position3D
+        assert type(p) is Position3D and all(type(v) is float for v in (p.x, p.y, p.z))
         assert (p, hash(p), repr(p)) == (built, hash(built), repr(built))
+
+
+_COORDS = st.floats(-1e6, 1e6)
+
+
+@given(
+    bob=st.tuples(_COORDS, _COORDS),
+    eve=st.tuples(_COORDS, _COORDS),
+    xs=st.lists(_COORDS, min_size=1, max_size=4),
+    ys=st.lists(_COORDS, min_size=1, max_size=4),
+)
+def test_frame_maps_agree_on_floats_and_arrays_and_invert(bob, eve, xs, ys):
+    # certification and the baselines pass floats, the map a chunk's row of
+    # x and column of y as arrays that broadcast: each point gets the same
+    # bits either way, and each map undoes the other to a few ulps of the
+    # span, the largest coordinate or shift involved (24 million random
+    # points were at most 7 ulps off)
+    assume(math.hypot(eve[0] - bob[0], eve[1] - bob[1]) >= 1e-6)
+    tf = canonicalize_frame(Position3D(*bob), Position3D(*eve))
+    row, column = np.array(xs)[None, :], np.array(ys)[:, None]
+    for forward in (tf.to_canonical, tf.from_canonical):
+        floats = np.array([[forward(x, y) for x in xs] for y in ys])
+        arrays = np.stack(forward(row, column), axis=-1)
+        assert floats.tobytes() == arrays.tobytes()
+    for x in xs:
+        for y in ys:
+            back = tf.from_canonical(*tf.to_canonical(x, y))
+            span = max(abs(x), abs(y), abs(tf.shift_x), abs(tf.shift_y))
+            assert max(abs(back[0] - x), abs(back[1] - y)) <= 16.0 * math.ulp(span)

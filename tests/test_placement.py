@@ -42,6 +42,7 @@ from conftest import (
     unchecked_position,
     unchecked_scenario,
 )
+from test_golden import study_scenarios
 
 Y_REF = 630.4760106459247
 PITCH_T_REF = 47.75273070615326  # outward distance of the extension-scheme root
@@ -741,6 +742,22 @@ def test_the_map_reads_each_placements_certified_residual():
     assert count > 2000
 
 
+def test_the_map_reads_a_null_at_each_placement_in_a_turned_frame():
+    # the map takes caller-frame points, as the placements are: on the
+    # studies' three scenarios whose ground pair is shifted off the origin
+    # and turned, it reads at most the certification tolerance at each of
+    # their certified placements
+    turned = [sc for sc, _ in study_scenarios() if (sc.bob.x, sc.bob.y) != (0.0, 0.0)]
+    assert len(turned) == 3
+    count = 0
+    for sc in turned:
+        for s in solve_all(sc)[0]:
+            at = correlation_map(sc, [s.position.x], [s.position.y])[0, 0]
+            assert at <= placement._NULL_TOL, (sc, s)
+            count += 1
+    assert count == 14
+
+
 def test_grid_oracle_validates_inputs(reference_scenario):
     with pytest.raises(ValueError):
         grid_null_oracle(reference_scenario, "midline", 0.0)
@@ -842,7 +859,7 @@ def _scanned_roots(sc, k, tf):
     """(locus, factor, canonical coordinate) of each zero at index ``k``
     that the scan finds and explicit_correlation confirms, the locus being
     "bisector" (coordinate y) or the extension's "left" or "right" (x)."""
-    x_e, g, yaw = tf.to_canonical(sc.eve).x, sc.uav_height_m, sc.yaw
+    x_e, g, yaw = tf.to_canonical(sc.eve.x, sc.eve.y)[0], sc.uav_height_m, sc.yaw
     nodes = Position3D(0.0, 0.0), Position3D(x_e, 0.0)
     levels = {
         "row": 2.0 * math.pi * k / sc.array.m_rows,
@@ -881,9 +898,10 @@ def _scanned_roots(sc, k, tf):
                         lo = mid
                     else:
                         hi = mid
-                point = Position3D(*along(lo), g)
-                if explicit_correlation(sc, tf.from_canonical(point)) <= 1e-6:
-                    roots.append((locus, fac, point.y if locus == "bisector" else point.x))
+                px, py = along(lo)
+                uav = Position3D(*tf.from_canonical(px, py), g)
+                if explicit_correlation(sc, uav) <= 1e-6:
+                    roots.append((locus, fac, py if locus == "bisector" else px))
     return roots
 
 
@@ -931,7 +949,7 @@ def test_solvers_place_every_root_an_independent_scan_finds(case):
             solve_azimuth_scheme(sc, k)
     else:
         placed = solve_azimuth_scheme(sc, k)
-        ys = [tf.to_canonical(s.position).y for s in placed]
+        ys = [tf.to_canonical(s.position.x, s.position.y)[1] for s in placed]
         assert all(any(near(y, r) for r in bisector) for y in ys)
         assert all(any(near(r, y) for y in ys) for r in bisector)
     for side in ("left", "right"):
@@ -941,7 +959,7 @@ def test_solvers_place_every_root_an_independent_scan_finds(case):
                 solve_pitch_scheme(sc, k, side)
             continue
         placed = solve_pitch_scheme(sc, k, side)
-        x = tf.to_canonical(placed.position).x
+        x = tf.to_canonical(placed.position.x, placed.position.y)[0]
         assert any(fac == placed.factor_used and near(x, r) for fac, r in want)
 
 

@@ -143,9 +143,10 @@ def test_monte_carlo_colocated_eavesdropper():
 def test_monte_carlo_at_reference_null(reference_scenario):
     sc = reference_scenario
     tf = canonicalize_frame(sc.bob, sc.eve)
-    uav = tf.to_canonical(REFERENCE_NULL)
+    p = REFERENCE_NULL
+    uav = Position3D(*tf.to_canonical(p.x, p.y), p.z)
     ang_b = look_angles(uav, Position3D(0, 0, 0), sc.yaw)
-    ang_e = look_angles(uav, tf.to_canonical(sc.eve), sc.yaw)
+    ang_e = look_angles(uav, Position3D(*tf.to_canonical(sc.eve.x, sc.eve.y)), sc.yaw)
     h_b = steering_vector(sc.array, ang_b.azimuth_rel, ang_b.pitch)
     h_e = steering_vector(sc.array, ang_e.azimuth_rel, ang_e.pitch)
     pair = build_beamformers(h_b)
@@ -270,9 +271,10 @@ def test_correlation_kernel_matches_explicit_vectors():
         # a point alone gives the same float as in a batch
         assert got == [correlation_at(sc, [u])[0] for u in uavs]
         tf = canonicalize_frame(bob, eve)
-        p = tf.to_canonical(uavs[0])
+        p = uavs[0]
+        x_e = tf.to_canonical(eve.x, eve.y)[0]
         at_p = replace(sc, uav_height_m=p.z)
-        one = correlation_magnitude(at_p, tf.to_canonical(eve).x, math)(p.x, p.y)
+        one = correlation_magnitude(at_p, x_e, math)(*tf.to_canonical(p.x, p.y))
         assert type(one) is float and one == got[0]
     assert worst <= 1e-12
 
