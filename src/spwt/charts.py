@@ -156,7 +156,8 @@ def render_heatmap(xs, ys, values, overlays) -> str:
     ``values`` holds the drawn cells only, [row = y, column = x]: rows
     ``ys[::s]`` and columns ``xs[::s]``, s = ``heatmap_stride(len(xs), len(ys))``.
     Residuals are displayed on a log scale clamped to [1e-6, 1], darker
-    meaning closer to a null; ``overlays`` positions (x, y) are circled.
+    meaning closer to a null; ``overlays`` positions (x, y) are circled,
+    except one whose centre maps to no finite pixel.
     """
     import zlib
 
@@ -206,10 +207,14 @@ def render_heatmap(xs, ys, values, overlays) -> str:
         f'xlink:href="data:image/png,%{png.hex("%").upper()}"/>'
     ]
     for ox, oy in overlays:
-        parts.append(
-            f'<circle cx="{_fmt(px(float(ox)))}" cy="{_fmt(py(float(oy)))}" '
-            f'r="4" fill="none" stroke="#d62728" stroke-width="1.8"/>'
-        )
+        cx, cy = px(float(ox)), py(float(oy))
+        # A centre past the float range in pixels lies infinitely far off
+        # the plot, as a placement does beside a grid of subnormal span.
+        if math.isfinite(cx) and math.isfinite(cy):
+            parts.append(
+                f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
+                f'r="4" fill="none" stroke="#d62728" stroke-width="1.8"/>'
+            )
     for value, anchor, x, y in (
         (x_lo, "start", _ML, _H - _MB + 16),
         (x_hi, "end", _W - _MR, _H - _MB + 16),

@@ -6,8 +6,9 @@ class SpwtError(Exception):
 
 
 class DegenerateGeometry(SpwtError):
-    """The canonical frame has no x axis: the two ground nodes coincide, so
-    no receiver-to-eavesdropper direction defines one."""
+    """The canonical frame cannot be built: the two ground nodes coincide, so
+    no receiver-to-eavesdropper direction defines its x axis, or they lie so
+    far apart that their separation overflows the float range."""
 
 
 class InvalidCorrelation(SpwtError):

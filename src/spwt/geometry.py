@@ -53,11 +53,20 @@ def canonicalize_frame(bob_raw: Position3D, eve_raw: Position3D) -> FrameTransfo
     Raises
     ------
     DegenerateGeometry
-        If the two ground nodes coincide (within 1e-9 m horizontally).
+        If the two ground nodes coincide (within 1e-9 m horizontally), or lie
+        so far apart that their separation overflows the float range.
     """
     dx = eve_raw.x - bob_raw.x
     dy = eve_raw.y - bob_raw.y
-    if math.hypot(dx, dy) < _FLAT_EPS:
+    separation = math.hypot(dx, dy)
+    if separation < _FLAT_EPS:
         raise DegenerateGeometry("ground nodes coincide; no axis to align")
+    # Only finite nodes: one set past Position3D's check to inf is out of the
+    # model, and certification discards every candidate it leads to.
+    nodes = bob_raw.x, bob_raw.y, eve_raw.x, eve_raw.y
+    if separation == math.inf and all(map(math.isfinite, nodes)):
+        raise DegenerateGeometry(
+            "ground nodes too far apart; their separation overflows the float range"
+        )
     turn = -math.atan2(dy, dx)
     return FrameTransform(-bob_raw.x, -bob_raw.y, math.cos(turn), math.sin(turn))

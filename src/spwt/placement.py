@@ -16,7 +16,8 @@ which honours the element spacing and skips a factor with no zero at the index:
 Every candidate is certified by recomputing the correlation at the canonical
 point the solver found, with the scenario's one kept frame and kernel
 (:func:`_frame`), into one record of the same shape for both solvers
-(:func:`_certify`).  The bisector certifies all its candidates in one kernel
+(:func:`_certify`), which holds a caller-frame position for an accepted
+candidate only.  The bisector certifies all its candidates in one kernel
 pass; the extension scheme makes one pass per factor, both sides together,
 and computes the column factor only when a call reaches it (forced, or the
 row factor failed on the side asked for).  The records of the last scenario
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
 from .geometry import canonicalize_frame
-from .scenario import Position3D, ScenarioConfig, _point
+from .scenario import Position3D, ScenarioConfig
 from .signalmodel import _budget_rows, _rate_cells, correlation_magnitude
 
 HALF_PI = math.pi / 2.0
@@ -66,7 +67,10 @@ class PlacementSolution:
     placed it, the null index as the caller gave it (``index_used``), the
     ``factor_used`` ("row" or "column"), the kernel's certified |rho| at the
     position (``null_residual``, at most 1e-8) and the secrecy rate there in
-    bits/s/Hz at the scenario's power split (``sr_at_solution``)."""
+    bits/s/Hz at the scenario's power split (``sr_at_solution``).
+
+    The solvers build one only from a record :func:`_certify` accepted, whose
+    ``position`` passed Position3D's finite check when it was built."""
 
     position: Position3D
     scheme: str
@@ -75,13 +79,6 @@ class PlacementSolution:
     factor_used: str
     null_residual: float
     sr_at_solution: float
-
-
-def _solution(*fields) -> PlacementSolution:
-    """PlacementSolution(*fields) without __init__, which has no checks to skip."""
-    solution = object.__new__(PlacementSolution)
-    solution.__dict__.update(zip(PlacementSolution.__dataclass_fields__, fields))
-    return solution
 
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
@@ -253,10 +250,12 @@ def _frame(scenario: ScenarioConfig) -> tuple:
 
 def _certify(scenario: ScenarioConfig, candidates: list) -> list:
     """Each (scheme, factor, branch, canonical coordinate, canonical (x, y))
-    candidate as its record: (scheme, factor, branch, coordinate, caller-frame
-    position, |rho|, secrecy rate or None), |rho| from the kept kernel at the
-    point solved and the rate from one ``_rate_cells`` pass at the scenario's
-    checked budget over the points within ``_NULL_TOL``, where alone it applies."""
+    candidate as its record: (scheme, factor, branch, coordinate, position,
+    |rho|, secrecy rate), |rho| from the kept kernel at the point solved.  A
+    candidate within ``_NULL_TOL`` is accepted: its position is the
+    caller-frame Position3D, checked finite as it is built, and its rate
+    comes from one ``_rate_cells`` pass at the scenario's checked budget over
+    the accepted points.  A failed candidate's position and rate are None."""
     tf, _, magnitude = _kept(scenario, ("frame",), _frame)
     residuals = [magnitude(*xy) for *_, xy in candidates]
     g, power = scenario.uav_height_m, scenario.power
@@ -264,22 +263,24 @@ def _certify(scenario: ScenarioConfig, candidates: list) -> list:
     budget = [power.alpha], [power.noise_b_w], [power.noise_e_w]
     rates = iter(_rate_cells(ok, _budget_rows(power.total_power_w, *budget)))
     return [
-        (scheme, factor, branch, coordinate, _point(*tf.from_canonical(*xy), g), r,
+        (scheme, factor, branch, coordinate,
+         Position3D(*tf.from_canonical(*xy), g) if r <= _NULL_TOL else None, r,
          next(rates)[0] if r <= _NULL_TOL else None)
         for (scheme, factor, branch, coordinate, xy), r in zip(candidates, residuals)
     ]
 
 
 def _accept(record: tuple, index) -> PlacementSolution | None:
-    """A :func:`_certify` record's placement; or None, with a warning at the
-    caller's line, if it failed verification.  Both solvers accept here."""
-    scheme, factor, branch, coordinate, position, residual, rate = record
-    if rate is not None:
-        return _solution(position, scheme, branch, index, factor, residual, rate)
+    """A :func:`_certify` record's placement, built with PlacementSolution's
+    own constructor; or None, with a warning at the caller's line naming the
+    scheme, coordinate and residual, if it failed verification (its position
+    is None).  Both solvers accept here."""
+    scheme, factor, branch, coordinate, position, rho, rate = record
+    if position is not None:
+        return PlacementSolution(position, scheme, branch, index, factor, rho, rate)
     name = "bisector candidate y" if scheme == "azimuth" else "extension candidate x"
     warnings.warn(
-        f"{name}={coordinate:.6g} failed verification "
-        f"(|rho| = {residual:.3e}); discarded",
+        f"{name}={coordinate:.6g} failed verification (|rho| = {rho:.3e}); discarded",
         stacklevel=_caller_level(),
     )
     return None

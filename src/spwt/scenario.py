@@ -9,6 +9,7 @@ platform heading.  The solvers, the sweeps and the CLI all take one
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -28,13 +29,6 @@ class Position3D:
             raise ValueError("position coordinates must be finite")
 
 
-def _point(x: float, y: float, z: float) -> Position3D:
-    """Position3D(x, y, z) unchecked: a computed point, judged by certification."""
-    p = object.__new__(Position3D)
-    p.__dict__.update(x=x, y=y, z=z)
-    return p
-
-
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Rectangular array layout: ``m_rows`` x ``n_cols`` elements spaced
@@ -42,7 +36,9 @@ class ArrayGeometry:
 
     ``spacing_m`` defaults to half the carrier wavelength, for which the
     per-element phase coefficient reduces to exactly pi; the kernel and the
-    placement schemes' null equations both use :attr:`phase_coef`.
+    placement schemes' null equations both use :attr:`phase_coef`.  The
+    element count, and :attr:`phase_coef` times the larger dimension, must
+    stay within the float range.
     """
 
     m_rows: int
@@ -65,6 +61,13 @@ class ArrayGeometry:
         # A default spacing overflows for a carrier below ~1e-300 Hz.
         if not (math.isfinite(self.spacing_m) and self.spacing_m > 0.0):
             raise ValueError("element spacing must be finite and positive")
+        # The kernel divides by the element count and scales phase_coef by
+        # either dimension, in floats.  The count goes first: once it fits a
+        # float, so does the dimension the phase check converts.
+        if self.size > sys.float_info.max:
+            raise ValueError("array element count overflows the float range")
+        if not math.isfinite(max(self.m_rows, self.n_cols) * self.phase_coef):
+            raise ValueError("array phase span overflows the float range")
 
     @property
     def size(self) -> int:

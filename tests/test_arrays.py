@@ -56,6 +56,11 @@ def test_geometry_validation():
         ((4, 4, 3e9), {"spacing_m": math.nan}),
         ((4, 4, 3e9), {"spacing_m": math.inf}),
         ((4, 4, 3e9), {"spacing_m": -0.05}),
+        # counts the kernel cannot hold as floats, and a phase span that
+        # overflows
+        ((10**400, 4, 3e9), {}),
+        ((10**200, 10**200, 3e9), {}),
+        ((4, 4, 3e9), {"spacing_m": 1e308}),
     ],
 )
 def test_geometry_rejects_input_outside_the_model(args, kwargs):

@@ -3,7 +3,7 @@ from xml.dom import minidom
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spwt.charts import _scales, render_heatmap, render_line_chart
 from conftest import heatmap_image, heatmap_shade
@@ -90,15 +90,32 @@ def test_line_chart_of_finite_values_is_finite(xs, rows):
     assert not re.search(r"nan|inf", render_line_chart(xs, series, "x", "y", "t"))
 
 
+# The axis of `--grid=1e-320:1e-319:1e-320`, and the reference config's four
+# placements, hundreds of meters off it: each circle's centre maps past the
+# float range in pixels.
+_SUBNORMAL_AXIS = [1e-320 + i * 1e-320 for i in range(10)]
+_REFERENCE_PLACEMENTS = [
+    (250.0, 630.476010646), (250.0, -630.476010646),
+    (-47.7527307062, 0.0), (547.752730706, 0.0),
+]
+
+
+@example(
+    xs=_SUBNORMAL_AXIS, ys=_SUBNORMAL_AXIS, cells=[0.0588395470493],
+    overlays=_REFERENCE_PLACEMENTS,
+)
 @given(
     xs=st.lists(_FINITE, min_size=1, max_size=6).map(sorted),
     ys=st.lists(_FINITE, min_size=1, max_size=6).map(sorted),
     cells=_RATES,
+    overlays=st.lists(st.tuples(_FINITE, _FINITE), max_size=4),
 )
-def test_heatmap_of_finite_values_is_finite(xs, ys, cells):
-    # grid axes ascend; the overlays sit on the grid's corners
+def test_heatmap_of_finite_values_is_finite(xs, ys, cells, overlays):
+    # grid axes ascend; the overlays sit anywhere finite, the grid's corners
+    # among them
     values = np.resize(np.array(cells), (len(ys), len(xs)))
-    svg = render_heatmap(xs, ys, values, overlays=[(xs[0], ys[0]), (xs[-1], ys[-1])])
+    corners = [(xs[0], ys[0]), (xs[-1], ys[-1])]
+    svg = render_heatmap(xs, ys, values, overlays=corners + overlays)
     assert not re.search(r"nan|inf", svg)
 
 

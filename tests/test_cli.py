@@ -755,12 +755,14 @@ def test_alpha_sweep_rejects_an_snr_beyond_float_range(
 @pytest.mark.parametrize(
     "key,value",
     [("m", 0), ("n", 0), ("f_c_hz", -1), ("p_w", 0), ("sigma2_w", -1),
-     ("alpha", 1.5), ("x_e_m", 0), ("g_m", -5), ("g_m", 0), ("x_e_m", "1e-10")],
+     ("alpha", 1.5), ("x_e_m", 0), ("g_m", -5), ("g_m", 0), ("x_e_m", "1e-10"),
+     pytest.param("m", 10**400, id="m-10**400")],
 )
 @pytest.mark.parametrize("command", ["place", "sweep", "pattern"])
 def test_out_of_range_config_value_exits_1(tmp_path, capsys, key, value, command):
     # the CLI checks the ground segment, the constructors the rest; x_e_m =
-    # 1e-10 puts the nodes on one point, which has no axis to align
+    # 1e-10 puts the nodes on one point, which has no axis to align, and m =
+    # 10**400 is more elements than a float counts
     cfg = write_config(tmp_path / "a.cfg", **{key: value})
     out = tmp_path / "out"
     argv = [command, "--config", cfg]

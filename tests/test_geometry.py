@@ -132,8 +132,13 @@ def test_canonicalize_round_trip():
 
 
 def test_canonicalize_rejects_coincident_nodes():
-    with pytest.raises(DegenerateGeometry):
-        canonicalize_frame(Position3D(5, 5, 0), Position3D(5, 5, 0))
+    # and nodes too far apart: each is finite, but x_e = 2e308 m is not
+    for bob, eve, message in (
+        (Position3D(5, 5, 0), Position3D(5, 5, 0), "ground nodes coincide"),
+        (Position3D(-1e308, 0), Position3D(1e308, 0), "separation overflows"),
+    ):
+        with pytest.raises(DegenerateGeometry, match=message):
+            canonicalize_frame(bob, eve)
 
 
 @pytest.mark.parametrize("field", range(3))
