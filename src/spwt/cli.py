@@ -18,7 +18,7 @@ import os
 import warnings
 
 from . import __version__
-from .errors import DegenerateGeometry, InfeasibleGeometry, InvalidIndex, InvalidYaw
+from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
 from .placement import solve_all
 from .scenario import ArrayGeometry, Position3D, PowerConfig, ScenarioConfig
 
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     except (InfeasibleGeometry, InvalidIndex, InvalidYaw) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (CliError, ValueError, DegenerateGeometry, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,14 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An input outside the model, a ground pair with no solving frame included, is
+refused with a ``ValueError`` when it is built; these types are for what a
+valid scenario can still lead to.
+"""
 
 
 class SpwtError(Exception):
-    """Base class for every package-specific error."""
-
-
-class DegenerateGeometry(SpwtError):
-    """The canonical frame cannot be built: the two ground nodes coincide, so
-    no receiver-to-eavesdropper direction defines its x axis, or they lie so
-    far apart that their separation overflows the float range."""
+    """Base class for every package-specific error: a scenario with no
+    nulling placement, or a correlation that only a defect can give."""
 
 
 class InvalidCorrelation(SpwtError):

@@ -9,12 +9,10 @@ isolate what placement alone buys.
 import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 
-from .placement import PlacementSolution, _frame, _kept, solve_all
-from .scenario import ScenarioConfig
+from .placement import _frame, _kept, solve_all
 from .signalmodel import _budget_rows, _rate_cells
 
 DEFAULT_SNR_GRID_DB = tuple(range(0, 21, 2))
@@ -34,7 +32,7 @@ class SweepResult:
     metadata: dict
 
 
-def _pick(scenario: ScenarioConfig, scheme: str) -> PlacementSolution | str:
+def _pick(scenario: "ScenarioConfig", scheme: str) -> "PlacementSolution | str":
     """The scheme's first placement in the order ``solve_all`` returns, or
     why it has none; kept under ("best", scheme), so only the first sweep of
     a scheme warns of the candidates its solve discards.  Every placement is
@@ -44,7 +42,7 @@ def _pick(scenario: ScenarioConfig, scheme: str) -> PlacementSolution | str:
     return solutions[0] if solutions else "; ".join(failures)
 
 
-def _baselines(scenario: ScenarioConfig) -> tuple:
+def _baselines(scenario: "ScenarioConfig") -> tuple:
     """The scenario's ``BASELINE_COUNT`` baseline positions as (x, y, z)
     tuples and their correlations, in one draw and one pass of the kept
     kernel.
@@ -57,8 +55,7 @@ def _baselines(scenario: ScenarioConfig) -> tuple:
     finite as anywhere else.
     """
     (x_lo, x_hi), (y_lo, y_hi) = BASELINE_BOUNDS
-    # random.Random takes no numpy integer on every Python version
-    draw = random.Random(operator.index(scenario.seed)).random
+    draw = random.Random(scenario.seed).random
     z = scenario.uav_height_m
     positions = [
         (x_lo + (x_hi - x_lo) * draw(), y_lo + (y_hi - y_lo) * draw(), z)
@@ -111,7 +108,7 @@ def _axis(p: float, kind: str, grid: tuple, snr_db: float | None) -> tuple:
     return [math.log2(1.0 + snr_lin) for snr_lin in snrs], rows, ones
 
 
-def _baseline_rows(scenario: ScenarioConfig, rows: list) -> tuple:
+def _baseline_rows(scenario: "ScenarioConfig", rows: list) -> tuple:
     """The baselines' rate rows over the budget ``rows``, one
     :func:`~spwt.signalmodel._rate_cells` pass, each under its series name
     ``rand<i>``, and their positions."""
@@ -121,7 +118,7 @@ def _baseline_rows(scenario: ScenarioConfig, rows: list) -> tuple:
 
 
 def _sweep(
-    scenario: ScenarioConfig,
+    scenario: "ScenarioConfig",
     kind: str,
     scheme: str,
     grid,
@@ -168,7 +165,7 @@ def _sweep(
 
 
 def sweep_snr(
-    scenario: ScenarioConfig,
+    scenario: "ScenarioConfig",
     scheme: str = "azimuth",
     snr_db_grid=None,
 ) -> SweepResult:
@@ -188,7 +185,7 @@ def sweep_snr(
 
 
 def sweep_alpha(
-    scenario: ScenarioConfig,
+    scenario: "ScenarioConfig",
     snr_db: float = 15.0,
     alpha_grid=None,
     scheme: str = "azimuth",

@@ -4,17 +4,13 @@ Solvers work in a canonical frame with the intended receiver at the origin
 and the eavesdropper on the positive x axis; ``canonicalize_frame`` builds
 the rigid transform taking arbitrary ground coordinates into that frame and
 back.  The yaw angle is measured from the receiver-to-eavesdropper axis, so
-it is unchanged by the canonicalization.
+it is unchanged by the canonicalization.  The module is the frame's maps
+only: ``ScenarioConfig`` refuses a ground pair with no frame when it is
+built, so nothing here checks its input.
 """
 
 import math
 from dataclasses import dataclass
-
-from .errors import DegenerateGeometry
-from .scenario import Position3D
-
-# Below this horizontal separation in meters the ground axis is undefined.
-_FLAT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,27 +42,9 @@ class FrameTransform:
         return xt - self.shift_x, yt - self.shift_y
 
 
-def canonicalize_frame(bob_raw: Position3D, eve_raw: Position3D) -> FrameTransform:
+def canonicalize_frame(bob_raw: "Position3D", eve_raw: "Position3D") -> FrameTransform:
     """Transform mapping ``bob_raw`` to the origin and ``eve_raw`` onto the
-    positive x axis.
-
-    Raises
-    ------
-    DegenerateGeometry
-        If the two ground nodes coincide (within 1e-9 m horizontally), or lie
-        so far apart that their separation overflows the float range.
-    """
-    dx = eve_raw.x - bob_raw.x
-    dy = eve_raw.y - bob_raw.y
-    separation = math.hypot(dx, dy)
-    if separation < _FLAT_EPS:
-        raise DegenerateGeometry("ground nodes coincide; no axis to align")
-    # Only finite nodes: one set past Position3D's check to inf is out of the
-    # model, and certification discards every candidate it leads to.
-    nodes = bob_raw.x, bob_raw.y, eve_raw.x, eve_raw.y
-    if separation == math.inf and all(map(math.isfinite, nodes)):
-        raise DegenerateGeometry(
-            "ground nodes too far apart; their separation overflows the float range"
-        )
-    turn = -math.atan2(dy, dx)
+    positive x axis, for a ground pair ``ScenarioConfig`` accepts: at least
+    1e-9 m apart horizontally, with a separation the floats hold."""
+    turn = -math.atan2(eve_raw.y - bob_raw.y, eve_raw.x - bob_raw.x)
     return FrameTransform(-bob_raw.x, -bob_raw.y, math.cos(turn), math.sin(turn))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
 from .geometry import canonicalize_frame
-from .scenario import Position3D, ScenarioConfig
+from .scenario import Position3D
 from .signalmodel import _budget_rows, _rate_cells, correlation_magnitude
 
 HALF_PI = math.pi / 2.0
@@ -94,7 +94,7 @@ def _caller_level() -> int:
     return level
 
 
-def _check(scenario: ScenarioConfig, index) -> dict:
+def _check(scenario: "ScenarioConfig", index) -> dict:
     """Check the null index, then the scenario; return the kept :func:`_factors`."""
     # 1.0, True and numpy integers pass; 1.5, nan and inf would reach the
     # null equations and fail there for a misleading reason, and an integer
@@ -116,7 +116,7 @@ def _check(scenario: ScenarioConfig, index) -> dict:
     return factors
 
 
-def _factors(scenario: ScenarioConfig, index) -> dict:
+def _factors(scenario: "ScenarioConfig", index) -> dict:
     """{name: term} of each geometric-sum factor with a zero at ``index``:
     a factor whose element count divides ``index`` has its maximum there and
     is skipped.  The term is the count times phase_coef/pi (1 at half a
@@ -138,7 +138,7 @@ def _factors(scenario: ScenarioConfig, index) -> dict:
 _last: tuple = (None, {})
 
 
-def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
+def _kept(scenario: "ScenarioConfig", key: tuple, build, *args):
     """The outcome ``key`` kept for ``scenario``, ``build(scenario, *args)``
     the first time it is asked for; any other scenario's are dropped first.
 
@@ -167,7 +167,7 @@ def _kept(scenario: ScenarioConfig, key: tuple, build, *args):
 
 
 def solve_azimuth_scheme(
-    scenario: ScenarioConfig, index: int = 1
+    scenario: "ScenarioConfig", index: int = 1
 ) -> list[PlacementSolution]:
     """All bisector-scheme placements nulling the correlation.
 
@@ -203,7 +203,7 @@ def solve_azimuth_scheme(
     return solutions
 
 
-def _bisector_candidates(scenario: ScenarioConfig, k, factors: dict) -> str | list:
+def _bisector_candidates(scenario: "ScenarioConfig", k, factors: dict) -> str | list:
     """The :func:`_certify` record of every bisector candidate of ``factors``
     at null index ``k``, its coordinate the canonical y; or why there is none."""
     k = float(k)
@@ -240,7 +240,7 @@ def _bisector_candidates(scenario: ScenarioConfig, k, factors: dict) -> str | li
     return _certify(scenario, candidates)
 
 
-def _frame(scenario: ScenarioConfig) -> tuple:
+def _frame(scenario: "ScenarioConfig") -> tuple:
     """The canonical frame transform, the eavesdropper's canonical x, and the
     kernel bound to both over math: built here only, kept under ("frame",)."""
     tf = canonicalize_frame(scenario.bob, scenario.eve)
@@ -248,7 +248,7 @@ def _frame(scenario: ScenarioConfig) -> tuple:
     return tf, x_e, correlation_magnitude(scenario, x_e, math)
 
 
-def _certify(scenario: ScenarioConfig, candidates: list) -> list:
+def _certify(scenario: "ScenarioConfig", candidates: list) -> list:
     """Each (scheme, factor, branch, canonical coordinate, canonical (x, y))
     candidate as its record: (scheme, factor, branch, coordinate, position,
     |rho|, secrecy rate), |rho| from the kept kernel at the point solved.  A
@@ -304,7 +304,7 @@ def _pitch_gap(x_e: float, g: float, t: float) -> tuple[float, float, float]:
 
 
 def solve_pitch_scheme(
-    scenario: ScenarioConfig,
+    scenario: "ScenarioConfig",
     index: int = 1,
     side: str = "left",
     factor: str | None = None,
@@ -375,7 +375,7 @@ def solve_pitch_scheme(
     )
 
 
-def _extension_candidates(scenario: ScenarioConfig, l, factor: str, term) -> dict:
+def _extension_candidates(scenario: "ScenarioConfig", l, factor: str, term) -> dict:
     """By side, the :func:`_certify` record of ``factor`` (of term ``term``) at
     null index ``l``, coordinate the canonical x, for :func:`_accept`; or, with
     no candidate, (why, whether the gap was unattainable rather than unsolved).
@@ -442,7 +442,7 @@ def _bisect_gap(x_e: float, g: float, target: float) -> float:
 
 
 def solve_all(
-    scenario: ScenarioConfig, schemes: tuple = ("azimuth", "pitch")
+    scenario: "ScenarioConfig", schemes: tuple = ("azimuth", "pitch")
 ) -> tuple[list[PlacementSolution], list[str]]:
     """Every certified placement of ``schemes`` at the default null index,
     and one message for each scheme or side that has none.
@@ -478,7 +478,7 @@ def solve_all(
     return solutions, failures
 
 
-def correlation_map(scenario: ScenarioConfig, xs, ys):
+def correlation_map(scenario: "ScenarioConfig", xs, ys):
     """|h_e^H h_b| over the grid of caller-frame points (x, y), x in ``xs``
     and y in ``ys``, at the platform altitude: a numpy array of shape
     (len(ys), len(xs)), in the frame of the scenario's nodes and placements.

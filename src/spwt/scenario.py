@@ -9,11 +9,15 @@ platform heading.  The solvers, the sweeps and the CLI all take one
 
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299_792_458.0
 _NOT_FINITE = "power budget values must be finite"
+
+# Below this horizontal separation in meters the ground axis is undefined.
+_FLAT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,8 @@ class ArrayGeometry:
     per-element phase coefficient reduces to exactly pi; the kernel and the
     placement schemes' null equations both use :attr:`phase_coef`.  The
     element count, and :attr:`phase_coef` times the larger dimension, must
-    stay within the float range.
+    stay within the float range.  Counts of any integer type are stored as
+    Python ints, so no product of them wraps.
     """
 
     m_rows: int
@@ -47,9 +52,11 @@ class ArrayGeometry:
     spacing_m: float | None = None
 
     def __post_init__(self) -> None:
-        for count in (self.m_rows, self.n_cols):
+        for name in ("m_rows", "n_cols"):
+            count = getattr(self, name)
             if isinstance(count, bool) or not isinstance(count, numbers.Integral):
                 raise ValueError("array dimensions must be integers")
+            object.__setattr__(self, name, operator.index(count))
         if self.m_rows < 1 or self.n_cols < 1:
             raise ValueError("array needs at least one element per axis")
         if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0.0):
@@ -111,9 +118,12 @@ class ScenarioConfig:
     """One complete study setup.
 
     ``bob`` is the intended receiver, ``eve`` the eavesdropper; both must sit
-    on the ground (z = 0, checked here).  ``yaw`` is the transmitter heading
-    measured from the receiver-to-eavesdropper axis.  ``seed`` drives the one
-    randomized part of a run, the baseline draws.
+    on the ground (z = 0), at least 1e-9 m apart horizontally and no farther
+    than the floats hold, or no solving frame has them on its x axis: all
+    checked here, so the frame builder checks nothing.  ``yaw`` is the
+    transmitter heading measured from the receiver-to-eavesdropper axis.
+    ``seed`` drives the one randomized part of a run, the baseline draws; one
+    of any integer type is stored as a Python int.
     """
 
     array: ArrayGeometry
@@ -129,6 +139,13 @@ class ScenarioConfig:
             raise ValueError("platform height must be finite and positive")
         if self.bob.z or self.eve.z:  # the kernel and null equations assume it
             raise ValueError("the placement schemes need both ground nodes at z = 0")
+        separation = math.hypot(self.eve.x - self.bob.x, self.eve.y - self.bob.y)
+        if separation < _FLAT_EPS:
+            raise ValueError("ground nodes coincide; no axis to align")
+        if separation == math.inf:  # both nodes are finite, so it overflowed
+            raise ValueError(
+                "ground nodes too far apart; their separation overflows the float range"
+            )
         if not math.isfinite(self.yaw):
             raise ValueError("yaw must be finite")
         # numpy integers pass, as ArrayGeometry's counts do.
@@ -136,3 +153,4 @@ class ScenarioConfig:
         integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
         if not (integral and seed >= 0):
             raise ValueError("seed must be a non-negative integer")
+        object.__setattr__(self, "seed", operator.index(seed))

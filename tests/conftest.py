@@ -20,7 +20,6 @@ from hypothesis import settings, strategies as st
 
 from spwt import (
     ArrayGeometry,
-    DegenerateGeometry,
     InvalidCorrelation,
     PowerConfig,
     Position3D,
@@ -28,7 +27,8 @@ from spwt import (
     SpwtError,
 )
 from spwt import experiments, placement, signalmodel
-from spwt.geometry import _FLAT_EPS, canonicalize_frame
+from spwt.geometry import canonicalize_frame
+from spwt.scenario import _FLAT_EPS
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,8 +73,9 @@ def unchecked_scenario(
     """A copy of ``base`` (by default ``make_scenario()``) with ``fields``
     set past ScenarioConfig's checks: the out-of-model scenarios (a nan
     height or yaw, a node built by :func:`unchecked_position`) that reach
-    the solvers' certification-failure paths on purpose, and the kernel
-    bound at a reference point's own height, 0 included."""
+    the solvers' certification-failure paths on purpose, the kernel bound at
+    a reference point's own height, 0 included, and at an eavesdropper
+    nearer than the least node separation, which has no solving frame."""
     scenario = copy.copy(make_scenario() if base is None else base)
     for name, value in fields.items():
         object.__setattr__(scenario, name, value)
@@ -164,6 +165,11 @@ def log_uniform_scenarios(draw):
 
 class DimensionMismatch(SpwtError):
     """Two vectors that must share an array geometry do not."""
+
+
+class DegenerateGeometry(SpwtError):
+    """A transmitter on the vertical over a ground node, where the look
+    angles toward that node, and so the correlation, are undefined."""
 
 
 @dataclass(frozen=True)

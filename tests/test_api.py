@@ -9,7 +9,6 @@ import spwt
 
 PUBLIC = [
     "ArrayGeometry",
-    "DegenerateGeometry",
     "InfeasibleGeometry",
     "InvalidCorrelation",
     "InvalidIndex",

@@ -5,12 +5,13 @@ steering vectors and look angles in ``conftest``, and the factored kernel
 ``signalmodel`` have since absorbed."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spwt import ArrayGeometry, Position3D
+from spwt import ArrayGeometry, Position3D, solve_all
 from conftest import (
     DimensionMismatch,
     correlation_at,
@@ -71,6 +72,20 @@ def test_geometry_rejects_input_outside_the_model(args, kwargs):
 def test_geometry_accepts_numpy_integers():
     geom = ArrayGeometry(np.int64(4), np.int32(8), 3.0e9, spacing_m=0.05)
     assert (geom.m_rows, geom.n_cols, geom.spacing_m) == (4, 8, 0.05)
+    # numpy counts are stored as Python ints, whose products do not wrap as
+    # int64's do (2^62 x 4 is 2^64 elements, not 0), so the solvers give the
+    # same placements, warnings and float types from either
+    for m, n in ((4, 4), (2**62, 4)):
+        solved = []
+        for counts in ((np.int64(m), np.int64(n)), (m, n)):
+            geom = ArrayGeometry(*counts, 3.0e9)
+            assert type(geom.m_rows) is int and type(geom.n_cols) is int
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outcome = solve_all(replace(make_scenario(), array=geom))
+            solved.append((repr(outcome), [str(w.message) for w in caught]))
+        assert solved[0] == solved[1]
+        assert "PlacementSolution" in solved[0][0]
 
 
 def test_single_element_vector():

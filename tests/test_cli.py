@@ -32,6 +32,7 @@ from spwt.cli import (
 )
 from spwt.pattern import _pattern_files, _write_pattern_csv
 from conftest import heatmap_image, make_scenario
+from import_edges import import_edges
 from test_golden import _TIMESTAMP, CONFIGS, GOLDEN
 
 
@@ -954,8 +955,8 @@ def test_no_module_but_the_cli_imports_it():
 
 def test_input_types_sit_below_the_frame_and_the_kernel():
     # scenario.py holds every type a caller builds and imports no spwt
-    # module; the kernel needs only the errors, the frame those and the
-    # positions
+    # module, nor does the frame, which is pure math over the nodes
+    # ScenarioConfig accepts; the kernel needs only the errors
     package = Path(spwt.__file__).parent
     modules = {f"spwt.{path.stem}" for path in package.glob("*.py")}
 
@@ -964,7 +965,26 @@ def test_input_types_sit_below_the_frame_and_the_kernel():
 
     assert spwt_modules("scenario") == set()
     assert spwt_modules("signalmodel") == {"spwt.errors"}
-    assert spwt_modules("geometry") == {"spwt.errors", "spwt.scenario"}
+    assert spwt_modules("geometry") == set()
+
+
+# Every intra-package (importer, imported) pair, as tests/import_edges.py
+# counts them: a new edge fails here until it is added on purpose, as a new
+# public name is to test_api's list.
+IMPORT_EDGES = {
+    ("cli", "charts"), ("cli", "errors"), ("cli", "experiments"),
+    ("cli", "pattern"), ("cli", "placement"), ("cli", "scenario"),
+    ("experiments", "placement"), ("experiments", "signalmodel"),
+    ("pattern", "charts"), ("pattern", "errors"), ("pattern", "placement"),
+    ("placement", "errors"), ("placement", "geometry"),
+    ("placement", "scenario"), ("placement", "signalmodel"),
+    ("signalmodel", "errors"),
+}
+
+
+def test_import_graph_is_pinned():
+    package = Path(spwt.__file__).parent
+    assert import_edges(sorted(package.glob("*.py"))) == IMPORT_EDGES
 
 
 # Imports the CLI, then runs it on the arguments, if any, and reports

@@ -56,7 +56,8 @@ def test_scenario_rejects_an_out_of_model_height_or_yaw(field_value):
 
 
 def test_scenario_accepts_numpy_integer_seeds():
-    # as ArrayGeometry does; the draw is the same as from the Python integer
+    # as ArrayGeometry does, stored as the Python integer, whose draw it gives
+    assert type(make_scenario(seed=np.int64(7)).seed) is int
     got = sweep_snr(make_scenario(seed=np.int64(7))).metadata["baseline_positions"]
     assert got == sweep_snr(make_scenario(seed=7)).metadata["baseline_positions"]
 

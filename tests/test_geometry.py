@@ -1,13 +1,19 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from spwt import DegenerateGeometry, Position3D, solve_all
+from spwt import Position3D, ScenarioConfig, solve_all
 from spwt.geometry import canonicalize_frame
-from conftest import look_angles, make_scenario, midpoint_symmetry_check
+from conftest import (
+    DegenerateGeometry,
+    look_angles,
+    make_scenario,
+    midpoint_symmetry_check,
+)
 
 YAW = math.pi / 4.0
 
@@ -131,14 +137,29 @@ def test_canonicalize_round_trip():
         assert abs(qy - y) <= 1e-12 * max(1.0, abs(y))
 
 
-def test_canonicalize_rejects_coincident_nodes():
-    # and nodes too far apart: each is finite, but x_e = 2e308 m is not
-    for bob, eve, message in (
-        (Position3D(5, 5, 0), Position3D(5, 5, 0), "ground nodes coincide"),
-        (Position3D(-1e308, 0), Position3D(1e308, 0), "separation overflows"),
+@pytest.mark.parametrize(
+    "bob, eve, message",
+    [
+        (Position3D(5, 5), Position3D(5, 5), "ground nodes coincide; no axis to align"),
+        (
+            Position3D(-1e308, 0),
+            Position3D(1e308, 0),
+            "ground nodes too far apart; their separation overflows the float range",
+        ),
+    ],
+    ids=["coincide", "overflow"],
+)
+def test_scenario_rejects_a_ground_pair_with_no_frame(bob, eve, message):
+    # each node is finite, but one pair is closer than 1e-9 m and the other's
+    # x_e = 2e308 m is not: neither has a solving frame, so no scenario holds
+    # either pair, whether built afresh or replaced into a valid one
+    base = make_scenario()
+    for build in (
+        lambda: ScenarioConfig(**{**vars(base), "bob": bob, "eve": eve}),
+        lambda: replace(base, bob=bob, eve=eve),
     ):
-        with pytest.raises(DegenerateGeometry, match=message):
-            canonicalize_frame(bob, eve)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 @pytest.mark.parametrize("field", range(3))

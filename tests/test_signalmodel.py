@@ -8,7 +8,6 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 from spwt import (
     ArrayGeometry,
-    DegenerateGeometry,
     InvalidCorrelation,
     Position3D,
     PowerConfig,
@@ -19,6 +18,7 @@ from spwt.geometry import canonicalize_frame
 from spwt.signalmodel import correlation_magnitude
 from conftest import (
     SIGMA2_15DB,
+    DegenerateGeometry,
     build_beamformers,
     correlation_at,
     evaluate_link,
@@ -32,6 +32,7 @@ from conftest import (
     sinr_eve_analytic,
     sinr_eve_monte_carlo,
     steering_vector,
+    unchecked_scenario,
 )
 
 REFERENCE_NULL = Position3D(250.0, 630.4760106459247, 200.0)
@@ -307,13 +308,16 @@ def test_scalar_and_numpy_kernels_agree(m, n, x_e, g, yaw, xs, ys):
     # correlation_map wherever the two nodes are far enough apart to have a
     # frame.  The draws span the CLI's ranges and the float range: the
     # eavesdropper to 1e300 m, the platform down to the least subnormal,
-    # points to 1e307 m, and 1 to 10^9 elements per axis.
-    sc = make_scenario(m=m, n=n, x_e=x_e, g=g, yaw=yaw)
+    # points to 1e307 m, and 1 to 10^9 elements per axis.  The kernel takes
+    # x_e as an argument, so the eavesdropper is set past ScenarioConfig's
+    # least node separation, down to 1e-300 m.
+    sc = make_scenario(m=m, n=n, g=g, yaw=yaw)
+    sc = unchecked_scenario(sc, eve=Position3D(x_e, 0.0))
     scalar = correlation_magnitude(sc, x_e, math)
     want = np.array([[scalar(x, y) for x in xs] for y in ys])
     got = correlation_magnitude(sc, x_e, np)(np.array(xs)[None, :], np.array(ys)[:, None])
     assert np.array_equal(np.broadcast_to(got, want.shape), want)  # 1x1 arrays give 1.0
-    if x_e >= 1e-9:  # canonicalize_frame's least node separation
+    if x_e >= 1e-9:  # ScenarioConfig's least node separation
         assert np.array_equal(correlation_map(sc, xs, ys), want)
 
 
