@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 # The public names of each module, read from it on first access.
 _EXPORTS = {
     "errors": (
-        "InfeasibleGeometry", "InvalidCorrelation", "InvalidIndex", "InvalidYaw",
-        "SpwtError",
+        "InfeasibleGeometry", "InvalidCorrelation", "InvalidIndex", "SpwtError",
     ),
     "experiments": ("SweepResult", "sweep_alpha", "sweep_snr"),
     "placement": (

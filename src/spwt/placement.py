@@ -33,16 +33,10 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-from .errors import InfeasibleGeometry, InvalidIndex, InvalidYaw
+from .errors import InfeasibleGeometry, InvalidIndex
 from .geometry import canonicalize_frame
 from .scenario import Position3D
 from .signalmodel import _budget_rows, _rate_cells, correlation_magnitude
-
-HALF_PI = math.pi / 2.0
-
-# Yaw closer than this to a multiple of pi/2 kills one direction cosine and
-# with it both null equations.
-_YAW_EPS = 1e-9
 
 # Candidates whose recomputed correlation exceeds this are discarded.
 _NULL_TOL = 1e-8
@@ -95,7 +89,8 @@ def _caller_level() -> int:
 
 
 def _check(scenario: "ScenarioConfig", index) -> dict:
-    """Check the null index, then the scenario; return the kept :func:`_factors`."""
+    """Check the null index; return the kept :func:`_factors` at it.  The
+    yaw needs no check: a factor it leaves with no zero places nothing."""
     # 1.0, True and numpy integers pass; 1.5, nan and inf would reach the
     # null equations and fail there for a misleading reason, and an integer
     # beyond the float range would overflow converting to float there.
@@ -107,12 +102,6 @@ def _check(scenario: "ScenarioConfig", index) -> dict:
             f"index {index} is a multiple of both array dimensions "
             f"({geom.m_rows}x{geom.n_cols}); neither factor has a zero there"
         )
-    r = scenario.yaw % HALF_PI
-    if min(r, HALF_PI - r) < _YAW_EPS:
-        raise InvalidYaw(
-            "yaw is a multiple of pi/2; rotate the heading off the ground "
-            "axis to keep both direction cosines nonzero"
-        )
     return factors
 
 
@@ -122,7 +111,9 @@ def _factors(scenario: "ScenarioConfig", index) -> dict:
     is skipped.  The term is the count times phase_coef/pi (1 at half a
     wavelength) times the cos (row) or sin (column) of the left side's
     azimuth pi - yaw: the bisector squares it, the extension scheme targets
-    its magnitude and takes the branch from its sign."""
+    its magnitude and takes the branch from its sign.  A term that a
+    quarter-turn yaw makes 0, or nearly, is kept: it gives no real bisector
+    offset and an unattainable (or infinite) gap, each reported as such."""
     geom, yaw = scenario.array, scenario.yaw
     scale = geom.phase_coef / math.pi
     both = ("row", geom.m_rows, -math.cos(yaw)), ("column", geom.n_cols, math.sin(yaw))
@@ -192,8 +183,8 @@ def solve_azimuth_scheme(
     InfeasibleGeometry
         If both radicands are negative (lower the altitude or rotate the
         yaw toward the ground axis), or no candidate passes certification.
-    InvalidYaw, InvalidIndex
-        For a quarter-turn yaw, or an index with no matching zero.
+    InvalidIndex
+        For an index with no matching zero.
     """
     factors = _check(scenario, index)
     records = _kept(scenario, ("azimuth", index), _bisector_candidates, index, factors)
@@ -388,7 +379,9 @@ def _extension_candidates(scenario: "ScenarioConfig", l, factor: str, term) -> d
     x_e = _kept(scenario, ("frame",), _frame)[1]
     g = scenario.uav_height_m
     gap_max = x_e / math.hypot(x_e, g)
-    target = 2.0 * float(l) / abs(term)
+    # A term of 0 (yaw exactly 0 or pi for the column, or an underflowed
+    # phase_coef) needs an infinite gap, and is reported like any other.
+    target = 2.0 * float(l) / abs(term) if term else math.inf
     if not target < gap_max:
         why = (
             f"{factor} factor needs a pitch-cosine gap of {target:.6g}, "
@@ -454,10 +447,11 @@ def solve_all(
 
     Raises
     ------
-    InvalidYaw, InvalidIndex, ValueError
-        For a quarter-turn yaw or an index with no matching zero, which rule
-        out every scheme and so are raised rather than reported; and for a
-        scheme other than "azimuth" or "pitch".
+    InvalidIndex, ValueError
+        For an index with no matching zero, which rules out every scheme and
+        so is raised rather than reported; and for a scheme other than
+        "azimuth" or "pitch".  A quarter-turn yaw is reported like any other
+        scenario: the factor it leaves with no zero places nothing.
     """
     solutions: list[PlacementSolution] = []
     failures: list[str] = []

@@ -20,17 +20,33 @@ _NOT_FINITE = "power budget values must be finite"
 _FLAT_EPS = 1e-9
 
 
+def _store_floats(obj, names, message: str, above: float = -math.inf) -> None:
+    """Store each field of ``obj`` in ``names`` as a Python float, and raise
+    ValueError(``message``) unless it is finite and greater than ``above``.
+    The conversion is float(x) in C, except that a str or bytes raises
+    TypeError; a float is kept as it is."""
+    for name in names:
+        if type(value := getattr(obj, name)) is not float:
+            try:
+                value = math.ldexp(value, 0)
+            except OverflowError:  # an int past the float range
+                value = math.inf
+            object.__setattr__(obj, name, value)
+        if not above < value < math.inf:
+            raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class Position3D:
-    """A finite point in meters; z is altitude above the ground plane."""
+    """A finite point in meters; z is altitude above the ground plane.  Each
+    coordinate is stored as a Python float."""
 
     x: float
     y: float
     z: float = 0.0
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.x, self.y, self.z))):
-            raise ValueError("position coordinates must be finite")
+        _store_floats(self, "xyz", "position coordinates must be finite")
 
 
 @dataclass(frozen=True)
@@ -43,7 +59,8 @@ class ArrayGeometry:
     placement schemes' null equations both use :attr:`phase_coef`.  The
     element count, and :attr:`phase_coef` times the larger dimension, must
     stay within the float range.  Counts of any integer type are stored as
-    Python ints, so no product of them wraps.
+    Python ints, so no product of them wraps, and the carrier and spacing as
+    Python floats.
     """
 
     m_rows: int
@@ -59,15 +76,15 @@ class ArrayGeometry:
             object.__setattr__(self, name, operator.index(count))
         if self.m_rows < 1 or self.n_cols < 1:
             raise ValueError("array needs at least one element per axis")
-        if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0.0):
-            raise ValueError("carrier frequency must be finite and positive")
+        _store_floats(self, ("carrier_hz",),
+                      "carrier frequency must be finite and positive", above=0.0)
         if self.spacing_m is None:
             object.__setattr__(
                 self, "spacing_m", SPEED_OF_LIGHT / (2.0 * self.carrier_hz)
             )
         # A default spacing overflows for a carrier below ~1e-300 Hz.
-        if not (math.isfinite(self.spacing_m) and self.spacing_m > 0.0):
-            raise ValueError("element spacing must be finite and positive")
+        _store_floats(self, ("spacing_m",),
+                      "element spacing must be finite and positive", above=0.0)
         # The kernel divides by the element count and scales phase_coef by
         # either dimension, in floats.  The count goes first: once it fits a
         # float, so does the dimension the phase check converts.
@@ -90,7 +107,8 @@ class ArrayGeometry:
 @dataclass(frozen=True)
 class PowerConfig:
     """Power budget: ``alpha`` of ``total_power_w`` goes to the confidential
-    signal, the rest to artificial noise; per-receiver noise floors in W."""
+    signal, the rest to artificial noise; per-receiver noise floors in W.
+    Each value is stored as a Python float."""
 
     total_power_w: float
     alpha: float
@@ -98,9 +116,8 @@ class PowerConfig:
     noise_e_w: float
 
     def __post_init__(self) -> None:
-        values = (self.total_power_w, self.alpha, self.noise_b_w, self.noise_e_w)
-        if not all(map(math.isfinite, values)):
-            raise ValueError(_NOT_FINITE)
+        names = ("total_power_w", "alpha", "noise_b_w", "noise_e_w")
+        _store_floats(self, names, _NOT_FINITE)
         if self.total_power_w <= 0.0:
             raise ValueError("total power must be positive")
         if not 0.0 <= self.alpha <= 1.0:
@@ -121,9 +138,10 @@ class ScenarioConfig:
     on the ground (z = 0), at least 1e-9 m apart horizontally and no farther
     than the floats hold, or no solving frame has them on its x axis: all
     checked here, so the frame builder checks nothing.  ``yaw`` is the
-    transmitter heading measured from the receiver-to-eavesdropper axis.
-    ``seed`` drives the one randomized part of a run, the baseline draws; one
-    of any integer type is stored as a Python int.
+    transmitter heading measured from the receiver-to-eavesdropper axis;
+    it and ``uav_height_m`` are stored as Python floats.  ``seed`` drives
+    the one randomized part of a run, the baseline draws; one of any integer
+    type is stored as a Python int.
     """
 
     array: ArrayGeometry
@@ -135,8 +153,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.uav_height_m) and self.uav_height_m > 0.0):
-            raise ValueError("platform height must be finite and positive")
+        _store_floats(self, ("uav_height_m",),
+                      "platform height must be finite and positive", above=0.0)
         if self.bob.z or self.eve.z:  # the kernel and null equations assume it
             raise ValueError("the placement schemes need both ground nodes at z = 0")
         separation = math.hypot(self.eve.x - self.bob.x, self.eve.y - self.bob.y)
@@ -146,8 +164,7 @@ class ScenarioConfig:
             raise ValueError(
                 "ground nodes too far apart; their separation overflows the float range"
             )
-        if not math.isfinite(self.yaw):
-            raise ValueError("yaw must be finite")
+        _store_floats(self, ("yaw",), "yaw must be finite")
         # numpy integers pass, as ArrayGeometry's counts do.
         seed = self.seed
         integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)

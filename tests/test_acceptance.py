@@ -25,7 +25,6 @@ from conftest import (
 from spwt import (
     ArrayGeometry,
     InfeasibleGeometry,
-    InvalidYaw,
     Position3D,
     solve_azimuth_scheme,
     solve_pitch_scheme,
@@ -348,11 +347,21 @@ def test_acceptance_8_invariant_suite(capsys):
             )
             worst_cc = max(worst_cc, abs(abs(direct) - got))
 
-    for p_idx in range(5):
-        with pytest.raises(InvalidYaw):
-            solve_azimuth_scheme(make_scenario(yaw=p_idx * math.pi / 2.0))
-    with pytest.raises(InvalidYaw):
-        solve_azimuth_scheme(make_scenario(yaw=math.pi / 2.0 + 5e-10))
+    # at (and 5e-10 rad past) a quarter turn one direction-cosine difference
+    # is constant on both loci; the other factor, row at even p and column
+    # at odd p, still places, and raw element sums read a null there
+    quarter_ok = True
+    for p_idx, offset in [(p, 0.0) for p in range(5)] + [(1, 5e-10)]:
+        sc = make_scenario(yaw=p_idx * math.pi / 2.0 + offset)
+        live = "column" if p_idx % 2 else "row"
+        sols = solve_azimuth_scheme(sc) + [
+            solve_pitch_scheme(sc, side=side) for side in ("left", "right")
+        ]
+        quarter_ok = quarter_ok and all(
+            s.factor_used == live
+            and _direct_abs_correlation(sc, s.position.x, s.position.y) <= 1e-10
+            for s in sols
+        )
 
     # feasibility frontier at x_e=500, yaw=pi/4, k=1: the row factor needs
     # m^2 cos^2(yaw) x_e^2 >= x_e^2 + 4 g^2 (g <= 661.44 for m=4), the
@@ -376,6 +385,7 @@ def test_acceptance_8_invariant_suite(capsys):
         worst_norm <= 1e-12
         and worst_proj <= 1e-10
         and worst_cc <= 1e-10
+        and quarter_ok
         and frontier_ok
     )
     _verdict(
@@ -383,6 +393,7 @@ def test_acceptance_8_invariant_suite(capsys):
         8,
         ok,
         f"norm defect {worst_norm:.1e}, projector defect {worst_proj:.1e}, "
-        f"factored-vs-direct {worst_cc:.1e}, quarter-turn yaw rejected, "
+        f"factored-vs-direct {worst_cc:.1e}, quarter-turn yaw "
+        f"{'places on its live factor' if quarter_ok else 'BROKEN'}, "
         f"feasibility frontier {'matches' if frontier_ok else 'BROKEN'}",
     )

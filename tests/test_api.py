@@ -12,7 +12,6 @@ PUBLIC = [
     "InfeasibleGeometry",
     "InvalidCorrelation",
     "InvalidIndex",
-    "InvalidYaw",
     "PlacementSolution",
     "Position3D",
     "PowerConfig",

@@ -69,6 +69,18 @@ def test_place_reports_reference_solutions(tmp_path, capsys):
     assert "scheme=azimuth" in out
 
 
+def test_place_at_a_quarter_turn_uses_the_column_factor(tmp_path, capsys):
+    # at 90 degrees the row factor's direction-cosine difference is constant
+    # on both loci; the column factor still places on both of them
+    cfg = write_config(tmp_path / "a.cfg", theta_a_rad=repr(math.pi / 2.0))
+    assert main(["place", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "solutions: 4" in out and out.count("factor=column") == 4
+    for coordinate in ("y_m=947.364766075", "y_m=-947.364766075",
+                       "x_m=-100.430350541", "x_m=600.430350541"):
+        assert coordinate in out
+
+
 def test_place_both_schemes(tmp_path, capsys):
     cfg = write_config(tmp_path / "a.cfg")
     assert main(["place", "--config", cfg]) == 0
@@ -499,10 +511,9 @@ def test_sweep_csv_header_and_columns(tmp_path, kind, x_name):
 
 
 def test_pattern_without_placements_still_writes_map(tmp_path):
-    # a quarter-turn yaw rules out both schemes, and 10 km altitude leaves
-    # no feasible placement; the map is defined either way
-    for name, overrides in (("yaw", {"theta_a_rad": repr(math.pi / 2.0)}),
-                            ("high", {"g_m": 10_000})):
+    # a 1x1 array has no factor with a zero at any index, and 10 km altitude
+    # leaves no feasible placement; the map is defined either way
+    for name, overrides in (("single", {"m": 1, "n": 1}), ("high", {"g_m": 10_000})):
         cfg = write_config(tmp_path / f"{name}.cfg", **overrides)
         out = tmp_path / name
         assert main(["pattern", "--config", cfg, "--grid=-20:20:10", "--out", str(out)]) == 0
@@ -1148,7 +1159,7 @@ def _golden_pattern(config):
 # names are those of a forked writer that pattern no longer has; what the
 # two cases vary is only the BLAS thread setting)
 @pytest.mark.parametrize("blas", [None, "2"], ids=["split", "serial"])
-@pytest.mark.parametrize("config", ["reference", "wide16", "linear"])
+@pytest.mark.parametrize("config", CONFIGS)
 def test_pattern_paths_match_golden(tmp_path, config, blas):
     # Unset, OPENBLAS_NUM_THREADS is 1 while numpy loads and unset again
     # after; a user's own 2 is kept.  Either way the outputs are the goldens.

@@ -6,13 +6,18 @@ correlation kernel and map take every node on the ground.
 """
 
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_scenario
 from spwt import (
+    ArrayGeometry,
+    Position3D,
+    PowerConfig,
     ScenarioConfig,
     solve_all,
     solve_azimuth_scheme,
@@ -22,7 +27,8 @@ from spwt import (
 from spwt.scenario import _NOT_FINITE
 
 SCENARIO = make_scenario()
-NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# nan, either infinity, and ints past the float range, which no float holds.
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)])
 # Zero of either sign and every finite negative value.
 NOT_POSITIVE = st.floats(max_value=0.0, allow_infinity=False)
 BAD_SEED = st.booleans() | st.floats() | st.integers(max_value=-1)
@@ -106,3 +112,23 @@ def test_each_solver_rejects_a_ground_node_off_z_0_before_solving(node, z):
     # -0.0 is on the ground: it builds, and places as 0.0 does
     minus_zero = replace(SCENARIO, **{node: replace(valid, z=-0.0)})
     assert solve_all(minus_zero) == solve_all(SCENARIO)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_float_fields_are_stored_as_python_floats(dtype):
+    # a numpy float scalar of any width is stored as the Python float of its
+    # value, so a float32 or float16 altitude places exactly as the float64
+    # one does, and no numpy scalar reaches a placement
+    scenario = make_scenario(g=dtype(200.0), yaw=dtype(0.5), x_e=dtype(500.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solve_all(scenario)
+    assert repr(got) == repr(solve_all(make_scenario(yaw=float(dtype(0.5)))))
+    values = [
+        *astuple(Position3D(dtype(1.0), dtype(2.0), dtype(3.0))),
+        *astuple(ArrayGeometry(4, 4, dtype(3000.0), dtype(0.05)))[2:],
+        *astuple(PowerConfig(*map(dtype, (1.0, 0.5, 0.01, 0.02)))),
+        scenario.uav_height_m,
+        scenario.yaw,
+    ]
+    assert all(type(value) is float for value in values)

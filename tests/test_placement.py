@@ -15,7 +15,6 @@ from spwt import (
     ArrayGeometry,
     InfeasibleGeometry,
     InvalidIndex,
-    InvalidYaw,
     Position3D,
     PowerConfig,
     correlation_map,
@@ -42,7 +41,7 @@ from conftest import (
     unchecked_position,
     unchecked_scenario,
 )
-from test_golden import study_scenarios
+from test_golden import CONFIGS, GOLDEN, study_scenarios
 
 Y_REF = 630.4760106459247
 PITCH_T_REF = 47.75273070615326  # outward distance of the extension-scheme root
@@ -127,14 +126,39 @@ def test_azimuth_feasibility_threshold():
                             assert "column" not in factors
 
 
-def test_yaw_rejection_on_quarter_turns():
-    for p in range(8):
-        with pytest.raises(InvalidYaw):
-            solve_azimuth_scheme(make_scenario(yaw=p * math.pi / 2.0))
-        with pytest.raises(InvalidYaw):
-            solve_pitch_scheme(make_scenario(yaw=p * math.pi / 2.0))
-    with pytest.raises(InvalidYaw):
-        solve_azimuth_scheme(make_scenario(yaw=math.pi / 2.0 + 1e-10))
+def test_a_quarter_turn_places_on_its_live_factor():
+    # at p*pi/2, and up to 5e-10 rad off it, one direction-cosine difference
+    # is (nearly) constant on both loci, so its factor has no zero there;
+    # the other factor, the row one at even p and the column one at odd p,
+    # places wherever its count leaves it a zero at index 1, and nothing
+    # fails verification
+    for m, n in ((4, 4), (4, 2), (16, 16), (1, 8), (8, 1), (3, 5)):
+        for p in range(8):
+            live, count = ("row", m) if p % 2 == 0 else ("column", n)
+            for delta in (0.0, 1e-12, -1e-12, 1e-10, 5e-10):
+                sc = make_scenario(m=m, n=n, yaw=p * math.pi / 2.0 + delta)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    solutions, failures = solve_all(sc)
+                assert bool(solutions) == (count > 1), (m, n, p, delta)
+                for s in solutions:
+                    assert s.factor_used == live
+                    assert s.null_residual <= placement._NULL_TOL
+                    assert explicit_correlation(sc, s.position) <= 1e-10, (sc, s)
+
+
+def test_a_zero_factor_term_needs_an_infinite_gap():
+    # a spacing whose phase_coef underflows to 0 leaves every factor term
+    # 0: no bisector radicand is real and each extension factor reports the
+    # gap it would need as inf, not a division by zero
+    sc = replace(make_scenario(), array=ArrayGeometry(4, 4, 1.0, spacing_m=5e-324))
+    assert sc.array.phase_coef == 0.0
+    solutions, failures = solve_all(sc)
+    assert solutions == []
+    assert [f.split(":")[0] for f in failures] == ["azimuth", "pitch left", "pitch right"]
+    assert "no real lateral offset" in failures[0]
+    for f in failures[1:]:
+        assert f.count("needs a pitch-cosine gap of inf, above the attainable") == 2
 
 
 def test_index_rejection():
@@ -484,9 +508,16 @@ def test_solve_all_order_and_failures():
     assert [f.split(":")[0] for f in failures] == ["azimuth", "pitch left", "pitch right"]
     assert "no real lateral offset" in failures[0]
 
+    # a quarter-turn yaw is reported like any other scenario: a 1x8 array
+    # has only its column factor, which yaw 0 zeroes (the extension scheme
+    # needs an infinite gap), and which places on every locus at pi/2
+    solutions, failures = solve_all(make_scenario(m=1, n=8, yaw=0.0))
+    assert solutions == []
+    assert "needs a pitch-cosine gap of inf" in failures[1]
+    solutions, failures = solve_all(make_scenario(m=1, n=8, yaw=math.pi / 2.0))
+    assert {s.factor_used for s in solutions} == {"column"} and failures == []
+
     # invalid for every scheme: raised, not reported
-    with pytest.raises(InvalidYaw):
-        solve_all(make_scenario(yaw=math.pi / 2.0))
     with pytest.raises(InvalidIndex):
         solve_all(make_scenario(m=1, n=1))
     with pytest.raises(ValueError):
@@ -693,8 +724,7 @@ def test_the_simd_target_does_not_change_the_map():
     targets = [t for t in reversed(umath.__cpu_dispatch__) if features.get(t)]
     if not targets:
         pytest.skip("numpy dispatches to no target above its baseline on this CPU")
-    golden = Path(__file__).parent / "golden"
-    configs = [str(golden / f"{name}.cfg") for name in ("reference", "wide16", "linear")]
+    configs = [str(GOLDEN / f"{name}.cfg") for name in CONFIGS]
     env = dict(os.environ, PYTHONPATH=str(Path(spwt.__file__).parents[1]))
     env.pop("NPY_ENABLE_CPU_FEATURES", None)
     hashes = {}
@@ -774,15 +804,16 @@ def test_no_verification_warnings_in_normal_runs(reference_scenario):
 
 
 def _factor_targets(sc):
-    """Each factor's name, the extension gap it needs at index 1 and its
-    bisector radicand (y^2 at index 1; the frame is the canonical one)."""
+    """Each factor's name, the extension gap it needs at index 1 (inf where
+    its trig term is 0) and its bisector radicand (y^2 at index 1; the
+    frame is the canonical one)."""
     x_e, g = sc.eve.x, sc.uav_height_m
     for fac, count, trig in (
         ("row", sc.array.m_rows, math.cos(sc.yaw)),
         ("column", sc.array.n_cols, math.sin(sc.yaw)),
     ):
         radicand = ((count * trig * x_e) ** 2 - x_e**2 - (2.0 * g) ** 2) / 4.0
-        yield fac, 2.0 / (count * abs(trig)), radicand
+        yield fac, 2.0 / (count * abs(trig)) if trig else math.inf, radicand
 
 
 @given(sc=log_uniform_scenarios())
