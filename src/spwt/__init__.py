@@ -18,9 +18,7 @@ __version__ = "0.1.0"
 
 # The public names of each module, read from it on first access.
 _EXPORTS = {
-    "errors": (
-        "InfeasibleGeometry", "InvalidCorrelation", "InvalidIndex", "SpwtError",
-    ),
+    "errors": ("InfeasibleGeometry", "InvalidCorrelation", "SpwtError"),
     "experiments": ("SweepResult", "sweep_alpha", "sweep_snr"),
     "placement": (
         "PlacementSolution", "correlation_map", "solve_all",

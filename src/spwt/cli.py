@@ -18,7 +18,7 @@ import os
 import warnings
 
 from . import __version__
-from .errors import InfeasibleGeometry, InvalidIndex
+from .errors import InfeasibleGeometry
 from .placement import solve_all
 from .scenario import ArrayGeometry, Position3D, PowerConfig, ScenarioConfig
 
@@ -352,7 +352,7 @@ def main(argv=None) -> int:
             )
             resolved = _resolve_config(parse_config(args.config), args.seed)
             return args.func(args, resolved, _scenario(resolved))
-    except (InfeasibleGeometry, InvalidIndex) as exc:
+    except InfeasibleGeometry as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     except (CliError, ValueError, OSError) as exc:

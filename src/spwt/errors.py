@@ -2,8 +2,10 @@
 
 An input outside the model, a ground pair with no solving frame included, is
 refused with a ``ValueError`` when it is built; these types are for what a
-valid scenario can still lead to.  Every finite yaw is valid: at a quarter
-turn one factor has no zero on either locus, and the other can still place.
+valid scenario can still lead to.  Every finite yaw and every whole null
+index of at least 1 is valid: a factor that a quarter-turn yaw, or an index
+its element count divides, leaves with no zero places nothing, and where
+neither factor has one the scenario is infeasible like any other.
 """
 
 
@@ -18,10 +20,3 @@ class InvalidCorrelation(SpwtError):
 
 class InfeasibleGeometry(SpwtError):
     """No transmitter position on the requested locus nulls the correlation."""
-
-
-class InvalidIndex(SpwtError):
-    """Null index that no factor has a zero at: not a positive integer, a
-    multiple of both array dimensions, or of a forced factor's dimension.
-    The yaw plays no part: a factor that a quarter turn leaves with no zero
-    is reported infeasible by the solvers, not rejected here."""

@@ -5,7 +5,6 @@ rows at a time, mapping, formatting the CSV and keeping the heatmap's cells.
 import os
 
 from . import placement
-from .errors import InvalidIndex
 
 
 def _write_pattern_csv(fh, axis, blocks) -> None:
@@ -89,10 +88,8 @@ def _pattern_files(scenario, points) -> dict:
     axis = np.array(points, float)
     n = axis.size
     stride, rows = heatmap_stride(n, n), max(1, placement._MAP_CHUNK // n)
-    try:
-        solutions, _ = placement.solve_all(scenario)
-    except InvalidIndex:
-        solutions = []  # the map is still defined; it just has no overlay
+    # An infeasible scenario's map is still defined; it just has no overlay.
+    solutions, _ = placement.solve_all(scenario)
     overlays = [(s.position.x, s.position.y) for s in solutions]
     drawn = []  # the heatmap's rows
 

@@ -2,7 +2,9 @@
 
 Two placement loci make one factor of the correlation a pure geometric sum
 whose zeros are known; both read the factors' terms from :func:`_factors`,
-which honours the element spacing and skips a factor with no zero at the index:
+which honours the element spacing and skips a factor with no zero at the index
+(an index that leaves neither factor one is reported like any other infeasible
+scenario):
 
 * bisector scheme ("azimuth"): on the perpendicular bisector of the ground
   segment (x = x_e/2) the two pitches coincide, and the null condition
@@ -33,7 +35,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-from .errors import InfeasibleGeometry, InvalidIndex
+from .errors import InfeasibleGeometry
 from .geometry import canonicalize_frame
 from .scenario import Position3D
 from .signalmodel import _budget_rows, _rate_cells, correlation_magnitude
@@ -89,35 +91,34 @@ def _caller_level() -> int:
 
 
 def _check(scenario: "ScenarioConfig", index) -> dict:
-    """Check the null index; return the kept :func:`_factors` at it.  The
-    yaw needs no check: a factor it leaves with no zero places nothing."""
+    """Check the null index; return the kept :func:`_factors` at it, or raise
+    the kept reason there are none as ``InfeasibleGeometry``.  The yaw needs
+    no check: a factor it leaves with no zero places nothing."""
     # 1.0, True and numpy integers pass; 1.5, nan and inf would reach the
     # null equations and fail there for a misleading reason, and an integer
     # beyond the float range would overflow converting to float there.
     if not (1 <= index <= sys.float_info.max and index % 1 == 0):
-        raise InvalidIndex("null index must be a positive integer")
-    if not (factors := _kept(scenario, ("factors", index), _factors, index)):
-        geom = scenario.array
-        raise InvalidIndex(
-            f"index {index} is a multiple of both array dimensions "
-            f"({geom.m_rows}x{geom.n_cols}); neither factor has a zero there"
-        )
-    return factors
+        raise ValueError("null index must be a positive integer")
+    return _kept(scenario, ("factors", index), _factors, index)
 
 
-def _factors(scenario: "ScenarioConfig", index) -> dict:
-    """{name: term} of each geometric-sum factor with a zero at ``index``:
-    a factor whose element count divides ``index`` has its maximum there and
-    is skipped.  The term is the count times phase_coef/pi (1 at half a
-    wavelength) times the cos (row) or sin (column) of the left side's
-    azimuth pi - yaw: the bisector squares it, the extension scheme targets
-    its magnitude and takes the branch from its sign.  A term that a
-    quarter-turn yaw makes 0, or nearly, is kept: it gives no real bisector
-    offset and an unattainable (or infinite) gap, each reported as such."""
+def _factors(scenario: "ScenarioConfig", index) -> dict | str:
+    """{name: term} of each geometric-sum factor with a zero at ``index``,
+    or why there is none: a factor whose element count divides ``index`` has
+    its maximum there and is skipped.  The term is the count times
+    phase_coef/pi (1 at half a wavelength) times the cos (row) or sin
+    (column) of the left side's azimuth pi - yaw: the bisector squares it,
+    the extension scheme targets its magnitude and takes the branch from its
+    sign.  A term that a quarter-turn yaw makes 0, or nearly, is kept: it
+    gives no real bisector offset and an unattainable (or infinite) gap,
+    each reported as such."""
     geom, yaw = scenario.array, scenario.yaw
     scale = geom.phase_coef / math.pi
     both = ("row", geom.m_rows, -math.cos(yaw)), ("column", geom.n_cols, math.sin(yaw))
-    return {f: count * scale * trig for f, count, trig in both if index % count}
+    return {f: count * scale * trig for f, count, trig in both if index % count} or (
+        f"index {float(index):.6g} is a multiple of both array dimensions "
+        f"({geom.m_rows}x{geom.n_cols}); neither factor has a zero there"
+    )
 
 
 # The last scenario object asked for, and its kept outcomes.  A study solves one
@@ -181,10 +182,12 @@ def solve_azimuth_scheme(
     Raises
     ------
     InfeasibleGeometry
-        If both radicands are negative (lower the altitude or rotate the
-        yaw toward the ground axis), or no candidate passes certification.
-    InvalidIndex
-        For an index with no matching zero.
+        If neither factor has a zero at the index, no radicand is
+        nonnegative (lower the altitude, or rotate the yaw toward the ground
+        axis, or away from it where the row factor has no zero), or no
+        candidate passes certification.
+    ValueError
+        For an index that is not a whole number of at least 1.
     """
     factors = _check(scenario, index)
     records = _kept(scenario, ("azimuth", index), _bisector_candidates, index, factors)
@@ -223,10 +226,12 @@ def _bisector_candidates(scenario: "ScenarioConfig", k, factors: dict) -> str | 
                 candidates.append(("azimuth", factor, branch, offset, xy))
 
     if not candidates:
+        # With no row factor, only the column's sin(yaw) term is left to grow.
+        toward = "closer to" if "row" in factors else "away from"
         return (
             f"no real lateral offset on the bisector (largest radicand "
             f"{max(radicands):.6g} m^2); lower the altitude or rotate the "
-            f"yaw closer to the ground axis"
+            f"yaw {toward} the ground axis"
         )
     return _certify(scenario, candidates)
 
@@ -323,7 +328,7 @@ def solve_pitch_scheme(
     side : {"left", "right"}
         "left" places the transmitter at x < 0, "right" at x > x_e.
     factor : {"row", "column"}, optional
-        Force one factor, which raises InvalidIndex if its dimension divides
+        Force one factor, which has no zero if its dimension divides
         ``index``; by default the row factor is tried first and the column
         factor wherever it fails or has no zero.  A factor's root search and
         its certification pass of both sides run when a call first reaches it.
@@ -331,17 +336,22 @@ def solve_pitch_scheme(
     Raises
     ------
     InfeasibleGeometry
-        If every allowed factor fails on this side: its gap is above the
-        attainable range, its root search does not converge, or its
-        candidate does not pass certification.
+        If no allowed factor has a zero at the index, or every one fails on
+        this side: its gap is above the attainable range, its root search
+        does not converge, or its candidate does not pass certification.
+    ValueError
+        For a ``side`` or ``factor`` not listed above, checked first, or an
+        index that is not a whole number of at least 1.
     """
-    factors = _check(scenario, index)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if factor not in (None, "row", "column"):
         raise ValueError("factor must be 'row' or 'column'")
+    factors = _check(scenario, index)
     if factor is not None and factor not in factors:
-        raise InvalidIndex(f"index {index} is a multiple of the {factor} dimension")
+        raise InfeasibleGeometry(
+            f"index {index} is a multiple of the {factor} dimension"
+        )
     failures: list[str] = []
     failed_x: list[float] = []
     advice = ""
@@ -350,9 +360,10 @@ def solve_pitch_scheme(
         record = _kept(scenario, key, _extension_candidates, index, fac, term)[side]
         if len(record) == 2:  # no candidate: (why, whether the gap was unattainable)
             failures.append(record[0])
-            if record[1]:
-                # Only an unattainable gap is helped by these; a candidate that
-                # failed verification is not (a larger array amplifies rounding).
+            if record[1] and term:
+                # Only a finite unattainable gap is helped by these; a term of
+                # 0 needs an infinite one, and a candidate that failed
+                # verification is not helped (a larger array amplifies rounding).
                 advice = "; lower the altitude, shrink the index, or use a larger array"
             continue
         # A point already discarded is not tried, or warned of, again.
@@ -447,12 +458,13 @@ def solve_all(
 
     Raises
     ------
-    InvalidIndex, ValueError
-        For an index with no matching zero, which rules out every scheme and
-        so is raised rather than reported; and for a scheme other than
-        "azimuth" or "pitch".  A quarter-turn yaw is reported like any other
-        scenario: the factor it leaves with no zero places nothing.
+    ValueError
+        For a scheme other than "azimuth" or "pitch", before any is solved.
+        An array with no factor zero at index 1, a 1x1 one, is reported
+        for every scheme and side like any other infeasible scenario.
     """
+    if any(scheme not in ("azimuth", "pitch") for scheme in schemes):
+        raise ValueError("scheme must be 'azimuth' or 'pitch'")
     solutions: list[PlacementSolution] = []
     failures: list[str] = []
     for scheme in schemes:
@@ -461,14 +473,12 @@ def solve_all(
                 solutions.extend(solve_azimuth_scheme(scenario))
             except InfeasibleGeometry as exc:
                 failures.append(f"azimuth: {exc}")
-        elif scheme == "pitch":
+        else:
             for side in ("left", "right"):
                 try:
                     solutions.append(solve_pitch_scheme(scenario, side=side))
                 except InfeasibleGeometry as exc:
                     failures.append(f"pitch {side}: {exc}")
-        else:
-            raise ValueError("scheme must be 'azimuth' or 'pitch'")
     return solutions, failures
 
 

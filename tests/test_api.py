@@ -11,7 +11,6 @@ PUBLIC = [
     "ArrayGeometry",
     "InfeasibleGeometry",
     "InvalidCorrelation",
-    "InvalidIndex",
     "PlacementSolution",
     "Position3D",
     "PowerConfig",

@@ -278,6 +278,25 @@ def test_sweep_custom_snr_grid(tmp_path):
     assert [r.split(",")[0] for r in rows[1:]] == ["0", "5", "10", "15"]
 
 
+@pytest.mark.parametrize(
+    "command, schemes",
+    [("place", ("azimuth", "pitch left", "pitch right")), ("sweep", ("azimuth",))],
+)
+def test_a_single_element_array_is_infeasible(
+    tmp_path, capsys, monkeypatch, command, schemes
+):
+    # a 1x1 array has no factor with a zero at index 1: each scheme (and
+    # extension side) the command solves is reported, and nothing is written
+    # to the working directory, sweep's default --out
+    cfg = write_config(tmp_path / "a.cfg", m=1, n=1)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", cfg]) == 2
+    why = "index 1 is a multiple of both array dimensions (1x1); neither factor has a zero there"
+    err = "".join(f"infeasible: {scheme}: {why}\n" for scheme in schemes)
+    assert capsys.readouterr() == ("", err)
+    assert list(tmp_path.iterdir()) == [tmp_path / "a.cfg"]
+
+
 def test_sweep_infeasible_leaves_no_partial_files(tmp_path):
     cfg = write_config(tmp_path / "a.cfg", g_m=10_000)
     out = tmp_path / "out"
@@ -986,7 +1005,7 @@ IMPORT_EDGES = {
     ("cli", "charts"), ("cli", "errors"), ("cli", "experiments"),
     ("cli", "pattern"), ("cli", "placement"), ("cli", "scenario"),
     ("experiments", "placement"), ("experiments", "signalmodel"),
-    ("pattern", "charts"), ("pattern", "errors"), ("pattern", "placement"),
+    ("pattern", "charts"), ("pattern", "placement"),
     ("placement", "errors"), ("placement", "geometry"),
     ("placement", "scenario"), ("placement", "signalmodel"),
     ("signalmodel", "errors"),

@@ -39,7 +39,6 @@ from conftest import make_scenario
 from spwt import (
     ArrayGeometry,
     InfeasibleGeometry,
-    InvalidIndex,
     Position3D,
     solve_azimuth_scheme,
     solve_pitch_scheme,
@@ -189,7 +188,7 @@ def indexed_study(scenario, index: int) -> list:
     ):
         try:
             out.append(solve())
-        except (InfeasibleGeometry, InvalidIndex) as exc:
+        except InfeasibleGeometry as exc:
             out.append((type(exc).__name__, str(exc)))
     return out
 

@@ -8,13 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import spwt
 from spwt import (
     ArrayGeometry,
     InfeasibleGeometry,
-    InvalidIndex,
     Position3D,
     PowerConfig,
     correlation_map,
@@ -162,15 +161,27 @@ def test_a_zero_factor_term_needs_an_infinite_gap():
 
 
 def test_index_rejection():
+    # an index below 1 is outside the model; one that both sides divide
+    # leaves no factor a zero, which is an infeasible scenario
     sc = make_scenario()  # 4x4
-    for bad in (0, -1, 4, 8, 12):
-        with pytest.raises(InvalidIndex):
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="positive integer"):
             solve_azimuth_scheme(sc, bad)
-    with pytest.raises(InvalidIndex):
-        solve_pitch_scheme(sc, 4)
     sc_rect = make_scenario(m=4, n=3)
-    with pytest.raises(InvalidIndex):
-        solve_azimuth_scheme(sc_rect, 12)  # multiple of m and n
+    for solve, scenario, k in (
+        (solve_azimuth_scheme, sc, 4),
+        (solve_azimuth_scheme, sc, 8),
+        (solve_azimuth_scheme, sc, 12),
+        (solve_pitch_scheme, sc, 4),
+        (solve_azimuth_scheme, sc_rect, 12),  # a multiple of m and n
+    ):
+        with pytest.raises(InfeasibleGeometry) as info:
+            solve(scenario, k)
+        geom = scenario.array
+        assert str(info.value) == (
+            f"index {k} is a multiple of both array dimensions "
+            f"({geom.m_rows}x{geom.n_cols}); neither factor has a zero there"
+        )
 
 
 def test_index_rule_is_per_factor():
@@ -180,9 +191,9 @@ def test_index_rule_is_per_factor():
     assert [s.factor_used for s in solutions] == ["row", "row"]
     for s in solutions:
         assert explicit_correlation(sc, s.position) <= 1e-8
-    with pytest.raises(InvalidIndex, match="multiple of the column dimension"):
+    with pytest.raises(InfeasibleGeometry, match="multiple of the column dimension"):
         solve_pitch_scheme(sc, 3, factor="column")
-    with pytest.raises(InvalidIndex, match="multiple of both array dimensions"):
+    with pytest.raises(InfeasibleGeometry, match="multiple of both array dimensions"):
         solve_pitch_scheme(sc, 24)
 
 
@@ -201,7 +212,7 @@ def test_linear_arrays_place_on_their_one_factor(m, n, live, carrier_hz, spacing
     for s in solutions:
         assert explicit_correlation(sc, s.position) <= 1e-8
     dead = "row" if live == "column" else "column"
-    with pytest.raises(InvalidIndex, match=f"multiple of the {dead} dimension"):
+    with pytest.raises(InfeasibleGeometry, match=f"multiple of the {dead} dimension"):
         solve_pitch_scheme(sc, factor=dead)
 
 
@@ -222,14 +233,17 @@ def test_solvers_honour_the_element_spacing(spacing_m, placements):
 
 
 def test_pitch_rejects_an_unknown_side_or_factor(reference_scenario):
-    for kwargs, text in (
-        ({"side": "up"}, "side must be 'left' or 'right'"),
-        ({"factor": "diagonal"}, "factor must be 'row' or 'column'"),
-    ):
-        with pytest.raises(ValueError) as info:
-            solve_pitch_scheme(reference_scenario, **kwargs)
-        assert type(info.value) is ValueError
-        assert str(info.value) == text
+    # checked before the scenario is solved: on a 1x1 array, which has no
+    # factor zero, a bad argument still reads as one
+    for sc in (reference_scenario, make_scenario(m=1, n=1)):
+        for kwargs, text in (
+            ({"side": "up"}, "side must be 'left' or 'right'"),
+            ({"factor": "diagonal"}, "factor must be 'row' or 'column'"),
+        ):
+            with pytest.raises(ValueError) as info:
+                solve_pitch_scheme(sc, **kwargs)
+            assert type(info.value) is ValueError
+            assert str(info.value) == text
 
 
 @pytest.mark.parametrize(
@@ -242,17 +256,22 @@ def test_pitch_rejects_an_unknown_side_or_factor(reference_scenario):
         lambda sc: solve_pitch_scheme(sc, math.nan, side="right"),
         lambda sc: solve_azimuth_scheme(sc, 10**400 + 1),
         lambda sc: solve_pitch_scheme(sc, 10**400 + 1),
+        lambda sc: solve_azimuth_scheme(
+            replace(sc, array=ArrayGeometry(1, 1, 3.0e9)), 1.5
+        ),
     ],
-    ids=["k-1.5", "k-nan", "k-inf", "l-1.5", "l-nan", "k-huge", "l-huge"],
+    ids=["k-1.5", "k-nan", "k-inf", "l-1.5", "l-nan", "k-huge", "l-huge", "k-1.5-1x1"],
 )
 def test_non_whole_index_is_rejected_before_solving(reference_scenario, call):
     # these used to reach the null equations and fail there, with candidates
     # discarded as unverified, a gap reported as unattainable, or an integer
-    # too large to convert to float
+    # too large to convert to float; on a 1x1 array, which has no factor
+    # zero, the index is still outside the model
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(InvalidIndex, match="positive integer"):
+        with pytest.raises(ValueError, match="positive integer") as info:
             call(reference_scenario)
+    assert type(info.value) is ValueError
     assert caught == []
 
 
@@ -510,18 +529,70 @@ def test_solve_all_order_and_failures():
 
     # a quarter-turn yaw is reported like any other scenario: a 1x8 array
     # has only its column factor, which yaw 0 zeroes (the extension scheme
-    # needs an infinite gap), and which places on every locus at pi/2
+    # needs an infinite gap, which no altitude, index or array size gives,
+    # and the bisector a yaw turned away from the ground axis), and which
+    # places on every locus at pi/2
     solutions, failures = solve_all(make_scenario(m=1, n=8, yaw=0.0))
     assert solutions == []
-    assert "needs a pitch-cosine gap of inf" in failures[1]
+    assert failures[0].endswith("rotate the yaw away from the ground axis")
+    for side, f in zip(("left", "right"), failures[1:]):
+        assert f.endswith(f"gap of inf, above the attainable 0.928477 on the {side} side")
     solutions, failures = solve_all(make_scenario(m=1, n=8, yaw=math.pi / 2.0))
     assert {s.factor_used for s in solutions} == {"column"} and failures == []
 
-    # invalid for every scheme: raised, not reported
-    with pytest.raises(InvalidIndex):
-        solve_all(make_scenario(m=1, n=1))
+    # no factor has a zero at the index: reported for every scheme and side
+    solutions, failures = solve_all(make_scenario(m=1, n=1))
+    why = "multiple of both array dimensions (1x1); neither factor has a zero there"
+    assert solutions == []
+    names = ("azimuth", "pitch left", "pitch right")
+    assert failures == [f"{name}: index 1 is a {why}" for name in names]
     with pytest.raises(ValueError):
         solve_all(sc, ("spiral",))
+
+
+def test_solve_all_rejects_an_unknown_scheme_before_solving(kernel_calls):
+    # the bisector of a nan altitude warns of its discarded candidate; a
+    # scheme name it cannot solve is rejected before that
+    sc = unchecked_scenario(uav_height_m=math.nan)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="scheme must be 'azimuth' or 'pitch'"):
+            solve_all(sc, ("azimuth", "spiral"))
+    assert (caught, kernel_calls) == ([], [])
+
+
+@example(sc=make_scenario(), m=1, n=1, k=1)
+@given(
+    sc=finite_scenarios(),
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    k=st.integers(1, 12),
+)
+def test_small_arrays_place_certified_or_raise_infeasible(sc, m, n, k):
+    # indices that one side, both or neither divides, each factor forced or
+    # not: a solver returns placements certified at 1e-8 or raises
+    # InfeasibleGeometry, and solve_all reports what has none
+    sc = replace(sc, array=ArrayGeometry(m, n, 3.0e9))
+    calls = [lambda: solve_azimuth_scheme(sc, k)] + [
+        lambda side=side, fac=fac: [solve_pitch_scheme(sc, k, side, fac)]
+        for side in ("left", "right")
+        for fac in (None, "row", "column")
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        placed = []
+        for call in calls:
+            try:
+                placed.extend(call())
+            except InfeasibleGeometry:
+                pass
+        solutions, failures = solve_all(sc)
+    for s in placed + solutions:
+        assert s.null_residual <= 1e-8
+        assert correlation_map(sc, [s.position.x], [s.position.y])[0, 0] <= 1e-8
+    assert {f.split(":")[0] for f in failures} <= {"azimuth", "pitch left", "pitch right"}
+    if m == n == 1:
+        assert (solutions, len(failures)) == ([], 3)
 
 
 def test_solutions_lie_on_their_loci():

@@ -31,7 +31,7 @@ from spwt import (
     sweep_alpha,
     sweep_snr,
 )
-from spwt import experiments, geometry
+from spwt import experiments, geometry, placement
 from spwt.experiments import DEFAULT_ALPHA_GRID
 from conftest import finite_scenarios, make_scenario
 
@@ -264,6 +264,30 @@ def test_equal_inputs_share_one_outcome(reference_scenario, kernel_calls):
         for s in solutions:
             assert {type(v) for v in (s.position.x, s.position.y, s.position.z)} == {float}
     assert len(kernel_calls) == 2
+
+
+def test_equal_indices_share_one_infeasible_message(monkeypatch):
+    # on a 1x1 array, where no factor has a zero, the four forms of index 1
+    # are one key too: the reason is built once, with the index as a float,
+    # whichever form is asked first
+    factors, built = placement._factors, []
+
+    def counting_factors(*args):
+        built.append(args[1])
+        return factors(*args)
+
+    monkeypatch.setattr(placement, "_factors", counting_factors)
+    sc = make_scenario(m=1, n=1)
+    messages = set()
+    for index in (True, 1.0, np.int64(1), 1):
+        for call in (solve_azimuth_scheme, solve_pitch_scheme):
+            with pytest.raises(InfeasibleGeometry) as info:
+                call(sc, index)
+            messages.add(str(info.value))
+    assert messages == {
+        "index 1 is a multiple of both array dimensions (1x1); neither factor has a zero there"
+    }
+    assert built == [True]  # the first form asked
 
 
 def test_each_call_raises_a_new_exception():
