@@ -48,8 +48,9 @@ from test_reuse import _study
 
 GOLDEN = Path(__file__).parent / "golden"
 STUDIES = GOLDEN / "studies.txt"
-# Stored configs, by stem: the README reference (4x4), a 16x16 array and a
-# linear 1x8 one.  The CI workflow loops over the same golden/*.cfg files.
+# Stored configs, by stem: the README reference (4x4), a 16x16 array, a
+# linear 1x8 one, and the reference on 1e9 rows, whose row-factor candidates
+# all fail verification.  The CI workflow loops over the same golden/*.cfg files.
 CONFIGS = tuple(sorted(path.stem for path in GOLDEN.glob("*.cfg")))
 COMMANDS = {
     "place": ["place"],
