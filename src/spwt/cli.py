@@ -15,7 +15,6 @@ import argparse
 import errno
 import math
 import os
-import warnings
 
 from . import __version__
 from .errors import InfeasibleGeometry
@@ -227,9 +226,19 @@ def _csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _solve(scenario: ScenarioConfig, schemes: tuple = ("azimuth", "pitch")) -> tuple:
+    """:func:`~spwt.placement.solve_all`'s placements and failures, after
+    printing each candidate it discarded as a ``warning:`` line: an outcome
+    of the command, printed as its own line."""
+    solutions, failures, discarded = solve_all(scenario, schemes)
+    for text in discarded:
+        print(f"warning: {text}", file=sys.stderr)
+    return solutions, failures
+
+
 def cmd_place(args, resolved: dict, scenario: ScenarioConfig) -> int:
     schemes = ("azimuth", "pitch") if args.scheme == "both" else (args.scheme,)
-    solutions, failures = solve_all(scenario, schemes)
+    solutions, failures = _solve(scenario, schemes)
     for line in failures:
         print(f"infeasible: {line}", file=sys.stderr)
     if not solutions:
@@ -250,6 +259,8 @@ def cmd_sweep(args, resolved: dict, scenario: ScenarioConfig) -> int:
     from .experiments import sweep_alpha, sweep_snr
 
     grid = None if args.grid is None else _sweep_grid(args.grid, args.kind)
+    # the sweep raises for a scheme with no placement; its discards come first
+    _solve(scenario, (args.scheme,))
     if args.kind == "snr":
         result = sweep_snr(scenario, scheme=args.scheme, snr_db_grid=grid)
         x_name, x_label = "snr_db", "SNR (dB)"
@@ -281,8 +292,11 @@ def cmd_pattern(args, resolved: dict, scenario: ScenarioConfig) -> int:
     if step <= 0 or hi <= lo:
         raise CliError("--grid: need max > min and step > 0")
     points = _grid_points(lo, step, hi, _MAX_PATTERN_AXIS, "points per axis")
+    # An infeasible scenario's map is still defined; it just has no overlay.
+    overlays = [(s.position.x, s.position.y) for s in _solve(scenario)[0]]
     from .pattern import _pattern_files
-    return _write_files(args.out, "pattern", resolved, _pattern_files(scenario, points))
+    files = _pattern_files(scenario, points, overlays)
+    return _write_files(args.out, "pattern", resolved, files)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,14 +358,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # 0 after --help or --version, 2 on a usage error
         return 1 if exc.code else 0  # 2 is reserved for infeasible scenarios
     try:
-        with warnings.catch_warnings():
-            # A discarded candidate is an outcome of the command: print its
-            # text, not the frame outside the package that the warning names.
-            warnings.showwarning = lambda message, *_: print(
-                f"warning: {message}", file=sys.stderr
-            )
-            resolved = _resolve_config(parse_config(args.config), args.seed)
-            return args.func(args, resolved, _scenario(resolved))
+        resolved = _resolve_config(parse_config(args.config), args.seed)
+        return args.func(args, resolved, _scenario(resolved))
     except InfeasibleGeometry as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

@@ -34,11 +34,11 @@ class SweepResult:
 
 def _pick(scenario: "ScenarioConfig", scheme: str) -> "PlacementSolution | str":
     """The scheme's first placement in the order ``solve_all`` returns, or
-    why it has none; kept under ("best", scheme), so only the first sweep of
-    a scheme warns of the candidates its solve discards.  Every placement is
-    certified at |rho| <= 1e-8, where the SR differs from the bound only by
-    rounding, so no ranking of them picks a better one."""
-    solutions, failures = solve_all(scenario, (scheme,))
+    why it has none; kept under ("best", scheme).  The candidates the solve
+    discards are not the sweep's to report: ``solve_all`` lists them.  Every
+    placement is certified at |rho| <= 1e-8, where the SR differs from the
+    bound only by rounding, so no ranking of them picks a better one."""
+    solutions, failures, _ = solve_all(scenario, (scheme,))
     return solutions[0] if solutions else "; ".join(failures)
 
 

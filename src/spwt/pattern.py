@@ -65,13 +65,14 @@ def _write_pattern_csv(fh, axis, blocks) -> None:
             y += len(v)
 
 
-def _pattern_files(scenario, points) -> dict:
+def _pattern_files(scenario, points, overlays) -> dict:
     """The pattern's file writers, by name, over the square grid whose axis
     is ``points``, each point mapped as given.  The ``pattern.csv`` writer maps
     the grid once, a block of rows at a time, and keeps each block's drawn
-    cells for the ``pattern.svg`` writer (the heatmap, every placement
-    overlaid), which :func:`~spwt.cli._write_outputs` runs after it.  A point's
-    bits do not depend on the rows mapped with it (see
+    cells for the ``pattern.svg`` writer (the heatmap, with a circle at each
+    placement's (x, y) in ``overlays``), which
+    :func:`~spwt.cli._write_outputs` runs after it.  A point's bits do not
+    depend on the rows mapped with it (see
     :func:`~spwt.signalmodel.correlation_magnitude`)."""
     from .charts import heatmap_stride, render_heatmap
 
@@ -88,9 +89,6 @@ def _pattern_files(scenario, points) -> dict:
     axis = np.array(points, float)
     n = axis.size
     stride, rows = heatmap_stride(n, n), max(1, placement._MAP_CHUNK // n)
-    # An infeasible scenario's map is still defined; it just has no overlay.
-    solutions, _ = placement.solve_all(scenario)
-    overlays = [(s.position.x, s.position.y) for s in solutions]
     drawn = []  # the heatmap's rows
 
     def blocks():

@@ -15,24 +15,25 @@ scenario):
   safeguarded Newton steps on a strictly monotone function.  The gap is the
   same beyond either end, so each factor's root serves both sides.
 
-Every candidate is certified by recomputing the correlation at the canonical
-point the solver found, with the scenario's one kept frame and kernel
-(:func:`_frame`), into one record of the same shape for both solvers
-(:func:`_certify`), which holds a caller-frame position for an accepted
-candidate only.  The bisector certifies all its candidates in one kernel
-pass; the extension scheme makes one pass per factor, both sides together,
-and computes the column factor only when a call reaches it (forced, or the
-row factor failed on the side asked for).  The records of the last scenario
-object asked for are kept while the same object keeps being asked.  On each
-call, one step (:func:`_accept`) turns every record the solver picks into a
-placement, or discards it with a warning at the caller's line; a solver with
-no certified candidate raises ``InfeasibleGeometry``.
+Every candidate is mapped to the caller's frame first and certified by
+recomputing the correlation at that position's canonical image, the point a
+caller who maps the returned position reads, with the scenario's one kept
+frame and kernel (:func:`_frame`), into one record of the same shape for
+both solvers (:func:`_certify`), which holds the caller-frame position for
+an accepted candidate only.  The bisector certifies all its candidates in
+one kernel pass; the extension scheme makes one pass per factor, both sides
+together, and computes the column factor only when a call reaches it
+(forced, or the row factor failed on the side asked for).  The records of
+the last scenario object asked for are kept while the same object keeps
+being asked.  On each call, one step (:func:`_accept`) turns every record the
+solver picks into a placement, or into the text of its discard; a solver
+with no certified candidate raises ``InfeasibleGeometry``.
+:func:`solve_all` reports every discard, once, beside its placements and
+failures; the per-scheme solvers drop them.
 """
 
 import math
-import os
 import sys
-import warnings
 from dataclasses import dataclass
 
 from .errors import InfeasibleGeometry
@@ -75,19 +76,6 @@ class PlacementSolution:
     factor_used: str
     null_residual: float
     sr_at_solution: float
-
-
-_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
-
-
-def _caller_level() -> int:
-    """The stacklevel at which a warning from this function's caller names
-    the first frame outside this package, or the outermost one: the rule of
-    Python 3.12's ``skip_file_prefixes``, which 3.10 and 3.11 lack."""
-    frame, level = sys._getframe(2), 2
-    while frame.f_back and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
-        frame, level = frame.f_back, level + 1
-    return level
 
 
 def _check(scenario: "ScenarioConfig", index) -> dict:
@@ -172,7 +160,8 @@ def solve_azimuth_scheme(
     phase_coef/pi away from half-wavelength spacing).  Up to four
     candidates arise (two equations, two signs); duplicates within 1e-6 m
     are merged and every survivor is certified against the recomputed
-    correlation, all candidates in one kernel pass.
+    correlation, all candidates in one kernel pass.  A candidate that fails
+    is dropped here; :func:`solve_all` reports it.
 
     Returns
     -------
@@ -189,10 +178,17 @@ def solve_azimuth_scheme(
     ValueError
         For an index that is not a whole number of at least 1.
     """
+    return _azimuth(scenario, index, [])
+
+
+def _azimuth(scenario: "ScenarioConfig", index, discarded: list) -> list:
+    """:func:`solve_azimuth_scheme`, each discarded candidate's text appended
+    to ``discarded``."""
     factors = _check(scenario, index)
     records = _kept(scenario, ("azimuth", index), _bisector_candidates, index, factors)
-    solutions = [s for r in records if (s := _accept(r, index)) is not None]
-    if not solutions:
+    outcomes = [_accept(record, index) for record in records]
+    discarded += [o for o in outcomes if isinstance(o, str)]
+    if not (solutions := [o for o in outcomes if not isinstance(o, str)]):
         raise InfeasibleGeometry("every bisector candidate failed verification")
     return solutions
 
@@ -226,12 +222,17 @@ def _bisector_candidates(scenario: "ScenarioConfig", k, factors: dict) -> str | 
                 candidates.append(("azimuth", factor, branch, offset, xy))
 
     if not candidates:
-        # With no row factor, only the column's sin(yaw) term is left to grow.
-        toward = "closer to" if "row" in factors else "away from"
+        # A lower altitude helps a factor whose |term| exceeds k, and a turn
+        # one whose term can still grow past k: the row's (count * scale *
+        # |cos|) toward the ground axis, the column's (|sin|) away from it.
+        geom, scale = scenario.array, scenario.array.phase_coef / math.pi
+        reach = {"row": geom.m_rows * scale, "column": geom.n_cols * scale}
+        remedies = ["lower the altitude"] * any(abs(t) > k for t in factors.values()) + [
+            f"rotate the yaw {'closer to' if f == 'row' else 'away from'} the ground axis"
+            for f, t in factors.items() if reach[f] > max(k, abs(t))][:1]
         return (
-            f"no real lateral offset on the bisector (largest radicand "
-            f"{max(radicands):.6g} m^2); lower the altitude or rotate the "
-            f"yaw {toward} the ground axis"
+            f"no real lateral offset on the bisector (largest radicand {max(radicands):.6g}"
+            f" m^2); {' or '.join(remedies) or 'no altitude or yaw gives one'}"
         )
     return _certify(scenario, candidates)
 
@@ -247,39 +248,40 @@ def _frame(scenario: "ScenarioConfig") -> tuple:
 def _certify(scenario: "ScenarioConfig", candidates: list) -> list:
     """Each (scheme, factor, branch, canonical coordinate, canonical (x, y))
     candidate as its record: (scheme, factor, branch, coordinate, position,
-    |rho|, secrecy rate), |rho| from the kept kernel at the point solved.  A
-    candidate within ``_NULL_TOL`` is accepted: its position is the
-    caller-frame Position3D, checked finite as it is built, and its rate
-    comes from one ``_rate_cells`` pass at the scenario's checked budget over
-    the accepted points.  A failed candidate's position and rate are None."""
+    |rho|, secrecy rate).  The point solved is first mapped to the caller's
+    frame, and |rho| comes from the kept kernel at that point's canonical
+    image, so it is the value at the position returned, not at the rounded
+    point it was mapped from.  A candidate within ``_NULL_TOL`` is accepted:
+    its position is that caller-frame point as a Position3D, checked finite
+    as it is built, and its rate comes from one ``_rate_cells`` pass at the
+    scenario's checked budget over the accepted points.  A failed
+    candidate's position and rate are None."""
     tf, _, magnitude = _kept(scenario, ("frame",), _frame)
-    residuals = [magnitude(*xy) for *_, xy in candidates]
+    points = [tf.from_canonical(*xy) for *_, xy in candidates]
+    residuals = [magnitude(*tf.to_canonical(*xy)) for xy in points]
     g, power = scenario.uav_height_m, scenario.power
     ok = [r for r in residuals if r <= _NULL_TOL]
     budget = [power.alpha], [power.noise_b_w], [power.noise_e_w]
     rates = iter(_rate_cells(ok, _budget_rows(power.total_power_w, *budget)))
     return [
         (scheme, factor, branch, coordinate,
-         Position3D(*tf.from_canonical(*xy), g) if r <= _NULL_TOL else None, r,
+         Position3D(*xy, g) if r <= _NULL_TOL else None, r,
          next(rates)[0] if r <= _NULL_TOL else None)
-        for (scheme, factor, branch, coordinate, xy), r in zip(candidates, residuals)
+        for (scheme, factor, branch, coordinate, _), xy, r
+        in zip(candidates, points, residuals)
     ]
 
 
-def _accept(record: tuple, index) -> PlacementSolution | None:
+def _accept(record: tuple, index) -> PlacementSolution | str:
     """A :func:`_certify` record's placement, built with PlacementSolution's
-    own constructor; or None, with a warning at the caller's line naming the
-    scheme, coordinate and residual, if it failed verification (its position
-    is None).  Both solvers accept here."""
+    own constructor; or, if it failed verification (its position is None),
+    the text of its discard, naming the scheme, coordinate and residual.
+    Both solvers accept here."""
     scheme, factor, branch, coordinate, position, rho, rate = record
     if position is not None:
         return PlacementSolution(position, scheme, branch, index, factor, rho, rate)
     name = "bisector candidate y" if scheme == "azimuth" else "extension candidate x"
-    warnings.warn(
-        f"{name}={coordinate:.6g} failed verification (|rho| = {rho:.3e}); discarded",
-        stacklevel=_caller_level(),
-    )
-    return None
+    return f"{name}={coordinate:.6g} failed verification (|rho| = {rho:.3e}); discarded"
 
 
 def _pitch_gap(x_e: float, g: float, t: float) -> tuple[float, float, float]:
@@ -332,6 +334,7 @@ def solve_pitch_scheme(
         ``index``; by default the row factor is tried first and the column
         factor wherever it fails or has no zero.  A factor's root search and
         its certification pass of both sides run when a call first reaches it.
+        A candidate that fails is dropped here; :func:`solve_all` reports it.
 
     Raises
     ------
@@ -347,14 +350,18 @@ def solve_pitch_scheme(
         raise ValueError("side must be 'left' or 'right'")
     if factor not in (None, "row", "column"):
         raise ValueError("factor must be 'row' or 'column'")
+    return _pitch(scenario, index, side, factor, [])
+
+
+def _pitch(scenario: "ScenarioConfig", index, side, factor, discarded: list):
+    """:func:`solve_pitch_scheme` past its argument checks, each discarded
+    candidate's text appended to ``discarded``."""
     factors = _check(scenario, index)
     if factor is not None and factor not in factors:
         raise InfeasibleGeometry(
-            f"index {index} is a multiple of the {factor} dimension"
+            f"index {float(index):.6g} is a multiple of the {factor} dimension"
         )
-    failures: list[str] = []
-    failed_x: list[float] = []
-    advice = ""
+    failures, advice = [], ""
     for fac, term in ((factor, factors[factor]),) if factor else factors.items():
         key = ("pitch", index, fac)
         record = _kept(scenario, key, _extension_candidates, index, fac, term)[side]
@@ -366,11 +373,9 @@ def solve_pitch_scheme(
                 # verification is not helped (a larger array amplifies rounding).
                 advice = "; lower the altitude, shrink the index, or use a larger array"
             continue
-        # A point already discarded is not tried, or warned of, again.
-        if not any(abs(record[3] - prev) < _DEDUP_M for prev in failed_x):
-            if (solution := _accept(record, index)) is not None:
-                return solution
-            failed_x.append(record[3])
+        if not isinstance(outcome := _accept(record, index), str):
+            return outcome
+        discarded.append(outcome)
         failures.append(f"{fac} factor candidate failed verification")
     raise InfeasibleGeometry(
         f"extension scheme infeasible on the {side} side: {'; '.join(failures)}{advice}"
@@ -447,14 +452,20 @@ def _bisect_gap(x_e: float, g: float, target: float) -> float:
 
 def solve_all(
     scenario: "ScenarioConfig", schemes: tuple = ("azimuth", "pitch")
-) -> tuple[list[PlacementSolution], list[str]]:
+) -> tuple[list[PlacementSolution], list[str], list[str]]:
     """Every certified placement of ``schemes`` at the default null index,
-    and one message for each scheme or side that has none.
+    one message for each scheme or side that has none, and the text of each
+    candidate that failed verification and was discarded.
 
     Solutions come in the order of ``schemes``: the bisector placements as
     :func:`solve_azimuth_scheme` returns them, the extension placements left
     before right.  An infeasible scheme or side is reported as
     ``"azimuth: <reason>"`` or ``"pitch left: <reason>"`` instead of raised.
+    A discard reads ``"bisector candidate y=<y> failed verification (|rho| =
+    <rho>); discarded"`` (``extension candidate x=<x>`` for the extension
+    scheme, each coordinate the canonical one); each text is listed once, in
+    the order found, so a point that both factors of a side reach is listed
+    once.
 
     Raises
     ------
@@ -467,19 +478,20 @@ def solve_all(
         raise ValueError("scheme must be 'azimuth' or 'pitch'")
     solutions: list[PlacementSolution] = []
     failures: list[str] = []
+    discarded: list[str] = []
     for scheme in schemes:
         if scheme == "azimuth":
             try:
-                solutions.extend(solve_azimuth_scheme(scenario))
+                solutions.extend(_azimuth(scenario, 1, discarded))
             except InfeasibleGeometry as exc:
                 failures.append(f"azimuth: {exc}")
         else:
             for side in ("left", "right"):
                 try:
-                    solutions.append(solve_pitch_scheme(scenario, side=side))
+                    solutions.append(_pitch(scenario, 1, side, None, discarded))
                 except InfeasibleGeometry as exc:
                     failures.append(f"pitch {side}: {exc}")
-    return solutions, failures
+    return solutions, failures, list(dict.fromkeys(discarded))
 
 
 def correlation_map(scenario: "ScenarioConfig", xs, ys):

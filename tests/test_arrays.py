@@ -5,7 +5,6 @@ steering vectors and look angles in ``conftest``, and the factored kernel
 ``signalmodel`` have since absorbed."""
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -74,18 +73,15 @@ def test_geometry_accepts_numpy_integers():
     assert (geom.m_rows, geom.n_cols, geom.spacing_m) == (4, 8, 0.05)
     # numpy counts are stored as Python ints, whose products do not wrap as
     # int64's do (2^62 x 4 is 2^64 elements, not 0), so the solvers give the
-    # same placements, warnings and float types from either
+    # same placements, discards and float types from either
     for m, n in ((4, 4), (2**62, 4)):
         solved = []
         for counts in ((np.int64(m), np.int64(n)), (m, n)):
             geom = ArrayGeometry(*counts, 3.0e9)
             assert type(geom.m_rows) is int and type(geom.n_cols) is int
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                outcome = solve_all(replace(make_scenario(), array=geom))
-            solved.append((repr(outcome), [str(w.message) for w in caught]))
+            solved.append(repr(solve_all(replace(make_scenario(), array=geom))))
         assert solved[0] == solved[1]
-        assert "PlacementSolution" in solved[0][0]
+        assert "PlacementSolution" in solved[0]
 
 
 def test_single_element_vector():

@@ -8,7 +8,6 @@ import re
 import shutil
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -345,7 +344,7 @@ def test_pattern_outputs(tmp_path):
     assert len(rows) == 1 + 9 * 9
     svg = (out / "pattern.svg").read_text()
     # the cells as one image, and one circle per solved placement
-    solutions, _ = spwt.solve_all(make_scenario())  # the config's scenario
+    solutions = spwt.solve_all(make_scenario())[0]  # the config's scenario
     assert svg.count("<image") == 1
     assert svg.count("<circle") == len(solutions) > 0
 
@@ -594,7 +593,7 @@ def test_grid_caps_admit_their_limits(tmp_path, capsys, monkeypatch):
     # how many the engine would map, without mapping them
     sizes = []
     monkeypatch.setattr(
-        pattern, "_pattern_files", lambda scenario, points: sizes.append(len(points)) or {}
+        pattern, "_pattern_files", lambda sc, points, _: sizes.append(len(points)) or {}
     )
     argv = ["pattern", "--config", write_config(tmp_path / "a.cfg"), "--out", str(tmp_path)]
     grids = ("-1000:1000:1", "-1000:1000:2", "-1000:1001:1")
@@ -681,7 +680,7 @@ def test_pattern_files_restores_the_blas_pin_when_numpy_fails_to_import(
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
     monkeypatch.setitem(sys.modules, "numpy", None)
     with pytest.raises(ImportError):
-        _pattern_files(make_scenario(), [-100.0, 0.0, 100.0])
+        _pattern_files(make_scenario(), [-100.0, 0.0, 100.0], [])
     assert os.environ.get("OPENBLAS_NUM_THREADS") == blas
 
 
@@ -827,9 +826,7 @@ def test_geometry_beyond_float_squares_is_a_named_outcome(
     argv = [command, "--config", cfg]
     if command == "sweep":
         argv += ["--out", str(tmp_path / "out")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("always", UserWarning)
-        code = main(argv)
+    code = main(argv)
     assert code in (0, 2)
     err = capsys.readouterr().err.splitlines()
     assert err and all(line.startswith(("infeasible: ", "warning: ")) for line in err)

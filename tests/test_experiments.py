@@ -1,7 +1,6 @@
 import math
 import random
 import re
-import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -514,9 +513,7 @@ def test_every_sweep_value_is_finite(sc, scheme, snr_grid, snr_db, alpha_grid):
     )
     for sweep in sweeps:
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                result = sweep()
+            result = sweep()
         except (InfeasibleGeometry, ValueError):
             continue
         values = [v for series in result.series.values() for v in series]

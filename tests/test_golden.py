@@ -28,7 +28,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,14 +35,8 @@ import pytest
 
 import spwt
 from conftest import make_scenario
-from spwt import (
-    ArrayGeometry,
-    InfeasibleGeometry,
-    Position3D,
-    solve_azimuth_scheme,
-    solve_pitch_scheme,
-)
-from spwt import experiments
+from spwt import ArrayGeometry, InfeasibleGeometry, Position3D
+from spwt import experiments, placement
 from test_reuse import _study
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -177,15 +170,16 @@ def study_scenarios() -> list:
     ]
 
 
-def indexed_study(scenario, index: int) -> list:
+def indexed_study(scenario, index: int, discarded: list) -> list:
     """Each solver's outcome at ``index``: the bisector's placements, then
     the extension's on the left and on the right, with a named error
-    recorded as its type and text."""
+    recorded as its type and text; each discarded candidate's text is
+    appended to ``discarded``, as ``solve_all`` lists them at index 1."""
     out = []
     for solve in (
-        lambda: solve_azimuth_scheme(scenario, index),
-        lambda: solve_pitch_scheme(scenario, index, "left"),
-        lambda: solve_pitch_scheme(scenario, index, "right"),
+        lambda: placement._azimuth(scenario, index, discarded),
+        lambda: placement._pitch(scenario, index, "left", None, discarded),
+        lambda: placement._pitch(scenario, index, "right", None, discarded),
     ):
         try:
             out.append(solve())
@@ -196,16 +190,16 @@ def indexed_study(scenario, index: int) -> list:
 
 def study_record(scenario, k: int = 1) -> list[str]:
     """The case's three lines: the scenario's repr (followed by ``index=K``
-    for an index K above 1), the repr of its record and the messages of the
-    warnings that making the record emitted."""
+    for an index K above 1), the repr of its record and the texts of the
+    candidates that making the record discarded."""
     head = repr(scenario)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if k == 1:
-            record = _study(scenario)
-        else:
-            head, record = f"{head} index={k}", indexed_study(scenario, k)
-    return [head, repr(record), repr([str(w.message) for w in caught])]
+    if k == 1:
+        (solutions, failures, discarded), *sweeps = _study(scenario)
+        record = [(solutions, failures), *sweeps]
+    else:
+        discarded = []
+        head, record = f"{head} index={k}", indexed_study(scenario, k, discarded)
+    return [head, repr(record), repr(discarded)]
 
 
 def study_records() -> list[str]:

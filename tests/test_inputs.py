@@ -6,7 +6,6 @@ correlation kernel and map take every node on the ground.
 """
 
 import math
-import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -120,9 +119,8 @@ def test_float_fields_are_stored_as_python_floats(dtype):
     # value, so a float32 or float16 altitude places exactly as the float64
     # one does, and no numpy scalar reaches a placement
     scenario = make_scenario(g=dtype(200.0), yaw=dtype(0.5), x_e=dtype(500.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = solve_all(scenario)
+    got = solve_all(scenario)
+    assert got[2] == []
     assert repr(got) == repr(solve_all(make_scenario(yaw=float(dtype(0.5)))))
     values = [
         *astuple(Position3D(dtype(1.0), dtype(2.0), dtype(3.0))),

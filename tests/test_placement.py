@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -136,9 +135,8 @@ def test_a_quarter_turn_places_on_its_live_factor():
             live, count = ("row", m) if p % 2 == 0 else ("column", n)
             for delta in (0.0, 1e-12, -1e-12, 1e-10, 5e-10):
                 sc = make_scenario(m=m, n=n, yaw=p * math.pi / 2.0 + delta)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    solutions, failures = solve_all(sc)
+                solutions, failures, discarded = solve_all(sc)
+                assert discarded == [], (m, n, p, delta)
                 assert bool(solutions) == (count > 1), (m, n, p, delta)
                 for s in solutions:
                     assert s.factor_used == live
@@ -152,7 +150,7 @@ def test_a_zero_factor_term_needs_an_infinite_gap():
     # gap it would need as inf, not a division by zero
     sc = replace(make_scenario(), array=ArrayGeometry(4, 4, 1.0, spacing_m=5e-324))
     assert sc.array.phase_coef == 0.0
-    solutions, failures = solve_all(sc)
+    solutions, failures, _ = solve_all(sc)
     assert solutions == []
     assert [f.split(":")[0] for f in failures] == ["azimuth", "pitch left", "pitch right"]
     assert "no real lateral offset" in failures[0]
@@ -191,10 +189,45 @@ def test_index_rule_is_per_factor():
     assert [s.factor_used for s in solutions] == ["row", "row"]
     for s in solutions:
         assert explicit_correlation(sc, s.position) <= 1e-8
-    with pytest.raises(InfeasibleGeometry, match="multiple of the column dimension"):
-        solve_pitch_scheme(sc, 3, factor="column")
     with pytest.raises(InfeasibleGeometry, match="multiple of both array dimensions"):
         solve_pitch_scheme(sc, 24)
+    # a forced factor with no zero names the index as a number, in any form
+    for scenario, index, factor in (
+        (sc, 3, "column"), (sc, 3.0, "column"), (sc, np.int64(3), "column"),
+        (make_scenario(m=1, n=8, yaw=1.0), True, "row"),
+    ):
+        with pytest.raises(InfeasibleGeometry) as info:
+            solve_pitch_scheme(scenario, index, factor=factor)
+        want = f"index {int(index)} is a multiple of the {factor} dimension"
+        assert str(info.value) == want
+
+
+@pytest.mark.parametrize(
+    "sc, advice",
+    [
+        # the column term is 0 at yaw 0: no altitude helps, a turn away does
+        (
+            make_scenario(m=1, n=8, yaw=0.0, g=1e-3),
+            "rotate the yaw away from the ground axis",
+        ),
+        # the row term is already 8 at yaw 0: only a lower altitude helps
+        (make_scenario(m=8, n=1, yaw=0.0, g=5000.0), "lower the altitude"),
+        (
+            make_scenario(m=8, n=1, yaw=0.3, g=5000.0),
+            "lower the altitude or rotate the yaw closer to the ground axis",
+        ),
+        # 0.01 m at 3 GHz: 4 elements reach 0.8 < 1 at any yaw
+        (
+            replace(make_scenario(), array=ArrayGeometry(4, 4, 3.0e9, 0.01)),
+            "no altitude or yaw gives one",
+        ),
+    ],
+    ids=["turn-only", "altitude-only", "both", "neither"],
+)
+def test_bisector_advice_names_only_what_can_help(sc, advice):
+    failures = solve_all(sc, ("azimuth",))[1]
+    assert len(failures) == 1 and failures[0].startswith("azimuth: no real lateral offset")
+    assert failures[0].endswith(f" m^2); {advice}")
 
 
 @pytest.mark.parametrize("m, n, live", [(1, 8, "column"), (8, 1, "row")])
@@ -204,10 +237,8 @@ def test_linear_arrays_place_on_their_one_factor(m, n, live, carrier_hz, spacing
     # solved: at 5.8 GHz and 0.12 m its closed form gives points that fail
     # certification
     sc = replace(make_scenario(), array=ArrayGeometry(m, n, carrier_hz, spacing_m))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        solutions, failures = solve_all(sc)
-    assert (caught, failures) == ([], [])
+    solutions, failures, discarded = solve_all(sc)
+    assert (discarded, failures) == ([], [])
     assert [s.factor_used for s in solutions] == [live] * 4
     for s in solutions:
         assert explicit_correlation(sc, s.position) <= 1e-8
@@ -222,10 +253,8 @@ def test_solvers_honour_the_element_spacing(spacing_m, placements):
     # half-wavelength spacing; null equations that assumed pi placed nothing
     sc = make_scenario(yaw=math.pi / 4.0 + 0.1)
     sc = replace(sc, array=ArrayGeometry(4, 4, 3.0e9, spacing_m))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        solutions, _ = solve_all(sc)
-    assert caught == []
+    solutions, _, discarded = solve_all(sc)
+    assert discarded == []
     assert len(solutions) == placements
     for s in solutions:
         assert s.null_residual <= 1e-12
@@ -267,12 +296,9 @@ def test_non_whole_index_is_rejected_before_solving(reference_scenario, call):
     # discarded as unverified, a gap reported as unattainable, or an integer
     # too large to convert to float; on a 1x1 array, which has no factor
     # zero, the index is still outside the model
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(ValueError, match="positive integer") as info:
-            call(reference_scenario)
+    with pytest.raises(ValueError, match="positive integer") as info:
+        call(reference_scenario)
     assert type(info.value) is ValueError
-    assert caught == []
 
 
 def test_higher_index_solutions_verify():
@@ -385,7 +411,7 @@ def test_solve_all_finds_each_extension_root_once(monkeypatch):
         return gap(x_e, g, t)
 
     monkeypatch.setattr(placement, "_pitch_gap", counted)
-    solutions, failures = solve_all(make_scenario())
+    solutions, failures, _ = solve_all(make_scenario())
     assert len(solutions) == 4 and not failures
     # One root, the row factor's, five Newton steps from the top of its
     # bracket, serves both sides; the column factor, which no side needs,
@@ -457,10 +483,14 @@ def test_null_is_locally_sharp(reference_scenario):
     ids=["g-nan", "x_e-inf", "yaw-nan"],
 )
 def test_no_certified_candidate_raises_infeasible(build):
-    with pytest.warns(UserWarning, match="failed verification"):
-        with pytest.raises(InfeasibleGeometry) as info:
-            solve_azimuth_scheme(build())
+    # the discarded candidate is solve_all's to report
+    sc = build()
+    with pytest.raises(InfeasibleGeometry) as info:
+        solve_azimuth_scheme(sc)
     assert str(info.value) == "every bisector candidate failed verification"
+    solutions, failures, discarded = solve_all(sc, ("azimuth",))
+    assert (solutions, failures) == ([], [f"azimuth: {info.value}"])
+    assert [d.split("=")[0] for d in discarded] == ["bisector candidate y"]
 
 
 _LIFTED = "the placement schemes need both ground nodes at z = 0"
@@ -492,56 +522,56 @@ def test_lifted_ground_node_is_rejected_before_any_kernel_call(
         lambda: solve_all(lifted()),
         lambda: solve_all(lifted(), ("pitch",)),
     ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for call in calls:
-            with pytest.raises(ValueError) as info:
-                call()
-            assert type(info.value) is ValueError
-            assert str(info.value) == _LIFTED
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError
+        assert str(info.value) == _LIFTED
     assert kernel_calls == []
 
 
 def test_solve_all_order_and_failures():
     sc = make_scenario()
-    solutions, failures = solve_all(sc)
-    assert failures == []
+    solutions, failures, discarded = solve_all(sc)
+    assert failures == discarded == []
     assert solutions == solve_azimuth_scheme(sc) + [
         solve_pitch_scheme(sc, side="left"),
         solve_pitch_scheme(sc, side="right"),
     ]
     assert [s.scheme for s in solutions] == ["azimuth", "azimuth", "pitch", "pitch"]
     # the order follows the requested schemes
-    pitch_first, _ = solve_all(sc, ("pitch", "azimuth"))
+    pitch_first = solve_all(sc, ("pitch", "azimuth"))[0]
     assert [s.scheme for s in pitch_first] == ["pitch", "pitch", "azimuth", "azimuth"]
 
     # 2x2 at 100 m: the bisector has placements, the extension has none
-    solutions, failures = solve_all(make_scenario(m=2, n=2, g=100.0))
+    solutions, failures, _ = solve_all(make_scenario(m=2, n=2, g=100.0))
     assert [s.scheme for s in solutions] == ["azimuth", "azimuth"]
     assert len(failures) == 2
     assert failures[0].startswith("pitch left: extension scheme infeasible on the left")
     assert failures[1].startswith("pitch right: extension scheme infeasible on the right")
 
-    solutions, failures = solve_all(make_scenario(g=10_000.0))
+    solutions, failures, _ = solve_all(make_scenario(g=10_000.0))
     assert solutions == []
     assert [f.split(":")[0] for f in failures] == ["azimuth", "pitch left", "pitch right"]
-    assert "no real lateral offset" in failures[0]
+    assert failures[0].endswith(
+        "; lower the altitude or rotate the yaw closer to the ground axis"
+    )
 
     # a quarter-turn yaw is reported like any other scenario: a 1x8 array
     # has only its column factor, which yaw 0 zeroes (the extension scheme
     # needs an infinite gap, which no altitude, index or array size gives,
     # and the bisector a yaw turned away from the ground axis), and which
     # places on every locus at pi/2
-    solutions, failures = solve_all(make_scenario(m=1, n=8, yaw=0.0))
+    solutions, failures, _ = solve_all(make_scenario(m=1, n=8, yaw=0.0))
     assert solutions == []
-    assert failures[0].endswith("rotate the yaw away from the ground axis")
+    assert failures[0].endswith("m^2); rotate the yaw away from the ground axis")
     for side, f in zip(("left", "right"), failures[1:]):
         assert f.endswith(f"gap of inf, above the attainable 0.928477 on the {side} side")
-    solutions, failures = solve_all(make_scenario(m=1, n=8, yaw=math.pi / 2.0))
+    solutions, failures, _ = solve_all(make_scenario(m=1, n=8, yaw=math.pi / 2.0))
     assert {s.factor_used for s in solutions} == {"column"} and failures == []
 
     # no factor has a zero at the index: reported for every scheme and side
-    solutions, failures = solve_all(make_scenario(m=1, n=1))
+    solutions, failures, _ = solve_all(make_scenario(m=1, n=1))
     why = "multiple of both array dimensions (1x1); neither factor has a zero there"
     assert solutions == []
     names = ("azimuth", "pitch left", "pitch right")
@@ -551,14 +581,12 @@ def test_solve_all_order_and_failures():
 
 
 def test_solve_all_rejects_an_unknown_scheme_before_solving(kernel_calls):
-    # the bisector of a nan altitude warns of its discarded candidate; a
-    # scheme name it cannot solve is rejected before that
+    # the bisector of a nan altitude discards its candidate; a scheme name
+    # it cannot solve is rejected before the kernel runs
     sc = unchecked_scenario(uav_height_m=math.nan)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(ValueError, match="scheme must be 'azimuth' or 'pitch'"):
-            solve_all(sc, ("azimuth", "spiral"))
-    assert (caught, kernel_calls) == ([], [])
+    with pytest.raises(ValueError, match="scheme must be 'azimuth' or 'pitch'"):
+        solve_all(sc, ("azimuth", "spiral"))
+    assert kernel_calls == []
 
 
 @example(sc=make_scenario(), m=1, n=1, k=1)
@@ -578,15 +606,13 @@ def test_small_arrays_place_certified_or_raise_infeasible(sc, m, n, k):
         for side in ("left", "right")
         for fac in (None, "row", "column")
     ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        placed = []
-        for call in calls:
-            try:
-                placed.extend(call())
-            except InfeasibleGeometry:
-                pass
-        solutions, failures = solve_all(sc)
+    placed = []
+    for call in calls:
+        try:
+            placed.extend(call())
+        except InfeasibleGeometry:
+            pass
+    solutions, failures, _ = solve_all(sc)
     for s in placed + solutions:
         assert s.null_residual <= 1e-8
         assert correlation_map(sc, [s.position.x], [s.position.y])[0, 0] <= 1e-8
@@ -606,11 +632,8 @@ def test_solutions_lie_on_their_loci():
 
 
 def _solved(sc):
-    """solve_all(sc) with its warnings silenced: the solutions, and which
-    schemes and sides failed."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        solutions, failures = solve_all(sc)
+    """solve_all(sc)'s solutions, and which schemes and sides failed."""
+    solutions, failures, _ = solve_all(sc)
     return solutions, [f.split(":")[0] for f in failures]
 
 
@@ -859,6 +882,47 @@ def test_the_map_reads_a_null_at_each_placement_in_a_turned_frame():
     assert count == 14
 
 
+@settings(max_examples=100)
+@given(
+    sc=finite_scenarios(),
+    decades=st.floats(0.0, 13.0),
+    heading=st.floats(-math.pi, math.pi),
+    bearing=st.floats(-math.pi, math.pi),
+)
+def test_the_map_reads_each_placements_certified_residual_in_any_frame(
+    sc, decades, heading, bearing
+):
+    # certification reads |rho| at the canonical image of the position
+    # returned, so the map at that position reads it bit for bit, however
+    # far off the origin the receiver lies (up to 1e13 m toward ``heading``,
+    # log-uniform) and at whatever ``bearing`` the eavesdropper lies from it
+    offset, d = 10.0**decades, sc.eve.x
+    bob = Position3D(offset * math.cos(heading), offset * math.sin(heading))
+    eve = Position3D(bob.x + d * math.cos(bearing), bob.y + d * math.sin(bearing))
+    sc = replace(sc, bob=bob, eve=eve)
+    for s in solve_all(sc)[0]:
+        at = correlation_map(sc, [s.position.x], [s.position.y])[0, 0]
+        assert at == s.null_residual, s
+
+
+def test_a_candidate_rounded_off_its_null_is_discarded():
+    # with the receiver at (1e12, -7e11) m, mapping a canonical null to the
+    # caller's frame rounds four of the six candidates to points whose |rho|
+    # is above 1e-8: each is discarded, not returned as certified at its
+    # canonical point's |rho|, which is below 1e-15 for all six
+    bob = Position3D(1e12, -7e11)
+    eve = Position3D(bob.x + 430.0 * math.cos(2.2), bob.y + 430.0 * math.sin(2.2))
+    sc = replace(make_scenario(g=180.0, yaw=1.1), bob=bob, eve=eve)
+    solutions, failures, discarded = solve_all(sc)
+    assert (len(solutions), len(failures), len(discarded)) == (2, 2, 4)
+    assert [f.split(":")[0] for f in failures] == ["pitch left", "pitch right"]
+    assert all("candidate failed verification" in f for f in failures)
+    assert all(text.endswith("; discarded") for text in discarded)
+    for s in solutions:
+        assert s.null_residual <= placement._NULL_TOL
+        assert correlation_map(sc, [s.position.x], [s.position.y])[0, 0] == s.null_residual
+
+
 def test_grid_oracle_validates_inputs(reference_scenario):
     with pytest.raises(ValueError):
         grid_null_oracle(reference_scenario, "midline", 0.0)
@@ -867,11 +931,8 @@ def test_grid_oracle_validates_inputs(reference_scenario):
 
 
 def test_no_verification_warnings_in_normal_runs(reference_scenario):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        solve_azimuth_scheme(reference_scenario)
-        solve_pitch_scheme(reference_scenario, side="left")
-        solve_pitch_scheme(reference_scenario, side="right")
+    # nothing is discarded, so the CLI prints no warning line
+    assert solve_all(reference_scenario)[1:] == ([], [])
 
 
 def _factor_targets(sc):
@@ -1091,14 +1152,16 @@ def test_extension_row_null_at_extreme_roots_and_targets(sc):
 _B = "bisector candidate y={} failed verification (|rho| = {}); discarded"
 _E = "extension candidate x={} failed verification (|rho| = {}); discarded"
 
-# Per case: the scenario, then the warning messages of solve_azimuth_scheme
-# and of solve_pitch_scheme on each side, in emission order.  Every warning
-# is a UserWarning.  "row-fails" has a billion rows, whose row nulls fail on
-# the rounding of the row sum: both extension sides discard their row
-# candidate and certify the column one, and the bisector keeps only its
-# column placements.  In the nan cases the row and column candidates fall on
-# the same points (a square array at a 45 degree yaw, or y = 0), and each
-# point is warned of once.
+# Per case: the scenario, then the texts each solver body appends to its
+# discard list (the bisector's, then the extension scheme's on each side),
+# in the order found: what the CLI prints after "warning: ".  "row-fails" has
+# a billion rows, whose row nulls fail on the rounding of the row sum: both
+# extension sides discard their row candidate and certify the column one,
+# and the bisector keeps only its column placements.  In the nan cases the
+# row and column candidates fall on the same points (a square array at a 45
+# degree yaw, or y = 0), and the bisector certifies each point once.  Beyond
+# a 1e200 m segment the right side's row and column candidates round to one
+# point, which that side discards twice and solve_all lists once.
 WARNING_CASES = {
     "g-nan": (
         lambda: unchecked_scenario(uav_height_m=math.nan),
@@ -1121,44 +1184,67 @@ WARNING_CASES = {
         [_E.format("-191688", "8.286e-08")],
         [_E.format("192188", "8.286e-08")],
     ),
+    "far": (
+        lambda: make_scenario(x_e=1e200),
+        [], [], [_E.format("1e+200", "7.233e-02")] * 2,
+    ),
 }
 
 
-def _recorded(call):
-    """The (category, message) pairs ``call`` warns, and what it returns or
-    the type and text of what it raises."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            outcome = call()
-        except InfeasibleGeometry as exc:
-            outcome = (type(exc).__name__, str(exc))
-    return [(w.category, str(w.message)) for w in caught], outcome
+def _reported(call):
+    """The texts ``call`` appends to the discard list it is given, and what
+    it returns or the type and text of the InfeasibleGeometry it raises."""
+    discarded = []
+    try:
+        outcome = call(discarded)
+    except InfeasibleGeometry as exc:
+        outcome = (type(exc).__name__, str(exc))
+    return discarded, outcome
 
 
 @pytest.mark.parametrize("case", sorted(WARNING_CASES))
 def test_warning_sequences_are_pinned(case):
     build, az, left, right = WARNING_CASES[case]
     sc = build()
+    # each body, and the public solver that drops its discards; a placement
+    # as a list of placements
     calls = {
-        "azimuth": lambda: solve_azimuth_scheme(sc),
-        "left": lambda: solve_pitch_scheme(sc, side="left"),
-        "right": lambda: solve_pitch_scheme(sc, side="right"),
-        "all": lambda: solve_all(sc),
+        "azimuth": (
+            lambda d: placement._azimuth(sc, 1, d),
+            lambda: solve_azimuth_scheme(sc),
+        ),
+        **{
+            side: (
+                lambda d, side=side: [placement._pitch(sc, 1, side, None, d)],
+                lambda side=side: [solve_pitch_scheme(sc, side=side)],
+            )
+            for side in ("left", "right")
+        },
     }
-    expected = {"azimuth": az, "left": left, "right": right, "all": az + left + right}
+    expected = {"azimuth": az, "left": left, "right": right}
     first = {}
-    # twice over on the same scenario object: a repeated call warns again,
+    # twice over on the same scenario object: a repeated call reports again,
     # in the same order, and gives the same result
     for _ in range(2):
-        for name, call in calls.items():
-            caught, outcome = _recorded(call)
-            assert caught == [(UserWarning, m) for m in expected[name]], name
+        for name, (body, public) in calls.items():
+            discarded, outcome = _reported(body)
+            assert discarded == expected[name], name
             assert outcome == first.setdefault(name, outcome), name
+            assert _reported(lambda _: public()) == ([], outcome), name
+        # solve_all lists each text once, in the order found
+        placed = [s for o in first.values() if isinstance(o, list) for s in o]
+        failed = [o for o in first.values() if isinstance(o, tuple)]
+        solutions, failures, discarded = solve_all(sc)
+        assert discarded == list(dict.fromkeys(az + left + right))
+        assert (solutions, len(failures)) == (placed, len(failed))
     if case == "row-fails":
         assert [s.factor_used for s in first["azimuth"]] == ["column", "column"]
-        assert first["left"].factor_used == first["right"].factor_used == "column"
-        assert first["all"] == (first["azimuth"] + [first["left"], first["right"]], [])
+        assert first["left"][0].factor_used == first["right"][0].factor_used == "column"
+    elif case == "far":
+        assert first["right"][1].endswith(
+            "row factor candidate failed verification; "
+            "column factor candidate failed verification"
+        )
     else:
         assert first["azimuth"][1] == "every bisector candidate failed verification"
         assert first["left"][0] == first["right"][0] == "InfeasibleGeometry"
@@ -1214,19 +1300,19 @@ def frontier_cases(draw):
 
 def _frontier_places(sc, scheme, index, factor) -> list[bool]:
     """Whether ``factor`` places: forced, on each extension side, or among
-    the bisector's placements.  No call warns of a failed candidate or
+    the bisector's placements.  No call discards a failed candidate or
     raises but for a frontier reason."""
     if scheme == "pitch":
         calls = [
-            lambda side=side: [solve_pitch_scheme(sc, index, side, factor)]
+            lambda d, side=side: [placement._pitch(sc, index, side, factor, d)]
             for side in ("left", "right")
         ]
     else:
-        calls = [lambda: solve_azimuth_scheme(sc, index)]
+        calls = [lambda d: placement._azimuth(sc, index, d)]
     places = []
     for call in calls:
-        caught, outcome = _recorded(call)
-        assert not [m for _, m in caught if "failed verification" in m]
+        discarded, outcome = _reported(call)
+        assert discarded == []
         if isinstance(outcome, tuple):
             kind, why = outcome
             assert kind == "InfeasibleGeometry"
@@ -1248,12 +1334,10 @@ def test_each_factor_places_below_its_feasibility_frontier_only(case):
 
 def _side_outcome(sc, side, factor):
     """solve_pitch_scheme's placement, or the text of its InfeasibleGeometry."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            return solve_pitch_scheme(sc, side=side, factor=factor)
-        except InfeasibleGeometry as exc:
-            return str(exc)
+    try:
+        return solve_pitch_scheme(sc, side=side, factor=factor)
+    except InfeasibleGeometry as exc:
+        return str(exc)
 
 
 @given(sc=finite_scenarios())
@@ -1277,9 +1361,7 @@ def test_every_solution_is_finite_certified_and_on_its_locus(sc):
     # finite_scenarios put the receiver at the origin and the eavesdropper
     # on the +x axis, so the caller's frame is the canonical one
     x_e, g = sc.eve.x, sc.uav_height_m
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        solutions, _ = solve_all(sc)
+    solutions = solve_all(sc)[0]
     for s in solutions:
         p = s.position
         assert all(math.isfinite(v) for v in (p.x, p.y, p.z))
@@ -1295,9 +1377,7 @@ def test_every_solution_is_finite_certified_and_on_its_locus(sc):
 
 @given(sc=finite_scenarios())
 def test_every_solution_field_is_finite(sc):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        solutions, _ = solve_all(sc)
+    solutions = solve_all(sc)[0]
 
     def numbers(value):
         if isinstance(value, tuple):
@@ -1320,9 +1400,7 @@ def test_solution_rate_equals_per_point_link_metrics(sc, alpha, noise_b, noise_e
     assume(noise_b != noise_e)
     power = PowerConfig(sc.power.total_power_w, alpha, noise_b, noise_e)
     sc = replace(sc, power=power)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        solutions, _ = solve_all(sc)
+    solutions = solve_all(sc)[0]
     for s in solutions:
         want = link_metrics(s.null_residual, power).secrecy_rate_bps_hz
         assert s.sr_at_solution == want

@@ -5,15 +5,13 @@ baselines' rate rows each sweep grid gives them; the grid's own axis
 scenarios, for the last two.  A sweep takes its inputs as floats, so equal
 values give equal bits and share one axis, whatever their type.  A warm
 scenario must give exactly what a fresh equal copy gives, as fresh
-objects, with the same warnings from the solvers (a sweep warns only on
-the first pick of its scheme), and the kept scenario must be released
-once another one is solved."""
+objects, with the same discarded candidates reported by ``solve_all``, and
+the kept scenario must be released once another one is solved."""
 
 import gc
 import math
 import sys
 import threading
-import warnings
 import weakref
 from dataclasses import replace
 from decimal import Decimal
@@ -70,11 +68,13 @@ def test_returned_lists_are_fresh(reference_scenario):
     first.clear()
     assert solve_azimuth_scheme(sc) == want
 
-    solutions, failures = solve_all(sc)
-    want = (list(solutions), list(failures))
+    rows_fail = make_scenario(m=10**9, n=4)  # discards a candidate per side
+    solutions, failures, discarded = solve_all(rows_fail)
+    want = (list(solutions), list(failures), list(discarded))
     solutions.pop()
     failures.append("mutated")
-    assert solve_all(sc) == want
+    discarded.clear()
+    assert solve_all(rows_fail) == want
 
     result = sweep_snr(sc)
     want_series = {k: list(v) for k, v in result.series.items()}
@@ -365,7 +365,7 @@ def test_solve_all_certifies_missing_sides_together(kernel_calls):
 
 
 def test_solve_all_makes_one_kernel_call_per_scheme(kernel_calls):
-    solutions, _ = solve_all(make_scenario())
+    solutions = solve_all(make_scenario())[0]
     assert len(solutions) == 4
     assert len(kernel_calls) == 2
 
@@ -389,14 +389,14 @@ _PITCH_CALLS = [
 
 
 def _pitch_outcome(sc, side, factor):
-    """One pitch solve's solution or error text, with its warnings."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            outcome = repr(solve_pitch_scheme(sc, side=side, factor=factor))
-        except InfeasibleGeometry as exc:
-            outcome = str(exc)
-    return outcome, [str(w.message) for w in caught]
+    """One pitch solve's solution or error text, with the candidates it
+    discards."""
+    discarded = []
+    try:
+        outcome = repr(placement._pitch(sc, 1, side, factor, discarded))
+    except InfeasibleGeometry as exc:
+        outcome = str(exc)
+    return outcome, discarded
 
 
 @given(sc=finite_scenarios(), order=st.permutations(_PITCH_CALLS))
@@ -428,45 +428,19 @@ def test_sweeps_of_a_scheme_pick_its_placement_once(monkeypatch, reference_scena
     assert len(calls) == 3
 
 
-def test_sweeps_warn_on_the_first_pick_of_a_scheme_only():
+def test_solve_all_reports_the_discards_on_every_call():
     # the "row-fails" case of test_placement: two bisector and one extension
-    # candidate per side are discarded
+    # candidate per side are discarded.  A warm scenario reports them as a
+    # cold one does, before and after the sweeps pick its placements, which
+    # report none and give what they give on a fresh copy.
     sc = make_scenario(m=10**9, n=4)
-    counts = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for call in (
-            lambda: sweep_snr(sc),
-            lambda: sweep_alpha(sc),
-            lambda: sweep_snr(sc),
-            lambda: sweep_alpha(sc, scheme="pitch"),
-            lambda: sweep_snr(sc, scheme="pitch"),
-            lambda: solve_all(sc),  # the solvers still warn on every call
-            lambda: sweep_snr(replace(sc)),  # an equal copy is picked afresh
-        ):
-            before = len(caught)
-            call()
-            counts.append(len(caught) - before)
-    assert counts == [2, 0, 0, 2, 0, 4, 2]
-
-
-def test_replayed_warnings_point_at_the_caller():
-    # the "row-fails" case of test_placement: two bisector and one extension
-    # candidate per side are discarded, and a repeated solve warns again; a
-    # sweep warns on the first pick of its scheme only, from deeper inside
-    # the package, and names this file all the same
-    sc = make_scenario(m=10**9, n=4)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for _ in range(2):
-            solve_azimuth_scheme(sc)
-            solve_pitch_scheme(sc, side="right")
-            solve_all(sc)
-            for scheme in ("azimuth", "pitch"):
-                sweep_snr(sc, scheme=scheme)
-                sweep_alpha(sc, scheme=scheme)
-    assert len(caught) == 2 * (2 + 1 + 4) + (2 + 2)
-    assert {w.filename for w in caught} == {__file__}
+    want = solve_all(replace(sc))
+    assert len(want[2]) == 4
+    sweeps = [sweep_snr(replace(sc)), sweep_alpha(replace(sc), scheme="pitch")]
+    for _ in range(2):
+        assert solve_all(sc) == want
+        assert [sweep_snr(sc), sweep_alpha(sc, scheme="pitch")] == sweeps
+    assert solve_all(sc, ("pitch",))[2] == want[2][2:]
 
 
 def test_threads_each_get_their_own_scenario_outcomes():
