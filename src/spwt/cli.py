@@ -259,20 +259,26 @@ def cmd_sweep(args, resolved: dict, scenario: ScenarioConfig) -> int:
     from .experiments import sweep_alpha, sweep_snr
 
     grid = None if args.grid is None else _sweep_grid(args.grid, args.kind)
-    # the sweep raises for a scheme with no placement; its discards come first
+    # The sweep checks its grid before it solves, so a rejected grid prints
+    # no discards; a scheme with no placement prints them before it raises.
+    try:
+        if args.kind == "snr":
+            result = sweep_snr(scenario, scheme=args.scheme, snr_db_grid=grid)
+            x_name, x_label = "snr_db", "SNR (dB)"
+        else:
+            # The config's own SNR, P/sigma^2 (PowerConfig rejects one that
+            # overflows); a ratio that underflows gives -inf, which the sweep
+            # rejects.
+            ratio = resolved["p_w"] / resolved["sigma2_w"]
+            snr_db = 10.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
+            result = sweep_alpha(
+                scenario, snr_db=snr_db, alpha_grid=grid, scheme=args.scheme
+            )
+            x_name, x_label = "alpha", "alpha"
+    except InfeasibleGeometry:
+        _solve(scenario, (args.scheme,))
+        raise
     _solve(scenario, (args.scheme,))
-    if args.kind == "snr":
-        result = sweep_snr(scenario, scheme=args.scheme, snr_db_grid=grid)
-        x_name, x_label = "snr_db", "SNR (dB)"
-    else:
-        # The config's own SNR, P/sigma^2 (PowerConfig rejects one that
-        # overflows); a ratio that underflows gives -inf, which the sweep rejects.
-        ratio = resolved["p_w"] / resolved["sigma2_w"]
-        snr_db = 10.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
-        result = sweep_alpha(
-            scenario, snr_db=snr_db, alpha_grid=grid, scheme=args.scheme
-        )
-        x_name, x_label = "alpha", "alpha"
     header = ",".join([x_name] + [f"sr_{name}" for name in result.series])
     csv_text = _csv(header, zip(result.x_axis, *result.series.values()))
     svg_text = render_line_chart(

@@ -21,11 +21,11 @@ caller who maps the returned position reads, with the scenario's one kept
 frame and kernel (:func:`_frame`), into one record of the same shape for
 both solvers (:func:`_certify`), which holds the caller-frame position for
 an accepted candidate only.  The bisector certifies all its candidates in
-one kernel pass; the extension scheme makes one pass per factor, both sides
-together, and computes the column factor only when a call reaches it
-(forced, or the row factor failed on the side asked for).  The records of
-the last scenario object asked for are kept while the same object keeps
-being asked.  On each call, one step (:func:`_accept`) turns every record the
+one kernel pass; the extension scheme tries the row factor, then the column,
+makes one pass per factor, both sides together, and computes the column
+factor only when a call reaches it: the row factor has no zero, or fails on
+the side asked for.  The records of the last scenario object asked for are
+kept while the same object keeps being asked.  On each call, one step (:func:`_accept`) turns every record the
 solver picks into a placement, or into the text of its discard; a solver
 with no certified candidate raises ``InfeasibleGeometry``.
 :func:`solve_all` reports every discard, once, beside its placements and
@@ -123,7 +123,8 @@ def _kept(scenario: "ScenarioConfig", key: tuple, build, *args):
     the first time it is asked for; any other scenario's are dropped first.
 
     Keys name what was computed: ("frame",), ("factors", index), ("azimuth",
-    index), ("pitch", index, factor) per factor reached, the sweeps'
+    index), ("pitch", index, factor) per factor an extension call reaches
+    (the column only past the row), the sweeps'
     ("baselines",), ("sweep", kind, grid, snr_db) and ("best", scheme).  They
     hold values only: the builders take the index's float, the sweeps the
     floats of the grid and ``snr_db`` before the slot, so inputs that compare
@@ -305,7 +306,6 @@ def solve_pitch_scheme(
     scenario: "ScenarioConfig",
     index: int = 1,
     side: str = "left",
-    factor: str | None = None,
 ) -> PlacementSolution:
     """Extension-scheme placement on one side of the ground segment.
 
@@ -329,40 +329,35 @@ def solve_pitch_scheme(
     ----------
     side : {"left", "right"}
         "left" places the transmitter at x < 0, "right" at x > x_e.
-    factor : {"row", "column"}, optional
-        Force one factor, which has no zero if its dimension divides
-        ``index``; by default the row factor is tried first and the column
-        factor wherever it fails or has no zero.  A factor's root search and
-        its certification pass of both sides run when a call first reaches it.
-        A candidate that fails is dropped here; :func:`solve_all` reports it.
+
+    The row factor is tried first, and the column factor wherever the row
+    fails on this side or has no zero (its dimension divides ``index``).  A
+    factor's root search and its certification pass of both sides run when
+    a call first reaches it.  A candidate that fails is dropped here;
+    :func:`solve_all` reports it.
 
     Raises
     ------
     InfeasibleGeometry
-        If no allowed factor has a zero at the index, or every one fails on
-        this side: its gap is above the attainable range, its root search
-        does not converge, or its candidate does not pass certification.
+        If neither factor has a zero at the index, or each one that has
+        fails on this side: its gap is above the attainable range, its root
+        search does not converge, or its candidate does not pass
+        certification.
     ValueError
-        For a ``side`` or ``factor`` not listed above, checked first, or an
-        index that is not a whole number of at least 1.
+        For a ``side`` not listed above, checked first, or an index that is
+        not a whole number of at least 1.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if factor not in (None, "row", "column"):
-        raise ValueError("factor must be 'row' or 'column'")
-    return _pitch(scenario, index, side, factor, [])
+    return _pitch(scenario, index, side, [])
 
 
-def _pitch(scenario: "ScenarioConfig", index, side, factor, discarded: list):
-    """:func:`solve_pitch_scheme` past its argument checks, each discarded
-    candidate's text appended to ``discarded``."""
-    factors = _check(scenario, index)
-    if factor is not None and factor not in factors:
-        raise InfeasibleGeometry(
-            f"index {float(index):.6g} is a multiple of the {factor} dimension"
-        )
+def _pitch(scenario: "ScenarioConfig", index, side, discarded: list):
+    """:func:`solve_pitch_scheme` past its side check, each discarded
+    candidate's text appended to ``discarded``: the first factor, row then
+    column, whose candidate on ``side`` certifies, or why none does."""
     failures, advice = [], ""
-    for fac, term in ((factor, factors[factor]),) if factor else factors.items():
+    for fac, term in _check(scenario, index).items():
         key = ("pitch", index, fac)
         record = _kept(scenario, key, _extension_candidates, index, fac, term)[side]
         if len(record) == 2:  # no candidate: (why, whether the gap was unattainable)
@@ -488,7 +483,7 @@ def solve_all(
         else:
             for side in ("left", "right"):
                 try:
-                    solutions.append(_pitch(scenario, 1, side, None, discarded))
+                    solutions.append(_pitch(scenario, 1, side, discarded))
                 except InfeasibleGeometry as exc:
                     failures.append(f"pitch {side}: {exc}")
     return solutions, failures, list(dict.fromkeys(discarded))

@@ -20,6 +20,7 @@ from hypothesis import settings, strategies as st
 
 from spwt import (
     ArrayGeometry,
+    InfeasibleGeometry,
     InvalidCorrelation,
     PowerConfig,
     Position3D,
@@ -395,6 +396,31 @@ def gap_bracket_top(x_e: float, g: float, target: float) -> float:
         (x_e / target) ** (1.0 / 3.0) * g ** (2.0 / 3.0),
         g * (1.0 - target) / math.sqrt(target * (2.0 - target)),
     )
+
+
+def pitch_on_factor(scenario: ScenarioConfig, factor: str, side="left", index=1):
+    """The extension placement of ``factor`` ("row" or "column") alone on
+    ``side``, where the solver tries the row factor first and the column only
+    past it.  It reads the records the solver keeps, under the solver's own
+    keys, so that a factor certified here is not certified again by the
+    solver, and the other way round.
+
+    Raises InfeasibleGeometry with the kept reason there are no factors at
+    ``index``, or with the text of why ``factor`` does not place there: it
+    has no zero, its gap is unattainable, its root search did not converge,
+    or its candidate's discard text."""
+    factors = placement._kept(scenario, ("factors", index), placement._factors, index)
+    if factor not in factors:
+        raise InfeasibleGeometry(f"the {factor} factor has no zero at index {index}")
+    records = placement._kept(
+        scenario, ("pitch", index, factor), placement._extension_candidates,
+        index, factor, factors[factor],
+    )
+    record = records[side]
+    outcome = record[0] if len(record) == 2 else placement._accept(record, index)
+    if isinstance(outcome, str):
+        raise InfeasibleGeometry(outcome)
+    return outcome
 
 
 def element_sum_map(scenario: ScenarioConfig, xs, ys) -> np.ndarray:

@@ -304,6 +304,41 @@ def test_sweep_infeasible_leaves_no_partial_files(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+def test_sweep_rejects_its_grid_before_it_solves(tmp_path, capsys, monkeypatch):
+    # rowfails discards four candidates, but a rejected grid prints only its
+    # error: the sweep checks the grid before it solves anything
+    def unreachable(*args):
+        raise AssertionError("solve_all was called")
+
+    monkeypatch.setattr("spwt.cli.solve_all", unreachable)
+    monkeypatch.setattr("spwt.experiments.solve_all", unreachable)
+    out = tmp_path / "o"
+    argv = ["sweep", "--grid", "3090:1:3090", "--config", str(GOLDEN / "rowfails.cfg")]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SNR 3090 dB is out of range") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["snr", "alpha"])
+def test_sweep_with_no_placement_warns_before_its_infeasible_line(tmp_path, capsys, kind):
+    # rowfails with one column: the bisector's two row candidates fail and
+    # the column factor has no zero, so the sweep has no placement
+    text = (GOLDEN / "rowfails.cfg").read_text().replace("n = 4", "n = 1")
+    (tmp_path / "a.cfg").write_text(text)
+    out = tmp_path / "o"
+    argv = ["sweep", "--kind", kind, "--config", str(tmp_path / "a.cfg")]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: bisector candidate y=1.76777e+11 failed verification "
+        "(|rho| = 2.862e-08); discarded",
+        "warning: bisector candidate y=-1.76777e+11 failed verification "
+        "(|rho| = 2.862e-08); discarded",
+        "infeasible: azimuth: every bisector candidate failed verification",
+    ]
+    assert not out.exists()
+
+
 def test_seed_precedence(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "a.cfg", seed=5)
     out = tmp_path / "o1"

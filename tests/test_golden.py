@@ -178,8 +178,8 @@ def indexed_study(scenario, index: int, discarded: list) -> list:
     out = []
     for solve in (
         lambda: placement._azimuth(scenario, index, discarded),
-        lambda: placement._pitch(scenario, index, "left", None, discarded),
-        lambda: placement._pitch(scenario, index, "right", None, discarded),
+        lambda: placement._pitch(scenario, index, "left", discarded),
+        lambda: placement._pitch(scenario, index, "right", discarded),
     ):
         try:
             out.append(solve())

@@ -36,6 +36,7 @@ from conftest import (
     look_angles,
     make_scenario,
     midpoint_symmetry_check,
+    pitch_on_factor,
     unchecked_position,
     unchecked_scenario,
 )
@@ -189,17 +190,17 @@ def test_index_rule_is_per_factor():
     assert [s.factor_used for s in solutions] == ["row", "row"]
     for s in solutions:
         assert explicit_correlation(sc, s.position) <= 1e-8
-    with pytest.raises(InfeasibleGeometry, match="multiple of both array dimensions"):
-        solve_pitch_scheme(sc, 24)
-    # a forced factor with no zero names the index as a number, in any form
-    for scenario, index, factor in (
-        (sc, 3, "column"), (sc, 3.0, "column"), (sc, np.int64(3), "column"),
-        (make_scenario(m=1, n=8, yaw=1.0), True, "row"),
+    # an index that both divide names the index as a number, in any form
+    for scenario, index in (
+        (sc, 24), (sc, 24.0), (sc, np.int64(24)), (make_scenario(m=1, n=1), True),
     ):
         with pytest.raises(InfeasibleGeometry) as info:
-            solve_pitch_scheme(scenario, index, factor=factor)
-        want = f"index {int(index)} is a multiple of the {factor} dimension"
-        assert str(info.value) == want
+            solve_pitch_scheme(scenario, index)
+        geom = scenario.array
+        assert str(info.value) == (
+            f"index {int(index)} is a multiple of both array dimensions "
+            f"({geom.m_rows}x{geom.n_cols}); neither factor has a zero there"
+        )
 
 
 @pytest.mark.parametrize(
@@ -242,9 +243,6 @@ def test_linear_arrays_place_on_their_one_factor(m, n, live, carrier_hz, spacing
     assert [s.factor_used for s in solutions] == [live] * 4
     for s in solutions:
         assert explicit_correlation(sc, s.position) <= 1e-8
-    dead = "row" if live == "column" else "column"
-    with pytest.raises(InfeasibleGeometry, match=f"multiple of the {dead} dimension"):
-        solve_pitch_scheme(sc, factor=dead)
 
 
 @pytest.mark.parametrize("spacing_m, placements", [(0.03, 4), (0.07, 6), (0.12, 6)])
@@ -261,18 +259,14 @@ def test_solvers_honour_the_element_spacing(spacing_m, placements):
         assert explicit_correlation(sc, s.position) <= 1e-8
 
 
-def test_pitch_rejects_an_unknown_side_or_factor(reference_scenario):
+def test_pitch_rejects_an_unknown_side(reference_scenario):
     # checked before the scenario is solved: on a 1x1 array, which has no
-    # factor zero, a bad argument still reads as one
+    # factor zero, a bad side still reads as one
     for sc in (reference_scenario, make_scenario(m=1, n=1)):
-        for kwargs, text in (
-            ({"side": "up"}, "side must be 'left' or 'right'"),
-            ({"factor": "diagonal"}, "factor must be 'row' or 'column'"),
-        ):
-            with pytest.raises(ValueError) as info:
-                solve_pitch_scheme(sc, **kwargs)
-            assert type(info.value) is ValueError
-            assert str(info.value) == text
+        with pytest.raises(ValueError) as info:
+            solve_pitch_scheme(sc, side="up")
+        assert type(info.value) is ValueError
+        assert str(info.value) == "side must be 'left' or 'right'"
 
 
 @pytest.mark.parametrize(
@@ -330,8 +324,8 @@ def test_pitch_equation_residual(reference_scenario):
 
 def test_pitch_column_factor_matches_row_here(reference_scenario):
     # M = N and |cos| = |sin| at this yaw, so both factors share the root
-    row = solve_pitch_scheme(reference_scenario, side="left", factor="row")
-    col = solve_pitch_scheme(reference_scenario, side="left", factor="column")
+    row = pitch_on_factor(reference_scenario, "row")
+    col = pitch_on_factor(reference_scenario, "column")
     assert row.position.x == pytest.approx(col.position.x, abs=1e-9)
     assert row.factor_used == "row"
     assert col.factor_used == "column"
@@ -380,10 +374,10 @@ def test_row_root_search_that_raises_falls_back_to_the_column(monkeypatch):
 
     monkeypatch.setattr(placement, "_bisect_gap", row_fails)
     assert solve_pitch_scheme(sc, side="left").factor_used == "column"
-    # forced onto the row, the side names the root search, with no advice
-    # meant for an unattainable gap
+    # with one column, whose factor is skipped, the side names the root
+    # search, with no advice meant for an unattainable gap
     with pytest.raises(InfeasibleGeometry) as info:
-        solve_pitch_scheme(sc, side="left", factor="row")
+        solve_pitch_scheme(make_scenario(m=4, n=1, yaw=0.6), side="left")
     assert str(info.value) == (
         "extension scheme infeasible on the left side: "
         "row root search did not converge"
@@ -419,11 +413,12 @@ def test_solve_all_finds_each_extension_root_once(monkeypatch):
     assert len(calls) <= 6
 
 
-def test_default_pitch_solve_computes_the_column_factor_only_when_forced(
+def test_default_pitch_solve_computes_the_column_factor_only_when_the_row_fails(
     monkeypatch, kernel_calls
 ):
     # the reference row factor serves both sides: one root search and one
-    # certification pass; a forced column adds exactly one of each
+    # certification pass; the column factor asked for alone adds exactly one
+    # of each, and a row whose candidates fail adds the column's to its own
     roots = []
     bisect = placement._bisect_gap
 
@@ -436,10 +431,14 @@ def test_default_pitch_solve_computes_the_column_factor_only_when_forced(
     solve_pitch_scheme(sc, side="left")
     solve_pitch_scheme(sc, side="right")
     assert (len(roots), len(kernel_calls)) == (1, 1)
-    column = solve_pitch_scheme(sc, side="left", factor="column")
-    solve_pitch_scheme(sc, side="right", factor="column")
+    column = pitch_on_factor(sc, "column")
+    pitch_on_factor(sc, "column", "right")
     assert column.factor_used == "column"
     assert (len(roots), len(kernel_calls)) == (2, 2)
+    sc = make_scenario(m=10**9, n=4)
+    assert solve_pitch_scheme(sc, side="left").factor_used == "column"
+    solve_pitch_scheme(sc, side="right")
+    assert (len(roots), len(kernel_calls)) == (4, 4)
 
 
 @given(sc=finite_scenarios())
@@ -518,7 +517,6 @@ def test_lifted_ground_node_is_rejected_before_any_kernel_call(
         lifted,
         lambda: solve_azimuth_scheme(lifted()),
         lambda: solve_pitch_scheme(lifted(), side="left"),
-        lambda: solve_pitch_scheme(lifted(), side="right", factor="column"),
         lambda: solve_all(lifted()),
         lambda: solve_all(lifted(), ("pitch",)),
     ]
@@ -597,14 +595,16 @@ def test_solve_all_rejects_an_unknown_scheme_before_solving(kernel_calls):
     k=st.integers(1, 12),
 )
 def test_small_arrays_place_certified_or_raise_infeasible(sc, m, n, k):
-    # indices that one side, both or neither divides, each factor forced or
-    # not: a solver returns placements certified at 1e-8 or raises
+    # indices that one side, both or neither divides, each factor alone or
+    # the solver's: a solver returns placements certified at 1e-8 or raises
     # InfeasibleGeometry, and solve_all reports what has none
     sc = replace(sc, array=ArrayGeometry(m, n, 3.0e9))
     calls = [lambda: solve_azimuth_scheme(sc, k)] + [
-        lambda side=side, fac=fac: [solve_pitch_scheme(sc, k, side, fac)]
+        lambda side=side: [solve_pitch_scheme(sc, k, side)] for side in ("left", "right")
+    ] + [
+        lambda side=side, fac=fac: [pitch_on_factor(sc, fac, side, k)]
         for side in ("left", "right")
-        for fac in (None, "row", "column")
+        for fac in ("row", "column")
     ]
     placed = []
     for call in calls:
@@ -979,7 +979,7 @@ def test_every_attainable_null_is_placed(sc):
     for fac, target, radicand in _factor_targets(sc):
         if target < gap_max:
             for side in ("left", "right"):
-                s = solve_pitch_scheme(sc, side=side, factor=fac)
+                s = pitch_on_factor(sc, fac, side)
                 assert s.factor_used == fac
                 assert s.null_residual <= 1e-8
         if radicand > 0.0:
@@ -1144,7 +1144,7 @@ def test_solvers_place_every_root_an_independent_scan_finds(case):
 )
 def test_extension_row_null_at_extreme_roots_and_targets(sc):
     for side in ("left", "right"):
-        s = solve_pitch_scheme(sc, side=side, factor="row")
+        s = pitch_on_factor(sc, "row", side)
         assert s.factor_used == "row"
         assert s.null_residual <= 1e-8
 
@@ -1215,7 +1215,7 @@ def test_warning_sequences_are_pinned(case):
         ),
         **{
             side: (
-                lambda d, side=side: [placement._pitch(sc, 1, side, None, d)],
+                lambda d, side=side: [placement._pitch(sc, 1, side, d)],
                 lambda side=side: [solve_pitch_scheme(sc, side=side)],
             )
             for side in ("left", "right")
@@ -1299,12 +1299,12 @@ def frontier_cases(draw):
 
 
 def _frontier_places(sc, scheme, index, factor) -> list[bool]:
-    """Whether ``factor`` places: forced, on each extension side, or among
+    """Whether ``factor`` places: alone on each extension side, or among
     the bisector's placements.  No call discards a failed candidate or
     raises but for a frontier reason."""
     if scheme == "pitch":
         calls = [
-            lambda d, side=side: [placement._pitch(sc, index, side, factor, d)]
+            lambda d, side=side: [pitch_on_factor(sc, factor, side, index)]
             for side in ("left", "right")
         ]
     else:
@@ -1333,9 +1333,12 @@ def test_each_factor_places_below_its_feasibility_frontier_only(case):
 
 
 def _side_outcome(sc, side, factor):
-    """solve_pitch_scheme's placement, or the text of its InfeasibleGeometry."""
+    """The placement of ``factor`` alone, or solve_pitch_scheme's for None;
+    or the text of its InfeasibleGeometry."""
     try:
-        return solve_pitch_scheme(sc, side=side, factor=factor)
+        if factor is None:
+            return solve_pitch_scheme(sc, side=side)
+        return pitch_on_factor(sc, factor, side)
     except InfeasibleGeometry as exc:
         return str(exc)
 

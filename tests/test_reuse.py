@@ -31,7 +31,7 @@ from spwt import (
 )
 from spwt import experiments, geometry, placement
 from spwt.experiments import DEFAULT_ALPHA_GRID
-from conftest import finite_scenarios, make_scenario
+from conftest import finite_scenarios, make_scenario, pitch_on_factor
 
 _OUT_OF_RANGE = (
     "dB is out of range: the linear SNR and the noise floor P/SNR must be "
@@ -371,14 +371,15 @@ def test_solve_all_makes_one_kernel_call_per_scheme(kernel_calls):
 
 
 def test_forced_factor_certifies_each_factor_once(kernel_calls):
-    # the default call certifies the row factor of both sides; a forced
-    # column certifies the column factor of both, and neither is repeated
+    # the default call certifies the row factor of both sides; the column
+    # factor asked for alone certifies the column factor of both, and
+    # neither is repeated
     sc = make_scenario()
     default = solve_pitch_scheme(sc, side="left")
     assert len(kernel_calls) == 1
-    column = solve_pitch_scheme(sc, side="left", factor="column")
-    solve_pitch_scheme(sc, side="right", factor="row")
-    solve_pitch_scheme(sc, side="right", factor="column")
+    column = pitch_on_factor(sc, "column")
+    pitch_on_factor(sc, "row", "right")
+    pitch_on_factor(sc, "column", "right")
     assert len(kernel_calls) == 2
     assert (default.factor_used, column.factor_used) == ("row", "column")
 
@@ -390,10 +391,13 @@ _PITCH_CALLS = [
 
 def _pitch_outcome(sc, side, factor):
     """One pitch solve's solution or error text, with the candidates it
-    discards."""
+    discards; for a factor, its placement alone or why it has none."""
     discarded = []
     try:
-        outcome = repr(placement._pitch(sc, 1, side, factor, discarded))
+        if factor is None:
+            outcome = repr(placement._pitch(sc, 1, side, discarded))
+        else:
+            outcome = repr(pitch_on_factor(sc, factor, side))
     except InfeasibleGeometry as exc:
         outcome = str(exc)
     return outcome, discarded
