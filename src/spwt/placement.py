@@ -18,18 +18,18 @@ scenario):
 Every candidate is mapped to the caller's frame first and certified by
 recomputing the correlation at that position's canonical image, the point a
 caller who maps the returned position reads, with the scenario's one kept
-frame and kernel (:func:`_frame`), into one record of the same shape for
-both solvers (:func:`_certify`), which holds the caller-frame position for
-an accepted candidate only.  The bisector certifies all its candidates in
-one kernel pass; the extension scheme tries the row factor, then the column,
+frame and kernel (:func:`_frame`), for both solvers in one step
+(:func:`_certify`): an accepted candidate becomes the ``PlacementSolution``
+the caller gets, a failed one the text of its discard, naming the
+caller-frame point.  The bisector certifies all its candidates in one
+kernel pass; the extension scheme tries the row factor, then the column,
 makes one pass per factor, both sides together, and computes the column
 factor only when a call reaches it: the row factor has no zero, or fails on
-the side asked for.  The records of the last scenario object asked for are
-kept while the same object keeps being asked.  On each call, one step (:func:`_accept`) turns every record the
-solver picks into a placement, or into the text of its discard; a solver
-with no certified candidate raises ``InfeasibleGeometry``.
-:func:`solve_all` reports every discard, once, beside its placements and
-failures; the per-scheme solvers drop them.
+the side asked for.  The outcomes of the last scenario object asked for are
+kept while the same object keeps being asked, so a repeated call returns
+the same placements; a solver with no certified candidate raises
+``InfeasibleGeometry``.  :func:`solve_all` reports every discard, once,
+beside its placements and failures; the per-scheme solvers drop them.
 """
 
 import math
@@ -61,12 +61,12 @@ _MAP_CHUNK = 1 << 12
 class PlacementSolution:
     """One certified placement: the UAV ``position`` in the caller's frame,
     the ``scheme`` ("azimuth" or "pitch") and ``branch`` ("+" or "-") that
-    placed it, the null index as the caller gave it (``index_used``), the
+    placed it, the null index as a Python int (``index_used``), the
     ``factor_used`` ("row" or "column"), the kernel's certified |rho| at the
     position (``null_residual``, at most 1e-8) and the secrecy rate there in
     bits/s/Hz at the scenario's power split (``sr_at_solution``).
 
-    The solvers build one only from a record :func:`_certify` accepted, whose
+    Only :func:`_certify` builds one, for a candidate it accepted, whose
     ``position`` passed Position3D's finite check when it was built."""
 
     position: Position3D
@@ -78,19 +78,21 @@ class PlacementSolution:
     sr_at_solution: float
 
 
-def _check(scenario: "ScenarioConfig", index) -> dict:
-    """Check the null index; return the kept :func:`_factors` at it, or raise
-    the kept reason there are none as ``InfeasibleGeometry``.  The yaw needs
-    no check: a factor it leaves with no zero places nothing."""
+def _check(scenario: "ScenarioConfig", index) -> tuple[int, dict]:
+    """Check the null index; return it as an int with the kept
+    :func:`_factors` at it, or raise the kept reason there are none as
+    ``InfeasibleGeometry``.  The yaw needs no check: a factor it leaves with
+    no zero places nothing."""
     # 1.0, True and numpy integers pass; 1.5, nan and inf would reach the
     # null equations and fail there for a misleading reason, and an integer
     # beyond the float range would overflow converting to float there.
     if not (1 <= index <= sys.float_info.max and index % 1 == 0):
         raise ValueError("null index must be a positive integer")
-    return _kept(scenario, ("factors", index), _factors, index)
+    index = int(index)
+    return index, _kept(scenario, ("factors", index), _factors, index)
 
 
-def _factors(scenario: "ScenarioConfig", index) -> dict | str:
+def _factors(scenario: "ScenarioConfig", index: int) -> dict | str:
     """{name: term} of each geometric-sum factor with a zero at ``index``,
     or why there is none: a factor whose element count divides ``index`` has
     its maximum there and is skipped.  The term is the count times
@@ -126,14 +128,14 @@ def _kept(scenario: "ScenarioConfig", key: tuple, build, *args):
     index), ("pitch", index, factor) per factor an extension call reaches
     (the column only past the row), the sweeps'
     ("baselines",), ("sweep", kind, grid, snr_db) and ("best", scheme).  They
-    hold values only: the builders take the index's float, the sweeps the
+    hold values only: the solvers take the index as an int, the sweeps the
     floats of the grid and ``snr_db`` before the slot, so inputs that compare
     equal (1, 1.0, True; 0.0, -0.0) share one outcome.  Outcomes hold values
     and messages, never an exception or the scenario (the frame's kernel
     closes over the scenario's values): releasing the slot frees it.  A
-    solver's are its :func:`_certify` records, which :func:`_accept` reads on
-    every ask.  A kept message (str) is why there is none, raised as
-    ``InfeasibleGeometry``.
+    solver's are what :func:`_certify` returns, each candidate's placement or
+    discard text, returned as they are on every ask.  A kept message (str) is
+    why there is none, raised as ``InfeasibleGeometry``.
     """
     global _last
     held, outcomes = _last
@@ -185,19 +187,18 @@ def solve_azimuth_scheme(
 def _azimuth(scenario: "ScenarioConfig", index, discarded: list) -> list:
     """:func:`solve_azimuth_scheme`, each discarded candidate's text appended
     to ``discarded``."""
-    factors = _check(scenario, index)
-    records = _kept(scenario, ("azimuth", index), _bisector_candidates, index, factors)
-    outcomes = [_accept(record, index) for record in records]
+    index, factors = _check(scenario, index)
+    outcomes = _kept(scenario, ("azimuth", index), _bisector_candidates, index, factors)
     discarded += [o for o in outcomes if isinstance(o, str)]
     if not (solutions := [o for o in outcomes if not isinstance(o, str)]):
         raise InfeasibleGeometry("every bisector candidate failed verification")
     return solutions
 
 
-def _bisector_candidates(scenario: "ScenarioConfig", k, factors: dict) -> str | list:
-    """The :func:`_certify` record of every bisector candidate of ``factors``
-    at null index ``k``, its coordinate the canonical y; or why there is none."""
-    k = float(k)
+def _bisector_candidates(scenario: "ScenarioConfig", index: int, factors: dict) -> str | list:
+    """The :func:`_certify` outcome of every bisector candidate of ``factors``
+    at null index ``index``; or why there is none."""
+    k = float(index)
     x_e = _kept(scenario, ("frame",), _frame)[1]
     g = scenario.uav_height_m
 
@@ -218,9 +219,8 @@ def _bisector_candidates(scenario: "ScenarioConfig", k, factors: dict) -> str | 
         y = math.sqrt(y_sq)
         for branch, offset in (("+", y), ("-", -y)) if y > 0.0 else (("+", 0.0),):
             # Within _DEDUP_M of an earlier candidate: one point, certified once.
-            if not any(abs(offset - c[3]) < _DEDUP_M for c in candidates):
-                xy = (x_e / 2.0, offset)
-                candidates.append(("azimuth", factor, branch, offset, xy))
+            if not any(abs(offset - c[3][1]) < _DEDUP_M for c in candidates):
+                candidates.append(("azimuth", factor, branch, (x_e / 2.0, offset)))
 
     if not candidates:
         # A lower altitude helps a factor whose |term| exceeds k, and a turn
@@ -235,7 +235,7 @@ def _bisector_candidates(scenario: "ScenarioConfig", k, factors: dict) -> str | 
             f"no real lateral offset on the bisector (largest radicand {max(radicands):.6g}"
             f" m^2); {' or '.join(remedies) or 'no altitude or yaw gives one'}"
         )
-    return _certify(scenario, candidates)
+    return _certify(scenario, candidates, index)
 
 
 def _frame(scenario: "ScenarioConfig") -> tuple:
@@ -246,17 +246,18 @@ def _frame(scenario: "ScenarioConfig") -> tuple:
     return tf, x_e, correlation_magnitude(scenario, x_e, math)
 
 
-def _certify(scenario: "ScenarioConfig", candidates: list) -> list:
-    """Each (scheme, factor, branch, canonical coordinate, canonical (x, y))
-    candidate as its record: (scheme, factor, branch, coordinate, position,
-    |rho|, secrecy rate).  The point solved is first mapped to the caller's
-    frame, and |rho| comes from the kept kernel at that point's canonical
-    image, so it is the value at the position returned, not at the rounded
-    point it was mapped from.  A candidate within ``_NULL_TOL`` is accepted:
-    its position is that caller-frame point as a Position3D, checked finite
-    as it is built, and its rate comes from one ``_rate_cells`` pass at the
-    scenario's checked budget over the accepted points.  A failed
-    candidate's position and rate are None."""
+def _certify(scenario: "ScenarioConfig", candidates: list, index: int) -> list:
+    """Each (scheme, factor, branch, canonical (x, y)) candidate at null
+    index ``index`` as its outcome, for both solvers.  The point solved is
+    first mapped to the caller's frame, and |rho| comes from the kept kernel
+    at that point's canonical image, so it is the value at the position
+    returned, not at the rounded point it was mapped from.  A candidate
+    within ``_NULL_TOL`` is accepted as its PlacementSolution, built with
+    its own constructor: its position is that caller-frame point as a
+    Position3D, checked finite as it is built, and its rate comes from one
+    ``_rate_cells`` pass at the scenario's checked budget over the accepted
+    points.  A failed candidate is the text of its discard, naming the
+    scheme, the caller-frame point (each coordinate's ``repr``) and |rho|."""
     tf, _, magnitude = _kept(scenario, ("frame",), _frame)
     points = [tf.from_canonical(*xy) for *_, xy in candidates]
     residuals = [magnitude(*tf.to_canonical(*xy)) for xy in points]
@@ -265,24 +266,12 @@ def _certify(scenario: "ScenarioConfig", candidates: list) -> list:
     budget = [power.alpha], [power.noise_b_w], [power.noise_e_w]
     rates = iter(_rate_cells(ok, _budget_rows(power.total_power_w, *budget)))
     return [
-        (scheme, factor, branch, coordinate,
-         Position3D(*xy, g) if r <= _NULL_TOL else None, r,
-         next(rates)[0] if r <= _NULL_TOL else None)
-        for (scheme, factor, branch, coordinate, _), xy, r
-        in zip(candidates, points, residuals)
+        PlacementSolution(Position3D(x, y, g), scheme, branch, index, factor, r, next(rates)[0])
+        if r <= _NULL_TOL
+        else f"{'bisector' if scheme == 'azimuth' else 'extension'} candidate at "
+        f"({x!r}, {y!r}) failed verification (|rho| = {r:.3e}); discarded"
+        for (scheme, factor, branch, _), (x, y), r in zip(candidates, points, residuals)
     ]
-
-
-def _accept(record: tuple, index) -> PlacementSolution | str:
-    """A :func:`_certify` record's placement, built with PlacementSolution's
-    own constructor; or, if it failed verification (its position is None),
-    the text of its discard, naming the scheme, coordinate and residual.
-    Both solvers accept here."""
-    scheme, factor, branch, coordinate, position, rho, rate = record
-    if position is not None:
-        return PlacementSolution(position, scheme, branch, index, factor, rho, rate)
-    name = "bisector candidate y" if scheme == "azimuth" else "extension candidate x"
-    return f"{name}={coordinate:.6g} failed verification (|rho| = {rho:.3e}); discarded"
 
 
 def _pitch_gap(x_e: float, g: float, t: float) -> tuple[float, float, float]:
@@ -357,30 +346,27 @@ def _pitch(scenario: "ScenarioConfig", index, side, discarded: list):
     candidate's text appended to ``discarded``: the first factor, row then
     column, whose candidate on ``side`` certifies, or why none does."""
     failures, advice = [], ""
-    for fac, term in _check(scenario, index).items():
+    index, factors = _check(scenario, index)
+    for fac, term in factors.items():
         key = ("pitch", index, fac)
-        record = _kept(scenario, key, _extension_candidates, index, fac, term)[side]
-        if len(record) == 2:  # no candidate: (why, whether the gap was unattainable)
-            failures.append(record[0])
-            if record[1] and term:
-                # Only a finite unattainable gap is helped by these; a term of
-                # 0 needs an infinite one, and a candidate that failed
-                # verification is not helped (a larger array amplifies rounding).
-                advice = "; lower the altitude, shrink the index, or use a larger array"
-            continue
-        if not isinstance(outcome := _accept(record, index), str):
+        outcome = _kept(scenario, key, _extension_candidates, index, fac, term)[side]
+        if isinstance(outcome, tuple):  # no candidate: (why, advice or "")
+            failures.append(outcome[0])
+            advice = advice or outcome[1]
+        elif isinstance(outcome, str):  # a discard
+            discarded.append(outcome)
+            failures.append(f"{fac} factor candidate failed verification")
+        else:
             return outcome
-        discarded.append(outcome)
-        failures.append(f"{fac} factor candidate failed verification")
     raise InfeasibleGeometry(
         f"extension scheme infeasible on the {side} side: {'; '.join(failures)}{advice}"
     )
 
 
-def _extension_candidates(scenario: "ScenarioConfig", l, factor: str, term) -> dict:
-    """By side, the :func:`_certify` record of ``factor`` (of term ``term``) at
-    null index ``l``, coordinate the canonical x, for :func:`_accept`; or, with
-    no candidate, (why, whether the gap was unattainable rather than unsolved).
+def _extension_candidates(scenario: "ScenarioConfig", l: int, factor: str, term) -> dict:
+    """By side, the :func:`_certify` outcome of ``factor`` (of term ``term``)
+    at null index ``l``; or, with no candidate, (why, the advice that helps or
+    "").
 
     Beyond either end of the segment the eavesdropper lies at a yaw-relative
     azimuth of pi - yaw (left) or -yaw (right).  Both have the same |cos| and
@@ -398,14 +384,18 @@ def _extension_candidates(scenario: "ScenarioConfig", l, factor: str, term) -> d
             f"{factor} factor needs a pitch-cosine gap of {target:.6g}, "
             f"above the attainable {gap_max:.6g} on the"
         )
-        return {side: (f"{why} {side} side", True) for side in ("left", "right")}
+        # Only a finite unattainable gap is helped by this; a term of 0 needs
+        # an infinite one, and neither an unsolved root nor a candidate that
+        # failed verification is helped (a larger array amplifies rounding).
+        advice = "; lower the altitude, shrink the index, or use a larger array" if term else ""
+        return {side: (f"{why} {side} side", advice) for side in ("left", "right")}
     try:
         t = _bisect_gap(x_e, g, target)
     except InfeasibleGeometry as exc:
-        return dict.fromkeys(("left", "right"), (str(exc), False))
+        return dict.fromkeys(("left", "right"), (str(exc), ""))
     branch = "+" if term > 0.0 else "-"
-    sides = [("pitch", factor, branch, x, (x, 0.0)) for x in (-t, x_e + t)]
-    return dict(zip(("left", "right"), _certify(scenario, sides)))
+    sides = [("pitch", factor, branch, (x, 0.0)) for x in (-t, x_e + t)]
+    return dict(zip(("left", "right"), _certify(scenario, sides, l)))
 
 
 def _bisect_gap(x_e: float, g: float, target: float) -> float:
@@ -456,11 +446,13 @@ def solve_all(
     :func:`solve_azimuth_scheme` returns them, the extension placements left
     before right.  An infeasible scheme or side is reported as
     ``"azimuth: <reason>"`` or ``"pitch left: <reason>"`` instead of raised.
-    A discard reads ``"bisector candidate y=<y> failed verification (|rho| =
-    <rho>); discarded"`` (``extension candidate x=<x>`` for the extension
-    scheme, each coordinate the canonical one); each text is listed once, in
-    the order found, so a point that both factors of a side reach is listed
-    once.
+    A discard reads ``"bisector candidate at (<x>, <y>) failed verification
+    (|rho| = <rho>); discarded"`` (``extension candidate at`` for the
+    extension scheme), (x, y) the caller-frame point certified, each
+    coordinate as its ``repr``, so two points give two texts; each text is
+    listed once, in the order found, so a point that both factors of a side
+    reach is listed once.  A repeated call on the same scenario object
+    returns the same PlacementSolution objects.
 
     Raises
     ------

@@ -41,6 +41,17 @@ settings.register_profile(
 )
 settings.load_profile("spwt")
 
+
+def pytest_configure(config):
+    """Under ``--hypothesis-seed=N``, draw from seed N: a derandomized
+    profile ignores the seed, so the flag loads a copy that is not."""
+    if config.getoption("hypothesis_seed", None) is not None:
+        settings.register_profile(
+            "spwt-seeded", settings.get_profile("spwt"), derandomize=False
+        )
+        settings.load_profile("spwt-seeded")
+
+
 # sigma^2 for a 15 dB SNR at 1 W total power
 SIGMA2_15DB = 10.0 ** -1.5
 
@@ -108,10 +119,10 @@ def kernel_calls(monkeypatch):
     calls = []
     certify, baselines = placement._certify, experiments._baselines
 
-    def counting_certify(scenario, points):
+    def counting_certify(scenario, points, index):
         if points:
             calls.append(1)
-        return certify(scenario, points)
+        return certify(scenario, points, index)
 
     def counting_baselines(*args):
         calls.append(1)
@@ -401,7 +412,7 @@ def gap_bracket_top(x_e: float, g: float, target: float) -> float:
 def pitch_on_factor(scenario: ScenarioConfig, factor: str, side="left", index=1):
     """The extension placement of ``factor`` ("row" or "column") alone on
     ``side``, where the solver tries the row factor first and the column only
-    past it.  It reads the records the solver keeps, under the solver's own
+    past it.  It reads the outcomes the solver keeps, under the solver's own
     keys, so that a factor certified here is not certified again by the
     solver, and the other way round.
 
@@ -409,16 +420,16 @@ def pitch_on_factor(scenario: ScenarioConfig, factor: str, side="left", index=1)
     ``index``, or with the text of why ``factor`` does not place there: it
     has no zero, its gap is unattainable, its root search did not converge,
     or its candidate's discard text."""
-    factors = placement._kept(scenario, ("factors", index), placement._factors, index)
+    index, factors = placement._check(scenario, index)
     if factor not in factors:
         raise InfeasibleGeometry(f"the {factor} factor has no zero at index {index}")
-    records = placement._kept(
+    outcome = placement._kept(
         scenario, ("pitch", index, factor), placement._extension_candidates,
         index, factor, factors[factor],
-    )
-    record = records[side]
-    outcome = record[0] if len(record) == 2 else placement._accept(record, index)
-    if isinstance(outcome, str):
+    )[side]
+    if isinstance(outcome, tuple):  # no candidate: (why, advice)
+        raise InfeasibleGeometry(outcome[0])
+    if isinstance(outcome, str):  # the discard text of a failed candidate
         raise InfeasibleGeometry(outcome)
     return outcome
 

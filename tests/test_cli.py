@@ -330,10 +330,10 @@ def test_sweep_with_no_placement_warns_before_its_infeasible_line(tmp_path, caps
     argv = ["sweep", "--kind", kind, "--config", str(tmp_path / "a.cfg")]
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "warning: bisector candidate y=1.76777e+11 failed verification "
-        "(|rho| = 2.862e-08); discarded",
-        "warning: bisector candidate y=-1.76777e+11 failed verification "
-        "(|rho| = 2.862e-08); discarded",
+        "warning: bisector candidate at (250.0, 176776695296.63687) failed "
+        "verification (|rho| = 2.862e-08); discarded",
+        "warning: bisector candidate at (250.0, -176776695296.63687) failed "
+        "verification (|rho| = 2.862e-08); discarded",
         "infeasible: azimuth: every bisector candidate failed verification",
     ]
     assert not out.exists()
@@ -867,13 +867,14 @@ def test_geometry_beyond_float_squares_is_a_named_outcome(
     assert err and all(line.startswith(("infeasible: ", "warning: ")) for line in err)
     warned = [line for line in err if line.startswith("warning: ")]
     if (key, command) == ("x_e_m", "place"):
-        # the warning line gives the far candidate's coordinate in six
-        # significant digits, not all 201 of them
+        # the warning line gives the far candidate's coordinate in its
+        # shortest round-trip form, not all 201 digits
         assert warned == [f"warning: {FAR_WARNING}"]
 
 
 FAR_WARNING = (
-    "extension candidate x=1e+200 failed verification (|rho| = 7.233e-02); discarded"
+    "extension candidate at (1e+200, 0.0) failed verification (|rho| = 7.233e-02); "
+    "discarded"
 )
 GOLDEN_REFERENCE = Path(__file__).parent / "golden" / "reference.cfg"
 

@@ -24,6 +24,7 @@ from spwt import placement
 from spwt.scenario import SPEED_OF_LIGHT
 from spwt.geometry import canonicalize_frame
 from spwt.placement import _bisect_gap, _pitch_gap
+import conftest
 from conftest import (
     correlation_at,
     element_sum_map,
@@ -444,20 +445,38 @@ def test_default_pitch_solve_computes_the_column_factor_only_when_the_row_fails(
 @given(sc=finite_scenarios())
 def test_both_sides_take_each_factors_root_from_one_t(sc):
     # finite_scenarios put the receiver at the origin and the eavesdropper
-    # on the +x axis, so the caller's frame is the canonical one
-    for fac in ("row", "column"):
-        term = placement._factors(sc, 1)[fac]
-        sides = placement._extension_candidates(sc, 1, fac, term)
-        left, right = sides["left"], sides["right"]
-        assert len(left) == len(right)
-        if len(left) == 2:  # no candidate on either side
-            assert left[1] == right[1]  # an unattainable gap on both, or on neither
-            if not left[1]:
-                assert right == left  # the one root search's message
-        else:
-            t = -left[3]
-            assert right[3] == sc.eve.x + t  # x = -t and x = x_e + t
-            assert right[:3] == left[:3] == ("pitch", fac, left[2])  # one branch
+    # on the +x axis, so the caller's frame is the canonical one; the
+    # candidates are read as certification is handed them
+    passed, certify = [], placement._certify
+
+    def recording(scenario, candidates, index):
+        passed.append(candidates)
+        return certify(scenario, candidates, index)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(placement, "_certify", recording)
+        for fac in ("row", "column"):
+            term = placement._factors(sc, 1)[fac]
+            del passed[:]
+            sides = placement._extension_candidates(sc, 1, fac, term)
+            left, right = sides["left"], sides["right"]
+            if isinstance(left, tuple):  # no candidate on either side
+                assert isinstance(right, tuple) and passed == []
+                assert left[1] == right[1]  # the same advice on both, or none
+                if "above the attainable" not in left[0]:
+                    assert right == left  # the one root search's message
+                continue
+            (candidates,) = passed
+            (*head, (x_l, y_l)), (*head_r, (x_r, y_r)) = candidates
+            t = -x_l
+            assert (x_r, y_l, y_r) == (sc.eve.x + t, 0.0, 0.0)  # x = -t and x = x_e + t
+            assert head_r == head == ["pitch", fac, head[2]]  # one branch
+            for outcome, x in ((left, x_l), (right, x_r)):
+                if isinstance(outcome, placement.PlacementSolution):
+                    assert outcome.position.x == x
+                    assert [outcome.scheme, outcome.factor_used, outcome.branch] == head
+                else:
+                    assert outcome.startswith(f"extension candidate at ({x!r}, 0.0) ")
 
 
 def test_verify_null_rejects_generic_points(reference_scenario):
@@ -489,7 +508,7 @@ def test_no_certified_candidate_raises_infeasible(build):
     assert str(info.value) == "every bisector candidate failed verification"
     solutions, failures, discarded = solve_all(sc, ("azimuth",))
     assert (solutions, failures) == ([], [f"azimuth: {info.value}"])
-    assert [d.split("=")[0] for d in discarded] == ["bisector candidate y"]
+    assert [d.split(" (")[0] for d in discarded] == ["bisector candidate at"]
 
 
 _LIFTED = "the placement schemes need both ground nodes at z = 0"
@@ -834,6 +853,25 @@ def test_the_simd_target_does_not_change_the_map():
     assert len(set(hashes.values())) == 1, hashes
 
 
+@pytest.mark.parametrize("seed", [None, 1])
+def test_only_a_hypothesis_seed_lifts_the_fixed_example_set(seed, request):
+    # a derandomized profile ignores --hypothesis-seed, so the suite's hook
+    # loads a copy that is not derandomized only when a seed is given; the
+    # session's own profile is loaded again after
+    class Options:
+        def getoption(self, name, default=None):
+            return {"hypothesis_seed": seed}.get(name, default)
+
+    try:
+        settings.load_profile("spwt")
+        conftest.pytest_configure(Options())
+        assert settings.default.derandomize is (seed is None)
+        assert settings.default.max_examples == 40
+    finally:
+        settings.load_profile("spwt")
+        conftest.pytest_configure(request.config)
+
+
 def test_a_strided_grid_equals_the_whole_maps_cells(reference_scenario):
     # pattern's heatmap maps only the cells it draws, every third point of
     # the default 401-point axis; its SVG bytes need the whole map's bits
@@ -918,6 +956,19 @@ def test_a_candidate_rounded_off_its_null_is_discarded():
     assert [f.split(":")[0] for f in failures] == ["pitch left", "pitch right"]
     assert all("candidate failed verification" in f for f in failures)
     assert all(text.endswith("; discarded") for text in discarded)
+    # each discard names the caller-frame point certified, exactly: its x
+    # is near 1e12 m (the canonical point's y was 713.304), the map reads
+    # the text's |rho| there, and no two discards name one point
+    assert [text.split(" at ")[0] for text in discarded] == [
+        "bisector candidate", "bisector candidate", "extension candidate", "extension candidate"
+    ]
+    points = [text.split(" at (")[1].split(")")[0] for text in discarded]
+    assert len(set(points)) == 4
+    for text, point in zip(discarded, points):
+        x, y = map(float, point.split(", "))
+        assert abs(x - bob.x) <= 1e-6 * bob.x
+        rho = correlation_map(sc, [x], [y])[0, 0]
+        assert rho > placement._NULL_TOL and f"(|rho| = {rho:.3e})" in text
     for s in solutions:
         assert s.null_residual <= placement._NULL_TOL
         assert correlation_map(sc, [s.position.x], [s.position.y])[0, 0] == s.null_residual
@@ -1149,8 +1200,8 @@ def test_extension_row_null_at_extreme_roots_and_targets(sc):
         assert s.null_residual <= 1e-8
 
 
-_B = "bisector candidate y={} failed verification (|rho| = {}); discarded"
-_E = "extension candidate x={} failed verification (|rho| = {}); discarded"
+_B = "bisector candidate at ({}) failed verification (|rho| = {}); discarded"
+_E = "extension candidate at ({}) failed verification (|rho| = {}); discarded"
 
 # Per case: the scenario, then the texts each solver body appends to its
 # discard list (the bisector's, then the extension scheme's on each side),
@@ -1165,28 +1216,29 @@ _E = "extension candidate x={} failed verification (|rho| = {}); discarded"
 WARNING_CASES = {
     "g-nan": (
         lambda: unchecked_scenario(uav_height_m=math.nan),
-        [_B.format("0", "nan")], [], [],
+        [_B.format("250.0, 0.0", "nan")], [], [],
     ),
+    # the canonical point (inf, 0) maps back to (inf, inf * 0)
     "x_e-inf": (
         lambda: unchecked_scenario(eve=unchecked_position(math.inf, 0.0)),
-        [_B.format("0", "nan")], [], [],
+        [_B.format("inf, nan", "nan")], [], [],
     ),
     "yaw-nan": (
         lambda: unchecked_scenario(yaw=math.nan),
-        [_B.format("0", "nan")], [], [],
+        [_B.format("250.0, 0.0", "nan")], [], [],
     ),
     "row-fails": (
         lambda: make_scenario(m=10**9, n=4),
         [
-            _B.format("1.76777e+11", "2.862e-08"),
-            _B.format("-1.76777e+11", "2.862e-08"),
+            _B.format("250.0, 176776695296.63687", "2.862e-08"),
+            _B.format("250.0, -176776695296.63687", "2.862e-08"),
         ],
-        [_E.format("-191688", "8.286e-08")],
-        [_E.format("192188", "8.286e-08")],
+        [_E.format("-191688.41896747073, 0.0", "8.286e-08")],
+        [_E.format("192188.41896747073, 0.0", "8.286e-08")],
     ),
     "far": (
         lambda: make_scenario(x_e=1e200),
-        [], [], [_E.format("1e+200", "7.233e-02")] * 2,
+        [], [], [_E.format("1e+200, 0.0", "7.233e-02")] * 2,
     ),
 }
 

@@ -4,10 +4,12 @@ baselines' rate rows each sweep grid gives them; the grid's own axis
 (checks, floors, bound, budget rows) is kept once per total power across
 scenarios, for the last two.  A sweep takes its inputs as floats, so equal
 values give equal bits and share one axis, whatever their type.  A warm
-scenario must give exactly what a fresh equal copy gives, as fresh
-objects, with the same discarded candidates reported by ``solve_all``, and
-the kept scenario must be released once another one is solved."""
+scenario must give exactly what a fresh equal copy gives, in fresh lists
+of the very placements it gave before, with the same discarded candidates
+reported by ``solve_all``, and the kept scenario must be released once
+another one is solved."""
 
+import fractions
 import gc
 import math
 import sys
@@ -254,21 +256,49 @@ def test_study_asks_each_distinct_rate_cell_once(monkeypatch, reference_scenario
 
 
 def test_equal_inputs_share_one_outcome(reference_scenario, kernel_calls):
-    # the four forms of index 1 are one key: one bisector and one extension
-    # kernel call in all, Python floats out, and each solution keeps the
-    # caller's index as given
+    # the six forms of index 1 are one key: one bisector and one extension
+    # kernel call in all, Python floats out, and every solution's index the
+    # int 1, so that every form gets the very placements the first built
     sc = reference_scenario
-    for index in (1, True, 1.0, np.int64(1)):
+    first = None
+    for index in (True, 1.0, np.int64(1), fractions.Fraction(1), Decimal(1), 1):
         solutions = solve_azimuth_scheme(sc, index) + [solve_pitch_scheme(sc, index)]
-        assert {repr(s.index_used) for s in solutions} == {repr(index)}
+        assert [(type(s.index_used), s.index_used) for s in solutions] == [(int, 1)] * 3
         for s in solutions:
             assert {type(v) for v in (s.position.x, s.position.y, s.position.z)} == {float}
+        first = first or solutions
+        assert all(s is f for s, f in zip(solutions, first, strict=True))
     assert len(kernel_calls) == 2
+
+
+def test_a_study_builds_each_placement_once(monkeypatch, reference_scenario):
+    # each certified candidate is built once, as the placement every later
+    # ask returns: the reference scenario's two bisector and two extension
+    # placements, however often the solvers and the sweeps' picks read them
+    built = []
+
+    class Counting(placement.PlacementSolution):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(placement, "PlacementSolution", Counting)
+    sc = reference_scenario
+    solved = solve_azimuth_scheme(sc) + [
+        solve_pitch_scheme(sc, side=side) for side in ("left", "right")
+    ]
+    for scheme in ("azimuth", "pitch"):
+        for sweep in (sweep_snr, sweep_alpha):
+            sweep(sc, scheme=scheme)
+    assert solve_all(sc)[0] == solved
+    assert all(type(s) is Counting for s in solved)
+    # the solvers built these four; the sweeps and solve_all built none more
+    assert len(built) == len(solved) == 4
 
 
 def test_equal_indices_share_one_infeasible_message(monkeypatch):
     # on a 1x1 array, where no factor has a zero, the four forms of index 1
-    # are one key too: the reason is built once, with the index as a float,
+    # are one key too: the reason is built once, from the index as an int,
     # whichever form is asked first
     factors, built = placement._factors, []
 
@@ -287,7 +317,7 @@ def test_equal_indices_share_one_infeasible_message(monkeypatch):
     assert messages == {
         "index 1 is a multiple of both array dimensions (1x1); neither factor has a zero there"
     }
-    assert built == [True]  # the first form asked
+    assert [(type(k), k) for k in built] == [(int, 1)]  # True, the first form asked
 
 
 def test_each_call_raises_a_new_exception():
