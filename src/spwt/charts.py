@@ -24,6 +24,21 @@ def _text(value) -> str:
     return str(value).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _line(x1, y1, x2, y2, stroke: str, width, tail: str = "") -> str:
+    """A ``<line>`` element; ``tail`` holds any further attributes."""
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" '
+        f'stroke-width="{width}"{tail}/>'
+    )
+
+
+def _label(x, y, content, anchor: str = "", tail: str = "") -> str:
+    """A ``<text>`` element holding ``content`` escaped; ``tail`` holds any
+    further attributes."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{x}" y="{y}"{anchor}{tail}>{_text(content)}</text>'
+
+
 def _unit(lo: float, hi: float) -> float:
     """The power of two an axis from ``lo`` to ``hi`` is measured in: 1, or
     1/16 where its span, or the span times a tick index, would overflow.
@@ -60,16 +75,14 @@ def _scales(x_lo: float, x_hi: float, y_lo: float, y_hi: float):
 def _frame(body: list, x_label: str, y_label: str, extra: list) -> str:
     """The SVG page: a white background, ``body``, both axis labels, then
     ``extra``."""
+    mid_y = f"{(_MT + _H - _MB) / 2:.0f}"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="11">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         *body,
-        f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 10}" '
-        f'text-anchor="middle">{_text(x_label)}</text>',
-        f'<text x="14" y="{(_MT + _H - _MB) / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.0f})">'
-        f"{_text(y_label)}</text>",
+        _label(f"{(_ML + _W - _MR) / 2:.0f}", _H - 10, x_label, "middle"),
+        _label(14, mid_y, y_label, "middle", f' transform="rotate(-90 14 {mid_y})"'),
         *extra,
         "</svg>",
     ]
@@ -95,36 +108,17 @@ def render_line_chart(
     y_lo = 0.0
     px, py = _scales(x_lo, x_hi, y_lo, y_hi)
 
-    parts = [
-        f'<text x="{_W / 2:.0f}" y="14" text-anchor="middle">{_text(title)}</text>'
-    ]
+    parts = [_label(f"{_W / 2:.0f}", 14, title, "middle")]
     for yt in _ticks(y_lo, y_hi):
-        parts.append(
-            f'<line x1="{_ML}" y1="{_fmt(py(yt))}" x2="{_W - _MR}" '
-            f'y2="{_fmt(py(yt))}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_ML - 6}" y="{_fmt(py(yt) + 4)}" '
-            f'text-anchor="end">{yt:.4g}</text>'
-        )
-    x_ticks = xs if len(xs) <= 12 else _ticks(x_lo, x_hi, 6)
-    for xt in x_ticks:
-        parts.append(
-            f'<line x1="{_fmt(px(xt))}" y1="{_H - _MB}" x2="{_fmt(px(xt))}" '
-            f'y2="{_H - _MB + 4}" stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px(xt))}" y="{_H - _MB + 16}" '
-            f'text-anchor="middle">{xt:.4g}</text>'
-        )
-    parts.append(
-        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" '
-        f'stroke="#333333" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" '
-        f'stroke="#333333" stroke-width="1"/>'
-    )
+        y = py(yt)
+        parts.append(_line(_ML, _fmt(y), _W - _MR, _fmt(y), "#dddddd", 1))
+        parts.append(_label(_ML - 6, _fmt(y + 4), f"{yt:.4g}", "end"))
+    for xt in xs if len(xs) <= 12 else _ticks(x_lo, x_hi, 6):
+        x = _fmt(px(xt))
+        parts.append(_line(x, _H - _MB, x, _H - _MB + 4, "#333333", 1))
+        parts.append(_label(x, _H - _MB + 16, f"{xt:.4g}", "middle"))
+    parts.append(_line(_ML, _MT, _ML, _H - _MB, "#333333", 1))
+    parts.append(_line(_ML, _H - _MB, _W - _MR, _H - _MB, "#333333", 1))
     curves = []
     for idx, (name, values) in enumerate(series.items()):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -137,11 +131,8 @@ def render_line_chart(
             f'{dash} points="{points}"/>'
         )
         ly = _MT + 14 + 15 * idx
-        curves.append(
-            f'<line x1="{_W - _MR - 120}" y1="{ly}" x2="{_W - _MR - 96}" '
-            f'y2="{ly}" stroke="{color}" stroke-width="1.6"{dash}/>'
-        )
-        curves.append(f'<text x="{_W - _MR - 90}" y="{ly + 4}">{_text(name)}</text>')
+        curves.append(_line(_W - _MR - 120, ly, _W - _MR - 96, ly, color, 1.6, dash))
+        curves.append(_label(_W - _MR - 90, ly + 4, name))
     return _frame(parts, x_label, y_label, curves)
 
 
@@ -221,11 +212,6 @@ def render_heatmap(xs, ys, values, overlays) -> str:
         (y_lo, "end", _ML - 6, _H - _MB),
         (y_hi, "end", _ML - 6, _MT + 8),
     ):
-        parts.append(
-            f'<text x="{x}" y="{y}" text-anchor="{anchor}">{value:.5g}</text>'
-        )
-    note = (
-        f'<text x="{_W - _MR}" y="14" text-anchor="end">dark = |correlation| '
-        "near 0 (log scale 1e-6..1)</text>"
-    )
-    return _frame(parts, "x (m)", "y (m)", [note])
+        parts.append(_label(x, y, f"{value:.5g}", anchor))
+    note = "dark = |correlation| near 0 (log scale 1e-6..1)"
+    return _frame(parts, "x (m)", "y (m)", [_label(_W - _MR, 14, note, "end")])

@@ -143,7 +143,7 @@ def _sweep(
         raise ValueError(
             "sweep grid and SNR values must lie within the float range"
         ) from None
-    theory, rows, ones = _axis(float(scenario.power.total_power_w), kind, grid, snr_db)
+    theory, rows, ones = _axis(scenario.power.total_power_w, kind, grid, snr_db)
     best = _kept(scenario, ("best", scheme), _pick, scheme)
     key = ("sweep", kind, grid, snr_db)
     rand, baselines = _kept(scenario, key, _baseline_rows, rows)

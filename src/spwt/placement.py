@@ -442,6 +442,7 @@ def solve_all(
     one message for each scheme or side that has none, and the text of each
     candidate that failed verification and was discarded.
 
+    Each scheme is solved once, where ``schemes`` first names it.
     Solutions come in the order of ``schemes``: the bisector placements as
     :func:`solve_azimuth_scheme` returns them, the extension placements left
     before right.  An infeasible scheme or side is reported as
@@ -466,7 +467,7 @@ def solve_all(
     solutions: list[PlacementSolution] = []
     failures: list[str] = []
     discarded: list[str] = []
-    for scheme in schemes:
+    for scheme in dict.fromkeys(schemes):
         if scheme == "azimuth":
             try:
                 solutions.extend(_azimuth(scenario, 1, discarded))

@@ -2,7 +2,9 @@
 tests/conftest.py, so a name added to spwt.__all__ must be added here too."""
 
 import inspect
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +50,15 @@ def test_each_name_is_the_object_its_home_module_defines(name):
     value = getattr(spwt, name)
     assert value.__module__.startswith("spwt.")
     assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_version_is_the_one_pyproject_declares():
+    # `spwt --version` and each manifest's tool_version print __version__,
+    # pip's metadata reads pyproject.toml; a regex, as Python 3.10 has no tomllib
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)[1]
+    (version,) = re.findall(r'^version\s*=\s*"([^"]*)"$', project, re.M)
+    assert version == spwt.__version__
 
 
 def test_unknown_name_raises_attribute_error_naming_it():

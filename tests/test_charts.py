@@ -1,3 +1,4 @@
+import hashlib
 import re
 from xml.dom import minidom
 
@@ -173,3 +174,51 @@ def test_labels_titles_and_series_names_are_escaped():
     assert {"T&C", "a<b & c", "x < 1", "y>0"} <= set(texts(line))
     # an entity already in a name is escaped again, not passed through
     assert "&amp;amp;" in render_line_chart([0], {"&amp;": [1.0]}, "x", "y", "t")
+
+
+_TOP = 1.7976931348623157e308
+
+
+# Branches the golden SVGs do not reach, pinned byte for byte: a sweep of
+# more than 12 x values (six computed x ticks), a one-point x axis (widened
+# about its value), axes past the float range (measured in 1/16 units) with
+# names to escape, and a heatmap with one circle drawn and one at x = 1e308
+# left out.
+@pytest.mark.parametrize(
+    "draw, digest",
+    [
+        pytest.param(
+            lambda: render_line_chart(
+                range(13),
+                {"a": [i / 2 for i in range(13)], "theory": [i / 3 for i in range(13)]},
+                "x", "y", "t",
+            ),
+            "efc93e5becf9586e986ba9a7fa6aad724617411fdf5d2e8cd8f3367f3d8e0d60",
+            id="thirteen-x-values",
+        ),
+        pytest.param(
+            lambda: render_line_chart([3.0], {"a": [2.0]}, "x", "y", "t"),
+            "9788749d2787177132cd6e4098645e53ce95c1f4ce756176efa93294c4d2aa03",
+            id="one-x-value",
+        ),
+        pytest.param(
+            lambda: render_line_chart(
+                [-_TOP, 0.0, _TOP], {"a<b & c": [_TOP, 1.0, 1e308]},
+                "x < 1 & y", "y <= 2", "T & <C>",
+            ),
+            "0422b666515dd8c0baa2896258c0df9ece29cb9e7b61688c8bff521be54717dc",
+            id="past-the-float-range",
+        ),
+        pytest.param(
+            lambda: render_heatmap(
+                np.linspace(-100.0, 100.0, 5), np.linspace(-50.0, 50.0, 3),
+                np.array([[1e-7, 1e-3, 0.5, 1.0, 0.2]] * 3),
+                [(10.0, 5.0), (1e308, 0.0)],
+            ),
+            "b0dcd65d3f8d186cd704179af15bf2b8eb311eb433c2a9b47170a84feca13db4",
+            id="heatmap-overlay-off-the-float-range",
+        ),
+    ],
+)
+def test_chart_bytes_are_pinned(draw, digest):
+    assert hashlib.sha256(draw().encode()).hexdigest() == digest

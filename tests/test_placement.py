@@ -597,6 +597,19 @@ def test_solve_all_order_and_failures():
         solve_all(sc, ("spiral",))
 
 
+def test_solve_all_solves_a_repeated_scheme_once():
+    # a scheme named twice is solved and listed once, in its first place
+    sc = make_scenario()
+    solutions, failures, discarded = solve_all(sc, ("azimuth", "azimuth", "pitch"))
+    assert failures == discarded == []
+    assert [s.scheme for s in solutions] == ["azimuth", "azimuth", "pitch", "pitch"]
+    assert len({id(s) for s in solutions}) == 4
+    assert solutions == solve_all(sc, ("azimuth", "pitch"))[0]
+    # an infeasible one is reported once per side
+    failures = solve_all(make_scenario(g=10_000.0), ("pitch", "pitch"))[1]
+    assert [f.split(":")[0] for f in failures] == ["pitch left", "pitch right"]
+
+
 def test_solve_all_rejects_an_unknown_scheme_before_solving(kernel_calls):
     # the bisector of a nan altitude discards its candidate; a scheme name
     # it cannot solve is rejected before the kernel runs
